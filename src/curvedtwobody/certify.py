@@ -16,13 +16,14 @@ from fractions import Fraction
 from typing import Optional
 
 from . import kovacic, models
-from .exactfield import TowerScalar
-from .linode import (SingularitySpectrum, reduce_to_second_order,
+from .exactfield import DivisionByZero, TowerScalar
+from .linode import (FirstOrderSystem, SingularitySpectrum,
+                     normal_form_r_at, reduce_to_second_order,
                      singularity_spectrum, to_normal_form,
                      verify_gauge_transform)
 from .models import (DegenerateParameters, HypothesisViolated,
                      Potential, Space)
-from .ratcalc import RatFunc
+from .ratcalc import PoleEvaluation, Poly, RatFunc
 
 
 class CertifyError(Exception):
@@ -51,7 +52,13 @@ def parse_rational(text) -> Fraction:
         return text
     if not isinstance(text, str) or "." in text or "e" in text.lower():
         raise CertifyError(f"rational parameters must be exact 'n/d' strings: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise CertifyError(
+            f"rational parameters must be exact 'n/d' strings: {text!r}") from None
+    except ZeroDivisionError:
+        raise CertifyError(f"zero denominator in {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -67,15 +74,23 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> RunConfig:
+        try:
+            space, potential = Space(data["space"]), Potential(data["potential"])
+            seed = int(data.get("seed", 0))
+            samples = int(data.get("identity_samples", 20))
+        except (TypeError, ValueError) as exc:
+            raise CertifyError(str(exc)) from None
+        if samples < 0:
+            raise CertifyError(f"identity_samples must be >= 0, got {samples}")
         return RunConfig(
-            space=Space(data["space"]),
-            potential=Potential(data["potential"]),
+            space=space,
+            potential=potential,
             strength=parse_rational(data["strength"]),
             mu=parse_rational(data["mu"]),
             p=parse_rational(data["p"]),
             eps=parse_rational(data["eps"]),
-            seed=int(data.get("seed", 0)),
-            identity_samples=int(data.get("identity_samples", 20)))
+            seed=seed,
+            identity_samples=samples)
 
     def to_dict(self) -> dict:
         return {"space": self.space.value, "potential": self.potential.value,
@@ -163,6 +178,124 @@ def _gauge_log_derivative(system, ctx) -> RatFunc:
     if system.weight is not None:
         h = h + quarter * system.weight.derivative() / system.weight
     return h
+
+
+@dataclass(frozen=True)
+class ClearingBound:
+    """E = prod factor^exponent clears the poles of r and of the table T at
+    one parameter set, and E (r - T) is a polynomial of degree <= degree."""
+
+    factors: tuple[tuple[Poly, int], ...]
+    degree: int
+
+
+def _factor_over(poly: Poly, bases: tuple[Poly, ...]) -> dict:
+    """Exponents of the monic bases in poly by exact division, keyed by base
+    index, plus the monic cofactor (exponent 1) when it is not constant."""
+    exps = {}
+    for i, base in enumerate(bases):
+        while poly.degree() >= base.degree():
+            quot, rem = poly.divmod(base)
+            if not rem.is_zero():
+                break
+            poly = quot
+            exps[i] = exps.get(i, 0) + 1
+    if poly.degree() > 0:
+        exps[poly.monic()] = 1
+    return exps
+
+
+def _add(*vectors: dict) -> dict:
+    out = {}
+    for vec in vectors:
+        for key, e in vec.items():
+            out[key] = out.get(key, 0) + e
+    return out
+
+
+def _order_at_infinity(f: RatFunc) -> int:
+    return f.num.degree() - f.den.degree()
+
+
+def clearing_bound(system: FirstOrderSystem, table: models.CoefficientTable,
+                   params: models.ModelParams) -> ClearingBound:
+    """E and the degree bound B for the identity r = T at one parameter set.
+
+    With g = C'/C (+ f'/(2f)) and r = gA + A^2 + CB[f] - A' - g'/2 + g^2/4:
+    g has simple poles only, at the roots of S = rad(num C den C [num f den f]),
+    so S^2 clears g' and g^2; den(A)^2 clears A', A^2 and (with S^2) gA;
+    den C den B [den f], less the factors of num C [num f], clears CB[f];
+    and (z-z0)^2 (z^2-kappa^2)^2 (z^2-lambda^2)^2 clears T.  Each of these
+    polynomials is split over the three coprime factors by exact division
+    at this sample, so E is the least common multiple of the requirements
+    up to any unsplit cofactor.  At
+    infinity g = O(1/z), so r = O(z^v) with v the largest of -2, 2 ord A,
+    ord A - 1 and ord C + ord B [+ ord f], and T = O(1/z), O(1/z^2) when
+    the betas sum to zero.  Nothing here assumes r = T.
+    """
+    ctx = params.ctx
+    one = ctx.one
+    bases = (Poly(ctx, [-params.z0_scalar(), one]),
+             Poly(ctx, [-ctx.from_gauss(params.kappa2), ctx.zero, one]),
+             Poly(ctx, [-ctx.from_gauss(params.lambda2), ctx.zero, one]))
+    A, B, C, f = system.A, system.B, system.C, system.weight
+    split = {}
+
+    def vec(poly: Poly) -> dict:
+        if poly not in split:
+            split[poly] = _factor_over(poly, bases)
+        return split[poly]
+
+    log_parts = [C.num, C.den] + ([f.num, f.den] if f is not None else [])
+    radical = {key: 2 for part in log_parts for key in vec(part)}
+    # the numerators of C and f cancel base factors of den C den B den f
+    cbf = _add(*(vec(part.den) for part in (C, B, f) if part is not None))
+    for key, e in _add(vec(C.num), vec(f.num) if f is not None else {}).items():
+        if isinstance(key, int) and key in cbf:
+            cbf[key] = max(cbf[key] - e, 0)
+    needs = [radical, _add(vec(A.den), vec(A.den)), cbf, {0: 2, 1: 2, 2: 2}]
+    exps = {}
+    for need in needs:
+        for key, e in need.items():
+            exps[key] = max(exps.get(key, 0), e)
+    factors = tuple((bases[key] if isinstance(key, int) else key, e)
+                    for key, e in exps.items())
+
+    order_r = -2
+    if not A.is_zero():
+        order_a = _order_at_infinity(A)
+        order_r = max(order_r, 2 * order_a, order_a - 1)
+    if not B.is_zero():
+        order_r = max(order_r, _order_at_infinity(C) + _order_at_infinity(B)
+                      + (_order_at_infinity(f) if f is not None else 0))
+    beta_sum = ctx.zero
+    for beta in table.betas:
+        beta_sum = beta_sum + beta
+    order_t = -2 if beta_sum.is_zero() else -1
+    degree = sum(p.degree() * e for p, e in factors) + max(order_r, order_t)
+    return ClearingBound(factors, max(degree, 0))
+
+
+def identity_holds(system: FirstOrderSystem, table: models.CoefficientTable,
+                   params: models.ModelParams) -> bool:
+    """Exact proof that r of the system equals the table T as rational
+    functions: E (r - T) is a polynomial of degree <= B, so it vanishes
+    identically once r(z) = T(z) at B + 1 rational points z with E(z) != 0
+    (tried in the order 0, 1, -1, 2, -2, ...).  The roots of E are exactly
+    the points where one of the two evaluations meets a zero divisor, so
+    those are skipped."""
+    bound = clearing_bound(system, table, params)
+    needed = bound.degree + 1
+    z = 0
+    while needed:
+        try:
+            if normal_form_r_at(system, z) != table.evaluate(z):
+                return False
+            needed -= 1
+        except (PoleEvaluation, DivisionByZero):
+            pass    # z is a root of E
+        z = -z if z > 0 else 1 - z
+    return True
 
 
 def certify(config: RunConfig) -> Certificate:
@@ -292,10 +425,8 @@ def certify(config: RunConfig) -> Certificate:
         for _ in range(config.identity_samples):
             sample = models.random_admissible_params(config.space,
                                                      config.potential, rng)
-            rr = to_normal_form(reduce_to_second_order(
-                models.build_system(sample))).r
-            if rr == models.closed_form_r(sample).reconstruct(sample.ctx):
-                matches += 1
+            matches += identity_holds(models.build_system(sample),
+                                      models.closed_form_r(sample), sample)
         cert.identity_check = {"samples": config.identity_samples,
                                "matches": matches,
                                "all_match": matches == config.identity_samples}

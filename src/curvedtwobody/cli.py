@@ -1,7 +1,8 @@
 """Command-line interface: certify, simulate, section, nve, sweep.
 
-Exit codes: 0 completed (any conclusion), 1 degenerate input, 2 internal
-invariant violation.
+Exit codes: 0 completed (any conclusion), 1 degenerate or invalid input
+(including bad rationals and non-positive steps), 2 internal invariant
+violation.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ import click
 
 from . import certify as certify_mod
 from . import dynamics, models
-from .certify import (CONCLUSION_DEGENERATE, InvariantViolation, RunConfig,
-                      render_report)
-from .dynamics import IntegrationOptions, StepFailure
+from .certify import (CONCLUSION_DEGENERATE, CertifyError, InvariantViolation,
+                      RunConfig, render_report)
+from .dynamics import DynamicsError, IntegrationOptions
 from .models import HamiltonianKind, Potential, Space
 
 EXIT_DEGENERATE = 1
@@ -69,7 +70,11 @@ def _build_config(space, potential, strength, mu, p, eps, config_path,
         raise click.UsageError(f"missing parameters: {', '.join(missing)}")
     data.setdefault("seed", seed)
     data.setdefault("identity_samples", identity_samples)
-    return RunConfig.from_dict(data)
+    try:
+        return RunConfig.from_dict(data)
+    except CertifyError as exc:
+        click.echo(f"invalid input: {exc}", err=True)
+        sys.exit(EXIT_DEGENERATE)
 
 
 def _params_from_config(cfg: RunConfig):
@@ -140,7 +145,7 @@ def simulate_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
     try:
         rep = dynamics.integrate(
             h, x0, t_end, IntegrationOptions(step=step, method=method))
-    except StepFailure as exc:
+    except DynamicsError as exc:
         click.echo(f"integration aborted: {exc}", err=True)
         sys.exit(EXIT_DEGENERATE)
     if out_path:
@@ -186,7 +191,7 @@ def section_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
         points = dynamics.poincare_section(
             h, (theta0, p_theta, p0, p1, p2), t_end, coordinate=coordinate,
             value=value, direction=int(direction), step=step)
-    except StepFailure as exc:
+    except DynamicsError as exc:
         click.echo(f"integration aborted: {exc}", err=True)
         sys.exit(EXIT_DEGENERATE)
     if out_path:
@@ -220,7 +225,7 @@ def nve_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
         base = dynamics.gamma_trajectory(params, theta0, t_end, step=step,
                                          branch=int(branch), sample_every=10)
         variation = dynamics.nve_time_domain(params, base, (dp1, dp2), step=step)
-    except StepFailure as exc:
+    except DynamicsError as exc:
         click.echo(f"integration aborted: {exc}", err=True)
         sys.exit(EXIT_DEGENERATE)
     # chain-rule residual against the exact z-domain coefficients

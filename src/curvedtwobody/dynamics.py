@@ -159,14 +159,23 @@ def _rkf45_step(f, x, dt):
     return x5, err
 
 
+def _require_positive(**values: float):
+    for name, v in values.items():
+        if not 0 < v < math.inf:
+            raise DynamicsError(f"{name} must be positive and finite, got {v}")
+
+
 def integrate(h: ReducedHamiltonian, x0, t_end: float,
               opts: Optional[IntegrationOptions] = None,
               extra_integrals: Optional[dict[str, Callable]] = None) -> TrajectoryReport:
     """Fixed-step RK4 (default) or adaptive RKF45 with drift monitoring.
 
     Drift metrics compare against the initial values of the Hamiltonian,
-    the Casimir (5-dim charts), and any registered extra integrals."""
+    the Casimir (5-dim charts), and any registered extra integrals.  The
+    last step ends on t_end: when at most 1e-9 of a step would be left over,
+    the current step is stretched to t_end instead of taking a sliver step."""
     opts = opts or IntegrationOptions()
+    _require_positive(step=opts.step, t_end=t_end)
     extra_integrals = extra_integrals or {}
     if isinstance(x0, PhaseState):
         x0 = x0.as_tuple()
@@ -184,10 +193,12 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     x_drifts = {name: 0.0 for name in extras0}
 
     t = 0.0
+    t_base, k = 0.0, 0      # t = t_base + k * dt keeps rounding off the sum
     steps = 0
     dt = opts.step
-    while t < t_end - 1e-15:
-        dt_eff = min(dt, t_end - t)
+    while t < t_end:
+        last = t_end - t <= dt * (1 + 1e-9)
+        dt_eff = t_end - t if last else dt
         try:
             if opts.method == "rk4":
                 x = _rk4_step(f, x, dt_eff)
@@ -199,12 +210,20 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
                         x = xn
                         break
                     dt_eff *= 0.5
+                    last = False
             else:
                 raise DynamicsError(f"unknown method {opts.method!r}")
         except (DomainError, StepFailure, ValueError, OverflowError) as exc:
             raise StepFailure(
                 f"integration failed at t={t:.6g}: {exc}") from exc
-        t += dt_eff
+        if last:
+            t = t_end
+        elif dt_eff == dt:
+            k += 1
+            t = t_base + k * dt
+        else:
+            t_base, k = t + dt_eff, 0
+            t = t_base
         steps += 1
         try:
             e = h.value(x)
@@ -222,7 +241,7 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
             v = fn(x)
             x_drifts[name] = max(x_drifts[name],
                                  abs(v - extras0[name]) / max(abs(extras0[name]), 1e-30))
-        if steps % opts.sample_every == 0 or t >= t_end - 1e-15:
+        if steps % opts.sample_every == 0 or last:
             times.append(t)
             states.append(x)
     return TrajectoryReport(times, states, e_drift, c_drift, x_drifts, steps)
@@ -297,6 +316,7 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
     The base curve is re-integrated jointly with the linear variational
     system (same RK4 step), and the variation is sampled at the supplied
     report's times."""
+    _require_positive(step=step)
     from .models import hamiltonian
     h0 = hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params)
 
@@ -339,6 +359,9 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
                      max_points: int = 100000) -> list[SectionPoint]:
     """Crossings of x[coordinate] = value with the requested sign of the
     derivative, located by bisection on the integration step."""
+    _require_positive(step=step)
+    if not 0 <= t_end < math.inf:       # a zero horizon has no crossings
+        raise DynamicsError(f"t_end must be non-negative and finite, got {t_end}")
     if isinstance(x0, PhaseState):
         x0 = x0.as_tuple()
     x = tuple(float(v) for v in x0)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactfield import TowerContext, TowerScalar, rational_sqrt
-from .ratcalc import BadFactorization, Poly, RatFunc
+from .ratcalc import BadFactorization, PoleEvaluation, Poly, RatFunc
 
 
 class LinOdeError(Exception):
@@ -78,6 +78,73 @@ def to_normal_form(ode: SecondOrderODE) -> NormalFormODE:
     quarter = RatFunc.constant(ctx, Fraction(1, 4))
     r = -ode.q + half * ode.p.derivative() + quarter * ode.p * ode.p
     return NormalFormODE(r=r)
+
+
+def _horner_jet(coeffs, z, zero):
+    """(P(z), P'(z), P''(z)) in one Horner pass."""
+    p0 = p1 = p2 = zero
+    for c in reversed(coeffs):
+        p2 = p2 * z + p1
+        p1 = p1 * z + p0
+        p0 = p0 * z + c
+    return p0, p1, p2 + p2
+
+
+def normal_form_r_at(system: FirstOrderSystem, z) -> TowerScalar:
+    """r(z) of to_normal_form(reduce_to_second_order(system)) at a rational
+    point z, from scalar values only.
+
+    The num/den of A, B, C (and of the weight f) are evaluated with their
+    first two derivatives by Horner's rule, and the formulas of
+    reduce_to_second_order and to_normal_form are applied to the values:
+    r = Q - g'/2 + g^2/4 with g = C'/C (+ f'/(2f)) and
+    Q = g A + A^2 + C B [f] - A'.  The arithmetic is over Fraction when every
+    coefficient is rational, and over TowerScalar otherwise.  Raises
+    PoleEvaluation when z is a pole of A, B, C or f or a zero of C or f.
+    """
+    if system.C.is_zero():
+        raise ZeroCoefficient("C must be nonzero to eliminate p1")
+    if system.weight is not None and system.weight.is_zero():
+        raise ZeroCoefficient("weight must be nonzero")
+    ctx = system.A.ctx
+    parts = [system.A, system.B, system.C]
+    if system.weight is not None:
+        parts.append(system.weight)
+    polys = [poly.coeffs for part in parts for poly in (part.num, part.den)]
+    rational = [[c.is_real_rational() for c in cs] for cs in polys]
+    if all(q is not None for cs in rational for q in cs):
+        polys, lift = rational, Fraction
+    else:
+        lift = ctx.from_rational
+    zero, z = lift(0), lift(z)
+
+    def jet(num, den):
+        n0, n1, n2 = _horner_jet(num, z, zero)
+        d0, d1, d2 = _horner_jet(den, z, zero)
+        if d0 == zero:
+            raise PoleEvaluation("evaluation at a pole of the first-order system")
+        v0 = n0 / d0
+        v1 = (n1 - v0 * d1) / d0
+        return v0, v1, (n2 - (v1 + v1) * d1 - v0 * d2) / d0
+
+    (a0, a1, _), (b0, _, _), (c0, c1, c2) = (jet(*polys[i:i + 2]) for i in (0, 2, 4))
+    if c0 == zero:
+        raise PoleEvaluation("evaluation at a zero of C")
+    half = lift(Fraction(1, 2))
+    g = c1 / c0
+    dg = c2 / c0 - g * g
+    w = lift(1)
+    if system.weight is not None:
+        f0, f1, f2 = jet(*polys[6:8])
+        if f0 == zero:
+            raise PoleEvaluation("evaluation at a zero of the weight")
+        lf = f1 / f0
+        g = g + half * lf
+        dg = dg + half * (f2 / f0 - lf * lf)
+        w = f0
+    q = g * a0 + a0 * a0 + c0 * b0 * w - a1
+    r = q - half * dg + half * half * g * g
+    return r if lift is not Fraction else ctx.from_rational(r)
 
 
 def verify_gauge_transform(normal: NormalFormODE, ode: SecondOrderODE,

@@ -15,7 +15,7 @@ rational parameter and the boundary interpretation stays commentary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -243,6 +243,34 @@ class CoefficientTable:
     poles: tuple[TowerScalar, ...]
     alphas: tuple[TowerScalar, ...]
     betas: tuple[TowerScalar, ...]
+    _pairs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the poles +-c pair into (u2 z^2 + u1 z + u0 + (v1 z + v0)(z^2 - c^2))
+        # / (z^2 - c^2)^2; stored as (u2, u1, u0, v1, v0, c^2) per pair
+        pairs = []
+        for j in (1, 3):
+            c, ap, am, bp, bm = (self.poles[j], self.alphas[j], self.alphas[j + 1],
+                                 self.betas[j], self.betas[j + 1])
+            if self.poles[j + 1] != -c:
+                raise ModelError("table poles must come in pairs +-c")
+            u2, c2 = ap + am, c * c
+            pairs.append((u2, (c + c) * (ap - am), c2 * u2,
+                          bp + bm, c * (bp - bm), c2))
+        object.__setattr__(self, "_pairs", tuple(pairs))
+
+    def evaluate(self, z) -> TowerScalar:
+        """sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j) at a rational point z; the
+        only inverses taken are of z - z0 and of z^2 - c^2, both Gaussian."""
+        ctx = self.poles[0].ctx
+        zs = ctx.from_rational(z)
+        z2 = zs * zs
+        inv = (zs - self.poles[0]).inverse()
+        out = (self.alphas[0] * inv + self.betas[0]) * inv
+        for u2, u1, u0, v1, v0, c2 in self._pairs:
+            inv = (z2 - c2).inverse()
+            out = out + ((u2 * z2 + u1 * zs + u0) * inv + v1 * zs + v0) * inv
+        return out
 
     def reconstruct(self, ctx: TowerContext) -> RatFunc:
         pole_list = [(c, 2) for c in self.poles]

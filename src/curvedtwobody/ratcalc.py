@@ -300,14 +300,6 @@ class RatFunc:
         return f"RatFunc[{self.render()}]"
 
 
-def differentiate(f: RatFunc) -> RatFunc:
-    return f.derivative()
-
-
-def evaluate(f: RatFunc, z: TowerScalar) -> TowerScalar:
-    return f.evaluate(z)
-
-
 @dataclass(frozen=True)
 class PartialFraction:
     """Terms (pole, order k, coefficient of (z-pole)^-k) plus polynomial part."""

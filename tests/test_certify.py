@@ -1,16 +1,26 @@
+import dataclasses
 import json
+import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from curvedtwobody import models
 from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    CONCLUSION_DEGENERATE,
                                    CONCLUSION_NO_OBSTRUCTION, CertifyError,
-                                   RunConfig, certify, parse_rational,
+                                   RunConfig, certify, clearing_bound,
+                                   identity_holds, parse_rational,
                                    render_report)
 from curvedtwobody.cli import main as cli_main
-from curvedtwobody.models import Potential, Space
+from curvedtwobody.linode import (FirstOrderSystem, reduce_to_second_order,
+                                  to_normal_form)
+from curvedtwobody.models import (Potential, Space, build_system,
+                                  closed_form_r, random_admissible_params,
+                                  reference_params)
+from curvedtwobody.ratcalc import Poly, RatFunc
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -233,3 +243,165 @@ class TestCli:
         assert len(files) == 2
         for f in files:
             assert json.loads(f.read_text())["conclusion"] == "NonintegrabilityCertified"
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("bad", ["1/0", "abc", "", "1/x"])
+    def test_parse_rational_raises_certify_error(self, bad):
+        with pytest.raises(CertifyError):
+            parse_rational(bad)
+
+    def test_from_dict_rejects_negative_identity_samples(self):
+        data = make_config(Space.SPHERE, Potential.NEWTON).to_dict()
+        data["identity_samples"] = -1
+        with pytest.raises(CertifyError):
+            RunConfig.from_dict(data)
+
+    @pytest.mark.parametrize("flag,value", [("--strength", "1/0"),
+                                            ("--strength", "abc"),
+                                            ("--identity-samples", "-1")])
+    def test_cli_exits_1_with_one_line(self, flag, value):
+        args = {"--space": "sphere", "--potential": "newton", "--strength": "2",
+                "--mu": "1/2", "--p": "1", "--eps": "0"}
+        args[flag] = value
+        result = CliRunner().invoke(
+            cli_main, ["certify"] + [tok for kv in args.items() for tok in kv])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid input:")
+        assert value in lines[0]
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("space", "torus", "'torus' is not a valid Space"),
+        ("seed", "abc", "invalid literal for int() with base 10: 'abc'")])
+    def test_cli_config_file_bad_entry_exits_1(self, tmp_path, key, value,
+                                               message):
+        data = {"space": "sphere", "potential": "newton", "strength": "1",
+                "mu": "1/2", "p": "1", "eps": "0", "identity_samples": 0}
+        data[key] = value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        result = CliRunner().invoke(cli_main, ["certify", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [f"invalid input: {message}"]
+
+    def test_simulate_zero_step_exits_1(self):
+        result = CliRunner().invoke(cli_main, [
+            "simulate", "--space", "sphere", "--potential", "newton",
+            "--strength", "1/4", "--mu", "1/2", "--p", "1/10", "--eps", "0",
+            "--theta0", "1.4", "--step", "0"])
+        assert result.exit_code == 1
+        assert result.output.strip().splitlines() == [
+            "integration aborted: step must be positive and finite, got 0.0"]
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestGoldenCertificates:
+    """The four README reference sets at the CLI defaults (seed 0, 20
+    identity samples) must reproduce the committed certificates byte for
+    byte."""
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_reference_certificate_bytes(self, space, pot, tmp_path):
+        strength, mu, p, eps = REFERENCE[(space, pot)]
+        out = tmp_path / "cert.json"
+        result = CliRunner().invoke(cli_main, [
+            "certify", "--space", space.value, "--potential", pot.value,
+            "--strength", strength, "--mu", mu, "--p", p, "--eps", eps,
+            "--out", str(out)])
+        assert result.exit_code == 0
+        golden = GOLDEN / f"reference_{space.value}_{pot.value}.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+
+def corrupt_beta(table, j):
+    """The table with one more unit on beta_j."""
+    betas = list(table.betas)
+    betas[j] = betas[j] + betas[j].ctx.one
+    return dataclasses.replace(table, betas=tuple(betas))
+
+
+def proof_samples():
+    """The references and two seeded random sets per space x potential."""
+    out = []
+    for space, pot in ALL_CASES:
+        out.append(reference_params(space, pot))
+        rng = random.Random(f"proof-{space.value}-{pot.value}")
+        out += [random_admissible_params(space, pot, rng) for _ in range(2)]
+    return out
+
+
+def bound_and_symbolic_difference(system, table, params):
+    """clearing_bound, and E (r - T) computed with RatFunc arithmetic."""
+    bound = clearing_bound(system, table, params)
+    ctx = params.ctx
+    e_poly = Poly.constant(ctx, 1)
+    for factor, exponent in bound.factors:
+        for _ in range(exponent):
+            e_poly = e_poly * factor
+    r = to_normal_form(reduce_to_second_order(system)).r
+    return bound, RatFunc(e_poly) * (r - table.reconstruct(ctx))
+
+
+class TestIdentityProof:
+    """The exact identity check is sound (its degree bound holds, computed
+    symbolically) and not vacuous (a corrupted table is refused)."""
+
+    @pytest.mark.parametrize("j", [None, 0, 1])
+    def test_bound_covers_symbolic_numerator(self, j):
+        for params in proof_samples()[::2]:
+            system = build_system(params)
+            table = closed_form_r(params)
+            if j is not None:
+                table = corrupt_beta(table, j)
+            bound, diff = bound_and_symbolic_difference(system, table, params)
+            assert diff.is_poly()
+            assert diff.num.degree() <= bound.degree
+            assert diff.is_zero() == (j is None)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bound_covers_generic_system(self, weighted):
+        # poles away from z0, +-kappa, +-lambda, repeated factors in den A,
+        # den B and num f, num C sharing (z - z0) with den B, and A = O(1):
+        # every requirement of E and every order at infinity is needed here
+        params = reference_params(Space.HYPERBOLIC, Potential.NEWTON)
+        ctx = params.ctx
+        z = RatFunc.x(ctx)
+
+        def c(q):
+            return RatFunc.constant(ctx, q)
+
+        lin0 = z - c(params.z0)
+        system = FirstOrderSystem(
+            A=(z + c(1)) * (z + c(1)) / ((z - c(7)) * (z - c(7))),
+            B=z * z / ((z + c(5)) * lin0 * lin0 * lin0 * lin0),
+            C=lin0 * (z - c(3)) / (z + c(1)),
+            weight=(z - c(2)) * (z - c(2)) / (z + c(4)) if weighted else None)
+        table = closed_form_r(params)
+        bound, diff = bound_and_symbolic_difference(system, table, params)
+        assert diff.is_poly() and not diff.is_zero()
+        assert diff.num.degree() <= bound.degree
+        assert not identity_holds(system, table, params)
+
+    @pytest.mark.parametrize("j", [0, 1, 3])
+    def test_corrupted_beta_is_refused(self, j):
+        for params in proof_samples():
+            system = build_system(params)
+            table = closed_form_r(params)
+            assert identity_holds(system, table, params)
+            assert not identity_holds(system, corrupt_beta(table, j), params)
+
+    def test_corrupted_samples_count_as_mismatches(self, monkeypatch):
+        cfg = make_config(Space.HYPERBOLIC, Potential.NEWTON, identity_samples=3)
+        main = models.derive_params(cfg.space, cfg.potential, cfg.strength,
+                                    cfg.mu, cfg.p, cfg.eps)
+        exact = models.closed_form_r
+        monkeypatch.setattr(models, "closed_form_r", lambda params: exact(params)
+                            if params == main else corrupt_beta(exact(params), 1))
+        cert = certify(cfg)
+        assert cert.table_match is True
+        assert cert.identity_check == {"samples": 3, "matches": 0,
+                                       "all_match": False}

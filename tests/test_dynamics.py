@@ -4,7 +4,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from curvedtwobody.dynamics import (ChartDomainError, IntegrationOptions,
+from curvedtwobody.dynamics import (ChartDomainError, DynamicsError,
+                                    IntegrationOptions,
                                     PhaseState, PoissonStructure, SectionPoint,
                                     StepFailure, from_cylinder, from_r_chart,
                                     gamma_initial_state, gamma_trajectory,
@@ -131,6 +132,49 @@ class TestVectorField:
                     xm[b] -= eps
                     acc += m[a][b] * (h.value(tuple(xp)) - h.value(tuple(xm))) / (2 * eps)
                 assert abs(xdot[a] - acc) / max(1.0, abs(xdot[a])) < 1e-6
+
+
+class TestStepControl:
+    """The last step lands on t_end with no extra sliver step, and bad spans
+    are refused before any integration starts (h=None is never touched)."""
+
+    X0 = (1.4, 0.02, 0.08, 0.04, 0.45)
+
+    def test_rk4_step_count(self):
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        rep = integrate(h, self.X0, 10.0, IntegrationOptions(step=1e-3))
+        assert rep.steps == 10000
+        assert len(rep.times) == 101
+        assert rep.times[-1] == 10.0
+
+    def test_rkf45_step_count(self):
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        rep = integrate(h, self.X0, 2.5, IntegrationOptions(step=1e-3, method="rkf45"))
+        assert rep.steps == 2500
+        assert rep.times[-1] == 2.5
+
+    def test_short_span_is_one_step(self):
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        rep = integrate(h, self.X0, 0.25, IntegrationOptions(step=1.0))
+        assert rep.steps == 1
+        assert rep.times == [0.0, 0.25]
+
+    @pytest.mark.parametrize("step,t_end", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0),
+                                            (1e-3, -1.0), (math.nan, 1.0),
+                                            (1e-3, math.inf)])
+    def test_integrate_rejects_bad_span(self, step, t_end):
+        with pytest.raises(DynamicsError):
+            integrate(None, self.X0, t_end, IntegrationOptions(step=step))
+
+    @pytest.mark.parametrize("step,t_end", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, -1.0),
+                                            (1e-3, math.inf)])
+    def test_section_rejects_bad_span(self, step, t_end):
+        with pytest.raises(DynamicsError):
+            poincare_section(None, self.X0, t_end, step=step)
+
+    def test_nve_rejects_zero_step(self):
+        with pytest.raises(DynamicsError):
+            nve_time_domain(sn_params(), None, (1.0, 0.0), step=0.0)
 
 
 class TestIntegrate:

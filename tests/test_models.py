@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as Fr
@@ -7,7 +8,8 @@ import pytest
 from curvedtwobody.exactfield import GaussRational
 from curvedtwobody.linode import reduce_to_second_order, to_normal_form
 from curvedtwobody.models import (DegenerateParameters, DomainError,
-                                  HamiltonianKind, HypothesisViolated, NotMu1,
+                                  HamiltonianKind, HypothesisViolated,
+                                  ModelError, NotMu1,
                                   Potential, Space, build_system,
                                   candidate_poles, closed_form_r, derive_params,
                                   detect_poles, gamma_curve_identity,
@@ -89,6 +91,25 @@ class TestClosedFormTables:
         for _ in range(3):
             params = random_admissible_params(space, pot, rng)
             assert normal_r(params) == closed_form_r(params).reconstruct(params.ctx)
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_evaluate_matches_reconstruct(self, space, pot):
+        rng = random.Random(f"table-{space.value}-{pot.value}")
+        for params in (reference_params(space, pot),
+                       random_admissible_params(space, pot, rng)):
+            table = closed_form_r(params)
+            rf = table.reconstruct(params.ctx)
+            for z in (0, 3, Fr(-5, 2)):
+                if z == params.z0:
+                    continue
+                assert table.evaluate(z) == rf.evaluate(params.ctx.from_rational(z))
+
+    def test_evaluate_rejects_unpaired_poles(self):
+        table = closed_form_r(reference_params(Space.SPHERE, Potential.NEWTON))
+        poles = list(table.poles)
+        poles[2] = poles[1]
+        with pytest.raises(ModelError):
+            dataclasses.replace(table, poles=tuple(poles))
 
     def test_oscillator_fixed_alphas(self):
         for space in Space:

@@ -78,6 +78,9 @@ class RunConfig:
             space, potential = Space(data["space"]), Potential(data["potential"])
             seed = int(data.get("seed", 0))
             samples = int(data.get("identity_samples", 20))
+            strength, mu, p, eps = (data[k] for k in ("strength", "mu", "p", "eps"))
+        except KeyError as exc:
+            raise CertifyError(f"missing parameter {exc}") from None
         except (TypeError, ValueError) as exc:
             raise CertifyError(str(exc)) from None
         if samples < 0:
@@ -85,10 +88,10 @@ class RunConfig:
         return RunConfig(
             space=space,
             potential=potential,
-            strength=parse_rational(data["strength"]),
-            mu=parse_rational(data["mu"]),
-            p=parse_rational(data["p"]),
-            eps=parse_rational(data["eps"]),
+            strength=parse_rational(strength),
+            mu=parse_rational(mu),
+            p=parse_rational(p),
+            eps=parse_rational(eps),
             seed=seed,
             identity_samples=samples)
 
@@ -349,7 +352,7 @@ def certify(config: RunConfig) -> Certificate:
             if not xi_val.is_zero() else None,
         })
         if case2 is None:
-            case2 = kovacic.search_P(normal, cand)
+            case2 = kovacic.search_P(normal, cand, th, xi_val)
     case_three = kovacic.case3_possible(spec)
     verdict = kovacic.classify(normal, spec, case1, case2, case_three,
                                pair.excluded)

@@ -261,13 +261,25 @@ def nve_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
     }, sort_keys=True))
 
 
-def _run_one(run_data: dict, out_dir: str, index: int) -> str:
-    cfg = RunConfig.from_dict(run_data)
-    cert = certify_mod.certify(cfg)
+def _run_one(run_data: dict, out_dir: str, index: int) -> tuple[str, int]:
+    """Certify one sweep entry: its output line and its certify exit code."""
+    try:
+        cfg = RunConfig.from_dict(run_data)
+        cert = certify_mod.certify(cfg)
+    except InvariantViolation as exc:
+        return f"{index:03d}: invariant violation: {exc}", EXIT_INVARIANT
+    except CertifyError as exc:
+        return f"{index:03d}: invalid input: {exc}", EXIT_DEGENERATE
     name = (f"{index:03d}_{cfg.space.value}_{cfg.potential.value}.json")
     path = os.path.join(out_dir, name)
     _atomic_write_bytes(path, render_report(cert, "json"))
-    return f"{name}: {cert.conclusion}"
+    code = EXIT_DEGENERATE if cert.conclusion == CONCLUSION_DEGENERATE else 0
+    return f"{name}: {cert.conclusion}", code
+
+
+def sweep_workers(jobs: int, n_runs: int) -> int:
+    """Worker processes for a sweep: at most one per CPU and per run."""
+    return min(jobs, os.cpu_count() or 1, n_runs)
 
 
 @main.command("sweep")
@@ -276,20 +288,28 @@ def _run_one(run_data: dict, out_dir: str, index: int) -> str:
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--jobs", type=int, default=1, show_default=True)
 def sweep_cmd(config_path, out_dir, jobs):
-    """Certify many parameter sets; one JSON certificate per run."""
+    """Certify many parameter sets; one JSON certificate per run.  Exits
+    with the worst exit code of its runs."""
+    if jobs < 1:
+        click.echo(f"invalid input: --jobs must be at least 1, got {jobs}", err=True)
+        sys.exit(EXIT_DEGENERATE)
     with open(config_path) as fh:
         data = json.load(fh)
     runs = data.get("runs", [])
     os.makedirs(out_dir, exist_ok=True)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_one, run, out_dir, i)
-                       for i, run in enumerate(runs)]
-            for fut in concurrent.futures.as_completed(futures):
-                click.echo(fut.result())
+    args = (runs, [out_dir] * len(runs), range(len(runs)))
+    workers = sweep_workers(jobs, len(runs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_one, *args))
     else:
-        for i, run in enumerate(runs):
-            click.echo(_run_one(run, out_dir, i))
+        results = map(_run_one, *args)
+    worst = 0
+    for line, code in results:
+        click.echo(line)
+        worst = max(worst, code)
+    if worst:
+        sys.exit(worst)
 
 
 if __name__ == "__main__":

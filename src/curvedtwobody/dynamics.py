@@ -206,9 +206,12 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
                 while True:
                     xn, err = _rkf45_step(f, x, dt_eff)
                     scale = max(max(abs(v) for v in x), 1.0)
-                    if err <= opts.rel_tol * scale or dt_eff < 1e-12:
+                    if err <= opts.rel_tol * scale:
                         x = xn
                         break
+                    if dt_eff < 1e-12:
+                        raise StepFailure(f"error {err:.3e} above rel_tol "
+                                          f"{opts.rel_tol:g} at step {dt_eff:.3g}")
                     dt_eff *= 0.5
                     last = False
             else:

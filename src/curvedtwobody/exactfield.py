@@ -6,12 +6,17 @@ are prescribed Gaussian rationals a, b.  Every scalar is stored by its
 coordinates in the basis {1, kappa, lambda, kappa*lambda}, so arithmetic
 is exact and reduction by kappa^2 = a, lambda^2 = b is built into the
 multiplication table.
+
+A Gaussian rational is three integers (x, y, d) for (x + y*i)/d, kept
+canonical (d > 0, gcd(x, y, d) = 1, one n-ary gcd per operation), so
+equality is coordinate equality.  Fraction appears only at the edges
+(parsing, re/im, square roots), never in the ring operations.
 """
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 #: Exact rational numbers.  fractions.Fraction already maintains the
@@ -57,57 +62,96 @@ def rational_sqrt(q: Fraction) -> Optional[Fraction]:
 
 
 class GaussRational:
-    """Element re + im*i of Q(i)."""
+    """Element (x + y*i)/d of Q(i), with integers d > 0, gcd(x, y, d) = 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _rat(re)
-        self.im = _rat(im)
+        re, im = _rat(re), _rat(im)
+        # both parts in lowest terms: over the lcm the triple is canonical
+        d = lcm(re.denominator, im.denominator)
+        self.x = re.numerator * (d // re.denominator)
+        self.y = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.d)
 
     def __add__(self, other: GaussRational) -> GaussRational:
-        return GaussRational(self.re + other.re, self.im + other.im)
+        if self.d == other.d:
+            return _gauss(self.x + other.x, self.y + other.y, self.d)
+        d1, d2 = self.d, other.d
+        return _gauss(self.x * d2 + other.x * d1, self.y * d2 + other.y * d1, d1 * d2)
 
     def __sub__(self, other: GaussRational) -> GaussRational:
-        return GaussRational(self.re - other.re, self.im - other.im)
+        if self.d == other.d:
+            return _gauss(self.x - other.x, self.y - other.y, self.d)
+        d1, d2 = self.d, other.d
+        return _gauss(self.x * d2 - other.x * d1, self.y * d2 - other.y * d1, d1 * d2)
 
     def __neg__(self) -> GaussRational:
-        return GaussRational(-self.re, -self.im)
+        return _gauss(-self.x, -self.y, self.d)
 
     def __mul__(self, other: GaussRational) -> GaussRational:
-        return GaussRational(self.re * other.re - self.im * other.im,
-                             self.re * other.im + self.im * other.re)
+        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+        if y2 == 0:
+            return _gauss(x1 * x2, y1 * x2, self.d * other.d)
+        if y1 == 0:
+            return _gauss(x1 * x2, x1 * y2, self.d * other.d)
+        return _gauss(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, self.d * other.d)
 
     def __truediv__(self, other: GaussRational) -> GaussRational:
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise DivisionByZero("division by zero in Q(i)")
-        return GaussRational((self.re * other.re + self.im * other.im) / n,
-                             (self.im * other.re - self.re * other.im) / n)
+        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+        # (x1 + y1 i)/d1 / ((x2 + y2 i)/d2) = (x1 + y1 i)(x2 - y2 i) d2 / (d1 n)
+        if y2 == 0:
+            if x2 == 0:
+                raise DivisionByZero("division by zero in Q(i)")
+            return _gauss(x1 * other.d, y1 * other.d, self.d * x2)
+        n = x2 * x2 + y2 * y2
+        x, y = x1 * x2 + y1 * y2, y1 * x2 - x1 * y2
+        if self.d == other.d:
+            return _gauss(x, y, n)
+        return _gauss(x * other.d, y * other.d, self.d * n)
 
     def conjugate(self) -> GaussRational:
-        return GaussRational(self.re, -self.im)
+        return _gauss(self.x, -self.y, self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.x == 0 and self.y == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.x == other.x and self.y == other.y and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.x, self.y, self.d))
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.x / self.d) + 1j * complex(self.y / self.d)
 
     def render(self) -> str:
-        return f"{self.re.numerator}/{self.re.denominator}" \
-               f"{'+' if self.im >= 0 else '-'}{abs(self.im.numerator)}/{self.im.denominator} i"
+        re, im = self.re, self.im
+        return f"{re.numerator}/{re.denominator}" \
+               f"{'+' if im >= 0 else '-'}{abs(im.numerator)}/{im.denominator} i"
 
     def __repr__(self):
         return f"GaussRational({self.re}, {self.im})"
+
+
+def _gauss(x: int, y: int, d: int) -> GaussRational:
+    """(x + y*i)/d for integers with d != 0, in canonical form."""
+    g = gcd(x, y, d)
+    if d < 0:
+        g = -g
+    out = object.__new__(GaussRational)
+    out.x, out.y, out.d = x // g, y // g, d // g
+    return out
 
 
 GAUSS_ZERO = GaussRational(0, 0)
@@ -238,7 +282,7 @@ class TowerScalar:
     # -- helpers ------------------------------------------------------
 
     def _check(self, other: TowerScalar):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch("scalars from different tower contexts")
 
     def is_zero(self) -> bool:
@@ -328,7 +372,8 @@ class TowerScalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TowerScalar):
             return NotImplemented
-        return (self.ctx == other.ctx and self.c00 == other.c00
+        return ((self.ctx is other.ctx or self.ctx == other.ctx)
+                and self.c00 == other.c00
                 and self.c10 == other.c10 and self.c01 == other.c01
                 and self.c11 == other.c11)
 

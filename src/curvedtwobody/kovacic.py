@@ -216,20 +216,24 @@ def _gauss_solve(ctx, mat, rhs):
     return sol, unique
 
 
-def search_P(normal: NormalFormODE, e: ECandidate) -> Optional[Case2Solution]:
+def search_P(normal: NormalFormODE, e: ECandidate, th: Optional[RatFunc] = None,
+             c0: Optional[RatFunc] = None) -> Optional[Case2Solution]:
     """Monic P of degree d(e) solving
     P''' + 3 Th P'' + (3 Th^2 + 3 Th' - 4 r) P' + Xi P = 0,
-    plus the algebraic data of the degree-2 omega when it exists."""
+    plus the algebraic data of the degree-2 omega when it exists.  Th and
+    Xi are computed here unless the caller already holds them."""
     r = normal.r
     ctx = r.ctx
     if e.d < 0 or e.d.denominator != 1:
         return None
     d = int(e.d)
-    th = theta(ctx, e)
+    if th is None:
+        th = theta(ctx, e)
+    if c0 is None:
+        c0 = xi(normal, th)
     three = RatFunc.constant(ctx, 3)
     four = RatFunc.constant(ctx, 4)
     c1 = three * th * th + three * th.derivative() - four * r
-    c0 = xi(normal, th)
 
     def operator(p_poly: Poly) -> RatFunc:
         pr = RatFunc.from_poly(p_poly)

@@ -85,7 +85,8 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return ((self.ctx is other.ctx or self.ctx == other.ctx)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash(self.coeffs)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import random
 from fractions import Fraction as Fr
 from pathlib import Path
@@ -11,10 +12,11 @@ from curvedtwobody import models
 from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    CONCLUSION_DEGENERATE,
                                    CONCLUSION_NO_OBSTRUCTION, CertifyError,
-                                   RunConfig, certify, clearing_bound,
-                                   identity_holds, parse_rational,
-                                   render_report)
+                                   InvariantViolation, RunConfig, certify,
+                                   clearing_bound, identity_holds,
+                                   parse_rational, render_report)
 from curvedtwobody.cli import main as cli_main
+from curvedtwobody.cli import sweep_workers
 from curvedtwobody.linode import (FirstOrderSystem, reduce_to_second_order,
                                   to_normal_form)
 from curvedtwobody.models import (Potential, Space, build_system,
@@ -245,6 +247,76 @@ class TestCli:
             assert json.loads(f.read_text())["conclusion"] == "NonintegrabilityCertified"
 
 
+def write_sweep(tmp_path, runs):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"runs": runs}))
+    return cfg
+
+
+GOOD_RUN = {"space": "sphere", "potential": "newton", "strength": "2",
+            "mu": "1/2", "p": "1", "eps": "0", "identity_samples": 0}
+
+
+class TestSweepFailures:
+    """One bad entry costs one output line, never the other runs."""
+
+    def test_bad_entries_keep_the_other_runs_in_input_order(self, tmp_path):
+        runs = [dict(GOOD_RUN, strength="1/0"),
+                {k: v for k, v in GOOD_RUN.items() if k != "mu"},
+                dict(GOOD_RUN, space="hyperbolic", strength="1", eps="-2"),
+                dict(GOOD_RUN, mu="0")]
+        out_dir = tmp_path / "certs"
+        result = CliRunner().invoke(cli_main, [
+            "sweep", "--config", str(write_sweep(tmp_path, runs)),
+            "--out-dir", str(out_dir)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "000: invalid input: zero denominator in '1/0'",
+            "001: invalid input: missing parameter 'mu'",
+            "002_hyperbolic_newton.json: NonintegrabilityCertified",
+            "003_sphere_newton.json: Degenerate"]
+        assert sorted(f.name for f in out_dir.iterdir()) == [
+            "002_hyperbolic_newton.json", "003_sphere_newton.json"]
+
+    def test_invariant_violation_sets_exit_2(self, tmp_path, monkeypatch):
+        from curvedtwobody import certify as certify_mod
+
+        def broken(cfg):
+            if cfg.space is Space.HYPERBOLIC:
+                raise InvariantViolation("verdict without gate")
+            return certify(cfg)
+
+        monkeypatch.setattr(certify_mod, "certify", broken)
+        runs = [dict(GOOD_RUN, space="hyperbolic"), dict(GOOD_RUN, mu="0"),
+                GOOD_RUN]
+        result = CliRunner().invoke(cli_main, [
+            "sweep", "--config", str(write_sweep(tmp_path, runs)),
+            "--out-dir", str(tmp_path / "certs")])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "000: invariant violation: verdict without gate",
+            "001_sphere_newton.json: Degenerate",
+            "002_sphere_newton.json: NonintegrabilityCertified"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        out_dir = tmp_path / "certs"
+        result = CliRunner().invoke(cli_main, [
+            "sweep", "--config", str(write_sweep(tmp_path, [GOOD_RUN])),
+            "--out-dir", str(out_dir), "--jobs", jobs])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"invalid input: --jobs must be at least 1, got {jobs}"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cpus,jobs,runs,workers", [
+        (8, 4, 10, 4), (2, 16, 10, 2), (8, 16, 3, 3), (None, 4, 10, 1),
+        (4, 1, 10, 1), (4, 4, 0, 0)])
+    def test_sweep_workers(self, monkeypatch, cpus, jobs, runs, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert sweep_workers(jobs, runs) == workers
+
+
 class TestBadInput:
     @pytest.mark.parametrize("bad", ["1/0", "abc", "", "1/x"])
     def test_parse_rational_raises_certify_error(self, bad):
@@ -301,8 +373,8 @@ GOLDEN = Path(__file__).parent / "data"
 
 class TestGoldenCertificates:
     """The four README reference sets at the CLI defaults (seed 0, 20
-    identity samples) must reproduce the committed certificates byte for
-    byte."""
+    identity samples) and six seeded random sets must reproduce the
+    committed certificates byte for byte."""
 
     @pytest.mark.parametrize("space,pot", ALL_CASES)
     def test_reference_certificate_bytes(self, space, pot, tmp_path):
@@ -315,6 +387,22 @@ class TestGoldenCertificates:
         assert result.exit_code == 0
         golden = GOLDEN / f"reference_{space.value}_{pot.value}.json"
         assert out.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("golden", sorted(GOLDEN.glob("random_*.json")),
+                             ids=lambda path: path.stem)
+    def test_random_certificate_bytes(self, golden):
+        """Seeded random admissible sets over genuine tower contexts (kappa^2,
+        lambda^2 and their ratio are not squares in Q(i)), each run from the
+        parameters, seed and sample count its own certificate records."""
+        raw = golden.read_bytes()
+        data = json.loads(raw)
+        params = data["params"]
+        config = RunConfig.from_dict({
+            **{key: params[key] for key in ("space", "potential", "strength",
+                                            "mu", "p", "eps")},
+            "seed": data["seed"],
+            "identity_samples": data.get("identity_check", {}).get("samples", 0)})
+        assert render_report(certify(config), "json") == raw
 
 
 def corrupt_beta(table, j):

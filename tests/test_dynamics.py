@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from curvedtwobody import dynamics
 from curvedtwobody.dynamics import (ChartDomainError, DynamicsError,
                                     IntegrationOptions,
                                     PhaseState, PoissonStructure, SectionPoint,
@@ -152,6 +153,19 @@ class TestStepControl:
         rep = integrate(h, self.X0, 2.5, IntegrationOptions(step=1e-3, method="rkf45"))
         assert rep.steps == 2500
         assert rep.times[-1] == 2.5
+
+    @pytest.mark.parametrize("err", [1.0, math.nan])
+    def test_rkf45_refuses_a_step_at_the_dt_floor(self, monkeypatch, err):
+        """An error estimate that never meets rel_tol ends in StepFailure once
+        the step halves below 1e-12; it is never accepted unchecked.  The
+        span is a few floor steps long, so accepting there would end the run
+        at once instead of failing."""
+        real_step = dynamics._rkf45_step
+        monkeypatch.setattr(dynamics, "_rkf45_step",
+                            lambda f, x, dt: (real_step(f, x, dt)[0], err))
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        with pytest.raises(StepFailure, match="above rel_tol"):
+            integrate(h, self.X0, 2e-12, IntegrationOptions(step=1e-3, method="rkf45"))
 
     def test_short_span_is_one_step(self):
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())

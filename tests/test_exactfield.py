@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from curvedtwobody.exactfield import (ContextMismatch, DegenerateTower,
                                       DivisionByZero, GaussRational,
                                       gauss_sqrt, make_context, rational_sqrt)
+from curvedtwobody.ratcalc import Poly
 
 
 def G(re, im=0):
@@ -66,6 +69,22 @@ class TestFieldOps:
     def test_context_mixing_rejected(self):
         with pytest.raises(ContextMismatch):
             CTX_SN.one + CTX_HN.one
+
+    def test_equal_contexts_built_apart_combine(self):
+        c1, c2 = make_context(G(2), G(3)), make_context(G(2), G(3))
+        assert c1 is not c2
+        k1, k2 = c1.kappa, c2.kappa
+        assert k1 == k2 and k1 + k2 == c1.kappa * c1.from_rational(2)
+        assert k1 * c2.lam == c1.kappa * c1.lam
+        assert Poly(c1, [k1, c1.one]) == Poly(c2, [k2, c2.one])
+
+    def test_different_contexts_built_apart_rejected(self):
+        c1, c2 = make_context(G(2), G(3)), make_context(G(2), G(5))
+        for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x / y):
+            with pytest.raises(ContextMismatch):
+                op(c1.kappa, c2.kappa)
+        assert c1.kappa != c2.kappa
+        assert Poly(c1, [c1.one]) != Poly(c2, [c2.one])
 
     def test_split_tower_zero_divisor(self):
         # a = -1 = i^2 splits the kappa layer; kappa - i is a zero divisor
@@ -176,6 +195,79 @@ class TestEmbedComplex:
             assert x.is_real_rational() == q
             for branch in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 assert abs(x.embed_complex(branch).imag) < 1e-12
+
+
+FRACTIONS = st.fractions(min_value=-60, max_value=60, max_denominator=48)
+PAIRS = st.tuples(FRACTIONS, FRACTIONS)
+NONZERO_PAIRS = PAIRS.filter(lambda p: p != (0, 0))
+
+
+def assert_canonical(g):
+    assert g.d > 0 and math.gcd(g.x, g.y, g.d) == 1
+
+
+class TestGaussKernel:
+    """GaussRational against a reference pair of Fractions (re, im)."""
+
+    @given(PAIRS, PAIRS, PAIRS)
+    @settings(max_examples=300, deadline=None)
+    def test_ring_laws_match_the_fraction_pair(self, p, q, w):
+        (a, b), (c, d) = p, q
+        x, y, z = GaussRational(*p), GaussRational(*q), GaussRational(*w)
+        for got, want in ((x + y, (a + c, b + d)), (x - y, (a - c, b - d)),
+                          (x * y, (a * c - b * d, a * d + b * c)),
+                          (-x, (-a, -b)), (x.conjugate(), (a, -b))):
+            assert_canonical(got)
+            assert (got.re, got.im) == want
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert x + y == y + x and x * y == y * x
+
+    @given(PAIRS, NONZERO_PAIRS)
+    @settings(max_examples=300, deadline=None)
+    def test_division_matches_the_fraction_pair(self, p, q):
+        (a, b), (c, d) = p, q
+        n = c * c + d * d
+        got = GaussRational(*p) / GaussRational(*q)
+        assert_canonical(got)
+        assert (got.re, got.im) == ((a * c + b * d) / n, (b * c - a * d) / n)
+        assert got * GaussRational(*q) == GaussRational(*p)
+
+    @given(PAIRS, NONZERO_PAIRS)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_values_have_equal_coordinates_and_hash(self, p, q):
+        x, y = GaussRational(*p), GaussRational(*q)
+        built_apart = (x * y) / y
+        assert built_apart == x and hash(built_apart) == hash(x)
+        assert (built_apart.x, built_apart.y, built_apart.d) == (x.x, x.y, x.d)
+        assert GaussRational(p[0]) + GaussRational(0, p[1]) == x
+
+    @given(PAIRS)
+    @settings(max_examples=200, deadline=None)
+    def test_re_im_render_round_trip(self, p):
+        a, b = p
+        g = GaussRational(*p)
+        assert_canonical(g)
+        assert (g.re, g.im) == (a, b)
+        assert isinstance(g.re, Fr) and isinstance(g.im, Fr)
+        text = g.render()
+        assert text == (f"{a.numerator}/{a.denominator}{'+' if b >= 0 else '-'}"
+                        f"{abs(b.numerator)}/{b.denominator} i")
+        m = re.fullmatch(r"(-?\d+/\d+)([+-])(\d+/\d+) i", text)
+        assert (Fr(m[1]), Fr(m[2] + m[3])) == (a, b)
+        assert g.to_complex() == complex(a) + 1j * complex(b)
+        assert g.is_zero() == (p == (0, 0))
+
+    @given(PAIRS)
+    @settings(max_examples=100, deadline=None)
+    def test_division_by_zero_raises(self, p):
+        with pytest.raises(DivisionByZero):
+            GaussRational(*p) / GaussRational(0, 0)
+
+    def test_zero_is_canonical(self):
+        z = GaussRational(Fr(3, 4)) - GaussRational(Fr(3, 4))
+        assert (z.x, z.y, z.d) == (0, 0, 1) and z == GaussRational()
+        assert GaussRational("-6/8", 3).render() == "-3/4+3/1 i"
 
 
 class TestGaussSqrt:

@@ -224,6 +224,17 @@ class TestSearchP:
         found = [search_P(normal, cand) for cand in candidates(e_sets(spec))]
         assert any(sol is not None for sol in found)
 
+    def test_handed_theta_and_xi_give_the_same_solution(self):
+        params = derive_params(Space.SPHERE, Potential.NEWTON, 2, 1, 1, 0)
+        normal, spec = analysis(params)
+        for cand in candidates(e_sets(spec)):
+            th = theta(params.ctx, cand)
+            handed = search_P(normal, cand, th, xi(normal, th))
+            alone = search_P(normal, cand)
+            assert (handed is None) == (alone is None)
+            if alone is not None:
+                assert handed.P == alone.P and handed.psi == alone.psi
+
     def test_degree_two_auxiliary_polynomial(self):
         """Brute-force oracle at degree 2: for r = 3/(4(z-z0)^2) and the
         synthetic candidate (e0, einf) = (-2, 2), d = 2, the operator is

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-import tempfile
+import traceback
 
 import click
 
@@ -24,19 +24,6 @@ from .models import HamiltonianKind, Potential, Space
 
 EXIT_DEGENERATE = 1
 EXIT_INVARIANT = 2
-
-
-def _atomic_write_bytes(path: str, data: bytes):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _parameter_options(fn):
@@ -108,7 +95,7 @@ def certify_cmd(space, potential, strength, mu, p, eps, config_path, seed,
         sys.exit(EXIT_INVARIANT)
     payload = render_report(cert, fmt)
     if out_path:
-        _atomic_write_bytes(out_path, payload)
+        dynamics._atomic_write(out_path, payload)
     else:
         click.echo(payload.decode(), nl=False)
     if cert.conclusion == CONCLUSION_DEGENERATE:
@@ -155,6 +142,8 @@ def simulate_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
         "energy_drift": rep.energy_drift,
         "casimir_drift": rep.casimir_drift,
         "samples": len(rep.times),
+        "rejected_steps": rep.rejected_steps,
+        "min_step": rep.min_step,
     }, sort_keys=True))
 
 
@@ -253,7 +242,7 @@ def nve_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
         lines = ["t,p1,p2"]
         for t, v1, v2 in variation:
             lines.append(f"{t:.17g},{v1:.17g},{v2:.17g}")
-        _atomic_write_bytes(out_path, ("\n".join(lines) + "\n").encode())
+        dynamics._atomic_write(out_path, ("\n".join(lines) + "\n").encode())
     click.echo(json.dumps({
         "samples": len(variation),
         "chain_rule_residual": worst,
@@ -262,17 +251,22 @@ def nve_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
 
 
 def _run_one(run_data: dict, out_dir: str, index: int) -> tuple[str, int]:
-    """Certify one sweep entry: its output line and its certify exit code."""
+    """Certify one sweep entry: its output line and its certify exit code.
+    Any failure costs this run only, never the rest of the sweep."""
     try:
         cfg = RunConfig.from_dict(run_data)
         cert = certify_mod.certify(cfg)
+        name = f"{index:03d}_{cfg.space.value}_{cfg.potential.value}.json"
+        dynamics._atomic_write(os.path.join(out_dir, name),
+                               render_report(cert, "json"))
     except InvariantViolation as exc:
         return f"{index:03d}: invariant violation: {exc}", EXIT_INVARIANT
     except CertifyError as exc:
         return f"{index:03d}: invalid input: {exc}", EXIT_DEGENERATE
-    name = (f"{index:03d}_{cfg.space.value}_{cfg.potential.value}.json")
-    path = os.path.join(out_dir, name)
-    _atomic_write_bytes(path, render_report(cert, "json"))
+    except Exception as exc:   # a pipeline bug: report it, keep the sweep going
+        traceback.print_exc()
+        return (f"{index:03d}: internal error: {type(exc).__name__}: {exc}",
+                EXIT_INVARIANT)
     code = EXIT_DEGENERATE if cert.conclusion == CONCLUSION_DEGENERATE else 0
     return f"{name}: {cert.conclusion}", code
 

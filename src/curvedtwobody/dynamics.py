@@ -2,9 +2,10 @@
 invariant monitoring, geodesic base solutions, time-domain variational
 equations, Poincare sections, and chart conversions.
 
-Integrators are plain RK4 (fixed step) and an embedded RKF45 pair; no
-structure preservation, because invariant drift is itself the evidence
-the acceptance suite monitors.
+Integrators are plain RK4 (fixed step) and an embedded RKF45 pair with
+step-size control (the local error per unit time is held below rel_tol
+times the state's size); no structure preservation, because invariant
+drift is itself the evidence the acceptance suite monitors.
 """
 from __future__ import annotations
 
@@ -103,10 +104,10 @@ def vector_field(h: ReducedHamiltonian, x) -> tuple:
 
 @dataclass
 class IntegrationOptions:
-    step: float = 1e-3
+    step: float = 1e-3               # rk4: the step; rkf45: the first trial step
     method: str = "rk4"              # "rk4" or "rkf45"
-    rel_tol: float = 1e-10           # rkf45 local error control
-    sample_every: int = 100
+    rel_tol: float = 1e-12           # rkf45 local error per unit time, relative
+    sample_every: int = 100          # one sample every this many accepted steps
     casimir_abort: Optional[float] = 1e-6
 
 
@@ -118,6 +119,8 @@ class TrajectoryReport:
     casimir_drift: float
     extra_drifts: dict[str, float]
     steps: int
+    rejected_steps: int
+    min_step: float                  # the smallest step accepted
 
     def final_state(self) -> tuple:
         return self.states[-1]
@@ -142,7 +145,7 @@ _RKF_A = (
     (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40),
 )
 _RKF_B5 = (16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_B4 = (25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0)
+_RKF_E = (1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)   # b5 - b4
 
 
 def _rkf45_step(f, x, dt):
@@ -153,9 +156,9 @@ def _rkf45_step(f, x, dt):
         ks.append(f(xi))
     x5 = tuple(v + dt * sum(b * k[j] for b, k in zip(_RKF_B5, ks))
                for j, v in enumerate(x))
-    x4 = tuple(v + dt * sum(b * k[j] for b, k in zip(_RKF_B4, ks))
-               for j, v in enumerate(x))
-    err = max(abs(a - b) for a, b in zip(x5, x4))
+    # from the stages, not x5 - x4: that difference rounds to 0 when small
+    err = abs(dt) * max(abs(sum(e * k[j] for e, k in zip(_RKF_E, ks)))
+                        for j in range(len(x)))
     return x5, err
 
 
@@ -170,10 +173,16 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
               extra_integrals: Optional[dict[str, Callable]] = None) -> TrajectoryReport:
     """Fixed-step RK4 (default) or adaptive RKF45 with drift monitoring.
 
-    Drift metrics compare against the initial values of the Hamiltonian,
-    the Casimir (5-dim charts), and any registered extra integrals.  The
-    last step ends on t_end: when at most 1e-9 of a step would be left over,
-    the current step is stretched to t_end instead of taking a sliver step."""
+    RKF45 starts from opts.step and accepts a step dt when its error
+    estimate is at most rel_tol * max(|x|_inf, 1) * dt, so the error per
+    unit time, not per step, is controlled; the next trial step is scaled
+    by 0.9 (tol/err)^(1/4), at most 5x up and 5x down.  A step still
+    failing below 1e-12 raises StepFailure.  Drift metrics compare against
+    the initial values of the Hamiltonian, the Casimir (5-dim charts), and
+    any registered extra integrals.  A sample is kept every sample_every
+    accepted steps and at t_end.  The last step ends on t_end: when at most
+    1e-9 of a step would be left over, the current step is stretched to
+    t_end instead of taking a sliver step."""
     opts = opts or IntegrationOptions()
     _require_positive(step=opts.step, t_end=t_end)
     extra_integrals = extra_integrals or {}
@@ -194,7 +203,8 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
 
     t = 0.0
     t_base, k = 0.0, 0      # t = t_base + k * dt keeps rounding off the sum
-    steps = 0
+    steps = rejected = 0
+    min_step = math.inf
     dt = opts.step
     while t < t_end:
         last = t_end - t <= dt * (1 + 1e-9)
@@ -203,17 +213,22 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
             if opts.method == "rk4":
                 x = _rk4_step(f, x, dt_eff)
             elif opts.method == "rkf45":
+                scale = max(max(abs(v) for v in x), 1.0)
                 while True:
                     xn, err = _rkf45_step(f, x, dt_eff)
-                    scale = max(max(abs(v) for v in x), 1.0)
-                    if err <= opts.rel_tol * scale:
-                        x = xn
+                    tol = opts.rel_tol * scale * dt_eff
+                    if err <= tol:
                         break
                     if dt_eff < 1e-12:
                         raise StepFailure(f"error {err:.3e} above rel_tol "
                                           f"{opts.rel_tol:g} at step {dt_eff:.3g}")
-                    dt_eff *= 0.5
+                    rejected += 1
+                    dt_eff *= max(0.2, 0.9 * (tol / err) ** 0.25)
                     last = False
+                x = xn
+                # the step size changes, so t restarts its sum at this step
+                t_base, k = t, 0
+                dt = dt_eff * (min(5.0, 0.9 * (tol / err) ** 0.25) if err else 5.0)
             else:
                 raise DynamicsError(f"unknown method {opts.method!r}")
         except (DomainError, StepFailure, ValueError, OverflowError) as exc:
@@ -228,6 +243,8 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
             t_base, k = t + dt_eff, 0
             t = t_base
         steps += 1
+        if dt_eff < min_step:
+            min_step = dt_eff
         try:
             e = h.value(x)
         except DomainError as exc:
@@ -247,7 +264,8 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
         if steps % opts.sample_every == 0 or last:
             times.append(t)
             states.append(x)
-    return TrajectoryReport(times, states, e_drift, c_drift, x_drifts, steps)
+    return TrajectoryReport(times, states, e_drift, c_drift, x_drifts, steps,
+                            rejected, min_step)
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +494,12 @@ def value_in_r_chart(params: ModelParams, r: float, p_r: float,
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, content: str):
+def _atomic_write(path: str, data: bytes):
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(content)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -494,7 +512,7 @@ def trajectory_to_csv(report: TrajectoryReport, path: str):
     for t, state in zip(report.times, report.states):
         padded = tuple(state) + (0.0,) * (5 - len(state))
         lines.append(",".join(f"{v:.17g}" for v in (t,) + padded))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def section_to_csv(points: Sequence[SectionPoint], path: str):
@@ -503,4 +521,4 @@ def section_to_csv(points: Sequence[SectionPoint], path: str):
         padded = tuple(pt.state) + (0.0,) * (5 - len(pt.state))
         lines.append(",".join(f"{v:.17g}" for v in (pt.t,) + padded)
                      + f",{pt.crossing_index}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode())

@@ -205,6 +205,22 @@ class TestCli:
         assert report["energy_drift"] < 1e-10
         assert out.read_text().startswith("t,theta,p_theta,p0,p1,p2")
 
+    def test_simulate_rkf45_over_the_default_span(self):
+        """The default rel_tol keeps criterion 8's drift bounds over the
+        CLI's default 100 time units, in fewer steps than RK4 takes."""
+        result = CliRunner().invoke(cli_main, [
+            "simulate", "--space", "sphere", "--potential", "newton",
+            "--strength", "1/4", "--mu", "1/2", "--p", "1/10", "--eps", "0",
+            "--theta0", "1.4", "--p-theta", "0.02", "--p0", "0.08",
+            "--p1", "0.04", "--p2", "0.45", "--t-end", "100",
+            "--method", "rkf45"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["casimir_drift"] < 1e-10
+        assert report["energy_drift"] < 1e-8
+        assert report["steps"] < 100000
+        assert report["min_step"] > 0 and report["rejected_steps"] >= 0
+
     def test_section_counts_crossings(self, tmp_path):
         out = tmp_path / "sec.csv"
         runner = CliRunner()
@@ -227,6 +243,17 @@ class TestCli:
         report = json.loads(result.output)
         assert report["chain_rule_residual"] < 1e-6
         assert report["samples"] >= 100
+
+    def test_nve_writes_csv(self, tmp_path):
+        out = tmp_path / "nve.csv"
+        result = CliRunner().invoke(cli_main, [
+            "nve", "--space", "sphere", "--potential", "newton",
+            "--strength", "2", "--mu", "1/2", "--p", "1", "--eps", "0",
+            "--theta0", "1.0", "--t-end", "0.1", "--out", str(out)])
+        assert result.exit_code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,p1,p2"
+        assert len(lines) == json.loads(result.output)["samples"] + 1
 
     def test_sweep(self, tmp_path):
         cfg = tmp_path / "sweep.json"
@@ -297,6 +324,32 @@ class TestSweepFailures:
             "000: invariant violation: verdict without gate",
             "001_sphere_newton.json: Degenerate",
             "002_sphere_newton.json: NonintegrabilityCertified"]
+
+    def test_pipeline_bug_keeps_the_other_runs(self, tmp_path, monkeypatch):
+        from curvedtwobody import certify as certify_mod
+        calls = []
+
+        def buggy(cfg):
+            calls.append(cfg)
+            if len(calls) == 2:
+                raise RuntimeError("stage blew up")
+            return certify(cfg)
+
+        monkeypatch.setattr(certify_mod, "certify", buggy)
+        runs = [GOOD_RUN, dict(GOOD_RUN, space="hyperbolic", strength="1", eps="-2"),
+                dict(GOOD_RUN, mu="0")]
+        out_dir = tmp_path / "certs"
+        result = CliRunner().invoke(cli_main, [
+            "sweep", "--config", str(write_sweep(tmp_path, runs)),
+            "--out-dir", str(out_dir), "--jobs", "1"])
+        assert result.exit_code == 2
+        assert result.stdout.splitlines() == [
+            "000_sphere_newton.json: NonintegrabilityCertified",
+            "001: internal error: RuntimeError: stage blew up",
+            "002_sphere_newton.json: Degenerate"]
+        assert "Traceback" in result.stderr
+        assert sorted(f.name for f in out_dir.iterdir()) == [
+            "000_sphere_newton.json", "002_sphere_newton.json"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, jobs):

@@ -149,9 +149,35 @@ class TestStepControl:
         assert rep.times[-1] == 10.0
 
     def test_rkf45_step_count(self):
+        """The step grows from opts.step under error control: far fewer
+        steps than t_end/step, with the drift kept within criterion 8."""
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
-        rep = integrate(h, self.X0, 2.5, IntegrationOptions(step=1e-3, method="rkf45"))
-        assert rep.steps == 2500
+        rep = integrate(h, self.X0, 2.5, IntegrationOptions(
+            step=1e-3, method="rkf45", rel_tol=1e-10))
+        assert rep.times[-1] == 2.5
+        assert rep.steps <= 250
+        assert rep.energy_drift < 1e-8
+        assert rep.casimir_drift < 1e-10
+
+    def test_rkf45_zero_tolerance_fails(self):
+        """The error estimate stays positive, so rel_tol=0 is never met."""
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        with pytest.raises(StepFailure, match="above rel_tol"):
+            integrate(h, self.X0, 2.5, IntegrationOptions(
+                step=1e-3, method="rkf45", rel_tol=0.0))
+
+    def test_rk4_reports_no_rejection(self):
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        rep = integrate(h, self.X0, 0.5, IntegrationOptions(step=1e-3))
+        assert rep.rejected_steps == 0
+        assert rep.min_step == pytest.approx(1e-3)
+
+    def test_rkf45_reports_rejections_and_min_step(self):
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        rep = integrate(h, self.X0, 2.5, IntegrationOptions(
+            step=1.0, method="rkf45", rel_tol=1e-10))
+        assert rep.rejected_steps >= 1
+        assert rep.min_step < 1.0
         assert rep.times[-1] == 2.5
 
     @pytest.mark.parametrize("err", [1.0, math.nan])

@@ -120,7 +120,10 @@ class TrajectoryReport:
     extra_drifts: dict[str, float]
     steps: int
     rejected_steps: int
-    min_step: float                  # the smallest step accepted
+    # the smallest accepted step the controller chose: neither a first step
+    # accepted at opts.step without rejection nor a landing step shortened
+    # to end on t_end; the smallest accepted step when no other is left
+    min_step: float
 
     def final_state(self) -> tuple:
         return self.states[-1]
@@ -204,11 +207,12 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     t = 0.0
     t_base, k = 0.0, 0      # t = t_base + k * dt keeps rounding off the sum
     steps = rejected = 0
-    min_step = math.inf
+    min_step = min_accepted = math.inf
     dt = opts.step
     while t < t_end:
         last = t_end - t <= dt * (1 + 1e-9)
         dt_eff = t_end - t if last else dt
+        shortened = dt_eff < dt
         try:
             if opts.method == "rk4":
                 x = _rk4_step(f, x, dt_eff)
@@ -242,9 +246,12 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
         else:
             t_base, k = t + dt_eff, 0
             t = t_base
-        steps += 1
-        if dt_eff < min_step:
+        if dt_eff < min_accepted:
+            min_accepted = dt_eff
+        if dt_eff < min_step and not (last and shortened) \
+                and (steps or dt_eff != opts.step):
             min_step = dt_eff
+        steps += 1
         try:
             e = h.value(x)
         except DomainError as exc:
@@ -264,6 +271,8 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
         if steps % opts.sample_every == 0 or last:
             times.append(t)
             states.append(x)
+    if min_step == math.inf:
+        min_step = min_accepted
     return TrajectoryReport(times, states, e_drift, c_drift, x_drifts, steps,
                             rejected, min_step)
 

@@ -455,11 +455,12 @@ class GaloisVerdict:
 
 
 def _point_nonreal_exponents(pt: SingularPoint) -> bool:
+    """The exponents (1 +- delta)/2 are non-real exactly when the rational
+    delta^2 is negative; any other delta^2 is refused, not screened."""
     q = pt.delta_squared.is_real_rational()
-    if q is not None:
-        return q < 0
-    # reality screen for tower values (same 1e-9 margin as the lemma checks)
-    return abs(pt.delta_squared.embed_complex((1, 1)).imag) > 1e-9
+    if q is None:
+        raise KovacicError("exponent reality undecided: delta^2 is not rational")
+    return q < 0
 
 
 def case3_possible(spec: SingularitySpectrum) -> bool:
@@ -484,14 +485,13 @@ def classify(normal: NormalFormODE, spec: SingularitySpectrum,
         if all(sol.omega != other.omega for other in distinct):
             distinct.append(sol)
     n1 = len(distinct)
-    nonreal_somewhere = any(_point_nonreal_exponents(pt) for pt in spec.finite_points)
     if n1 >= 2:
         notes.append("two independent solutions with rational log derivative")
         return GaloisVerdict(tuple(case1), case2, case_three,
                              Classification.DIAGONAL_OR_SMALLER_ABELIAN, True,
                              tuple(notes))
     if n1 == 1:
-        if nonreal_somewhere:
+        if any(_point_nonreal_exponents(pt) for pt in spec.finite_points):
             notes.append("single rational-log-derivative solution and non-real exponents")
             return GaloisVerdict(tuple(case1), case2, case_three,
                                  Classification.FULL_TRIANGULAR_NONABELIAN, False,

@@ -1,9 +1,14 @@
 """Univariate polynomial and rational-function calculus over a tower context.
 
 Dense polynomials with TowerScalar coefficients; rational functions kept
-normalized (monic denominator, gcd(num, den) = 1).  Pole locations are
-always supplied by callers in closed form, so no root finding happens
-here; partial fractions use the Taylor method at each supplied root.
+normalized (monic denominator, gcd(num, den) = 1).  Lowest terms come
+from what the context knows: the pipeline's denominators factor over
+z - z0, z^2 - kappa^2 and z^2 - lambda^2, so the quadratics and their
+roots +-sqrt_a(), +-sqrt_b() are cancelled by synthetic division and the
+Euclidean poly_gcd runs only on the rest of the denominator (z - z0
+powers, or P from P'/P).  Pole locations are always supplied by callers
+in closed form, so no root finding happens here; partial fractions use
+the Taylor method at each supplied root.
 """
 from __future__ import annotations
 
@@ -197,8 +202,100 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return p.monic()
 
 
+def _quadratic_divmod(coeffs, a: TowerScalar):
+    """Quotient and remainder r0 + r1*z of sum coeffs[k] z^k by z^2 - a.
+
+    With p(z) = E(z^2) + z*O(z^2) the remainder is E(a) + z*O(a), so
+    p(+-c) = r0 +- c*r1 at either root c of z^2 - a.  For a Gaussian a
+    every step is a Gaussian-by-tower product."""
+    cs = list(coeffs) + [a.ctx.zero] * (2 - len(coeffs))
+    q = cs[2:]
+    for k in range(len(q) - 3, -1, -1):
+        q[k] = q[k] + a * q[k + 2]
+    r0 = cs[0] + a * q[0] if q else cs[0]
+    r1 = cs[1] + a * q[1] if len(q) > 1 else cs[1]
+    return q, r0, r1
+
+
+def _times_quadratic(p: Poly, a: TowerScalar) -> Poly:
+    """p * (z^2 - a)."""
+    cs = p.coeffs
+    zero = p.ctx.zero
+    out = [-(a * c) for c in cs] + [zero, zero]
+    for k, c in enumerate(cs):
+        out[k + 2] = out[k + 2] + c
+    return Poly(p.ctx, out)
+
+
+def _lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/g, den/g for g = gcd(num, den), not normalized.
+
+    Copies of z^2 - a and z^2 - b (a = kappa^2, b = lambda^2) are
+    stripped from den by synthetic division and cancelled against num,
+    whole or through one root +-sqrt_a(), +-sqrt_b() found from the
+    remainder; Euclid runs only on what is left of den.  This is
+    gcd(num, QR) = gcd(num, Q) * gcd(num / gcd(num, Q), R) for the known
+    part Q of den."""
+    ctx = num.ctx
+    rest = den
+    cancelled = False
+    kept = []       # (a, cancelled root, copies of z^2 - a, copies of z + root) left
+    for s, sqrt in ((ctx.a, ctx.sqrt_a), (ctx.b, ctx.sqrt_b)):
+        a = ctx.from_gauss(s)
+        k = 0
+        while rest.degree() >= 2:
+            q, r0, r1 = _quadratic_divmod(rest.coeffs, a)
+            if not (r0.is_zero() and r1.is_zero()):
+                break
+            rest = Poly(ctx, q)
+            k += 1
+        while k:
+            q, r0, r1 = _quadratic_divmod(num.coeffs, a)
+            if not (r0.is_zero() and r1.is_zero()):
+                break
+            num = Poly(ctx, q)
+            k -= 1
+            cancelled = True
+        m, root = 0, None
+        if k:
+            c = sqrt()
+            cr1 = c * r1
+            if (r0 + cr1).is_zero():
+                root = c
+            elif (r0 - cr1).is_zero():
+                root = -c
+            if root is not None:
+                lin = Poly(ctx, [-root, ctx.one])
+                while m < k:
+                    num = num // lin
+                    m += 1
+                    _, r0, r1 = _quadratic_divmod(num.coeffs, a)
+                    if not (r0 + root * r1).is_zero():
+                        break
+                cancelled = True
+        kept.append((a, root, k - m, m))
+    if rest.degree() > 0:
+        g = poly_gcd(num, rest)
+        if g.degree() > 0:
+            num = num // g
+            rest = rest // g
+            cancelled = True
+    if not cancelled:
+        return num, den
+    for a, root, j, m in kept:
+        for _ in range(j):
+            rest = _times_quadratic(rest, a)
+        if m:
+            rest = rest * Poly.from_roots(ctx, [(-root, m)])
+    return num, rest
+
+
 class RatFunc:
-    """Reduced ratio num/den with monic denominator."""
+    """Reduced ratio num/den with monic denominator.
+
+    The reduced form is unique, so it equals num/g, den/g for the monic
+    g = poly_gcd(num, den), scaled to a monic den; it is reached through
+    _lowest_terms, which spends Euclid only on the unknown factors."""
 
     __slots__ = ("num", "den")
 
@@ -209,11 +306,8 @@ class RatFunc:
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
             den = Poly.constant(num.ctx, 1)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num // g
-                den = den // g
+        elif num.degree() > 0 and den.degree() > 0:
+            num, den = _lowest_terms(num, den)
         if not (den.degree() == 0 and den.leading() == num.ctx.one):
             inv = den.leading().inverse()
             num = num.scale(inv)

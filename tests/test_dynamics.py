@@ -180,6 +180,19 @@ class TestStepControl:
         assert rep.min_step < 1.0
         assert rep.times[-1] == 2.5
 
+    @pytest.mark.parametrize("step,rel_tol", [(1e-3, 1e-10), (1e-3, 1e-12), (1.0, 1e-10)])
+    def test_rkf45_min_step_is_a_step_the_controller_chose(self, step, rel_tol):
+        """Read back from every accepted step: min_step is the smallest step
+        between the first (the trial step, or larger after a rejection) and
+        the last (shortened to land on t_end)."""
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        rep = integrate(h, self.X0, 2.5, IntegrationOptions(
+            step=step, method="rkf45", rel_tol=rel_tol, sample_every=1))
+        dts = [t1 - t0 for t0, t1 in zip(rep.times, rep.times[1:])]
+        assert len(dts) == rep.steps
+        assert rep.min_step == pytest.approx(min(dts[1:-1]), rel=1e-9)
+        assert rep.min_step > min(dts)
+
     @pytest.mark.parametrize("err", [1.0, math.nan])
     def test_rkf45_refuses_a_step_at_the_dt_floor(self, monkeypatch, err):
         """An error estimate that never meets rel_tol ends in StepFailure once
@@ -198,6 +211,7 @@ class TestStepControl:
         rep = integrate(h, self.X0, 0.25, IntegrationOptions(step=1.0))
         assert rep.steps == 1
         assert rep.times == [0.0, 0.25]
+        assert rep.min_step == 0.25
 
     @pytest.mark.parametrize("step,t_end", [(0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0),
                                             (1e-3, -1.0), (math.nan, 1.0),

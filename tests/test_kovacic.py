@@ -1,11 +1,13 @@
+import dataclasses
 from fractions import Fraction as Fr
 
 import pytest
 
 from curvedtwobody.exactfield import GaussRational, make_context
-from curvedtwobody.kovacic import (Classification, ECandidate, candidates,
-                                   case1_search, case3_possible, classify,
-                                   e_sets, pair_exclusion, search_P, theta, xi)
+from curvedtwobody.kovacic import (Classification, ECandidate, KovacicError,
+                                   candidates, case1_search, case3_possible,
+                                   classify, e_sets, pair_exclusion, search_P,
+                                   theta, xi)
 from curvedtwobody.linode import (NormalFormODE, SingularPoint,
                                   SingularitySpectrum, reduce_to_second_order,
                                   singularity_spectrum, to_normal_form)
@@ -378,6 +380,27 @@ class TestClassify:
         more = classify(normal, spec, case1, None, case3_possible(spec), False)
         if base.identity_component_abelian:
             assert more.identity_component_abelian
+
+    def test_single_solution_reads_exponent_reality_exactly(self):
+        """With one case-I solution the verdict turns on whether some point
+        has non-real exponents: a negative rational delta^2 says so, and a
+        delta^2 that is not rational is refused rather than guessed."""
+        params = derive_params(Space.SPHERE, Potential.NEWTON, 2, 1, 1, 0)
+        normal, spec = analysis(params)
+        case1 = case1_search(normal, spec)[:1]
+        ctx = params.ctx
+        pts = list(spec.points)
+        i = next(j for j, pt in enumerate(pts) if not pt.is_infinity)
+
+        def with_delta2(value):
+            pts[i] = dataclasses.replace(spec.points[i], delta_squared=value)
+            return SingularitySpectrum(tuple(pts))
+
+        verdict = classify(normal, with_delta2(ctx.from_rational(Fr(-3, 4))),
+                           case1, None, False, False)
+        assert verdict.classification is Classification.FULL_TRIANGULAR_NONABELIAN
+        with pytest.raises(KovacicError, match="not rational"):
+            classify(normal, with_delta2(ctx.kappa), case1, None, False, False)
 
     def test_integrable_control_never_nonabelian(self):
         # y'' = y: case II machinery finds P = 1 (see TestSearchP), so the

@@ -90,6 +90,93 @@ class TestNormalization:
         assert f == RatFunc.from_poly(P(1, 1))
 
 
+def reduced_by_euclid(num, den):
+    """The reference lowest terms: one gcd over the whole denominator."""
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    inv = den.leading().inverse()
+    return num.scale(inv), den.scale(inv)
+
+
+# a tower field; a = 4 a Gaussian square (kappa collapses to 2); b/a = 4 a
+# square (lambda = 2 kappa); sphere Newton's conjugate pairs kappa^2 = 1 + i,
+# lambda^2 = 1 - i and kappa^2 = 3 + 4i = (2 + i)^2, lambda^2 = (2 - i)^2
+CANCEL_CTXS = {
+    "field": make_context(G(2), G(3)),
+    "a-square": make_context(G(4), G(3)),
+    "b/a-square": make_context(G(2), G(8)),
+    "sphere-newton": make_context(G(1, 1), G(1, -1)),
+    "sphere-newton-squares": make_context(G(3, 4), G(3, -4)),
+}
+
+
+def lin(ctx, c):
+    return Poly(ctx, [-c, ctx.one])
+
+
+def quad(ctx, s):
+    return Poly(ctx, [-ctx.from_gauss(s), ctx.zero, ctx.one])
+
+
+class TestKnownFactorCancellation:
+    """RatFunc cancels z^2 - a, z^2 - b and their single roots without Euclid;
+    the result must equal the one-gcd reference exactly."""
+
+    @pytest.mark.parametrize("name", CANCEL_CTXS)
+    def test_random_products_match_euclid(self, name):
+        """Random products of known factors and unknown cofactors; the
+        cofactors make most denominators non-monic."""
+        ctx = CANCEL_CTXS[name]
+        k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+        known = [lin(ctx, k), lin(ctx, -k), lin(ctx, lam), lin(ctx, -lam),
+                 quad(ctx, ctx.a), quad(ctx, ctx.b), lin(ctx, ctx.from_rational(Fr(1, 3)))]
+        rng = random.Random(name)
+
+        def cofactor():
+            p = Poly(ctx, [ctx.from_gauss(G(Fr(rng.randint(-6, 6), rng.randint(1, 3)),
+                                            Fr(rng.randint(-2, 2), rng.randint(1, 3))))
+                           for _ in range(rng.randint(1, 3))])
+            return p if not p.is_zero() else Poly.constant(ctx, 1)
+
+        for _ in range(60):
+            num, den = cofactor(), cofactor()
+            for _ in range(rng.randint(0, 4)):
+                num = num * rng.choice(known)
+            for _ in range(rng.randint(0, 4)):
+                den = den * rng.choice(known)
+            f = RatFunc(num, den)
+            assert (f.num, f.den) == reduced_by_euclid(num, den)
+
+    @pytest.mark.parametrize("name", CANCEL_CTXS)
+    def test_num_sharing_one_root(self, name):
+        """num vanishes at +kappa (twice) and -lambda but not at -kappa or
+        +lambda: only linear factors cancel out of the quadratics, and the
+        denominator comes in neither monic nor factored."""
+        ctx = CANCEL_CTXS[name]
+        k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+        z3 = lin(ctx, ctx.from_rational(Fr(1, 3)))
+        num = lin(ctx, k) * lin(ctx, k) * lin(ctx, -lam) * Poly.from_rationals(ctx, [5, 0, 1])
+        den = quad(ctx, ctx.a) * quad(ctx, ctx.a) * quad(ctx, ctx.b) * z3
+        den = den.scale(ctx.from_gauss(G(-2, 3)))
+        f = RatFunc(num, den)
+        assert f.den == lin(ctx, -k) * lin(ctx, -k) * lin(ctx, lam) * z3
+        assert (f.num, f.den) == reduced_by_euclid(num, den)
+
+    @pytest.mark.parametrize("name", CANCEL_CTXS)
+    def test_factor_outside_the_known_set(self, name):
+        """z^2 + z + 5 is none of the known factors; Euclid on what is left
+        of the denominator still cancels it, beside a whole z^2 - a."""
+        ctx = CANCEL_CTXS[name]
+        qa, qb = quad(ctx, ctx.a), quad(ctx, ctx.b)
+        z3 = lin(ctx, ctx.from_rational(Fr(1, 3)))
+        other = Poly.from_rationals(ctx, [5, 1, 1])
+        num = other * qa * Poly.from_rationals(ctx, [1, 2])
+        den = other * qa * qa * qb * z3 * z3
+        f = RatFunc(num, den)
+        assert f.den == qa * qb * z3 * z3
+        assert (f.num, f.den) == reduced_by_euclid(num, den)
+
+
 class TestEvaluate:
     def test_removable_factor(self):
         f = RatFunc(P(-1, 0, 1), P(-1, 1))  # (z^2-1)/(z-1) = z+1

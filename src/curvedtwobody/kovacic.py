@@ -6,6 +6,12 @@ algorithm (candidate exponent sets, Theta, Xi, the auxiliary polynomial
 P), the case-III rationality screen, the product-of-solutions exclusion
 through the second symmetric power, and the final classification of the
 identity component.
+
+Case I, case II and the product test each look for a polynomial P of
+known degree killed by a linear operator, and all three solve for it with
+one exact linear solve (_solve_P).  The product test needs no operator of
+its own: for v = P b with b'/b = Theta, the symmetric square of v applied
+and divided by b is case II's operator on P.
 """
 from __future__ import annotations
 
@@ -32,39 +38,27 @@ class KovacicError(Exception):
 
 def e_sets(spec: SingularitySpectrum) -> list[tuple[SingularPoint, tuple[int, ...]]]:
     """The finite integer menu at every singular point, infinity last."""
-    out = []
-    for pt in spec.finite_points:
-        out.append((pt, _e_set_finite(pt)))
-    out.append((spec.infinity, _e_set_infinity(spec.infinity)))
-    return out
+    return [(pt, _e_set(pt)) for pt in spec.finite_points + (spec.infinity,)]
 
 
-def _e_set_finite(pt: SingularPoint) -> tuple[int, ...]:
-    if pt.order == 1:
-        return (4,)
+def _e_set(pt: SingularPoint) -> tuple[int, ...]:
     if pt.order == 2:
-        vals = {2}
-        if pt.delta_rational is not None:
-            for s in (1, -1):
-                cand = 2 * (1 + s * pt.delta_rational)
-                if cand.denominator == 1:
-                    vals.add(int(cand))
-        return tuple(sorted(vals))
-    return (pt.order,)
+        return tuple(sorted(_delta_menu(pt, 2)))
+    if pt.is_infinity:
+        return (0, 2, 4) if pt.order <= 1 else (4 - pt.order,)
+    return (4,) if pt.order == 1 else (pt.order,)
 
 
-def _e_set_infinity(pt: SingularPoint) -> tuple[int, ...]:
-    if pt.order <= 1:
-        return (0, 2, 4)
-    if pt.order == 2:
-        vals = {2}
-        if pt.delta_rational is not None:
-            for s in (1, -1):
-                cand = 2 * (1 + s * pt.delta_rational)
-                if cand.denominator == 1:
-                    vals.add(int(cand))
-        return tuple(sorted(vals))
-    return (4 - pt.order,)
+def _delta_menu(pt: SingularPoint, scale: int) -> set[int]:
+    """scale together with the integers among scale (1 +- delta) at an
+    order-2 point with rational delta."""
+    vals = {scale}
+    if pt.delta_rational is not None:
+        for s in (1, -1):
+            cand = scale * (1 + s * pt.delta_rational)
+            if cand.denominator == 1:
+                vals.add(int(cand))
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -138,45 +132,37 @@ class Case2Solution:
     omega_constant_term: RatFunc      # psi'/2 + psi^2/2 - r in w^2 - psi w + (...) = 0
 
 
-def _solve_linear_combination(terms: list[RatFunc],
-                              require_unique: bool = True) -> Optional[list[TowerScalar]]:
-    """Coefficients c_k (k < n) with terms[n] + sum c_k terms[k] = 0.
+def _solve_P(coeffs: Sequence[RatFunc], d: int,
+             unique: bool = False) -> Optional[Poly]:
+    """Monic P of degree d with L(P) = sum_j a_j P^(j) = 0, a_j = coeffs[j],
+    or None (also None when unique is set and the solution is not unique).
 
-    Returns None when inconsistent (or, with require_unique, when the
-    solution space is positive-dimensional); [] when n = 0 and terms[0]
-    is already zero.
-    """
-    ctx = terms[0].ctx
-    n = len(terms) - 1
-    if n == 0:
-        return [] if terms[0].is_zero() else None
-    common = Poly.constant(ctx, 1)
-    for t in terms:
-        q, rem = (t.den * common).divmod(_poly_gcd_safe(common, t.den))
-        assert rem.is_zero()
-        common = q
-    numerators = []
-    for t in terms:
-        lift, rem = common.divmod(t.den)
-        assert rem.is_zero()
-        numerators.append(t.num * lift)
-    rows = max(p.degree() for p in numerators) + 1
-    if rows == 0:
-        # the operator annihilates every basis polynomial
-        return None if require_unique else [ctx.zero] * n
-    mat = [[numerators[k].coefficient(m) for k in range(n)] for m in range(rows)]
-    rhs = [-numerators[n].coefficient(m) for m in range(rows)]
-    sol, unique = _gauss_solve(ctx, mat, rhs)
-    if sol is None or (require_unique and not unique):
+    The a_j are cleared once over their common denominator D, D a_j = N_j,
+    and column k of the linear system for the lower coefficients of P is
+    read off D L(z^k) = sum_j k!/(k-j)! N_j z^(k-j); orders j > d never
+    contribute, so their N_j are not built."""
+    ctx = coeffs[0].ctx
+    coeffs = coeffs[:d + 1]
+    den = Poly.constant(ctx, 1)
+    for a in coeffs:
+        den = a.den * RatFunc(a.den, den).den
+    nums = [(a.num * (den // a.den)).coeffs for a in coeffs]
+    rows = max(len(n) + d - j for j, n in enumerate(nums))
+    cols = []
+    for k in range(d + 1):
+        col = [ctx.zero] * rows
+        falling = 1
+        for j, n in enumerate(nums[:k + 1]):
+            scale = ctx.from_rational(falling)
+            for m, c in enumerate(n):
+                col[m + k - j] = col[m + k - j] + scale * c
+            falling *= k - j
+        cols.append(col)
+    mat = [[col[m] for col in cols[:d]] for m in range(rows)]
+    sol, is_unique = _gauss_solve(ctx, mat, [-v for v in cols[d]])
+    if sol is None or (unique and not is_unique):
         return None
-    return sol
-
-
-def _poly_gcd_safe(p: Poly, q: Poly) -> Poly:
-    from .ratcalc import poly_gcd
-    if p.is_zero() and q.is_zero():
-        return Poly.constant(p.ctx, 1)
-    return poly_gcd(p, q)
+    return Poly(ctx, sol + [ctx.one])
 
 
 def _gauss_solve(ctx, mat, rhs):
@@ -216,6 +202,21 @@ def _gauss_solve(ctx, mat, rhs):
     return sol, unique
 
 
+def _case2_coefficients(normal: NormalFormODE, th: RatFunc, xi_val: RatFunc,
+                        d: int) -> list[RatFunc]:
+    """[Xi, 3 Th^2 + 3 Th' - 4 r, 3 Th, 1], case II's operator on P, built
+    only as far as a P of degree d feels it.
+
+    With b'/b = Th it is also L(P b)/b for the second symmetric power
+    L(v) = v''' - 4 r v' - 2 r' v, which the product test uses."""
+    ctx = normal.r.ctx
+    if d == 0:
+        return [xi_val]
+    three = RatFunc.constant(ctx, 3)
+    c1 = three * th * th + three * th.derivative() - RatFunc.constant(ctx, 4) * normal.r
+    return [xi_val, c1, three * th, RatFunc.constant(ctx, 1)]
+
+
 def search_P(normal: NormalFormODE, e: ECandidate, th: Optional[RatFunc] = None,
              c0: Optional[RatFunc] = None) -> Optional[Case2Solution]:
     """Monic P of degree d(e) solving
@@ -231,21 +232,9 @@ def search_P(normal: NormalFormODE, e: ECandidate, th: Optional[RatFunc] = None,
         th = theta(ctx, e)
     if c0 is None:
         c0 = xi(normal, th)
-    three = RatFunc.constant(ctx, 3)
-    four = RatFunc.constant(ctx, 4)
-    c1 = three * th * th + three * th.derivative() - four * r
-
-    def operator(p_poly: Poly) -> RatFunc:
-        pr = RatFunc.from_poly(p_poly)
-        return (pr.derivative().derivative().derivative()
-                + three * th * pr.derivative().derivative()
-                + c1 * pr.derivative() + c0 * pr)
-
-    terms = [operator(Poly(ctx, [ctx.zero] * k + [ctx.one])) for k in range(d + 1)]
-    coeffs = _solve_linear_combination(terms, require_unique=False)
-    if coeffs is None:
+    p_poly = _solve_P(_case2_coefficients(normal, th, c0, d), d)
+    if p_poly is None:
         return None
-    p_poly = Poly(ctx, coeffs + [ctx.one])
     psi = th + RatFunc.from_poly(p_poly.derivative()) / RatFunc.from_poly(p_poly)
     half = RatFunc.constant(ctx, Fraction(1, 2))
     const_term = half * psi.derivative() + half * psi * psi - r
@@ -322,18 +311,11 @@ def _solve_exponent_assignment(normal, finite, rho_choice, n):
             continue
         phi = phi + RatFunc(Poly.constant(ctx, ctx.from_rational(rho)),
                             Poly(ctx, [-pt.location, ctx.one]))
-    two = RatFunc.constant(ctx, 2)
     c0 = phi.derivative() + phi * phi - normal.r
-
-    def operator(p_poly: Poly) -> RatFunc:
-        pr = RatFunc.from_poly(p_poly)
-        return pr.derivative().derivative() + two * phi * pr.derivative() + c0 * pr
-
-    terms = [operator(Poly(ctx, [ctx.zero] * k + [ctx.one])) for k in range(n + 1)]
-    coeffs = _solve_linear_combination(terms)
-    if coeffs is None:
+    p_poly = _solve_P([c0, RatFunc.constant(ctx, 2) * phi, RatFunc.constant(ctx, 1)],
+                      n, unique=True)
+    if p_poly is None:
         return None
-    p_poly = Poly(ctx, coeffs + [ctx.one])
     omega = phi + RatFunc.from_poly(p_poly.derivative()) / RatFunc.from_poly(p_poly)
     return p_poly, omega
 
@@ -360,15 +342,11 @@ class PairExclusion:
 
 def _integer_sums(pt: SingularPoint) -> list[int]:
     """Integer options for the order of v = y1 y2 at a singular point."""
-    opts = {1} if pt.order >= 1 else {0}
-    if pt.order == 2 and pt.delta_rational is not None:
-        for s in (1, -1):
-            cand = 1 + s * pt.delta_rational
-            if cand.denominator == 1:
-                opts.add(int(cand))
     if pt.order == 1:
-        opts = {0, 1, 2}
-    return sorted(opts)
+        return [0, 1, 2]
+    if pt.order == 2:
+        return sorted(_delta_menu(pt, 1))
+    return [1] if pt.order >= 1 else [0]
 
 
 def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum) -> PairExclusion:
@@ -377,8 +355,7 @@ def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum) -> PairExcl
     constrained orders at the singular points and constrained growth at
     infinity; every admissible shape is tested against the second
     symmetric power."""
-    r = normal.r
-    ctx = r.ctx
+    ctx = normal.r.ctx
     finite = spec.finite_points
     menus = [_integer_sums(pt) for pt in finite]
     inf_pt = spec.infinity
@@ -393,41 +370,31 @@ def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum) -> PairExcl
     found: list[ProductCandidate] = []
     any_solvable = False
     for s_choice in itertools.product(*menus) if menus else [()]:
+        orders = tuple((pt.location, s) for pt, s in zip(finite, s_choice))
         base_deg = sum(s_choice)
+        coeffs = None
         for g in growth_options:
             n = g - base_deg
             if n < 0:
                 continue
-            base_num = Poly.constant(ctx, 1)
-            base_den = Poly.constant(ctx, 1)
-            for pt, s in zip(finite, s_choice):
-                lin = Poly(ctx, [-pt.location, ctx.one])
-                for _ in range(abs(s)):
-                    if s > 0:
-                        base_num = base_num * lin
-                    else:
-                        base_den = base_den * lin
-            base = RatFunc(base_num, base_den)
-
-            def residual_of(p_poly: Poly) -> RatFunc:
-                return symmetric_power_residual(
-                    normal, RatFunc.from_poly(p_poly) * base)
-
-            terms = [residual_of(Poly(ctx, [ctx.zero] * k + [ctx.one]))
-                     for k in range(n + 1)]
-            coeffs = _solve_linear_combination(terms, require_unique=False)
-            solvable = coeffs is not None
-            res_deg = None
-            res_lead = None
-            if n == 0 and not solvable:
-                res = terms[0]
-                res_deg = res.num.degree()
-                res_lead = res.num.leading()
-            if solvable:
-                any_solvable = True
-            found.append(ProductCandidate(
-                tuple((pt.location, s) for pt, s in zip(finite, s_choice)),
-                n, solvable, res_deg, res_lead))
+            res_deg = res_lead = None
+            if n == 0:
+                res = symmetric_power_residual(normal, RatFunc(
+                    Poly.from_roots(ctx, [(c, s) for c, s in orders if s > 0]),
+                    Poly.from_roots(ctx, [(c, -s) for c, s in orders if s < 0])))
+                solvable = res.is_zero()
+                if not solvable:
+                    res_deg, res_lead = res.num.degree(), res.num.leading()
+            else:
+                # v = P b with b = prod (z - c)^s: L(v)/b is case II's
+                # operator on P at Theta = b'/b, the theta of e_c = 2 s
+                if coeffs is None:
+                    th = theta(ctx, ECandidate(tuple((c, 2 * s) for c, s in orders),
+                                               2 * g, Fraction(n)))
+                    coeffs = _case2_coefficients(normal, th, xi(normal, th), n)
+                solvable = _solve_P(coeffs, n) is not None
+            any_solvable = any_solvable or solvable
+            found.append(ProductCandidate(orders, n, solvable, res_deg, res_lead))
     return PairExclusion(tuple(found), not any_solvable)
 
 

@@ -196,19 +196,6 @@ class SingularitySpectrum:
     def all_deltas_rational(self) -> bool:
         return all(pt.delta_rational is not None for pt in self.points)
 
-    def render_table(self) -> str:
-        lines = ["location | order | alpha | delta^2 | exponents"]
-        for pt in self.points:
-            loc = "infinity" if pt.is_infinity else pt.location.render()
-            if pt.exponents is not None:
-                expo = f"{pt.exponents[0]}, {pt.exponents[1]}"
-            else:
-                expo = "(1 +/- sqrt(delta^2))/2" if not pt.is_infinity \
-                    else "(-1 +/- sqrt(delta^2))/2"
-            lines.append(f"{loc} | {pt.order} | {pt.alpha.render()} | "
-                         f"{pt.delta_squared.render()} | {expo}")
-        return "\n".join(lines)
-
 
 def _delta_data(ctx: TowerContext, alpha: TowerScalar):
     """delta^2 = 1 + 4 alpha, with its rational square root when that exists."""

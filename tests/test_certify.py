@@ -426,7 +426,7 @@ GOLDEN = Path(__file__).parent / "data"
 
 class TestGoldenCertificates:
     """The four README reference sets at the CLI defaults (seed 0, 20
-    identity samples) and six seeded random sets must reproduce the
+    identity samples) and seven seeded random sets must reproduce the
     committed certificates byte for byte."""
 
     @pytest.mark.parametrize("space,pot", ALL_CASES)
@@ -444,9 +444,11 @@ class TestGoldenCertificates:
     @pytest.mark.parametrize("golden", sorted(GOLDEN.glob("random_*.json")),
                              ids=lambda path: path.stem)
     def test_random_certificate_bytes(self, golden):
-        """Seeded random admissible sets over genuine tower contexts (kappa^2,
-        lambda^2 and their ratio are not squares in Q(i)), each run from the
-        parameters, seed and sample count its own certificate records."""
+        """Seeded random admissible sets, six over genuine tower contexts
+        (kappa^2, lambda^2 and their ratio are not squares in Q(i)) and
+        random_hyperbolic_newton_502 (lambda^2 = 9), whose product test
+        solves for P at degrees 2-10; each is run from the parameters, seed
+        and sample count its own certificate records."""
         raw = golden.read_bytes()
         data = json.loads(raw)
         params = data["params"]

@@ -1,20 +1,26 @@
 import dataclasses
+import itertools
+import json
+import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
 from curvedtwobody.exactfield import GaussRational, make_context
 from curvedtwobody.kovacic import (Classification, ECandidate, KovacicError,
-                                   candidates, case1_search, case3_possible,
-                                   classify, e_sets, pair_exclusion, search_P,
-                                   theta, xi)
+                                   _case2_coefficients, _gauss_solve, _solve_P,
+                                   _solve_exponent_assignment, candidates,
+                                   case1_search, case3_possible, classify,
+                                   e_sets, pair_exclusion, search_P, theta, xi)
 from curvedtwobody.linode import (NormalFormODE, SingularPoint,
                                   SingularitySpectrum, reduce_to_second_order,
-                                  singularity_spectrum, to_normal_form)
+                                  singularity_spectrum,
+                                  symmetric_power_residual, to_normal_form)
 from curvedtwobody.models import (Potential, Space, build_system,
                                   derive_params, detect_poles, mu1_solutions,
                                   reference_params)
-from curvedtwobody.ratcalc import Poly, RatFunc
+from curvedtwobody.ratcalc import Poly, RatFunc, poly_gcd
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -428,3 +434,181 @@ class TestClassify:
         verdict = classify(normal, spec, [], None, False, None)
         assert verdict.classification is Classification.INCONCLUSIVE
         assert verdict.identity_component_abelian is None
+
+
+# ---------------------------------------------------------------------------
+# the shared P solver against the per-monomial construction it replaced
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data"
+# The ten golden parameter sets that predate the seed-502 one; the oracle's
+# product test alone takes several seconds there.
+ORACLE_SETS = [path for path in sorted(GOLDEN.glob("*.json"))
+               if path.stem != "random_hyperbolic_newton_502"]
+
+
+def golden_params(path):
+    data = json.loads(path.read_bytes())["params"]
+    return derive_params(Space(data["space"]), Potential(data["potential"]),
+                         Fr(data["strength"]), Fr(data["mu"]), Fr(data["p"]),
+                         Fr(data["eps"]))
+
+
+def monomial(ctx, k):
+    return Poly(ctx, [ctx.zero] * k + [ctx.one])
+
+
+def oracle_solve(operator, ctx, d, unique):
+    """Monic P of degree d with operator(P) = 0, or None: operator(z^k) as
+    reduced RatFuncs for every k <= d, cleared over the lcm of their
+    denominators, one row per power of z."""
+    terms = [operator(monomial(ctx, k)) for k in range(d + 1)]
+    if d == 0:
+        return Poly.constant(ctx, 1) if terms[0].is_zero() else None
+    common = Poly.constant(ctx, 1)
+    for t in terms:
+        common = (t.den * common) // poly_gcd(common, t.den)
+    numerators = [t.num * (common // t.den) for t in terms]
+    rows = max(p.degree() for p in numerators) + 1
+    if rows == 0:
+        return None if unique else monomial(ctx, d)
+    mat = [[numerators[k].coefficient(m) for k in range(d)] for m in range(rows)]
+    rhs = [-numerators[d].coefficient(m) for m in range(rows)]
+    sol, is_unique = _gauss_solve(ctx, mat, rhs)
+    if sol is None or (unique and not is_unique):
+        return None
+    return Poly(ctx, sol + [ctx.one])
+
+
+def oracle_case1_operator(normal, finite, rho_choice):
+    """P -> P'' + 2 phi P' + (phi' + phi^2 - r) P, phi = sum rho_c/(z - c)."""
+    ctx = normal.r.ctx
+    phi = RatFunc.constant(ctx, 0)
+    for pt, rho in zip(finite, rho_choice):
+        if rho != 0:
+            phi = phi + RatFunc(Poly.constant(ctx, ctx.from_rational(rho)),
+                                Poly(ctx, [-pt.location, ctx.one]))
+    two = RatFunc.constant(ctx, 2)
+    c0 = phi.derivative() + phi * phi - normal.r
+
+    def operator(p_poly):
+        pr = RatFunc.from_poly(p_poly)
+        return pr.derivative().derivative() + two * phi * pr.derivative() + c0 * pr
+    return operator
+
+
+def oracle_case2_operator(normal, th):
+    """P -> P''' + 3 Th P'' + (3 Th^2 + 3 Th' - 4 r) P' + Xi P."""
+    ctx = normal.r.ctx
+    three = RatFunc.constant(ctx, 3)
+    four = RatFunc.constant(ctx, 4)
+    c1 = three * th * th + three * th.derivative() - four * normal.r
+    c0 = xi(normal, th)
+
+    def operator(p_poly):
+        pr = RatFunc.from_poly(p_poly)
+        return (pr.derivative().derivative().derivative()
+                + three * th * pr.derivative().derivative()
+                + c1 * pr.derivative() + c0 * pr)
+    return operator
+
+
+def base_of(ctx, orders):
+    """b = prod (z - c)^s."""
+    return RatFunc(Poly.from_roots(ctx, [(c, s) for c, s in orders if s > 0]),
+                   Poly.from_roots(ctx, [(c, -s) for c, s in orders if s < 0]))
+
+
+def product_theta(ctx, orders):
+    """b'/b = sum s/(z - c) for b = base_of(ctx, orders)."""
+    return theta(ctx, ECandidate(tuple((c, 2 * s) for c, s in orders), 0, Fr(0)))
+
+
+class TestSharedSolver:
+    """Case I, case II and the product test solve for P through one
+    solver; it must agree with the per-monomial construction it replaced."""
+
+    @pytest.mark.parametrize("path", ORACLE_SETS, ids=lambda path: path.stem)
+    def test_symmetric_square_of_P_b_is_case2_operator(self, path):
+        """L(P b) = b L_Theta(P) at Theta = b'/b for the symmetric square
+        L(v) = v''' - 4 r v' - 2 r' v, with negative exponents in b."""
+        params = golden_params(path)
+        normal, spec = analysis(params)
+        ctx = params.ctx
+        rng = random.Random(path.stem)
+        points = [pt.location for pt in spec.finite_points]
+        for _ in range(2):
+            orders = [(c, rng.randint(-1, 1)) for c in rng.sample(points, min(3, len(points)))]
+            orders[0] = (orders[0][0], -1)
+            b = base_of(ctx, orders)
+            th = product_theta(ctx, orders)
+            assert th == b.derivative() / b
+            P = Poly(ctx, [ctx.from_gauss(GaussRational(Fr(rng.randint(-9, 9), rng.randint(1, 5)),
+                                                        rng.randint(-3, 3)))
+                           for _ in range(rng.randint(1, 4))])
+            assert (symmetric_power_residual(normal, RatFunc.from_poly(P) * b)
+                    == b * oracle_case2_operator(normal, th)(P))
+
+    @pytest.mark.parametrize("path", ORACLE_SETS, ids=lambda path: path.stem)
+    def test_agrees_with_per_monomial_oracle(self, path):
+        params = golden_params(path)
+        normal, spec = analysis(params)
+        ctx = params.ctx
+        finite = spec.finite_points
+        if all(pt.exponents is not None for pt in spec.points):
+            for rho_choice in itertools.product(*(pt.exponents for pt in finite)):
+                for sigma in spec.infinity.exponents:
+                    n = -sigma - sum(rho_choice)
+                    if n < 0 or n.denominator != 1:
+                        continue
+                    want = oracle_solve(oracle_case1_operator(normal, finite, rho_choice),
+                                        ctx, int(n), unique=True)
+                    got = _solve_exponent_assignment(normal, finite, rho_choice, int(n))
+                    assert (got and got[0]) == want
+        for cand in candidates(e_sets(spec)):
+            th = theta(ctx, cand)
+            want = oracle_solve(oracle_case2_operator(normal, th), ctx, int(cand.d),
+                                unique=False)
+            got = search_P(normal, cand, th)
+            assert (got and got.P) == want
+        for cand in pair_exclusion(normal, spec).candidates:
+            b = base_of(ctx, cand.base_exponents)
+            n = cand.poly_degree
+            want = oracle_solve(
+                lambda p: symmetric_power_residual(normal, RatFunc.from_poly(p) * b),
+                ctx, n, unique=False)
+            assert cand.solvable == (want is not None)
+            th = product_theta(ctx, cand.base_exponents)
+            assert _solve_P(_case2_coefficients(normal, th, xi(normal, th), n), n) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_recovers_a_known_kernel(self, seed):
+        """(P0 y' - P0' y)/D and (P0 y'' - P0'' y)/D kill exactly the
+        multiples of P0 among polynomials when deg P0 >= 2, for
+        tower-valued P0 and D."""
+        ctx = make_context(GaussRational(2), GaussRational(3))
+        rng = random.Random(seed)
+
+        def scalar():
+            return ctx.scalar(*(GaussRational(rng.randint(-5, 5), rng.randint(-5, 5))
+                                for _ in range(4)))
+        # P0 and D share z - kappa, so the a_j reduce to different denominators
+        P0 = (Poly.from_roots(ctx, [(ctx.kappa, 1)])
+              * Poly(ctx, [scalar() for _ in range(rng.randint(2, 5))]))
+        D = Poly.from_roots(ctx, [(ctx.kappa, rng.randint(1, 2)), (-ctx.lam, 1),
+                                  (ctx.from_rational(Fr(1, 3)), rng.randint(0, 2))])
+        over_d = RatFunc(Poly.constant(ctx, 1), D)
+        first = [RatFunc(-P0.derivative()) * over_d, RatFunc(P0) * over_d]
+        second = [RatFunc(-P0.derivative().derivative()) * over_d,
+                  RatFunc.constant(ctx, 0), RatFunc(P0) * over_d]
+        for coeffs in (first, second):
+            assert _solve_P(coeffs, P0.degree(), unique=True) == P0.monic()
+            assert _solve_P(coeffs, P0.degree() + 1) is None
+
+    def test_annihilated_degree_is_free(self):
+        # L = 0 annihilates every P: any monic P solves it, none uniquely
+        ctx = make_context(GaussRational(2), GaussRational(3))
+        zero = RatFunc.constant(ctx, 0)
+        assert _solve_P([zero, zero], 0) == Poly.constant(ctx, 1)
+        assert _solve_P([zero, zero], 2) == monomial(ctx, 2)
+        assert _solve_P([zero, zero], 2, unique=True) is None

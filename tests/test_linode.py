@@ -230,13 +230,6 @@ class TestSingularitySpectrum:
         with pytest.raises(NonFuchsianEquation):
             singularity_spectrum(NormalFormODE(r), [])
 
-    def test_spectrum_table_render(self):
-        params = reference_params(Space.SPHERE, Potential.NEWTON)
-        r = to_normal_form(reduce_to_second_order(build_system(params))).r
-        spec = singularity_spectrum(NormalFormODE(r), detect_poles(params, r))
-        table = spec.render_table()
-        assert "infinity" in table and "order" in table
-
 
 class TestSymmetricPowerResidual:
     def test_mu1_product_solution(self):

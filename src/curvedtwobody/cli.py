@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import math
 import os
 import sys
 import traceback
@@ -217,27 +216,7 @@ def nve_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
     except DynamicsError as exc:
         click.echo(f"integration aborted: {exc}", err=True)
         sys.exit(EXIT_DEGENERATE)
-    # chain-rule residual against the exact z-domain coefficients
-    system = models.build_system(params)
-    s, mu_f, p_f = map(float, (params.strength, params.mu, params.p))
-    worst = 0.0
-    for (theta, pt), (_, v1, v2) in zip(base.states, variation):
-        z = (pt + mu_f * p_f) / s
-        zdot = -models.potential_slope(params, theta) / s
-        a_val = system.A.embed_complex(complex(z, 0)).real
-        c_val = system.C.embed_complex(complex(z, 0)).real
-        dt1, dt2 = dynamics.nve_rhs(params, theta, pt, v1, v2)
-        if system.weight is None:
-            b_val = system.B.embed_complex(complex(z, 0)).real
-            zd1 = (a_val * v1 + b_val * v2) * zdot
-            zd2 = (c_val * v1 - a_val * v2) * zdot
-        else:
-            w = math.tan(theta) if params.space is Space.SPHERE else math.tanh(theta)
-            b_val = system.B.embed_complex(complex(z, 0)).real
-            zd1 = (a_val * v1 + b_val * w * v2) * zdot
-            zd2 = (c_val * w * v1 - a_val * v2) * zdot
-        scale = max(1.0, abs(dt1), abs(dt2))
-        worst = max(worst, abs(dt1 - zd1) / scale, abs(dt2 - zd2) / scale)
+    worst = dynamics.nve_chain_rule_residual(params, base, variation)
     if out_path:
         lines = ["t,p1,p2"]
         for t, v1, v2 in variation:

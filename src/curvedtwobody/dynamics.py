@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .models import (DomainError, HamiltonianKind, ModelParams, Potential,
-                     ReducedHamiltonian, Space)
+                     ReducedHamiltonian, Space, build_system, potential_slope)
 
 
 class DynamicsError(Exception):
@@ -368,6 +368,32 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
             t += dt
         out.append((t, x[2], x[3]))
     return out
+
+
+def nve_chain_rule_residual(params: ModelParams, base: TrajectoryReport,
+                            variation: list[tuple[float, float, float]]) -> float:
+    """Largest relative mismatch between the time-domain variational
+    equations along ``base`` and the exact z-domain system pulled back by
+    d/dt = (dz/dt) d/dz, with z = (p_theta + mu p)/strength."""
+    system = build_system(params)
+    s, mu, p = map(float, (params.strength, params.mu, params.p))
+    worst = 0.0
+    for (theta, pt), (_, v1, v2) in zip(base.states, variation):
+        z = complex((pt + mu * p) / s, 0)
+        zdot = -potential_slope(params, theta) / s
+        a_val = system.A.embed_complex(z).real
+        b_val = system.B.embed_complex(z).real
+        c_val = system.C.embed_complex(z).real
+        if system.weight is None:
+            w = 1.0
+        else:
+            w = math.tan(theta) if params.space is Space.SPHERE else math.tanh(theta)
+        dt1, dt2 = nve_rhs(params, theta, pt, v1, v2)
+        zd1 = (a_val * v1 + b_val * w * v2) * zdot
+        zd2 = (c_val * w * v1 - a_val * v2) * zdot
+        scale = max(1.0, abs(dt1), abs(dt2))
+        worst = max(worst, abs(dt1 - zd1) / scale, abs(dt2 - zd2) / scale)
+    return worst
 
 
 # ---------------------------------------------------------------------------

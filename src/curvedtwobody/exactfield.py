@@ -8,9 +8,16 @@ is exact and reduction by kappa^2 = a, lambda^2 = b is built into the
 multiplication table.
 
 A Gaussian rational is three integers (x, y, d) for (x + y*i)/d, kept
-canonical (d > 0, gcd(x, y, d) = 1, one n-ary gcd per operation), so
-equality is coordinate equality.  Fraction appears only at the edges
-(parsing, re/im, square roots), never in the ring operations.
+canonical (d > 0, gcd(x, y, d) = 1), so equality is coordinate equality.
+A sum or product with a zero operand returns the canonical result without
+arithmetic; any other result is reduced by one n-ary gcd.  Fraction
+appears only at the edges (parsing, re/im, square roots), never in the
+ring operations.
+
+Most scalars of the pipeline are plain Gaussians.  A tower scalar records
+at construction whether its kappa, lambda and kappa*lambda coordinates
+are zero; when both operands are Gaussian, +, -, * and negation work on
+the Gaussian coordinate alone.
 """
 from __future__ import annotations
 
@@ -83,6 +90,10 @@ class GaussRational:
         return Fraction(self.y, self.d)
 
     def __add__(self, other: GaussRational) -> GaussRational:
+        if not (other.x or other.y):
+            return self
+        if not (self.x or self.y):
+            return other
         if self.d == other.d:
             return _gauss(self.x + other.x, self.y + other.y, self.d)
         d1, d2 = self.d, other.d
@@ -100,8 +111,12 @@ class GaussRational:
     def __mul__(self, other: GaussRational) -> GaussRational:
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
         if y2 == 0:
+            if x2 == 0 or (x1 == 0 and y1 == 0):
+                return GAUSS_ZERO
             return _gauss(x1 * x2, y1 * x2, self.d * other.d)
         if y1 == 0:
+            if x1 == 0:
+                return GAUSS_ZERO
             return _gauss(x1 * x2, x1 * y2, self.d * other.d)
         return _gauss(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, self.d * other.d)
 
@@ -218,18 +233,18 @@ class TowerContext:
         return TowerScalar(self, c00, c10, c01, c11)
 
     def from_rational(self, q) -> TowerScalar:
-        return self.scalar(GaussRational(_rat(q)))
+        return TowerScalar._of_gauss(self, GaussRational(_rat(q)))
 
     def from_gauss(self, g: GaussRational) -> TowerScalar:
-        return self.scalar(g)
+        return TowerScalar._of_gauss(self, g)
 
     @property
     def zero(self) -> TowerScalar:
-        return self.scalar(GAUSS_ZERO)
+        return TowerScalar._of_gauss(self, GAUSS_ZERO)
 
     @property
     def one(self) -> TowerScalar:
-        return self.scalar(GAUSS_ONE)
+        return TowerScalar._of_gauss(self, GAUSS_ONE)
 
     @property
     def kappa(self) -> TowerScalar:
@@ -267,9 +282,10 @@ def make_context(a: GaussRational, b: GaussRational) -> TowerContext:
 
 
 class TowerScalar:
-    """Element c00 + c10*kappa + c01*lambda + c11*kappa*lambda."""
+    """Element c00 + c10*kappa + c01*lambda + c11*kappa*lambda; ``_gaussian``,
+    set at construction, says whether c10 = c01 = c11 = 0."""
 
-    __slots__ = ("ctx", "c00", "c10", "c01", "c11")
+    __slots__ = ("ctx", "c00", "c10", "c01", "c11", "_gaussian")
 
     def __init__(self, ctx: TowerContext, c00: GaussRational, c10: GaussRational,
                  c01: GaussRational, c11: GaussRational):
@@ -278,6 +294,17 @@ class TowerScalar:
         self.c10 = c10
         self.c01 = c01
         self.c11 = c11
+        self._gaussian = not (c10.x or c10.y or c01.x or c01.y or c11.x or c11.y)
+
+    @staticmethod
+    def _of_gauss(ctx: TowerContext, c00: GaussRational) -> TowerScalar:
+        """The Gaussian scalar c00, built without inspecting coordinates."""
+        out = object.__new__(TowerScalar)
+        out.ctx = ctx
+        out.c00 = c00
+        out.c10 = out.c01 = out.c11 = GAUSS_ZERO
+        out._gaussian = True
+        return out
 
     # -- helpers ------------------------------------------------------
 
@@ -286,11 +313,10 @@ class TowerScalar:
             raise ContextMismatch("scalars from different tower contexts")
 
     def is_zero(self) -> bool:
-        return (self.c00.is_zero() and self.c10.is_zero()
-                and self.c01.is_zero() and self.c11.is_zero())
+        return self._gaussian and self.c00.x == 0 and self.c00.y == 0
 
     def is_gaussian(self) -> bool:
-        return self.c10.is_zero() and self.c01.is_zero() and self.c11.is_zero()
+        return self._gaussian
 
     def coords(self):
         return (self.c00, self.c10, self.c01, self.c11)
@@ -299,27 +325,32 @@ class TowerScalar:
 
     def __add__(self, other: TowerScalar) -> TowerScalar:
         self._check(other)
+        if self._gaussian and other._gaussian:
+            return TowerScalar._of_gauss(self.ctx, self.c00 + other.c00)
         return TowerScalar(self.ctx, self.c00 + other.c00, self.c10 + other.c10,
                            self.c01 + other.c01, self.c11 + other.c11)
 
     def __sub__(self, other: TowerScalar) -> TowerScalar:
         self._check(other)
+        if self._gaussian and other._gaussian:
+            return TowerScalar._of_gauss(self.ctx, self.c00 - other.c00)
         return TowerScalar(self.ctx, self.c00 - other.c00, self.c10 - other.c10,
                            self.c01 - other.c01, self.c11 - other.c11)
 
     def __neg__(self) -> TowerScalar:
+        if self._gaussian:
+            return TowerScalar._of_gauss(self.ctx, -self.c00)
         return TowerScalar(self.ctx, -self.c00, -self.c10, -self.c01, -self.c11)
 
     def __mul__(self, other: TowerScalar) -> TowerScalar:
         self._check(other)
+        if self._gaussian and other._gaussian:
+            return TowerScalar._of_gauss(self.ctx, self.c00 * other.c00)
         x0, x1, x2, x3 = self.coords()
         y0, y1, y2, y3 = other.coords()
-        # most pipeline scalars are plain Gaussians; skip the full table then
-        if self.is_gaussian():
-            if other.is_gaussian():
-                return TowerScalar(self.ctx, x0 * y0, GAUSS_ZERO, GAUSS_ZERO, GAUSS_ZERO)
+        if self._gaussian:
             return TowerScalar(self.ctx, x0 * y0, x0 * y1, x0 * y2, x0 * y3)
-        if other.is_gaussian():
+        if other._gaussian:
             return TowerScalar(self.ctx, x0 * y0, x1 * y0, x2 * y0, x3 * y0)
         a, b = self.ctx.a, self.ctx.b
         ab = a * b
@@ -332,9 +363,8 @@ class TowerScalar:
     def inverse(self) -> TowerScalar:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        if self.is_gaussian():
-            return TowerScalar(self.ctx, GAUSS_ONE / self.c00,
-                               GAUSS_ZERO, GAUSS_ZERO, GAUSS_ZERO)
+        if self._gaussian:
+            return TowerScalar._of_gauss(self.ctx, GAUSS_ONE / self.c00)
         # solve M y = e0 for the multiplication matrix M of self
         a, b = self.ctx.a, self.ctx.b
         ab = a * b
@@ -384,12 +414,13 @@ class TowerScalar:
 
     def is_real_rational(self) -> Optional[Fraction]:
         """The rational value of this scalar, if it visibly is one."""
-        if self.is_gaussian() and self.c00.im == 0:
-            return self.c00.re
+        g = self.c00
+        if self._gaussian and g.y == 0:
+            return Fraction(g.x, g.d)
         return None
 
     def is_gauss_value(self) -> Optional[GaussRational]:
-        return self.c00 if self.is_gaussian() else None
+        return self.c00 if self._gaussian else None
 
     def embed_complex(self, branch=(1, 1)) -> complex:
         """Double-precision value with kappa = branch[0]*sqrt(a) etc."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactfield import (DegenerateTower, GaussRational, TowerContext,
-                         TowerScalar, make_context)
+                         TowerScalar, _rat, make_context)
 from .linode import FirstOrderSystem
 from .ratcalc import Poly, RatFunc, assemble_over_poles
 
@@ -93,23 +93,13 @@ class ModelParams:
         return self.ctx.sqrt_b()
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"parameters must be exact rationals, got {x!r}")
-
-
 def derive_params(space: Space, potential: Potential, strength, mu, p, eps) -> ModelParams:
     """Validated parameter set with the derived kappa^2, lambda^2, z0.
 
     mu = 1 is allowed (the degenerate-but-integrable certification path);
     mu = 0 is not.
     """
-    strength, mu, p, eps = map(_frac, (strength, mu, p, eps))
+    strength, mu, p, eps = map(_rat, (strength, mu, p, eps))
     if strength <= 0:
         raise DegenerateParameters("strength must be positive")
     if p == 0:

@@ -10,7 +10,8 @@ from curvedtwobody.dynamics import (ChartDomainError, DynamicsError,
                                     PhaseState, PoissonStructure, SectionPoint,
                                     StepFailure, from_cylinder, from_r_chart,
                                     gamma_initial_state, gamma_trajectory,
-                                    integrate, nve_time_domain, poincare_section,
+                                    integrate, nve_chain_rule_residual,
+                                    nve_time_domain, poincare_section,
                                     section_to_csv, to_cylinder, to_r_chart,
                                     trajectory_to_csv, value_in_r_chart,
                                     vector_field)
@@ -362,6 +363,24 @@ class TestNveTimeDomain:
             assert abs(dt_p2 - zd_p2) / max(1.0, abs(dt_p2)) < 1e-6
             count += 1
         assert count >= 100
+
+    @pytest.mark.parametrize("space,pot,kw,theta0,t_end", [
+        (Space.SPHERE, Potential.NEWTON, dict(strength=2, mu=Fr(1, 2), p=1, eps=0), 1.0, 0.5),
+        (Space.HYPERBOLIC, Potential.NEWTON,
+         dict(strength=1, mu=Fr(1, 2), p=1, eps=-2), 0.45, 0.35),
+        (Space.SPHERE, Potential.OSCILLATOR, dict(strength=1, mu=Fr(1, 2), p=1, eps=1), 0.8, 0.5),
+        (Space.HYPERBOLIC, Potential.OSCILLATOR,
+         dict(strength=1, mu=Fr(1, 2), p=Fr(1, 2), eps=Fr(1, 4)), 0.5, 0.5),
+    ])
+    def test_chain_rule_residual(self, space, pot, kw, theta0, t_end):
+        """Small along the base curve of the same parameters, large against
+        the z-domain system of another strength."""
+        params = derive_params(space, pot, **kw)
+        base = gamma_trajectory(params, theta0, t_end, step=1e-3, sample_every=10)
+        variation = nve_time_domain(params, base, (0.37, -0.81))
+        assert nve_chain_rule_residual(params, base, variation) < 1e-6
+        other = derive_params(space, pot, **{**kw, "strength": 2 * kw["strength"]})
+        assert nve_chain_rule_residual(other, base, variation) > 1e-3
 
     def test_restricted_variant_runs(self):
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedtwobody.exactfield import (ContextMismatch, DegenerateTower,
-                                      DivisionByZero, GaussRational,
-                                      gauss_sqrt, make_context, rational_sqrt)
+from curvedtwobody.exactfield import (GAUSS_ZERO, ContextMismatch,
+                                      DegenerateTower, DivisionByZero,
+                                      GaussRational, gauss_sqrt, make_context,
+                                      rational_sqrt)
 from curvedtwobody.ratcalc import Poly
 
 
@@ -268,6 +269,129 @@ class TestGaussKernel:
         z = GaussRational(Fr(3, 4)) - GaussRational(Fr(3, 4))
         assert (z.x, z.y, z.d) == (0, 0, 1) and z == GaussRational()
         assert GaussRational("-6/8", 3).render() == "-3/4+3/1 i"
+
+
+#: small coordinates keep tower products and inverses cheap
+SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+GAUSS = st.builds(GaussRational, SMALL, SMALL)
+NONZERO_GAUSS = GAUSS.filter(lambda g: not g.is_zero())
+#: a coordinate that is zero about half the time, so that Gaussian scalars,
+#: pure tower scalars and mixed ones all come up
+COORD = st.one_of(st.just(GAUSS_ZERO), GAUSS)
+
+
+@st.composite
+def tower_contexts(draw):
+    a, b = draw(NONZERO_GAUSS), draw(NONZERO_GAUSS)
+    if a == b:
+        b = b + GaussRational(1)
+    return make_context(a, b)
+
+
+@st.composite
+def tower_operands(draw):
+    """A context and two scalars in it; either may be Gaussian."""
+    ctx = draw(tower_contexts())
+    x, y = (ctx.scalar(draw(GAUSS), draw(COORD), draw(COORD), draw(COORD))
+            for _ in range(2))
+    return ctx, x, y
+
+
+def coords_gaussian(s):
+    return all(c.is_zero() for c in s.coords()[1:])
+
+
+def table_product(ctx, x, y):
+    """x*y through the full multiplication table, coordinate by coordinate."""
+    a, b = ctx.a, ctx.b
+    x0, x1, x2, x3 = x.coords()
+    y0, y1, y2, y3 = y.coords()
+    return ctx.scalar(x0 * y0 + a * x1 * y1 + b * x2 * y2 + a * b * x3 * y3,
+                      x0 * y1 + x1 * y0 + b * (x2 * y3 + x3 * y2),
+                      x0 * y2 + x2 * y0 + a * (x1 * y3 + x3 * y1),
+                      x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1)
+
+
+BRANCHES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def close(u, v):
+    return abs(u - v) <= 1e-9 * max(1.0, abs(u), abs(v))
+
+
+class TestGaussianFastPath:
+    """Scalars whose kappa, lambda, kappa*lambda coordinates are zero."""
+
+    @given(tower_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_flag_agrees_with_coordinates_after_every_op(self, case):
+        ctx, x, y = case
+        results = [x, y, x + y, x - y, -x, x * y, x * x, x * y - y * x]
+        if not x.is_zero():
+            try:
+                results.append(x.inverse())
+            except DivisionByZero:
+                pass
+        for s in results:
+            assert s.is_gaussian() == coords_gaussian(s)
+            assert s.is_zero() == all(c.is_zero() for c in s.coords())
+            want = s.c00.re if coords_gaussian(s) and s.c00.im == 0 else None
+            assert s.is_real_rational() == want
+
+    @given(tower_contexts())
+    @settings(max_examples=100, deadline=None)
+    def test_tower_products_that_collapse_are_gaussian(self, ctx):
+        k, lam = ctx.kappa, ctx.lam
+        assert not k.is_gaussian() and not (k + lam).is_gaussian()
+        for got, want in ((k * k, ctx.a), (lam * lam, ctx.b),
+                          ((k + lam) * (k - lam), ctx.a - ctx.b),
+                          ((k * lam) * (k * lam), ctx.a * ctx.b),
+                          (k - k, GAUSS_ZERO)):
+            assert got.is_gaussian()
+            assert got == ctx.from_gauss(want) and hash(got) == hash(ctx.from_gauss(want))
+        assert (k - k).is_zero()
+
+    @given(tower_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_products_match_the_full_table_and_the_embedding(self, case):
+        ctx, x, y = case
+        for u, v in ((x, y), (ctx.from_gauss(x.c00), y),
+                     (x, ctx.from_gauss(y.c00)),
+                     (ctx.from_gauss(x.c00), ctx.from_gauss(y.c00))):
+            got = u * v
+            assert got == table_product(ctx, u, v)
+            for branch in BRANCHES:
+                assert close(got.embed_complex(branch),
+                             u.embed_complex(branch) * v.embed_complex(branch))
+                assert close((u + v).embed_complex(branch),
+                             u.embed_complex(branch) + v.embed_complex(branch))
+
+    @given(tower_contexts(), GAUSS, GAUSS)
+    @settings(max_examples=200, deadline=None)
+    def test_fast_path_equals_coordinatewise_construction(self, ctx, g, h):
+        z = GAUSS_ZERO
+        x, y = ctx.from_gauss(g), ctx.from_gauss(h)
+        for got, want in ((x + y, g + h), (x - y, g - h), (x * y, g * h),
+                          (-x, -g), (x, g)):
+            built = ctx.scalar(want, z, z, GaussRational(0, 0))
+            assert got.is_gaussian() and built.is_gaussian()
+            assert got == built and hash(got) == hash(built)
+            assert got.coords() == built.coords()
+            assert got.render() == built.render()
+        if not g.is_zero():
+            assert x.inverse() == ctx.scalar(GaussRational(1) / g)
+
+    @given(GAUSS)
+    @settings(max_examples=200, deadline=None)
+    def test_zero_operand_gives_the_canonical_result(self, g):
+        built_zero = g - g
+        for zero in (GAUSS_ZERO, GaussRational(), built_zero):
+            for got in (zero + g, g + zero):
+                assert got == g
+                assert_canonical(got)
+            for got in (zero * g, g * zero, zero * zero):
+                assert (got.x, got.y, got.d) == (0, 0, 1)
+        assert (built_zero.x, built_zero.y, built_zero.d) == (0, 0, 1)
 
 
 class TestGaussSqrt:

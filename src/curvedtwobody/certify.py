@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import kovacic, models
-from .exactfield import DivisionByZero, TowerScalar
+from .exactfield import DivisionByZero, TowerScalar, _rat
 from .linode import (FirstOrderSystem, SingularitySpectrum,
                      normal_form_r_at, reduce_to_second_order,
                      singularity_spectrum, to_normal_form,
@@ -44,23 +44,6 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(text) -> Fraction:
-    """Exact 'n/d' (or integer) strings only; decimals are rejected."""
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, Fraction):
-        return text
-    if not isinstance(text, str) or "." in text or "e" in text.lower():
-        raise CertifyError(f"rational parameters must be exact 'n/d' strings: {text!r}")
-    try:
-        return Fraction(text)
-    except ValueError:
-        raise CertifyError(
-            f"rational parameters must be exact 'n/d' strings: {text!r}") from None
-    except ZeroDivisionError:
-        raise CertifyError(f"zero denominator in {text!r}") from None
-
-
 @dataclass(frozen=True)
 class RunConfig:
     space: Space
@@ -78,7 +61,9 @@ class RunConfig:
             space, potential = Space(data["space"]), Potential(data["potential"])
             seed = int(data.get("seed", 0))
             samples = int(data.get("identity_samples", 20))
-            strength, mu, p, eps = (data[k] for k in ("strength", "mu", "p", "eps"))
+            # every key is read before a value is parsed: a missing key wins
+            strength, mu, p, eps = map(_rat, [data[k] for k in
+                                              ("strength", "mu", "p", "eps")])
         except KeyError as exc:
             raise CertifyError(f"missing parameter {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -88,10 +73,10 @@ class RunConfig:
         return RunConfig(
             space=space,
             potential=potential,
-            strength=parse_rational(strength),
-            mu=parse_rational(mu),
-            p=parse_rational(p),
-            eps=parse_rational(eps),
+            strength=strength,
+            mu=mu,
+            p=p,
+            eps=eps,
             seed=seed,
             identity_samples=samples)
 

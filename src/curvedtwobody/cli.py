@@ -1,12 +1,14 @@
 """Command-line interface: certify, simulate, section, nve, sweep.
 
-Exit codes: 0 completed (any conclusion), 1 degenerate or invalid input
-(including bad rationals and non-positive steps), 2 internal invariant
-violation.
+Exit codes: 0 completed (any conclusion); 1 invalid input, degenerate
+parameters or an aborted integration; 2 an internal invariant violation
+or any other internal error.  Every command and every sweep run maps its
+failure to one line and an exit code through _failure.
 """
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -16,56 +18,109 @@ import click
 
 from . import certify as certify_mod
 from . import dynamics, models
-from .certify import (CONCLUSION_DEGENERATE, CertifyError, InvariantViolation,
-                      RunConfig, render_report)
+from .certify import (CONCLUSION_DEGENERATE, Certificate, CertifyError,
+                      InvariantViolation, RunConfig, render_report)
 from .dynamics import DynamicsError, IntegrationOptions
-from .models import HamiltonianKind, Potential, Space
+from .models import DegenerateParameters, HamiltonianKind, Potential, Space
 
-EXIT_DEGENERATE = 1
-EXIT_INVARIANT = 2
-
-
-def _parameter_options(fn):
-    fn = click.option("--space", type=click.Choice([s.value for s in Space]),
-                      default=None, help="sphere or hyperbolic")(fn)
-    fn = click.option("--potential", type=click.Choice([p.value for p in Potential]),
-                      default=None)(fn)
-    fn = click.option("--strength", default=None,
-                      help="alpha (Newton) or beta (oscillator), as 'n/d'")(fn)
-    fn = click.option("--mu", default=None, help="mass-ratio parameter, 'n/d'")(fn)
-    fn = click.option("--p", default=None, help="geodesic momentum, 'n/d'")(fn)
-    fn = click.option("--eps", default=None, help="energy parameter, 'n/d'")(fn)
-    fn = click.option("--config", "config_path", default=None,
-                      type=click.Path(exists=True), help="JSON run config")(fn)
-    return fn
+EXIT_INPUT = 1
+EXIT_INTERNAL = 2
 
 
-def _build_config(space, potential, strength, mu, p, eps, config_path,
-                  seed=0, identity_samples=0) -> RunConfig:
-    data = {}
-    if config_path:
-        with open(config_path) as fh:
+def _failure(exc: Exception) -> tuple[str, int]:
+    """The output line and exit code of a command or sweep run that raised
+    exc.  Any exception not named here is a bug, so its traceback goes to
+    stderr first."""
+    if isinstance(exc, InvariantViolation):
+        return f"invariant violation: {exc}", EXIT_INTERNAL
+    if isinstance(exc, (CertifyError, OSError)):
+        return f"invalid input: {exc}", EXIT_INPUT
+    if isinstance(exc, DegenerateParameters):
+        return f"degenerate parameters: {exc.guard}", EXIT_INPUT
+    if isinstance(exc, DynamicsError):
+        return f"integration aborted: {exc}", EXIT_INPUT
+    traceback.print_exception(type(exc), exc, exc.__traceback__)
+    return f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
+
+
+def _exit_code(cert: Certificate) -> int:
+    return EXIT_INPUT if cert.conclusion == CONCLUSION_DEGENERATE else 0
+
+
+def _load_json(path: str) -> dict:
+    """The JSON object a --config file holds."""
+    with open(path, "rb") as fh:
+        try:
             data = json.load(fh)
-    for key, val in (("space", space), ("potential", potential),
-                     ("strength", strength), ("mu", mu), ("p", p), ("eps", eps)):
-        if val is not None:
-            data[key] = val
+        except ValueError as exc:       # not UTF-8 or not JSON
+            raise CertifyError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise CertifyError(
+            f"{path} must hold a JSON object, not {type(data).__name__}")
+    return data
+
+
+def _options(*options):
+    """One decorator for several click options, listed in this order."""
+    def apply(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+    return apply
+
+
+_parameter_options = _options(
+    click.option("--space", type=click.Choice([s.value for s in Space]),
+                 default=None, help="sphere or hyperbolic"),
+    click.option("--potential", type=click.Choice([p.value for p in Potential]),
+                 default=None),
+    click.option("--strength", default=None,
+                 help="alpha (Newton) or beta (oscillator), as 'n/d'"),
+    click.option("--mu", default=None, help="mass-ratio parameter, 'n/d'"),
+    click.option("--p", default=None, help="geodesic momentum, 'n/d'"),
+    click.option("--eps", default=None, help="energy parameter, 'n/d'"),
+    click.option("--config", "config_path", default=None,
+                 type=click.Path(exists=True), help="JSON run config"))
+
+# the initial state, span, step, --free and --out of simulate and section
+_orbit_options = _options(
+    click.option("--theta0", type=float, required=True),
+    click.option("--p-theta", type=float, default=0.0, show_default=True),
+    click.option("--p0", type=float, default=0.0, show_default=True),
+    click.option("--p1", type=float, default=0.0, show_default=True),
+    click.option("--p2", type=float, default=0.3, show_default=True),
+    click.option("--t-end", type=float, default=100.0, show_default=True),
+    click.option("--step", type=float, default=1e-3, show_default=True),
+    click.option("--free", is_flag=True, help="drop the potential (V = 0)"),
+    click.option("--out", "out_path", default=None, type=click.Path(),
+                 help="CSV output path"))
+
+
+def _build_config(config_path, seed=0, identity_samples=0, **given) -> RunConfig:
+    """--config overridden by the parameters given on the command line."""
+    data = _load_json(config_path) if config_path else {}
+    data.update((key, val) for key, val in given.items() if val is not None)
     missing = [k for k in ("space", "potential", "strength", "mu", "p", "eps")
                if k not in data]
     if missing:
-        raise click.UsageError(f"missing parameters: {', '.join(missing)}")
+        raise CertifyError(f"missing parameters: {', '.join(missing)}")
     data.setdefault("seed", seed)
     data.setdefault("identity_samples", identity_samples)
-    try:
-        return RunConfig.from_dict(data)
-    except CertifyError as exc:
-        click.echo(f"invalid input: {exc}", err=True)
-        sys.exit(EXIT_DEGENERATE)
+    return RunConfig.from_dict(data)
 
 
-def _params_from_config(cfg: RunConfig):
+def _params(**run) -> models.ModelParams:
+    """The parameter route of simulate, section and nve: the command line
+    and --config through RunConfig to derive_params."""
+    cfg = _build_config(**run)
     return models.derive_params(cfg.space, cfg.potential, cfg.strength,
                                 cfg.mu, cfg.p, cfg.eps)
+
+
+def _full_hamiltonian(params: models.ModelParams, free: bool):
+    kind = (HamiltonianKind.FULL_SPHERE if params.space is Space.SPHERE
+            else HamiltonianKind.FULL_HYPERBOLIC)
+    return models.hamiltonian(kind, params, include_potential=not free)
 
 
 @click.group()
@@ -74,7 +129,25 @@ def main():
     two-body problem on the sphere and the hyperbolic plane."""
 
 
-@main.command("certify")
+def _command(name: str):
+    """Register fn as the subcommand name.  fn returns its exit code (None
+    for 0); an exception it raises ends in the line and exit code that
+    _failure gives it."""
+    def register(fn):
+        @functools.wraps(fn)
+        def run(**kwargs):
+            try:
+                code = fn(**kwargs)
+            except Exception as exc:    # the CLI boundary: one line, never a raw traceback
+                line, code = _failure(exc)
+                click.echo(line, err=True)
+            if code:
+                sys.exit(code)
+        return main.command(name)(run)
+    return register
+
+
+@_command("certify")
 @_parameter_options
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--identity-samples", default=20, type=int, show_default=True,
@@ -82,58 +155,29 @@ def main():
 @click.option("--out", "out_path", default=None, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
-def certify_cmd(space, potential, strength, mu, p, eps, config_path, seed,
-                identity_samples, out_path, fmt):
+def certify_cmd(seed, identity_samples, out_path, fmt, **run):
     """Run the full obstruction pipeline and emit a certificate."""
-    cfg = _build_config(space, potential, strength, mu, p, eps, config_path,
-                        seed, identity_samples)
-    try:
-        cert = certify_mod.certify(cfg)
-    except InvariantViolation as exc:
-        click.echo(f"internal invariant violation: {exc}", err=True)
-        sys.exit(EXIT_INVARIANT)
+    cfg = _build_config(seed=seed, identity_samples=identity_samples, **run)
+    cert = certify_mod.certify(cfg)
     payload = render_report(cert, fmt)
     if out_path:
         dynamics._atomic_write(out_path, payload)
     else:
         click.echo(payload.decode(), nl=False)
-    if cert.conclusion == CONCLUSION_DEGENERATE:
-        sys.exit(EXIT_DEGENERATE)
+    return _exit_code(cert)
 
 
-@main.command("simulate")
+@_command("simulate")
 @_parameter_options
-@click.option("--theta0", type=float, required=True)
-@click.option("--p-theta", type=float, default=0.0, show_default=True)
-@click.option("--p0", type=float, default=0.0, show_default=True)
-@click.option("--p1", type=float, default=0.0, show_default=True)
-@click.option("--p2", type=float, default=0.3, show_default=True)
-@click.option("--t-end", type=float, default=100.0, show_default=True)
-@click.option("--step", type=float, default=1e-3, show_default=True)
+@_orbit_options
 @click.option("--method", type=click.Choice(["rk4", "rkf45"]), default="rk4",
               show_default=True)
-@click.option("--free", is_flag=True, help="drop the potential (V = 0)")
-@click.option("--out", "out_path", default=None, type=click.Path(),
-              help="trajectory CSV path")
-def simulate_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
-                 p_theta, p0, p1, p2, t_end, step, method, free, out_path):
+def simulate_cmd(theta0, p_theta, p0, p1, p2, t_end, step, free, out_path,
+                 method, **run):
     """Integrate the reduced Hamiltonian flow and report invariant drift."""
-    cfg = _build_config(space, potential, strength, mu, p, eps, config_path)
-    try:
-        params = _params_from_config(cfg)
-    except models.DegenerateParameters as exc:
-        click.echo(f"degenerate parameters: {exc.guard}", err=True)
-        sys.exit(EXIT_DEGENERATE)
-    kind = HamiltonianKind.FULL_SPHERE if params.space is Space.SPHERE \
-        else HamiltonianKind.FULL_HYPERBOLIC
-    h = models.hamiltonian(kind, params, include_potential=not free)
-    x0 = (theta0, p_theta, p0, p1, p2)
-    try:
-        rep = dynamics.integrate(
-            h, x0, t_end, IntegrationOptions(step=step, method=method))
-    except DynamicsError as exc:
-        click.echo(f"integration aborted: {exc}", err=True)
-        sys.exit(EXIT_DEGENERATE)
+    h = _full_hamiltonian(_params(**run), free)
+    rep = dynamics.integrate(h, (theta0, p_theta, p0, p1, p2), t_end,
+                             IntegrationOptions(step=step, method=method))
     if out_path:
         dynamics.trajectory_to_csv(rep, out_path)
     click.echo(json.dumps({
@@ -146,48 +190,27 @@ def simulate_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
     }, sort_keys=True))
 
 
-@main.command("section")
+@_command("section")
 @_parameter_options
-@click.option("--theta0", type=float, required=True)
-@click.option("--p-theta", type=float, default=0.0, show_default=True)
-@click.option("--p0", type=float, default=0.0, show_default=True)
-@click.option("--p1", type=float, default=0.0, show_default=True)
-@click.option("--p2", type=float, default=0.3, show_default=True)
-@click.option("--t-end", type=float, default=100.0, show_default=True)
-@click.option("--step", type=float, default=1e-3, show_default=True)
+@_orbit_options
 @click.option("--coordinate", type=int, default=3, show_default=True,
               help="state index defining the section (default p1)")
 @click.option("--value", type=float, default=0.0, show_default=True)
 @click.option("--direction", type=click.Choice(["1", "-1"]), default="1",
               show_default=True)
-@click.option("--free", is_flag=True)
-@click.option("--out", "out_path", default=None, type=click.Path())
-def section_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
-                p_theta, p0, p1, p2, t_end, step, coordinate, value, direction,
-                free, out_path):
+def section_cmd(theta0, p_theta, p0, p1, p2, t_end, step, free, out_path,
+                coordinate, value, direction, **run):
     """Poincare section crossings exported as CSV."""
-    cfg = _build_config(space, potential, strength, mu, p, eps, config_path)
-    try:
-        params = _params_from_config(cfg)
-    except models.DegenerateParameters as exc:
-        click.echo(f"degenerate parameters: {exc.guard}", err=True)
-        sys.exit(EXIT_DEGENERATE)
-    kind = HamiltonianKind.FULL_SPHERE if params.space is Space.SPHERE \
-        else HamiltonianKind.FULL_HYPERBOLIC
-    h = models.hamiltonian(kind, params, include_potential=not free)
-    try:
-        points = dynamics.poincare_section(
-            h, (theta0, p_theta, p0, p1, p2), t_end, coordinate=coordinate,
-            value=value, direction=int(direction), step=step)
-    except DynamicsError as exc:
-        click.echo(f"integration aborted: {exc}", err=True)
-        sys.exit(EXIT_DEGENERATE)
+    h = _full_hamiltonian(_params(**run), free)
+    points = dynamics.poincare_section(
+        h, (theta0, p_theta, p0, p1, p2), t_end, coordinate=coordinate,
+        value=value, direction=int(direction), step=step)
     if out_path:
         dynamics.section_to_csv(points, out_path)
     click.echo(json.dumps({"crossings": len(points)}))
 
 
-@main.command("nve")
+@_command("nve")
 @_parameter_options
 @click.option("--theta0", type=float, required=True)
 @click.option("--branch", type=click.Choice(["1", "-1"]), default="1",
@@ -198,24 +221,14 @@ def section_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
 @click.option("--dp2", type=float, default=0.0, show_default=True)
 @click.option("--out", "out_path", default=None, type=click.Path(),
               help="CSV of t, p1, p2 samples")
-def nve_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
-            branch, t_end, step, dp1, dp2, out_path):
+def nve_cmd(theta0, branch, t_end, step, dp1, dp2, out_path, **run):
     """Integrate the geodesic base curve and the time-domain variational
     equations along it; report the chain-rule consistency with the exact
     z-domain system."""
-    cfg = _build_config(space, potential, strength, mu, p, eps, config_path)
-    try:
-        params = _params_from_config(cfg)
-    except models.DegenerateParameters as exc:
-        click.echo(f"degenerate parameters: {exc.guard}", err=True)
-        sys.exit(EXIT_DEGENERATE)
-    try:
-        base = dynamics.gamma_trajectory(params, theta0, t_end, step=step,
-                                         branch=int(branch), sample_every=10)
-        variation = dynamics.nve_time_domain(params, base, (dp1, dp2), step=step)
-    except DynamicsError as exc:
-        click.echo(f"integration aborted: {exc}", err=True)
-        sys.exit(EXIT_DEGENERATE)
+    params = _params(**run)
+    base = dynamics.gamma_trajectory(params, theta0, t_end, step=step,
+                                     branch=int(branch), sample_every=10)
+    variation = dynamics.nve_time_domain(params, base, (dp1, dp2), step=step)
     worst = dynamics.nve_chain_rule_residual(params, base, variation)
     if out_path:
         lines = ["t,p1,p2"]
@@ -230,24 +243,18 @@ def nve_cmd(space, potential, strength, mu, p, eps, config_path, theta0,
 
 
 def _run_one(run_data: dict, out_dir: str, index: int) -> tuple[str, int]:
-    """Certify one sweep entry: its output line and its certify exit code.
-    Any failure costs this run only, never the rest of the sweep."""
+    """Certify one sweep entry: its output line and its exit code.  Any
+    failure costs this run only, never the rest of the sweep."""
     try:
         cfg = RunConfig.from_dict(run_data)
         cert = certify_mod.certify(cfg)
         name = f"{index:03d}_{cfg.space.value}_{cfg.potential.value}.json"
         dynamics._atomic_write(os.path.join(out_dir, name),
                                render_report(cert, "json"))
-    except InvariantViolation as exc:
-        return f"{index:03d}: invariant violation: {exc}", EXIT_INVARIANT
-    except CertifyError as exc:
-        return f"{index:03d}: invalid input: {exc}", EXIT_DEGENERATE
-    except Exception as exc:   # a pipeline bug: report it, keep the sweep going
-        traceback.print_exc()
-        return (f"{index:03d}: internal error: {type(exc).__name__}: {exc}",
-                EXIT_INVARIANT)
-    code = EXIT_DEGENERATE if cert.conclusion == CONCLUSION_DEGENERATE else 0
-    return f"{name}: {cert.conclusion}", code
+    except Exception as exc:   # reported as this run's line; the sweep goes on
+        line, code = _failure(exc)
+        return f"{index:03d}: {line}", code
+    return f"{name}: {cert.conclusion}", _exit_code(cert)
 
 
 def sweep_workers(jobs: int, n_runs: int) -> int:
@@ -255,7 +262,7 @@ def sweep_workers(jobs: int, n_runs: int) -> int:
     return min(jobs, os.cpu_count() or 1, n_runs)
 
 
-@main.command("sweep")
+@_command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True),
               help="JSON with a 'runs' list of parameter dicts")
 @click.option("--out-dir", required=True, type=click.Path())
@@ -264,11 +271,10 @@ def sweep_cmd(config_path, out_dir, jobs):
     """Certify many parameter sets; one JSON certificate per run.  Exits
     with the worst exit code of its runs."""
     if jobs < 1:
-        click.echo(f"invalid input: --jobs must be at least 1, got {jobs}", err=True)
-        sys.exit(EXIT_DEGENERATE)
-    with open(config_path) as fh:
-        data = json.load(fh)
-    runs = data.get("runs", [])
+        raise CertifyError(f"--jobs must be at least 1, got {jobs}")
+    runs = _load_json(config_path).get("runs", [])
+    if not isinstance(runs, list):
+        raise CertifyError(f"'runs' must be a list, not {type(runs).__name__}")
     os.makedirs(out_dir, exist_ok=True)
     args = (runs, [out_dir] * len(runs), range(len(runs)))
     workers = sweep_workers(jobs, len(runs))
@@ -281,8 +287,7 @@ def sweep_cmd(config_path, out_dir, jobs):
     for line, code in results:
         click.echo(line)
         worst = max(worst, code)
-    if worst:
-        sys.exit(worst)
+    return worst
 
 
 if __name__ == "__main__":

@@ -31,6 +31,15 @@ class ChartDomainError(DynamicsError):
     """Requested chart conversion outside the chart domain."""
 
 
+def casimir(space: Space, x) -> float:
+    """p0^2 + p1^2 + p2^2 on S^2, p0^2 + p1^2 - p2^2 on H^2, for x on the
+    5-dim chart (theta, p_theta, p0, p1, p2)."""
+    _, _, p0, p1, p2 = x
+    if space is Space.SPHERE:
+        return p0 * p0 + p1 * p1 + p2 * p2
+    return p0 * p0 + p1 * p1 - p2 * p2
+
+
 @dataclass(frozen=True)
 class PhaseState:
     theta: float
@@ -41,46 +50,19 @@ class PhaseState:
     space: Space
 
     def casimir(self) -> float:
-        if self.space is Space.SPHERE:
-            return self.p0 ** 2 + self.p1 ** 2 + self.p2 ** 2
-        return self.p0 ** 2 + self.p1 ** 2 - self.p2 ** 2
+        return casimir(self.space, self.as_tuple())
 
     def as_tuple(self) -> tuple:
         return (self.theta, self.p_theta, self.p0, self.p1, self.p2)
 
 
-class PoissonStructure:
-    """Bracket tables on (theta, p_theta, p0, p1, p2)."""
-
-    def __init__(self, space: Space):
-        self.space = space
-
-    def matrix(self, x) -> list[list[float]]:
-        _, _, p0, p1, p2 = x
-        m = [[0.0] * 5 for _ in range(5)]
-        m[0][1], m[1][0] = 1.0, -1.0
-        if self.space is Space.SPHERE:
-            # {p0,p1} = -p2, {p1,p2} = -p0, {p2,p0} = -p1
-            m[2][3], m[3][2] = -p2, p2
-            m[3][4], m[4][3] = -p0, p0
-            m[4][2], m[2][4] = -p1, p1
-        else:
-            # {p0,p1} = p2, {p1,p2} = -p0, {p0,p2} = p1
-            m[2][3], m[3][2] = p2, -p2
-            m[3][4], m[4][3] = -p0, p0
-            m[2][4], m[4][2] = p1, -p1
-        return m
-
-    def casimir(self, x) -> float:
-        _, _, p0, p1, p2 = x
-        if self.space is Space.SPHERE:
-            return p0 * p0 + p1 * p1 + p2 * p2
-        return p0 * p0 + p1 * p1 - p2 * p2
-
-
 def vector_field(h: ReducedHamiltonian, x) -> tuple:
     """x_dot = Pi grad h for the 5-dim reduced chart; canonical equations for
-    the 2-dim geodesic and 4-dim restricted charts."""
+    the 2-dim geodesic and 4-dim restricted charts.
+
+    This is the program's one Poisson bracket: {theta, p_theta} = 1 and on
+    S^2 {p0,p1} = -p2, {p1,p2} = -p0, {p2,p0} = -p1; on H^2 {p0,p1} = p2,
+    {p1,p2} = -p0, {p0,p2} = p1.  casimir() is its Casimir."""
     try:
         g = h.grad(x)
     except DomainError as exc:
@@ -193,10 +175,13 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
         x0 = x0.as_tuple()
     x = tuple(float(v) for v in x0)
     f = lambda state: vector_field(h, state)
-    poisson = PoissonStructure(h.params.space) if h.dim == 5 else None
+    space = h.params.space if h.dim == 5 else None   # None: no Casimir
 
-    e0 = h.value(x)
-    c0 = poisson.casimir(x) if poisson else 0.0
+    try:
+        e0 = h.value(x)
+    except DomainError as exc:
+        raise StepFailure(f"initial state outside the chart: {exc}") from exc
+    c0 = casimir(space, x) if space is not None else 0.0
     extras0 = {name: fn(x) for name, fn in extra_integrals.items()}
     times = [0.0]
     states = [x]
@@ -257,8 +242,8 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
         except DomainError as exc:
             raise StepFailure(f"state left the chart at t={t:.6g}: {exc}") from exc
         e_drift = max(e_drift, abs(e - e0) / max(abs(e0), 1e-30))
-        if poisson:
-            c = poisson.casimir(x)
+        if space is not None:
+            c = casimir(space, x)
             c_drift = max(c_drift, abs(c - c0) / max(abs(c0), 1e-30))
             if opts.casimir_abort is not None and c_drift > opts.casimir_abort:
                 raise StepFailure(
@@ -290,8 +275,11 @@ def gamma_initial_state(params: ModelParams, theta0: float, branch: int = 1) -> 
     f(z) = cot/coth/tan^2/tanh^2(theta)."""
     s, mu, p, eps = map(float, (params.strength, params.mu, params.p, params.eps))
     if params.potential is Potential.NEWTON:
-        f0 = (math.cos(theta0) / math.sin(theta0) if params.space is Space.SPHERE
-              else math.cosh(theta0) / math.sinh(theta0))
+        sphere = params.space is Space.SPHERE
+        sn = math.sin(theta0) if sphere else math.sinh(theta0)
+        if sn == 0:
+            raise StepFailure(f"theta0={theta0} is a pole of the Newton potential")
+        f0 = (math.cos(theta0) if sphere else math.cosh(theta0)) / sn
         z2 = 2 * mu * (eps + f0) / s
     else:
         f0 = (math.tan(theta0) ** 2 if params.space is Space.SPHERE
@@ -421,6 +409,9 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
     if isinstance(x0, PhaseState):
         x0 = x0.as_tuple()
     x = tuple(float(v) for v in x0)
+    if not 0 <= coordinate < len(x):
+        raise DynamicsError(
+            f"coordinate must lie in [0, {len(x)}), got {coordinate}")
     f = lambda state: vector_field(h, state)
     t = 0.0
     out = []

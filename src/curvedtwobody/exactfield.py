@@ -48,13 +48,24 @@ class ContextMismatch(ExactFieldError):
 
 
 def _rat(x) -> Fraction:
+    """The one rational parser: a Fraction, an int, or an exact 'n/d' (or
+    integer) string.  Other strings, decimals among them, raise ValueError;
+    other types raise TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
+    bad = f"rational parameters must be exact 'n/d' strings: {x!r}"
+    if not isinstance(x, str):
+        raise TypeError(bad)
+    if "." in x or "e" in x.lower():
+        raise ValueError(bad)
+    try:
         return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+    except ValueError:
+        raise ValueError(bad) from None
 
 
 def rational_sqrt(q: Fraction) -> Optional[Fraction]:

@@ -14,9 +14,10 @@ from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    CONCLUSION_NO_OBSTRUCTION, CertifyError,
                                    InvariantViolation, RunConfig, certify,
                                    clearing_bound, identity_holds,
-                                   parse_rational, render_report)
+                                   render_report)
 from curvedtwobody.cli import main as cli_main
 from curvedtwobody.cli import sweep_workers
+from curvedtwobody.exactfield import _rat
 from curvedtwobody.linode import (FirstOrderSystem, reduce_to_second_order,
                                   to_normal_form)
 from curvedtwobody.models import (Potential, Space, build_system,
@@ -42,24 +43,42 @@ def make_config(space, pot, mu=None, **kw):
     # unless they exercise it explicitly
     strength, mu_ref, p, eps = REFERENCE[(space, pot)]
     return RunConfig(space=space, potential=pot,
-                     strength=parse_rational(kw.get("strength", strength)),
-                     mu=parse_rational(mu if mu is not None else mu_ref),
-                     p=parse_rational(kw.get("p", p)),
-                     eps=parse_rational(kw.get("eps", eps)),
+                     strength=_rat(kw.get("strength", strength)),
+                     mu=_rat(mu if mu is not None else mu_ref),
+                     p=_rat(kw.get("p", p)),
+                     eps=_rat(kw.get("eps", eps)),
                      seed=kw.get("seed", 0),
                      identity_samples=kw.get("identity_samples", 0))
 
 
-class TestParseRational:
+def config_with_mu(mu):
+    return RunConfig.from_dict(dict(GOOD_RUN, mu=mu))
+
+
+class TestRationalParser:
+    """exactfield._rat is the one parser: RunConfig.from_dict, derive_params
+    and the tower constructors all read rationals through it."""
+
     def test_fraction_strings(self):
-        assert parse_rational("3/4") == Fr(3, 4)
-        assert parse_rational("-2") == Fr(-2)
-        assert parse_rational(5) == Fr(5)
+        assert _rat("3/4") == Fr(3, 4)
+        assert _rat("-2") == Fr(-2)
+        assert _rat(5) == Fr(5)
+        assert config_with_mu("3/4").mu == Fr(3, 4)
+        assert config_with_mu("-2").mu == Fr(-2)
+        assert config_with_mu(5).mu == Fr(5)
 
     @pytest.mark.parametrize("bad", ["0.5", "1e-3", "2.0"])
     def test_decimals_rejected(self, bad):
-        with pytest.raises(CertifyError):
-            parse_rational(bad)
+        with pytest.raises(ValueError, match="exact 'n/d' strings"):
+            _rat(bad)
+        with pytest.raises(CertifyError, match="exact 'n/d' strings"):
+            config_with_mu(bad)
+
+    def test_other_types_rejected(self):
+        with pytest.raises(TypeError):
+            _rat(0.5)
+        with pytest.raises(CertifyError, match="exact 'n/d' strings: 0.5"):
+            config_with_mu(0.5)
 
 
 class TestCertify:
@@ -189,8 +208,9 @@ class TestCli:
     def test_missing_parameters(self):
         runner = CliRunner()
         result = runner.invoke(cli_main, ["certify", "--space", "sphere"])
-        assert result.exit_code != 0
-        assert "missing parameters" in result.output
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "invalid input: missing parameters: potential, strength, mu, p, eps"]
 
     def test_simulate_writes_csv(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -370,11 +390,36 @@ class TestSweepFailures:
         assert sweep_workers(jobs, runs) == workers
 
 
+def write_file(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+CERTIFY_ARGS = ["--space", "sphere", "--potential", "newton", "--strength", "2",
+                "--mu", "1/2", "--p", "1", "--eps", "0", "--identity-samples", "0"]
+ORBIT_ARGS = ["--space", "sphere", "--potential", "newton", "--strength", "1/4",
+              "--mu", "1/2", "--p", "1/10", "--eps", "0", "--t-end", "1"]
+
+
+def sweep_args(tmp_path, text):
+    return ["sweep", "--config", write_file(tmp_path, text),
+            "--out-dir", str(tmp_path / "certs")]
+
+
 class TestBadInput:
-    @pytest.mark.parametrize("bad", ["1/0", "abc", "", "1/x"])
-    def test_parse_rational_raises_certify_error(self, bad):
-        with pytest.raises(CertifyError):
-            parse_rational(bad)
+    @pytest.mark.parametrize("bad,message", [
+        ("1/0", "zero denominator in '1/0'"),
+        ("abc", "rational parameters must be exact 'n/d' strings: 'abc'"),
+        ("", "rational parameters must be exact 'n/d' strings: ''"),
+        ("1/x", "rational parameters must be exact 'n/d' strings: '1/x'")])
+    def test_bad_rational_raises_certify_error(self, bad, message):
+        with pytest.raises(ValueError) as raised:
+            _rat(bad)
+        assert str(raised.value) == message
+        with pytest.raises(CertifyError) as raised:
+            config_with_mu(bad)
+        assert str(raised.value) == message
 
     def test_from_dict_rejects_negative_identity_samples(self):
         data = make_config(Space.SPHERE, Potential.NEWTON).to_dict()
@@ -410,6 +455,61 @@ class TestBadInput:
         result = CliRunner().invoke(cli_main, ["certify", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.output.strip().splitlines() == [f"invalid input: {message}"]
+
+    @pytest.mark.parametrize("make_args,prefix", [
+        pytest.param(lambda d: ["certify", "--config", write_file(d, "{not json")],
+                     "invalid input: ", id="certify-malformed-json"),
+        pytest.param(lambda d: sweep_args(d, "{not json"),
+                     "invalid input: ", id="sweep-malformed-json"),
+        pytest.param(lambda d: ["certify", "--config", write_file(d, "[1, 2]")],
+                     "invalid input: ", id="certify-config-not-object"),
+        pytest.param(lambda d: sweep_args(d, json.dumps([GOOD_RUN])),
+                     "invalid input: ", id="sweep-file-not-object"),
+        pytest.param(lambda d: sweep_args(d, json.dumps({"runs": GOOD_RUN})),
+                     "invalid input: 'runs' must be a list", id="sweep-runs-not-list"),
+        pytest.param(lambda d: ["simulate", *ORBIT_ARGS, "--theta0", "0"],
+                     "integration aborted: initial state outside the chart",
+                     id="simulate-theta0-0"),
+        pytest.param(lambda d: ["section", *ORBIT_ARGS, "--theta0", "1.4",
+                                "--coordinate", "7"],
+                     "integration aborted: coordinate must lie in [0, 5), got 7",
+                     id="section-coordinate-7"),
+        pytest.param(lambda d: ["section", *ORBIT_ARGS, "--theta0", "1.4",
+                                "--coordinate", "-1"],
+                     "integration aborted: coordinate must lie in [0, 5), got -1",
+                     id="section-coordinate-minus-1"),
+        pytest.param(lambda d: ["nve", *ORBIT_ARGS, "--theta0", "0"],
+                     "integration aborted: theta0=0.0 is a pole",
+                     id="nve-theta0-0"),
+        pytest.param(lambda d: ["certify", *CERTIFY_ARGS,
+                                "--out", str(d / "missing" / "cert.json")],
+                     "invalid input: ", id="certify-out-missing-dir"),
+    ])
+    def test_bad_input_ends_in_one_line(self, tmp_path, make_args, prefix):
+        result = CliRunner().invoke(cli_main, make_args(tmp_path))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix)
+        assert not (tmp_path / "certs").exists()
+
+    def test_certify_pipeline_bug_exits_2(self, monkeypatch):
+        from curvedtwobody import certify as certify_mod
+
+        def buggy(cfg):
+            raise RuntimeError("stage blew up")
+
+        monkeypatch.setattr(certify_mod, "certify", buggy)
+        result = CliRunner().invoke(cli_main, ["certify", *CERTIFY_ARGS])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert "Traceback" in result.stderr
+        assert [line for line in result.stderr.splitlines()
+                if line.startswith("internal error")] == [
+            "internal error: RuntimeError: stage blew up"]
+        assert result.stderr.splitlines()[-1].startswith("internal error")
 
     def test_simulate_zero_step_exits_1(self):
         result = CliRunner().invoke(cli_main, [

@@ -1,14 +1,16 @@
 import math
 import random
 from fractions import Fraction as Fr
+from types import SimpleNamespace
 
 import pytest
 
 from curvedtwobody import dynamics
 from curvedtwobody.dynamics import (ChartDomainError, DynamicsError,
                                     IntegrationOptions,
-                                    PhaseState, PoissonStructure, SectionPoint,
-                                    StepFailure, from_cylinder, from_r_chart,
+                                    PhaseState, SectionPoint,
+                                    StepFailure, casimir, from_cylinder,
+                                    from_r_chart,
                                     gamma_initial_state, gamma_trajectory,
                                     integrate, nve_chain_rule_residual,
                                     nve_time_domain, poincare_section,
@@ -25,14 +27,50 @@ def sn_params(**overrides):
     return derive_params(Space.SPHERE, Potential.NEWTON, **kw)
 
 
-class TestPoissonStructure:
+def sympy_bracket(space):
+    """The coordinates and the Lie-Poisson bivector Pi on (theta, p_theta,
+    p0, p1, p2), written down apart from dynamics.vector_field."""
+    import sympy as sp
+    coords = list(sp.symbols("theta p_theta p0 p1 p2"))
+    _, _, p0, p1, p2 = coords
+    s = 1 if space is Space.SPHERE else -1
+    pi = sp.zeros(5, 5)
+    pi[0, 1], pi[1, 0] = 1, -1
+    pi[2, 3], pi[3, 2] = -s * p2, s * p2
+    pi[3, 4], pi[4, 3] = -p0, p0
+    pi[2, 4], pi[4, 2] = p1, -p1
+    return coords, pi
+
+
+def full_params(space):
+    return derive_params(space, Potential.NEWTON, Fr(1, 4), Fr(1, 2), Fr(1, 10),
+                         Fr(0) if space is Space.SPHERE else Fr(-2))
+
+
+def full_hamiltonian(space):
+    kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
+        else HamiltonianKind.FULL_HYPERBOLIC
+    return hamiltonian(kind, full_params(space))
+
+
+def bracket_of_vector_field(space, x):
+    """Pi(x) as vector_field applies it: column b is x_dot for h = x_b."""
+    params = SimpleNamespace(space=space)
+    columns = []
+    for b in range(5):
+        grad = tuple(float(a == b) for a in range(5))
+        h = SimpleNamespace(dim=5, params=params, grad=lambda x, g=grad: g)
+        columns.append(vector_field(h, x))
+    return [[columns[b][a] for b in range(5)] for a in range(5)]
+
+
+class TestPoissonBracket:
     def test_antisymmetry(self):
         rng = random.Random(1)
         for space in Space:
-            ps = PoissonStructure(space)
             for _ in range(20):
                 x = tuple(rng.uniform(-2, 2) for _ in range(5))
-                m = ps.matrix(x)
+                m = bracket_of_vector_field(space, x)
                 for a in range(5):
                     for b in range(5):
                         assert m[a][b] == -m[b][a]
@@ -41,15 +79,8 @@ class TestPoissonStructure:
         """One-time check: the Jacobiator of the bivector vanishes on all
         coordinate triples, hence on all functions."""
         import sympy as sp
-        th, pt, p0, p1, p2 = sp.symbols("theta p_theta p0 p1 p2")
-        coords = [th, pt, p0, p1, p2]
         for space in Space:
-            s = 1 if space is Space.SPHERE else -1
-            pi = sp.zeros(5, 5)
-            pi[0, 1], pi[1, 0] = 1, -1
-            pi[2, 3], pi[3, 2] = -s * p2, s * p2
-            pi[3, 4], pi[4, 3] = -p0, p0
-            pi[2, 4], pi[4, 2] = s * p1, -s * p1
+            coords, pi = sympy_bracket(space)
             for a in range(5):
                 for b in range(5):
                     for c in range(5):
@@ -60,35 +91,39 @@ class TestPoissonStructure:
                             for d in range(5))
                         assert sp.simplify(jac) == 0
 
+    def test_casimir_in_the_kernel_symbolic(self):
+        """Pi grad C = 0 for the program's Casimir on both spaces."""
+        import sympy as sp
+        rng = random.Random(5)
+        for space in Space:
+            coords, pi = sympy_bracket(space)
+            c = casimir(space, coords)
+            grad = sp.Matrix([sp.diff(c, v) for v in coords])
+            assert sp.expand(pi * grad) == sp.zeros(5, 1)
+            for _ in range(5):
+                x = tuple(rng.uniform(-2, 2) for _ in range(5))
+                state = PhaseState(*x, space)
+                assert state.casimir() == casimir(space, x)
+
     def test_jacobi_on_quadratic_functions(self):
         import sympy as sp
-        th, pt, p0, p1, p2 = sp.symbols("theta p_theta p0 p1 p2")
-        coords = [th, pt, p0, p1, p2]
-        s = 1
-        pi = sp.zeros(5, 5)
-        pi[0, 1], pi[1, 0] = 1, -1
-        pi[2, 3], pi[3, 2] = -s * p2, s * p2
-        pi[3, 4], pi[4, 3] = -p0, p0
-        pi[2, 4], pi[4, 2] = s * p1, -s * p1
+        for space in Space:
+            coords, pi = sympy_bracket(space)
+            th, pt, p0, p1, p2 = coords
 
-        def bracket(f, g):
-            return sum(pi[a, b] * sp.diff(f, coords[a]) * sp.diff(g, coords[b])
-                       for a in range(5) for b in range(5))
+            def bracket(f, g):
+                return sum(pi[a, b] * sp.diff(f, coords[a]) * sp.diff(g, coords[b])
+                           for a in range(5) for b in range(5))
 
-        f, g, h = pt * p0, p1 * p2, th * th + p2 * p2
-        jac = (bracket(f, bracket(g, h)) + bracket(g, bracket(h, f))
-               + bracket(h, bracket(f, g)))
-        assert sp.simplify(jac) == 0
+            f, g, h = pt * p0, p1 * p2, th * th + p2 * p2
+            jac = (bracket(f, bracket(g, h)) + bracket(g, bracket(h, f))
+                   + bracket(h, bracket(f, g)))
+            assert sp.simplify(jac) == 0
 
     def test_casimir_derivative_vanishes(self):
         rng = random.Random(7)
         for space in Space:
-            params = derive_params(space, Potential.NEWTON, Fr(1, 4), Fr(1, 2),
-                                   Fr(1, 10), Fr(-2) if space is Space.HYPERBOLIC else 0)
-            kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
-                else HamiltonianKind.FULL_HYPERBOLIC
-            h = hamiltonian(kind, params)
-            ps = PoissonStructure(space)
+            h = full_hamiltonian(space)
             for _ in range(30):
                 x = (rng.uniform(0.5, 1.2), rng.uniform(-0.5, 0.5),
                      rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -113,27 +148,31 @@ class TestVectorField:
         assert abs(xdot[3]) < 1e-15 and abs(xdot[4]) < 1e-15
 
     def test_finite_difference_cross_check(self):
-        params = sn_params()
-        h = hamiltonian(HamiltonianKind.FULL_SPHERE, params)
-        ps = PoissonStructure(Space.SPHERE)
+        """vector_field = Pi grad h, with Pi the sympy bivector and grad h
+        by central differences of h.value, on both spaces."""
+        import sympy as sp
         rng = random.Random(3)
-        for _ in range(100):
-            x = (rng.uniform(0.5, 2.5), rng.uniform(-1, 1), rng.uniform(-1, 1),
-                 rng.uniform(-1, 1), rng.uniform(-1, 1))
-            xdot = vector_field(h, x)
-            m = ps.matrix(x)
-            eps = 1e-6
-            for a in range(5):
-                acc = 0.0
-                for b in range(5):
-                    if m[a][b] == 0.0:
-                        continue
-                    xp = list(x)
-                    xm = list(x)
-                    xp[b] += eps
-                    xm[b] -= eps
-                    acc += m[a][b] * (h.value(tuple(xp)) - h.value(tuple(xm))) / (2 * eps)
-                assert abs(xdot[a] - acc) / max(1.0, abs(xdot[a])) < 1e-6
+        for space in Space:
+            h = full_hamiltonian(space)
+            coords, pi = sympy_bracket(space)
+            pi_at = sp.lambdify(coords, pi.tolist(), "math")
+            for _ in range(100):
+                x = (rng.uniform(0.5, 2.5), rng.uniform(-1, 1), rng.uniform(-1, 1),
+                     rng.uniform(-1, 1), rng.uniform(-1, 1))
+                xdot = vector_field(h, x)
+                m = pi_at(*x)
+                eps = 1e-6
+                for a in range(5):
+                    acc = 0.0
+                    for b in range(5):
+                        if m[a][b] == 0.0:
+                            continue
+                        xp = list(x)
+                        xm = list(x)
+                        xp[b] += eps
+                        xm[b] -= eps
+                        acc += m[a][b] * (h.value(tuple(xp)) - h.value(tuple(xm))) / (2 * eps)
+                    assert abs(xdot[a] - acc) / max(1.0, abs(xdot[a])) < 1e-6
 
 
 class TestStepControl:
@@ -283,6 +322,11 @@ class TestIntegrate:
             integrate(h, gamma_initial_state(params, 1.0), 10.0,
                       IntegrationOptions(step=1e-3))
 
+    @pytest.mark.parametrize("space", list(Space))
+    def test_initial_state_off_the_chart_raises_step_failure(self, space):
+        with pytest.raises(StepFailure, match="initial state outside the chart"):
+            integrate(full_hamiltonian(space), (0.0, 0.0, 0.1, 0.0, 0.3), 1.0)
+
 
 class TestGammaTrajectory:
     def test_newton_level_maintained(self):
@@ -321,6 +365,11 @@ class TestGammaTrajectory:
         # eps=-1 has no real motion: f = tan^2 theta must be nonnegative
         with pytest.raises(StepFailure):
             gamma_initial_state(params, 0.7)
+
+    @pytest.mark.parametrize("space", list(Space))
+    def test_newton_pole_raises_step_failure(self, space):
+        with pytest.raises(StepFailure, match="pole of the Newton potential"):
+            gamma_initial_state(full_params(space), 0.0)
 
 
 class TestNveTimeDomain:
@@ -423,6 +472,13 @@ class TestPoincareSection:
         params = sn_params()
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, params)
         assert poincare_section(h, (1.2, 0.1, 0.2, 0.1, 0.3), 0.0) == []
+
+    @pytest.mark.parametrize("coordinate", [-1, 5, 7])
+    def test_coordinate_outside_the_state_rejected(self, coordinate):
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        with pytest.raises(DynamicsError, match="coordinate must lie in"):
+            poincare_section(h, (1.2, 0.1, 0.2, 0.1, 0.3), 1.0,
+                             coordinate=coordinate)
 
 
 class TestChartConversions:

@@ -182,12 +182,9 @@ def _factor_over(poly: Poly, bases: tuple[Poly, ...]) -> dict:
     index, plus the monic cofactor (exponent 1) when it is not constant."""
     exps = {}
     for i, base in enumerate(bases):
-        while poly.degree() >= base.degree():
-            quot, rem = poly.divmod(base)
-            if not rem.is_zero():
-                break
-            poly = quot
-            exps[i] = exps.get(i, 0) + 1
+        poly, k = poly.strip(base)
+        if k:
+            exps[i] = k
     if poly.degree() > 0:
         exps[poly.monic()] = 1
     return exps

@@ -40,22 +40,6 @@ def casimir(space: Space, x) -> float:
     return p0 * p0 + p1 * p1 - p2 * p2
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    theta: float
-    p_theta: float
-    p0: float
-    p1: float
-    p2: float
-    space: Space
-
-    def casimir(self) -> float:
-        return casimir(self.space, self.as_tuple())
-
-    def as_tuple(self) -> tuple:
-        return (self.theta, self.p_theta, self.p0, self.p1, self.p2)
-
-
 def vector_field(h: ReducedHamiltonian, x) -> tuple:
     """x_dot = Pi grad h for the 5-dim reduced chart; canonical equations for
     the 2-dim geodesic and 4-dim restricted charts.
@@ -171,8 +155,6 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     opts = opts or IntegrationOptions()
     _require_positive(step=opts.step, t_end=t_end)
     extra_integrals = extra_integrals or {}
-    if isinstance(x0, PhaseState):
-        x0 = x0.as_tuple()
     x = tuple(float(v) for v in x0)
     f = lambda state: vector_field(h, state)
     space = h.params.space if h.dim == 5 else None   # None: no Casimir
@@ -406,12 +388,12 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
     _require_positive(step=step)
     if not 0 <= t_end < math.inf:       # a zero horizon has no crossings
         raise DynamicsError(f"t_end must be non-negative and finite, got {t_end}")
-    if isinstance(x0, PhaseState):
-        x0 = x0.as_tuple()
     x = tuple(float(v) for v in x0)
     if not 0 <= coordinate < len(x):
         raise DynamicsError(
             f"coordinate must lie in [0, {len(x)}), got {coordinate}")
+    if not math.isfinite(value):
+        raise DynamicsError(f"value must be finite, got {value}")
     f = lambda state: vector_field(h, state)
     t = 0.0
     out = []
@@ -443,34 +425,6 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
 # ---------------------------------------------------------------------------
 # chart conversions
 # ---------------------------------------------------------------------------
-
-
-def to_cylinder(state: PhaseState) -> tuple[float, float]:
-    """(phi, p_phi) with p0 = m sin phi, p1 = m cos phi, p_phi = p2."""
-    if state.space is Space.SPHERE:
-        gamma_sq = state.casimir()
-        if state.p2 * state.p2 >= gamma_sq:
-            raise ChartDomainError("|p2| must stay below gamma on the sphere")
-    else:
-        if state.casimir() <= 0:
-            raise ChartDomainError("cylinder chart needs gamma > 0")
-    phi = math.atan2(state.p0, state.p1)
-    return (phi, state.p2)
-
-
-def from_cylinder(phi: float, p_phi: float, casimir: float, space: Space,
-                  theta: float = 1.0, p_theta: float = 0.0) -> PhaseState:
-    if space is Space.SPHERE:
-        m2 = casimir - p_phi * p_phi
-        if m2 < 0:
-            raise ChartDomainError("|p_phi| must stay below gamma on the sphere")
-    else:
-        m2 = casimir + p_phi * p_phi
-        if m2 < 0:
-            raise ChartDomainError("gamma + p_phi^2 must be nonnegative")
-    m = math.sqrt(m2)
-    return PhaseState(theta, p_theta, m * math.sin(phi), m * math.cos(phi),
-                      p_phi, space)
 
 
 def to_r_chart(theta: float, p_theta: float, space: Space) -> tuple[float, float]:
@@ -521,15 +475,21 @@ def value_in_r_chart(params: ModelParams, r: float, p_r: float,
 
 
 def _atomic_write(path: str, data: bytes):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write data to path through a temporary file beside it and os.replace.
+    A failure leaves no temporary file and is raised as an OSError that
+    names path, not the temporary file."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
         raise
 
 

@@ -372,39 +372,26 @@ class TowerScalar:
         return TowerScalar(self.ctx, z0, z1, z2, z3)
 
     def inverse(self) -> TowerScalar:
+        """x^-1 by the norm.  With x = u + v*lambda (u, v in Q(i)(kappa)),
+        w = x * sigma_lambda(x) = w0 + w1*kappa and N = w0^2 - a*w1^2 is in
+        Q(i); then x^-1 = sigma_lambda(x) * (w0 - w1*kappa) / N.  N is the
+        determinant of multiplication by x, so N = 0 exactly for the zero
+        divisors of a split tower."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self._gaussian:
             return TowerScalar._of_gauss(self.ctx, GAUSS_ONE / self.c00)
-        # solve M y = e0 for the multiplication matrix M of self
         a, b = self.ctx.a, self.ctx.b
-        ab = a * b
         x0, x1, x2, x3 = self.coords()
-        m = [[x0, a * x1, b * x2, ab * x3],
-             [x1, x0, b * x3, b * x2],
-             [x2, a * x3, x0, a * x1],
-             [x3, x2, x1, x0]]
-        rhs = [GAUSS_ONE, GAUSS_ZERO, GAUSS_ZERO, GAUSS_ZERO]
-        n = 4
-        for col in range(n):
-            piv = None
-            for row in range(col, n):
-                if not m[row][col].is_zero():
-                    piv = row
-                    break
-            if piv is None:
-                raise DivisionByZero("non-invertible element (split tower zero divisor)")
-            m[col], m[piv] = m[piv], m[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = GAUSS_ONE / m[col][col]
-            m[col] = [v * inv for v in m[col]]
-            rhs[col] = rhs[col] * inv
-            for row in range(n):
-                if row != col and not m[row][col].is_zero():
-                    f = m[row][col]
-                    m[row] = [v - f * w for v, w in zip(m[row], m[col])]
-                    rhs[row] = rhs[row] - f * rhs[col]
-        return TowerScalar(self.ctx, rhs[0], rhs[1], rhs[2], rhs[3])
+        w0 = x0 * x0 + a * (x1 * x1) - b * (x2 * x2 + a * (x3 * x3))
+        w1 = x0 * x1 - b * (x2 * x3)
+        w1 = w1 + w1
+        n = w0 * w0 - a * (w1 * w1)
+        if n.is_zero():
+            raise DivisionByZero("non-invertible element (split tower zero divisor)")
+        aw1 = a * w1
+        return TowerScalar(self.ctx, (x0 * w0 - x1 * aw1) / n, (x1 * w0 - x0 * w1) / n,
+                           (x3 * aw1 - x2 * w0) / n, (x2 * w1 - x3 * w0) / n)
 
     def __truediv__(self, other: TowerScalar) -> TowerScalar:
         self._check(other)

@@ -98,8 +98,7 @@ def normal_form_r_at(system: FirstOrderSystem, z) -> TowerScalar:
     first two derivatives by Horner's rule, and the formulas of
     reduce_to_second_order and to_normal_form are applied to the values:
     r = Q - g'/2 + g^2/4 with g = C'/C (+ f'/(2f)) and
-    Q = g A + A^2 + C B [f] - A'.  The arithmetic is over Fraction when every
-    coefficient is rational, and over TowerScalar otherwise.  Raises
+    Q = g A + A^2 + C B [f] - A', all in the tower field.  Raises
     PoleEvaluation when z is a pole of A, B, C or f or a zero of C or f.
     """
     if system.C.is_zero():
@@ -111,40 +110,37 @@ def normal_form_r_at(system: FirstOrderSystem, z) -> TowerScalar:
     if system.weight is not None:
         parts.append(system.weight)
     polys = [poly.coeffs for part in parts for poly in (part.num, part.den)]
-    rational = [[c.is_real_rational() for c in cs] for cs in polys]
-    if all(q is not None for cs in rational for q in cs):
-        polys, lift = rational, Fraction
-    else:
-        lift = ctx.from_rational
-    zero, z = lift(0), lift(z)
+    zero, z = ctx.zero, ctx.from_rational(z)
 
     def jet(num, den):
         n0, n1, n2 = _horner_jet(num, z, zero)
         d0, d1, d2 = _horner_jet(den, z, zero)
-        if d0 == zero:
+        if d0.is_zero():
             raise PoleEvaluation("evaluation at a pole of the first-order system")
-        v0 = n0 / d0
-        v1 = (n1 - v0 * d1) / d0
-        return v0, v1, (n2 - (v1 + v1) * d1 - v0 * d2) / d0
+        inv = d0.inverse()
+        v0 = n0 * inv
+        v1 = (n1 - v0 * d1) * inv
+        return v0, v1, (n2 - (v1 + v1) * d1 - v0 * d2) * inv
 
     (a0, a1, _), (b0, _, _), (c0, c1, c2) = (jet(*polys[i:i + 2]) for i in (0, 2, 4))
-    if c0 == zero:
+    if c0.is_zero():
         raise PoleEvaluation("evaluation at a zero of C")
-    half = lift(Fraction(1, 2))
-    g = c1 / c0
-    dg = c2 / c0 - g * g
-    w = lift(1)
+    half = ctx.from_rational(Fraction(1, 2))
+    inv = c0.inverse()
+    g = c1 * inv
+    dg = c2 * inv - g * g
+    w = ctx.one
     if system.weight is not None:
         f0, f1, f2 = jet(*polys[6:8])
-        if f0 == zero:
+        if f0.is_zero():
             raise PoleEvaluation("evaluation at a zero of the weight")
-        lf = f1 / f0
+        inv = f0.inverse()
+        lf = f1 * inv
         g = g + half * lf
-        dg = dg + half * (f2 / f0 - lf * lf)
+        dg = dg + half * (f2 * inv - lf * lf)
         w = f0
     q = g * a0 + a0 * a0 + c0 * b0 * w - a1
-    r = q - half * dg + half * half * g * g
-    return r if lift is not Fraction else ctx.from_rational(r)
+    return q - half * dg + half * half * g * g
 
 
 def verify_gauge_transform(normal: NormalFormODE, ode: SecondOrderODE,
@@ -223,8 +219,8 @@ def singularity_spectrum(normal: NormalFormODE,
             raise NonFuchsianEquation(
                 f"pole of order {mult} at {c.render()}: not regular singular")
         if mult == 2:
-            lin2 = Poly.from_roots(ctx, [(c, 2)])
-            alpha = RatFunc(r.num * lin2, r.den).evaluate(c)
+            rest, _ = r.den.strip(Poly(ctx, [-c, ctx.one]))
+            alpha = r.num.evaluate(c) / rest.evaluate(c)
         else:
             alpha = ctx.zero
         delta_sq, d_rat = _delta_data(ctx, alpha)

@@ -167,15 +167,18 @@ class Poly:
             acc = acc * z + c
         return acc
 
-    def root_multiplicity(self, c: TowerScalar, cap: int = 64) -> int:
-        """Multiplicity of the supplied root (0 if not a root)."""
-        m = 0
-        p = self
-        lin = Poly(self.ctx, [-c, self.ctx.one])
-        while not p.is_zero() and m < cap and p.evaluate(c).is_zero():
-            p = p // lin
-            m += 1
-        return m
+    def strip(self, base: Poly) -> tuple[Poly, int]:
+        """(q, k) with self = base^k * q and base not dividing q, by exact
+        division; the zero polynomial gives (0, 0)."""
+        if base.degree() < 1:
+            raise RatCalcError("strip needs a non-constant base")
+        q, k = self, 0
+        while q.degree() >= base.degree():
+            quot, rem = q.divmod(base)
+            if not rem.is_zero():
+                break
+            q, k = quot, k + 1
+        return q, k
 
     def render(self) -> str:
         if self.is_zero():

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import random
@@ -407,6 +408,12 @@ def sweep_args(tmp_path, text):
             "--out-dir", str(tmp_path / "certs")]
 
 
+def write_failure(code, path):
+    """The one line of a failed --out write: it names the given path, never
+    the temporary file beside it."""
+    return f"invalid input: [Errno {code}] {os.strerror(code)}: '{path}'"
+
+
 class TestBadInput:
     @pytest.mark.parametrize("bad,message", [
         ("1/0", "zero denominator in '1/0'"),
@@ -481,9 +488,22 @@ class TestBadInput:
         pytest.param(lambda d: ["nve", *ORBIT_ARGS, "--theta0", "0"],
                      "integration aborted: theta0=0.0 is a pole",
                      id="nve-theta0-0"),
+        pytest.param(lambda d: ["section", *ORBIT_ARGS, "--theta0", "1.4",
+                                "--value", "nan"],
+                     "integration aborted: value must be finite, got nan",
+                     id="section-value-nan"),
+        pytest.param(lambda d: ["section", *ORBIT_ARGS, "--theta0", "1.4",
+                                "--value", "inf"],
+                     "integration aborted: value must be finite, got inf",
+                     id="section-value-inf"),
         pytest.param(lambda d: ["certify", *CERTIFY_ARGS,
                                 "--out", str(d / "missing" / "cert.json")],
-                     "invalid input: ", id="certify-out-missing-dir"),
+                     lambda d: write_failure(errno.ENOENT, d / "missing" / "cert.json"),
+                     id="certify-out-missing-dir"),
+        pytest.param(lambda d: ["simulate", *ORBIT_ARGS, "--theta0", "1.4",
+                                "--out", str(d)],
+                     lambda d: write_failure(errno.EISDIR, d),
+                     id="simulate-out-existing-dir"),
     ])
     def test_bad_input_ends_in_one_line(self, tmp_path, make_args, prefix):
         result = CliRunner().invoke(cli_main, make_args(tmp_path))
@@ -491,8 +511,11 @@ class TestBadInput:
         assert isinstance(result.exception, SystemExit)
         assert result.stdout == ""
         lines = result.stderr.splitlines()
+        if callable(prefix):
+            prefix = prefix(tmp_path)
         assert len(lines) == 1 and lines[0].startswith(prefix)
         assert not (tmp_path / "certs").exists()
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_certify_pipeline_bug_exits_2(self, monkeypatch):
         from curvedtwobody import certify as certify_mod

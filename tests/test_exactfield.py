@@ -129,6 +129,27 @@ class TestFieldAxioms:
                     assert ctx is CTX_HN
         assert checked_inverses > 900
 
+    @pytest.mark.parametrize("a,b,zero_divisor,seed", [
+        # b = -1: lambda^2 + 1 = (lambda - i)(lambda + i) = 0
+        (G(3), G(-1), lambda ctx: ctx.lam - ctx.from_gauss(G(0, 1)), 31),
+        # ab = 16: (kappa*lambda - 4)(kappa*lambda + 4) = 0
+        (G(2), G(8), lambda ctx: ctx.kappa * ctx.lam - ctx.from_rational(4), 37),
+    ], ids=["b-square", "ab-square"])
+    def test_inverse_by_the_norm_in_split_towers(self, a, b, zero_divisor, seed):
+        """The norm vanishes exactly on the zero divisors: their multiples
+        raise, and every other element times its inverse is one."""
+        ctx = make_context(a, b)
+        rng = random.Random(seed)
+        zd = zero_divisor(ctx)
+        assert not zd.is_zero()
+        with pytest.raises(DivisionByZero):
+            zd.inverse()
+        for _ in range(200):
+            x = random_scalar(ctx, rng)
+            with pytest.raises(DivisionByZero):
+                (zd * x).inverse()
+            assert x * x.inverse() == ctx.one
+
     def test_normalization_invariant(self):
         rng = random.Random(7)
         for _ in range(200):

@@ -40,32 +40,50 @@ def casimir(space: Space, x) -> float:
     return p0 * p0 + p1 * p1 - p2 * p2
 
 
-def vector_field(h: ReducedHamiltonian, x) -> tuple:
-    """x_dot = Pi grad h for the 5-dim reduced chart; canonical equations for
-    the 2-dim geodesic and 4-dim restricted charts.
+def bound_field(h: ReducedHamiltonian) -> Callable[[tuple], tuple]:
+    """x -> x_dot = Pi grad h, with the chart and space looked up once: the
+    5-dim reduced chart, or the canonical equations on the 2-dim geodesic
+    and 4-dim restricted charts.  A state off the chart raises StepFailure.
 
     This is the program's one Poisson bracket: {theta, p_theta} = 1 and on
     S^2 {p0,p1} = -p2, {p1,p2} = -p0, {p2,p0} = -p1; on H^2 {p0,p1} = p2,
     {p1,p2} = -p0, {p0,p2} = p1.  casimir() is its Casimir."""
-    try:
-        g = h.grad(x)
-    except DomainError as exc:
-        raise StepFailure(str(exc)) from exc
-    if h.dim == 2:
-        return (g[1], -g[0])
-    if h.dim == 4:
-        return (g[1], -g[0], g[3], -g[2])
-    theta, pt, p0, p1, p2 = x
-    g_t, g_pt, g0, g1, g2 = g
-    if h.params.space is Space.SPHERE:
-        return (g_pt, -g_t,
-                -p2 * g1 + p1 * g2,
-                p2 * g0 - p0 * g2,
-                -p1 * g0 + p0 * g1)
-    return (g_pt, -g_t,
-            p2 * g1 + p1 * g2,
-            -p2 * g0 - p0 * g2,
-            -p1 * g0 + p0 * g1)
+    grad = h.grad
+    if h.dim != 5:
+        def f(x):       # canonical pairs (q, p): q' = dh/dp, p' = -dh/dq
+            try:
+                g = grad(x)
+            except DomainError as exc:
+                raise StepFailure(str(exc)) from exc
+            return tuple(v for g_q, g_p in zip(g[::2], g[1::2]) for v in (g_p, -g_q))
+    elif h.params.space is Space.SPHERE:
+        def f(x):
+            try:
+                g_t, g_pt, g0, g1, g2 = grad(x)
+            except DomainError as exc:
+                raise StepFailure(str(exc)) from exc
+            _, _, p0, p1, p2 = x
+            return (g_pt, -g_t,
+                    -p2 * g1 + p1 * g2,
+                    p2 * g0 - p0 * g2,
+                    -p1 * g0 + p0 * g1)
+    else:
+        def f(x):
+            try:
+                g_t, g_pt, g0, g1, g2 = grad(x)
+            except DomainError as exc:
+                raise StepFailure(str(exc)) from exc
+            _, _, p0, p1, p2 = x
+            return (g_pt, -g_t,
+                    p2 * g1 + p1 * g2,
+                    -p2 * g0 - p0 * g2,
+                    -p1 * g0 + p0 * g1)
+    return f
+
+
+def vector_field(h: ReducedHamiltonian, x) -> tuple:
+    """x_dot at one state; bound_field(h) is the same map for many states."""
+    return bound_field(h)(x)
 
 
 @dataclass
@@ -95,13 +113,36 @@ class TrajectoryReport:
         return self.states[-1]
 
 
-def _rk4_step(f, x, dt):
+def _rk4_tableau(f, x, dt):
+    """One classical RK4 step on a state of any length."""
     k1 = f(x)
     k2 = f(tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, k1)))
     k3 = f(tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, k2)))
     k4 = f(tuple(xi + dt * ki for xi, ki in zip(x, k3)))
     return tuple(xi + dt / 6.0 * (a + 2 * b + 2 * c + d)
                  for xi, a, b, c, d in zip(x, k1, k2, k3, k4))
+
+
+def _rk4_step(f, x, dt):
+    """_rk4_tableau, written out for the 5-dim chart with the same
+    operations in the same order."""
+    if len(x) != 5:
+        return _rk4_tableau(f, x, dt)
+    x0, x1, x2, x3, x4 = x
+    h = 0.5 * dt
+    a0, a1, a2, a3, a4 = f(x)
+    b0, b1, b2, b3, b4 = f((x0 + h * a0, x1 + h * a1, x2 + h * a2,
+                            x3 + h * a3, x4 + h * a4))
+    c0, c1, c2, c3, c4 = f((x0 + h * b0, x1 + h * b1, x2 + h * b2,
+                            x3 + h * b3, x4 + h * b4))
+    d0, d1, d2, d3, d4 = f((x0 + dt * c0, x1 + dt * c1, x2 + dt * c2,
+                            x3 + dt * c3, x4 + dt * c4))
+    s = dt / 6.0
+    return (x0 + s * (a0 + 2 * b0 + 2 * c0 + d0),
+            x1 + s * (a1 + 2 * b1 + 2 * c1 + d1),
+            x2 + s * (a2 + 2 * b2 + 2 * c2 + d2),
+            x3 + s * (a3 + 2 * b3 + 2 * c3 + d3),
+            x4 + s * (a4 + 2 * b4 + 2 * c4 + d4))
 
 
 # Fehlberg 4(5) tableau
@@ -115,9 +156,16 @@ _RKF_A = (
 )
 _RKF_B5 = (16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_E = (1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)   # b5 - b4
+# by name, for the written-out step (the second weights are 0)
+(_, (_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43),
+ (_A50, _A51, _A52, _A53, _A54)) = _RKF_A
+_B0, _, _B2, _B3, _B4, _B5 = _RKF_B5
+_E0, _, _E2, _E3, _E4, _E5 = _RKF_E
 
 
-def _rkf45_step(f, x, dt):
+def _rkf45_tableau(f, x, dt):
+    """One Fehlberg step on a state of any length: the 5th-order state and
+    the size of its difference from the 4th-order one."""
     ks = []
     for row in _RKF_A:
         xi = tuple(v + dt * sum(a * k[j] for a, k in zip(row, ks))
@@ -128,6 +176,52 @@ def _rkf45_step(f, x, dt):
     # from the stages, not x5 - x4: that difference rounds to 0 when small
     err = abs(dt) * max(abs(sum(e * k[j] for e, k in zip(_RKF_E, ks)))
                         for j in range(len(x)))
+    return x5, err
+
+
+def _rkf45_step(f, x, dt):
+    """_rkf45_tableau, written out for the 5-dim chart; the stages are
+    a, b, c, d, e, g and the zero weights are left out."""
+    if len(x) != 5:
+        return _rkf45_tableau(f, x, dt)
+    x0, x1, x2, x3, x4 = x
+    a0, a1, a2, a3, a4 = f(x)
+    b0, b1, b2, b3, b4 = f((
+        x0 + dt * (_A10 * a0), x1 + dt * (_A10 * a1), x2 + dt * (_A10 * a2),
+        x3 + dt * (_A10 * a3), x4 + dt * (_A10 * a4)))
+    c0, c1, c2, c3, c4 = f((
+        x0 + dt * (_A20 * a0 + _A21 * b0), x1 + dt * (_A20 * a1 + _A21 * b1),
+        x2 + dt * (_A20 * a2 + _A21 * b2), x3 + dt * (_A20 * a3 + _A21 * b3),
+        x4 + dt * (_A20 * a4 + _A21 * b4)))
+    d0, d1, d2, d3, d4 = f((
+        x0 + dt * (_A30 * a0 + _A31 * b0 + _A32 * c0),
+        x1 + dt * (_A30 * a1 + _A31 * b1 + _A32 * c1),
+        x2 + dt * (_A30 * a2 + _A31 * b2 + _A32 * c2),
+        x3 + dt * (_A30 * a3 + _A31 * b3 + _A32 * c3),
+        x4 + dt * (_A30 * a4 + _A31 * b4 + _A32 * c4)))
+    e0, e1, e2, e3, e4 = f((
+        x0 + dt * (_A40 * a0 + _A41 * b0 + _A42 * c0 + _A43 * d0),
+        x1 + dt * (_A40 * a1 + _A41 * b1 + _A42 * c1 + _A43 * d1),
+        x2 + dt * (_A40 * a2 + _A41 * b2 + _A42 * c2 + _A43 * d2),
+        x3 + dt * (_A40 * a3 + _A41 * b3 + _A42 * c3 + _A43 * d3),
+        x4 + dt * (_A40 * a4 + _A41 * b4 + _A42 * c4 + _A43 * d4)))
+    g0, g1, g2, g3, g4 = f((
+        x0 + dt * (_A50 * a0 + _A51 * b0 + _A52 * c0 + _A53 * d0 + _A54 * e0),
+        x1 + dt * (_A50 * a1 + _A51 * b1 + _A52 * c1 + _A53 * d1 + _A54 * e1),
+        x2 + dt * (_A50 * a2 + _A51 * b2 + _A52 * c2 + _A53 * d2 + _A54 * e2),
+        x3 + dt * (_A50 * a3 + _A51 * b3 + _A52 * c3 + _A53 * d3 + _A54 * e3),
+        x4 + dt * (_A50 * a4 + _A51 * b4 + _A52 * c4 + _A53 * d4 + _A54 * e4)))
+    x5 = (x0 + dt * (_B0 * a0 + _B2 * c0 + _B3 * d0 + _B4 * e0 + _B5 * g0),
+          x1 + dt * (_B0 * a1 + _B2 * c1 + _B3 * d1 + _B4 * e1 + _B5 * g1),
+          x2 + dt * (_B0 * a2 + _B2 * c2 + _B3 * d2 + _B4 * e2 + _B5 * g2),
+          x3 + dt * (_B0 * a3 + _B2 * c3 + _B3 * d3 + _B4 * e3 + _B5 * g3),
+          x4 + dt * (_B0 * a4 + _B2 * c4 + _B3 * d4 + _B4 * e4 + _B5 * g4))
+    err = abs(dt) * max(
+        abs(_E0 * a0 + _E2 * c0 + _E3 * d0 + _E4 * e0 + _E5 * g0),
+        abs(_E0 * a1 + _E2 * c1 + _E3 * d1 + _E4 * e1 + _E5 * g1),
+        abs(_E0 * a2 + _E2 * c2 + _E3 * d2 + _E4 * e2 + _E5 * g2),
+        abs(_E0 * a3 + _E2 * c3 + _E3 * d3 + _E4 * e3 + _E5 * g3),
+        abs(_E0 * a4 + _E2 * c4 + _E3 * d4 + _E4 * e4 + _E5 * g4))
     return x5, err
 
 
@@ -156,7 +250,7 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     _require_positive(step=opts.step, t_end=t_end)
     extra_integrals = extra_integrals or {}
     x = tuple(float(v) for v in x0)
-    f = lambda state: vector_field(h, state)
+    f = bound_field(h)
     space = h.params.space if h.dim == 5 else None   # None: no Casimir
 
     try:
@@ -318,11 +412,11 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
     report's times."""
     _require_positive(step=step)
     from .models import hamiltonian
-    h0 = hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params)
+    base_field = bound_field(hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params))
 
     def f(x):
         theta, pt, p1, p2 = x
-        base = vector_field(h0, (theta, pt))
+        base = base_field((theta, pt))
         lin = nve_rhs(params, theta, pt, p1, p2, variant, omega)
         return (base[0], base[1], lin[0], lin[1])
 
@@ -381,10 +475,16 @@ class SectionPoint:
 def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
                      coordinate: int = 3, value: float = 0.0,
                      direction: int = 1, step: float = 1e-3,
-                     residual_tol: float = 1e-10,
                      max_points: int = 100000) -> list[SectionPoint]:
-    """Crossings of x[coordinate] = value with the requested sign of the
-    derivative, located by bisection on the integration step."""
+    """Crossings of x[coordinate] = value in (0, t_end] with the requested
+    sign of the derivative.
+
+    RK4 steps of the given size (the last one shortened to end on t_end)
+    bracket each crossing; one RK4 step of Henon's system
+    d(x, t)/dx_k = (f/f_k, 1/f_k) over value - x_k from the bracket's start
+    then lands on the plane (M. Henon, Physica D 5 (1982) 412), and
+    x[coordinate] is set to value in the reported state.  A crossing time
+    outside its bracket raises StepFailure."""
     _require_positive(step=step)
     if not 0 <= t_end < math.inf:       # a zero horizon has no crossings
         raise DynamicsError(f"t_end must be non-negative and finite, got {t_end}")
@@ -394,31 +494,32 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
             f"coordinate must lie in [0, {len(x)}), got {coordinate}")
     if not math.isfinite(value):
         raise DynamicsError(f"value must be finite, got {value}")
-    f = lambda state: vector_field(h, state)
-    t = 0.0
+    f = bound_field(h)
+
+    def henon(y):
+        xdot = f(y[:-1])
+        dt_dxk = 1.0 / xdot[coordinate]
+        return tuple(v * dt_dxk for v in xdot) + (dt_dxk,)
+
     out = []
+    t, k = 0.0, 0               # t = k * step keeps rounding off the sum
     s_prev = x[coordinate] - value
     while t < t_end and len(out) < max_points:
-        x_new = _rk4_step(f, x, step)
-        t_new = t + step
-        s_new = x_new[coordinate] - value
-        if s_prev * s_new < 0 and (s_new - s_prev) * direction > 0:
-            lo_t, lo_x = t, x
-            hi_t = t_new
-            for _ in range(200):
-                mid_dt = (hi_t - lo_t) / 2
-                x_mid = _rk4_step(f, lo_x, mid_dt)
-                s_mid = x_mid[coordinate] - value
-                if abs(s_mid) < residual_tol:
-                    out.append(SectionPoint(lo_t + mid_dt, x_mid, len(out)))
-                    break
-                if (x_mid[coordinate] - value) * (lo_x[coordinate] - value) > 0:
-                    lo_t, lo_x = lo_t + mid_dt, x_mid
-                else:
-                    hi_t = lo_t + mid_dt
-            else:
-                out.append(SectionPoint(lo_t, lo_x, len(out)))
-        x, t, s_prev = x_new, t_new, s_new
+        last = t_end - t <= step * (1 + 1e-9)
+        dt, t_new = (t_end - t, t_end) if last else (step, (k + 1) * step)
+        try:
+            x_new = _rk4_step(f, x, dt)
+            s_new = x_new[coordinate] - value
+            if s_prev * s_new < 0 and (s_new - s_prev) * direction > 0:
+                y = _rk4_step(henon, x + (t,), -s_prev)
+                if not t <= y[-1] <= t_new:
+                    raise StepFailure(f"crossing time {y[-1]!r} outside its "
+                                      f"step [{t!r}, {t_new!r}]")
+                state = y[:coordinate] + (value,) + y[coordinate + 1:-1]
+                out.append(SectionPoint(y[-1], state, len(out)))
+        except (StepFailure, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise StepFailure(f"section failed at t={t:.6g}: {exc}") from exc
+        x, t, k, s_prev = x_new, t_new, k + 1, s_new
     return out
 
 

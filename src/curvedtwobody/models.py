@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .exactfield import (DegenerateTower, GaussRational, TowerContext,
                          TowerScalar, _rat, make_context)
@@ -570,177 +570,219 @@ class HamiltonianKind(Enum):
     FREE_PART_S2 = "FreePartS2"
 
 
-def potential_value(params: ModelParams, theta: float) -> float:
+def _potential(params: ModelParams):
+    """(V, dV/dtheta) as functions of theta, closed over the float strength."""
     s = float(params.strength)
+    _, sin, cos, _ = _chart(params.space)
     if params.potential is Potential.NEWTON:
-        if params.space is Space.SPHERE:
-            return -s * math.cos(theta) / math.sin(theta)
-        return -s * math.cosh(theta) / math.sinh(theta)
-    if params.space is Space.SPHERE:
-        t = math.tan(theta)
-    else:
-        t = math.tanh(theta)
-    return 0.5 * s * t * t
+        return (lambda theta: -s * cos(theta) / sin(theta),
+                lambda theta: s / sin(theta) ** 2)
+    tan = math.tan if params.space is Space.SPHERE else math.tanh
+
+    def value(theta):
+        t = tan(theta)
+        return 0.5 * s * t * t
+    return value, lambda theta: s * tan(theta) / cos(theta) ** 2
+
+
+def _zero(theta: float) -> float:
+    return 0.0
+
+
+def potential_value(params: ModelParams, theta: float) -> float:
+    return _potential(params)[0](theta)
 
 
 def potential_slope(params: ModelParams, theta: float) -> float:
-    s = float(params.strength)
-    if params.potential is Potential.NEWTON:
-        if params.space is Space.SPHERE:
-            return s / math.sin(theta) ** 2
-        return s / math.sinh(theta) ** 2
-    if params.space is Space.SPHERE:
-        return s * math.tan(theta) / math.cos(theta) ** 2
-    return s * math.tanh(theta) / math.cosh(theta) ** 2
+    return _potential(params)[1](theta)
 
 
-def _check_theta(space: Space, theta: float):
+def _chart(space: Space):
+    """(check, sin, cos, sign) on the space's chart: check(theta) raises
+    DomainError outside (0, pi) or within about 1e-12 of a zero of sin on
+    S^2, outside (0, infinity) on H^2; sin and cos are the trigonometric or
+    hyperbolic ones; sign is that of the p2^2 coupling term."""
     if space is Space.SPHERE:
-        if not 0 < theta < math.pi or min(abs(math.sin(theta)), 1) < 1e-12:
-            raise DomainError(f"theta = {theta} outside (0, pi)")
-    else:
+        pi, sin = math.pi, math.sin
+
+        def check(theta):
+            if not 0 < theta < pi or abs(sin(theta)) < 1e-12:
+                raise DomainError(f"theta = {theta} outside (0, pi)")
+        return check, sin, math.cos, -1.0
+
+    def check(theta):
         if theta <= 0:
             raise DomainError(f"theta = {theta} outside (0, infinity)")
+    return check, math.sinh, math.cosh, 1.0
+
+
+# Each builder below returns (value, grad) on its chart as closures over
+# float constants, so an evaluation converts no Fraction and dispatches on
+# nothing; v and vp are the potential and its slope, or _zero.
+
+
+def _gamma_restriction(params: ModelParams, v, vp):
+    """(theta, p_theta) on the geodesic solution p0 = p, p1 = p2 = 0."""
+    check = _chart(params.space)[0]
+    mu, p = float(params.mu), float(params.p)
+
+    def value(x):
+        theta, pt = x
+        check(theta)
+        return pt * pt / (2 * mu) + p * pt + v(theta)
+
+    def grad(x):
+        theta, pt = x
+        check(theta)
+        return (vp(theta), pt / mu + p)
+    return value, grad
+
+
+def _restricted_problem(om: float, v, vp):
+    """(theta, p_theta, psi, p_psi) on the sphere, drifting at speed om."""
+    check, sin, cos, _ = _chart(Space.SPHERE)
+
+    def value(x):
+        theta, pt, psi, pps = x
+        check(theta)
+        sn = sin(theta)
+        ct = cos(theta) / sn
+        return (0.5 * (pt * pt + pps * pps / (sn * sn))
+                + om * (pt * cos(psi) - pps * sin(psi) * ct)
+                + v(theta))
+
+    def grad(x):
+        theta, pt, psi, pps = x
+        check(theta)
+        sn, cs = sin(theta), cos(theta)
+        ct = cs / sn
+        sps, cps = sin(psi), cos(psi)
+        return (-pps * pps * cs / sn ** 3 + om * pps * sps / (sn * sn) + vp(theta),
+                pt + om * cps,
+                om * (-pt * sps - pps * cps * ct),
+                pps / (sn * sn) - om * sps * ct)
+    return value, grad
+
+
+def _reduced(params: ModelParams, v, vp):
+    """The full reduced Hamiltonian on (theta, p_theta, p0, p1, p2): kinetic
+    part, coupling part and potential."""
+    check, sin, cos, sign = _chart(params.space)
+    mu, two_sign = float(params.mu), 2 * sign
+
+    def value(x):
+        theta, pt, p0, p1, p2 = x
+        check(theta)
+        sn = sin(theta)
+        ct = cos(theta) / sn
+        return ((pt * pt + p2 * p2 / (sn * sn)) / (2 * mu)
+                + (pt * p0 + sign * p2 * p2 + p1 * p2 * ct) + v(theta))
+
+    def grad(x):
+        theta, pt, p0, p1, p2 = x
+        check(theta)
+        sn, cs = sin(theta), cos(theta)
+        ct = cs / sn
+        # d(cot)/dtheta = -1/sin^2 and d(coth)/dtheta = -1/sinh^2
+        return (-p2 * p2 * cs / (mu * sn ** 3) + p1 * p2 * (-1.0 / (sn * sn))
+                + vp(theta),
+                pt / mu + p0, pt, p2 * ct,
+                p2 / (mu * sn * sn) + two_sign * p2 + p1 * ct)
+    return value, grad
+
+
+def _kinetic(params: ModelParams, v, vp):
+    """(p_theta^2 + p2^2/sin^2 theta)/(2 mu) + V: the free part S1 (v = vp =
+    _zero) or the central motion."""
+    check, sin, cos, _ = _chart(params.space)
+    mu = float(params.mu)
+
+    def value(x):
+        theta, pt, _, _, p2 = x
+        check(theta)
+        sn = sin(theta)
+        return (pt * pt + p2 * p2 / (sn * sn)) / (2 * mu) + v(theta)
+
+    def grad(x):
+        theta, pt, _, _, p2 = x
+        check(theta)
+        sn, cs = sin(theta), cos(theta)
+        return (-p2 * p2 * cs / (mu * sn ** 3) + vp(theta),
+                pt / mu, 0.0, 0.0, p2 / (mu * sn * sn))
+    return value, grad
+
+
+def _coupling(params: ModelParams):
+    """p_theta p0 -+ p2^2 + p1 p2 cot theta: the free part S2."""
+    check, sin, cos, sign = _chart(params.space)
+    two_sign = 2 * sign
+
+    def value(x):
+        theta, pt, p0, p1, p2 = x
+        check(theta)
+        return pt * p0 + sign * p2 * p2 + p1 * p2 * (cos(theta) / sin(theta))
+
+    def grad(x):
+        theta, pt, p0, p1, p2 = x
+        check(theta)
+        sn, cs = sin(theta), cos(theta)
+        ct = cs / sn
+        return (p1 * p2 * (-1.0 / (sn * sn)), p0, pt, p2 * ct,
+                two_sign * p2 + p1 * ct)
+    return value, grad
+
+
+def _bind(evaluator, dim: int, value, grad):
+    for name, attr in (("dim", dim), ("value", value), ("grad", grad)):
+        object.__setattr__(evaluator, name, attr)
 
 
 @dataclass(frozen=True)
 class ReducedHamiltonian:
-    """Callable evaluator: value(state) and grad(state) on the chart tuple."""
+    """value(state) and grad(state) on the kind's chart of dim coordinates:
+    (theta, p_theta) for GAMMA_RESTRICTION, (theta, p_theta, psi, p_psi)
+    for RESTRICTED_PROBLEM, (theta, p_theta, p0, p1, p2) for the others.
+    The three are bound once at construction; off the chart value and grad
+    raise DomainError."""
 
     kind: HamiltonianKind
     params: ModelParams
     omega: Optional[float] = None     # restricted-problem drift speed
     include_potential: bool = True
+    dim: int = field(init=False, compare=False)
+    value: Callable[[tuple], float] = field(init=False, repr=False, compare=False)
+    grad: Callable[[tuple], tuple] = field(init=False, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        if self.kind is HamiltonianKind.GAMMA_RESTRICTION:
-            return 2
-        if self.kind is HamiltonianKind.RESTRICTED_PROBLEM:
-            return 4
-        return 5
-
-    @property
-    def chart(self) -> tuple[str, ...]:
-        if self.kind is HamiltonianKind.GAMMA_RESTRICTION:
-            return ("theta", "p_theta")
-        if self.kind is HamiltonianKind.RESTRICTED_PROBLEM:
-            return ("theta", "p_theta", "psi", "p_psi")
-        return ("theta", "p_theta", "p0", "p1", "p2")
-
-    def _v(self, theta: float) -> float:
-        return potential_value(self.params, theta) if self.include_potential else 0.0
-
-    def _vp(self, theta: float) -> float:
-        return potential_slope(self.params, theta) if self.include_potential else 0.0
-
-    def value(self, x) -> float:
-        k = self.kind
-        mu = float(self.params.mu)
+    def __post_init__(self):
+        k, params = self.kind, self.params
+        v, vp = _potential(params) if self.include_potential else (_zero, _zero)
         if k is HamiltonianKind.GAMMA_RESTRICTION:
-            theta, pt = x
-            _check_theta(self.params.space, theta)
-            return pt * pt / (2 * mu) + float(self.params.p) * pt + self._v(theta)
-        if k is HamiltonianKind.RESTRICTED_PROBLEM:
-            theta, pt, psi, pps = x
-            _check_theta(Space.SPHERE, theta)
-            sn = math.sin(theta)
-            ct = math.cos(theta) / sn
+            _bind(self, 2, *_gamma_restriction(params, v, vp))
+        elif k is HamiltonianKind.RESTRICTED_PROBLEM:
             om = self.omega if self.omega is not None else 1.0
-            return (0.5 * (pt * pt + pps * pps / (sn * sn))
-                    + om * (pt * math.cos(psi) - pps * math.sin(psi) * ct)
-                    + self._v(theta))
-        theta, pt, p0, p1, p2 = x
-        _check_theta(self.params.space, theta)
-        if self.params.space is Space.SPHERE:
-            sn, cs = math.sin(theta), math.cos(theta)
-            sign = -1.0
+            _bind(self, 4, *_restricted_problem(om, v, vp))
+        elif k is HamiltonianKind.FREE_PART_S1:
+            _bind(self, 5, *_kinetic(params, _zero, _zero))
+        elif k is HamiltonianKind.FREE_PART_S2:
+            _bind(self, 5, *_coupling(params))
         else:
-            sn, cs = math.sinh(theta), math.cosh(theta)
-            sign = +1.0
-        ct = cs / sn
-        kinetic = (pt * pt + p2 * p2 / (sn * sn)) / (2 * mu)
-        coupling = pt * p0 + sign * p2 * p2 + p1 * p2 * ct
-        if k is HamiltonianKind.FREE_PART_S1:
-            return kinetic
-        if k is HamiltonianKind.FREE_PART_S2:
-            return coupling
-        return kinetic + coupling + self._v(theta)
-
-    def grad(self, x) -> tuple:
-        k = self.kind
-        mu = float(self.params.mu)
-        if k is HamiltonianKind.GAMMA_RESTRICTION:
-            theta, pt = x
-            _check_theta(self.params.space, theta)
-            return (self._vp(theta), pt / mu + float(self.params.p))
-        if k is HamiltonianKind.RESTRICTED_PROBLEM:
-            theta, pt, psi, pps = x
-            _check_theta(Space.SPHERE, theta)
-            sn, cs = math.sin(theta), math.cos(theta)
-            ct = cs / sn
-            om = self.omega if self.omega is not None else 1.0
-            sps, cps = math.sin(psi), math.cos(psi)
-            d_theta = (-pps * pps * cs / sn ** 3 + om * pps * sps / (sn * sn)
-                       + self._vp(theta))
-            d_pt = pt + om * cps
-            d_psi = om * (-pt * sps - pps * cps * ct)
-            d_pps = pps / (sn * sn) - om * sps * ct
-            return (d_theta, d_pt, d_psi, d_pps)
-        theta, pt, p0, p1, p2 = x
-        _check_theta(self.params.space, theta)
-        if self.params.space is Space.SPHERE:
-            sn, cs = math.sin(theta), math.cos(theta)
-            sign = -1.0
-        else:
-            sn, cs = math.sinh(theta), math.cosh(theta)
-            sign = +1.0
-        ct = cs / sn
-        # d(cot)/dtheta = -1/sin^2 and d(coth)/dtheta = -1/sinh^2
-        dct = -1.0 / (sn * sn)
-        kin_theta = -p2 * p2 * cs / (mu * sn ** 3)
-        kin_pt = pt / mu
-        kin_p2 = p2 / (mu * sn * sn)
-        if k is HamiltonianKind.FREE_PART_S1:
-            return (kin_theta, kin_pt, 0.0, 0.0, p2 / (mu * sn * sn))
-        cup_theta = p1 * p2 * dct
-        cup = (cup_theta, p0, pt, p2 * ct, 2 * sign * p2 + p1 * ct)
-        if k is HamiltonianKind.FREE_PART_S2:
-            return cup
-        return (kin_theta + cup_theta + self._vp(theta),
-                kin_pt + p0, pt, p2 * ct,
-                kin_p2 + 2 * sign * p2 + p1 * ct)
+            _bind(self, 5, *_reduced(params, v, vp))
 
 
 @dataclass(frozen=True)
 class CentralMotionHamiltonian:
-    """The m1 = infinity system: one body in the fixed central potential.
+    """The m1 = infinity system: one body in the fixed central potential,
+    on (theta, p_theta, p0, p1, p2).
 
     Only (theta, p_theta, p2) enter, so p2 is the extra integral."""
 
     params: ModelParams
+    dim: int = field(init=False, compare=False)
+    value: Callable[[tuple], float] = field(init=False, repr=False, compare=False)
+    grad: Callable[[tuple], tuple] = field(init=False, repr=False, compare=False)
 
-    dim = 5
-    chart = ("theta", "p_theta", "p0", "p1", "p2")
-
-    def value(self, x) -> float:
-        theta, pt, _, _, p2 = x
-        _check_theta(self.params.space, theta)
-        mu = float(self.params.mu)
-        sn = math.sin(theta) if self.params.space is Space.SPHERE else math.sinh(theta)
-        return (pt * pt + p2 * p2 / (sn * sn)) / (2 * mu) \
-            + potential_value(self.params, theta)
-
-    def grad(self, x) -> tuple:
-        theta, pt, _, _, p2 = x
-        _check_theta(self.params.space, theta)
-        mu = float(self.params.mu)
-        if self.params.space is Space.SPHERE:
-            sn, cs = math.sin(theta), math.cos(theta)
-        else:
-            sn, cs = math.sinh(theta), math.cosh(theta)
-        return (-p2 * p2 * cs / (mu * sn ** 3) + potential_slope(self.params, theta),
-                pt / mu, 0.0, 0.0, p2 / (mu * sn * sn))
+    def __post_init__(self):
+        _bind(self, 5, *_kinetic(self.params, *_potential(self.params)))
 
 
 def hamiltonian(kind: HamiltonianKind, params: ModelParams,

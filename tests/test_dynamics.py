@@ -51,6 +51,24 @@ def full_hamiltonian(space):
     return hamiltonian(kind, full_params(space))
 
 
+# The benchmark's criterion-8 bounded orbits: parameters and initial state.
+BOUNDED_ORBITS = [
+    (Space.SPHERE, Potential.NEWTON, (Fr(1, 4), Fr(1, 2), Fr(1, 10), Fr(0)),
+     (1.4, 0.02, 0.08, 0.04, 0.45)),
+    (Space.HYPERBOLIC, Potential.NEWTON, (Fr(1, 2), Fr(1, 2), Fr(1, 10), Fr(-2)),
+     (1.3, 0.0, 0.02, 0.0, 0.3)),
+    (Space.SPHERE, Potential.OSCILLATOR, (Fr(1, 4), Fr(1, 2), Fr(1, 10), Fr(1)),
+     (1.0, 0.05, 0.1, 0.05, 0.3)),
+    (Space.HYPERBOLIC, Potential.OSCILLATOR, (Fr(1, 2), Fr(1, 2), Fr(1, 10), Fr(1, 4)),
+     (0.7, 0.0, 0.02, 0.0, 0.15)),
+]
+
+
+def max_rel_diff(u, v):
+    """Largest componentwise difference relative to the larger state."""
+    return max(abs(a - b) for a, b in zip(u, v)) / max(map(abs, u + v))
+
+
 def bracket_of_vector_field(space, x):
     """Pi(x) as vector_field applies it: column b is x_dot for h = x_b."""
     params = SimpleNamespace(space=space)
@@ -166,6 +184,41 @@ class TestVectorField:
                         xm[b] -= eps
                         acc += m[a][b] * (h.value(tuple(xp)) - h.value(tuple(xm))) / (2 * eps)
                     assert abs(xdot[a] - acc) / max(1.0, abs(xdot[a])) < 1e-6
+
+
+class TestWrittenOutSteps:
+    """The 5-dim RK4 and Fehlberg steps are the tableau-driven ones written
+    out: the same results, and RK4 is the fourth-order Taylor polynomial
+    of the flow on a linear field."""
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.1])
+    @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
+    def test_match_the_tableau_steps(self, space, pot, args, x0, dt):
+        kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
+            else HamiltonianKind.FULL_HYPERBOLIC
+        f = dynamics.bound_field(hamiltonian(kind, derive_params(space, pot, *args)))
+        assert max_rel_diff(dynamics._rk4_step(f, x0, dt),
+                            dynamics._rk4_tableau(f, x0, dt)) <= 1e-14
+        x5, err = dynamics._rkf45_step(f, x0, dt)
+        x5_ref, err_ref = dynamics._rkf45_tableau(f, x0, dt)
+        assert max_rel_diff(x5, x5_ref) <= 1e-14
+        assert err > 0 and abs(err - err_ref) <= 1e-14 * err_ref
+
+    def test_rk4_on_a_linear_field(self):
+        rng = random.Random(8)
+        a = [[rng.uniform(-1, 1) for _ in range(5)] for _ in range(5)]
+
+        def f(x):
+            return tuple(sum(aij * xj for aij, xj in zip(row, x)) for row in a)
+
+        x = tuple(rng.uniform(-1, 1) for _ in range(5))
+        dt = 0.1
+        term, taylor = x, list(x)         # sum over k <= 4 of (A dt)^k / k! x
+        for k in range(1, 5):
+            term = tuple(v * dt / k for v in f(term))
+            taylor = [s + v for s, v in zip(taylor, term)]
+        assert max_rel_diff(dynamics._rk4_step(f, x, dt), tuple(taylor)) <= 1e-14
+        assert max_rel_diff(dynamics._rk4_tableau(f, x, dt), tuple(taylor)) <= 1e-14
 
 
 class TestStepControl:
@@ -465,6 +518,60 @@ class TestPoincareSection:
         params = sn_params()
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, params)
         assert poincare_section(h, (1.2, 0.1, 0.2, 0.1, 0.3), 0.0) == []
+
+    @pytest.mark.parametrize("shift,crossings", [(-2e-4, 0), (-1e-5, 0),
+                                                 (1e-5, 1), (2e-4, 1)])
+    def test_stops_at_its_horizon(self, shift, crossings):
+        """A crossing after t_end is not reported, also when t_end falls
+        inside the step that brackets it; one before t_end is, from a
+        shortened last step too."""
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        x0 = TestStepControl.X0
+        first = poincare_section(h, x0, 3.0)[0].t      # about 2.73096
+        points = poincare_section(h, x0, first + shift)
+        assert len(points) == crossings
+        for pt in points:
+            assert pt.t == pytest.approx(first, abs=1e-12)
+            assert pt.t <= first + shift
+
+    def test_crossings_match_a_fine_bisection_reference(self):
+        """Every crossing of p1 = 0 over 3 time units, in both directions,
+        against RK4 at step 1e-5 with the crossing step bisected: the same
+        time and state to 1e-9, and exactly on the plane."""
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        x0 = TestStepControl.X0
+        f = dynamics.bound_field(h)
+        step, t_end = 1e-5, 3.0
+        reference = {1: [], -1: []}
+        x = x0
+        for k in range(round(t_end / step)):
+            x_new = dynamics._rk4_step(f, x, step)
+            if x[3] * x_new[3] < 0:
+                lo, hi = 0.0, step
+                while lo < hi and (lo + hi) / 2 not in (lo, hi):
+                    mid = (lo + hi) / 2
+                    if dynamics._rk4_step(f, x, mid)[3] * x[3] > 0:
+                        lo = mid
+                    else:
+                        hi = mid
+                direction = 1 if x[3] < 0 else -1
+                reference[direction].append((k * step + lo, dynamics._rk4_step(f, x, lo)))
+            x = x_new
+        for direction in (1, -1):
+            points = poincare_section(h, x0, t_end, direction=direction)
+            assert len(points) == len(reference[direction]) == 1
+            for pt, (t_ref, x_ref) in zip(points, reference[direction]):
+                assert pt.state[3] == 0.0
+                assert abs(pt.t - t_ref) < 1e-9
+                assert max(abs(a - b) for a, b in zip(pt.state, x_ref)) < 1e-9
+
+    def test_crossing_time_outside_its_step_raises(self):
+        """Under q' = p, p' = 1 from p = 1e-6 the crossing of q = 0 is in the
+        first step, but dt/dq = 1/p is so steep there that Henon's step puts
+        it far outside: StepFailure, not a point."""
+        h = SimpleNamespace(dim=2, grad=lambda x: (-1.0, x[1]))
+        with pytest.raises(StepFailure, match="outside its step"):
+            poincare_section(h, (-0.1, 1e-6), 1.0, coordinate=0, step=1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, value):

@@ -7,7 +7,9 @@ import pytest
 
 from curvedtwobody.exactfield import GaussRational
 from curvedtwobody.linode import reduce_to_second_order, to_normal_form
-from curvedtwobody.models import (DegenerateParameters, DomainError,
+from curvedtwobody.dynamics import StepFailure, integrate, vector_field
+from curvedtwobody.models import (CentralMotionHamiltonian,
+                                  DegenerateParameters, DomainError,
                                   HamiltonianKind, HypothesisViolated,
                                   ModelError, NotMu1,
                                   Potential, Space, build_system,
@@ -25,6 +27,25 @@ ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
 
 def normal_r(params):
     return to_normal_form(reduce_to_second_order(build_system(params))).r
+
+
+def every_evaluator(space, pot):
+    """Each numeric Hamiltonian the program builds for a reference set: both
+    full kinds with and without the potential, the two free parts, the
+    geodesic restriction with and without it, the central motion and, on
+    the sphere, the restricted problem."""
+    params = reference_params(space, pot)
+    full = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
+        else HamiltonianKind.FULL_HYPERBOLIC
+    gamma = HamiltonianKind.GAMMA_RESTRICTION
+    out = [hamiltonian(full, params), hamiltonian(full, params, include_potential=False),
+           hamiltonian(HamiltonianKind.FREE_PART_S1, params),
+           hamiltonian(HamiltonianKind.FREE_PART_S2, params),
+           hamiltonian(gamma, params), hamiltonian(gamma, params, include_potential=False),
+           CentralMotionHamiltonian(params)]
+    if space is Space.SPHERE:
+        out.append(hamiltonian(HamiltonianKind.RESTRICTED_PROBLEM, params, omega=0.7))
+    return out
 
 
 class TestDeriveParams:
@@ -315,25 +336,45 @@ class TestHamiltonians:
             assert abs(alt - (h.value(x) + casimir_half)) < 1e-12
 
     def test_gradient_against_finite_differences(self):
+        """grad against central differences of value, for every evaluator."""
         rng = random.Random(23)
         for space, pot in ALL_CASES:
-            params = reference_params(space, pot)
-            kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
-                else HamiltonianKind.FULL_HYPERBOLIC
-            h = hamiltonian(kind, params)
-            for _ in range(25):
-                x = [rng.uniform(0.4, 1.2), rng.uniform(-1, 1), rng.uniform(-1, 1),
-                     rng.uniform(-1, 1), rng.uniform(-1, 1)]
-                g = h.grad(tuple(x))
-                eps = 1e-6
-                for k in range(5):
-                    xp = list(x)
-                    xm = list(x)
-                    xp[k] += eps
-                    xm[k] -= eps
-                    fd = (h.value(tuple(xp)) - h.value(tuple(xm))) / (2 * eps)
-                    scale = max(1.0, abs(g[k]))
-                    assert abs(g[k] - fd) / scale < 1e-6
+            for h in every_evaluator(space, pot):
+                for _ in range(25):
+                    x = [rng.uniform(0.4, 1.2)] + [rng.uniform(-1, 1)
+                                                   for _ in range(h.dim - 1)]
+                    g = h.grad(tuple(x))
+                    assert len(g) == h.dim
+                    eps = 1e-6
+                    for k in range(h.dim):
+                        xp = list(x)
+                        xm = list(x)
+                        xp[k] += eps
+                        xm[k] -= eps
+                        fd = (h.value(tuple(xp)) - h.value(tuple(xm))) / (2 * eps)
+                        scale = max(1.0, abs(g[k]))
+                        assert abs(g[k] - fd) / scale < 1e-6, (h, k)
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_off_the_chart_every_evaluator(self, space, pot):
+        """A state off the chart raises DomainError from grad and value, and
+        StepFailure with the same text from vector_field and integrate."""
+        thetas = (0.0, -0.5) if space is Space.HYPERBOLIC else (0.0, -0.5, math.pi, 3.5)
+        for h in every_evaluator(space, pot):
+            for theta in thetas:
+                x = (theta,) + (0.1,) * (h.dim - 1)
+                with pytest.raises(DomainError, match="outside") as grad_exc:
+                    h.grad(x)
+                with pytest.raises(DomainError) as value_exc:
+                    h.value(x)
+                message = str(grad_exc.value)
+                assert str(value_exc.value) == message
+                with pytest.raises(StepFailure) as field_exc:
+                    vector_field(h, x)
+                assert str(field_exc.value) == message
+                with pytest.raises(StepFailure) as run_exc:
+                    integrate(h, x, 1.0)
+                assert str(run_exc.value).endswith(message)
 
     def test_restricted_problem_gradient(self):
         params = reference_params(Space.SPHERE, Potential.NEWTON)

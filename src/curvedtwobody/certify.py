@@ -190,6 +190,29 @@ def _factor_over(poly: Poly, bases: tuple[Poly, ...]) -> dict:
     return exps
 
 
+def _den_over(f: RatFunc, z0: TowerScalar, pairs) -> dict:
+    """_factor_over(f.den, (z - z0, z^2 - c^2 for c in pairs)), read off
+    f's exponent map: the base z^2 - c^2 takes the copies common to c and
+    -c, and the cofactor is what is left of the map times the rest."""
+    roots = dict(f.roots)
+    exps = {}
+    k = roots.pop(z0, 0)
+    if k:
+        exps[0] = k
+    for i, c in enumerate(pairs, 1):
+        k = min(roots.get(c, 0), roots.get(-c, 0))
+        if k:
+            exps[i] = k
+            roots[c] -= k
+            roots[-c] -= k
+    rest = Poly.from_roots(f.ctx, roots.items())
+    if f.rest.degree() > 0:
+        rest = rest * f.rest
+    if rest.degree() > 0:
+        exps[rest] = 1
+    return exps
+
+
 def _add(*vectors: dict) -> dict:
     out = {}
     for vec in vectors:
@@ -220,25 +243,28 @@ def clearing_bound(system: FirstOrderSystem, table: models.CoefficientTable,
     """
     ctx = params.ctx
     one = ctx.one
-    bases = (Poly(ctx, [-params.z0_scalar(), one]),
+    z0 = params.z0_scalar()
+    bases = (Poly(ctx, [-z0, one]),
              Poly(ctx, [-ctx.from_gauss(params.kappa2), ctx.zero, one]),
              Poly(ctx, [-ctx.from_gauss(params.lambda2), ctx.zero, one]))
+    pairs = (params.kappa_value(), params.lambda_value())
     A, B, C, f = system.A, system.B, system.C, system.weight
-    split = {}
 
-    def vec(poly: Poly) -> dict:
-        if poly not in split:
-            split[poly] = _factor_over(poly, bases)
-        return split[poly]
+    def num_vec(part: Optional[RatFunc]) -> dict:
+        return _factor_over(part.num, bases) if part is not None else {}
 
-    log_parts = [C.num, C.den] + ([f.num, f.den] if f is not None else [])
-    radical = {key: 2 for part in log_parts for key in vec(part)}
+    def den_vec(part: Optional[RatFunc]) -> dict:
+        return _den_over(part, z0, pairs) if part is not None else {}
+
+    c_num, c_den, f_num, f_den, a_den = (num_vec(C), den_vec(C), num_vec(f),
+                                         den_vec(f), den_vec(A))
+    radical = {key: 2 for vec in (c_num, c_den, f_num, f_den) for key in vec}
     # the numerators of C and f cancel base factors of den C den B den f
-    cbf = _add(*(vec(part.den) for part in (C, B, f) if part is not None))
-    for key, e in _add(vec(C.num), vec(f.num) if f is not None else {}).items():
+    cbf = _add(c_den, den_vec(B), f_den)
+    for key, e in _add(c_num, f_num).items():
         if isinstance(key, int) and key in cbf:
             cbf[key] = max(cbf[key] - e, 0)
-    needs = [radical, _add(vec(A.den), vec(A.den)), cbf, {0: 2, 1: 2, 2: 2}]
+    needs = [radical, _add(a_den, a_den), cbf, {0: 2, 1: 2, 2: 2}]
     exps = {}
     for need in needs:
         for key, e in need.items():

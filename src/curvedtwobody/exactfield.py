@@ -406,7 +406,8 @@ class TowerScalar:
                 and self.c11 == other.c11)
 
     def __hash__(self):
-        return hash((self.c00, self.c10, self.c01, self.c11))
+        # equal scalars have equal coordinates, so their numerators suffice
+        return hash((self.c00.x, self.c00.y, self.c10.x, self.c01.x, self.c11.x))
 
     # -- predicates and embeddings --------------------------------------
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .exactfield import TowerContext, TowerScalar
 from .linode import (NormalFormODE, SingularitySpectrum, SingularPoint,
                      symmetric_power_residual)
-from .ratcalc import Poly, RatFunc
+from .ratcalc import Poly, RatFunc, assemble_over_poles, clear_denominators
 
 
 class KovacicError(Exception):
@@ -99,29 +99,26 @@ def candidates(esets: Sequence[tuple[SingularPoint, tuple[int, ...]]]) -> list[E
 # ---------------------------------------------------------------------------
 
 
+def _simple_poles(ctx: TowerContext, weights) -> RatFunc:
+    """sum w / (z - c) over the (c, w) with w != 0, over prod (z - c)."""
+    weights = [(c, w) for c, w in weights if w]
+    return assemble_over_poles(ctx, [(c, 1) for c, _ in weights],
+                               {(j, 1): w for j, (_, w) in enumerate(weights)})
+
+
 def theta(ctx: TowerContext, e: ECandidate) -> RatFunc:
     """Theta = 1/2 sum e_c / (z - c) over the finite singular points."""
-    out = RatFunc.constant(ctx, 0)
-    half = RatFunc.constant(ctx, Fraction(1, 2))
-    for loc, ec in e.finite:
-        if ec == 0:
-            continue
-        term = RatFunc(Poly.constant(ctx, ctx.from_rational(ec)),
-                       Poly(ctx, [-loc, ctx.one]))
-        out = out + half * term
-    return out
+    return _simple_poles(ctx, [(loc, Fraction(ec, 2)) for loc, ec in e.finite])
 
 
 def xi(normal: NormalFormODE, th: RatFunc) -> RatFunc:
-    """Xi = Theta'' + 3 Theta Theta' + Theta^3 - 4 r Theta - 2 r'."""
+    """Xi = Theta'' + 3 Theta Theta' + Theta^3 - 4 r Theta - 2 r', formed as
+    Theta'' + Theta (3 Theta' + Theta^2 - 4 r) - 2 r'."""
     r = normal.r
     ctx = r.ctx
     tp = th.derivative()
-    tpp = tp.derivative()
-    three = RatFunc.constant(ctx, 3)
-    four = RatFunc.constant(ctx, 4)
-    two = RatFunc.constant(ctx, 2)
-    return tpp + three * th * tp + th * th * th - four * r * th - two * r.derivative()
+    inner = RatFunc.constant(ctx, 3) * tp + th * th - RatFunc.constant(ctx, 4) * r
+    return tp.derivative() + th * inner - RatFunc.constant(ctx, 2) * normal.r_prime
 
 
 @dataclass(frozen=True)
@@ -142,11 +139,7 @@ def _solve_P(coeffs: Sequence[RatFunc], d: int,
     read off D L(z^k) = sum_j k!/(k-j)! N_j z^(k-j); orders j > d never
     contribute, so their N_j are not built."""
     ctx = coeffs[0].ctx
-    coeffs = coeffs[:d + 1]
-    den = Poly.constant(ctx, 1)
-    for a in coeffs:
-        den = a.den * RatFunc(a.den, den).den
-    nums = [(a.num * (den // a.den)).coeffs for a in coeffs]
+    nums = [n.coeffs for n in clear_denominators(coeffs[:d + 1])]
     rows = max(len(n) + d - j for j, n in enumerate(nums))
     cols = []
     for k in range(d + 1):
@@ -235,7 +228,7 @@ def search_P(normal: NormalFormODE, e: ECandidate, th: Optional[RatFunc] = None,
     p_poly = _solve_P(_case2_coefficients(normal, th, c0, d), d)
     if p_poly is None:
         return None
-    psi = th + RatFunc.from_poly(p_poly.derivative()) / RatFunc.from_poly(p_poly)
+    psi = th + RatFunc(p_poly.derivative(), p_poly)
     half = RatFunc.constant(ctx, Fraction(1, 2))
     const_term = half * psi.derivative() + half * psi * psi - r
     return Case2Solution(e, p_poly, psi, const_term)
@@ -305,18 +298,13 @@ def case1_search(normal: NormalFormODE,
 def _solve_exponent_assignment(normal, finite, rho_choice, n):
     """Monic P (degree n) with P'' + 2 phi P' + (phi' + phi^2 - r) P = 0."""
     ctx = normal.r.ctx
-    phi = RatFunc.constant(ctx, 0)
-    for pt, rho in zip(finite, rho_choice):
-        if rho == 0:
-            continue
-        phi = phi + RatFunc(Poly.constant(ctx, ctx.from_rational(rho)),
-                            Poly(ctx, [-pt.location, ctx.one]))
+    phi = _simple_poles(ctx, [(pt.location, rho) for pt, rho in zip(finite, rho_choice)])
     c0 = phi.derivative() + phi * phi - normal.r
     p_poly = _solve_P([c0, RatFunc.constant(ctx, 2) * phi, RatFunc.constant(ctx, 1)],
                       n, unique=True)
     if p_poly is None:
         return None
-    omega = phi + RatFunc.from_poly(p_poly.derivative()) / RatFunc.from_poly(p_poly)
+    omega = phi + RatFunc(p_poly.derivative(), p_poly)
     return p_poly, omega
 
 
@@ -379,9 +367,9 @@ def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum) -> PairExcl
                 continue
             res_deg = res_lead = None
             if n == 0:
-                res = symmetric_power_residual(normal, RatFunc(
+                res = symmetric_power_residual(normal, RatFunc.over(
                     Poly.from_roots(ctx, [(c, s) for c, s in orders if s > 0]),
-                    Poly.from_roots(ctx, [(c, -s) for c, s in orders if s < 0])))
+                    {c: -s for c, s in orders if s < 0}))
                 solvable = res.is_zero()
                 if not solvable:
                     res_deg, res_lead = res.num.degree(), res.num.leading()

@@ -8,11 +8,12 @@ power residual used by the product-of-solutions test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactfield import TowerContext, TowerScalar, rational_sqrt
-from .ratcalc import BadFactorization, PoleEvaluation, Poly, RatFunc
+from .ratcalc import BadFactorization, PoleEvaluation, RatFunc, exponent_map
 
 
 class LinOdeError(Exception):
@@ -47,9 +48,13 @@ class SecondOrderODE:
 
 @dataclass(frozen=True)
 class NormalFormODE:
-    """y'' = r y."""
+    """y'' = r y; r' is computed once, on first use."""
 
     r: RatFunc
+
+    @cached_property
+    def r_prime(self) -> RatFunc:
+        return self.r.derivative()
 
 
 def reduce_to_second_order(system: FirstOrderSystem) -> SecondOrderODE:
@@ -207,11 +212,12 @@ def singularity_spectrum(normal: NormalFormODE,
                          poles: Sequence[tuple[TowerScalar, int]]) -> SingularitySpectrum:
     """Per-point order, alpha (the (z-c)^-2 coefficient), delta data and
     exponent pairs, including the point at infinity in the 1/z chart."""
-    r = normal.r
-    ctx = r.ctx
-    if not r.is_zero() and Poly.from_roots(ctx, poles) != r.den:
+    ctx = normal.r.ctx
+    given = exponent_map(poles)
+    r = normal.r.split_over(given)
+    if not r.is_zero() and (r.roots != given or r.rest.degree() > 0):
         raise BadFactorization("supplied poles do not factor den(r)")
-    if r.is_zero() and any(m > 0 for _, m in poles):
+    if r.is_zero() and given:
         raise BadFactorization("zero r has no poles")
     points = []
     for c, mult in poles:
@@ -219,8 +225,7 @@ def singularity_spectrum(normal: NormalFormODE,
             raise NonFuchsianEquation(
                 f"pole of order {mult} at {c.render()}: not regular singular")
         if mult == 2:
-            rest, _ = r.den.strip(Poly(ctx, [-c, ctx.one]))
-            alpha = r.num.evaluate(c) / rest.evaluate(c)
+            alpha = r.polar_leading(c)
         else:
             alpha = ctx.zero
         delta_sq, d_rat = _delta_data(ctx, alpha)
@@ -257,4 +262,4 @@ def symmetric_power_residual(normal: NormalFormODE, v: RatFunc) -> RatFunc:
     two = RatFunc.constant(ctx, 2)
     vp = v.derivative()
     vppp = vp.derivative().derivative()
-    return vppp - four * r * vp - two * r.derivative() * v
+    return vppp - four * r * vp - two * normal.r_prime * v

@@ -152,39 +152,43 @@ def derive_params(space: Space, potential: Potential, strength, mu, p, eps) -> M
 
 
 def build_system(params: ModelParams) -> FirstOrderSystem:
-    """A, B, C (and the oscillator weight f) as exact rational functions."""
+    """A, B, C (and the oscillator weight f) as exact rational functions.
+
+    Every denominator is built factored over its known roots
+    (gamma_curve_identity): den = f^2 + 1 (sphere) or f^2 - 1 (hyperbolic)
+    vanishes at +-kappa and +-lambda for Newton; for the oscillator f
+    vanishes at +-lambda and f + 1 (sphere) or 1 - f (hyperbolic) at
+    +-kappa, and den is their product."""
     ctx = params.ctx
     s, mu, p = params.strength, params.mu, params.p
+    k, lam = params.kappa_value(), params.lambda_value()
     z = RatFunc.x(ctx)
+    one = Poly.constant(ctx, 1)
 
     def const(q) -> RatFunc:
         return RatFunc.constant(ctx, q)
 
-    if params.potential is Potential.NEWTON:
-        f = RatFunc.from_poly(Poly.from_rationals(ctx, [-params.eps, 0, s / (2 * mu)]))
-        lin = const(s) * z + const((2 - mu) * p)
-        c_num = const(s) * z - const(mu * p)
-        if params.space is Space.SPHERE:
-            den = f * f + const(1)
-            a = const(p) * f / den
-            b = const(p / mu) - lin / den
-        else:
-            den = f * f - const(1)
-            a = const(p) * f / den
-            b = const(p / mu) + lin / den
-        return FirstOrderSystem(A=a, B=b, C=c_num / den, weight=None)
+    def reciprocal(poly: Poly, *roots) -> RatFunc:
+        """1/poly for poly = leading coefficient * prod (z - c) over roots."""
+        return RatFunc.over(Poly.constant(ctx, poly.leading().inverse()),
+                            dict.fromkeys(roots, 1))
 
-    f = RatFunc.from_poly(Poly.from_rationals(ctx, [2 * params.eps, 0, -s / mu]))
+    sign = 1 if params.space is Space.SPHERE else -1
     lin = const(s) * z + const((2 - mu) * p)
     c_num = const(s) * z - const(mu * p)
-    if params.space is Space.SPHERE:
-        den = f * (f + const(1))
-        b = const(p / mu) / (f * f) - lin / den
-    else:
-        den = f * (const(1) - f)
-        b = const(p / mu) / (f * f) + lin / den
-    a = const(p) / den
-    return FirstOrderSystem(A=a, B=b, C=c_num / den, weight=f)
+    if params.potential is Potential.NEWTON:
+        fp = Poly.from_rationals(ctx, [-params.eps, 0, s / (2 * mu)])
+        inv_den = reciprocal(fp * fp + Poly.constant(ctx, sign), k, -k, lam, -lam)
+        return FirstOrderSystem(A=const(p) * RatFunc.from_poly(fp) * inv_den,
+                                B=const(p / mu) - const(sign) * lin * inv_den,
+                                C=c_num * inv_den, weight=None)
+
+    fp = Poly.from_rationals(ctx, [2 * params.eps, 0, -s / mu])
+    inv_f = reciprocal(fp, lam, -lam)
+    inv_den = inv_f * reciprocal(fp + one if sign == 1 else one - fp, k, -k)
+    return FirstOrderSystem(A=const(p) * inv_den,
+                            B=const(p / mu) * inv_f * inv_f - const(sign) * lin * inv_den,
+                            C=c_num * inv_den, weight=RatFunc.from_poly(fp))
 
 
 def gamma_curve_identity(params: ModelParams) -> bool:
@@ -423,14 +427,15 @@ def detect_poles(params: ModelParams, r: RatFunc) -> list[tuple[TowerScalar, int
     At mu = 1 most candidates cancel; callers always get the true
     factorization.  Raises if the candidates do not exhaust den(r).
     """
-    ctx = params.ctx
+    cands = candidate_poles(params)
+    r = r.split_over(cands)
+    orders = dict(r.roots)
     out = []
-    rest = r.den
-    for cpole in candidate_poles(params):
-        rest, m = rest.strip(Poly(ctx, [-cpole, ctx.one]))
+    for cpole in cands:
+        m = orders.pop(cpole, 0)
         if m:
             out.append((cpole, m))
-    if rest.degree() > 0:
+    if orders or r.rest.degree() > 0:
         raise DegenerateParameters("den(r) has factors outside the closed-form poles")
     return out
 

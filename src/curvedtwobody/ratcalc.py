@@ -1,14 +1,16 @@
 """Univariate polynomial and rational-function calculus over a tower context.
 
-Dense polynomials with TowerScalar coefficients; rational functions kept
-normalized (monic denominator, gcd(num, den) = 1).  Lowest terms come
-from what the context knows: the pipeline's denominators factor over
-z - z0, z^2 - kappa^2 and z^2 - lambda^2, so the quadratics and their
-roots +-sqrt_a(), +-sqrt_b() are cancelled by synthetic division and the
-Euclidean poly_gcd runs only on the rest of the denominator (z - z0
-powers, or P from P'/P).  Pole locations are always supplied by callers
-in closed form, so no root finding happens here; partial fractions use
-the Taylor method at each supplied root.
+Dense polynomials with TowerScalar coefficients.  A rational function is
+kept in lowest terms with its monic denominator factored: exponents over
+linear factors z - c plus a monic rest with none of those roots.  The
+pipeline's denominators all split over z - z0, z -+ kappa and z -+ lambda,
+so products add exponents, sums work over the lcm, and lowest terms only
+test the numerator at the roots by synthetic division.  Euclid (poly_gcd)
+runs only against a non-constant rest, which comes from a denominator
+given dense with a factor the context does not know (the P of P'/P).  Pole
+locations are always supplied by callers in closed form, so no root
+finding happens here; partial fractions use the Taylor method at each
+supplied root.
 """
 from __future__ import annotations
 
@@ -61,10 +63,20 @@ class Poly:
 
     @staticmethod
     def from_roots(ctx: TowerContext, roots: Iterable[tuple[TowerScalar, int]]) -> Poly:
-        out = Poly.constant(ctx, 1)
-        for root, mult in roots:
-            lin = Poly(ctx, [-root, ctx.one])
-            for _ in range(mult):
+        """prod (z - c)^m; the copies common to c and -c are multiplied in
+        as z^2 - c^2, which has Gaussian coefficients for c = kappa, lambda."""
+        left = exponent_map(roots)
+        out = Poly(ctx, [ctx.one])
+        for c in list(left):
+            e = left.pop(c, 0)
+            k = min(e, left.get(-c, 0))
+            if k:
+                left[-c] -= k
+                quad = Poly(ctx, [-(c * c), ctx.zero, ctx.one])
+                for _ in range(k):
+                    out = out * quad
+            lin = Poly(ctx, [-c, ctx.one])
+            for _ in range(e - k):
                 out = out * lin
         return out
 
@@ -220,105 +232,237 @@ def _quadratic_divmod(coeffs, a: TowerScalar):
     return q, r0, r1
 
 
-def _times_quadratic(p: Poly, a: TowerScalar) -> Poly:
-    """p * (z^2 - a)."""
-    cs = p.coeffs
-    zero = p.ctx.zero
-    out = [-(a * c) for c in cs] + [zero, zero]
-    for k, c in enumerate(cs):
-        out[k + 2] = out[k + 2] + c
-    return Poly(p.ctx, out)
+def _linear_divmod(coeffs, c: TowerScalar):
+    """Quotient and remainder p(c) of sum coeffs[k] z^k (not empty) by z - c."""
+    q = [None] * (len(coeffs) - 1)
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        q[k] = acc
+        acc = coeffs[k] + acc * c
+    return q, acc
 
 
-def _lowest_terms(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """num/g, den/g for g = gcd(num, den), not normalized.
+def _deflate(p: Poly, c: TowerScalar, e: int) -> tuple[Poly, int]:
+    """(p / (z - c)^k, k) for the largest k <= e with (z - c)^k | p."""
+    k = 0
+    while k < e and p.degree() > 0:
+        q, rem = _linear_divmod(p.coeffs, c)
+        if not rem.is_zero():
+            break
+        p, k = Poly(p.ctx, q), k + 1
+    return p, k
 
-    Copies of z^2 - a and z^2 - b (a = kappa^2, b = lambda^2) are
-    stripped from den by synthetic division and cancelled against num,
-    whole or through one root +-sqrt_a(), +-sqrt_b() found from the
-    remainder; Euclid runs only on what is left of den.  This is
-    gcd(num, QR) = gcd(num, Q) * gcd(num / gcd(num, Q), R) for the known
-    part Q of den."""
-    ctx = num.ctx
-    rest = den
-    cancelled = False
-    kept = []       # (a, cancelled root, copies of z^2 - a, copies of z + root) left
-    for s, sqrt in ((ctx.a, ctx.sqrt_a), (ctx.b, ctx.sqrt_b)):
-        a = ctx.from_gauss(s)
-        k = 0
-        while rest.degree() >= 2:
-            q, r0, r1 = _quadratic_divmod(rest.coeffs, a)
-            if not (r0.is_zero() and r1.is_zero()):
-                break
-            rest = Poly(ctx, q)
-            k += 1
-        while k:
-            q, r0, r1 = _quadratic_divmod(num.coeffs, a)
-            if not (r0.is_zero() and r1.is_zero()):
-                break
-            num = Poly(ctx, q)
-            k -= 1
-            cancelled = True
-        m, root = 0, None
-        if k:
-            c = sqrt()
+
+def _deflate_pair(p: Poly, c: TowerScalar, e_plus: int, e_minus: int):
+    """_deflate at c and at -c, with one remainder mod z^2 - c^2 per step
+    while both may still divide."""
+    c2 = c * c
+    k, plus, minus = 0, True, True
+    while k < min(e_plus, e_minus) and p.degree() > 0:
+        q, r0, r1 = _quadratic_divmod(p.coeffs, c2)
+        if not (r0.is_zero() and r1.is_zero()):
             cr1 = c * r1
-            if (r0 + cr1).is_zero():
-                root = c
-            elif (r0 - cr1).is_zero():
-                root = -c
-            if root is not None:
-                lin = Poly(ctx, [-root, ctx.one])
-                while m < k:
-                    num = num // lin
-                    m += 1
-                    _, r0, r1 = _quadratic_divmod(num.coeffs, a)
-                    if not (r0 + root * r1).is_zero():
-                        break
-                cancelled = True
-        kept.append((a, root, k - m, m))
-    if rest.degree() > 0:
+            plus, minus = (r0 + cr1).is_zero(), (r0 - cr1).is_zero()
+            break
+        p, k = Poly(p.ctx, q), k + 1
+    j_plus = j_minus = 0
+    if plus:
+        p, j_plus = _deflate(p, c, e_plus - k)
+    if minus:
+        p, j_minus = _deflate(p, -c, e_minus - k)
+    return p, k + j_plus, k + j_minus
+
+
+def _promote(roots: dict, rest: Poly) -> tuple[dict, Poly]:
+    """A linear rest z - c becomes the root c."""
+    if rest.degree() == 1:
+        c = -rest.coeffs[0]
+        roots = dict(roots)
+        roots[c] = roots.get(c, 0) + 1
+        rest = Poly(rest.ctx, [rest.ctx.one])
+    return roots, rest
+
+
+def _split_rest(roots: dict, rest: Poly, keys) -> tuple[dict, Poly]:
+    """Move every factor z - c, c in keys, out of rest and into roots."""
+    if rest.degree() <= 0:
+        return roots, rest
+    roots = dict(roots)
+    for c in keys:
+        rest, j = _deflate(rest, c, rest.degree())
+        if j:
+            roots[c] = roots.get(c, 0) + j
+    return _promote(roots, rest)
+
+
+def _factor(p: Poly) -> tuple[TowerScalar, dict, Poly]:
+    """(lead, roots, rest) with p = lead * prod (z - c)^e * rest.
+
+    Whole copies of z^2 - a and z^2 - b (a = kappa^2, b = lambda^2) and
+    their single roots +-sqrt_a(), +-sqrt_b() come off by synthetic
+    division.  A linear leftover becomes a root; anything else is the monic
+    rest."""
+    ctx = p.ctx
+    lead = p.leading()
+    if lead != ctx.one:
+        p = p.scale(lead.inverse())
+    roots = {}
+    for s, sqrt in ((ctx.a, ctx.sqrt_a), (ctx.b, ctx.sqrt_b)):
+        if p.degree() < 2:
+            break
+        a = ctx.from_gauss(s)
+        k, rem = 0, None
+        while p.degree() >= 2:
+            q, r0, r1 = _quadratic_divmod(p.coeffs, a)
+            if not (r0.is_zero() and r1.is_zero()):
+                rem = (r0, r1)
+                break
+            p, k = Poly(ctx, q), k + 1
+        c = sqrt()
+        hits = ()
+        if rem is not None:
+            cr1 = c * rem[1]
+            hits = [x for x, v in ((c, rem[0] + cr1), (-c, rem[0] - cr1)) if v.is_zero()]
+        for x in (c, -c):
+            j = 0
+            if x in hits:
+                p, j = _deflate(p, x, p.degree())
+            if k + j:
+                roots[x] = k + j
+    roots, p = _promote(roots, p)
+    return lead, roots, p
+
+
+def _lowest_terms(num: Poly, roots: dict, rest: Poly,
+                  keys=None) -> tuple[Poly, dict, Poly]:
+    """num over prod (z - c)^e * rest, brought to lowest terms.
+
+    num is divided by z - c while it vanishes at c, for each root c in
+    keys (all roots by default), a pair +-c through one remainder mod
+    z^2 - c^2; gcd(num, rest) is cancelled when rest is not constant, the
+    one place Euclid runs."""
+    if num.degree() <= 0:
+        return num, roots, rest
+    test = roots if keys is None else keys
+    cut = {}
+    done = set()
+    for c in test:
+        if c in done:
+            continue
+        m = -c
+        if not c.is_zero() and m in test:
+            done.add(m)
+            num, k, j = _deflate_pair(num, c, roots[c], roots[m])
+            cut[c], cut[m] = k, j
+        else:
+            num, cut[c] = _deflate(num, c, roots[c])
+    out = roots
+    if any(cut.values()):
+        out = {c: e - cut.get(c, 0) for c, e in roots.items() if e > cut.get(c, 0)}
+    if rest.degree() > 0 and num.degree() > 0:
         g = poly_gcd(num, rest)
         if g.degree() > 0:
-            num = num // g
-            rest = rest // g
-            cancelled = True
-    if not cancelled:
-        return num, den
-    for a, root, j, m in kept:
-        for _ in range(j):
-            rest = _times_quadratic(rest, a)
-        if m:
-            rest = rest * Poly.from_roots(ctx, [(-root, m)])
-    return num, rest
+            num, rest = num // g, rest // g
+            out, rest = _promote(out, rest)
+    return num, out, rest
+
+
+def _parts(fs: Sequence[RatFunc]) -> list[tuple[dict, Poly]]:
+    """Each (roots, rest) of fs, with every root of the others split out of
+    a non-constant rest, so that no rest shares a factor with any roots."""
+    parts = [(f.roots, f.rest) for f in fs]
+    if any(rest.degree() > 0 for _, rest in parts):
+        keys = list(dict.fromkeys(c for roots, _ in parts for c in roots))
+        parts = [_split_rest(roots, rest, keys) for roots, rest in parts]
+    return parts
+
+
+def _over_lcm(fs: Sequence[RatFunc]):
+    """(roots, rest, numerators, parts) for the least common denominator
+    D = prod (z - c)^e * rest of fs: e is the largest exponent of each
+    root, numerators[j] = D fs[j], and parts[j] is _parts(fs)[j].  Euclid
+    runs only when two rests are non-constant and differ."""
+    ctx = fs[0].ctx
+    parts = _parts(fs)
+    roots = {}
+    rest = Poly(ctx, [ctx.one])
+    for froots, frest in parts:
+        for c, e in froots.items():
+            if e > roots.get(c, 0):
+                roots[c] = e
+        if frest.degree() > 0 and frest != rest:
+            rest = frest if rest.degree() <= 0 else rest * (frest // poly_gcd(rest, frest))
+    nums = []
+    for f, (froots, frest) in zip(fs, parts):
+        num = f.num
+        cof = [(c, e - froots.get(c, 0)) for c, e in roots.items()]
+        if any(k for _, k in cof) and not num.is_zero():
+            num = num * Poly.from_roots(ctx, cof)
+        if rest.degree() > frest.degree():
+            num = num * (rest // frest)
+        nums.append(num)
+    return roots, rest, nums, parts
+
+
+def clear_denominators(fs: Sequence[RatFunc]) -> list[Poly]:
+    """The numerators D f over the least common denominator D of fs."""
+    return _over_lcm(fs)[2]
 
 
 class RatFunc:
-    """Reduced ratio num/den with monic denominator.
+    """num / den in lowest terms, with den monic and kept factored.
 
-    The reduced form is unique, so it equals num/g, den/g for the monic
-    g = poly_gcd(num, den), scaled to a monic den; it is reached through
-    _lowest_terms, which spends Euclid only on the unknown factors."""
+    den = prod (z - c)^e * rest: ``roots`` maps each known root c to its
+    exponent e > 0, and ``rest`` is the monic part with none of those
+    roots.  The pipeline's denominators split over z - z0, z -+ kappa and
+    z -+ lambda, so rest is non-constant only for a denominator that came
+    in dense with a factor the context does not know (a P from P'/P).
 
-    __slots__ = ("num", "den")
+    Products add exponents, sums and differences work over the lcm (the
+    larger exponent of each root), and the derivative raises each exponent
+    by one.  Lowest terms test the numerator only at roots it can share
+    with the denominator, a pair +-c through one remainder mod z^2 - c^2,
+    and Euclid (poly_gcd) runs only against a non-constant rest.  A dense
+    denominator passed to the constructor is split by _factor.  The dense
+    monic ``den`` is built on first use; equality and hashing read the
+    reduced num and den, which are unique."""
+
+    __slots__ = ("num", "roots", "rest", "_den")
 
     def __init__(self, num: Poly, den: Optional[Poly] = None):
+        ctx = num.ctx
         if den is None:
-            den = Poly.constant(num.ctx, 1)
+            den = Poly(ctx, [ctx.one])
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
+        lead, roots, rest = _factor(den)
         if num.is_zero():
-            den = Poly.constant(num.ctx, 1)
-        elif num.degree() > 0 and den.degree() > 0:
-            num, den = _lowest_terms(num, den)
-        if not (den.degree() == 0 and den.leading() == num.ctx.one):
-            inv = den.leading().inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
+            roots, rest = {}, Poly(ctx, [ctx.one])
+        else:
+            if lead != ctx.one:
+                num = num.scale(lead.inverse())
+            num, roots, rest = _lowest_terms(num, roots, rest)
+        self.num, self.roots, self.rest, self._den = num, roots, rest, None
+
+    @staticmethod
+    def _of(num: Poly, roots: dict, rest: Poly) -> RatFunc:
+        """num / (prod (z - c)^e * rest), already in lowest terms."""
+        out = object.__new__(RatFunc)
+        out.num, out.roots, out.rest, out._den = num, roots, rest, None
+        return out
 
     # -- constructors -----------------------------------------------------
+
+    @staticmethod
+    def over(num: Poly, roots: dict, rest: Optional[Poly] = None) -> RatFunc:
+        """num / (prod (z - c)^e * rest) for exponents e >= 0 and a monic
+        rest (default 1) with none of the roots, in lowest terms."""
+        ctx = num.ctx
+        if rest is None:
+            rest = Poly(ctx, [ctx.one])
+        if num.is_zero():
+            return RatFunc(num)
+        return RatFunc._of(*_lowest_terms(num, {c: e for c, e in roots.items() if e}, rest))
 
     @staticmethod
     def from_poly(p: Poly) -> RatFunc:
@@ -336,50 +480,132 @@ class RatFunc:
     def ctx(self) -> TowerContext:
         return self.num.ctx
 
+    @property
+    def den(self) -> Poly:
+        """The dense monic denominator."""
+        if self._den is None:
+            den = Poly.from_roots(self.ctx, self.roots.items())
+            self._den = den * self.rest if self.rest.degree() > 0 else den
+        return self._den
+
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den.degree() == 0
+        return not self.roots and self.rest.degree() == 0
+
+    def split_over(self, keys) -> RatFunc:
+        """The same function with the factors z - c, c in keys, moved out of
+        rest and into roots."""
+        if self.rest.degree() <= 0:
+            return self
+        return RatFunc._of(self.num, *_split_rest(self.roots, self.rest, keys))
 
     # -- field operations ---------------------------------------------------
 
     def __add__(self, other: RatFunc) -> RatFunc:
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        roots, rest, (n1, n2), ((r1, _), (r2, _)) = _over_lcm((self, other))
+        num = n1 + n2
+        if num.is_zero():
+            return RatFunc(num)
+        # only a root with the same exponent on both sides can cancel
+        keys = [c for c, e in r1.items() if r2.get(c) == e]
+        return RatFunc._of(*_lowest_terms(num, roots, rest, keys))
 
     def __sub__(self, other: RatFunc) -> RatFunc:
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
+        return self + (-other)
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
+        return RatFunc._of(-self.num, self.roots, self.rest)
 
     def __mul__(self, other: RatFunc) -> RatFunc:
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
+        (r1, d1), (r2, d2) = _parts((self, other))
+        # each numerator is already coprime to its own denominator
+        n1, r2, d2 = _lowest_terms(self.num, r2, d2)
+        n2, r1, d1 = _lowest_terms(other.num, r1, d1)
+        roots = dict(r1)
+        for c, e in r2.items():
+            roots[c] = roots.get(c, 0) + e
+        rest = d2 if d1.degree() <= 0 else (d1 if d2.degree() <= 0 else d1 * d2)
+        return RatFunc._of(n1 * n2, roots, rest)
 
     def __truediv__(self, other: RatFunc) -> RatFunc:
+        """self times 1/other, whose denominator is other's numerator split
+        by _factor."""
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        lead, roots, rest = _factor(other.num)
+        num = other.den if lead == self.ctx.one else other.den.scale(lead.inverse())
+        return self * RatFunc._of(num, roots, rest)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if self.num != other.num:
+            return False
+        return ((self.roots == other.roots and self.rest == other.rest)
+                or self.den == other.den)
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def derivative(self) -> RatFunc:
-        return RatFunc(self.num.derivative() * self.den - self.num * self.den.derivative(),
-                       self.den * self.den)
+        """(num/(Q rest))' with Q = prod (z - c)^e and S = prod (z - c):
+        Q'/Q = T/S for T = sum e S/(z - c), so the derivative is
+        (num' S rest - num (T rest + S rest')) / (Q S rest^2); at the roots
+        nothing cancels, so each exponent rises by one.  With S_e the
+        product over the roots of exponent e, S = prod S_e and
+        T = sum e S_e' S / S_e."""
+        ctx = self.ctx
+        num, roots, rest = self.num, self.roots, self.rest
+        if not roots and rest.degree() <= 0:
+            return RatFunc._of(num.derivative(), roots, rest)
+        groups = {}
+        for c, e in roots.items():
+            groups.setdefault(e, []).append((c, 1))
+        factors = [(e, Poly.from_roots(ctx, group)) for e, group in groups.items()]
+        s = Poly(ctx, [ctx.one])
+        t = Poly(ctx, [])
+        for i, (e, f) in enumerate(factors):
+            s = s * f
+            term = f.derivative().scale(ctx.from_rational(e))
+            for j, (_, g) in enumerate(factors):
+                if j != i:
+                    term = term * g
+            t = t + term
+        up = {c: e + 1 for c, e in roots.items()}
+        if rest.degree() <= 0:
+            return RatFunc._of(num.derivative() * s - num * t, up, rest)
+        out = num.derivative() * s * rest - num * (t * rest + s * rest.derivative())
+        return RatFunc._of(*_lowest_terms(out, up, rest * rest, keys=()))
+
+    def _den_at(self, z: TowerScalar, skip: Optional[TowerScalar] = None) -> TowerScalar:
+        """den(z), leaving out the factor (z - skip)^e."""
+        d = self.rest.evaluate(z)
+        for c, e in self.roots.items():
+            if c != skip:
+                w = z - c
+                for _ in range(e):
+                    d = d * w
+        return d
 
     def evaluate(self, z: TowerScalar) -> TowerScalar:
-        d = self.den.evaluate(z)
+        d = self._den_at(z)
         if d.is_zero():
             raise PoleEvaluation("evaluation at a pole")
         return self.num.evaluate(z) / d
+
+    def polar_leading(self, c: TowerScalar) -> TowerScalar:
+        """The coefficient of (z - c)^-e at a root c of exponent e."""
+        return self.num.evaluate(c) / self._den_at(c, skip=c)
 
     def embed_complex(self, z: complex, branch=(1, 1)) -> complex:
         """Floating evaluation at a complex point (for numeric cross-checks)."""
@@ -414,12 +640,17 @@ class PartialFraction:
     def reconstruct(self, ctx: TowerContext) -> RatFunc:
         out = RatFunc.from_poly(self.polynomial_part)
         for pole, k, coef in self.terms:
-            lin = Poly(ctx, [-pole, ctx.one])
-            den = Poly.constant(ctx, 1)
-            for _ in range(k):
-                den = den * lin
-            out = out + RatFunc(Poly.constant(ctx, coef), den)
+            out = out + RatFunc.over(Poly.constant(ctx, coef), {pole: k})
         return out
+
+
+def exponent_map(roots: Iterable[tuple[TowerScalar, int]]) -> dict:
+    """{c: total multiplicity} over the nonzero (c, m) pairs."""
+    out = {}
+    for c, m in roots:
+        if m:
+            out[c] = out.get(c, 0) + m
+    return out
 
 
 def partial_fractions(f: RatFunc,
@@ -430,20 +661,16 @@ def partial_fractions(f: RatFunc,
     the (z-c)^-k coefficient is the (m-k)-th Taylor coefficient.
     """
     ctx = f.ctx
-    check = Poly.from_roots(ctx, roots)
-    if check != f.den:
+    given = exponent_map(roots)
+    f = f.split_over(given)
+    if f.roots != given or f.rest.degree() > 0:
         raise BadFactorization("supplied roots do not factor the denominator")
     poly_part, rem = f.num.divmod(f.den)
     terms = []
-    for pole, mult in roots:
-        other = Poly.constant(ctx, 1)
-        for pole2, mult2 in roots:
-            if pole2 == pole:
-                continue
-            other = other * Poly.from_roots(ctx, [(pole2, mult2)])
+    for pole, mult in given.items():
         # g = rem / other is analytic at the pole; Taylor coefficients via
         # successive derivatives
-        g = RatFunc(rem, other)
+        g = RatFunc.over(rem, {c: m for c, m in given.items() if c != pole})
         fact = Fraction(1)
         derivs = []
         for j in range(mult):
@@ -465,13 +692,13 @@ def assemble_over_poles(ctx: TowerContext,
     """Build sum coeff/(z-c)^k (+ polynomial part) over one common denominator.
 
     coefficients maps (pole index, order k) to a TowerScalar.  Avoids the
-    quadratic blowup of pairwise rational-function additions.
+    quadratic blowup of pairwise rational-function additions: the terms at
+    a pole c of exponent m in den sum to L_c = sum coeff (z-c)^(m-k), taken
+    once times den / (z-c)^m, or for a pair +-c of equal exponents as
+    (L_c (z+c)^m + L_-c (z-c)^m) times den / (z^2-c^2)^m.
     """
-    factors = [Poly.from_roots(ctx, [(c, m)]) for c, m in poles]
-    den = Poly.constant(ctx, 1)
-    for fac in factors:
-        den = den * fac
-    num = Poly(ctx, [])
+    roots = exponent_map(poles)
+    local = {}
     for (j, k), coef in coefficients.items():
         if isinstance(coef, (int, Fraction)):
             coef = ctx.from_rational(coef)
@@ -480,11 +707,25 @@ def assemble_over_poles(ctx: TowerContext,
         pole, mult = poles[j]
         if not 1 <= k <= mult:
             raise RatCalcError(f"order {k} exceeds multiplicity {mult}")
-        part = Poly.from_roots(ctx, [(pole, mult - k)])
-        for i, fac in enumerate(factors):
-            if i != j:
-                part = part * fac
-        num = num + part.scale(coef)
+        term = Poly.from_roots(ctx, [(pole, roots[pole] - k)]).scale(coef)
+        local[pole] = local[pole] + term if pole in local else term
+    den = Poly.from_roots(ctx, roots.items())
+    num = Poly(ctx, [])
+    while local:
+        c, part = local.popitem()
+        m = roots[c]
+        if not c.is_zero() and roots.get(-c) == m:
+            part = part * Poly.from_roots(ctx, [(-c, m)])
+            if -c in local:
+                part = part + local.pop(-c) * Poly.from_roots(ctx, [(c, m)])
+            cofactor = den
+            for _ in range(m):
+                cofactor = Poly(ctx, _quadratic_divmod(cofactor.coeffs, c * c)[0])
+        else:
+            cofactor = den
+            for _ in range(m):
+                cofactor = Poly(ctx, _linear_divmod(cofactor.coeffs, c)[0])
+        num = num + part * cofactor
     if polynomial_part is not None and not polynomial_part.is_zero():
         num = num + polynomial_part * den
-    return RatFunc(num, den)
+    return RatFunc.over(num, roots)

@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from curvedtwobody import models
+from curvedtwobody import models, ratcalc
 from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    CONCLUSION_DEGENERATE,
                                    CONCLUSION_NO_OBSTRUCTION, CertifyError,
-                                   InvariantViolation, RunConfig, certify,
-                                   clearing_bound, identity_holds,
-                                   render_report)
+                                   InvariantViolation, RunConfig, _den_over,
+                                   _factor_over, certify, clearing_bound,
+                                   identity_holds, render_report)
 from curvedtwobody.cli import main as cli_main
 from curvedtwobody.cli import sweep_workers
 from curvedtwobody.exactfield import _rat
@@ -671,3 +671,68 @@ class TestIdentityProof:
         assert cert.table_match is True
         assert cert.identity_check == {"samples": 3, "matches": 0,
                                        "all_match": False}
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_exponent_map_splits_like_the_dense_denominator(self, weighted):
+        """_den_over reads the split of den A, B, C, f off the exponent map;
+        it must give what exact division of the dense den gives."""
+        samples = proof_samples()
+        for params in samples[2::4] if weighted else samples[::4]:
+            ctx = params.ctx
+            z0 = params.z0_scalar()
+            bases = (Poly(ctx, [-z0, ctx.one]),
+                     Poly(ctx, [-ctx.from_gauss(params.kappa2), ctx.zero, ctx.one]),
+                     Poly(ctx, [-ctx.from_gauss(params.lambda2), ctx.zero, ctx.one]))
+            pairs = (params.kappa_value(), params.lambda_value())
+            system = build_system(params)
+            g = reduce_to_second_order(system).p
+            # one copy of z^2 - kappa^2, and z - kappa, (z - 7)^2 left over
+            mixed = RatFunc.over(Poly.constant(ctx, 1), {
+                z0: 1, pairs[0]: 2, -pairs[0]: 1, ctx.from_rational(7): 2})
+            for part in (system.A, system.B, system.C, system.weight, g, mixed):
+                if part is not None:
+                    assert _den_over(part, z0, pairs) == _factor_over(part.den, bases)
+
+
+def counting_gcd(monkeypatch) -> list:
+    """Record the second argument of every ratcalc.poly_gcd call."""
+    calls = []
+    real = ratcalc.poly_gcd
+
+    def gcd(p, q):
+        calls.append(q)
+        return real(p, q)
+    monkeypatch.setattr(ratcalc, "poly_gcd", gcd)
+    return calls
+
+
+class TestNoEuclidOnTheCertifyPath:
+    """Every denominator of a certificate splits over z - z0, z -+ kappa and
+    z -+ lambda, so RatFunc never runs Euclid there; Euclid is left for a
+    rest the context does not split (a P of degree >= 2 in P'/P)."""
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_reference_certificate_calls_no_gcd(self, space, pot, monkeypatch):
+        calls = counting_gcd(monkeypatch)
+        cert = certify(make_config(space, pot, identity_samples=2))
+        assert cert.conclusion == CONCLUSION_CERTIFIED
+        assert cert.identity_check["all_match"]
+        assert calls == []
+
+    def test_gcd_only_against_a_rest(self, monkeypatch):
+        """At random_hyperbolic_newton_4 (mu = 1, two case-I solutions) and
+        for psi = Theta + P'/P with P = z^2 + z + 5, each call's second
+        argument is a rest of degree >= 2."""
+        calls = counting_gcd(monkeypatch)
+        data = json.loads((GOLDEN / "random_hyperbolic_newton_4.json").read_bytes())
+        cert = certify(RunConfig.from_dict({**{key: data["params"][key] for key in (
+            "space", "potential", "strength", "mu", "p", "eps")}, "identity_samples": 2}))
+        assert cert.case1["count"] == 2
+        params = reference_params(Space.SPHERE, Potential.NEWTON)
+        ctx = params.ctx
+        big_p = Poly.from_rationals(ctx, [5, 1, 1])
+        th = RatFunc.over(Poly.constant(ctx, Fr(1, 2)), {params.kappa_value(): 1})
+        psi = th + RatFunc(big_p.derivative(), big_p)
+        assert psi.rest == big_p
+        psi.derivative() + psi * psi
+        assert calls and all(q.degree() >= 2 for q in calls)

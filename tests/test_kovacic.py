@@ -514,9 +514,9 @@ def oracle_case2_operator(normal, th):
 
 
 def base_of(ctx, orders):
-    """b = prod (z - c)^s."""
-    return RatFunc(Poly.from_roots(ctx, [(c, s) for c, s in orders if s > 0]),
-                   Poly.from_roots(ctx, [(c, -s) for c, s in orders if s < 0]))
+    """b = prod (z - c)^s, built as pair_exclusion builds it."""
+    return RatFunc.over(Poly.from_roots(ctx, [(c, s) for c, s in orders if s > 0]),
+                        {c: -s for c, s in orders if s < 0})
 
 
 def product_theta(ctx, orders):
@@ -548,6 +548,32 @@ class TestSharedSolver:
                            for _ in range(rng.randint(1, 4))])
             assert (symmetric_power_residual(normal, RatFunc.from_poly(P) * b)
                     == b * oracle_case2_operator(normal, th)(P))
+
+    @pytest.mark.parametrize("case", ["exponents -3, 2, 2", "seeded in [-3, 3]"])
+    def test_symmetric_square_at_high_exponents(self, case):
+        """The same identity at random_sphere_newton_0 with b exponents
+        (-3, 2, 2) at z0, kappa and lambda, single roots of both pairs, whose
+        lowest terms once took 28 s in Euclid, and with seeded exponents in
+        [-3, 3]."""
+        params = golden_params(GOLDEN / "random_sphere_newton_0.json")
+        normal, spec = analysis(params)
+        ctx = params.ctx
+        points = [pt.location for pt in spec.finite_points]
+        rng = random.Random(case)
+        if case.startswith("exponents"):
+            orders = [(params.z0_scalar(), -3), (params.kappa_value(), 2),
+                      (params.lambda_value(), 2)]
+        else:
+            orders = [(c, rng.randint(-3, 3)) for c in rng.sample(points, 3)]
+            orders[0] = (orders[0][0], -3)
+        b = base_of(ctx, orders)
+        th = product_theta(ctx, orders)
+        assert th == b.derivative() / b
+        P = Poly(ctx, [ctx.from_gauss(GaussRational(Fr(rng.randint(-9, 9), rng.randint(1, 5)),
+                                                    rng.randint(-3, 3)))
+                       for _ in range(3)])
+        assert (symmetric_power_residual(normal, RatFunc.from_poly(P) * b)
+                == b * oracle_case2_operator(normal, th)(P))
 
     @pytest.mark.parametrize("path", ORACLE_SETS, ids=lambda path: path.stem)
     def test_agrees_with_per_monomial_oracle(self, path):

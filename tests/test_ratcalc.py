@@ -292,11 +292,14 @@ class TestPartialFractions:
 
 
 class TestAssembleOverPoles:
-    def test_matches_pairwise_addition(self):
+    @pytest.mark.parametrize("z0", [Fr(1, 4), 0])
+    def test_matches_pairwise_addition(self, z0):
+        """A pair +-kappa beside z0, which at 0 is its own negative."""
         k = CTX.kappa
-        z0 = CTX.from_rational(Fr(1, 4))
+        z0 = CTX.from_rational(z0)
         poles = [(z0, 2), (k, 2), (-k, 2)]
-        coeffs = {(0, 2): CTX.from_rational(Fr(3, 4)),
+        coeffs = {(0, 1): CTX.from_rational(-2),
+                  (0, 2): CTX.from_rational(Fr(3, 4)),
                   (1, 1): CTX.kappa,
                   (1, 2): CTX.from_rational(2),
                   (2, 1): -CTX.kappa}
@@ -364,3 +367,155 @@ class TestRendering:
         f = RatFunc(P(1, 0, 2), P(-1, 1))
         text = f.render()
         assert text.index("z^2") < text.index("1)") or "z^2" in text.split("/")[0]
+
+
+# ---------------------------------------------------------------------------
+# factored denominators against a dense reference
+# ---------------------------------------------------------------------------
+
+
+class Dense:
+    """The reference: num/den reduced by one poly_gcd over the whole dense
+    denominator and made monic, with every operation done on dense num/den."""
+
+    def __init__(self, num, den):
+        if num.is_zero():
+            num, den = num, Poly.constant(num.ctx, 1)
+        self.num, self.den = reduced_by_euclid(num, den)
+
+    def __add__(self, other):
+        return Dense(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other):
+        return Dense(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        return Dense(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        return Dense(self.num * other.den, self.den * other.num)
+
+    def derivative(self):
+        return Dense(self.num.derivative() * self.den - self.num * self.den.derivative(),
+                     self.den * self.den)
+
+    def evaluate(self, z):
+        d = self.den.evaluate(z)
+        if d.is_zero():
+            raise PoleEvaluation("evaluation at a pole")
+        return self.num.evaluate(z) / d
+
+
+# A genuine tower (kappa^2 = 2, lambda^2 = 3, 2/3 not squares in Q(i)) with
+# z0 = 1/3, and kappa^2 = 4 with z0 = 2 = kappa.  z^2 + z + 5 has no root in
+# either, so as a factor of a denominator it stays in the rest.
+ORACLE_CTXS = {
+    "tower": (make_context(G(2), G(3)), Fr(1, 3)),
+    "z0-is-kappa": (make_context(G(4), G(3)), Fr(2)),
+}
+
+
+def random_function(ctx, z0, rng):
+    """(RatFunc, Dense) for one random function.  The denominator is a few
+    powers of z - z0, z -+ kappa, z -+ lambda, sometimes times z^2 + z + 5;
+    the numerator often holds one root of a +- pair, which cancels while its
+    partner stays.  Degrees stay small: the reference runs Euclid over the
+    tower, whose coefficients grow fast."""
+    k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+    pool = [ctx.from_rational(z0), k, -k, lam, -lam]
+    quad = Poly.from_rationals(ctx, [5, 1, 1])
+    num = Poly(ctx, [ctx.from_gauss(G(Fr(rng.randint(-6, 6), rng.randint(1, 3)),
+                                      rng.randint(-2, 2)))
+                     for _ in range(rng.randint(1, 2))])
+    if num.is_zero():
+        num = Poly.constant(ctx, 1)
+    if rng.random() < 0.5:
+        num = num * Poly.from_roots(ctx, [(rng.choice(pool), 1)])
+    roots = [(c, rng.choice((1, 1, 2, 3))) for c in rng.sample(pool, rng.randint(1, 3))]
+    rest = quad if rng.random() < 0.25 else Poly.constant(ctx, 1)
+    if rest.degree() == 0 and rng.random() < 0.1:
+        num = num * quad
+    den = Poly.from_roots(ctx, roots) * rest
+    if rng.random() < 0.5:
+        exps = {}
+        for c, e in roots:
+            exps[c] = exps.get(c, 0) + e
+        return RatFunc.over(num, exps, rest), Dense(num, den)
+    den = den.scale(ctx.from_gauss(G(-2, 3)))
+    return RatFunc(num, den), Dense(num, den)
+
+
+def assert_matches(f, ref):
+    """f equals the reference, and its factored denominator is consistent:
+    positive exponents at roots of neither num nor rest, a monic rest."""
+    assert (f.num, f.den) == (ref.num, ref.den)
+    assert f.rest.leading() == f.ctx.one
+    for c, e in f.roots.items():
+        assert e > 0
+        assert not f.num.evaluate(c).is_zero()
+        assert not f.rest.evaluate(c).is_zero()
+
+
+class TestFactoredAgainstDense:
+    # the reference's Euclid is slow over the genuine tower: fewer samples
+    @pytest.mark.parametrize("name,samples", [("tower", 12), ("z0-is-kappa", 40)])
+    def test_operations_match_dense_reference(self, name, samples):
+        ctx, z0 = ORACLE_CTXS[name]
+        rng = random.Random(f"factored-{name}")
+        points = [ctx.from_rational(q) for q in (0, Fr(1, 3), 2, Fr(-7, 5))]
+        for _ in range(samples):
+            f, fr = random_function(ctx, z0, rng)
+            g, gr = random_function(ctx, z0, rng)
+            assert_matches(f, fr)
+            assert_matches(f + g, fr + gr)
+            assert_matches(f - g, fr - gr)
+            assert_matches(f * g, fr * gr)
+            assert_matches(f / g, fr / gr)
+            assert_matches(f.derivative(), fr.derivative())
+            for z in points:
+                try:
+                    want = fr.evaluate(z)
+                except PoleEvaluation:
+                    with pytest.raises(PoleEvaluation):
+                        f.evaluate(z)
+                else:
+                    assert f.evaluate(z) == want
+
+    @pytest.mark.parametrize("name", ORACLE_CTXS)
+    def test_equality_and_hash_follow_the_value(self, name):
+        """Two routes to one function compare equal and hash alike, however
+        their denominators were split; a different function does not."""
+        ctx, z0 = ORACLE_CTXS[name]
+        rng = random.Random(f"equality-{name}")
+        one = RatFunc.constant(ctx, 1)
+        for _ in range(30):
+            f, fr = random_function(ctx, z0, rng)
+            g, _ = random_function(ctx, z0, rng)
+            for same in (RatFunc(fr.num, fr.den), (f + g) - g, (f * g) / g):
+                assert same == f
+                assert hash(same) == hash(f)
+            assert f + one != f
+
+    @pytest.mark.parametrize("name", ORACLE_CTXS)
+    def test_one_root_of_a_pair_cancels(self, name):
+        """(z - kappa)(z + lambda) over (z^2 - kappa^2)^2 (z^2 - lambda^2)
+        (z - z0)^2: the numerator takes one root of each pair."""
+        ctx, z0 = ORACLE_CTXS[name]
+        k, lam, c0 = ctx.sqrt_a(), ctx.sqrt_b(), ctx.from_rational(z0)
+        num = Poly.from_roots(ctx, [(k, 1), (-lam, 1)])
+        exps = {k: 2, -k: 2, lam: 1, -lam: 1}
+        exps[c0] = exps.get(c0, 0) + 2
+        f = RatFunc.over(num, exps)
+        assert f.num == Poly.constant(ctx, 1)
+        assert f.roots == {c: e for c, e in {**exps, k: exps[k] - 1, -lam: 0}.items() if e}
+        assert_matches(f, Dense(num, Poly.from_roots(ctx, exps.items())))
+
+    def test_z0_merges_with_kappa(self):
+        """A root entered twice, once as z0 and once as kappa, is one root."""
+        ctx, z0 = ORACLE_CTXS["z0-is-kappa"]
+        c0, k = ctx.from_rational(z0), ctx.sqrt_a()
+        assert c0 == k
+        f = RatFunc(Poly.constant(ctx, 1), Poly.from_roots(ctx, [(c0, 1), (k, 2), (-k, 1)]))
+        assert f.roots == {k: 3, -k: 1}
+        assert (f * f).roots == {k: 6, -k: 2}
+        assert f.derivative().roots == {k: 4, -k: 2}

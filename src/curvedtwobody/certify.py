@@ -23,7 +23,7 @@ from .linode import (FirstOrderSystem, SingularitySpectrum,
                      verify_gauge_transform)
 from .models import (DegenerateParameters, HypothesisViolated,
                      Potential, Space)
-from .ratcalc import PoleEvaluation, Poly, RatFunc
+from .ratcalc import PoleEvaluation, Poly, RatFunc, split
 
 
 class CertifyError(Exception):
@@ -44,6 +44,15 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _count(data: dict, key: str, default: int) -> int:
+    """data[key] (default if absent) as an int or an integer string; a float
+    or a bool is refused, not truncated."""
+    value = data.get(key, default)
+    if isinstance(value, (bool, float)):
+        raise CertifyError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     space: Space
@@ -59,8 +68,8 @@ class RunConfig:
     def from_dict(data: dict) -> RunConfig:
         try:
             space, potential = Space(data["space"]), Potential(data["potential"])
-            seed = int(data.get("seed", 0))
-            samples = int(data.get("identity_samples", 20))
+            seed = _count(data, "seed", 0)
+            samples = _count(data, "identity_samples", 20)
             # every key is read before a value is parsed: a missing key wins
             strength, mu, p, eps = map(_rat, [data[k] for k in
                                               ("strength", "mu", "p", "eps")])
@@ -171,46 +180,17 @@ def _gauge_log_derivative(system, ctx) -> RatFunc:
 @dataclass(frozen=True)
 class ClearingBound:
     """E = prod factor^exponent clears the poles of r and of the table T at
-    one parameter set, and E (r - T) is a polynomial of degree <= degree."""
+    one parameter set, and E (r - T) is a polynomial of degree <= degree.
+    A factor is a root c, standing for z - c, or a monic Poly that the
+    roots leave over."""
 
-    factors: tuple[tuple[Poly, int], ...]
+    factors: tuple[tuple[TowerScalar | Poly, int], ...]
     degree: int
 
 
-def _factor_over(poly: Poly, bases: tuple[Poly, ...]) -> dict:
-    """Exponents of the monic bases in poly by exact division, keyed by base
-    index, plus the monic cofactor (exponent 1) when it is not constant."""
-    exps = {}
-    for i, base in enumerate(bases):
-        poly, k = poly.strip(base)
-        if k:
-            exps[i] = k
-    if poly.degree() > 0:
-        exps[poly.monic()] = 1
-    return exps
-
-
-def _den_over(f: RatFunc, z0: TowerScalar, pairs) -> dict:
-    """_factor_over(f.den, (z - z0, z^2 - c^2 for c in pairs)), read off
-    f's exponent map: the base z^2 - c^2 takes the copies common to c and
-    -c, and the cofactor is what is left of the map times the rest."""
-    roots = dict(f.roots)
-    exps = {}
-    k = roots.pop(z0, 0)
-    if k:
-        exps[0] = k
-    for i, c in enumerate(pairs, 1):
-        k = min(roots.get(c, 0), roots.get(-c, 0))
-        if k:
-            exps[i] = k
-            roots[c] -= k
-            roots[-c] -= k
-    rest = Poly.from_roots(f.ctx, roots.items())
-    if f.rest.degree() > 0:
-        rest = rest * f.rest
-    if rest.degree() > 0:
-        exps[rest] = 1
-    return exps
+def _exponents(roots: dict, rest: Poly) -> dict:
+    """An exponent map, with a non-constant rest as one more factor."""
+    return {**roots, rest: 1} if rest.degree() > 0 else roots
 
 
 def _add(*vectors: dict) -> dict:
@@ -222,7 +202,7 @@ def _add(*vectors: dict) -> dict:
 
 
 def _order_at_infinity(f: RatFunc) -> int:
-    return f.num.degree() - f.den.degree()
+    return f.num.degree() - f.den_degree()
 
 
 def clearing_bound(system: FirstOrderSystem, table: models.CoefficientTable,
@@ -233,44 +213,41 @@ def clearing_bound(system: FirstOrderSystem, table: models.CoefficientTable,
     g has simple poles only, at the roots of S = rad(num C den C [num f den f]),
     so S^2 clears g' and g^2; den(A)^2 clears A', A^2 and (with S^2) gA;
     den C den B [den f], less the factors of num C [num f], clears CB[f];
-    and (z-z0)^2 (z^2-kappa^2)^2 (z^2-lambda^2)^2 clears T.  Each of these
-    polynomials is split over the three coprime factors by exact division
-    at this sample, so E is the least common multiple of the requirements
-    up to any unsplit cofactor.  At
+    and the double poles of T need (z - c)^2 at each of its poles c.  Each
+    denominator's factors are read off its exponent map and rest, and each
+    numerator is split over z -+ kappa, z -+ lambda and the poles of T and
+    of the denominators, so E is the least common multiple of the
+    requirements, root by root, up to the leftover rests.  At
     infinity g = O(1/z), so r = O(z^v) with v the largest of -2, 2 ord A,
     ord A - 1 and ord C + ord B [+ ord f], and T = O(1/z), O(1/z^2) when
     the betas sum to zero.  Nothing here assumes r = T.
     """
     ctx = params.ctx
-    one = ctx.one
-    z0 = params.z0_scalar()
-    bases = (Poly(ctx, [-z0, one]),
-             Poly(ctx, [-ctx.from_gauss(params.kappa2), ctx.zero, one]),
-             Poly(ctx, [-ctx.from_gauss(params.lambda2), ctx.zero, one]))
-    pairs = (params.kappa_value(), params.lambda_value())
     A, B, C, f = system.A, system.B, system.C, system.weight
+    keys = list(dict.fromkeys([*table.poles, *(c for part in (A, B, C, f)
+                                               if part is not None
+                                               for c in part.roots)]))
 
     def num_vec(part: Optional[RatFunc]) -> dict:
-        return _factor_over(part.num, bases) if part is not None else {}
+        return _exponents(*split(part.num, keys)) if part is not None else {}
 
     def den_vec(part: Optional[RatFunc]) -> dict:
-        return _den_over(part, z0, pairs) if part is not None else {}
+        return _exponents(part.roots, part.rest) if part is not None else {}
 
     c_num, c_den, f_num, f_den, a_den = (num_vec(C), den_vec(C), num_vec(f),
                                          den_vec(f), den_vec(A))
     radical = {key: 2 for vec in (c_num, c_den, f_num, f_den) for key in vec}
-    # the numerators of C and f cancel base factors of den C den B den f
+    # the numerators of C and f cancel factors of den C den B den f
     cbf = _add(c_den, den_vec(B), f_den)
     for key, e in _add(c_num, f_num).items():
-        if isinstance(key, int) and key in cbf:
+        if key in cbf:
             cbf[key] = max(cbf[key] - e, 0)
-    needs = [radical, _add(a_den, a_den), cbf, {0: 2, 1: 2, 2: 2}]
+    needs = [radical, _add(a_den, a_den), cbf, dict.fromkeys(table.poles, 2)]
     exps = {}
     for need in needs:
         for key, e in need.items():
             exps[key] = max(exps.get(key, 0), e)
-    factors = tuple((bases[key] if isinstance(key, int) else key, e)
-                    for key, e in exps.items())
+    factors = tuple((key, e) for key, e in exps.items() if e)
 
     order_r = -2
     if not A.is_zero():
@@ -283,7 +260,8 @@ def clearing_bound(system: FirstOrderSystem, table: models.CoefficientTable,
     for beta in table.betas:
         beta_sum = beta_sum + beta
     order_t = -2 if beta_sum.is_zero() else -1
-    degree = sum(p.degree() * e for p, e in factors) + max(order_r, order_t)
+    degree = sum((key.degree() if isinstance(key, Poly) else 1) * e
+                 for key, e in factors) + max(order_r, order_t)
     return ClearingBound(factors, max(degree, 0))
 
 

@@ -212,13 +212,11 @@ def singularity_spectrum(normal: NormalFormODE,
                          poles: Sequence[tuple[TowerScalar, int]]) -> SingularitySpectrum:
     """Per-point order, alpha (the (z-c)^-2 coefficient), delta data and
     exponent pairs, including the point at infinity in the 1/z chart."""
-    ctx = normal.r.ctx
+    r = normal.r
+    ctx = r.ctx
     given = exponent_map(poles)
-    r = normal.r.split_over(given)
-    if not r.is_zero() and (r.roots != given or r.rest.degree() > 0):
+    if r.exponents_over(given) != given:
         raise BadFactorization("supplied poles do not factor den(r)")
-    if r.is_zero() and given:
-        raise BadFactorization("zero r has no poles")
     points = []
     for c, mult in poles:
         if mult > 2:
@@ -236,7 +234,7 @@ def singularity_spectrum(normal: NormalFormODE,
     # infinity in the zeta = 1/z chart: ord = max(0, 4 + deg s - deg t),
     # alpha_inf is the 1/z^2 coefficient, indicial rho(rho+1) = alpha_inf
     ds = r.num.degree()
-    dt = r.den.degree()
+    dt = r.den_degree()
     if r.is_zero():
         ord_inf = 0
         alpha_inf = ctx.zero

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from .exactfield import (DegenerateTower, GaussRational, TowerContext,
                          TowerScalar, _rat, make_context)
 from .linode import FirstOrderSystem
-from .ratcalc import Poly, RatFunc, assemble_over_poles
+from .ratcalc import BadFactorization, Poly, RatFunc, assemble_over_poles
 
 
 class Space(Enum):
@@ -427,17 +427,11 @@ def detect_poles(params: ModelParams, r: RatFunc) -> list[tuple[TowerScalar, int
     At mu = 1 most candidates cancel; callers always get the true
     factorization.  Raises if the candidates do not exhaust den(r).
     """
-    cands = candidate_poles(params)
-    r = r.split_over(cands)
-    orders = dict(r.roots)
-    out = []
-    for cpole in cands:
-        m = orders.pop(cpole, 0)
-        if m:
-            out.append((cpole, m))
-    if orders or r.rest.degree() > 0:
-        raise DegenerateParameters("den(r) has factors outside the closed-form poles")
-    return out
+    try:
+        return list(r.exponents_over(candidate_poles(params)).items())
+    except BadFactorization:
+        raise DegenerateParameters(
+            "den(r) has factors outside the closed-form poles") from None
 
 
 def mu1_solutions(params: ModelParams) -> tuple[RatFunc, RatFunc]:

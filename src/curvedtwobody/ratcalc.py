@@ -10,7 +10,9 @@ runs only against a non-constant rest, which comes from a denominator
 given dense with a factor the context does not know (the P of P'/P).  Pole
 locations are always supplied by callers in closed form, so no root
 finding happens here; partial fractions use the Taylor method at each
-supplied root.
+supplied root.  This module is the one place that splits a polynomial
+over such roots: callers read split() for a numerator and
+RatFunc.exponents_over for a denominator.
 """
 from __future__ import annotations
 
@@ -179,19 +181,6 @@ class Poly:
             acc = acc * z + c
         return acc
 
-    def strip(self, base: Poly) -> tuple[Poly, int]:
-        """(q, k) with self = base^k * q and base not dividing q, by exact
-        division; the zero polynomial gives (0, 0)."""
-        if base.degree() < 1:
-            raise RatCalcError("strip needs a non-constant base")
-        q, k = self, 0
-        while q.degree() >= base.degree():
-            quot, rem = q.divmod(base)
-            if not rem.is_zero():
-                break
-            q, k = quot, k + 1
-        return q, k
-
     def render(self) -> str:
         if self.is_zero():
             return "0"
@@ -209,11 +198,13 @@ class Poly:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
+    """Monic greatest common divisor by the Euclidean algorithm.  Each
+    remainder is made monic, which leaves the gcd as it is and keeps the
+    coefficients from growing."""
     if p.is_zero() and q.is_zero():
         raise RatCalcError("gcd(0, 0) undefined")
     while not q.is_zero():
-        p, q = q, p % q
+        p, q = q, (p % q).monic()
     return p.monic()
 
 
@@ -298,39 +289,33 @@ def _split_rest(roots: dict, rest: Poly, keys) -> tuple[dict, Poly]:
 def _factor(p: Poly) -> tuple[TowerScalar, dict, Poly]:
     """(lead, roots, rest) with p = lead * prod (z - c)^e * rest.
 
-    Whole copies of z^2 - a and z^2 - b (a = kappa^2, b = lambda^2) and
-    their single roots +-sqrt_a(), +-sqrt_b() come off by synthetic
-    division.  A linear leftover becomes a root; anything else is the monic
-    rest."""
+    The roots +-sqrt_a(), +-sqrt_b() (kappa, lambda) come off by
+    _deflate_pair, whole copies of z^2 - a and z^2 - b first.  A linear
+    leftover becomes a root; anything else is the monic rest."""
     ctx = p.ctx
     lead = p.leading()
     if lead != ctx.one:
         p = p.scale(lead.inverse())
     roots = {}
-    for s, sqrt in ((ctx.a, ctx.sqrt_a), (ctx.b, ctx.sqrt_b)):
+    for sqrt in (ctx.sqrt_a, ctx.sqrt_b):
         if p.degree() < 2:
             break
-        a = ctx.from_gauss(s)
-        k, rem = 0, None
-        while p.degree() >= 2:
-            q, r0, r1 = _quadratic_divmod(p.coeffs, a)
-            if not (r0.is_zero() and r1.is_zero()):
-                rem = (r0, r1)
-                break
-            p, k = Poly(ctx, q), k + 1
         c = sqrt()
-        hits = ()
-        if rem is not None:
-            cr1 = c * rem[1]
-            hits = [x for x, v in ((c, rem[0] + cr1), (-c, rem[0] - cr1)) if v.is_zero()]
-        for x in (c, -c):
-            j = 0
-            if x in hits:
-                p, j = _deflate(p, x, p.degree())
-            if k + j:
-                roots[x] = k + j
+        p, k, j = _deflate_pair(p, c, p.degree(), p.degree())
+        if k:
+            roots[c] = k
+        if j:
+            roots[-c] = j
     roots, p = _promote(roots, p)
     return lead, roots, p
+
+
+def split(p: Poly, keys=()) -> tuple[dict, Poly]:
+    """(roots, rest) with p = lead * prod (z - c)^e * rest for non-zero p:
+    the exponents of p at +-kappa, +-lambda and at each c in keys, and the
+    monic rest with none of those roots."""
+    _, roots, rest = _factor(p)
+    return _split_rest(roots, rest, keys)
 
 
 def _lowest_terms(num: Poly, roots: dict, rest: Poly,
@@ -494,12 +479,18 @@ class RatFunc:
     def is_poly(self) -> bool:
         return not self.roots and self.rest.degree() == 0
 
-    def split_over(self, keys) -> RatFunc:
-        """The same function with the factors z - c, c in keys, moved out of
-        rest and into roots."""
-        if self.rest.degree() <= 0:
-            return self
-        return RatFunc._of(self.num, *_split_rest(self.roots, self.rest, keys))
+    def exponents_over(self, keys) -> dict:
+        """{c: e} over the c in keys (a collection) at which den has a root,
+        e its exponent, in the order of keys; raises BadFactorization when
+        den has a factor other than these z - c."""
+        roots, rest = _split_rest(self.roots, self.rest, keys)
+        out = {c: roots[c] for c in keys if c in roots}
+        if len(out) < len(roots) or rest.degree() > 0:
+            raise BadFactorization("the given roots do not factor the denominator")
+        return out
+
+    def den_degree(self) -> int:
+        return sum(self.roots.values()) + self.rest.degree()
 
     # -- field operations ---------------------------------------------------
 
@@ -605,7 +596,8 @@ class RatFunc:
 
     def polar_leading(self, c: TowerScalar) -> TowerScalar:
         """The coefficient of (z - c)^-e at a root c of exponent e."""
-        return self.num.evaluate(c) / self._den_at(c, skip=c)
+        f = RatFunc._of(self.num, *_split_rest(self.roots, self.rest, (c,)))
+        return f.num.evaluate(c) / f._den_at(c, skip=c)
 
     def embed_complex(self, z: complex, branch=(1, 1)) -> complex:
         """Floating evaluation at a complex point (for numeric cross-checks)."""
@@ -662,8 +654,7 @@ def partial_fractions(f: RatFunc,
     """
     ctx = f.ctx
     given = exponent_map(roots)
-    f = f.split_over(given)
-    if f.roots != given or f.rest.degree() > 0:
+    if f.exponents_over(given) != given:
         raise BadFactorization("supplied roots do not factor the denominator")
     poly_part, rem = f.num.divmod(f.den)
     terms = []

@@ -12,7 +12,8 @@ from curvedtwobody.linode import (FirstOrderSystem, NonFuchsianEquation,
                                   verify_gauge_transform)
 from curvedtwobody.models import (Potential, Space, build_system, detect_poles,
                                   random_admissible_params, reference_params)
-from curvedtwobody.ratcalc import PoleEvaluation, Poly, RatFunc
+from curvedtwobody.ratcalc import (BadFactorization, PoleEvaluation, Poly,
+                                  RatFunc)
 
 
 def G(re, im=0):
@@ -49,7 +50,12 @@ class TestReduceToSecondOrder:
             for c in [params.z0_scalar(), params.kappa_value(),
                       -params.kappa_value(), params.lambda_value(),
                       -params.lambda_value()]:
-                found += f.den.strip(Poly(f.ctx, [-c, f.ctx.one]))[1]
+                den, lin = f.den, Poly(f.ctx, [-c, f.ctx.one])
+                while True:
+                    q, rem = den.divmod(lin)
+                    if not rem.is_zero():
+                        break
+                    den, found = q, found + 1
             assert found == deg
 
     def test_oscillator_weight_folded_in(self):
@@ -224,6 +230,17 @@ class TestSingularitySpectrum:
             assert third.is_zero()
             r = to_normal_form(reduce_to_second_order(build_system(params))).r
             assert r.den.degree() - r.num.degree() >= 4
+
+    def test_wrong_pole_list_rejected(self):
+        params = reference_params(Space.SPHERE, Potential.NEWTON)
+        r = to_normal_form(reduce_to_second_order(build_system(params))).r
+        poles = detect_poles(params, r)
+        seven = params.ctx.from_rational(7)
+        for wrong in (poles[1:], [(c, 1) for c, _ in poles], poles + [(seven, 1)]):
+            with pytest.raises(BadFactorization):
+                singularity_spectrum(NormalFormODE(r), wrong)
+        with pytest.raises(BadFactorization):
+            singularity_spectrum(NormalFormODE(const(0)), [(CTX.one, 1)])
 
     def test_non_fuchsian_rejected(self):
         r = const(1)  # y'' = y has an irregular point at infinity (order 4)

@@ -17,7 +17,7 @@ from curvedtwobody.models import (CentralMotionHamiltonian,
                                   detect_poles, gamma_curve_identity,
                                   hamiltonian, lemma_condition, mu1_solutions,
                                   random_admissible_params, reference_params)
-from curvedtwobody.ratcalc import partial_fractions
+from curvedtwobody.ratcalc import Poly, RatFunc, partial_fractions
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -149,6 +149,16 @@ class TestClosedFormTables:
         pf = partial_fractions(r, poles)
         assert pf.terms == ((params.z0_scalar(), 2,
                              params.ctx.from_rational(Fr(3, 4))),)
+
+    @pytest.mark.parametrize("outside", [(-7, 1), (5, 1, 1)])
+    def test_detect_poles_refuses_a_pole_outside_the_table(self, outside):
+        # z - 7 becomes a root of den r, z^2 + z + 5 stays in its rest
+        params = reference_params(Space.SPHERE, Potential.NEWTON)
+        ctx = params.ctx
+        extra = RatFunc(Poly.constant(ctx, 1), Poly.from_rationals(ctx, outside))
+        with pytest.raises(DegenerateParameters) as info:
+            detect_poles(params, normal_r(params) + extra)
+        assert info.value.guard == "den(r) has factors outside the closed-form poles"
 
     def test_newton_partial_fractions_match_table(self):
         """The pipeline r decomposed at the supplied poles reproduces the

@@ -5,7 +5,7 @@ import pytest
 
 from curvedtwobody.exactfield import GaussRational, make_context
 from curvedtwobody.ratcalc import (BadFactorization, Poly, PoleEvaluation,
-                                   RatCalcError, RatFunc, assemble_over_poles,
+                                   RatFunc, assemble_over_poles,
                                    partial_fractions, poly_gcd)
 
 
@@ -310,39 +310,6 @@ class TestAssembleOverPoles:
             expected = expected + RatFunc(
                 Poly.constant(CTX, cf), Poly.from_roots(CTX, [(pole, order)]))
         assert assembled == expected
-
-
-class TestStrip:
-    def test_known_factorisations(self):
-        rng = random.Random(41)
-        bases = [P(-2, 1), P(-3, 0, 1), lin(CTX, CTX.kappa), quad(CTX, G(0, 1))]
-        for base in bases:
-            for k in range(4):
-                q = rand_poly(rng, 3)
-                if q.is_zero() or q.divmod(base)[1].is_zero():
-                    continue
-                assert (base_power(base, k) * q).strip(base) == (q, k)
-
-    def test_base_that_does_not_divide(self):
-        p = P(1, 0, 1)          # z^2 + 1 has no rational root
-        assert p.strip(P(-1, 1)) == (p, 0)
-        assert p.strip(P(1, 1, 1)) == (p, 0)
-        assert P(5).strip(P(-1, 1)) == (P(5), 0)
-
-    def test_zero_polynomial(self):
-        zero = Poly(CTX, [])
-        assert zero.strip(P(-1, 1)) == (zero, 0)
-
-    def test_constant_base_rejected(self):
-        with pytest.raises(RatCalcError):
-            P(1, 1).strip(P(2))
-
-
-def base_power(base, k):
-    out = P(1)
-    for _ in range(k):
-        out = out * base
-    return out
 
 
 class TestDivmodProperty:

@@ -40,6 +40,12 @@ CONCLUSION_NO_OBSTRUCTION = "NoObstructionFound"
 CONCLUSION_DEGENERATE = "Degenerate"
 
 
+# Each identity sample is a full exact proof (tens of milliseconds), so more
+# than this many would keep certify busy for minutes or, for a value such as
+# 10**30, forever.
+MAX_IDENTITY_SAMPLES = 10_000
+
+
 def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -77,8 +83,9 @@ class RunConfig:
             raise CertifyError(f"missing parameter {exc}") from None
         except (TypeError, ValueError) as exc:
             raise CertifyError(str(exc)) from None
-        if samples < 0:
-            raise CertifyError(f"identity_samples must be >= 0, got {samples}")
+        if not 0 <= samples <= MAX_IDENTITY_SAMPLES:
+            raise CertifyError(f"identity_samples must be in 0..{MAX_IDENTITY_SAMPLES}, "
+                               f"got {samples}")
         return RunConfig(
             space=space,
             potential=potential,
@@ -322,14 +329,14 @@ def certify(config: RunConfig) -> Certificate:
     lemma_summary = _lemma_summary(lemma_report)
 
     case1 = kovacic.case1_search(normal, spec)
-    pair = kovacic.pair_exclusion(normal, spec)
+    xi_table: dict = {}     # one Theta and Xi per finite exponent tuple
+    pair = kovacic.pair_exclusion(normal, spec, xi_table)
     esets = kovacic.e_sets(spec)
     cands = kovacic.candidates(esets)
     case2 = None
     xi_records = []
     for cand in cands:
-        th = kovacic.theta(ctx, cand)
-        xi_val = kovacic.xi(normal, th)
+        xi_val = kovacic.theta_xi(normal, cand, xi_table)[1]
         xi_records.append({
             "candidate": cand.render(),
             "is_zero": xi_val.is_zero(),
@@ -338,7 +345,7 @@ def certify(config: RunConfig) -> Certificate:
             if not xi_val.is_zero() else None,
         })
         if case2 is None:
-            case2 = kovacic.search_P(normal, cand, th, xi_val)
+            case2 = kovacic.search_P(normal, cand, xi_table)
     case_three = kovacic.case3_possible(spec)
     verdict = kovacic.classify(normal, spec, case1, case2, case_three,
                                pair.excluded)

@@ -216,7 +216,7 @@ def gauss_sqrt(g: GaussRational) -> Optional[GaussRational]:
 class TowerContext:
     """The tower Q(i)[kappa, lambda] with kappa^2 = a, lambda^2 = b."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_sqrt_a", "_sqrt_b")
 
     def __init__(self, a: GaussRational, b: GaussRational):
         if a.is_zero() or b.is_zero() or a == b:
@@ -224,6 +224,14 @@ class TowerContext:
                 f"tower needs a, b nonzero and distinct, got a={a!r} b={b!r}")
         self.a = a
         self.b = b
+        root_a, root_b = gauss_sqrt(a), gauss_sqrt(b)
+        self._sqrt_a = self.kappa if root_a is None else self.from_gauss(root_a)
+        if root_b is not None:
+            self._sqrt_b = self.from_gauss(root_b)
+        else:
+            y = gauss_sqrt(b / a) if root_a is None else None
+            self._sqrt_b = (self.lam if y is None else
+                            TowerScalar(self, GAUSS_ZERO, y, GAUSS_ZERO, GAUSS_ZERO))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TowerContext):
@@ -268,23 +276,13 @@ class TowerContext:
     def sqrt_a(self) -> TowerScalar:
         """kappa as a value: the collapsed Gaussian root of a when a is a
         perfect square in Q(i), otherwise the tower generator."""
-        s = gauss_sqrt(self.a)
-        if s is not None:
-            return self.from_gauss(s)
-        return self.kappa
+        return self._sqrt_a
 
     def sqrt_b(self) -> TowerScalar:
         """lambda as a value; collapses to a Gaussian scalar or to a
         Gaussian multiple of kappa whenever possible (keeps coefficient
         arithmetic inside an honest field)."""
-        s = gauss_sqrt(self.b)
-        if s is not None:
-            return self.from_gauss(s)
-        if gauss_sqrt(self.a) is None:
-            y = gauss_sqrt(self.b / self.a)
-            if y is not None:
-                return TowerScalar(self, GAUSS_ZERO, y, GAUSS_ZERO, GAUSS_ZERO)
-        return self.lam
+        return self._sqrt_b
 
 
 def make_context(a: GaussRational, b: GaussRational) -> TowerContext:

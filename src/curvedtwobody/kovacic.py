@@ -11,7 +11,10 @@ Case I, case II and the product test each look for a polynomial P of
 known degree killed by a linear operator, and all three solve for it with
 one exact linear solve (_solve_P).  The product test needs no operator of
 its own: for v = P b with b'/b = Theta, the symmetric square of v applied
-and divided by b is case II's operator on P.
+and divided by b is case II's operator on P, whose order-0 coefficient is
+Xi.  Theta depends only on the finite exponents e_c (a base b has e_c =
+2 s_c) and Xi only on Theta, so one table per certificate (theta_xi)
+builds each pair once for case II and the product test together.
 """
 from __future__ import annotations
 
@@ -22,8 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactfield import TowerContext, TowerScalar
-from .linode import (NormalFormODE, SingularitySpectrum, SingularPoint,
-                     symmetric_power_residual)
+from .linode import NormalFormODE, SingularitySpectrum, SingularPoint
 from .ratcalc import Poly, RatFunc, assemble_over_poles, clear_denominators
 
 
@@ -121,12 +123,21 @@ def xi(normal: NormalFormODE, th: RatFunc) -> RatFunc:
     return tp.derivative() + th * inner - RatFunc.constant(ctx, 2) * normal.r_prime
 
 
+def theta_xi(normal: NormalFormODE, e: ECandidate,
+             table: dict) -> tuple[RatFunc, RatFunc]:
+    """(Theta, Xi) for e, kept in table under e.finite: built on the first
+    request for that exponent tuple and read back afterwards, since neither
+    depends on e_infinity or d."""
+    if e.finite not in table:
+        th = theta(normal.r.ctx, e)
+        table[e.finite] = th, xi(normal, th)
+    return table[e.finite]
+
+
 @dataclass(frozen=True)
 class Case2Solution:
     e: ECandidate
     P: Poly
-    psi: RatFunc                      # Theta + P'/P
-    omega_constant_term: RatFunc      # psi'/2 + psi^2/2 - r in w^2 - psi w + (...) = 0
 
 
 def _solve_P(coeffs: Sequence[RatFunc], d: int,
@@ -210,28 +221,17 @@ def _case2_coefficients(normal: NormalFormODE, th: RatFunc, xi_val: RatFunc,
     return [xi_val, c1, three * th, RatFunc.constant(ctx, 1)]
 
 
-def search_P(normal: NormalFormODE, e: ECandidate, th: Optional[RatFunc] = None,
-             c0: Optional[RatFunc] = None) -> Optional[Case2Solution]:
+def search_P(normal: NormalFormODE, e: ECandidate,
+             table: Optional[dict] = None) -> Optional[Case2Solution]:
     """Monic P of degree d(e) solving
-    P''' + 3 Th P'' + (3 Th^2 + 3 Th' - 4 r) P' + Xi P = 0,
-    plus the algebraic data of the degree-2 omega when it exists.  Th and
-    Xi are computed here unless the caller already holds them."""
-    r = normal.r
-    ctx = r.ctx
+    P''' + 3 Th P'' + (3 Th^2 + 3 Th' - 4 r) P' + Xi P = 0, or None.
+    Th and Xi come from table (see theta_xi)."""
     if e.d < 0 or e.d.denominator != 1:
         return None
     d = int(e.d)
-    if th is None:
-        th = theta(ctx, e)
-    if c0 is None:
-        c0 = xi(normal, th)
-    p_poly = _solve_P(_case2_coefficients(normal, th, c0, d), d)
-    if p_poly is None:
-        return None
-    psi = th + RatFunc(p_poly.derivative(), p_poly)
-    half = RatFunc.constant(ctx, Fraction(1, 2))
-    const_term = half * psi.derivative() + half * psi * psi - r
-    return Case2Solution(e, p_poly, psi, const_term)
+    th, x = theta_xi(normal, e, {} if table is None else table)
+    p_poly = _solve_P(_case2_coefficients(normal, th, x, d), d)
+    return None if p_poly is None else Case2Solution(e, p_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +337,21 @@ def _integer_sums(pt: SingularPoint) -> list[int]:
     return [1] if pt.order >= 1 else [0]
 
 
-def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum) -> PairExclusion:
+def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum,
+                   table: Optional[dict] = None) -> PairExclusion:
     """Decide whether two independent rational-log-derivative solutions can
     exist: their product v = y1 y2 would be a rational function with
     constrained orders at the singular points and constrained growth at
-    infinity; every admissible shape is tested against the second
-    symmetric power."""
+    infinity; every admissible shape v = P b, b = prod (z - c)^s, is tested
+    against the second symmetric power L(v) = v''' - 4 r v' - 2 r' v.
+
+    L(P b)/b is case II's operator on P at Theta = b'/b, the Theta of e_c =
+    2 s, so each base reads its Theta and Xi from table (see theta_xi).  A
+    rigid candidate (P = 1) is solvable iff Xi = 0, and its residual is
+    L(b) = b Xi."""
     ctx = normal.r.ctx
+    if table is None:
+        table = {}
     finite = spec.finite_points
     menus = [_integer_sums(pt) for pt in finite]
     inf_pt = spec.infinity
@@ -359,27 +367,25 @@ def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum) -> PairExcl
     any_solvable = False
     for s_choice in itertools.product(*menus) if menus else [()]:
         orders = tuple((pt.location, s) for pt, s in zip(finite, s_choice))
+        base = ECandidate(tuple((c, 2 * s) for c, s in orders), 0, Fraction(0))
         base_deg = sum(s_choice)
         coeffs = None
         for g in growth_options:
             n = g - base_deg
             if n < 0:
                 continue
+            th, x = theta_xi(normal, base, table)
             res_deg = res_lead = None
             if n == 0:
-                res = symmetric_power_residual(normal, RatFunc.over(
-                    Poly.from_roots(ctx, [(c, s) for c, s in orders if s > 0]),
-                    {c: -s for c, s in orders if s < 0}))
-                solvable = res.is_zero()
+                solvable = x.is_zero()
                 if not solvable:
+                    res = x * RatFunc.over(
+                        Poly.from_roots(ctx, [(c, s) for c, s in orders if s > 0]),
+                        {c: -s for c, s in orders if s < 0})
                     res_deg, res_lead = res.num.degree(), res.num.leading()
             else:
-                # v = P b with b = prod (z - c)^s: L(v)/b is case II's
-                # operator on P at Theta = b'/b, the theta of e_c = 2 s
                 if coeffs is None:
-                    th = theta(ctx, ECandidate(tuple((c, 2 * s) for c, s in orders),
-                                               2 * g, Fraction(n)))
-                    coeffs = _case2_coefficients(normal, th, xi(normal, th), n)
+                    coeffs = _case2_coefficients(normal, th, x, n)
                 solvable = _solve_P(coeffs, n) is not None
             any_solvable = any_solvable or solvable
             found.append(ProductCandidate(orders, n, solvable, res_deg, res_lead))
@@ -401,12 +407,9 @@ class Classification(Enum):
 
 @dataclass(frozen=True)
 class GaloisVerdict:
-    case_one: tuple[RiccatiSolution, ...]
-    case_two_found: Optional[Case2Solution]
-    case_three_possible: bool
     classification: Classification
     identity_component_abelian: Optional[bool]   # None = undetermined
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
 
 def _point_nonreal_exponents(pt: SingularPoint) -> bool:
@@ -434,47 +437,36 @@ def classify(normal: NormalFormODE, spec: SingularitySpectrum,
     empty rational case-I search: without it a diagonal group with
     irrational exponent pairs is not excluded.
     """
-    notes: list[str] = []
     distinct = []
     for sol in case1:
         if all(sol.omega != other.omega for other in distinct):
             distinct.append(sol)
     n1 = len(distinct)
     if n1 >= 2:
-        notes.append("two independent solutions with rational log derivative")
-        return GaloisVerdict(tuple(case1), case2, case_three,
-                             Classification.DIAGONAL_OR_SMALLER_ABELIAN, True,
-                             tuple(notes))
+        return GaloisVerdict(Classification.DIAGONAL_OR_SMALLER_ABELIAN, True, (
+            "two independent solutions with rational log derivative",))
     if n1 == 1:
         if any(_point_nonreal_exponents(pt) for pt in spec.finite_points):
-            notes.append("single rational-log-derivative solution and non-real exponents")
-            return GaloisVerdict(tuple(case1), case2, case_three,
-                                 Classification.FULL_TRIANGULAR_NONABELIAN, False,
-                                 tuple(notes))
+            return GaloisVerdict(Classification.FULL_TRIANGULAR_NONABELIAN, False, (
+                "single rational-log-derivative solution and non-real exponents",))
         m = distinct[0].denominator_lcm()
         if m <= 8:
-            notes.append(f"y1^{m} is rational: proper triangular subgroup, "
-                         "abelian identity component")
-            return GaloisVerdict(tuple(case1), case2, case_three,
-                                 Classification.INCONCLUSIVE, True, tuple(notes))
-        notes.append(f"smallest candidate power m={m} exceeds the search bound 8; "
-                     "proper-subgroup status undetermined")
-        return GaloisVerdict(tuple(case1), case2, case_three,
-                             Classification.INCONCLUSIVE, None, tuple(notes))
+            return GaloisVerdict(Classification.INCONCLUSIVE, True, (
+                f"y1^{m} is rational: proper triangular subgroup, "
+                "abelian identity component",))
+        return GaloisVerdict(Classification.INCONCLUSIVE, None, (
+            f"smallest candidate power m={m} exceeds the search bound 8; "
+            "proper-subgroup status undetermined",))
     if case2 is not None:
-        notes.append("case II solution found: identity component inside the "
-                     "diagonal group, abelian")
-        return GaloisVerdict(tuple(case1), case2, case_three,
-                             Classification.INCONCLUSIVE, True, tuple(notes))
+        return GaloisVerdict(Classification.INCONCLUSIVE, True, (
+            "case II solution found: identity component inside the "
+            "diagonal group, abelian",))
     if case_three:
-        notes.append("all exponents rational: a finite group is not excluded")
-        return GaloisVerdict(tuple(case1), case2, case_three,
-                             Classification.INCONCLUSIVE, None, tuple(notes))
+        return GaloisVerdict(Classification.INCONCLUSIVE, None, (
+            "all exponents rational: a finite group is not excluded",))
     if pair_excluded:
-        notes.append("no rational case-I solution, product test excludes a "
-                     "diagonalizable pair, case II empty, case III impossible")
-        return GaloisVerdict(tuple(case1), case2, case_three,
-                             Classification.SL2_NONABELIAN, False, tuple(notes))
-    notes.append("no obstruction evidence is complete without the product test")
-    return GaloisVerdict(tuple(case1), case2, case_three,
-                         Classification.INCONCLUSIVE, None, tuple(notes))
+        return GaloisVerdict(Classification.SL2_NONABELIAN, False, (
+            "no rational case-I solution, product test excludes a "
+            "diagonalizable pair, case II empty, case III impossible",))
+    return GaloisVerdict(Classification.INCONCLUSIVE, None, (
+        "no obstruction evidence is complete without the product test",))

@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from curvedtwobody import models, ratcalc
+from curvedtwobody import certify as certify_mod
+from curvedtwobody import kovacic, linode, models, ratcalc
 from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    CONCLUSION_DEGENERATE,
-                                   CONCLUSION_NO_OBSTRUCTION, CertifyError,
-                                   InvariantViolation, RunConfig, certify,
-                                   clearing_bound,
+                                   CONCLUSION_NO_OBSTRUCTION, MAX_IDENTITY_SAMPLES,
+                                   CertifyError, InvariantViolation, RunConfig,
+                                   certify, clearing_bound,
                                    identity_holds, render_report)
 from curvedtwobody.cli import main as cli_main
 from curvedtwobody.cli import sweep_workers
@@ -440,9 +441,18 @@ class TestBadInput:
         with pytest.raises(CertifyError):
             RunConfig.from_dict(data)
 
+    def test_from_dict_bounds_identity_samples(self):
+        data = make_config(Space.SPHERE, Potential.NEWTON).to_dict()
+        data["identity_samples"] = MAX_IDENTITY_SAMPLES
+        assert RunConfig.from_dict(data).identity_samples == 10_000
+        data["identity_samples"] = MAX_IDENTITY_SAMPLES + 1
+        with pytest.raises(CertifyError, match="identity_samples must be in 0..10000"):
+            RunConfig.from_dict(data)
+
     @pytest.mark.parametrize("flag,value", [("--strength", "1/0"),
                                             ("--strength", "abc"),
-                                            ("--identity-samples", "-1")])
+                                            ("--identity-samples", "-1"),
+                                            ("--identity-samples", str(10**30))])
     def test_cli_exits_1_with_one_line(self, flag, value):
         args = {"--space": "sphere", "--potential": "newton", "--strength": "2",
                 "--mu": "1/2", "--p": "1", "--eps": "0"}
@@ -462,7 +472,9 @@ class TestBadInput:
         ("identity_samples", 2.7, "identity_samples must be an integer, got 2.7"),
         ("identity_samples", True, "identity_samples must be an integer, got True"),
         ("identity_samples", 1e30,
-         "identity_samples must be an integer, got 1e+30")])
+         "identity_samples must be an integer, got 1e+30"),
+        ("identity_samples", 10**30,
+         f"identity_samples must be in 0..10000, got {10**30}")])
     def test_cli_config_file_bad_entry_exits_1(self, tmp_path, key, value,
                                                message):
         data = {"space": "sphere", "potential": "newton", "strength": "1",
@@ -728,3 +740,39 @@ class TestNoEuclidOnTheCertifyPath:
         assert psi.rest == big_p
         psi.derivative() + psi * psi
         assert calls and all(q.degree() >= 2 for q in calls)
+
+
+def golden_config(stem: str) -> RunConfig:
+    """The parameters of a golden certificate, without identity samples."""
+    params = json.loads((GOLDEN / f"{stem}.json").read_bytes())["params"]
+    return RunConfig.from_dict({**{key: params[key] for key in (
+        "space", "potential", "strength", "mu", "p", "eps")}, "identity_samples": 0})
+
+
+class TestOneThetaXiPerTuple:
+    """Case II and the product test read Theta and Xi from one table per
+    certificate, and the product test needs no operator of its own."""
+
+    @pytest.mark.parametrize("stem,tuples", [("random_hyperbolic_newton_502", 12),
+                                             ("random_hyperbolic_newton_4", 3)])
+    def test_one_xi_per_finite_exponent_tuple(self, stem, tuples, monkeypatch):
+        calls = []
+        real = kovacic.xi
+
+        def counted(normal, th):
+            calls.append(th)
+            return real(normal, th)
+        monkeypatch.setattr(kovacic, "xi", counted)
+        cert = certify(golden_config(stem))
+        assert len(calls) == tuples
+        assert len(cert.case2["candidates"]) > tuples
+
+    def test_certify_never_calls_symmetric_power_residual(self, monkeypatch):
+        def refuse(normal, v):
+            raise AssertionError("symmetric_power_residual on the certify path")
+        for mod in (linode, kovacic, certify_mod, models):
+            if hasattr(mod, "symmetric_power_residual"):
+                monkeypatch.setattr(mod, "symmetric_power_residual", refuse)
+        for space, pot in ALL_CASES:
+            cert = certify(make_config(space, pot, identity_samples=0))
+            assert cert.conclusion == CONCLUSION_CERTIFIED

@@ -12,7 +12,8 @@ from curvedtwobody.kovacic import (Classification, ECandidate, KovacicError,
                                    _case2_coefficients, _gauss_solve, _solve_P,
                                    _solve_exponent_assignment, candidates,
                                    case1_search, case3_possible, classify,
-                                   e_sets, pair_exclusion, search_P, theta, xi)
+                                   e_sets, pair_exclusion, search_P, theta,
+                                   theta_xi, xi)
 from curvedtwobody.linode import (NormalFormODE, SingularPoint,
                                   SingularitySpectrum, reduce_to_second_order,
                                   singularity_spectrum,
@@ -221,10 +222,6 @@ class TestSearchP:
         sol = search_P(normal, cand)
         assert sol is not None
         assert sol.P.degree() == 0
-        assert sol.psi.is_zero()
-        # omega^2 - psi omega + (psi'/2 + psi^2/2 - r) = 0 reduces to
-        # omega^2 = 1, matching exp(+-z)
-        assert sol.omega_constant_term == RatFunc.constant(ctx, -1)
 
     def test_mu1_newton_case2_found(self):
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, 1, 1, 0)
@@ -233,15 +230,22 @@ class TestSearchP:
         assert any(sol is not None for sol in found)
 
     def test_handed_theta_and_xi_give_the_same_solution(self):
+        """A table filled by theta_xi beforehand, and shared by every
+        candidate, gives what a fresh Theta and Xi give."""
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, 1, 1, 0)
         normal, spec = analysis(params)
-        for cand in candidates(e_sets(spec)):
-            th = theta(params.ctx, cand)
-            handed = search_P(normal, cand, th, xi(normal, th))
+        cands = candidates(e_sets(spec))
+        table = {}
+        for cand in cands:
+            th, x = theta_xi(normal, cand, table)
+            assert th == theta(params.ctx, cand) and x == xi(normal, th)
+        assert len(table) == len({cand.finite for cand in cands})
+        for cand in cands:
+            handed = search_P(normal, cand, table)
             alone = search_P(normal, cand)
             assert (handed is None) == (alone is None)
             if alone is not None:
-                assert handed.P == alone.P and handed.psi == alone.psi
+                assert handed.P == alone.P
 
     def test_degree_two_auxiliary_polynomial(self):
         """Brute-force oracle at degree 2: for r = 3/(4(z-z0)^2) and the
@@ -595,7 +599,7 @@ class TestSharedSolver:
             th = theta(ctx, cand)
             want = oracle_solve(oracle_case2_operator(normal, th), ctx, int(cand.d),
                                 unique=False)
-            got = search_P(normal, cand, th)
+            got = search_P(normal, cand)
             assert (got and got.P) == want
         for cand in pair_exclusion(normal, spec).candidates:
             b = base_of(ctx, cand.base_exponents)
@@ -606,6 +610,25 @@ class TestSharedSolver:
             assert cand.solvable == (want is not None)
             th = product_theta(ctx, cand.base_exponents)
             assert _solve_P(_case2_coefficients(normal, th, xi(normal, th), n), n) == want
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
+    def test_rigid_residual_is_b_times_xi(self, path):
+        """A rigid product candidate v = b has L(b) = b Xi at Theta = b'/b,
+        so its solvability and residual read Xi alone."""
+        params = golden_params(path)
+        normal, spec = analysis(params)
+        ctx = params.ctx
+        for cand in pair_exclusion(normal, spec).candidates:
+            if cand.poly_degree:
+                continue
+            b = base_of(ctx, cand.base_exponents)
+            x = xi(normal, product_theta(ctx, cand.base_exponents))
+            res = symmetric_power_residual(normal, b)
+            assert b * x == res
+            assert cand.solvable == res.is_zero()
+            if not cand.solvable:
+                assert (cand.residual_num_degree, cand.residual_leading) == (
+                    res.num.degree(), res.num.leading())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_recovers_a_known_kernel(self, seed):

@@ -52,11 +52,14 @@ def _frac_str(q: Fraction) -> str:
 
 def _count(data: dict, key: str, default: int) -> int:
     """data[key] (default if absent) as an int or an integer string; a float
-    or a bool is refused, not truncated."""
+    or a bool is refused, not truncated, and so is any other value."""
     value = data.get(key, default)
-    if isinstance(value, (bool, float)):
-        raise CertifyError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise CertifyError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> RunConfig:
+        if not isinstance(data, dict):
+            raise CertifyError(f"run must be a JSON object, not {type(data).__name__}")
         try:
             space, potential = Space(data["space"]), Potential(data["potential"])
             seed = _count(data, "seed", 0)

@@ -231,10 +231,7 @@ def nve_cmd(theta0, branch, t_end, step, dp1, dp2, out_path, **run):
     variation = dynamics.nve_time_domain(params, base, (dp1, dp2), step=step)
     worst = dynamics.nve_chain_rule_residual(params, base, variation)
     if out_path:
-        lines = ["t,p1,p2"]
-        for t, v1, v2 in variation:
-            lines.append(f"{t:.17g},{v1:.17g},{v2:.17g}")
-        dynamics._atomic_write(out_path, ("\n".join(lines) + "\n").encode())
+        dynamics._write_csv(out_path, "t,p1,p2", variation)
     click.echo(json.dumps({
         "samples": len(variation),
         "chain_rule_residual": worst,

@@ -13,10 +13,10 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .models import (DomainError, HamiltonianKind, ModelParams, Potential,
-                     ReducedHamiltonian, Space, build_system, potential_slope)
+                     ReducedHamiltonian, Space, build_system, chart, hamiltonian)
 
 
 class DynamicsError(Exception):
@@ -350,16 +350,15 @@ def gamma_initial_state(params: ModelParams, theta0: float, branch: int = 1) -> 
     governed by the 1-dof Hamiltonian; eps selects the level through
     f(z) = cot/coth/tan^2/tanh^2(theta)."""
     s, mu, p, eps = map(float, (params.strength, params.mu, params.p, params.eps))
+    _, sin, cos, tan, _ = chart(params.space)
     if params.potential is Potential.NEWTON:
-        sphere = params.space is Space.SPHERE
-        sn = math.sin(theta0) if sphere else math.sinh(theta0)
+        sn = sin(theta0)
         if sn == 0:
             raise StepFailure(f"theta0={theta0} is a pole of the Newton potential")
-        f0 = (math.cos(theta0) if sphere else math.cosh(theta0)) / sn
+        f0 = cos(theta0) / sn
         z2 = 2 * mu * (eps + f0) / s
     else:
-        f0 = (math.tan(theta0) ** 2 if params.space is Space.SPHERE
-              else math.tanh(theta0) ** 2)
+        f0 = tan(theta0) ** 2
         z2 = mu * (2 * eps - f0) / s
     if z2 < 0:
         raise StepFailure(
@@ -372,7 +371,6 @@ def gamma_trajectory(params: ModelParams, theta0: float, t_end: float,
                      step: float = 1e-3, branch: int = 1,
                      sample_every: int = 10) -> TrajectoryReport:
     """Integrate the 1-dof geodesic-solution Hamiltonian from theta0."""
-    from .models import hamiltonian
     h0 = hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params)
     x0 = gamma_initial_state(params, theta0, branch)
     opts = IntegrationOptions(step=step, sample_every=sample_every)
@@ -384,20 +382,16 @@ def nve_rhs(params: ModelParams, theta: float, p_theta: float,
             omega: float = 1.0) -> tuple[float, float]:
     """Right-hand side of the time-domain normal variational equations."""
     mu, p = float(params.mu), float(params.p)
-    if params.space is Space.SPHERE:
-        sn, cs = math.sin(theta), math.cos(theta)
-    else:
-        sn, cs = math.sinh(theta), math.cosh(theta)
-    ct = cs / sn
+    _, sin, cos, _, sign = chart(params.space)
+    sn = sin(theta)
+    ct = cos(theta) / sn
     if variant == "restricted":
         if params.space is not Space.SPHERE:
             raise DynamicsError("restricted variational equations are spherical")
         return (-omega * ct * p1 + p2 / (sn * sn),
                 omega * p_theta * p1 + omega * ct * p2)
-    if params.space is Space.SPHERE:
-        return (-p * ct * p1 + (2 * p + p_theta - p / (mu * sn * sn)) * p2,
-                -p_theta * p1 + p * ct * p2)
-    return (-p * ct * p1 - (2 * p + p_theta + p / (mu * sn * sn)) * p2,
+    # S^2: (2p + p_theta - p/(mu sin^2)) p2; H^2: -(2p + p_theta + p/(mu sinh^2)) p2
+    return (-p * ct * p1 - sign * (2 * p + p_theta + sign * p / (mu * sn * sn)) * p2,
             -p_theta * p1 + p * ct * p2)
 
 
@@ -411,21 +405,17 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
     system (same RK4 step), and the variation is sampled at the supplied
     report's times."""
     _require_positive(step=step)
-    from .models import hamiltonian
     base_field = bound_field(hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params))
 
     def f(x):
         theta, pt, p1, p2 = x
-        base = base_field((theta, pt))
-        lin = nve_rhs(params, theta, pt, p1, p2, variant, omega)
-        return (base[0], base[1], lin[0], lin[1])
+        return base_field((theta, pt)) + nve_rhs(params, theta, pt, p1, p2,
+                                                 variant, omega)
 
-    theta0, pt0 = gamma_report.states[0][0], gamma_report.states[0][1]
-    x = (theta0, pt0, float(initial_variation[0]), float(initial_variation[1]))
+    x = gamma_report.states[0][:2] + tuple(float(v) for v in initial_variation)
     out = [(0.0, x[2], x[3])]
     t = 0.0
-    targets = list(gamma_report.times[1:])
-    for target in targets:
+    for target in gamma_report.times[1:]:
         while t < target - 1e-12:
             dt = min(step, target - t)
             x = _rk4_step(f, x, dt)
@@ -441,17 +431,16 @@ def nve_chain_rule_residual(params: ModelParams, base: TrajectoryReport,
     d/dt = (dz/dt) d/dz, with z = (p_theta + mu p)/strength."""
     system = build_system(params)
     s, mu, p = map(float, (params.strength, params.mu, params.p))
+    grad = hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params).grad
+    tan = chart(params.space)[3]
     worst = 0.0
     for (theta, pt), (_, v1, v2) in zip(base.states, variation):
         z = complex((pt + mu * p) / s, 0)
-        zdot = -potential_slope(params, theta) / s
+        zdot = -grad((theta, pt))[0] / s      # p_theta' = -dV/dtheta
         a_val = system.A.embed_complex(z).real
         b_val = system.B.embed_complex(z).real
         c_val = system.C.embed_complex(z).real
-        if system.weight is None:
-            w = 1.0
-        else:
-            w = math.tan(theta) if params.space is Space.SPHERE else math.tanh(theta)
+        w = 1.0 if system.weight is None else tan(theta)
         dt1, dt2 = nve_rhs(params, theta, pt, v1, v2)
         zd1 = (a_val * v1 + b_val * w * v2) * zdot
         zd2 = (c_val * w * v1 - a_val * v2) * zdot
@@ -472,12 +461,14 @@ class SectionPoint:
     crossing_index: int
 
 
+MAX_SECTION_POINTS = 100000     # the most crossings a section keeps in memory
+
+
 def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
                      coordinate: int = 3, value: float = 0.0,
-                     direction: int = 1, step: float = 1e-3,
-                     max_points: int = 100000) -> list[SectionPoint]:
+                     direction: int = 1, step: float = 1e-3) -> list[SectionPoint]:
     """Crossings of x[coordinate] = value in (0, t_end] with the requested
-    sign of the derivative.
+    sign of the derivative, the first MAX_SECTION_POINTS of them.
 
     RK4 steps of the given size (the last one shortened to end on t_end)
     bracket each crossing; one RK4 step of Henon's system
@@ -504,7 +495,7 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
     out = []
     t, k = 0.0, 0               # t = k * step keeps rounding off the sum
     s_prev = x[coordinate] - value
-    while t < t_end and len(out) < max_points:
+    while t < t_end and len(out) < MAX_SECTION_POINTS:
         last = t_end - t <= step * (1 + 1e-9)
         dt, t_new = (t_end - t, t_end) if last else (step, (k + 1) * step)
         try:
@@ -594,18 +585,22 @@ def _atomic_write(path: str, data: bytes):
         raise
 
 
-def trajectory_to_csv(report: TrajectoryReport, path: str):
-    lines = ["t,theta,p_theta,p0,p1,p2"]
-    for t, state in zip(report.times, report.states):
-        padded = tuple(state) + (0.0,) * (5 - len(state))
-        lines.append(",".join(f"{v:.17g}" for v in (t,) + padded))
+def _write_csv(path: str, header: str, rows: Iterable[tuple]):
+    """header, then one line per row, each number to 17 significant digits."""
+    lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
+
+
+def _padded(state) -> tuple:
+    """A state on any chart as the five columns theta .. p2, zero-filled."""
+    return tuple(state) + (0.0,) * (5 - len(state))
+
+
+def trajectory_to_csv(report: TrajectoryReport, path: str):
+    _write_csv(path, "t,theta,p_theta,p0,p1,p2",
+               ((t,) + _padded(x) for t, x in zip(report.times, report.states)))
 
 
 def section_to_csv(points: Sequence[SectionPoint], path: str):
-    lines = ["t,theta,p_theta,p0,p1,p2,crossing_index"]
-    for pt in points:
-        padded = tuple(pt.state) + (0.0,) * (5 - len(pt.state))
-        lines.append(",".join(f"{v:.17g}" for v in (pt.t,) + padded)
-                     + f",{pt.crossing_index}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    _write_csv(path, "t,theta,p_theta,p0,p1,p2,crossing_index",
+               ((pt.t,) + _padded(pt.state) + (pt.crossing_index,) for pt in points))

@@ -14,6 +14,7 @@ rational parameter and the boundary interpretation stays commentary.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -572,11 +573,10 @@ class HamiltonianKind(Enum):
 def _potential(params: ModelParams):
     """(V, dV/dtheta) as functions of theta, closed over the float strength."""
     s = float(params.strength)
-    _, sin, cos, _ = _chart(params.space)
+    _, sin, cos, tan, _ = chart(params.space)
     if params.potential is Potential.NEWTON:
         return (lambda theta: -s * cos(theta) / sin(theta),
                 lambda theta: s / sin(theta) ** 2)
-    tan = math.tan if params.space is Space.SPHERE else math.tanh
 
     def value(theta):
         t = tan(theta)
@@ -596,23 +596,24 @@ def potential_slope(params: ModelParams, theta: float) -> float:
     return _potential(params)[1](theta)
 
 
-def _chart(space: Space):
-    """(check, sin, cos, sign) on the space's chart: check(theta) raises
+@functools.cache
+def chart(space: Space):
+    """(check, sin, cos, tan, sign) on the space's chart: check(theta) raises
     DomainError outside (0, pi) or within about 1e-12 of a zero of sin on
-    S^2, outside (0, infinity) on H^2; sin and cos are the trigonometric or
-    hyperbolic ones; sign is that of the p2^2 coupling term."""
+    S^2, outside (0, infinity) on H^2; sin, cos and tan are the trigonometric
+    or hyperbolic ones; sign is that of the p2^2 coupling term (-1 on S^2)."""
     if space is Space.SPHERE:
         pi, sin = math.pi, math.sin
 
         def check(theta):
             if not 0 < theta < pi or abs(sin(theta)) < 1e-12:
                 raise DomainError(f"theta = {theta} outside (0, pi)")
-        return check, sin, math.cos, -1.0
+        return check, sin, math.cos, math.tan, -1.0
 
     def check(theta):
         if theta <= 0:
             raise DomainError(f"theta = {theta} outside (0, infinity)")
-    return check, math.sinh, math.cosh, 1.0
+    return check, math.sinh, math.cosh, math.tanh, 1.0
 
 
 # Each builder below returns (value, grad) on its chart as closures over
@@ -622,7 +623,7 @@ def _chart(space: Space):
 
 def _gamma_restriction(params: ModelParams, v, vp):
     """(theta, p_theta) on the geodesic solution p0 = p, p1 = p2 = 0."""
-    check = _chart(params.space)[0]
+    check = chart(params.space)[0]
     mu, p = float(params.mu), float(params.p)
 
     def value(x):
@@ -639,7 +640,7 @@ def _gamma_restriction(params: ModelParams, v, vp):
 
 def _restricted_problem(om: float, v, vp):
     """(theta, p_theta, psi, p_psi) on the sphere, drifting at speed om."""
-    check, sin, cos, _ = _chart(Space.SPHERE)
+    check, sin, cos, _, _ = chart(Space.SPHERE)
 
     def value(x):
         theta, pt, psi, pps = x
@@ -666,7 +667,7 @@ def _restricted_problem(om: float, v, vp):
 def _reduced(params: ModelParams, v, vp):
     """The full reduced Hamiltonian on (theta, p_theta, p0, p1, p2): kinetic
     part, coupling part and potential."""
-    check, sin, cos, sign = _chart(params.space)
+    check, sin, cos, _, sign = chart(params.space)
     mu, two_sign = float(params.mu), 2 * sign
 
     def value(x):
@@ -693,7 +694,7 @@ def _reduced(params: ModelParams, v, vp):
 def _kinetic(params: ModelParams, v, vp):
     """(p_theta^2 + p2^2/sin^2 theta)/(2 mu) + V: the free part S1 (v = vp =
     _zero) or the central motion."""
-    check, sin, cos, _ = _chart(params.space)
+    check, sin, cos, _, _ = chart(params.space)
     mu = float(params.mu)
 
     def value(x):
@@ -713,7 +714,7 @@ def _kinetic(params: ModelParams, v, vp):
 
 def _coupling(params: ModelParams):
     """p_theta p0 -+ p2^2 + p1 p2 cot theta: the free part S2."""
-    check, sin, cos, sign = _chart(params.space)
+    check, sin, cos, _, sign = chart(params.space)
     two_sign = 2 * sign
 
     def value(x):
@@ -731,69 +732,46 @@ def _coupling(params: ModelParams):
     return value, grad
 
 
-def _bind(evaluator, dim: int, value, grad):
-    for name, attr in (("dim", dim), ("value", value), ("grad", grad)):
-        object.__setattr__(evaluator, name, attr)
-
-
 @dataclass(frozen=True)
 class ReducedHamiltonian:
-    """value(state) and grad(state) on the kind's chart of dim coordinates:
+    """value(state) and grad(state) on a chart of dim coordinates:
     (theta, p_theta) for GAMMA_RESTRICTION, (theta, p_theta, psi, p_psi)
     for RESTRICTED_PROBLEM, (theta, p_theta, p0, p1, p2) for the others.
-    The three are bound once at construction; off the chart value and grad
-    raise DomainError."""
+    hamiltonian() builds value and grad as closures over float constants;
+    off the chart they raise DomainError."""
 
-    kind: HamiltonianKind
     params: ModelParams
-    omega: Optional[float] = None     # restricted-problem drift speed
-    include_potential: bool = True
-    dim: int = field(init=False, compare=False)
-    value: Callable[[tuple], float] = field(init=False, repr=False, compare=False)
-    grad: Callable[[tuple], tuple] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        k, params = self.kind, self.params
-        v, vp = _potential(params) if self.include_potential else (_zero, _zero)
-        if k is HamiltonianKind.GAMMA_RESTRICTION:
-            _bind(self, 2, *_gamma_restriction(params, v, vp))
-        elif k is HamiltonianKind.RESTRICTED_PROBLEM:
-            om = self.omega if self.omega is not None else 1.0
-            _bind(self, 4, *_restricted_problem(om, v, vp))
-        elif k is HamiltonianKind.FREE_PART_S1:
-            _bind(self, 5, *_kinetic(params, _zero, _zero))
-        elif k is HamiltonianKind.FREE_PART_S2:
-            _bind(self, 5, *_coupling(params))
-        else:
-            _bind(self, 5, *_reduced(params, v, vp))
+    dim: int
+    value: Callable[[tuple], float] = field(repr=False, compare=False)
+    grad: Callable[[tuple], tuple] = field(repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class CentralMotionHamiltonian:
+def CentralMotionHamiltonian(params: ModelParams) -> ReducedHamiltonian:
     """The m1 = infinity system: one body in the fixed central potential,
     on (theta, p_theta, p0, p1, p2).
 
     Only (theta, p_theta, p2) enter, so p2 is the extra integral."""
-
-    params: ModelParams
-    dim: int = field(init=False, compare=False)
-    value: Callable[[tuple], float] = field(init=False, repr=False, compare=False)
-    grad: Callable[[tuple], tuple] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _bind(self, 5, *_kinetic(self.params, *_potential(self.params)))
+    return ReducedHamiltonian(params, 5, *_kinetic(params, *_potential(params)))
 
 
-def hamiltonian(kind: HamiltonianKind, params: ModelParams,
-                omega: Optional[float] = None,
+def hamiltonian(kind: HamiltonianKind, params: ModelParams, omega: float = 1.0,
                 include_potential: bool = True) -> ReducedHamiltonian:
-    if kind is HamiltonianKind.RESTRICTED_PROBLEM and params.space is not Space.SPHERE:
-        raise ModelError("the restricted-problem chart is implemented on the sphere")
-    if kind is HamiltonianKind.FULL_SPHERE and params.space is not Space.SPHERE:
-        raise ModelError("FullSphere needs sphere parameters")
-    if kind is HamiltonianKind.FULL_HYPERBOLIC and params.space is not Space.HYPERBOLIC:
-        raise ModelError("FullHyperbolic needs hyperbolic parameters")
-    return ReducedHamiltonian(kind, params, omega, include_potential)
+    """The kind's Hamiltonian at params; omega is the restricted drift speed."""
+    space = {HamiltonianKind.FULL_SPHERE: Space.SPHERE,
+             HamiltonianKind.FULL_HYPERBOLIC: Space.HYPERBOLIC,
+             HamiltonianKind.RESTRICTED_PROBLEM: Space.SPHERE}.get(kind, params.space)
+    if params.space is not space:
+        raise ModelError(f"{kind.value} needs {space.value} parameters")
+    v, vp = _potential(params) if include_potential else (_zero, _zero)
+    if kind is HamiltonianKind.GAMMA_RESTRICTION:
+        return ReducedHamiltonian(params, 2, *_gamma_restriction(params, v, vp))
+    if kind is HamiltonianKind.RESTRICTED_PROBLEM:
+        return ReducedHamiltonian(params, 4, *_restricted_problem(omega, v, vp))
+    if kind is HamiltonianKind.FREE_PART_S1:
+        return ReducedHamiltonian(params, 5, *_kinetic(params, _zero, _zero))
+    if kind is HamiltonianKind.FREE_PART_S2:
+        return ReducedHamiltonian(params, 5, *_coupling(params))
+    return ReducedHamiltonian(params, 5, *_reduced(params, v, vp))
 
 
 REFERENCE_PARAMETERS = {

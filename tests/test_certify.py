@@ -327,6 +327,18 @@ class TestSweepFailures:
         assert sorted(f.name for f in out_dir.iterdir()) == [
             "002_hyperbolic_newton.json", "003_sphere_newton.json"]
 
+    def test_entries_that_are_not_objects(self, tmp_path):
+        out_dir = tmp_path / "certs"
+        result = CliRunner().invoke(cli_main, [
+            "sweep", "--config", str(write_sweep(tmp_path, [1, None, "x"])),
+            "--out-dir", str(out_dir)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "000: invalid input: run must be a JSON object, not int",
+            "001: invalid input: run must be a JSON object, not NoneType",
+            "002: invalid input: run must be a JSON object, not str"]
+        assert list(out_dir.iterdir()) == []
+
     def test_invariant_violation_sets_exit_2(self, tmp_path, monkeypatch):
         from curvedtwobody import certify as certify_mod
 
@@ -467,7 +479,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("key,value,message", [
         ("space", "torus", "'torus' is not a valid Space"),
-        ("seed", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("seed", "abc", "seed must be an integer, got 'abc'"),
+        ("seed", [1], "seed must be an integer, got [1]"),
         ("seed", 2.5, "seed must be an integer, got 2.5"),
         ("identity_samples", 2.7, "identity_samples must be an integer, got 2.7"),
         ("identity_samples", True, "identity_samples must be an integer, got True"),

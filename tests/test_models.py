@@ -409,6 +409,14 @@ class TestHamiltonians:
         with pytest.raises(DomainError):
             h.value((math.pi, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("kind,space", [
+        (HamiltonianKind.FULL_SPHERE, Space.HYPERBOLIC),
+        (HamiltonianKind.FULL_HYPERBOLIC, Space.SPHERE),
+        (HamiltonianKind.RESTRICTED_PROBLEM, Space.HYPERBOLIC)])
+    def test_kind_needs_its_space(self, kind, space):
+        with pytest.raises(ModelError, match=f"^{kind.value} needs "):
+            hamiltonian(kind, reference_params(space, Potential.NEWTON))
+
     def test_candidate_poles_count(self):
         params = reference_params(Space.SPHERE, Potential.NEWTON)
         assert len(candidate_poles(params)) == 5

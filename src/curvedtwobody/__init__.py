@@ -5,14 +5,11 @@ function calculus -> second-order ODE normal form -> Galois obstruction
 tests -> model-specific reductions -> numeric dynamics -> certificates.
 """
 from .exactfield import (ContextMismatch, DegenerateTower, DivisionByZero,
-                         GaussRational, Rational, TowerContext, TowerScalar,
-                         make_context)
-from .ratcalc import (BadFactorization, PartialFraction, Poly, PoleEvaluation,
-                      RatFunc, partial_fractions, poly_gcd)
+                         GaussRational, TowerContext, TowerScalar, make_context)
+from .ratcalc import BadFactorization, Poly, PoleEvaluation, RatFunc, poly_gcd
 
 __all__ = [
     "ContextMismatch", "DegenerateTower", "DivisionByZero", "GaussRational",
-    "Rational", "TowerContext", "TowerScalar", "make_context",
-    "BadFactorization", "PartialFraction", "Poly", "PoleEvaluation",
-    "RatFunc", "partial_fractions", "poly_gcd",
+    "TowerContext", "TowerScalar", "make_context",
+    "BadFactorization", "Poly", "PoleEvaluation", "RatFunc", "poly_gcd",
 ]

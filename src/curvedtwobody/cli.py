@@ -96,16 +96,15 @@ _orbit_options = _options(
                  help="CSV output path"))
 
 
-def _build_config(config_path, seed=0, identity_samples=0, **given) -> RunConfig:
-    """--config overridden by the parameters given on the command line."""
+def _build_config(config_path, **given) -> RunConfig:
+    """--config overridden by what the command line gives.  A seed and an
+    identity_samples that neither gives take RunConfig's 0 and 20."""
     data = _load_json(config_path) if config_path else {}
     data.update((key, val) for key, val in given.items() if val is not None)
     missing = [k for k in ("space", "potential", "strength", "mu", "p", "eps")
                if k not in data]
     if missing:
         raise CertifyError(f"missing parameters: {', '.join(missing)}")
-    data.setdefault("seed", seed)
-    data.setdefault("identity_samples", identity_samples)
     return RunConfig.from_dict(data)
 
 
@@ -149,15 +148,17 @@ def _command(name: str):
 
 @_command("certify")
 @_parameter_options
-@click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--identity-samples", default=20, type=int, show_default=True,
-              help="extra random parameter sets for the closed-form identity check")
+@click.option("--seed", default=None, type=int,
+              help="seed of the identity samples  [default: 0]")
+@click.option("--identity-samples", default=None, type=int,
+              help="extra random parameter sets for the closed-form identity "
+                   "check  [default: 20]")
 @click.option("--out", "out_path", default=None, type=click.Path())
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
               default="json", show_default=True)
-def certify_cmd(seed, identity_samples, out_path, fmt, **run):
+def certify_cmd(out_path, fmt, **run):
     """Run the full obstruction pipeline and emit a certificate."""
-    cfg = _build_config(seed=seed, identity_samples=identity_samples, **run)
+    cfg = _build_config(**run)
     cert = certify_mod.certify(cfg)
     payload = render_report(cert, fmt)
     if out_path:

@@ -109,9 +109,6 @@ class TrajectoryReport:
     # to end on t_end; the smallest accepted step when no other is left
     min_step: float
 
-    def final_state(self) -> tuple:
-        return self.states[-1]
-
 
 def _rk4_tableau(f, x, dt):
     """One classical RK4 step on a state of any length."""

@@ -26,10 +26,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional
 
-#: Exact rational numbers.  fractions.Fraction already maintains the
-#: invariants we need: lowest terms, positive denominator, big integers.
-Rational = Fraction
-
 
 class ExactFieldError(Exception):
     pass
@@ -143,9 +139,6 @@ class GaussRational:
         if self.d == other.d:
             return _gauss(x, y, n)
         return _gauss(x * other.d, y * other.d, self.d * n)
-
-    def conjugate(self) -> GaussRational:
-        return _gauss(self.x, -self.y, self.d)
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0

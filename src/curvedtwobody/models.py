@@ -1,7 +1,7 @@
 """Model layer: the four (space x potential) reductions and their data.
 
-Builds the first-order variational systems in the z variable, transcribes
-the closed-form coefficient tables for r(z), locates singular points in
+Builds the first-order variational systems in the z variable, writes the
+closed-form coefficient tables for r(z), locates singular points in
 closed form, checks the reality-condition lemmas, produces the mu = 1
 reference solutions, and exposes numeric Hamiltonian evaluators for the
 dynamics side.
@@ -280,139 +280,64 @@ class CoefficientTable:
 
 
 def closed_form_r(params: ModelParams) -> CoefficientTable:
-    """The closed-form alpha_j/beta_j coefficient tables in tower
-    arithmetic, transcribed term by term."""
-    ctx = params.ctx
-    mu, p = params.mu, params.p
-    c = ctx.from_rational
-    k = params.kappa_value()
-    lam = params.lambda_value()
-    k2 = ctx.from_gauss(params.kappa2)
-    l2 = ctx.from_gauss(params.lambda2)
-    z0s = params.z0_scalar()
-    d = k2 - l2
+    """The table of r(z) = sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j) over the
+    poles c_j = z0, +kappa, -kappa, +lambda, -lambda, in closed form.
 
+    In z0 = mu p/strength rather than p no entry depends on the space: S^2
+    and H^2 enter only through kappa^2, lambda^2 and z0.  At a pole c with
+    square c^2, o^2 the other pair's square and D = c^2 - o^2:
+
+      alpha(c) = (mu-1)((mu-1) z0 - (mu+1) c)(z0 - c) / (4 c^2)
+      beta(c)  = m mu(mu-1) z0/D - (mu-1)[(mu-1) z0^2 ((2m+1) c^2 - o^2)
+                 + (mu+1) c^2 ((2m-1) c^2 + o^2)] / (4 D c^3)
+
+    with m = 2 for Newton and m = 1 for the oscillator.  Newton's
+    alpha_1..alpha_4 and beta_1..beta_4 are these at c = +kappa, -kappa,
+    +lambda, -lambda, with alpha_0 = 3/4 and beta_0 = 0.  The oscillator's
+    alpha_1, alpha_2, beta_1, beta_2 are these at c = +-kappa, with
+    alpha_0 = 3/4, alpha_3 = alpha_4 = -3/16, beta_0 = -3 z0/(2(z0^2 -
+    lambda^2)) and beta_3, beta_4 its own expression at c = +-lambda:
+
+      beta(c)  = 3/(4(z0 - c)) + mu(mu-1) z0/D
+                 - (8(mu-1)^2 z0^2 + 9 o^2 + (8 mu^2 - 17) c^2) / (16 c D)
+
+    Two symmetries write each entry once.  The entry at -c is the +c
+    expression with c -> -c, so a pair is (even + odd, even - odd); both
+    parts are computed once in Q(i), the odd one as c times a Gaussian.
+    Newton's lambda pair is its kappa pair with kappa^2 and lambda^2
+    swapped.
+    """
+    ctx, mu, z0, g = params.ctx, params.mu, params.z0, GaussRational
+    k2, l2 = params.kappa2, params.lambda2
+    m = 2 if params.potential is Potential.NEWTON else 1
+
+    def pair(c, even, odd):
+        e, o = ctx.from_gauss(even), c * ctx.from_gauss(odd)
+        return e + o, e - o
+
+    def alpha(c, c2):
+        return pair(c, g((mu * mu - 1) / 4) + g((mu - 1) ** 2 * z0 * z0 / 4) / c2,
+                    g(-mu * (mu - 1) * z0 / 2) / c2)
+
+    def beta(c, c2, o2):
+        d = c2 - o2
+        num = g((mu - 1) ** 2 * z0 * z0) * (g(2 * m + 1) * c2 - o2) \
+            + g(mu * mu - 1) * c2 * (g(2 * m - 1) * c2 + o2)
+        return pair(c, g(m * mu * (mu - 1) * z0) / d, -num / (g(4) * d * c2 * c2))
+
+    k, lam = params.kappa_value(), params.lambda_value()
+    poles = (params.z0_scalar(), k, -k, lam, -lam)
+    head = (ctx.from_rational(Fraction(3, 4)), *alpha(k, k2))
     if params.potential is Potential.NEWTON:
-        if params.space is Space.SPHERE:
-            fi = ctx.from_gauss(GaussRational(0, 4))      # 4i
-            a1 = (c(Fraction(1 - mu, 64)) / k2) \
-                * (c(p * (mu - 1)) * (l2 - k2) + fi * k * c(mu + 1)) \
-                * (c(p) * (l2 - k2) + fi * k)
-            a2 = (c(Fraction(1 - mu, 64)) / k2) \
-                * (c(p * (mu - 1)) * (l2 - k2) - fi * k * c(mu + 1)) \
-                * (c(p) * (l2 - k2) - fi * k)
-            a3 = (c(Fraction(1 - mu, 64)) / l2) \
-                * (c(p * (mu - 1)) * d - fi * lam * c(mu + 1)) \
-                * (c(p) * d - fi * lam)
-            a4 = (c(Fraction(1 - mu, 64)) / l2) \
-                * (c(p * (mu - 1)) * d + fi * lam * c(mu + 1)) \
-                * (c(p) * d + fi * lam)
-            ti = ctx.from_gauss(GaussRational(0, 32))     # 32i
-            k3 = k2 * k
-            l3 = l2 * lam
-            pref_k = c(mu - 1) / (c(64) * d * k3)
-            pref_l = c(mu - 1) / (c(64) * d * l3)
-            b1 = pref_k * (c((mu - 1) * p * p) * (c(5) * k2 - l2) * d * d
-                           - ti * c(mu * p) * d * k3
-                           - c(16 * (mu + 1)) * k2 * (c(3) * k2 + l2))
-            b2 = pref_k * (c((1 - mu) * p * p) * (c(5) * k2 - l2) * d * d
-                           - ti * c(mu * p) * d * k3
-                           + c(16 * (mu + 1)) * k2 * (c(3) * k2 + l2))
-            b3 = pref_l * (c((1 - mu) * p * p) * (c(5) * l2 - k2) * d * d
-                           + ti * c(mu * p) * d * l3
-                           + c(16 * (mu + 1)) * l2 * (c(3) * l2 + k2))
-            b4 = pref_l * (c((mu - 1) * p * p) * (c(5) * l2 - k2) * d * d
-                           + ti * c(mu * p) * d * l3
-                           - c(16 * (mu + 1)) * l2 * (c(3) * l2 + k2))
-        else:
-            four = c(4)
-            a1 = (c(Fraction(mu - 1, 64)) / k2) \
-                * (c(p * (mu - 1)) * d - four * k * c(mu + 1)) \
-                * (c(p) * d - four * k)
-            a2 = (c(Fraction(mu - 1, 64)) / k2) \
-                * (c(p * (mu - 1)) * d + four * k * c(mu + 1)) \
-                * (c(p) * d + four * k)
-            a3 = (c(Fraction(mu - 1, 64)) / l2) \
-                * (c(p * (mu - 1)) * d - four * lam * c(mu + 1)) \
-                * (c(p) * d - four * lam)
-            a4 = (c(Fraction(mu - 1, 64)) / l2) \
-                * (c(p * (mu - 1)) * d + four * lam * c(mu + 1)) \
-                * (c(p) * d + four * lam)
-            k3 = k2 * k
-            l3 = l2 * lam
-            pref_k = c(mu - 1) / (c(64) * d * k3)
-            pref_l = c(mu - 1) / (c(64) * d * l3)
-            b1 = pref_k * (c((mu - 1) * p * p) * (l2 - c(5) * k2) * d * d
-                           + c(32 * mu * p) * d * k3
-                           - c(16 * (mu + 1)) * k2 * (c(3) * k2 + l2))
-            b2 = pref_k * (c((mu - 1) * p * p) * (c(5) * k2 - l2) * d * d
-                           + c(32 * mu * p) * d * k3
-                           + c(16 * (mu + 1)) * k2 * (c(3) * k2 + l2))
-            b3 = pref_l * (c((mu - 1) * p * p) * (c(5) * l2 - k2) * d * d
-                           - c(32 * mu * p) * d * l3
-                           + c(16 * (mu + 1)) * l2 * (c(3) * l2 + k2))
-            b4 = pref_l * (c((mu - 1) * p * p) * (k2 - c(5) * l2) * d * d
-                           - c(32 * mu * p) * d * l3
-                           - c(16 * (mu + 1)) * l2 * (c(3) * l2 + k2))
-        poles = (z0s, k, -k, lam, -lam)
-        alphas = (c(Fraction(3, 4)), a1, a2, a3, a4)
-        betas = (ctx.zero, b1, b2, b3, b4)
-        return CoefficientTable(poles, alphas, betas)
-
-    # oscillator tables
-    a0 = c(Fraction(3, 4))
-    a34 = c(Fraction(-3, 16))
-    two = c(2)
-    if params.space is Space.SPHERE:
-        b0 = c(3 * p) * (l2 - k2) / (two * ((l2 - k2) * (l2 - k2) * c(p * p) - l2))
-        a1 = (c(Fraction(mu - 1, 4)) / k2) \
-            * (c(p * (mu - 1)) * d - k * c(mu + 1)) * (c(p) * d - k)
-        a2 = (c(Fraction(mu - 1, 4)) / k2) \
-            * (c(p * (mu - 1)) * d + k * c(mu + 1)) * (c(p) * d + k)
-        k3 = k2 * k
-        pref_k = c(mu - 1) / (c(4) * d * k3)
-        b1 = pref_k * (c((mu - 1) * p * p) * (l2 - c(3) * k2) * d * d
-                       + c(4 * mu * p) * d * k3
-                       - c(mu + 1) * k2 * (k2 + l2))
-        b2 = pref_k * (c((mu - 1) * p * p) * (c(3) * k2 - l2) * d * d
-                       + c(4 * mu * p) * d * k3
-                       + c(mu + 1) * k2 * (k2 + l2))
-        common = c(8 * (mu - 1) ** 2 * p ** 3) * d * d * d \
-            - c(8 * (3 * mu - 1) * (mu - 1) * p * p) * lam * d * d \
-            + lam * (c(5 - 8 * mu * mu) * l2 + c(3) * k2)
-        moment = d * (c(9) * k2 + c(24 * mu * mu - 16 * mu - 17) * l2) * c(p)
-        b3 = (common + moment) / (c(16) * lam * d * (d * c(p) - lam))
-        b4 = (-(c(8 * (mu - 1) ** 2 * p ** 3) * d * d * d)
-              - c(8 * (3 * mu - 1) * (mu - 1) * p * p) * lam * d * d
-              + lam * (c(5 - 8 * mu * mu) * l2 + c(3) * k2)
-              - moment) / (c(16) * lam * d * (d * c(p) + lam))
-    else:
-        b0 = c(3 * p) * (k2 - l2) / (two * ((l2 - k2) * (l2 - k2) * c(p * p) - l2))
-        a1 = (c(Fraction(mu - 1, 4)) / k2) \
-            * (c(p * (mu - 1)) * d + k * c(mu + 1)) * (c(p) * d + k)
-        a2 = (c(Fraction(mu - 1, 4)) / k2) \
-            * (c(p * (mu - 1)) * d - k * c(mu + 1)) * (c(p) * d - k)
-        k3 = k2 * k
-        pref_k = c(mu - 1) / (c(4) * d * k3)
-        b1 = pref_k * (c((mu - 1) * p * p) * (l2 - c(3) * k2) * d * d
-                       - c(4 * mu * p) * d * k3
-                       - c(mu + 1) * k2 * (k2 + l2))
-        b2 = pref_k * (c((mu - 1) * p * p) * (c(3) * k2 - l2) * d * d
-                       - c(4 * mu * p) * d * k3
-                       + c(mu + 1) * k2 * (k2 + l2))
-        common = c(8 * (mu - 1) ** 2 * p ** 3) * d * d * d \
-            + c(8 * (3 * mu - 1) * (mu - 1) * p * p) * lam * d * d \
-            + lam * (c(8 * mu * mu - 5) * l2 - c(3) * k2)
-        moment = d * (c(9) * k2 + c(24 * mu * mu - 16 * mu - 17) * l2) * c(p)
-        b3 = (common + moment) / (c(16) * lam * d * (d * c(p) + lam))
-        b4 = (-(c(8 * (mu - 1) ** 2 * p ** 3) * d * d * d)
-              + c(8 * (3 * mu - 1) * (mu - 1) * p * p) * lam * d * d
-              + lam * (c(8 * mu * mu - 5) * l2 - c(3) * k2)
-              - moment) / (c(16) * lam * d * (d * c(p) - lam))
-    poles = (z0s, k, -k, lam, -lam)
-    alphas = (a0, a1, a2, a34, a34)
-    betas = (b0, b1, b2, b3, b4)
-    return CoefficientTable(poles, alphas, betas)
+        return CoefficientTable(poles, (*head, *alpha(lam, l2)),
+                                (ctx.zero, *beta(k, k2, l2), *beta(lam, l2, k2)))
+    w, d = g(Fraction(3, 4)) / (g(z0 * z0) - l2), l2 - k2
+    odd = w - (g(8 * (mu - 1) ** 2 * z0 * z0) + g(9) * k2 + g(8 * mu * mu - 17) * l2) \
+        / (g(16) * l2 * d)
+    a34 = ctx.from_rational(Fraction(-3, 16))
+    return CoefficientTable(poles, (*head, a34, a34),
+                            (ctx.from_gauss(g(-2 * z0) * w), *beta(k, k2, l2),
+                             *pair(lam, w * g(z0) + g(mu * (mu - 1) * z0) / d, odd)))
 
 
 def candidate_poles(params: ModelParams) -> list[TowerScalar]:

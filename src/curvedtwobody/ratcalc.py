@@ -9,14 +9,12 @@ test the numerator at the roots by synthetic division.  Euclid (poly_gcd)
 runs only against a non-constant rest, which comes from a denominator
 given dense with a factor the context does not know (the P of P'/P).  Pole
 locations are always supplied by callers in closed form, so no root
-finding happens here; partial fractions use the Taylor method at each
-supplied root.  This module is the one place that splits a polynomial
+finding happens here.  This module is the one place that splits a polynomial
 over such roots: callers read split() for a numerator and
 RatFunc.exponents_over for a denominator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -476,9 +474,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_poly(self) -> bool:
-        return not self.roots and self.rest.degree() == 0
-
     def exponents_over(self, keys) -> dict:
         """{c: e} over the c in keys (a collection) at which den has a root,
         e its exponent, in the order of keys; raises BadFactorization when
@@ -616,26 +611,6 @@ class RatFunc:
         return f"RatFunc[{self.render()}]"
 
 
-@dataclass(frozen=True)
-class PartialFraction:
-    """Terms (pole, order k, coefficient of (z-pole)^-k) plus polynomial part."""
-
-    terms: tuple[tuple[TowerScalar, int, TowerScalar], ...]
-    polynomial_part: Poly
-
-    def coefficient(self, pole: TowerScalar, order: int) -> TowerScalar:
-        for c, k, coef in self.terms:
-            if c == pole and k == order:
-                return coef
-        return self.polynomial_part.ctx.zero
-
-    def reconstruct(self, ctx: TowerContext) -> RatFunc:
-        out = RatFunc.from_poly(self.polynomial_part)
-        for pole, k, coef in self.terms:
-            out = out + RatFunc.over(Poly.constant(ctx, coef), {pole: k})
-        return out
-
-
 def exponent_map(roots: Iterable[tuple[TowerScalar, int]]) -> dict:
     """{c: total multiplicity} over the nonzero (c, m) pairs."""
     out = {}
@@ -643,37 +618,6 @@ def exponent_map(roots: Iterable[tuple[TowerScalar, int]]) -> dict:
         if m:
             out[c] = out.get(c, 0) + m
     return out
-
-
-def partial_fractions(f: RatFunc,
-                      roots: Sequence[tuple[TowerScalar, int]]) -> PartialFraction:
-    """Decompose f over the supplied (pole, multiplicity) factorization of den(f).
-
-    Coefficients come from Taylor expansion of (z-c)^m f at each pole c:
-    the (z-c)^-k coefficient is the (m-k)-th Taylor coefficient.
-    """
-    ctx = f.ctx
-    given = exponent_map(roots)
-    if f.exponents_over(given) != given:
-        raise BadFactorization("supplied roots do not factor the denominator")
-    poly_part, rem = f.num.divmod(f.den)
-    terms = []
-    for pole, mult in given.items():
-        # g = rem / other is analytic at the pole; Taylor coefficients via
-        # successive derivatives
-        g = RatFunc.over(rem, {c: m for c, m in given.items() if c != pole})
-        fact = Fraction(1)
-        derivs = []
-        for j in range(mult):
-            if j > 0:
-                g = g.derivative()
-                fact = fact * j
-            derivs.append(g.evaluate(pole) / ctx.from_rational(fact))
-        for k in range(1, mult + 1):
-            coef = derivs[mult - k]
-            if not coef.is_zero():
-                terms.append((pole, k, coef))
-    return PartialFraction(tuple(terms), poly_part)
 
 
 def assemble_over_poles(ctx: TowerContext,

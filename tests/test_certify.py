@@ -207,6 +207,30 @@ class TestCli:
         assert result.exit_code == 0
         assert json.loads(out.read_text())["conclusion"] == "NoObstructionFound"
 
+    @staticmethod
+    def certify_over_config(tmp_path, flags, **keys):
+        """The certificate of certify --config run with flags; the config
+        is GOOD_RUN updated by keys, a key set to None left out."""
+        run = {k: v for k, v in dict(GOOD_RUN, **keys).items() if v is not None}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(run))
+        result = CliRunner().invoke(cli_main, ["certify", "--config", str(cfg), *flags])
+        assert result.exit_code == 0
+        return json.loads(result.output)
+
+    def test_seed_flag_overrides_config(self, tmp_path):
+        assert self.certify_over_config(tmp_path, [], seed=5)["seed"] == 5
+        assert self.certify_over_config(tmp_path, ["--seed", "9"], seed=5)["seed"] == 9
+
+    def test_identity_samples_flag_overrides_config(self, tmp_path):
+        assert "identity_check" not in self.certify_over_config(tmp_path, [])
+        cert = self.certify_over_config(tmp_path, ["--identity-samples", "2"])
+        assert cert["identity_check"]["samples"] == 2
+
+    def test_defaults_when_neither_config_nor_flag_sets_them(self, tmp_path):
+        cert = self.certify_over_config(tmp_path, [], identity_samples=None)
+        assert cert["seed"] == 0 and cert["identity_check"]["samples"] == 20
+
     def test_missing_parameters(self):
         runner = CliRunner()
         result = runner.invoke(cli_main, ["certify", "--space", "sphere"])
@@ -662,7 +686,7 @@ class TestIdentityProof:
             if j is not None:
                 table = corrupt_beta(table, j)
             bound, diff = bound_and_symbolic_difference(system, table, params)
-            assert diff.is_poly()
+            assert diff.den_degree() == 0
             assert diff.num.degree() <= bound.degree
             assert diff.is_zero() == (j is None)
 
@@ -686,7 +710,7 @@ class TestIdentityProof:
             weight=(z - c(2)) * (z - c(2)) / (z + c(4)) if weighted else None)
         table = closed_form_r(params)
         bound, diff = bound_and_symbolic_difference(system, table, params)
-        assert diff.is_poly() and not diff.is_zero()
+        assert diff.den_degree() == 0 and not diff.is_zero()
         assert diff.num.degree() <= bound.degree
         assert not identity_holds(system, table, params)
 

@@ -333,7 +333,7 @@ class TestIntegrate:
         r1 = integrate(h, x0, 2.0, IntegrationOptions(step=1e-3))
         r2 = integrate(h, x0, 2.0, IntegrationOptions(step=1e-3, method="rkf45",
                                                       rel_tol=1e-12))
-        assert max(abs(a - b) for a, b in zip(r1.final_state(), r2.final_state())) < 1e-8
+        assert max(abs(a - b) for a, b in zip(r1.states[-1], r2.states[-1])) < 1e-8
 
     def test_free_motion_split_integrals(self):
         params = sn_params()

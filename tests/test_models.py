@@ -17,12 +17,21 @@ from curvedtwobody.models import (CentralMotionHamiltonian,
                                   detect_poles, gamma_curve_identity,
                                   hamiltonian, lemma_condition, mu1_solutions,
                                   random_admissible_params, reference_params)
-from curvedtwobody.ratcalc import Poly, RatFunc, partial_fractions
+from curvedtwobody.ratcalc import Poly, RatFunc
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
              (Space.SPHERE, Potential.OSCILLATOR),
              (Space.HYPERBOLIC, Potential.OSCILLATOR)]
+
+
+# (strength, mu, p, eps) with kappa or lambda Gaussian: sphere Newton has
+# kappa^2 = 2i and lambda^2 = -2i, the others kappa^2 = 4, kappa^2 = 1 and
+# lambda^2 = 1
+COLLAPSED = {(Space.SPHERE, Potential.NEWTON): (Fr(1, 2), Fr(1, 2), 1, 0),
+             (Space.HYPERBOLIC, Potential.NEWTON): (1, Fr(1, 2), 1, 3),
+             (Space.SPHERE, Potential.OSCILLATOR): (1, Fr(1, 2), 1, Fr(1, 2)),
+             (Space.HYPERBOLIC, Potential.OSCILLATOR): (1, Fr(1, 2), 1, 1)}
 
 
 def normal_r(params):
@@ -108,10 +117,28 @@ class TestClosedFormTables:
 
     @pytest.mark.parametrize("space,pot", ALL_CASES)
     def test_pipeline_identity_random(self, space, pot):
+        """Three seeded sets, a mu = 1 set, where most entries cancel, and a
+        set whose kappa or lambda is Gaussian, so the tower collapses."""
         rng = random.Random(f"{space}{pot}")
-        for _ in range(3):
-            params = random_admissible_params(space, pot, rng)
+        sets = [random_admissible_params(space, pot, rng) for _ in range(3)]
+        sets.append(random_admissible_params(space, pot, rng, mu_one=True))
+        collapsed = derive_params(space, pot, *COLLAPSED[(space, pot)])
+        assert collapsed.kappa_value().is_gaussian() or collapsed.lambda_value().is_gaussian()
+        for params in sets + [collapsed]:
             assert normal_r(params) == closed_form_r(params).reconstruct(params.ctx)
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_residues_sum_to_zero(self, space, pot):
+        """r = O(z^-2) at infinity, so the beta_j sum to zero, at mu = 1 too."""
+        rng = random.Random(f"residues-{space.value}-{pot.value}")
+        for params in (reference_params(space, pot),
+                       random_admissible_params(space, pot, rng, mu_one=True)):
+            r = normal_r(params)
+            assert r.num.degree() <= r.den_degree() - 2
+            total = params.ctx.zero
+            for beta in closed_form_r(params).betas:
+                total = total + beta
+            assert total.is_zero()
 
     @pytest.mark.parametrize("space,pot", ALL_CASES)
     def test_evaluate_matches_reconstruct(self, space, pot):
@@ -144,11 +171,9 @@ class TestClosedFormTables:
     def test_mu1_newton_single_term(self):
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, 1, 1, 0)
         r = normal_r(params)
-        poles = detect_poles(params, r)
-        assert poles == [(params.z0_scalar(), 2)]
-        pf = partial_fractions(r, poles)
-        assert pf.terms == ((params.z0_scalar(), 2,
-                             params.ctx.from_rational(Fr(3, 4))),)
+        assert detect_poles(params, r) == [(params.z0_scalar(), 2)]
+        lin = RatFunc.x(params.ctx) - RatFunc.constant(params.ctx, params.z0)
+        assert r == RatFunc.constant(params.ctx, Fr(3, 4)) / (lin * lin)
 
     @pytest.mark.parametrize("outside", [(-7, 1), (5, 1, 1)])
     def test_detect_poles_refuses_a_pole_outside_the_table(self, outside):
@@ -161,19 +186,17 @@ class TestClosedFormTables:
         assert info.value.guard == "den(r) has factors outside the closed-form poles"
 
     def test_newton_partial_fractions_match_table(self):
-        """The pipeline r decomposed at the supplied poles reproduces the
-        table coefficients, cross-checked against a numeric series oracle."""
-        import mpmath as mp
-        mp.mp.dps = 40
+        """The pipeline r is the table's sum of partial fractions, with the
+        table's alpha_j as its leading coefficients, cross-checked against a
+        numeric series oracle."""
         params = reference_params(Space.SPHERE, Potential.NEWTON)
         r = normal_r(params)
         poles = detect_poles(params, r)
         assert len(poles) == 5 and all(m == 2 for _, m in poles)
-        pf = partial_fractions(r, poles)
         table = closed_form_r(params)
+        assert r == table.reconstruct(params.ctx)
         for j, pole in enumerate(table.poles):
-            assert pf.coefficient(pole, 2) == table.alphas[j]
-            assert pf.coefficient(pole, 1) == table.betas[j]
+            assert r.polar_leading(pole) == table.alphas[j]
         # numeric circle-average oracle at the first kappa pole
         pole = table.poles[1]
         c = pole.embed_complex((1, 1))
@@ -209,15 +232,11 @@ class TestClosedFormTables:
         (simple poles of the logarithmic derivative)."""
         params = reference_params(Space.SPHERE, Potential.NEWTON)
         sysz = build_system(params)
-        logd = sysz.C.derivative() / sysz.C
-        poles = [(c, 1) for c in candidate_poles(params)]
-        pf = partial_fractions(logd, poles)
-        ctx = params.ctx
-        one = ctx.one
-        assert pf.coefficient(params.z0_scalar(), 1) == one
+        z, one = RatFunc.x(params.ctx), RatFunc.constant(params.ctx, 1)
+        want = one / (z - RatFunc.constant(params.ctx, params.z0))
         for c in candidate_poles(params)[1:]:
-            assert pf.coefficient(c, 1) == -one
-        assert pf.polynomial_part.is_zero()
+            want = want - one / (z - RatFunc(Poly.constant(params.ctx, c)))
+        assert sysz.C.derivative() / sysz.C == want
 
     @pytest.mark.parametrize("space,pot", ALL_CASES)
     def test_z0_formulas_agree(self, space, pot):

@@ -4,9 +4,8 @@ from fractions import Fraction as Fr
 import pytest
 
 from curvedtwobody.exactfield import GaussRational, make_context
-from curvedtwobody.ratcalc import (BadFactorization, Poly, PoleEvaluation,
-                                   RatFunc, assemble_over_poles,
-                                   partial_fractions, poly_gcd)
+from curvedtwobody.ratcalc import (Poly, PoleEvaluation, RatFunc,
+                                   assemble_over_poles, poly_gcd)
 
 
 def G(re, im=0):
@@ -207,37 +206,10 @@ class TestEvaluate:
                 pass
 
 
-class TestPartialFractions:
-    def test_two_simple_poles(self):
-        one, mone = CTX.one, -CTX.one
-        f = RatFunc(P(1), Poly.from_roots(CTX, [(one, 1), (mone, 1)]))
-        pf = partial_fractions(f, [(one, 1), (mone, 1)])
-        assert pf.coefficient(one, 1) == CTX.from_rational(Fr(1, 2))
-        assert pf.coefficient(mone, 1) == CTX.from_rational(Fr(-1, 2))
-        assert pf.reconstruct(CTX) == f
-
-    def test_single_double_pole(self):
-        z0 = CTX.from_rational(Fr(1, 4))
-        f = RatFunc(P(Fr(3, 4)), Poly.from_roots(CTX, [(z0, 2)]))
-        pf = partial_fractions(f, [(z0, 2)])
-        assert pf.terms == ((z0, 2, CTX.from_rational(Fr(3, 4))),)
-
-    def test_bad_factorization(self):
-        f = RatFunc(P(1), Poly.from_roots(CTX, [(CTX.one, 2)]))
-        with pytest.raises(BadFactorization):
-            partial_fractions(f, [(CTX.one, 1)])
-
-    def test_polynomial_part(self):
-        # (z^3 + 1)/(z - 1) = z^2 + z + 1 + 2/(z-1)
-        f = RatFunc(P(1, 0, 0, 1), P(-1, 1))
-        pf = partial_fractions(f, [(CTX.one, 1)])
-        assert pf.polynomial_part == P(1, 1, 1)
-        assert pf.coefficient(CTX.one, 1) == CTX.from_rational(2)
-        assert pf.reconstruct(CTX) == f
-
+class TestPolarLeading:
     def test_tower_poles_against_series_oracle(self):
-        """Numeric oracle: the (z-c)^-2 and (z-c)^-1 coefficients recovered
-        from high-precision sampling of f near each pole."""
+        """Numeric oracle: the (z-c)^-m coefficient at each pole c of
+        exponent m, recovered from high-precision sampling of f near c."""
         import mpmath as mp
         mp.mp.dps = 40
         k = CTX.kappa
@@ -246,8 +218,6 @@ class TestPartialFractions:
         poles = [(k, 2), (-k, 1), (lam, 1), (z0, 2)]
         num = P(Fr(1, 2), 2, 0, Fr(-3, 7), 1)
         f = RatFunc(num, Poly.from_roots(CTX, poles))
-        pf = partial_fractions(f, poles)
-        assert pf.reconstruct(CTX) == f
 
         sk, sl = mp.sqrt(2), mp.sqrt(3)
 
@@ -269,26 +239,18 @@ class TestPartialFractions:
 
         for pole, mult in poles:
             c = mpc_of(pole)
-            for order in range(1, mult + 1):
-                # averaging f(c+hw)(hw)^order over 8th roots of unity w kills
-                # every Laurent term except k = -order (mod 8); the nearest
-                # surviving contaminant k = 8-order is O(h^8)
-                h = mp.mpf("1e-6")
-                acc = mp.mpc(0)
-                npts = 8
-                for j in range(npts):
-                    w = mp.expjpi(2 * mp.mpf(j) / npts)
-                    acc += fval(c + h * w) * (h * w) ** order
-                got = acc / npts
-                exact = pf.coefficient(pole, order).embed_complex()
-                assert abs(complex(got) - exact) < 1e-9 * max(1.0, abs(exact))
-
-        # reconstruction equals f at a few random sample points, exactly
-        rng = random.Random(41)
-        rec = pf.reconstruct(CTX)
-        for _ in range(5):
-            z = CTX.from_rational(Fr(rng.randint(2, 30), 7))
-            assert rec.evaluate(z) == f.evaluate(z)
+            # averaging f(c+hw)(hw)^mult over 8th roots of unity w kills
+            # every Laurent term except k = -mult (mod 8); the nearest
+            # surviving contaminant k = 8-mult is O(h^8)
+            h = mp.mpf("1e-6")
+            acc = mp.mpc(0)
+            npts = 8
+            for j in range(npts):
+                w = mp.expjpi(2 * mp.mpf(j) / npts)
+                acc += fval(c + h * w) * (h * w) ** mult
+            got = acc / npts
+            exact = f.polar_leading(pole).embed_complex()
+            assert abs(complex(got) - exact) < 1e-9 * max(1.0, abs(exact))
 
 
 class TestAssembleOverPoles:

@@ -97,9 +97,12 @@ _orbit_options = _options(
 
 
 def _build_config(config_path, **given) -> RunConfig:
-    """--config overridden by what the command line gives.  A seed and an
-    identity_samples that neither gives take RunConfig's 0 and 20."""
-    data = _load_json(config_path) if config_path else {}
+    """--config overridden by what the command line gives.  Only the keys
+    the command has options for are read from --config, so simulate,
+    section and nve never see a seed or an identity_samples there.  A seed
+    and an identity_samples that neither gives take RunConfig's 0 and 20."""
+    loaded = _load_json(config_path) if config_path else {}
+    data = {key: loaded[key] for key in given if key in loaded}
     data.update((key, val) for key, val in given.items() if val is not None)
     missing = [k for k in ("space", "potential", "strength", "mu", "p", "eps")
                if k not in data]
@@ -109,8 +112,9 @@ def _build_config(config_path, **given) -> RunConfig:
 
 
 def _params(**run) -> models.ModelParams:
-    """The parameter route of simulate, section and nve: the command line
-    and --config through RunConfig to derive_params."""
+    """The parameter route of simulate, section and nve: the six model
+    keys of the command line and --config through RunConfig to
+    derive_params."""
     cfg = _build_config(**run)
     return models.derive_params(cfg.space, cfg.potential, cfg.strength,
                                 cfg.mu, cfg.p, cfg.eps)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactfield import TowerContext, TowerScalar, rational_sqrt
-from .ratcalc import BadFactorization, PoleEvaluation, RatFunc, exponent_map
+from .ratcalc import BadFactorization, RatFunc, exponent_map
 
 
 class LinOdeError(Exception):
@@ -83,69 +83,6 @@ def to_normal_form(ode: SecondOrderODE) -> NormalFormODE:
     quarter = RatFunc.constant(ctx, Fraction(1, 4))
     r = -ode.q + half * ode.p.derivative() + quarter * ode.p * ode.p
     return NormalFormODE(r=r)
-
-
-def _horner_jet(coeffs, z, zero):
-    """(P(z), P'(z), P''(z)) in one Horner pass."""
-    p0 = p1 = p2 = zero
-    for c in reversed(coeffs):
-        p2 = p2 * z + p1
-        p1 = p1 * z + p0
-        p0 = p0 * z + c
-    return p0, p1, p2 + p2
-
-
-def normal_form_r_at(system: FirstOrderSystem, z) -> TowerScalar:
-    """r(z) of to_normal_form(reduce_to_second_order(system)) at a rational
-    point z, from scalar values only.
-
-    The num/den of A, B, C (and of the weight f) are evaluated with their
-    first two derivatives by Horner's rule, and the formulas of
-    reduce_to_second_order and to_normal_form are applied to the values:
-    r = Q - g'/2 + g^2/4 with g = C'/C (+ f'/(2f)) and
-    Q = g A + A^2 + C B [f] - A', all in the tower field.  Raises
-    PoleEvaluation when z is a pole of A, B, C or f or a zero of C or f.
-    """
-    if system.C.is_zero():
-        raise ZeroCoefficient("C must be nonzero to eliminate p1")
-    if system.weight is not None and system.weight.is_zero():
-        raise ZeroCoefficient("weight must be nonzero")
-    ctx = system.A.ctx
-    parts = [system.A, system.B, system.C]
-    if system.weight is not None:
-        parts.append(system.weight)
-    polys = [poly.coeffs for part in parts for poly in (part.num, part.den)]
-    zero, z = ctx.zero, ctx.from_rational(z)
-
-    def jet(num, den):
-        n0, n1, n2 = _horner_jet(num, z, zero)
-        d0, d1, d2 = _horner_jet(den, z, zero)
-        if d0.is_zero():
-            raise PoleEvaluation("evaluation at a pole of the first-order system")
-        inv = d0.inverse()
-        v0 = n0 * inv
-        v1 = (n1 - v0 * d1) * inv
-        return v0, v1, (n2 - (v1 + v1) * d1 - v0 * d2) * inv
-
-    (a0, a1, _), (b0, _, _), (c0, c1, c2) = (jet(*polys[i:i + 2]) for i in (0, 2, 4))
-    if c0.is_zero():
-        raise PoleEvaluation("evaluation at a zero of C")
-    half = ctx.from_rational(Fraction(1, 2))
-    inv = c0.inverse()
-    g = c1 * inv
-    dg = c2 * inv - g * g
-    w = ctx.one
-    if system.weight is not None:
-        f0, f1, f2 = jet(*polys[6:8])
-        if f0.is_zero():
-            raise PoleEvaluation("evaluation at a zero of the weight")
-        inv = f0.inverse()
-        lf = f1 * inv
-        g = g + half * lf
-        dg = dg + half * (f2 * inv - lf * lf)
-        w = f0
-    q = g * a0 + a0 * a0 + c0 * b0 * w - a1
-    return q - half * dg + half * half * g * g
 
 
 def verify_gauge_transform(normal: NormalFormODE, ode: SecondOrderODE,

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .exactfield import (DegenerateTower, GaussRational, TowerContext,
                          TowerScalar, _rat, make_context)
 from .linode import FirstOrderSystem
-from .ratcalc import BadFactorization, Poly, RatFunc, assemble_over_poles
+from .ratcalc import BadFactorization, Poly, RatFunc
 
 
 class Space(Enum):
@@ -254,29 +254,19 @@ class CoefficientTable:
                           bp + bm, c * (bp - bm), c2))
         object.__setattr__(self, "_pairs", tuple(pairs))
 
-    def evaluate(self, z) -> TowerScalar:
-        """sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j) at a rational point z; the
-        only inverses taken are of z - z0 and of z^2 - c^2, both Gaussian."""
-        ctx = self.poles[0].ctx
-        zs = ctx.from_rational(z)
-        z2 = zs * zs
-        inv = (zs - self.poles[0]).inverse()
-        out = (self.alphas[0] * inv + self.betas[0]) * inv
-        for u2, u1, u0, v1, v0, c2 in self._pairs:
-            inv = (z2 - c2).inverse()
-            out = out + ((u2 * z2 + u1 * zs + u0) * inv + v1 * zs + v0) * inv
-        return out
-
     def reconstruct(self, ctx: TowerContext) -> RatFunc:
-        pole_list = [(c, 2) for c in self.poles]
-        coeffs = {}
-        for j in range(5):
-            if not self.alphas[j].is_zero():
-                coeffs[(j, 2)] = self.alphas[j]
-            if not self.betas[j].is_zero():
-                coeffs[(j, 1)] = self.betas[j]
-        raw = assemble_over_poles(ctx, pole_list, coeffs)
-        return raw
+        """sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j) as one RatFunc.  z0 gives
+        (alpha_0 + beta_0 (z - z0))/(z - z0)^2 and each pair +-c its _pairs
+        form over (z^2 - c^2)^2; every coefficient there is Gaussian."""
+        z0, one = self.poles[0], ctx.one
+        num = Poly(ctx, [self.alphas[0] - self.betas[0] * z0, self.betas[0]])
+        den = Poly(ctx, [z0 * z0, -(z0 + z0), one])
+        for u2, u1, u0, v1, v0, c2 in self._pairs:
+            quad = Poly(ctx, [-c2, ctx.zero, one])
+            quad = quad * quad
+            part = Poly(ctx, [u0 - v0 * c2, u1 - v1 * c2, u2 + v0, v1])
+            num, den = num * quad + part * den, den * quad
+        return RatFunc.over(num, {c: 2 for c in self.poles})
 
 
 def closed_form_r(params: ModelParams) -> CoefficientTable:

@@ -622,9 +622,8 @@ def exponent_map(roots: Iterable[tuple[TowerScalar, int]]) -> dict:
 
 def assemble_over_poles(ctx: TowerContext,
                         poles: Sequence[tuple[TowerScalar, int]],
-                        coefficients: dict,
-                        polynomial_part: Optional[Poly] = None) -> RatFunc:
-    """Build sum coeff/(z-c)^k (+ polynomial part) over one common denominator.
+                        coefficients: dict) -> RatFunc:
+    """Build sum coeff/(z-c)^k over one common denominator.
 
     coefficients maps (pole index, order k) to a TowerScalar.  Avoids the
     quadratic blowup of pairwise rational-function additions: the terms at
@@ -661,6 +660,4 @@ def assemble_over_poles(ctx: TowerContext,
             for _ in range(m):
                 cofactor = Poly(ctx, _linear_divmod(cofactor.coeffs, c)[0])
         num = num + part * cofactor
-    if polynomial_part is not None and not polynomial_part.is_zero():
-        num = num + polynomial_part * den
     return RatFunc.over(num, roots)

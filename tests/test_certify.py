@@ -15,16 +15,14 @@ from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    CONCLUSION_DEGENERATE,
                                    CONCLUSION_NO_OBSTRUCTION, MAX_IDENTITY_SAMPLES,
                                    CertifyError, InvariantViolation, RunConfig,
-                                   certify, clearing_bound,
-                                   identity_holds, render_report)
+                                   certify, matches_table, render_report)
 from curvedtwobody.cli import main as cli_main
 from curvedtwobody.cli import sweep_workers
 from curvedtwobody.exactfield import _rat
 from curvedtwobody.linode import (FirstOrderSystem, reduce_to_second_order,
                                   to_normal_form)
 from curvedtwobody.models import (Potential, Space, build_system,
-                                  closed_form_r, random_admissible_params,
-                                  reference_params)
+                                  random_admissible_params, reference_params)
 from curvedtwobody.ratcalc import Poly, RatFunc
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
@@ -250,6 +248,39 @@ class TestCli:
         report = json.loads(result.output)
         assert report["energy_drift"] < 1e-10
         assert out.read_text().startswith("t,theta,p_theta,p0,p1,p2")
+
+    def test_simulate_reads_only_the_model_keys_of_a_config(self, tmp_path):
+        """An identity_samples out of range stops certify, not simulate."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "space": "sphere", "potential": "newton", "strength": "1/4",
+            "mu": "1/2", "p": "1/10", "eps": "0", "identity_samples": 20000}))
+        result = CliRunner().invoke(cli_main, [
+            "simulate", "--config", str(cfg), "--theta0", "1.4",
+            "--p2", "0.45", "--t-end", "1"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["steps"] == 1000
+        result = CliRunner().invoke(cli_main, ["certify", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == ("invalid input: identity_samples must be in "
+                                 "0..10000, got 20000\n")
+
+    @pytest.mark.parametrize("command,args,key", [
+        ("section", ["--p2", "0.45", "--t-end", "40"], "crossings"),
+        ("nve", ["--t-end", "0.1"], "samples")])
+    def test_model_commands_read_only_the_model_keys_of_a_config(
+            self, tmp_path, command, args, key):
+        """section and nve, like simulate, leave a seed and an
+        identity_samples in --config to certify."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "space": "sphere", "potential": "newton", "strength": "1/4",
+            "mu": "1/2", "p": "1/10", "eps": "0", "seed": "abc",
+            "identity_samples": 20000}))
+        result = CliRunner().invoke(cli_main, [
+            command, "--config", str(cfg), "--theta0", "1.4", *args])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)[key] >= 1
 
     def test_simulate_rkf45_over_the_default_span(self):
         """The default rel_tol keeps criterion 8's drift bounds over the
@@ -643,11 +674,11 @@ class TestGoldenCertificates:
         assert render_report(certify(config), "json") == raw
 
 
-def corrupt_beta(table, j):
-    """The table with one more unit on beta_j."""
-    betas = list(table.betas)
-    betas[j] = betas[j] + betas[j].ctx.one
-    return dataclasses.replace(table, betas=tuple(betas))
+def corrupt(table, field, j):
+    """The table with one more unit on its alphas[j] or betas[j]."""
+    values = list(getattr(table, field))
+    values[j] = values[j] + values[j].ctx.one
+    return dataclasses.replace(table, **{field: tuple(values)})
 
 
 def proof_samples():
@@ -660,41 +691,37 @@ def proof_samples():
     return out
 
 
-def bound_and_symbolic_difference(system, table, params):
-    """clearing_bound, and E (r - T) computed with RatFunc arithmetic."""
-    bound = clearing_bound(system, table, params)
-    ctx = params.ctx
-    e_poly = Poly.constant(ctx, 1)
-    for factor, exponent in bound.factors:
-        if not isinstance(factor, Poly):
-            factor = Poly(ctx, [-factor, ctx.one])
-        for _ in range(exponent):
-            e_poly = e_poly * factor
-    r = to_normal_form(reduce_to_second_order(system)).r
-    return bound, RatFunc(e_poly) * (r - table.reconstruct(ctx))
+def normal_r(system):
+    return to_normal_form(reduce_to_second_order(system)).r
 
 
 class TestIdentityProof:
-    """The exact identity check is sound (its degree bound holds, computed
-    symbolically) and not vacuous (a corrupted table is refused)."""
+    """matches_table, the one exact check of r = T that table_match and
+    every identity sample call, holds on the true tables and refuses a
+    wrong r or a wrong T."""
 
-    @pytest.mark.parametrize("j", [None, 0, 1])
-    def test_bound_covers_symbolic_numerator(self, j):
-        for params in proof_samples()[::2]:
-            system = build_system(params)
-            table = closed_form_r(params)
-            if j is not None:
-                table = corrupt_beta(table, j)
-            bound, diff = bound_and_symbolic_difference(system, table, params)
-            assert diff.den_degree() == 0
-            assert diff.num.degree() <= bound.degree
-            assert diff.is_zero() == (j is None)
+    @staticmethod
+    def assert_corruption_refused(field, j, monkeypatch):
+        samples = [(params, normal_r(build_system(params)))
+                   for params in proof_samples()]
+        assert all(matches_table(params, r) for params, r in samples)
+        exact = models.closed_form_r
+        monkeypatch.setattr(models, "closed_form_r",
+                            lambda params: corrupt(exact(params), field, j))
+        assert not any(matches_table(params, r) for params, r in samples)
+
+    @pytest.mark.parametrize("j", [0, 1, 3])
+    def test_corrupted_beta_is_refused(self, j, monkeypatch):
+        self.assert_corruption_refused("betas", j, monkeypatch)
+
+    @pytest.mark.parametrize("j", [0, 1, 3])
+    def test_corrupted_alpha_is_refused(self, j, monkeypatch):
+        self.assert_corruption_refused("alphas", j, monkeypatch)
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_bound_covers_generic_system(self, weighted):
+    def test_generic_system_is_refused(self, weighted):
         # poles away from z0, +-kappa, +-lambda, repeated factors in den A,
-        # den B and num f, num C sharing (z - z0) with den B, and A = O(1):
-        # every requirement of E and every order at infinity is needed here
+        # den B and num f, num C sharing (z - z0) with den B, and A = O(1)
         params = reference_params(Space.HYPERBOLIC, Potential.NEWTON)
         ctx = params.ctx
         z = RatFunc.x(ctx)
@@ -708,19 +735,27 @@ class TestIdentityProof:
             B=z * z / ((z + c(5)) * lin0 * lin0 * lin0 * lin0),
             C=lin0 * (z - c(3)) / (z + c(1)),
             weight=(z - c(2)) * (z - c(2)) / (z + c(4)) if weighted else None)
-        table = closed_form_r(params)
-        bound, diff = bound_and_symbolic_difference(system, table, params)
-        assert diff.den_degree() == 0 and not diff.is_zero()
-        assert diff.num.degree() <= bound.degree
-        assert not identity_holds(system, table, params)
+        assert not matches_table(params, normal_r(system))
 
-    @pytest.mark.parametrize("j", [0, 1, 3])
-    def test_corrupted_beta_is_refused(self, j):
-        for params in proof_samples():
-            system = build_system(params)
-            table = closed_form_r(params)
-            assert identity_holds(system, table, params)
-            assert not identity_holds(system, corrupt_beta(table, j), params)
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_wrong_r_is_refused(self, space, pot):
+        """One more 1/(z - c_j)^k on r, at each table pole and k = 1, 2, is
+        refused on the reference, a seeded set, a mu = 1 set and a second
+        seeded set's r."""
+        rng = random.Random(f"wrong-r-{space.value}-{pot.value}")
+        sets = [reference_params(space, pot),
+                random_admissible_params(space, pot, rng),
+                random_admissible_params(space, pot, rng, mu_one=True)]
+        other = random_admissible_params(space, pot, rng)
+        for params in sets:
+            ctx = params.ctx
+            r = normal_r(build_system(params))
+            assert matches_table(params, r)
+            assert not matches_table(params, normal_r(build_system(other)))
+            for c in models.closed_form_r(params).poles:
+                for k in (1, 2):
+                    bump = RatFunc.over(Poly.constant(ctx, 1), {c: k})
+                    assert not matches_table(params, r + bump)
 
     def test_corrupted_samples_count_as_mismatches(self, monkeypatch):
         cfg = make_config(Space.HYPERBOLIC, Potential.NEWTON, identity_samples=3)
@@ -728,7 +763,7 @@ class TestIdentityProof:
                                     cfg.mu, cfg.p, cfg.eps)
         exact = models.closed_form_r
         monkeypatch.setattr(models, "closed_form_r", lambda params: exact(params)
-                            if params == main else corrupt_beta(exact(params), 1))
+                            if params == main else corrupt(exact(params), "betas", 1))
         cert = certify(cfg)
         assert cert.table_match is True
         assert cert.identity_check == {"samples": 3, "matches": 0,

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -6,13 +5,13 @@ import pytest
 from curvedtwobody.exactfield import GaussRational, make_context
 from curvedtwobody.linode import (FirstOrderSystem, NonFuchsianEquation,
                                   NormalFormODE, SecondOrderODE, ZeroCoefficient,
-                                  normal_form_r_at, reduce_to_second_order,
+                                  reduce_to_second_order,
                                   singularity_spectrum,
                                   symmetric_power_residual, to_normal_form,
                                   verify_gauge_transform)
 from curvedtwobody.models import (Potential, Space, build_system, detect_poles,
-                                  random_admissible_params, reference_params)
-from curvedtwobody.ratcalc import (BadFactorization, PoleEvaluation, Poly,
+                                  reference_params)
+from curvedtwobody.ratcalc import (BadFactorization, Poly,
                                   RatFunc)
 
 
@@ -291,57 +290,3 @@ class TestSymmetricPowerResidual:
         v = RatFunc(num, den)
         assert v.derivative() / v == om1 + om2
         assert symmetric_power_residual(NormalFormODE(r), v).is_zero()
-
-
-def symbolic_r(system):
-    return to_normal_form(reduce_to_second_order(system)).r
-
-
-class TestNormalFormRAt:
-    """The scalar r(z) from value jets agrees with the symbolic reduction."""
-
-    POINTS = (0, 1, -1, 2, Fr(1, 3), Fr(-7, 2))
-
-    def assert_agrees(self, system):
-        r = symbolic_r(system)
-        checked = 0
-        for z in self.POINTS:
-            try:
-                value = normal_form_r_at(system, z)
-            except PoleEvaluation:
-                continue
-            assert value == r.evaluate(r.ctx.from_rational(z))
-            checked += 1
-        assert checked >= 4
-
-    @pytest.mark.parametrize("space,pot", ALL_CASES)
-    def test_references(self, space, pot):
-        self.assert_agrees(build_system(reference_params(space, pot)))
-
-    @pytest.mark.parametrize("space,pot", ALL_CASES)
-    def test_random_admissible(self, space, pot):
-        rng = random.Random(f"jet-{space.value}-{pot.value}")
-        for _ in range(4):
-            self.assert_agrees(build_system(random_admissible_params(space, pot, rng)))
-
-    def test_tower_coefficients_fall_back(self):
-        # kappa in A and a Gaussian weight: no Fraction path
-        z = RatFunc.x(CTX)
-        kappa = RatFunc(Poly(CTX, [CTX.kappa]))
-        i = RatFunc(Poly(CTX, [CTX.from_gauss(G(0, 1))]))
-        system = FirstOrderSystem(A=kappa * z / (z * z + const(1)),
-                                  B=const(3) - z,
-                                  C=(z - const(2)) / (z + const(5)),
-                                  weight=i * z * z + const(1))
-        self.assert_agrees(system)
-        assert not normal_form_r_at(system, 1).is_gaussian()
-
-    def test_poles_and_zero_coefficients(self):
-        z = RatFunc.x(CTX)
-        system = FirstOrderSystem(A=const(1) / z, B=const(1), C=z - const(2))
-        with pytest.raises(PoleEvaluation):
-            normal_form_r_at(system, 0)
-        with pytest.raises(PoleEvaluation):
-            normal_form_r_at(system, 2)
-        with pytest.raises(ZeroCoefficient):
-            normal_form_r_at(FirstOrderSystem(A=const(0), B=const(1), C=const(0)), 1)

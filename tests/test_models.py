@@ -17,7 +17,7 @@ from curvedtwobody.models import (CentralMotionHamiltonian,
                                   detect_poles, gamma_curve_identity,
                                   hamiltonian, lemma_condition, mu1_solutions,
                                   random_admissible_params, reference_params)
-from curvedtwobody.ratcalc import Poly, RatFunc
+from curvedtwobody.ratcalc import Poly, RatFunc, assemble_over_poles
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -141,16 +141,47 @@ class TestClosedFormTables:
             assert total.is_zero()
 
     @pytest.mark.parametrize("space,pot", ALL_CASES)
-    def test_evaluate_matches_reconstruct(self, space, pot):
+    def test_reconstruct_is_the_pairwise_sum(self, space, pot):
+        """reconstruct against sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j) added
+        term by term, on the reference, two seeded sets and a mu = 1 set."""
         rng = random.Random(f"table-{space.value}-{pot.value}")
-        for params in (reference_params(space, pot),
-                       random_admissible_params(space, pot, rng)):
+        sets = [reference_params(space, pot),
+                random_admissible_params(space, pot, rng),
+                random_admissible_params(space, pot, rng),
+                random_admissible_params(space, pot, rng, mu_one=True)]
+        for params in sets:
+            ctx = params.ctx
             table = closed_form_r(params)
-            rf = table.reconstruct(params.ctx)
-            for z in (0, 3, Fr(-5, 2)):
-                if z == params.z0:
-                    continue
-                assert table.evaluate(z) == rf.evaluate(params.ctx.from_rational(z))
+            total = RatFunc.constant(ctx, 0)
+            for c, alpha, beta in zip(table.poles, table.alphas, table.betas):
+                lin = RatFunc(Poly(ctx, [-c, ctx.one]))
+                total = (total + RatFunc(Poly(ctx, [alpha])) / (lin * lin)
+                         + RatFunc(Poly(ctx, [beta])) / lin)
+            assert table.reconstruct(ctx) == total
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_reconstruct_keeps_the_assembled_form(self, space, pot):
+        """reconstruct gives the num, roots (in order) and rest of the general
+        assemble_over_poles route, which certificates render, on the
+        reference, two seeded sets, a mu = 1 set and the COLLAPSED set."""
+        rng = random.Random(f"assembled-{space.value}-{pot.value}")
+        sets = [reference_params(space, pot),
+                random_admissible_params(space, pot, rng),
+                random_admissible_params(space, pot, rng),
+                random_admissible_params(space, pot, rng, mu_one=True),
+                derive_params(space, pot, *COLLAPSED[(space, pot)])]
+        for params in sets:
+            ctx = params.ctx
+            table = closed_form_r(params)
+            coeffs = {}
+            for j, (alpha, beta) in enumerate(zip(table.alphas, table.betas)):
+                coeffs[(j, 2)], coeffs[(j, 1)] = alpha, beta
+            assembled = assemble_over_poles(ctx, [(c, 2) for c in table.poles],
+                                            coeffs)
+            rf = table.reconstruct(ctx)
+            assert rf.num == assembled.num
+            assert list(rf.roots.items()) == list(assembled.roots.items())
+            assert rf.rest == assembled.rest
 
     def test_evaluate_rejects_unpaired_poles(self):
         table = closed_form_r(reference_params(Space.SPHERE, Potential.NEWTON))

@@ -217,7 +217,7 @@ def _case2_coefficients(normal: NormalFormODE, th: RatFunc, xi_val: RatFunc,
     if d == 0:
         return [xi_val]
     three = RatFunc.constant(ctx, 3)
-    c1 = three * th * th + three * th.derivative() - RatFunc.constant(ctx, 4) * normal.r
+    c1 = three * (th * th) + three * th.derivative() - RatFunc.constant(ctx, 4) * normal.r
     return [xi_val, c1, three * th, RatFunc.constant(ctx, 1)]
 
 

@@ -1,9 +1,10 @@
 """Second-order linear ODE infrastructure.
 
-Reduction of the 2x2 first-order systems to a single second-order
-equation, gauge transform to the normal form y'' = r y, singular-point
-and exponent analysis for Fuchsian equations, and the second symmetric
-power residual used by the product-of-solutions test.
+The normal form y'' = r y of the 2x2 first-order systems in one Riccati
+step; the elimination to a single second-order equation and its gauge
+transform, the independent derivation the gauge check compares with;
+singular-point and exponent analysis for Fuchsian equations, and the
+second symmetric power residual used by the product-of-solutions test.
 """
 from __future__ import annotations
 
@@ -64,13 +65,13 @@ def reduce_to_second_order(system: FirstOrderSystem) -> SecondOrderODE:
     if C.is_zero():
         raise ZeroCoefficient("C must be nonzero to eliminate p1")
     ctx = A.ctx
-    g = C.derivative() / C
+    g = C.log_derivative()
     weight_factor = RatFunc.constant(ctx, 1)
     if system.weight is not None:
         f = system.weight
         if f.is_zero():
             raise ZeroCoefficient("weight must be nonzero")
-        g = g + f.derivative() / (f * RatFunc.constant(ctx, 2))
+        g = g + RatFunc.constant(ctx, Fraction(1, 2)) * f.log_derivative()
         weight_factor = f
     q = g * A + A * A + C * B * weight_factor - A.derivative()
     return SecondOrderODE(p=-g, q=-q)
@@ -81,8 +82,19 @@ def to_normal_form(ode: SecondOrderODE) -> NormalFormODE:
     ctx = ode.p.ctx
     half = RatFunc.constant(ctx, Fraction(1, 2))
     quarter = RatFunc.constant(ctx, Fraction(1, 4))
-    r = -ode.q + half * ode.p.derivative() + quarter * ode.p * ode.p
+    r = -ode.q + half * ode.p.derivative() + quarter * (ode.p * ode.p)
     return NormalFormODE(r=r)
+
+
+def normal_form(system: FirstOrderSystem, h: RatFunc) -> NormalFormODE:
+    """The normal form in one Riccati step: r = H^2 - H' + C B [f] with
+    H = A + h, for the gauge log-derivative h = C'/(2C) [+ f'/(4f)].  This
+    is -q + p'/2 + p^2/4 of the elimination, since p = -2h."""
+    H = system.A + h
+    cb = system.C * system.B
+    if system.weight is not None:
+        cb = cb * system.weight
+    return NormalFormODE(r=H * H - H.derivative() + cb)
 
 
 def verify_gauge_transform(normal: NormalFormODE, ode: SecondOrderODE,

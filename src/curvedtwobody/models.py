@@ -371,7 +371,7 @@ def mu1_solutions(params: ModelParams) -> tuple[RatFunc, RatFunc]:
     omega1 = const(Fraction(3, 2)) * z / zl - const(Fraction(1, 2)) / pole0
     # y2 = (z^2-l^2)^{1/4} (z0 z - l^2) (z-z0)^{-1/2}
     lin = RatFunc(Poly(ctx, [-l2, ctx.from_rational(z0)]))
-    omega2 = z / (const(2) * zl) + lin.derivative() / lin - const(Fraction(1, 2)) / pole0
+    omega2 = z / (const(2) * zl) + lin.log_derivative() - const(Fraction(1, 2)) / pole0
     return omega1, omega2
 
 

@@ -392,6 +392,27 @@ def clear_denominators(fs: Sequence[RatFunc]) -> list[Poly]:
     return _over_lcm(fs)[2]
 
 
+def _log_sum(ctx: TowerContext, weights: dict) -> tuple[Poly, Poly]:
+    """(S, T) with S = prod (z - c) and T/S = sum w/(z - c) over the
+    roots c of weights, each of non-zero weight w.  With S_w the product
+    over the roots of weight w, S = prod S_w and T = sum w S_w' S / S_w;
+    a pair +-c of equal weight enters S_w as z^2 - c^2."""
+    groups = {}
+    for c, w in weights.items():
+        groups.setdefault(w, []).append((c, 1))
+    factors = [(w, Poly.from_roots(ctx, group)) for w, group in groups.items()]
+    s = Poly(ctx, [ctx.one])
+    t = Poly(ctx, [])
+    for i, (w, f) in enumerate(factors):
+        s = s * f
+        term = f.derivative().scale(ctx.from_rational(w))
+        for j, (_, g) in enumerate(factors):
+            if j != i:
+                term = term * g
+        t = t + term
+    return s, t
+
+
 class RatFunc:
     """num / den in lowest terms, with den monic and kept factored.
 
@@ -401,9 +422,11 @@ class RatFunc:
     z -+ lambda, so rest is non-constant only for a denominator that came
     in dense with a factor the context does not know (a P from P'/P).
 
-    Products add exponents, sums and differences work over the lcm (the
-    larger exponent of each root), and the derivative raises each exponent
-    by one.  Lowest terms test the numerator only at roots it can share
+    Products add exponents (a square doubles them with no lowest-terms
+    test), sums and differences work over the lcm (the larger exponent of
+    each root), the derivative raises each exponent by one, and the
+    log-derivative f'/f has a simple pole at each root of num and den.
+    Lowest terms test the numerator only at roots it can share
     with the denominator, a pair +-c through one remainder mod z^2 - c^2,
     and Euclid (poly_gcd) runs only against a non-constant rest.  A dense
     denominator passed to the constructor is split by _factor.  The dense
@@ -513,6 +536,11 @@ class RatFunc:
             return self
         if other.is_zero():
             return other
+        if other is self:
+            # num is coprime to den, so num^2 is coprime to den^2
+            rest = self.rest * self.rest if self.rest.degree() > 0 else self.rest
+            return RatFunc._of(self.num * self.num,
+                               {c: 2 * e for c, e in self.roots.items()}, rest)
         (r1, d1), (r2, d2) = _parts((self, other))
         # each numerator is already coprime to its own denominator
         n1, r2, d2 = _lowest_terms(self.num, r2, d2)
@@ -544,34 +572,42 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def derivative(self) -> RatFunc:
-        """(num/(Q rest))' with Q = prod (z - c)^e and S = prod (z - c):
-        Q'/Q = T/S for T = sum e S/(z - c), so the derivative is
+        """(num/(Q rest))' with Q = prod (z - c)^e: Q'/Q = T/S for
+        (S, T) = _log_sum(roots), so the derivative is
         (num' S rest - num (T rest + S rest')) / (Q S rest^2); at the roots
-        nothing cancels, so each exponent rises by one.  With S_e the
-        product over the roots of exponent e, S = prod S_e and
-        T = sum e S_e' S / S_e."""
-        ctx = self.ctx
+        nothing cancels, so each exponent rises by one."""
         num, roots, rest = self.num, self.roots, self.rest
         if not roots and rest.degree() <= 0:
             return RatFunc._of(num.derivative(), roots, rest)
-        groups = {}
-        for c, e in roots.items():
-            groups.setdefault(e, []).append((c, 1))
-        factors = [(e, Poly.from_roots(ctx, group)) for e, group in groups.items()]
-        s = Poly(ctx, [ctx.one])
-        t = Poly(ctx, [])
-        for i, (e, f) in enumerate(factors):
-            s = s * f
-            term = f.derivative().scale(ctx.from_rational(e))
-            for j, (_, g) in enumerate(factors):
-                if j != i:
-                    term = term * g
-            t = t + term
+        s, t = _log_sum(self.ctx, roots)
         up = {c: e + 1 for c, e in roots.items()}
         if rest.degree() <= 0:
             return RatFunc._of(num.derivative() * s - num * t, up, rest)
         out = num.derivative() * s * rest - num * (t * rest + s * rest.derivative())
         return RatFunc._of(*_lowest_terms(out, up, rest * rest, keys=()))
+
+    def log_derivative(self) -> RatFunc:
+        """f'/f, read off the factors of num and den without a division.
+
+        With num = lead * prod (z - c)^k * nrest (split by _factor),
+        f'/f = sum (k_c - e_c)/(z - c) + nrest'/nrest - rest'/rest.  No
+        root c is in both num and den, so every weight is non-zero and the
+        sum is T/S in lowest terms; S is coprime to nrest and rest, so only
+        a non-constant rest, which may hold repeated factors, goes through
+        _lowest_terms."""
+        if self.is_zero():
+            raise DivisionByZero("log-derivative of the zero rational function")
+        _, weights, nrest = _factor(self.num)
+        for c, e in self.roots.items():
+            weights[c] = weights.get(c, 0) - e
+        s, t = _log_sum(self.ctx, weights)
+        ones = dict.fromkeys(weights, 1)
+        rest = self.rest
+        if nrest.degree() <= 0 and rest.degree() <= 0:
+            return RatFunc._of(t, ones, rest)
+        dense = nrest * rest
+        out = t * dense + s * (nrest.derivative() * rest - nrest * rest.derivative())
+        return RatFunc._of(*_lowest_terms(out, ones, dense, keys=()))
 
     def _den_at(self, z: TowerScalar, skip: Optional[TowerScalar] = None) -> TowerScalar:
         """den(z), leaving out the factor (z - skip)^e."""

@@ -814,6 +814,28 @@ class TestNoEuclidOnTheCertifyPath:
         assert calls and all(q.degree() >= 2 for q in calls)
 
 
+class TestSamplePath:
+    """Identity samples take r from the Riccati step alone: the elimination
+    runs once per certificate, as the gauge check's second derivation."""
+
+    @pytest.mark.parametrize("samples", [0, 5])
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_one_elimination_per_certificate(self, space, pot, samples, monkeypatch):
+        calls = []
+        for name in ("reduce_to_second_order", "to_normal_form"):
+            def record(*args, _name=name, _real=getattr(linode, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(linode, name, record)
+            if hasattr(certify_mod, name):
+                monkeypatch.setattr(certify_mod, name, record)
+        cert = certify(make_config(space, pot, identity_samples=samples))
+        assert calls == ["reduce_to_second_order"]
+        assert cert.gauge_consistent and cert.table_match
+        if samples:
+            assert cert.identity_check == {"samples": 5, "matches": 5, "all_match": True}
+
+
 def golden_config(stem: str) -> RunConfig:
     """The parameters of a golden certificate, without identity samples."""
     params = json.loads((GOLDEN / f"{stem}.json").read_bytes())["params"]

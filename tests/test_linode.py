@@ -5,12 +5,12 @@ import pytest
 from curvedtwobody.exactfield import GaussRational, make_context
 from curvedtwobody.linode import (FirstOrderSystem, NonFuchsianEquation,
                                   NormalFormODE, SecondOrderODE, ZeroCoefficient,
-                                  reduce_to_second_order,
+                                  normal_form, reduce_to_second_order,
                                   singularity_spectrum,
                                   symmetric_power_residual, to_normal_form,
                                   verify_gauge_transform)
 from curvedtwobody.models import (Potential, Space, build_system, detect_poles,
-                                  reference_params)
+                                  random_admissible_params, reference_params)
 from curvedtwobody.ratcalc import (BadFactorization, Poly,
                                   RatFunc)
 
@@ -143,16 +143,67 @@ class TestVerifyGaugeTransform:
         ode = reduce_to_second_order(sysz)
         normal = to_normal_form(ode)
         ctx = params.ctx
-        half = RatFunc.constant(ctx, Fr(1, 2))
-        quarter = RatFunc.constant(ctx, Fr(1, 4))
-        h = half * sysz.C.derivative() / sysz.C
-        if sysz.weight is not None:
-            h = h + quarter * sysz.weight.derivative() / sysz.weight
+        h = quotient_gauge(sysz)
         assert verify_gauge_transform(normal, ode, h)
         # gauge scaling by a constant leaves the log derivative unchanged,
         # so the verdict is trivially stable; a perturbed r must fail
         perturbed = NormalFormODE(normal.r + RatFunc.constant(ctx, 1))
         assert not verify_gauge_transform(perturbed, ode, h)
+
+
+def quotient_gauge(system):
+    """h = C'/(2C) [+ f'/(4f)], each f'/f formed as the quotient f'/f."""
+    ctx = system.C.ctx
+    h = RatFunc.constant(ctx, Fr(1, 2)) * system.C.derivative() / system.C
+    if system.weight is not None:
+        f = system.weight
+        h = h + RatFunc.constant(ctx, Fr(1, 4)) * f.derivative() / f
+    return h
+
+
+def riccati_cases():
+    """(label, params): the four references, two seeded sets and a mu = 1
+    set of each space x potential."""
+    import random
+    for space, pot in ALL_CASES:
+        yield f"{space.value}-{pot.value}-reference", reference_params(space, pot)
+        rng = random.Random(f"riccati-{space.value}-{pot.value}")
+        for j in range(2):
+            yield f"{space.value}-{pot.value}-seeded-{j}", random_admissible_params(space, pot, rng)
+        yield (f"{space.value}-{pot.value}-mu1",
+               random_admissible_params(space, pot, rng, mu_one=True))
+
+
+RICCATI_CASES = dict(riccati_cases())
+
+
+class TestRiccatiNormalForm:
+    def test_constant_coefficients(self):
+        sysz = FirstOrderSystem(A=const(0), B=const(1), C=const(1))
+        assert normal_form(sysz, const(0)).r == const(1)
+
+    @pytest.mark.parametrize("label", RICCATI_CASES)
+    def test_equals_the_elimination(self, label):
+        """(A + h)^2 - (A + h)' + C B [f] is to_normal_form's r of the
+        elimination, exactly and with the same numerator."""
+        system = build_system(RICCATI_CASES[label])
+        r = normal_form(system, quotient_gauge(system)).r
+        want = to_normal_form(reduce_to_second_order(system)).r
+        assert r == want and r.num == want.num
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_gauge_check_compares_two_derivations(self, space, pot):
+        """The gauge check accepts the Riccati r against the elimination and
+        refuses it plus 1/(z - z0)."""
+        params = reference_params(space, pot)
+        system = build_system(params)
+        h = quotient_gauge(system)
+        normal = normal_form(system, h)
+        ode = reduce_to_second_order(system)
+        assert verify_gauge_transform(normal, ode, h)
+        ctx = params.ctx
+        shift = RatFunc(Poly.constant(ctx, 1), Poly.from_roots(ctx, [(params.z0_scalar(), 1)]))
+        assert not verify_gauge_transform(NormalFormODE(normal.r + shift), ode, h)
 
 
 class TestSingularitySpectrum:

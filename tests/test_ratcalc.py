@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from curvedtwobody.exactfield import GaussRational, make_context
+from curvedtwobody.exactfield import DivisionByZero, GaussRational, make_context
 from curvedtwobody.ratcalc import (Poly, PoleEvaluation, RatFunc,
                                    assemble_over_poles, poly_gcd)
 
@@ -374,15 +374,20 @@ def random_function(ctx, z0, rng):
     return RatFunc(num, den), Dense(num, den)
 
 
-def assert_matches(f, ref):
-    """f equals the reference, and its factored denominator is consistent:
-    positive exponents at roots of neither num nor rest, a monic rest."""
-    assert (f.num, f.den) == (ref.num, ref.den)
+def assert_factored(f):
+    """f's factored denominator is consistent: positive exponents at roots
+    of neither num nor rest, a monic rest."""
     assert f.rest.leading() == f.ctx.one
     for c, e in f.roots.items():
         assert e > 0
         assert not f.num.evaluate(c).is_zero()
         assert not f.rest.evaluate(c).is_zero()
+
+
+def assert_matches(f, ref):
+    """f equals the reference, and its factored denominator is consistent."""
+    assert (f.num, f.den) == (ref.num, ref.den)
+    assert_factored(f)
 
 
 class TestFactoredAgainstDense:
@@ -448,3 +453,88 @@ class TestFactoredAgainstDense:
         assert f.roots == {k: 3, -k: 1}
         assert (f * f).roots == {k: 6, -k: 2}
         assert f.derivative().roots == {k: 4, -k: 2}
+
+
+# the oracle contexts plus a collapsed tower: kappa^2 = 4 is a Gaussian
+# square, so kappa = 2 and the pair +-kappa has rational roots
+LOG_CTXS = {**ORACLE_CTXS, "collapsed": (CANCEL_CTXS["a-square"], Fr(1, 3))}
+
+
+class TestLogDerivative:
+    """f.log_derivative() reads f'/f off the factors; it must be the same
+    function as the quotient f.derivative() / f, with simple poles only."""
+
+    @staticmethod
+    def check(f):
+        got = f.log_derivative()
+        assert got == f.derivative() / f
+        assert_factored(got)
+        assert set(got.roots.values()) <= {1}
+        return got
+
+    @pytest.mark.parametrize("name", LOG_CTXS)
+    def test_random_functions(self, name):
+        ctx, z0 = LOG_CTXS[name]
+        rng = random.Random(f"log-derivative-{name}")
+        for _ in range(30):
+            self.check(random_function(ctx, z0, rng)[0])
+
+    @pytest.mark.parametrize("name", LOG_CTXS)
+    def test_repeated_roots_on_both_sides(self, name):
+        """num (z - kappa)^2 (z + kappa) (z - lambda)^3 over (z + lambda)^2
+        (z - 1/5)^3: repeated roots above and below, and a numerator that
+        vanishes at both of +-kappa."""
+        ctx, _ = LOG_CTXS[name]
+        k, lam, c = ctx.sqrt_a(), ctx.sqrt_b(), ctx.from_rational(Fr(1, 5))
+        num = Poly.from_roots(ctx, [(k, 2), (-k, 1), (lam, 3)]).scale(ctx.from_gauss(G(2, -1)))
+        f = RatFunc.over(num, {-lam: 2, c: 3})
+        got = self.check(f)
+        assert set(got.roots) == {k, -k, lam, -lam, c}
+
+    @pytest.mark.parametrize("name", LOG_CTXS)
+    def test_rest_on_either_side(self, name):
+        """A dense denominator with z^2 + z + 5, a factor the context does
+        not know, squared; then the same factor, and a repeated z - 1/7,
+        in the numerator: the non-constant rests go through lowest terms."""
+        ctx, z0 = LOG_CTXS[name]
+        k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+        other = Poly.from_rationals(ctx, [5, 1, 1])
+        known = Poly.from_roots(ctx, [(k, 1), (-lam, 2)])
+        f = RatFunc(Poly.from_rationals(ctx, [3, -1]), (other * other * known).scale(
+            ctx.from_gauss(G(-2, 3))))
+        assert f.rest == other * other
+        self.check(f)
+        seventh = Poly.from_rationals(ctx, [Fr(-1, 7), 1])
+        g = RatFunc(other * seventh * seventh * Poly.from_roots(ctx, [(-k, 1)]), known)
+        self.check(g)
+        self.check(f * g)
+        self.check(g / f)
+
+    def test_constant_and_zero(self):
+        f = RatFunc.constant(CTX, Fr(-3, 4))
+        assert f.log_derivative().is_zero()
+        with pytest.raises(DivisionByZero):
+            RatFunc(Poly(CTX, [])).log_derivative()
+
+
+class TestSquare:
+    """f * f takes the square path (exponents doubled, no lowest-terms
+    test); it must equal f * g for an equal but distinct g."""
+
+    @pytest.mark.parametrize("name", LOG_CTXS)
+    def test_square_is_the_product(self, name):
+        ctx, z0 = LOG_CTXS[name]
+        rng = random.Random(f"square-{name}")
+        other = Poly.from_rationals(ctx, [5, 1, 1])
+        fs = [random_function(ctx, z0, rng)[0] for _ in range(20)]
+        fs.append(RatFunc(Poly.from_rationals(ctx, [1, 2]),
+                          other * Poly.from_roots(ctx, [(ctx.sqrt_a(), 2)])))
+        assert any(f.rest.degree() > 0 for f in fs)
+        for f in fs:
+            g = RatFunc(f.num, f.den)
+            assert g is not f and g == f
+            sq = f * f
+            assert sq == f * g
+            assert (sq.num, sq.den) == ((f * g).num, (f * g).den)
+            assert sq.roots == {c: 2 * e for c, e in f.roots.items()}
+            assert_factored(sq)

@@ -19,6 +19,7 @@ builds each pair once for case II and the product test together.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 
 from .exactfield import TowerContext, TowerScalar
 from .linode import NormalFormODE, SingularitySpectrum, SingularPoint
-from .ratcalc import Poly, RatFunc, assemble_over_poles, clear_denominators
+from .ratcalc import Poly, RatFunc, clear_denominators, simple_pole_sum
 
 
 class KovacicError(Exception):
@@ -101,16 +102,9 @@ def candidates(esets: Sequence[tuple[SingularPoint, tuple[int, ...]]]) -> list[E
 # ---------------------------------------------------------------------------
 
 
-def _simple_poles(ctx: TowerContext, weights) -> RatFunc:
-    """sum w / (z - c) over the (c, w) with w != 0, over prod (z - c)."""
-    weights = [(c, w) for c, w in weights if w]
-    return assemble_over_poles(ctx, [(c, 1) for c, _ in weights],
-                               {(j, 1): w for j, (_, w) in enumerate(weights)})
-
-
 def theta(ctx: TowerContext, e: ECandidate) -> RatFunc:
     """Theta = 1/2 sum e_c / (z - c) over the finite singular points."""
-    return _simple_poles(ctx, [(loc, Fraction(ec, 2)) for loc, ec in e.finite])
+    return simple_pole_sum(ctx, {loc: Fraction(ec, 2) for loc, ec in e.finite})
 
 
 def xi(normal: NormalFormODE, th: RatFunc) -> RatFunc:
@@ -248,13 +242,8 @@ class RiccatiSolution:
 
     def denominator_lcm(self) -> int:
         """Smallest m with m * (every chosen exponent) integral."""
-        import math
-        m = 1
-        for _, rho in self.exponent_choices:
-            m = m * rho.denominator // math.gcd(m, rho.denominator)
-        m = m * self.infinity_exponent.denominator \
-            // math.gcd(m, self.infinity_exponent.denominator)
-        return m
+        return math.lcm(self.infinity_exponent.denominator,
+                        *(rho.denominator for _, rho in self.exponent_choices))
 
 
 def case1_search(normal: NormalFormODE,
@@ -264,10 +253,10 @@ def case1_search(normal: NormalFormODE,
     A singular point whose exponent pair is not rational prunes the whole
     search: every candidate solution must realize an exponent there.
     Assignments whose linear system is underdetermined are skipped; such
-    families are spanned by the solutions of other assignments.
+    families are spanned by the solutions of other assignments.  Each
+    omega is returned once.
     """
     r = normal.r
-    ctx = r.ctx
     finite = spec.finite_points
     for pt in list(finite) + [spec.infinity]:
         if pt.exponents is None:
@@ -298,7 +287,7 @@ def case1_search(normal: NormalFormODE,
 def _solve_exponent_assignment(normal, finite, rho_choice, n):
     """Monic P (degree n) with P'' + 2 phi P' + (phi' + phi^2 - r) P = 0."""
     ctx = normal.r.ctx
-    phi = _simple_poles(ctx, [(pt.location, rho) for pt, rho in zip(finite, rho_choice)])
+    phi = simple_pole_sum(ctx, {pt.location: rho for pt, rho in zip(finite, rho_choice)})
     c0 = phi.derivative() + phi * phi - normal.r
     p_poly = _solve_P([c0, RatFunc.constant(ctx, 2) * phi, RatFunc.constant(ctx, 1)],
                       n, unique=True)
@@ -435,13 +424,10 @@ def classify(normal: NormalFormODE, spec: SingularitySpectrum,
 
     The SL2 verdict needs the product test (pair_excluded) on top of an
     empty rational case-I search: without it a diagonal group with
-    irrational exponent pairs is not excluded.
+    irrational exponent pairs is not excluded.  case1 is case1_search's
+    list, whose omegas are pairwise distinct.
     """
-    distinct = []
-    for sol in case1:
-        if all(sol.omega != other.omega for other in distinct):
-            distinct.append(sol)
-    n1 = len(distinct)
+    n1 = len(case1)
     if n1 >= 2:
         return GaloisVerdict(Classification.DIAGONAL_OR_SMALLER_ABELIAN, True, (
             "two independent solutions with rational log derivative",))
@@ -449,7 +435,7 @@ def classify(normal: NormalFormODE, spec: SingularitySpectrum,
         if any(_point_nonreal_exponents(pt) for pt in spec.finite_points):
             return GaloisVerdict(Classification.FULL_TRIANGULAR_NONABELIAN, False, (
                 "single rational-log-derivative solution and non-real exponents",))
-        m = distinct[0].denominator_lcm()
+        m = case1[0].denominator_lcm()
         if m <= 8:
             return GaloisVerdict(Classification.INCONCLUSIVE, True, (
                 f"y1^{m} is rational: proper triangular subgroup, "

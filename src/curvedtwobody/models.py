@@ -152,6 +152,15 @@ def derive_params(space: Space, potential: Potential, strength, mu, p, eps) -> M
 # ---------------------------------------------------------------------------
 
 
+def _gamma_f(params: ModelParams) -> Poly:
+    """The Gamma-curve polynomial f(z): -eps + strength z^2/(2 mu) for
+    Newton, 2 eps - strength z^2/mu for the oscillator."""
+    s, mu, eps = params.strength, params.mu, params.eps
+    coeffs = ([-eps, 0, s / (2 * mu)] if params.potential is Potential.NEWTON
+              else [2 * eps, 0, -s / mu])
+    return Poly.from_rationals(params.ctx, coeffs)
+
+
 def build_system(params: ModelParams) -> FirstOrderSystem:
     """A, B, C (and the oscillator weight f) as exact rational functions.
 
@@ -177,14 +186,13 @@ def build_system(params: ModelParams) -> FirstOrderSystem:
     sign = 1 if params.space is Space.SPHERE else -1
     lin = const(s) * z + const((2 - mu) * p)
     c_num = const(s) * z - const(mu * p)
+    fp = _gamma_f(params)
     if params.potential is Potential.NEWTON:
-        fp = Poly.from_rationals(ctx, [-params.eps, 0, s / (2 * mu)])
         inv_den = reciprocal(fp * fp + Poly.constant(ctx, sign), k, -k, lam, -lam)
         return FirstOrderSystem(A=const(p) * RatFunc.from_poly(fp) * inv_den,
                                 B=const(p / mu) - const(sign) * lin * inv_den,
                                 C=c_num * inv_den, weight=None)
 
-    fp = Poly.from_rationals(ctx, [2 * params.eps, 0, -s / mu])
     inv_f = reciprocal(fp, lam, -lam)
     inv_den = inv_f * reciprocal(fp + one if sign == 1 else one - fp, k, -k)
     return FirstOrderSystem(A=const(p) * inv_den,
@@ -204,9 +212,8 @@ def gamma_curve_identity(params: ModelParams) -> bool:
     zk = z * z - RatFunc(Poly.constant(ctx, k2))
     zl = z * z - RatFunc(Poly.constant(ctx, l2))
     d = RatFunc(Poly.constant(ctx, k2 - l2))
+    fpoly = RatFunc.from_poly(_gamma_f(params))
     if params.potential is Potential.NEWTON:
-        fpoly = RatFunc.from_poly(Poly.from_rationals(
-            ctx, [-params.eps, 0, params.strength / (2 * params.mu)]))
         if params.space is Space.SPHERE:
             lhs = fpoly * fpoly + RatFunc.constant(ctx, 1)
             rhs = RatFunc.constant(ctx, -4) * zl * zk / (d * d)
@@ -215,8 +222,6 @@ def gamma_curve_identity(params: ModelParams) -> bool:
             lhs = fpoly * fpoly - RatFunc.constant(ctx, 1)
             rhs = RatFunc.constant(ctx, 4) * zl * zk / (d * d)
         return lhs == rhs
-    fpoly = RatFunc.from_poly(Poly.from_rationals(
-        ctx, [2 * params.eps, 0, -params.strength / params.mu]))
     if params.space is Space.SPHERE:
         checks = [(fpoly, -(zl / d)),
                   (fpoly + RatFunc.constant(ctx, 1), -(zk / d))]
@@ -315,8 +320,8 @@ def closed_form_r(params: ModelParams) -> CoefficientTable:
             + g(mu * mu - 1) * c2 * (g(2 * m - 1) * c2 + o2)
         return pair(c, g(m * mu * (mu - 1) * z0) / d, -num / (g(4) * d * c2 * c2))
 
-    k, lam = params.kappa_value(), params.lambda_value()
-    poles = (params.z0_scalar(), k, -k, lam, -lam)
+    poles = tuple(candidate_poles(params))
+    k, lam = poles[1], poles[3]
     head = (ctx.from_rational(Fraction(3, 4)), *alpha(k, k2))
     if params.potential is Potential.NEWTON:
         return CoefficientTable(poles, (*head, *alpha(lam, l2)),

@@ -10,12 +10,12 @@ runs only against a non-constant rest, which comes from a denominator
 given dense with a factor the context does not know (the P of P'/P).  Pole
 locations are always supplied by callers in closed form, so no root
 finding happens here.  This module is the one place that splits a polynomial
-over such roots: callers read split() for a numerator and
-RatFunc.exponents_over for a denominator.
+over such roots (callers read RatFunc.exponents_over), and _log_sum is the
+one place that builds sum w/(z - c) over prod (z - c), for simple_pole_sum,
+RatFunc.derivative and RatFunc.log_derivative.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .exactfield import DivisionByZero, TowerContext, TowerScalar
@@ -308,14 +308,6 @@ def _factor(p: Poly) -> tuple[TowerScalar, dict, Poly]:
     return lead, roots, p
 
 
-def split(p: Poly, keys=()) -> tuple[dict, Poly]:
-    """(roots, rest) with p = lead * prod (z - c)^e * rest for non-zero p:
-    the exponents of p at +-kappa, +-lambda and at each c in keys, and the
-    monic rest with none of those roots."""
-    _, roots, rest = _factor(p)
-    return _split_rest(roots, rest, keys)
-
-
 def _lowest_terms(num: Poly, roots: dict, rest: Poly,
                   keys=None) -> tuple[Poly, dict, Poly]:
     """num over prod (z - c)^e * rest, brought to lowest terms.
@@ -411,6 +403,14 @@ def _log_sum(ctx: TowerContext, weights: dict) -> tuple[Poly, Poly]:
                 term = term * g
         t = t + term
     return s, t
+
+
+def simple_pole_sum(ctx: TowerContext, weights: dict) -> RatFunc:
+    """sum w/(z - c) over the (c, w) of weights with w != 0.  T/S from
+    _log_sum is in lowest terms: T(c) = w prod (c - c') != 0 at each root."""
+    weights = {c: w for c, w in weights.items() if w}
+    s, t = _log_sum(ctx, weights)
+    return RatFunc._of(t, dict.fromkeys(weights, 1), Poly(ctx, [ctx.one]))
 
 
 class RatFunc:
@@ -600,14 +600,13 @@ class RatFunc:
         _, weights, nrest = _factor(self.num)
         for c, e in self.roots.items():
             weights[c] = weights.get(c, 0) - e
-        s, t = _log_sum(self.ctx, weights)
-        ones = dict.fromkeys(weights, 1)
         rest = self.rest
         if nrest.degree() <= 0 and rest.degree() <= 0:
-            return RatFunc._of(t, ones, rest)
+            return simple_pole_sum(self.ctx, weights)
+        s, t = _log_sum(self.ctx, weights)
         dense = nrest * rest
         out = t * dense + s * (nrest.derivative() * rest - nrest * rest.derivative())
-        return RatFunc._of(*_lowest_terms(out, ones, dense, keys=()))
+        return RatFunc._of(*_lowest_terms(out, dict.fromkeys(weights, 1), dense, keys=()))
 
     def _den_at(self, z: TowerScalar, skip: Optional[TowerScalar] = None) -> TowerScalar:
         """den(z), leaving out the factor (z - skip)^e."""
@@ -654,46 +653,3 @@ def exponent_map(roots: Iterable[tuple[TowerScalar, int]]) -> dict:
         if m:
             out[c] = out.get(c, 0) + m
     return out
-
-
-def assemble_over_poles(ctx: TowerContext,
-                        poles: Sequence[tuple[TowerScalar, int]],
-                        coefficients: dict) -> RatFunc:
-    """Build sum coeff/(z-c)^k over one common denominator.
-
-    coefficients maps (pole index, order k) to a TowerScalar.  Avoids the
-    quadratic blowup of pairwise rational-function additions: the terms at
-    a pole c of exponent m in den sum to L_c = sum coeff (z-c)^(m-k), taken
-    once times den / (z-c)^m, or for a pair +-c of equal exponents as
-    (L_c (z+c)^m + L_-c (z-c)^m) times den / (z^2-c^2)^m.
-    """
-    roots = exponent_map(poles)
-    local = {}
-    for (j, k), coef in coefficients.items():
-        if isinstance(coef, (int, Fraction)):
-            coef = ctx.from_rational(coef)
-        if coef.is_zero():
-            continue
-        pole, mult = poles[j]
-        if not 1 <= k <= mult:
-            raise RatCalcError(f"order {k} exceeds multiplicity {mult}")
-        term = Poly.from_roots(ctx, [(pole, roots[pole] - k)]).scale(coef)
-        local[pole] = local[pole] + term if pole in local else term
-    den = Poly.from_roots(ctx, roots.items())
-    num = Poly(ctx, [])
-    while local:
-        c, part = local.popitem()
-        m = roots[c]
-        if not c.is_zero() and roots.get(-c) == m:
-            part = part * Poly.from_roots(ctx, [(-c, m)])
-            if -c in local:
-                part = part + local.pop(-c) * Poly.from_roots(ctx, [(c, m)])
-            cofactor = den
-            for _ in range(m):
-                cofactor = Poly(ctx, _quadratic_divmod(cofactor.coeffs, c * c)[0])
-        else:
-            cofactor = den
-            for _ in range(m):
-                cofactor = Poly(ctx, _linear_divmod(cofactor.coeffs, c)[0])
-        num = num + part * cofactor
-    return RatFunc.over(num, roots)

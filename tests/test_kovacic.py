@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from curvedtwobody.exactfield import GaussRational, make_context
+from curvedtwobody import kovacic
 from curvedtwobody.kovacic import (Classification, ECandidate, KovacicError,
-                                   _case2_coefficients, _gauss_solve, _solve_P,
+                                   RiccatiSolution, _case2_coefficients,
+                                   _gauss_solve, _solve_P,
                                    _solve_exponent_assignment, candidates,
                                    case1_search, case3_possible, classify,
                                    e_sets, pair_exclusion, search_P, theta,
@@ -285,6 +287,16 @@ class TestSearchP:
         assert sol.P.coefficient(1) == -two_z0
 
 
+def delta_zero_normal(ctx):
+    """y'' = -kappa^2/(z^2 - kappa^2)^2 y: delta = 0 at both of +-kappa
+    (exponents 1/2, 1/2), solved by y = (z^2 - kappa^2)^(1/2), whose
+    partner carries a logarithm."""
+    k = ctx.sqrt_a()
+    r = RatFunc.over(Poly.constant(ctx, -(k * k)), {k: 2, -k: 2})
+    normal = NormalFormODE(r)
+    return normal, singularity_spectrum(normal, list(r.roots.items()))
+
+
 class TestCase1Search:
     def test_mu1_newton_two_solutions(self):
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, 1, 1, 0)
@@ -311,6 +323,29 @@ class TestCase1Search:
         params = reference_params(space, pot)
         normal, spec = analysis(params)
         assert case1_search(normal, spec) == []
+
+    @pytest.mark.parametrize("a", [2, 4], ids=["tower", "collapsed"])
+    def test_repeated_exponents_give_distinct_omegas(self, a, monkeypatch):
+        """The repeated menus at delta = 0 reach omega = z/(z^2 - kappa^2)
+        from four assignments; case1_search returns it once."""
+        ctx = make_context(GaussRational(a), GaussRational(3))
+        normal, spec = delta_zero_normal(ctx)
+        assert [pt.delta_rational for pt in spec.finite_points] == [0, 0]
+        found = []
+        solve = kovacic._solve_exponent_assignment
+
+        def recording(*args):
+            out = solve(*args)
+            if out is not None:
+                found.append(out[1])
+            return out
+        monkeypatch.setattr(kovacic, "_solve_exponent_assignment", recording)
+        sols = case1_search(normal, spec)
+        assert len(found) == 4
+        assert all(om == found[0] for om in found)
+        k = ctx.sqrt_a()
+        assert [sol.omega for sol in sols] == [
+            RatFunc(Poly.x(ctx), Poly.from_roots(ctx, [(k, 1), (-k, 1)]))]
 
 
 class TestPairExclusion:
@@ -411,6 +446,33 @@ class TestClassify:
         assert verdict.classification is Classification.FULL_TRIANGULAR_NONABELIAN
         with pytest.raises(KovacicError, match="not rational"):
             classify(normal, with_delta2(ctx.kappa), case1, None, False, False)
+
+    @pytest.mark.parametrize("rhos,sigma,m", [
+        ((Fr(1, 2), Fr(1, 2)), Fr(0), 2),
+        ((Fr(1, 3), Fr(1, 4)), Fr(-1, 2), 12),
+        ((Fr(1, 2), Fr(1, 8)), Fr(-1), 8),
+        ((Fr(1, 3), Fr(2)), Fr(-1, 9), 9),
+        ((Fr(1), Fr(0)), Fr(-1), 1),
+    ])
+    def test_single_solution_power_bound(self, rhos, sigma, m):
+        """One case-I solution at real exponents: y1^m is rational for m
+        the lcm of the exponent denominators; m <= 8 gives an abelian
+        identity component, a larger m leaves it undetermined."""
+        ctx = make_context(GaussRational(2), GaussRational(3))
+        normal, spec = delta_zero_normal(ctx)
+        k = ctx.sqrt_a()
+        omega = RatFunc(Poly.x(ctx), Poly.from_roots(ctx, [(k, 1), (-k, 1)]))
+        sol = RiccatiSolution(omega, ((k, rhos[0]), (-k, rhos[1])), sigma,
+                              Poly.constant(ctx, 1))
+        assert sol.denominator_lcm() == m
+        verdict = classify(normal, spec, [sol], None, False, False)
+        assert verdict.classification is Classification.INCONCLUSIVE
+        if m <= 8:
+            assert verdict.identity_component_abelian is True
+            assert verdict.notes[0].startswith(f"y1^{m} is rational")
+        else:
+            assert verdict.identity_component_abelian is None
+            assert verdict.notes[0].startswith(f"smallest candidate power m={m} exceeds")
 
     def test_integrable_control_never_nonabelian(self):
         # y'' = y: case II machinery finds P = 1 (see TestSearchP), so the

@@ -17,7 +17,7 @@ from curvedtwobody.models import (CentralMotionHamiltonian,
                                   detect_poles, gamma_curve_identity,
                                   hamiltonian, lemma_condition, mu1_solutions,
                                   random_admissible_params, reference_params)
-from curvedtwobody.ratcalc import Poly, RatFunc, assemble_over_poles
+from curvedtwobody.ratcalc import Poly, RatFunc
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -159,31 +159,7 @@ class TestClosedFormTables:
                          + RatFunc(Poly(ctx, [beta])) / lin)
             assert table.reconstruct(ctx) == total
 
-    @pytest.mark.parametrize("space,pot", ALL_CASES)
-    def test_reconstruct_keeps_the_assembled_form(self, space, pot):
-        """reconstruct gives the num, roots (in order) and rest of the general
-        assemble_over_poles route, which certificates render, on the
-        reference, two seeded sets, a mu = 1 set and the COLLAPSED set."""
-        rng = random.Random(f"assembled-{space.value}-{pot.value}")
-        sets = [reference_params(space, pot),
-                random_admissible_params(space, pot, rng),
-                random_admissible_params(space, pot, rng),
-                random_admissible_params(space, pot, rng, mu_one=True),
-                derive_params(space, pot, *COLLAPSED[(space, pot)])]
-        for params in sets:
-            ctx = params.ctx
-            table = closed_form_r(params)
-            coeffs = {}
-            for j, (alpha, beta) in enumerate(zip(table.alphas, table.betas)):
-                coeffs[(j, 2)], coeffs[(j, 1)] = alpha, beta
-            assembled = assemble_over_poles(ctx, [(c, 2) for c in table.poles],
-                                            coeffs)
-            rf = table.reconstruct(ctx)
-            assert rf.num == assembled.num
-            assert list(rf.roots.items()) == list(assembled.roots.items())
-            assert rf.rest == assembled.rest
-
-    def test_evaluate_rejects_unpaired_poles(self):
+    def test_unpaired_poles_are_refused(self):
         table = closed_form_r(reference_params(Space.SPHERE, Potential.NEWTON))
         poles = list(table.poles)
         poles[2] = poles[1]

@@ -4,8 +4,8 @@ from fractions import Fraction as Fr
 import pytest
 
 from curvedtwobody.exactfield import DivisionByZero, GaussRational, make_context
-from curvedtwobody.ratcalc import (Poly, PoleEvaluation, RatFunc,
-                                   assemble_over_poles, poly_gcd)
+from curvedtwobody.ratcalc import (Poly, PoleEvaluation, RatFunc, poly_gcd,
+                                   simple_pole_sum)
 
 
 def G(re, im=0):
@@ -253,27 +253,6 @@ class TestPolarLeading:
             assert abs(complex(got) - exact) < 1e-9 * max(1.0, abs(exact))
 
 
-class TestAssembleOverPoles:
-    @pytest.mark.parametrize("z0", [Fr(1, 4), 0])
-    def test_matches_pairwise_addition(self, z0):
-        """A pair +-kappa beside z0, which at 0 is its own negative."""
-        k = CTX.kappa
-        z0 = CTX.from_rational(z0)
-        poles = [(z0, 2), (k, 2), (-k, 2)]
-        coeffs = {(0, 1): CTX.from_rational(-2),
-                  (0, 2): CTX.from_rational(Fr(3, 4)),
-                  (1, 1): CTX.kappa,
-                  (1, 2): CTX.from_rational(2),
-                  (2, 1): -CTX.kappa}
-        assembled = assemble_over_poles(CTX, poles, coeffs)
-        expected = RatFunc(Poly(CTX, []), P(1))
-        for (j, order), cf in coeffs.items():
-            pole = poles[j][0]
-            expected = expected + RatFunc(
-                Poly.constant(CTX, cf), Poly.from_roots(CTX, [(pole, order)]))
-        assert assembled == expected
-
-
 class TestDivmodProperty:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -458,6 +437,52 @@ class TestFactoredAgainstDense:
 # the oracle contexts plus a collapsed tower: kappa^2 = 4 is a Gaussian
 # square, so kappa = 2 and the pair +-kappa has rational roots
 LOG_CTXS = {**ORACLE_CTXS, "collapsed": (CANCEL_CTXS["a-square"], Fr(1, 3))}
+
+
+class TestSimplePoleSum:
+    """simple_pole_sum builds sum w/(z - c) over one denominator; it must be
+    the pairwise RatFunc sum of the terms, with simple poles only."""
+
+    @staticmethod
+    def check(ctx, weights):
+        got = simple_pole_sum(ctx, weights)
+        expected = RatFunc.constant(ctx, 0)
+        for c, w in weights.items():
+            expected = expected + RatFunc(Poly.constant(ctx, w), Poly.from_roots(ctx, [(c, 1)]))
+        assert (got.num, got.den) == (expected.num, expected.den)
+        assert_factored(got)
+        assert got.roots == {c: 1 for c, w in weights.items() if w}
+        return got
+
+    @pytest.mark.parametrize("name", LOG_CTXS)
+    def test_shaped_weights(self, name):
+        """A pole at 0, alone and beside a pair; a +-kappa pair of equal
+        weights, a +-lambda pair of unequal ones, and z0."""
+        ctx, z0 = LOG_CTXS[name]
+        k, lam, c0, zero = ctx.sqrt_a(), ctx.sqrt_b(), ctx.from_rational(z0), ctx.zero
+        self.check(ctx, {zero: Fr(3, 2)})
+        self.check(ctx, {zero: -1, k: Fr(1, 2), -k: Fr(1, 2)})
+        self.check(ctx, {k: Fr(1, 2), -k: Fr(1, 2), lam: 2, -lam: Fr(-1, 3)})
+        self.check(ctx, {c0: Fr(3, 4), lam: 1, -lam: 1, -k: Fr(-5, 2)})
+
+    @pytest.mark.parametrize("name", LOG_CTXS)
+    def test_zero_weights_are_dropped(self, name):
+        ctx, _ = LOG_CTXS[name]
+        k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+        self.check(ctx, {k: 0, -k: Fr(1, 2), lam: 0})
+        assert self.check(ctx, {k: 0, ctx.zero: Fr(0)}).is_zero()
+        assert simple_pole_sum(ctx, {}).is_zero()
+
+    @pytest.mark.parametrize("name", LOG_CTXS)
+    def test_random_weights(self, name):
+        ctx, z0 = LOG_CTXS[name]
+        k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+        pool = list(dict.fromkeys([ctx.zero, ctx.from_rational(z0), k, -k, lam, -lam]))
+        menu = [Fr(-2), Fr(-1), Fr(-1, 2), Fr(0), Fr(1, 2), Fr(1), Fr(3, 2)]
+        rng = random.Random(f"simple-poles-{name}")
+        for _ in range(20):
+            poles = rng.sample(pool, rng.randint(1, len(pool)))
+            self.check(ctx, {c: rng.choice(menu) for c in poles})
 
 
 class TestLogDerivative:

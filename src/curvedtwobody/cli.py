@@ -90,7 +90,10 @@ _orbit_options = _options(
     click.option("--p1", type=float, default=0.0, show_default=True),
     click.option("--p2", type=float, default=0.3, show_default=True),
     click.option("--t-end", type=float, default=100.0, show_default=True),
-    click.option("--step", type=float, default=1e-3, show_default=True),
+    click.option("--step", type=float, default=1e-3, show_default=True,
+                 help="the RK4 step of simulate; the first trial step of "
+                      "simulate --method rkf45 and of section, which step "
+                      "RKF45 under error control"),
     click.option("--free", is_flag=True, help="drop the potential (V = 0)"),
     click.option("--out", "out_path", default=None, type=click.Path(),
                  help="CSV output path"))

@@ -228,23 +228,58 @@ def _require_positive(**values: float):
             raise DynamicsError(f"{name} must be positive and finite, got {v}")
 
 
+def _rkf45_advance(f, x, t: float, t_end: float, dt: float, rel_tol: float):
+    """One accepted RKF45 step from x at time t, tried first at dt:
+    (x_new, t_new, dt_taken, dt_next, rejected).
+
+    A step is accepted when its error estimate is at most
+    rel_tol * max(|x|_inf, 1) * dt, so the error per unit time, not per
+    step, is controlled.  A rejected step and the next trial step are
+    scaled by 0.9 (tol/err)^(1/4), at most 5x down and 5x up.  A step
+    still failing below 1e-12 raises StepFailure.  When at most 1e-9 of
+    dt would be left before t_end, the first try is t_end - t instead,
+    stretched or cut short so that no sliver step follows, and t_new is
+    then t_end itself."""
+    last = t_end - t <= dt * (1 + 1e-9)
+    if last:
+        dt = t_end - t
+    scale = max(max(abs(v) for v in x), 1.0)
+    rejected = 0
+    while True:
+        x_new, err = _rkf45_step(f, x, dt)
+        tol = rel_tol * scale * dt
+        if err <= tol:
+            break
+        if dt < 1e-12:
+            raise StepFailure(f"error {err:.3e} above rel_tol {rel_tol:g} "
+                              f"at step {dt:.3g}")
+        rejected += 1
+        dt *= max(0.2, 0.9 * (tol / err) ** 0.25)
+        last = False
+    dt_next = dt * (min(5.0, 0.9 * (tol / err) ** 0.25) if err else 5.0)
+    return x_new, t_end if last else t + dt, dt, dt_next, rejected
+
+
 def integrate(h: ReducedHamiltonian, x0, t_end: float,
               opts: Optional[IntegrationOptions] = None,
               extra_integrals: Optional[dict[str, Callable]] = None) -> TrajectoryReport:
     """Fixed-step RK4 (default) or adaptive RKF45 with drift monitoring.
 
-    RKF45 starts from opts.step and accepts a step dt when its error
-    estimate is at most rel_tol * max(|x|_inf, 1) * dt, so the error per
-    unit time, not per step, is controlled; the next trial step is scaled
-    by 0.9 (tol/err)^(1/4), at most 5x up and 5x down.  A step still
-    failing below 1e-12 raises StepFailure.  Drift metrics compare against
-    the initial values of the Hamiltonian, the Casimir (5-dim charts), and
-    any registered extra integrals.  A sample is kept every sample_every
-    accepted steps and at t_end.  The last step ends on t_end: when at most
-    1e-9 of a step would be left over, the current step is stretched to
-    t_end instead of taking a sliver step."""
+    RKF45 starts from opts.step and steps under _rkf45_advance's control,
+    which holds the local error per unit time below opts.rel_tol.  Drift
+    metrics compare against the initial values of the Hamiltonian, the
+    Casimir (5-dim charts), and any registered extra integrals.  A sample
+    is kept every sample_every accepted steps and at t_end.  The last step
+    ends on t_end: when at most 1e-9 of a step would be left over, the
+    current step is stretched to t_end instead of taking a sliver step."""
     opts = opts or IntegrationOptions()
-    _require_positive(step=opts.step, t_end=t_end)
+    _require_positive(step=opts.step, t_end=t_end, rel_tol=opts.rel_tol)
+    if not (isinstance(opts.sample_every, int) and opts.sample_every >= 1):
+        raise DynamicsError(
+            f"sample_every must be an integer of at least 1, got {opts.sample_every}")
+    if opts.method not in ("rk4", "rkf45"):
+        raise DynamicsError(f"unknown method {opts.method!r}")
+    rk4 = opts.method == "rk4"
     extra_integrals = extra_integrals or {}
     x = tuple(float(v) for v in x0)
     f = bound_field(h)
@@ -263,50 +298,31 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     x_drifts = {name: 0.0 for name in extras0}
 
     t = 0.0
-    t_base, k = 0.0, 0      # t = t_base + k * dt keeps rounding off the sum
+    k = 0                   # RK4: t = k * dt keeps rounding off the sum
     steps = rejected = 0
     min_step = min_accepted = math.inf
     dt = opts.step
     while t < t_end:
-        last = t_end - t <= dt * (1 + 1e-9)
-        dt_eff = t_end - t if last else dt
-        shortened = dt_eff < dt
+        trial = dt
         try:
-            if opts.method == "rk4":
+            if rk4:
+                last = t_end - t <= dt * (1 + 1e-9)     # as in _rkf45_advance
+                dt_eff = t_end - t if last else dt
                 x = _rk4_step(f, x, dt_eff)
-            elif opts.method == "rkf45":
-                scale = max(max(abs(v) for v in x), 1.0)
-                while True:
-                    xn, err = _rkf45_step(f, x, dt_eff)
-                    tol = opts.rel_tol * scale * dt_eff
-                    if err <= tol:
-                        break
-                    if dt_eff < 1e-12:
-                        raise StepFailure(f"error {err:.3e} above rel_tol "
-                                          f"{opts.rel_tol:g} at step {dt_eff:.3g}")
-                    rejected += 1
-                    dt_eff *= max(0.2, 0.9 * (tol / err) ** 0.25)
-                    last = False
-                x = xn
-                # the step size changes, so t restarts its sum at this step
-                t_base, k = t, 0
-                dt = dt_eff * (min(5.0, 0.9 * (tol / err) ** 0.25) if err else 5.0)
+                k += 1
+                t_new = t_end if last else k * dt
             else:
-                raise DynamicsError(f"unknown method {opts.method!r}")
+                x, t_new, dt_eff, dt, n = _rkf45_advance(f, x, t, t_end, dt,
+                                                         opts.rel_tol)
+                rejected += n
+                last = t_new == t_end
         except (DomainError, StepFailure, ValueError, OverflowError) as exc:
             raise StepFailure(
                 f"integration failed at t={t:.6g}: {exc}") from exc
-        if last:
-            t = t_end
-        elif dt_eff == dt:
-            k += 1
-            t = t_base + k * dt
-        else:
-            t_base, k = t + dt_eff, 0
-            t = t_base
+        t = t_new
         if dt_eff < min_accepted:
             min_accepted = dt_eff
-        if dt_eff < min_step and not (last and shortened) \
+        if dt_eff < min_step and not (last and dt_eff < trial) \
                 and (steps or dt_eff != opts.step):
             min_step = dt_eff
         steps += 1
@@ -463,17 +479,20 @@ MAX_SECTION_POINTS = 100000     # the most crossings a section keeps in memory
 
 def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
                      coordinate: int = 3, value: float = 0.0,
-                     direction: int = 1, step: float = 1e-3) -> list[SectionPoint]:
+                     direction: int = 1, step: float = IntegrationOptions.step,
+                     rel_tol: float = IntegrationOptions.rel_tol) -> list[SectionPoint]:
     """Crossings of x[coordinate] = value in (0, t_end] with the requested
     sign of the derivative, the first MAX_SECTION_POINTS of them.
 
-    RK4 steps of the given size (the last one shortened to end on t_end)
-    bracket each crossing; one RK4 step of Henon's system
+    RKF45 steps under _rkf45_advance's control bracket each crossing: the
+    first is tried at step, each holds its local error per unit time below
+    rel_tol, and the last lands on t_end, so no crossing after t_end is
+    reported.  One Fehlberg step (its fifth-order state) of Henon's system
     d(x, t)/dx_k = (f/f_k, 1/f_k) over value - x_k from the bracket's start
     then lands on the plane (M. Henon, Physica D 5 (1982) 412), and
     x[coordinate] is set to value in the reported state.  A crossing time
     outside its bracket raises StepFailure."""
-    _require_positive(step=step)
+    _require_positive(step=step, rel_tol=rel_tol)
     if not 0 <= t_end < math.inf:       # a zero horizon has no crossings
         raise DynamicsError(f"t_end must be non-negative and finite, got {t_end}")
     x = tuple(float(v) for v in x0)
@@ -490,16 +509,14 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
         return tuple(v * dt_dxk for v in xdot) + (dt_dxk,)
 
     out = []
-    t, k = 0.0, 0               # t = k * step keeps rounding off the sum
+    t, dt = 0.0, step
     s_prev = x[coordinate] - value
     while t < t_end and len(out) < MAX_SECTION_POINTS:
-        last = t_end - t <= step * (1 + 1e-9)
-        dt, t_new = (t_end - t, t_end) if last else (step, (k + 1) * step)
         try:
-            x_new = _rk4_step(f, x, dt)
+            x_new, t_new, _, dt, _ = _rkf45_advance(f, x, t, t_end, dt, rel_tol)
             s_new = x_new[coordinate] - value
             if s_prev * s_new < 0 and (s_new - s_prev) * direction > 0:
-                y = _rk4_step(henon, x + (t,), -s_prev)
+                y = _rkf45_step(henon, x + (t,), -s_prev)[0]
                 if not t <= y[-1] <= t_new:
                     raise StepFailure(f"crossing time {y[-1]!r} outside its "
                                       f"step [{t!r}, {t_new!r}]")
@@ -507,7 +524,7 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
                 out.append(SectionPoint(y[-1], state, len(out)))
         except (StepFailure, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise StepFailure(f"section failed at t={t:.6g}: {exc}") from exc
-        x, t, k, s_prev = x_new, t_new, k + 1, s_new
+        x, t, s_prev = x_new, t_new, s_new
     return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as Fr
@@ -245,13 +246,6 @@ class TestStepControl:
         assert rep.energy_drift < 1e-8
         assert rep.casimir_drift < 1e-10
 
-    def test_rkf45_zero_tolerance_fails(self):
-        """The error estimate stays positive, so rel_tol=0 is never met."""
-        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
-        with pytest.raises(StepFailure, match="above rel_tol"):
-            integrate(h, self.X0, 2.5, IntegrationOptions(
-                step=1e-3, method="rkf45", rel_tol=0.0))
-
     def test_rk4_reports_no_rejection(self):
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
         rep = integrate(h, self.X0, 0.5, IntegrationOptions(step=1e-3))
@@ -292,6 +286,17 @@ class TestStepControl:
         with pytest.raises(StepFailure, match="above rel_tol"):
             integrate(h, self.X0, 2e-12, IntegrationOptions(step=1e-3, method="rkf45"))
 
+    @pytest.mark.parametrize("err", [1.0, math.nan])
+    def test_section_refuses_a_step_at_the_dt_floor(self, monkeypatch, err):
+        """The section steps under the same controller: StepFailure below
+        1e-12, not a hang and not a step accepted unchecked."""
+        real_step = dynamics._rkf45_step
+        monkeypatch.setattr(dynamics, "_rkf45_step",
+                            lambda f, x, dt: (real_step(f, x, dt)[0], err))
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        with pytest.raises(StepFailure, match="above rel_tol"):
+            poincare_section(h, self.X0, 2e-12, step=1e-3)
+
     def test_short_span_is_one_step(self):
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
         rep = integrate(h, self.X0, 0.25, IntegrationOptions(step=1.0))
@@ -311,6 +316,25 @@ class TestStepControl:
     def test_section_rejects_bad_span(self, step, t_end):
         with pytest.raises(DynamicsError):
             poincare_section(None, self.X0, t_end, step=step)
+
+    @pytest.mark.parametrize("rel_tol,sample_every", [
+        (0.0, 100), (-1.0, 100), (math.inf, 100), (math.nan, 100),
+        (1e-12, 0), (1e-12, -3), (1e-12, 2.5)])
+    def test_integrate_rejects_bad_tolerance_or_sampling(self, rel_tol, sample_every):
+        """Refused before any step: a negative rel_tol would raise a complex
+        step factor, an infinite one would accept every step, sample_every
+        0 would divide by zero, a negative one would sample at random and
+        2.5 every fifth step."""
+        with pytest.raises(DynamicsError, match="rel_tol|sample_every") as info:
+            integrate(None, self.X0, 1.0, IntegrationOptions(
+                method="rkf45", rel_tol=rel_tol, sample_every=sample_every))
+        assert info.type is DynamicsError
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.inf, math.nan])
+    def test_section_rejects_bad_tolerance(self, rel_tol):
+        with pytest.raises(DynamicsError, match="rel_tol") as info:
+            poincare_section(None, self.X0, 1.0, rel_tol=rel_tol)
+        assert info.type is DynamicsError
 
     def test_nve_rejects_zero_step(self):
         with pytest.raises(DynamicsError):
@@ -513,6 +537,23 @@ class TestPoincareSection:
         level = h1.value(x0)
         for pt in points:
             assert abs(h1.value(pt.state) - level) < 1e-6
+
+    def test_section_steps_adaptively(self):
+        """Fewer than half the field evaluations of fixed RK4 at 1e-3
+        (4 per step, 40,000 over 10 time units) on the sphere Newton
+        bounded orbit: a return to fixed steps fails here."""
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        calls = 0
+
+        def grad(x):
+            nonlocal calls
+            calls += 1
+            return h.grad(x)
+
+        points = poincare_section(dataclasses.replace(h, grad=grad),
+                                  TestStepControl.X0, 10.0)
+        assert len(points) == 2
+        assert calls < 20000
 
     def test_empty_for_zero_horizon(self):
         params = sn_params()

@@ -479,20 +479,23 @@ MAX_SECTION_POINTS = 100000     # the most crossings a section keeps in memory
 
 def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
                      coordinate: int = 3, value: float = 0.0,
-                     direction: int = 1, step: float = IntegrationOptions.step,
-                     rel_tol: float = IntegrationOptions.rel_tol) -> list[SectionPoint]:
+                     direction: int = 1,
+                     step: float = IntegrationOptions.step) -> list[SectionPoint]:
     """Crossings of x[coordinate] = value in (0, t_end] with the requested
     sign of the derivative, the first MAX_SECTION_POINTS of them.
 
     RKF45 steps under _rkf45_advance's control bracket each crossing: the
     first is tried at step, each holds its local error per unit time below
-    rel_tol, and the last lands on t_end, so no crossing after t_end is
-    reported.  One Fehlberg step (its fifth-order state) of Henon's system
-    d(x, t)/dx_k = (f/f_k, 1/f_k) over value - x_k from the bracket's start
-    then lands on the plane (M. Henon, Physica D 5 (1982) 412), and
-    x[coordinate] is set to value in the reported state.  A crossing time
-    outside its bracket raises StepFailure."""
-    _require_positive(step=step, rel_tol=rel_tol)
+    IntegrationOptions.rel_tol, and the last lands on t_end, so no crossing
+    after t_end is reported.  One Fehlberg step (its fifth-order state) of
+    Henon's system d(x, t)/dx_k = (f/f_k, 1/f_k) over value - x_k from the
+    bracket's start then lands on the plane (M. Henon, Physica D 5 (1982)
+    412), and x[coordinate] is set to value in the reported state.  A
+    crossing time outside its bracket raises StepFailure.  The Henon step
+    is held to the steps' rule, its error at most rel_tol * max(|x|_inf, 1)
+    times the time it spans; when it misses, the bracket is tried again at
+    half its length, and below 1e-12 the section raises StepFailure."""
+    _require_positive(step=step)
     if not 0 <= t_end < math.inf:       # a zero horizon has no crossings
         raise DynamicsError(f"t_end must be non-negative and finite, got {t_end}")
     x = tuple(float(v) for v in x0)
@@ -502,6 +505,7 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
     if not math.isfinite(value):
         raise DynamicsError(f"value must be finite, got {value}")
     f = bound_field(h)
+    rel_tol = IntegrationOptions.rel_tol
 
     def henon(y):
         xdot = f(y[:-1])
@@ -513,13 +517,20 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
     s_prev = x[coordinate] - value
     while t < t_end and len(out) < MAX_SECTION_POINTS:
         try:
-            x_new, t_new, _, dt, _ = _rkf45_advance(f, x, t, t_end, dt, rel_tol)
+            x_new, t_new, dt_taken, dt, _ = _rkf45_advance(f, x, t, t_end, dt,
+                                                           rel_tol)
             s_new = x_new[coordinate] - value
             if s_prev * s_new < 0 and (s_new - s_prev) * direction > 0:
-                y = _rkf45_step(henon, x + (t,), -s_prev)[0]
+                y, err = _rkf45_step(henon, x + (t,), -s_prev)
                 if not t <= y[-1] <= t_new:
                     raise StepFailure(f"crossing time {y[-1]!r} outside its "
                                       f"step [{t!r}, {t_new!r}]")
+                if not err <= rel_tol * max(max(abs(v) for v in x), 1.0) * (y[-1] - t):
+                    if dt_taken < 1e-12:
+                        raise StepFailure(f"Henon step error {err:.3e} above "
+                                          f"rel_tol {rel_tol:g} at step {dt_taken:.3g}")
+                    dt = dt_taken / 2
+                    continue
                 state = y[:coordinate] + (value,) + y[coordinate + 1:-1]
                 out.append(SectionPoint(y[-1], state, len(out)))
         except (StepFailure, ValueError, OverflowError, ZeroDivisionError) as exc:

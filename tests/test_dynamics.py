@@ -297,6 +297,45 @@ class TestStepControl:
         with pytest.raises(StepFailure, match="above rel_tol"):
             poincare_section(h, self.X0, 2e-12, step=1e-3)
 
+    @staticmethod
+    def _stub_henon_error(monkeypatch, error_of):
+        """Replace the error of every Henon step (the chart's state plus t,
+        6 entries on the sphere chart) by error_of(span in t)."""
+        real_step = dynamics._rkf45_step
+
+        def step(f, x, dt):
+            y, err = real_step(f, x, dt)
+            return (y, error_of(abs(y[-1] - x[-1]))) if len(x) == 6 else (y, err)
+        monkeypatch.setattr(dynamics, "_rkf45_step", step)
+
+    @pytest.mark.parametrize("err", [1.0, math.nan])
+    def test_section_refuses_a_henon_step_above_tolerance(self, monkeypatch, err):
+        """A crossing whose Henon step never meets rel_tol is retried on
+        halved brackets down to 1e-12, then refused: no hang, and no
+        crossing reported unchecked."""
+        self._stub_henon_error(monkeypatch, lambda span: err)
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        with pytest.raises(StepFailure, match="Henon step error"):
+            poincare_section(h, self.X0, 10.0)
+
+    def test_section_halves_the_bracket_of_a_failed_henon_step(self, monkeypatch):
+        """A Henon step over more than 1e-4 in t fails; the shorter bracket
+        gives the same crossings."""
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        expected = poincare_section(h, self.X0, 10.0)
+        spans = []
+
+        def error_of(span):
+            spans.append(span)
+            return 1.0 if span > 1e-4 else 0.0
+        self._stub_henon_error(monkeypatch, error_of)
+        points = poincare_section(h, self.X0, 10.0)
+        assert max(spans) > 1e-4 and len(spans) > len(points)
+        assert len(points) == len(expected) == 2
+        for p, q in zip(points, expected):
+            assert p.t == pytest.approx(q.t, abs=1e-12)
+            assert max(abs(u - v) for u, v in zip(p.state, q.state)) < 1e-12
+
     def test_short_span_is_one_step(self):
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
         rep = integrate(h, self.X0, 0.25, IntegrationOptions(step=1.0))
@@ -328,12 +367,6 @@ class TestStepControl:
         with pytest.raises(DynamicsError, match="rel_tol|sample_every") as info:
             integrate(None, self.X0, 1.0, IntegrationOptions(
                 method="rkf45", rel_tol=rel_tol, sample_every=sample_every))
-        assert info.type is DynamicsError
-
-    @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.inf, math.nan])
-    def test_section_rejects_bad_tolerance(self, rel_tol):
-        with pytest.raises(DynamicsError, match="rel_tol") as info:
-            poincare_section(None, self.X0, 1.0, rel_tol=rel_tol)
         assert info.type is DynamicsError
 
     def test_nve_rejects_zero_step(self):

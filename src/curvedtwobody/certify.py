@@ -288,7 +288,7 @@ def certify(config: RunConfig) -> Certificate:
         case1={
             "count": len(case1),
             "solutions": [{
-                "omega": sol.omega.render(),
+                "omega": sol.render_omega(),
                 "P_degree": sol.P.degree(),
                 "exponents": [[_scalar_str(loc), _frac_str(rho)]
                               for loc, rho in sol.exponent_choices],

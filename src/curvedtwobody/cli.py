@@ -277,7 +277,10 @@ def sweep_cmd(config_path, out_dir, jobs):
     with the worst exit code of its runs."""
     if jobs < 1:
         raise CertifyError(f"--jobs must be at least 1, got {jobs}")
-    runs = _load_json(config_path).get("runs", [])
+    data = _load_json(config_path)
+    if "runs" not in data:
+        raise CertifyError(f"{config_path} has no 'runs' list")
+    runs = data["runs"]
     if not isinstance(runs, list):
         raise CertifyError(f"'runs' must be a list, not {type(runs).__name__}")
     os.makedirs(out_dir, exist_ok=True)

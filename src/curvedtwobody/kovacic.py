@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactfield import TowerContext, TowerScalar
 from .linode import NormalFormODE, SingularitySpectrum, SingularPoint
-from .ratcalc import Poly, RatFunc, clear_denominators, simple_pole_sum
+from .ratcalc import (Poly, RatFunc, _log_sum, clear_denominators,
+                      simple_pole_sum, split_off)
 
 
 class KovacicError(Exception):
@@ -235,15 +236,44 @@ def search_P(normal: NormalFormODE, e: ECandidate,
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    omega: RatFunc
+    """y1 = P prod (z - c)^rho_c, a solution of y'' = r y with omega =
+    y1'/y1 rational, held as its exponent map and the cofactor Q of P.
+
+    ``poles`` maps each finite singular point c where y1 has a non-zero
+    exponent to w_c = rho_c + k_c, k_c the multiplicity of c as a root of
+    P, and Q = P / prod (z - c)^k_c.  y1 has only simple zeros at ordinary
+    points, so Q is squarefree, and omega = sum w_c/(z - c) + Q'/Q is
+    (T Q + S Q') / (S Q) for (S, T) = _log_sum(poles) in lowest terms: at
+    a root c of S the numerator is T(c) Q(c) != 0, at a root of Q it is
+    S Q' != 0.  Q's roots are not known, so omega is never a RatFunc."""
     exponent_choices: tuple[tuple[TowerScalar, Fraction], ...]
     infinity_exponent: Fraction
     P: Poly
+    poles: tuple[tuple[TowerScalar, Fraction], ...] = field(init=False)
+    Q: Poly = field(init=False)
+
+    def __post_init__(self):
+        moved, q = split_off(self.P, [c for c, _ in self.exponent_choices])
+        poles = tuple((c, rho + moved.get(c, 0)) for c, rho in self.exponent_choices
+                      if rho + moved.get(c, 0))
+        object.__setattr__(self, "poles", poles)
+        object.__setattr__(self, "Q", q)
 
     def denominator_lcm(self) -> int:
         """Smallest m with m * (every chosen exponent) integral."""
         return math.lcm(self.infinity_exponent.denominator,
                         *(rho.denominator for _, rho in self.exponent_choices))
+
+    def omega(self) -> tuple[Poly, Poly]:
+        """(num, den) of omega in lowest terms, den monic."""
+        q = self.Q
+        s, t = _log_sum(q.ctx, dict(self.poles))
+        return t * q + s * q.derivative(), s * q
+
+    def render_omega(self) -> str:
+        """omega as RatFunc.render writes a rational function."""
+        num, den = self.omega()
+        return f"({num.render()}) / ({den.render()})"
 
 
 def case1_search(normal: NormalFormODE,
@@ -254,9 +284,9 @@ def case1_search(normal: NormalFormODE,
     search: every candidate solution must realize an exponent there.
     Assignments whose linear system is underdetermined are skipped; such
     families are spanned by the solutions of other assignments.  Each
-    omega is returned once.
+    omega is returned once: two solutions have the same omega exactly when
+    they have the same exponent map and Q.
     """
-    r = normal.r
     finite = spec.finite_points
     for pt in list(finite) + [spec.infinity]:
         if pt.exponents is None:
@@ -269,32 +299,33 @@ def case1_search(normal: NormalFormODE,
             n = -sigma - total
             if n < 0 or n.denominator != 1:
                 continue
-            sol = _solve_exponent_assignment(normal, finite, rho_choice, int(n))
-            if sol is None:
-                continue
-            p_poly, omega = sol
-            if any(prev.omega == omega for prev in solutions):
-                # repeated-exponent menus (delta = 0) revisit the same solution
+            p_poly = _solve_exponent_assignment(normal, finite, rho_choice, int(n))
+            if p_poly is None:
                 continue
             choices = tuple((pt.location, rho) for pt, rho in zip(finite, rho_choice))
-            riccati = omega.derivative() + omega * omega - r
-            if not riccati.is_zero():
-                raise KovacicError("internal: found omega fails the Riccati equation")
-            solutions.append(RiccatiSolution(omega, choices, sigma, p_poly))
+            sol = RiccatiSolution(choices, sigma, p_poly)
+            # repeated-exponent menus (delta = 0) revisit the same solution
+            if not any((prev.poles, prev.Q) == (sol.poles, sol.Q) for prev in solutions):
+                solutions.append(sol)
     return solutions
 
 
 def _solve_exponent_assignment(normal, finite, rho_choice, n):
-    """Monic P (degree n) with P'' + 2 phi P' + (phi' + phi^2 - r) P = 0."""
+    """Monic P (degree n) with P'' + 2 phi P' + (phi' + phi^2 - r) P = 0,
+    checked by substituting it back, or None."""
     ctx = normal.r.ctx
     phi = simple_pole_sum(ctx, {pt.location: rho for pt, rho in zip(finite, rho_choice)})
-    c0 = phi.derivative() + phi * phi - normal.r
-    p_poly = _solve_P([c0, RatFunc.constant(ctx, 2) * phi, RatFunc.constant(ctx, 1)],
-                      n, unique=True)
+    coeffs = [phi.derivative() + phi * phi - normal.r,
+              RatFunc.constant(ctx, 2) * phi, RatFunc.constant(ctx, 1)]
+    p_poly = _solve_P(coeffs, n, unique=True)
     if p_poly is None:
         return None
-    omega = phi + RatFunc(p_poly.derivative(), p_poly)
-    return p_poly, omega
+    residual, dp = RatFunc.constant(ctx, 0), p_poly
+    for a in coeffs:
+        residual, dp = residual + a * RatFunc.from_poly(dp), dp.derivative()
+    if not residual.is_zero():
+        raise KovacicError("internal: found P fails the case-I equation")
+    return p_poly
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +451,28 @@ def classify(normal: NormalFormODE, spec: SingularitySpectrum,
              case2: Optional[Case2Solution],
              case_three: bool,
              pair_excluded: Optional[bool] = None) -> GaloisVerdict:
-    """Decision table combining the collected evidence.
+    """Decision table combining the collected evidence; G is the
+    differential Galois group in SL2, G0 its identity component.
 
-    The SL2 verdict needs the product test (pair_excluded) on top of an
-    empty rational case-I search: without it a diagonal group with
-    irrational exponent pairs is not excluded.  case1 is case1_search's
-    list, whose omegas are pairwise distinct.
+    - Two case-I solutions (case1_search's omegas are pairwise distinct):
+      G fixes the two lines of y1 and y2, so G is diagonal and abelian.
+    - One, at a point with non-real exponents: G fixes the line of y1 and
+      no other (that would be a second case-I solution), so G is
+      triangular and not diagonal, and a non-real exponent makes y1
+      transcendental, so G0 is the full triangular group, not abelian.
+      case1_search returns [] once an exponent is not rational, so this
+      branch waits for a case I over the algebraic closure.
+    - One, with every exponent rational: y1^m is rational for m the lcm of
+      the exponent denominators, so G acts on y1 by m-th roots of unity and
+      G0 lies in the unipotent group, which is abelian, whatever m is.
+    - A case-II solution: G lies in the infinite dihedral group, so G0
+      lies in the diagonal torus, abelian.
+    - Case III possible (every exponent rational): G may be finite, and
+      nothing is decided.
+    - Otherwise SL2 needs the product test (pair_excluded) on top of an
+      empty rational case-I search: without it a diagonal group with
+      irrational exponent pairs is not excluded.  With it no case applies,
+      so G = SL2, not abelian.
     """
     n1 = len(case1)
     if n1 >= 2:
@@ -436,13 +483,9 @@ def classify(normal: NormalFormODE, spec: SingularitySpectrum,
             return GaloisVerdict(Classification.FULL_TRIANGULAR_NONABELIAN, False, (
                 "single rational-log-derivative solution and non-real exponents",))
         m = case1[0].denominator_lcm()
-        if m <= 8:
-            return GaloisVerdict(Classification.INCONCLUSIVE, True, (
-                f"y1^{m} is rational: proper triangular subgroup, "
-                "abelian identity component",))
-        return GaloisVerdict(Classification.INCONCLUSIVE, None, (
-            f"smallest candidate power m={m} exceeds the search bound 8; "
-            "proper-subgroup status undetermined",))
+        return GaloisVerdict(Classification.INCONCLUSIVE, True, (
+            f"y1^{m} is rational: proper triangular subgroup, "
+            "abelian identity component",))
     if case2 is not None:
         return GaloisVerdict(Classification.INCONCLUSIVE, True, (
             "case II solution found: identity component inside the "

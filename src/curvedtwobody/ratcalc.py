@@ -1,18 +1,20 @@
 """Univariate polynomial and rational-function calculus over a tower context.
 
 Dense polynomials with TowerScalar coefficients.  A rational function is
-kept in lowest terms with its monic denominator factored: exponents over
-linear factors z - c plus a monic rest with none of those roots.  The
+kept in lowest terms with its monic denominator factored over linear
+factors: an exponent map {c: e} for prod (z - c)^e, and nothing else.  The
 pipeline's denominators all split over z - z0, z -+ kappa and z -+ lambda,
 so products add exponents, sums work over the lcm, and lowest terms only
-test the numerator at the roots by synthetic division.  Euclid (poly_gcd)
-runs only against a non-constant rest, which comes from a denominator
-given dense with a factor the context does not know (the P of P'/P).  Pole
-locations are always supplied by callers in closed form, so no root
-finding happens here.  This module is the one place that splits a polynomial
-over such roots (callers read RatFunc.exponents_over), and _log_sum is the
-one place that builds sum w/(z - c) over prod (z - c), for simple_pole_sum,
-RatFunc.derivative and RatFunc.log_derivative.
+test the numerator at the roots by synthetic division; no gcd runs.  Pole
+locations are always supplied by callers in closed form (RatFunc.over), so
+no root finding happens here: a polynomial that comes in dense, as a
+denominator or as a numerator that / or log_derivative inverts, is split
+over +-kappa and +-lambda with a leftover (z - c)^n as the root c, and any
+other leftover raises BadFactorization.  This module is the one place that
+splits a polynomial over such roots (callers read RatFunc.exponents_over
+and split_off), and _log_sum is the one place that builds sum w/(z - c)
+over prod (z - c), for simple_pole_sum, RatFunc.derivative and case I's
+omega.  poly_gcd is plain Euclid on Poly; RatFunc never calls it.
 """
 from __future__ import annotations
 
@@ -262,34 +264,14 @@ def _deflate_pair(p: Poly, c: TowerScalar, e_plus: int, e_minus: int):
     return p, k + j_plus, k + j_minus
 
 
-def _promote(roots: dict, rest: Poly) -> tuple[dict, Poly]:
-    """A linear rest z - c becomes the root c."""
-    if rest.degree() == 1:
-        c = -rest.coeffs[0]
-        roots = dict(roots)
-        roots[c] = roots.get(c, 0) + 1
-        rest = Poly(rest.ctx, [rest.ctx.one])
-    return roots, rest
-
-
-def _split_rest(roots: dict, rest: Poly, keys) -> tuple[dict, Poly]:
-    """Move every factor z - c, c in keys, out of rest and into roots."""
-    if rest.degree() <= 0:
-        return roots, rest
-    roots = dict(roots)
-    for c in keys:
-        rest, j = _deflate(rest, c, rest.degree())
-        if j:
-            roots[c] = roots.get(c, 0) + j
-    return _promote(roots, rest)
-
-
-def _factor(p: Poly) -> tuple[TowerScalar, dict, Poly]:
-    """(lead, roots, rest) with p = lead * prod (z - c)^e * rest.
+def _factor(p: Poly) -> tuple[TowerScalar, dict]:
+    """(lead, roots) with p = lead * prod (z - c)^e.
 
     The roots +-sqrt_a(), +-sqrt_b() (kappa, lambda) come off by
-    _deflate_pair, whole copies of z^2 - a and z^2 - b first.  A linear
-    leftover becomes a root; anything else is the monic rest."""
+    _deflate_pair, whole copies of z^2 - a and z^2 - b first.  A leftover
+    of degree n is taken as (z - c)^n, c minus its z^(n-1) coefficient over
+    n; any other leftover has roots nobody supplied, so it raises
+    BadFactorization."""
     ctx = p.ctx
     lead = p.leading()
     if lead != ctx.one:
@@ -304,20 +286,36 @@ def _factor(p: Poly) -> tuple[TowerScalar, dict, Poly]:
             roots[c] = k
         if j:
             roots[-c] = j
-    roots, p = _promote(roots, p)
-    return lead, roots, p
+    n = p.degree()
+    if n > 0:
+        c = -p.coeffs[n - 1] / ctx.from_rational(n)
+        p, k = _deflate(p, c, n)
+        if k < n:
+            raise BadFactorization(
+                f"a factor of degree {n} is not (z - c)^{n} after +-kappa, +-lambda")
+        roots[c] = roots.get(c, 0) + n
+    return lead, roots
 
 
-def _lowest_terms(num: Poly, roots: dict, rest: Poly,
-                  keys=None) -> tuple[Poly, dict, Poly]:
-    """num over prod (z - c)^e * rest, brought to lowest terms.
+def split_off(p: Poly, keys) -> tuple[dict, Poly]:
+    """({c: k}, q) with p = q * prod (z - c)^k over the c in keys with
+    k > 0, and q(c) != 0 at every c in keys."""
+    out = {}
+    for c in keys:
+        p, k = _deflate(p, c, p.degree())
+        if k:
+            out[c] = k
+    return out, p
+
+
+def _lowest_terms(num: Poly, roots: dict, keys=None) -> tuple[Poly, dict]:
+    """num over prod (z - c)^e, brought to lowest terms.
 
     num is divided by z - c while it vanishes at c, for each root c in
     keys (all roots by default), a pair +-c through one remainder mod
-    z^2 - c^2; gcd(num, rest) is cancelled when rest is not constant, the
-    one place Euclid runs."""
+    z^2 - c^2."""
     if num.degree() <= 0:
-        return num, roots, rest
+        return num, roots
     test = roots if keys is None else keys
     cut = {}
     done = set()
@@ -331,57 +329,34 @@ def _lowest_terms(num: Poly, roots: dict, rest: Poly,
             cut[c], cut[m] = k, j
         else:
             num, cut[c] = _deflate(num, c, roots[c])
-    out = roots
     if any(cut.values()):
-        out = {c: e - cut.get(c, 0) for c, e in roots.items() if e > cut.get(c, 0)}
-    if rest.degree() > 0 and num.degree() > 0:
-        g = poly_gcd(num, rest)
-        if g.degree() > 0:
-            num, rest = num // g, rest // g
-            out, rest = _promote(out, rest)
-    return num, out, rest
+        roots = {c: e - cut.get(c, 0) for c, e in roots.items() if e > cut.get(c, 0)}
+    return num, roots
 
 
-def _parts(fs: Sequence[RatFunc]) -> list[tuple[dict, Poly]]:
-    """Each (roots, rest) of fs, with every root of the others split out of
-    a non-constant rest, so that no rest shares a factor with any roots."""
-    parts = [(f.roots, f.rest) for f in fs]
-    if any(rest.degree() > 0 for _, rest in parts):
-        keys = list(dict.fromkeys(c for roots, _ in parts for c in roots))
-        parts = [_split_rest(roots, rest, keys) for roots, rest in parts]
-    return parts
-
-
-def _over_lcm(fs: Sequence[RatFunc]):
-    """(roots, rest, numerators, parts) for the least common denominator
-    D = prod (z - c)^e * rest of fs: e is the largest exponent of each
-    root, numerators[j] = D fs[j], and parts[j] is _parts(fs)[j].  Euclid
-    runs only when two rests are non-constant and differ."""
+def _over_lcm(fs: Sequence[RatFunc]) -> tuple[dict, list[Poly]]:
+    """(roots, numerators) for the least common denominator
+    D = prod (z - c)^e of fs: e is the largest exponent of each root, and
+    numerators[j] = D fs[j]."""
     ctx = fs[0].ctx
-    parts = _parts(fs)
     roots = {}
-    rest = Poly(ctx, [ctx.one])
-    for froots, frest in parts:
-        for c, e in froots.items():
+    for f in fs:
+        for c, e in f.roots.items():
             if e > roots.get(c, 0):
                 roots[c] = e
-        if frest.degree() > 0 and frest != rest:
-            rest = frest if rest.degree() <= 0 else rest * (frest // poly_gcd(rest, frest))
     nums = []
-    for f, (froots, frest) in zip(fs, parts):
+    for f in fs:
         num = f.num
-        cof = [(c, e - froots.get(c, 0)) for c, e in roots.items()]
+        cof = [(c, e - f.roots.get(c, 0)) for c, e in roots.items()]
         if any(k for _, k in cof) and not num.is_zero():
             num = num * Poly.from_roots(ctx, cof)
-        if rest.degree() > frest.degree():
-            num = num * (rest // frest)
         nums.append(num)
-    return roots, rest, nums, parts
+    return roots, nums
 
 
 def clear_denominators(fs: Sequence[RatFunc]) -> list[Poly]:
     """The numerators D f over the least common denominator D of fs."""
-    return _over_lcm(fs)[2]
+    return _over_lcm(fs)[1]
 
 
 def _log_sum(ctx: TowerContext, weights: dict) -> tuple[Poly, Poly]:
@@ -410,30 +385,26 @@ def simple_pole_sum(ctx: TowerContext, weights: dict) -> RatFunc:
     _log_sum is in lowest terms: T(c) = w prod (c - c') != 0 at each root."""
     weights = {c: w for c, w in weights.items() if w}
     s, t = _log_sum(ctx, weights)
-    return RatFunc._of(t, dict.fromkeys(weights, 1), Poly(ctx, [ctx.one]))
+    return RatFunc._of(t, dict.fromkeys(weights, 1))
 
 
 class RatFunc:
-    """num / den in lowest terms, with den monic and kept factored.
-
-    den = prod (z - c)^e * rest: ``roots`` maps each known root c to its
-    exponent e > 0, and ``rest`` is the monic part with none of those
-    roots.  The pipeline's denominators split over z - z0, z -+ kappa and
-    z -+ lambda, so rest is non-constant only for a denominator that came
-    in dense with a factor the context does not know (a P from P'/P).
+    """num / den in lowest terms, with den = prod (z - c)^e monic and kept
+    as its exponent map: ``roots`` maps each root c to its exponent e > 0.
 
     Products add exponents (a square doubles them with no lowest-terms
     test), sums and differences work over the lcm (the larger exponent of
     each root), the derivative raises each exponent by one, and the
     log-derivative f'/f has a simple pole at each root of num and den.
-    Lowest terms test the numerator only at roots it can share
-    with the denominator, a pair +-c through one remainder mod z^2 - c^2,
-    and Euclid (poly_gcd) runs only against a non-constant rest.  A dense
-    denominator passed to the constructor is split by _factor.  The dense
-    monic ``den`` is built on first use; equality and hashing read the
-    reduced num and den, which are unique."""
+    Lowest terms test the numerator only at roots it can share with the
+    denominator, a pair +-c through one remainder mod z^2 - c^2.  A dense
+    denominator passed to the constructor, and the numerator that / and
+    log_derivative invert, are split by _factor, which raises
+    BadFactorization on a factor with unknown roots; RatFunc.over takes
+    any roots as given.  The dense monic ``den`` is built on first use;
+    equality and hashing read the reduced num and den, which are unique."""
 
-    __slots__ = ("num", "roots", "rest", "_den")
+    __slots__ = ("num", "roots", "_den")
 
     def __init__(self, num: Poly, den: Optional[Poly] = None):
         ctx = num.ctx
@@ -441,34 +412,30 @@ class RatFunc:
             den = Poly(ctx, [ctx.one])
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
-        lead, roots, rest = _factor(den)
+        lead, roots = _factor(den)
         if num.is_zero():
-            roots, rest = {}, Poly(ctx, [ctx.one])
+            roots = {}
         else:
             if lead != ctx.one:
                 num = num.scale(lead.inverse())
-            num, roots, rest = _lowest_terms(num, roots, rest)
-        self.num, self.roots, self.rest, self._den = num, roots, rest, None
+            num, roots = _lowest_terms(num, roots)
+        self.num, self.roots, self._den = num, roots, None
 
     @staticmethod
-    def _of(num: Poly, roots: dict, rest: Poly) -> RatFunc:
-        """num / (prod (z - c)^e * rest), already in lowest terms."""
+    def _of(num: Poly, roots: dict) -> RatFunc:
+        """num / prod (z - c)^e, already in lowest terms."""
         out = object.__new__(RatFunc)
-        out.num, out.roots, out.rest, out._den = num, roots, rest, None
+        out.num, out.roots, out._den = num, roots, None
         return out
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def over(num: Poly, roots: dict, rest: Optional[Poly] = None) -> RatFunc:
-        """num / (prod (z - c)^e * rest) for exponents e >= 0 and a monic
-        rest (default 1) with none of the roots, in lowest terms."""
-        ctx = num.ctx
-        if rest is None:
-            rest = Poly(ctx, [ctx.one])
+    def over(num: Poly, roots: dict) -> RatFunc:
+        """num / prod (z - c)^e for exponents e >= 0, in lowest terms."""
         if num.is_zero():
             return RatFunc(num)
-        return RatFunc._of(*_lowest_terms(num, {c: e for c, e in roots.items() if e}, rest))
+        return RatFunc._of(*_lowest_terms(num, {c: e for c, e in roots.items() if e}))
 
     @staticmethod
     def from_poly(p: Poly) -> RatFunc:
@@ -490,8 +457,7 @@ class RatFunc:
     def den(self) -> Poly:
         """The dense monic denominator."""
         if self._den is None:
-            den = Poly.from_roots(self.ctx, self.roots.items())
-            self._den = den * self.rest if self.rest.degree() > 0 else den
+            self._den = Poly.from_roots(self.ctx, self.roots.items())
         return self._den
 
     def is_zero(self) -> bool:
@@ -500,15 +466,14 @@ class RatFunc:
     def exponents_over(self, keys) -> dict:
         """{c: e} over the c in keys (a collection) at which den has a root,
         e its exponent, in the order of keys; raises BadFactorization when
-        den has a factor other than these z - c."""
-        roots, rest = _split_rest(self.roots, self.rest, keys)
-        out = {c: roots[c] for c in keys if c in roots}
-        if len(out) < len(roots) or rest.degree() > 0:
+        den has a root outside keys."""
+        out = {c: self.roots[c] for c in keys if c in self.roots}
+        if len(out) < len(self.roots):
             raise BadFactorization("the given roots do not factor the denominator")
         return out
 
     def den_degree(self) -> int:
-        return sum(self.roots.values()) + self.rest.degree()
+        return sum(self.roots.values())
 
     # -- field operations ---------------------------------------------------
 
@@ -517,19 +482,19 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
-        roots, rest, (n1, n2), ((r1, _), (r2, _)) = _over_lcm((self, other))
+        roots, (n1, n2) = _over_lcm((self, other))
         num = n1 + n2
         if num.is_zero():
             return RatFunc(num)
         # only a root with the same exponent on both sides can cancel
-        keys = [c for c, e in r1.items() if r2.get(c) == e]
-        return RatFunc._of(*_lowest_terms(num, roots, rest, keys))
+        keys = [c for c, e in self.roots.items() if other.roots.get(c) == e]
+        return RatFunc._of(*_lowest_terms(num, roots, keys))
 
     def __sub__(self, other: RatFunc) -> RatFunc:
         return self + (-other)
 
     def __neg__(self) -> RatFunc:
-        return RatFunc._of(-self.num, self.roots, self.rest)
+        return RatFunc._of(-self.num, self.roots)
 
     def __mul__(self, other: RatFunc) -> RatFunc:
         if self.is_zero():
@@ -538,79 +503,59 @@ class RatFunc:
             return other
         if other is self:
             # num is coprime to den, so num^2 is coprime to den^2
-            rest = self.rest * self.rest if self.rest.degree() > 0 else self.rest
             return RatFunc._of(self.num * self.num,
-                               {c: 2 * e for c, e in self.roots.items()}, rest)
-        (r1, d1), (r2, d2) = _parts((self, other))
+                               {c: 2 * e for c, e in self.roots.items()})
         # each numerator is already coprime to its own denominator
-        n1, r2, d2 = _lowest_terms(self.num, r2, d2)
-        n2, r1, d1 = _lowest_terms(other.num, r1, d1)
+        n1, r2 = _lowest_terms(self.num, other.roots)
+        n2, r1 = _lowest_terms(other.num, self.roots)
         roots = dict(r1)
         for c, e in r2.items():
             roots[c] = roots.get(c, 0) + e
-        rest = d2 if d1.degree() <= 0 else (d1 if d2.degree() <= 0 else d1 * d2)
-        return RatFunc._of(n1 * n2, roots, rest)
+        return RatFunc._of(n1 * n2, roots)
 
     def __truediv__(self, other: RatFunc) -> RatFunc:
         """self times 1/other, whose denominator is other's numerator split
         by _factor."""
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        lead, roots, rest = _factor(other.num)
+        lead, roots = _factor(other.num)
         num = other.den if lead == self.ctx.one else other.den.scale(lead.inverse())
-        return self * RatFunc._of(num, roots, rest)
+        return self * RatFunc._of(num, roots)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if self.num != other.num:
-            return False
-        return ((self.roots == other.roots and self.rest == other.rest)
-                or self.den == other.den)
+        return self.num == other.num and self.roots == other.roots
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def derivative(self) -> RatFunc:
-        """(num/(Q rest))' with Q = prod (z - c)^e: Q'/Q = T/S for
+        """(num/Q)' with Q = prod (z - c)^e: Q'/Q = T/S for
         (S, T) = _log_sum(roots), so the derivative is
-        (num' S rest - num (T rest + S rest')) / (Q S rest^2); at the roots
-        nothing cancels, so each exponent rises by one."""
-        num, roots, rest = self.num, self.roots, self.rest
-        if not roots and rest.degree() <= 0:
-            return RatFunc._of(num.derivative(), roots, rest)
+        (num' S - num T) / (Q S); at the roots nothing cancels, so each
+        exponent rises by one."""
+        num, roots = self.num, self.roots
+        if not roots:
+            return RatFunc._of(num.derivative(), roots)
         s, t = _log_sum(self.ctx, roots)
-        up = {c: e + 1 for c, e in roots.items()}
-        if rest.degree() <= 0:
-            return RatFunc._of(num.derivative() * s - num * t, up, rest)
-        out = num.derivative() * s * rest - num * (t * rest + s * rest.derivative())
-        return RatFunc._of(*_lowest_terms(out, up, rest * rest, keys=()))
+        return RatFunc._of(num.derivative() * s - num * t,
+                           {c: e + 1 for c, e in roots.items()})
 
     def log_derivative(self) -> RatFunc:
-        """f'/f, read off the factors of num and den without a division.
-
-        With num = lead * prod (z - c)^k * nrest (split by _factor),
-        f'/f = sum (k_c - e_c)/(z - c) + nrest'/nrest - rest'/rest.  No
-        root c is in both num and den, so every weight is non-zero and the
-        sum is T/S in lowest terms; S is coprime to nrest and rest, so only
-        a non-constant rest, which may hold repeated factors, goes through
-        _lowest_terms."""
+        """f'/f = sum (k_c - e_c)/(z - c), read off the roots k_c of num
+        (split by _factor) and e_c of den without a division.  No root c is
+        in both num and den, so every weight is non-zero."""
         if self.is_zero():
             raise DivisionByZero("log-derivative of the zero rational function")
-        _, weights, nrest = _factor(self.num)
+        _, weights = _factor(self.num)
         for c, e in self.roots.items():
             weights[c] = weights.get(c, 0) - e
-        rest = self.rest
-        if nrest.degree() <= 0 and rest.degree() <= 0:
-            return simple_pole_sum(self.ctx, weights)
-        s, t = _log_sum(self.ctx, weights)
-        dense = nrest * rest
-        out = t * dense + s * (nrest.derivative() * rest - nrest * rest.derivative())
-        return RatFunc._of(*_lowest_terms(out, dict.fromkeys(weights, 1), dense, keys=()))
+        return simple_pole_sum(self.ctx, weights)
 
     def _den_at(self, z: TowerScalar, skip: Optional[TowerScalar] = None) -> TowerScalar:
         """den(z), leaving out the factor (z - skip)^e."""
-        d = self.rest.evaluate(z)
+        d = self.ctx.one
         for c, e in self.roots.items():
             if c != skip:
                 w = z - c
@@ -626,8 +571,7 @@ class RatFunc:
 
     def polar_leading(self, c: TowerScalar) -> TowerScalar:
         """The coefficient of (z - c)^-e at a root c of exponent e."""
-        f = RatFunc._of(self.num, *_split_rest(self.roots, self.rest, (c,)))
-        return f.num.evaluate(c) / f._den_at(c, skip=c)
+        return self.num.evaluate(c) / self._den_at(c, skip=c)
 
     def embed_complex(self, z: complex, branch=(1, 1)) -> complex:
         """Floating evaluation at a complex point (for numeric cross-checks)."""

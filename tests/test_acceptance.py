@@ -309,7 +309,7 @@ def test_criterion6_mu1_degeneration(space, pot):
     sols = kovacic.case1_search(normal, spec)
     assert len(sols) == 2
     om1, om2 = mu1_solutions(params)
-    assert {s.omega for s in sols} == {om1, om2}
+    assert {s.render_omega() for s in sols} == {om1.render(), om2.render()}
     cfg = RunConfig(space=space, potential=pot,
                     strength=Fr(MU1_REFERENCE[(space, pot)]["strength"]),
                     mu=Fr(1), p=Fr(1),

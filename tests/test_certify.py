@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from curvedtwobody import certify as certify_mod
-from curvedtwobody import kovacic, linode, models, ratcalc
+from curvedtwobody import kovacic, linode, models
 from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    CONCLUSION_DEGENERATE,
                                    CONCLUSION_NO_OBSTRUCTION, MAX_IDENTITY_SAMPLES,
@@ -364,6 +364,17 @@ GOOD_RUN = {"space": "sphere", "potential": "newton", "strength": "2",
 class TestSweepFailures:
     """One bad entry costs one output line, never the other runs."""
 
+    def test_empty_runs_list_exits_0(self, tmp_path):
+        """An explicit empty 'runs' list is a sweep of nothing, not an
+        error (a missing 'runs' key is; see TestBadInput)."""
+        out_dir = tmp_path / "certs"
+        result = CliRunner().invoke(cli_main, [
+            "sweep", "--config", str(write_sweep(tmp_path, [])),
+            "--out-dir", str(out_dir)])
+        assert result.exit_code == 0
+        assert result.output == ""
+        assert list(out_dir.iterdir()) == []
+
     def test_bad_entries_keep_the_other_runs_in_input_order(self, tmp_path):
         runs = [dict(GOOD_RUN, strength="1/0"),
                 {k: v for k, v in GOOD_RUN.items() if k != "mu"},
@@ -565,6 +576,12 @@ class TestBadInput:
                      "invalid input: ", id="sweep-file-not-object"),
         pytest.param(lambda d: sweep_args(d, json.dumps({"runs": GOOD_RUN})),
                      "invalid input: 'runs' must be a list", id="sweep-runs-not-list"),
+        pytest.param(lambda d: sweep_args(d, json.dumps({"run": []})),
+                     lambda d: f"invalid input: {d / 'input.json'} has no 'runs' list",
+                     id="sweep-no-runs-key"),
+        pytest.param(lambda d: sweep_args(d, "{}"),
+                     lambda d: f"invalid input: {d / 'input.json'} has no 'runs' list",
+                     id="sweep-empty-object"),
         pytest.param(lambda d: ["simulate", *ORBIT_ARGS, "--theta0", "0"],
                      "integration aborted: initial state outside the chart",
                      id="simulate-theta0-0"),
@@ -721,7 +738,9 @@ class TestIdentityProof:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_generic_system_is_refused(self, weighted):
         # poles away from z0, +-kappa, +-lambda, repeated factors in den A,
-        # den B and num f, num C sharing (z - z0) with den B, and A = O(1)
+        # den B, num C and num f, num C sharing (z - z0) with den B, and
+        # A = O(1); each numerator that a division or log-derivative splits
+        # has one root, so RatFunc can factor it
         params = reference_params(Space.HYPERBOLIC, Potential.NEWTON)
         ctx = params.ctx
         z = RatFunc.x(ctx)
@@ -732,8 +751,8 @@ class TestIdentityProof:
         lin0 = z - c(params.z0)
         system = FirstOrderSystem(
             A=(z + c(1)) * (z + c(1)) / ((z - c(7)) * (z - c(7))),
-            B=z * z / ((z + c(5)) * lin0 * lin0 * lin0 * lin0),
-            C=lin0 * (z - c(3)) / (z + c(1)),
+            B=z * z / (z + c(5)) / (lin0 * lin0 * lin0 * lin0),
+            C=lin0 * lin0 / (z + c(1)),
             weight=(z - c(2)) * (z - c(2)) / (z + c(4)) if weighted else None)
         assert not matches_table(params, normal_r(system))
 
@@ -768,50 +787,6 @@ class TestIdentityProof:
         assert cert.table_match is True
         assert cert.identity_check == {"samples": 3, "matches": 0,
                                        "all_match": False}
-
-
-def counting_gcd(monkeypatch) -> list:
-    """Record the second argument of every ratcalc.poly_gcd call."""
-    calls = []
-    real = ratcalc.poly_gcd
-
-    def gcd(p, q):
-        calls.append(q)
-        return real(p, q)
-    monkeypatch.setattr(ratcalc, "poly_gcd", gcd)
-    return calls
-
-
-class TestNoEuclidOnTheCertifyPath:
-    """Every denominator of a certificate splits over z - z0, z -+ kappa and
-    z -+ lambda, so RatFunc never runs Euclid there; Euclid is left for a
-    rest the context does not split (a P of degree >= 2 in P'/P)."""
-
-    @pytest.mark.parametrize("space,pot", ALL_CASES)
-    def test_reference_certificate_calls_no_gcd(self, space, pot, monkeypatch):
-        calls = counting_gcd(monkeypatch)
-        cert = certify(make_config(space, pot, identity_samples=2))
-        assert cert.conclusion == CONCLUSION_CERTIFIED
-        assert cert.identity_check["all_match"]
-        assert calls == []
-
-    def test_gcd_only_against_a_rest(self, monkeypatch):
-        """At random_hyperbolic_newton_4 (mu = 1, two case-I solutions) and
-        for psi = Theta + P'/P with P = z^2 + z + 5, each call's second
-        argument is a rest of degree >= 2."""
-        calls = counting_gcd(monkeypatch)
-        data = json.loads((GOLDEN / "random_hyperbolic_newton_4.json").read_bytes())
-        cert = certify(RunConfig.from_dict({**{key: data["params"][key] for key in (
-            "space", "potential", "strength", "mu", "p", "eps")}, "identity_samples": 2}))
-        assert cert.case1["count"] == 2
-        params = reference_params(Space.SPHERE, Potential.NEWTON)
-        ctx = params.ctx
-        big_p = Poly.from_rationals(ctx, [5, 1, 1])
-        th = RatFunc.over(Poly.constant(ctx, Fr(1, 2)), {params.kappa_value(): 1})
-        psi = th + RatFunc(big_p.derivative(), big_p)
-        assert psi.rest == big_p
-        psi.derivative() + psi * psi
-        assert calls and all(q.degree() >= 2 for q in calls)
 
 
 class TestSamplePath:

@@ -23,7 +23,7 @@ from curvedtwobody.linode import (NormalFormODE, SingularPoint,
 from curvedtwobody.models import (Potential, Space, build_system,
                                   derive_params, detect_poles, mu1_solutions,
                                   reference_params)
-from curvedtwobody.ratcalc import Poly, RatFunc, poly_gcd
+from curvedtwobody.ratcalc import BadFactorization, Poly, RatFunc, poly_gcd
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -71,7 +71,7 @@ class TestESets:
         # synthetic Fuchsian r with a simple pole: E_c = (4)
         ctx = make_context(GaussRational(2), GaussRational(3))
         c = ctx.from_rational(1)
-        r = RatFunc(Poly.constant(ctx, ctx.one), Poly.from_roots(ctx, [(c, 1), (-c, 2)]))
+        r = RatFunc.over(Poly.constant(ctx, ctx.one), {c: 1, -c: 2})
         spec = singularity_spectrum(NormalFormODE(r), [(c, 1), (-c, 2)])
         menus = {(pt.order, pt.is_infinity): menu for pt, menu in e_sets(spec)}
         assert menus[(1, False)] == (4,)
@@ -304,8 +304,8 @@ class TestCase1Search:
         sols = case1_search(normal, spec)
         assert len(sols) == 2
         om1, om2 = mu1_solutions(params)
-        got = {sol.omega for sol in sols}
-        assert got == {om1, om2}
+        got = {sol.render_omega() for sol in sols}
+        assert got == {om1.render(), om2.render()}
 
     def test_mu1_oscillator_two_solutions(self):
         params = derive_params(Space.SPHERE, Potential.OSCILLATOR, 1, 1, 1, -1)
@@ -313,7 +313,7 @@ class TestCase1Search:
         sols = case1_search(normal, spec)
         assert len(sols) == 2
         om1, om2 = mu1_solutions(params)
-        assert {sol.omega for sol in sols} == {om1, om2}
+        assert {sol.render_omega() for sol in sols} == {om1.render(), om2.render()}
         # the second solution carries the degree-1 polynomial z0 z - l^2 (monic)
         degs = sorted(sol.P.degree() for sol in sols)
         assert degs == [0, 1]
@@ -337,15 +337,191 @@ class TestCase1Search:
         def recording(*args):
             out = solve(*args)
             if out is not None:
-                found.append(out[1])
+                found.append(out)
             return out
         monkeypatch.setattr(kovacic, "_solve_exponent_assignment", recording)
         sols = case1_search(normal, spec)
         assert len(found) == 4
-        assert all(om == found[0] for om in found)
+        assert all(p == found[0] for p in found)
         k = ctx.sqrt_a()
-        assert [sol.omega for sol in sols] == [
-            RatFunc(Poly.x(ctx), Poly.from_roots(ctx, [(k, 1), (-k, 1)]))]
+        assert [(sol.poles, sol.Q) for sol in sols] == [
+            (((k, Fr(1, 2)), (-k, Fr(1, 2))), Poly.constant(ctx, 1))]
+        assert [sol.render_omega() for sol in sols] == [
+            RatFunc(Poly.x(ctx), Poly.from_roots(ctx, [(k, 1), (-k, 1)])).render()]
+
+
+# A reducible Riemann equation, (lambda, mu, nu) = (1/3, 1/5, 67/15) at
+# kappa^2 = 1, whose one case-I solution has a Q of degree 2 with no root in
+# the tower: its omega as the RatFunc phi + P'/P renders it, which the
+# (exponent map, Q) rendering must match byte for byte.
+RIEMANN_OMEGA = (
+    "(((41/15+0/1 i) + (0/1+0/1 i)κ + (0/1+0/1 i)λ + (0/1+0/1 i)κλ)*z^3"
+    " + ((1/5+0/1 i) + (0/1+0/1 i)κ + (0/1+0/1 i)λ + (0/1+0/1 i)κλ)*z^2"
+    " + ((-5509/2405+0/1 i) + (0/1+0/1 i)κ + (0/1+0/1 i)λ + (0/1+0/1 i)κλ)*z"
+    " + ((-749/7215+0/1 i) + (0/1+0/1 i)κ + (0/1+0/1 i)λ + (0/1+0/1 i)κλ)*1)"
+    " / (((1/1+0/1 i) + (0/1+0/1 i)κ + (0/1+0/1 i)λ + (0/1+0/1 i)κλ)*z^4"
+    " + ((1/13+0/1 i) + (0/1+0/1 i)κ + (0/1+0/1 i)λ + (0/1+0/1 i)κλ)*z^3"
+    " + ((-675/481+0/1 i) + (0/1+0/1 i)κ + (0/1+0/1 i)λ + (0/1+0/1 i)κλ)*z^2"
+    " + ((-1/13+0/1 i) + (0/1+0/1 i)κ + (0/1+0/1 i)λ + (0/1+0/1 i)κλ)*z"
+    " + ((194/481+0/1 i) + (0/1+0/1 i)κ + (0/1+0/1 i)λ + (0/1+0/1 i)κλ)*1)")
+
+
+def riemann_normal(lam, mu, nu, kappa2):
+    """y'' = r y with singular points -kappa, +kappa and infinity and
+    exponent differences lam, mu, nu there:
+    r = A/(z + kappa)^2 + B/(z - kappa)^2 - C/(z^2 - kappa^2) with
+    A = (lam^2 - 1)/4, B = (mu^2 - 1)/4, C = (lam^2 + mu^2 - nu^2 - 1)/4.
+
+    Each difference is a rational q or a pair (q, s) for q + s sqrt(2);
+    sqrt(2) is kappa at kappa^2 = 2 and lambda (b = 2) otherwise."""
+    ctx = make_context(GaussRational(kappa2), GaussRational(3 if kappa2 == 2 else 2))
+    k = ctx.sqrt_a()
+    root2 = k if kappa2 == 2 else ctx.sqrt_b()
+
+    def scalar(x):
+        q, s = x if isinstance(x, tuple) else (x, 0)
+        return ctx.from_rational(q) + ctx.from_rational(s) * root2
+    l2, m2, n2 = (scalar(x) * scalar(x) for x in (lam, mu, nu))
+    one, quarter = ctx.one, ctx.from_rational(Fr(1, 4))
+    zm, zp = Poly(ctx, [-k, one]), Poly(ctx, [k, one])
+    num = ((zm * zm).scale((l2 - one) * quarter) + (zp * zp).scale((m2 - one) * quarter)
+           - (zm * zp).scale((l2 + m2 - n2 - one) * quarter))
+    normal = NormalFormODE(RatFunc.over(num, {-k: 2, k: 2}))
+    return normal, singularity_spectrum(normal, list(normal.r.roots.items()))
+
+
+R2 = (Fr(0), Fr(1))           # sqrt(2)
+# (lam, mu, nu), kappa^2, Kimura's group, whether G0 is abelian, and the
+# program's (classification, identity_component_abelian, case-I count).
+KIMURA_ROWS = [
+    ((Fr(1, 3), Fr(1, 5), Fr(23, 15)), 1, "reducible", True,
+     ("Inconclusive", True, 1)),
+    ((Fr(1, 3), Fr(1, 5), Fr(67, 15)), 1, "reducible", True,
+     ("Inconclusive", True, 1)),
+    ((Fr(1, 2), Fr(1, 2), Fr(1, 7)), 1, "dihedral", True, ("Inconclusive", True, 0)),
+    ((Fr(1, 2), Fr(1, 2), R2), 1, "dihedral", True, ("Inconclusive", True, 0)),
+    ((Fr(1, 2), Fr(1, 3), Fr(1, 3)), 1, "tetrahedral", True, ("Inconclusive", None, 0)),
+    ((Fr(1, 2), Fr(1, 3), Fr(1, 7)), 1, "SL2", False, ("Inconclusive", None, 0)),
+    ((R2, Fr(1, 5), Fr(1, 3)), 1, "SL2", False, ("SL2_NonAbelian", False, 0)),
+    ((R2, (Fr(1, 3), Fr(1)), Fr(2, 3)), 2, "reducible", False,
+     ("SL2_NonAbelian", False, 0)),
+]
+# rows the program cannot decide yet, or labels wrongly, and the ROADMAP item
+# that closes each
+KNOWN_GAPS = {
+    4: "item 6: decide case III (a finite group is only screened for)",
+    5: "item 6: decide case III (SL2 is not told from a finite group)",
+    7: "item 5: case I over the algebraic closure; reducible, labelled SL2",
+}
+
+
+def _pair(x):
+    return x if isinstance(x, tuple) else (x, Fr(0))
+
+
+def kimura_reducible(diffs) -> bool:
+    """Kimura (i): one of +-lam +- mu +- nu (with an even number of minus
+    signs) is an odd integer."""
+    lam, mu, nu = (_pair(x) for x in diffs)
+    for sl, sm, sn in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)):
+        q = sl * lam[0] + sm * mu[0] + sn * nu[0]
+        s = sl * lam[1] + sm * mu[1] + sn * nu[1]
+        if s == 0 and q.denominator == 1 and q.numerator % 2:
+            return True
+    return False
+
+
+def schwarz_dihedral(diffs) -> bool:
+    """Schwarz's family 1: two of the differences lie in 1/2 + Z."""
+    return sum(1 for x in diffs
+               if _pair(x)[1] == 0 and (_pair(x)[0] - Fr(1, 2)).denominator == 1) >= 2
+
+
+class TestKimuraOracle:
+    """Kimura's theorem decides the Galois group of a Riemann equation
+    (Funkcial. Ekvac. 12 (1969) 269-281); the Kovacic stage must never
+    contradict it."""
+
+    @pytest.mark.parametrize("row", range(len(KIMURA_ROWS)))
+    def test_verdict_agrees_with_kimura(self, row):
+        diffs, kappa2, group, g0_abelian, expected = KIMURA_ROWS[row]
+        assert kimura_reducible(diffs) == (group == "reducible")
+        assert schwarz_dihedral(diffs) == (group == "dihedral")
+        normal, spec = riemann_normal(*diffs, kappa2)
+        case1 = case1_search(normal, spec)
+        table = {}
+        pair = pair_exclusion(normal, spec, table)
+        case2 = next((sol for cand in candidates(e_sets(spec))
+                      if (sol := search_P(normal, cand, table)) is not None), None)
+        verdict = classify(normal, spec, case1, case2, case3_possible(spec),
+                           pair.excluded)
+        got = (verdict.classification.value, verdict.identity_component_abelian,
+               len(case1))
+        assert got == expected
+        if verdict.identity_component_abelian is True:
+            assert group != "SL2" and g0_abelian
+        if verdict.identity_component_abelian is False:
+            assert not g0_abelian
+        if verdict.classification is Classification.SL2_NONABELIAN:
+            assert group == "SL2" or row in KNOWN_GAPS
+        if verdict.identity_component_abelian is None:
+            assert row in KNOWN_GAPS
+
+
+class TestCase1Omega:
+    """Case I holds omega as (exponent map, Q) and renders it with no gcd;
+    RatFunc has no slot for a factor whose roots nobody supplied."""
+
+    def test_ratfunc_refuses_an_unsplit_denominator(self):
+        params = reference_params(Space.SPHERE, Potential.NEWTON)
+        ctx = params.ctx
+        big_p = Poly.from_rationals(ctx, [5, 1, 1])
+        with pytest.raises(BadFactorization):
+            RatFunc(big_p.derivative(), big_p)
+        with pytest.raises(BadFactorization):
+            RatFunc.constant(ctx, 1) / RatFunc.from_poly(big_p)
+        with pytest.raises(BadFactorization):
+            RatFunc.from_poly(big_p).log_derivative()
+
+    def test_case1_carries_an_unsplit_Q(self):
+        """The Riemann row's omega = sum w_c/(z - c) + Q'/Q renders as
+        RIEMANN_OMEGA, with a Q like z^2 + z + 5: squarefree, of degree 2,
+        and refused as a RatFunc denominator."""
+        normal, spec = riemann_normal(Fr(1, 3), Fr(1, 5), Fr(67, 15), 1)
+        (sol,) = case1_search(normal, spec)
+        assert sol.Q.degree() == 2 and sol.P.degree() == 2
+        assert dict(sol.poles) == dict(sol.exponent_choices)
+        assert sol.render_omega() == RIEMANN_OMEGA
+        num, den = sol.omega()
+        assert poly_gcd(num, den).degree() == 0
+        assert poly_gcd(sol.Q, sol.Q.derivative()).degree() == 0
+        with pytest.raises(BadFactorization):
+            RatFunc(Poly.constant(normal.r.ctx, 1), sol.Q)
+
+    def test_mu1_golden_omegas_unchanged(self):
+        """random_hyperbolic_newton_4 (mu = 1): each omega renders as the
+        golden certificate records it, and is the closed form's render."""
+        data = json.loads((GOLDEN / "random_hyperbolic_newton_4.json").read_bytes())
+        params = derive_params(*(f(data["params"][key]) for f, key in (
+            (Space, "space"), (Potential, "potential"), (Fr, "strength"),
+            (Fr, "mu"), (Fr, "p"), (Fr, "eps"))))
+        sols = case1_search(*analysis(params))
+        want = [sol["omega"] for sol in data["case1"]["solutions"]]
+        assert [sol.render_omega() for sol in sols] == want
+        assert sorted(want) == sorted(om.render() for om in mu1_solutions(params))
+
+    def test_moved_factors_join_the_exponent_map(self):
+        """A P with roots at finite singular points: its factors there move
+        into the exponent map (a weight that reaches 0 drops out) and Q keeps
+        the rest."""
+        ctx = make_context(GaussRational(2), GaussRational(3))
+        k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+        other = Poly.from_rationals(ctx, [5, 1, 1])
+        p = other * Poly.from_roots(ctx, [(k, 2), (-k, 1)])
+        sol = RiccatiSolution(((k, Fr(1, 2)), (-k, Fr(-1)), (lam, Fr(1, 3))),
+                              Fr(0), p)
+        assert sol.poles == ((k, Fr(5, 2)), (lam, Fr(1, 3)))
+        assert sol.Q == other
 
 
 class TestPairExclusion:
@@ -453,26 +629,22 @@ class TestClassify:
         ((Fr(1, 2), Fr(1, 8)), Fr(-1), 8),
         ((Fr(1, 3), Fr(2)), Fr(-1, 9), 9),
         ((Fr(1), Fr(0)), Fr(-1), 1),
+        ((Fr(1, 7), Fr(1, 11)), Fr(-1, 2), 154),
     ])
     def test_single_solution_power_bound(self, rhos, sigma, m):
         """One case-I solution at real exponents: y1^m is rational for m
-        the lcm of the exponent denominators; m <= 8 gives an abelian
-        identity component, a larger m leaves it undetermined."""
+        the lcm of the exponent denominators, so the identity component is
+        abelian for every m, however large."""
         ctx = make_context(GaussRational(2), GaussRational(3))
         normal, spec = delta_zero_normal(ctx)
         k = ctx.sqrt_a()
-        omega = RatFunc(Poly.x(ctx), Poly.from_roots(ctx, [(k, 1), (-k, 1)]))
-        sol = RiccatiSolution(omega, ((k, rhos[0]), (-k, rhos[1])), sigma,
+        sol = RiccatiSolution(((k, rhos[0]), (-k, rhos[1])), sigma,
                               Poly.constant(ctx, 1))
         assert sol.denominator_lcm() == m
         verdict = classify(normal, spec, [sol], None, False, False)
         assert verdict.classification is Classification.INCONCLUSIVE
-        if m <= 8:
-            assert verdict.identity_component_abelian is True
-            assert verdict.notes[0].startswith(f"y1^{m} is rational")
-        else:
-            assert verdict.identity_component_abelian is None
-            assert verdict.notes[0].startswith(f"smallest candidate power m={m} exceeds")
+        assert verdict.identity_component_abelian is True
+        assert verdict.notes[0].startswith(f"y1^{m} is rational")
 
     def test_integrable_control_never_nonabelian(self):
         # y'' = y: case II machinery finds P = 1 (see TestSearchP), so the
@@ -656,7 +828,7 @@ class TestSharedSolver:
                     want = oracle_solve(oracle_case1_operator(normal, finite, rho_choice),
                                         ctx, int(n), unique=True)
                     got = _solve_exponent_assignment(normal, finite, rho_choice, int(n))
-                    assert (got and got[0]) == want
+                    assert got == want
         for cand in candidates(e_sets(spec)):
             th = theta(ctx, cand)
             want = oracle_solve(oracle_case2_operator(normal, th), ctx, int(cand.d),

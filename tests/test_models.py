@@ -182,12 +182,13 @@ class TestClosedFormTables:
         lin = RatFunc.x(params.ctx) - RatFunc.constant(params.ctx, params.z0)
         assert r == RatFunc.constant(params.ctx, Fr(3, 4)) / (lin * lin)
 
-    @pytest.mark.parametrize("outside", [(-7, 1), (5, 1, 1)])
+    @pytest.mark.parametrize("outside", [{7: 1}, {Fr(1, 3): 2, -5: 1}])
     def test_detect_poles_refuses_a_pole_outside_the_table(self, outside):
-        # z - 7 becomes a root of den r, z^2 + z + 5 stays in its rest
+        # a simple pole at 7; a double pole at 1/3 beside a simple one at -5
         params = reference_params(Space.SPHERE, Potential.NEWTON)
         ctx = params.ctx
-        extra = RatFunc(Poly.constant(ctx, 1), Poly.from_rationals(ctx, outside))
+        extra = RatFunc.over(Poly.constant(ctx, 1),
+                             {ctx.from_rational(c): e for c, e in outside.items()})
         with pytest.raises(DegenerateParameters) as info:
             detect_poles(params, normal_r(params) + extra)
         assert info.value.guard == "den(r) has factors outside the closed-form poles"

@@ -4,8 +4,8 @@ from fractions import Fraction as Fr
 import pytest
 
 from curvedtwobody.exactfield import DivisionByZero, GaussRational, make_context
-from curvedtwobody.ratcalc import (Poly, PoleEvaluation, RatFunc, poly_gcd,
-                                   simple_pole_sum)
+from curvedtwobody.ratcalc import (BadFactorization, Poly, PoleEvaluation,
+                                   RatFunc, poly_gcd, simple_pole_sum)
 
 
 def G(re, im=0):
@@ -25,6 +25,16 @@ def rand_poly(rng, deg):
     return Poly(CTX, [CTX.from_gauss(GaussRational(
         Fr(rng.randint(-8, 8), rng.randint(1, 4)),
         Fr(rng.randint(-8, 8), rng.randint(1, 4)))) for _ in range(deg + 1)])
+
+
+def rand_den(rng, deg):
+    """A dense denominator of degree deg that RatFunc can split: a random
+    Gaussian scale, deg - 1 factors z -+ kappa, z -+ lambda and one z - q
+    at a random rational q."""
+    roots = [rng.choice((CTX.kappa, -CTX.kappa, CTX.lam, -CTX.lam)) for _ in range(deg - 1)]
+    roots.append(CTX.from_rational(Fr(rng.randint(-8, 8), rng.randint(1, 4))))
+    scale = CTX.from_gauss(GaussRational(rng.randint(1, 5), rng.randint(-3, 3)))
+    return Poly.from_roots(CTX, [(c, 1) for c in roots]).scale(scale)
 
 
 class TestPolyGcd:
@@ -66,8 +76,8 @@ class TestDifferentiate:
     def test_leibniz_randomized(self):
         rng = random.Random(17)
         for _ in range(200):
-            f = RatFunc(rand_poly(rng, 2), rand_poly(rng, 1))
-            g = RatFunc(rand_poly(rng, 1), rand_poly(rng, 2))
+            f = RatFunc(rand_poly(rng, 2), rand_den(rng, 1))
+            g = RatFunc(rand_poly(rng, 1), rand_den(rng, 2))
             lhs = (f * g).derivative()
             rhs = f.derivative() * g + f * g.derivative()
             assert lhs == rhs
@@ -77,7 +87,7 @@ class TestNormalization:
     def test_den_monic_and_reduced(self):
         rng = random.Random(29)
         for _ in range(100):
-            f = RatFunc(rand_poly(rng, 3), rand_poly(rng, 2))
+            f = RatFunc(rand_poly(rng, 3), rand_den(rng, 2))
             assert f.den.leading() == CTX.one
             if not f.num.is_zero():
                 assert poly_gcd(f.num, f.den).degree() == 0
@@ -123,8 +133,9 @@ class TestKnownFactorCancellation:
 
     @pytest.mark.parametrize("name", CANCEL_CTXS)
     def test_random_products_match_euclid(self, name):
-        """Random products of known factors and unknown cofactors; the
-        cofactors make most denominators non-monic."""
+        """Random products of known factors, z - 1/3 among them, over
+        random scales, times an unknown cofactor in the numerator; the
+        scales make most denominators non-monic."""
         ctx = CANCEL_CTXS[name]
         k, lam = ctx.sqrt_a(), ctx.sqrt_b()
         known = [lin(ctx, k), lin(ctx, -k), lin(ctx, lam), lin(ctx, -lam),
@@ -138,7 +149,7 @@ class TestKnownFactorCancellation:
             return p if not p.is_zero() else Poly.constant(ctx, 1)
 
         for _ in range(60):
-            num, den = cofactor(), cofactor()
+            num, den = cofactor(), Poly.constant(ctx, cofactor().leading())
             for _ in range(rng.randint(0, 4)):
                 num = num * rng.choice(known)
             for _ in range(rng.randint(0, 4)):
@@ -163,17 +174,19 @@ class TestKnownFactorCancellation:
 
     @pytest.mark.parametrize("name", CANCEL_CTXS)
     def test_factor_outside_the_known_set(self, name):
-        """z^2 + z + 5 is none of the known factors; Euclid on what is left
-        of the denominator still cancels it, beside a whole z^2 - a."""
+        """z^2 + z + 5 is none of the known factors: a denominator holding
+        it is refused, even where the numerator would cancel it, while a
+        repeated z - 1/3 beside whole copies of z^2 - a splits."""
         ctx = CANCEL_CTXS[name]
         qa, qb = quad(ctx, ctx.a), quad(ctx, ctx.b)
         z3 = lin(ctx, ctx.from_rational(Fr(1, 3)))
         other = Poly.from_rationals(ctx, [5, 1, 1])
         num = other * qa * Poly.from_rationals(ctx, [1, 2])
-        den = other * qa * qa * qb * z3 * z3
-        f = RatFunc(num, den)
+        with pytest.raises(BadFactorization):
+            RatFunc(num, other * qa * qa * qb * z3 * z3)
+        f = RatFunc(num, qa * qa * qb * z3 * z3)
         assert f.den == qa * qb * z3 * z3
-        assert (f.num, f.den) == reduced_by_euclid(num, den)
+        assert (f.num, f.den) == reduced_by_euclid(num, qa * qa * qb * z3 * z3)
 
 
 class TestEvaluate:
@@ -197,8 +210,8 @@ class TestEvaluate:
         rng = random.Random(31)
         z = CTX.from_rational(Fr(7, 5))
         for _ in range(50):
-            f = RatFunc(rand_poly(rng, 2), rand_poly(rng, 2))
-            g = RatFunc(rand_poly(rng, 2), rand_poly(rng, 1))
+            f = RatFunc(rand_poly(rng, 2), rand_den(rng, 2))
+            g = RatFunc(rand_poly(rng, 2), rand_den(rng, 1))
             try:
                 assert (f + g).evaluate(z) == f.evaluate(z) + g.evaluate(z)
                 assert (f * g).evaluate(z) == f.evaluate(z) * g.evaluate(z)
@@ -315,8 +328,7 @@ class Dense:
 
 
 # A genuine tower (kappa^2 = 2, lambda^2 = 3, 2/3 not squares in Q(i)) with
-# z0 = 1/3, and kappa^2 = 4 with z0 = 2 = kappa.  z^2 + z + 5 has no root in
-# either, so as a factor of a denominator it stays in the rest.
+# z0 = 1/3, and kappa^2 = 4 with z0 = 2 = kappa.
 ORACLE_CTXS = {
     "tower": (make_context(G(2), G(3)), Fr(1, 3)),
     "z0-is-kappa": (make_context(G(4), G(3)), Fr(2)),
@@ -325,42 +337,38 @@ ORACLE_CTXS = {
 
 def random_function(ctx, z0, rng):
     """(RatFunc, Dense) for one random function.  The denominator is a few
-    powers of z - z0, z -+ kappa, z -+ lambda, sometimes times z^2 + z + 5;
-    the numerator often holds one root of a +- pair, which cancels while its
-    partner stays.  Degrees stay small: the reference runs Euclid over the
-    tower, whose coefficients grow fast."""
+    powers of z - z0, z -+ kappa, z -+ lambda; the numerator often holds one
+    root of a +- pair, which cancels while its partner stays, and has at most
+    one root outside +-kappa, +-lambda, so that / and log_derivative split
+    it.  Degrees stay small: the reference runs Euclid over the tower, whose
+    coefficients grow fast."""
     k, lam = ctx.sqrt_a(), ctx.sqrt_b()
     pool = [ctx.from_rational(z0), k, -k, lam, -lam]
-    quad = Poly.from_rationals(ctx, [5, 1, 1])
     num = Poly(ctx, [ctx.from_gauss(G(Fr(rng.randint(-6, 6), rng.randint(1, 3)),
                                       rng.randint(-2, 2)))
                      for _ in range(rng.randint(1, 2))])
     if num.is_zero():
         num = Poly.constant(ctx, 1)
     if rng.random() < 0.5:
-        num = num * Poly.from_roots(ctx, [(rng.choice(pool), 1)])
+        num = num * Poly.from_roots(ctx, [(rng.choice(pool[num.degree():]), 1)])
     roots = [(c, rng.choice((1, 1, 2, 3))) for c in rng.sample(pool, rng.randint(1, 3))]
-    rest = quad if rng.random() < 0.25 else Poly.constant(ctx, 1)
-    if rest.degree() == 0 and rng.random() < 0.1:
-        num = num * quad
-    den = Poly.from_roots(ctx, roots) * rest
+    den = Poly.from_roots(ctx, roots)
     if rng.random() < 0.5:
         exps = {}
         for c, e in roots:
             exps[c] = exps.get(c, 0) + e
-        return RatFunc.over(num, exps, rest), Dense(num, den)
+        return RatFunc.over(num, exps), Dense(num, den)
     den = den.scale(ctx.from_gauss(G(-2, 3)))
     return RatFunc(num, den), Dense(num, den)
 
 
 def assert_factored(f):
     """f's factored denominator is consistent: positive exponents at roots
-    of neither num nor rest, a monic rest."""
-    assert f.rest.leading() == f.ctx.one
+    of no numerator, and den their monic product."""
     for c, e in f.roots.items():
         assert e > 0
         assert not f.num.evaluate(c).is_zero()
-        assert not f.rest.evaluate(c).is_zero()
+    assert f.den == Poly.from_roots(f.ctx, f.roots.items())
 
 
 def assert_matches(f, ref):
@@ -517,23 +525,28 @@ class TestLogDerivative:
         assert set(got.roots) == {k, -k, lam, -lam, c}
 
     @pytest.mark.parametrize("name", LOG_CTXS)
-    def test_rest_on_either_side(self, name):
-        """A dense denominator with z^2 + z + 5, a factor the context does
-        not know, squared; then the same factor, and a repeated z - 1/7,
-        in the numerator: the non-constant rests go through lowest terms."""
+    def test_leftover_root_and_unknown_factor(self, name):
+        """A dense denominator with z - 1/7 squared beside known roots: the
+        leftover (z - 1/7)^2 splits, in the denominator and, with a root of
+        a pair, in the numerator.  z^2 + z + 5, whose roots nobody supplied,
+        is refused on either side."""
         ctx, z0 = LOG_CTXS[name]
         k, lam = ctx.sqrt_a(), ctx.sqrt_b()
         other = Poly.from_rationals(ctx, [5, 1, 1])
         known = Poly.from_roots(ctx, [(k, 1), (-lam, 2)])
-        f = RatFunc(Poly.from_rationals(ctx, [3, -1]), (other * other * known).scale(
-            ctx.from_gauss(G(-2, 3))))
-        assert f.rest == other * other
-        self.check(f)
         seventh = Poly.from_rationals(ctx, [Fr(-1, 7), 1])
-        g = RatFunc(other * seventh * seventh * Poly.from_roots(ctx, [(-k, 1)]), known)
+        f = RatFunc(Poly.from_rationals(ctx, [3, -1]), (seventh * seventh * known).scale(
+            ctx.from_gauss(G(-2, 3))))
+        assert f.roots[ctx.from_rational(Fr(1, 7))] == 2
+        self.check(f)
+        g = RatFunc(seventh * seventh * Poly.from_roots(ctx, [(-k, 1)]), known)
         self.check(g)
         self.check(f * g)
         self.check(g / f)
+        with pytest.raises(BadFactorization):
+            RatFunc(Poly.from_rationals(ctx, [3, -1]), other * known)
+        with pytest.raises(BadFactorization):
+            RatFunc(other * seventh, known).log_derivative()
 
     def test_constant_and_zero(self):
         f = RatFunc.constant(CTX, Fr(-3, 4))
@@ -550,11 +563,10 @@ class TestSquare:
     def test_square_is_the_product(self, name):
         ctx, z0 = LOG_CTXS[name]
         rng = random.Random(f"square-{name}")
-        other = Poly.from_rationals(ctx, [5, 1, 1])
+        seventh = Poly.from_rationals(ctx, [Fr(-1, 7), 1])
         fs = [random_function(ctx, z0, rng)[0] for _ in range(20)]
         fs.append(RatFunc(Poly.from_rationals(ctx, [1, 2]),
-                          other * Poly.from_roots(ctx, [(ctx.sqrt_a(), 2)])))
-        assert any(f.rest.degree() > 0 for f in fs)
+                          seventh * seventh * Poly.from_roots(ctx, [(ctx.sqrt_a(), 2)])))
         for f in fs:
             g = RatFunc(f.num, f.den)
             assert g is not f and g == f

@@ -233,14 +233,13 @@ def certify(config: RunConfig) -> Certificate:
     lemma_summary = _lemma_summary(lemma_report)
 
     case1 = kovacic.case1_search(normal, spec)
-    xi_table: dict = {}     # one Theta and Xi per finite exponent tuple
-    pair = kovacic.pair_exclusion(normal, spec, xi_table)
+    pair = kovacic.pair_exclusion(normal, spec)
     esets = kovacic.e_sets(spec)
     cands = kovacic.candidates(esets)
     case2 = None
     xi_records = []
     for cand in cands:
-        xi_val = kovacic.theta_xi(normal, cand, xi_table)[1]
+        xi_val = kovacic.theta_xi(normal, cand.finite)[1]
         xi_records.append({
             "candidate": cand.render(),
             "is_zero": xi_val.is_zero(),
@@ -249,7 +248,7 @@ def certify(config: RunConfig) -> Certificate:
             if not xi_val.is_zero() else None,
         })
         if case2 is None:
-            case2 = kovacic.search_P(normal, cand, xi_table)
+            case2 = kovacic.search_P(normal, cand)
     case_three = kovacic.case3_possible(spec)
     verdict = kovacic.classify(normal, spec, case1, case2, case_three,
                                pair.excluded)

@@ -228,6 +228,11 @@ def _require_positive(**values: float):
             raise DynamicsError(f"{name} must be positive and finite, got {v}")
 
 
+def _require_finite(name: str, values: tuple):
+    if not all(map(math.isfinite, values)):
+        raise DynamicsError(f"{name} must be finite, got {values}")
+
+
 def _rkf45_advance(f, x, t: float, t_end: float, dt: float, rel_tol: float):
     """One accepted RKF45 step from x at time t, tried first at dt:
     (x_new, t_new, dt_taken, dt_next, rejected).
@@ -271,7 +276,9 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     Casimir (5-dim charts), and any registered extra integrals.  A sample
     is kept every sample_every accepted steps and at t_end.  The last step
     ends on t_end: when at most 1e-9 of a step would be left over, the
-    current step is stretched to t_end instead of taking a sliver step."""
+    current step is stretched to t_end instead of taking a sliver step.
+    A non-finite initial state is refused, and a step whose energy is not
+    finite raises StepFailure."""
     opts = opts or IntegrationOptions()
     _require_positive(step=opts.step, t_end=t_end, rel_tol=opts.rel_tol)
     if not (isinstance(opts.sample_every, int) and opts.sample_every >= 1):
@@ -282,6 +289,7 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     rk4 = opts.method == "rk4"
     extra_integrals = extra_integrals or {}
     x = tuple(float(v) for v in x0)
+    _require_finite("initial state", x)
     f = bound_field(h)
     space = h.params.space if h.dim == 5 else None   # None: no Casimir
 
@@ -330,6 +338,8 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
             e = h.value(x)
         except DomainError as exc:
             raise StepFailure(f"state left the chart at t={t:.6g}: {exc}") from exc
+        if not math.isfinite(e):
+            raise StepFailure(f"energy {e} is not finite at t={t:.6g}")
         e_drift = max(e_drift, abs(e - e0) / max(abs(e0), 1e-30))
         if space is not None:
             c = casimir(space, x)
@@ -416,8 +426,10 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
 
     The base curve is re-integrated jointly with the linear variational
     system (same RK4 step), and the variation is sampled at the supplied
-    report's times."""
+    report's times.  A non-finite variation is refused, at the start and
+    after every step."""
     _require_positive(step=step)
+    _require_finite("initial variation", tuple(float(v) for v in initial_variation))
     base_field = bound_field(hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params))
 
     def f(x):
@@ -433,6 +445,8 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
             dt = min(step, target - t)
             x = _rk4_step(f, x, dt)
             t += dt
+            if not (math.isfinite(x[2]) and math.isfinite(x[3])):
+                raise StepFailure(f"variation {x[2:]} is not finite at t={t:.6g}")
         out.append((t, x[2], x[3]))
     return out
 
@@ -499,6 +513,7 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
     if not 0 <= t_end < math.inf:       # a zero horizon has no crossings
         raise DynamicsError(f"t_end must be non-negative and finite, got {t_end}")
     x = tuple(float(v) for v in x0)
+    _require_finite("initial state", x)
     if not 0 <= coordinate < len(x):
         raise DynamicsError(
             f"coordinate must lie in [0, {len(x)}), got {coordinate}")

@@ -8,13 +8,13 @@ through the second symmetric power, and the final classification of the
 identity component.
 
 Case I, case II and the product test each look for a polynomial P of
-known degree killed by a linear operator, and all three solve for it with
-one exact linear solve (_solve_P).  The product test needs no operator of
-its own: for v = P b with b'/b = Theta, the symmetric square of v applied
-and divided by b is case II's operator on P, whose order-0 coefficient is
-Xi.  Theta depends only on the finite exponents e_c (a base b has e_c =
-2 s_c) and Xi only on Theta, so one table per certificate (theta_xi)
-builds each pair once for case II and the product test together.
+known degree killed by a linear operator, and all three find it by one
+elimination from infinity (_solve_P).  The product test needs no operator
+of its own: for v = P b with b'/b = Theta, the symmetric square of v
+applied and divided by b is case II's operator on P, whose order-0
+coefficient is Xi.  Theta depends only on the finite exponents e_c (a
+base b has e_c = 2 s_c) and Xi only on Theta, so the normal form keeps
+each pair once (theta_xi) for case II and the product test together.
 """
 from __future__ import annotations
 
@@ -105,7 +105,11 @@ def candidates(esets: Sequence[tuple[SingularPoint, tuple[int, ...]]]) -> list[E
 
 def theta(ctx: TowerContext, e: ECandidate) -> RatFunc:
     """Theta = 1/2 sum e_c / (z - c) over the finite singular points."""
-    return simple_pole_sum(ctx, {loc: Fraction(ec, 2) for loc, ec in e.finite})
+    return _theta(ctx, e.finite)
+
+
+def _theta(ctx: TowerContext, finite) -> RatFunc:
+    return simple_pole_sum(ctx, {loc: Fraction(ec, 2) for loc, ec in finite})
 
 
 def xi(normal: NormalFormODE, th: RatFunc) -> RatFunc:
@@ -118,15 +122,15 @@ def xi(normal: NormalFormODE, th: RatFunc) -> RatFunc:
     return tp.derivative() + th * inner - RatFunc.constant(ctx, 2) * normal.r_prime
 
 
-def theta_xi(normal: NormalFormODE, e: ECandidate,
-             table: dict) -> tuple[RatFunc, RatFunc]:
-    """(Theta, Xi) for e, kept in table under e.finite: built on the first
-    request for that exponent tuple and read back afterwards, since neither
-    depends on e_infinity or d."""
-    if e.finite not in table:
-        th = theta(normal.r.ctx, e)
-        table[e.finite] = th, xi(normal, th)
-    return table[e.finite]
+def theta_xi(normal: NormalFormODE,
+             finite: tuple[tuple[TowerScalar, int], ...]) -> tuple[RatFunc, RatFunc]:
+    """(Theta, Xi) for the finite exponents ((c, e_c), ...), kept in
+    normal.memo under that tuple: built on the first request and read back
+    afterwards, since neither depends on e_infinity or d."""
+    if finite not in normal.memo:
+        th = _theta(normal.r.ctx, finite)
+        normal.memo[finite] = th, xi(normal, th)
+    return normal.memo[finite]
 
 
 @dataclass(frozen=True)
@@ -137,68 +141,48 @@ class Case2Solution:
 
 def _solve_P(coeffs: Sequence[RatFunc], d: int,
              unique: bool = False) -> Optional[Poly]:
-    """Monic P of degree d with L(P) = sum_j a_j P^(j) = 0, a_j = coeffs[j],
-    or None (also None when unique is set and the solution is not unique).
+    """Monic P = sum p_k z^k of degree d with L(P) = sum_j a_j P^(j) = 0,
+    a_j = coeffs[j], or None (also None when unique is set and the
+    solution is not unique).
 
-    The a_j are cleared once over their common denominator D, D a_j = N_j,
-    and column k of the linear system for the lower coefficients of P is
-    read off D L(z^k) = sum_j k!/(k-j)! N_j z^(k-j); orders j > d never
-    contribute, so their N_j are not built."""
+    The a_j are cleared over their common denominator D, D a_j = N_j, and
+    D L(P) = sum_k p_k sum_j k!/(k-j)! N_j z^(k-j) = 0 is read into one row
+    per power of z, a dict of coefficients by k (p_d = 1 is known); orders
+    j > d never contribute.  The rows are eliminated from infinity down, as
+    the recurrence for a polynomial solution runs (Abramov, Bronstein and
+    Petkovsek, ISSAC 1995): each is reduced by the pivots found so far,
+    then pivots on its highest remaining unknown p_k or, with none left,
+    must vanish.  At most one p_k per root below d of the indicial
+    polynomial at infinity is left without a pivot; such free p_k are set
+    to 0, and the solution is unique exactly when none is left."""
     ctx = coeffs[0].ctx
-    nums = [n.coeffs for n in clear_denominators(coeffs[:d + 1])]
-    rows = max(len(n) + d - j for j, n in enumerate(nums))
-    cols = []
-    for k in range(d + 1):
-        col = [ctx.zero] * rows
-        falling = 1
-        for j, n in enumerate(nums[:k + 1]):
-            scale = ctx.from_rational(falling)
-            for m, c in enumerate(n):
-                col[m + k - j] = col[m + k - j] + scale * c
-            falling *= k - j
-        cols.append(col)
-    mat = [[col[m] for col in cols[:d]] for m in range(rows)]
-    sol, is_unique = _gauss_solve(ctx, mat, [-v for v in cols[d]])
-    if sol is None or (unique and not is_unique):
+    rows: dict[int, dict] = {}
+    for j, n in enumerate(clear_denominators(coeffs[:d + 1])):
+        for k in range(j, d + 1):
+            scale = ctx.from_rational(math.perm(k, j))
+            for m, c in enumerate(n.coeffs, k - j):
+                row = rows.setdefault(m, {})
+                row[k] = row[k] + scale * c if k in row else scale * c
+    pivots: dict[int, dict] = {}    # p_k = -sum a_i p_i over {i: a_i}, i < k or d
+    for m in sorted(rows, reverse=True):
+        row = rows[m]
+        while (k := max((i for i, v in row.items() if i < d and not v.is_zero()),
+                        default=None)) in pivots:
+            f = row.pop(k)
+            for i, a in pivots[k].items():
+                row[i] = row[i] - f * a if i in row else -(f * a)
+        if k is None:
+            if not row.get(d, ctx.zero).is_zero():     # a nonzero multiple of p_d = 1
+                return None
+        else:
+            inv = row.pop(k).inverse()
+            pivots[k] = {i: v * inv for i, v in row.items() if not v.is_zero()}
+    if unique and len(pivots) < d:
         return None
-    return Poly(ctx, sol + [ctx.one])
-
-
-def _gauss_solve(ctx, mat, rhs):
-    """Exact least-structure solve; returns (solution, unique)."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    pivots = []
-    rank_row = 0
-    for col in range(cols):
-        piv = None
-        for rr in range(rank_row, rows):
-            if not aug[rr][col].is_zero():
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[rank_row], aug[piv] = aug[piv], aug[rank_row]
-        inv = aug[rank_row][col].inverse()
-        aug[rank_row] = [v * inv for v in aug[rank_row]]
-        for rr in range(rows):
-            if rr != rank_row and not aug[rr][col].is_zero():
-                f = aug[rr][col]
-                aug[rr] = [v - f * w for v, w in zip(aug[rr], aug[rank_row])]
-        pivots.append(col)
-        rank_row += 1
-        if rank_row == rows:
-            break
-    # inconsistent?
-    for rr in range(rank_row, rows):
-        if not aug[rr][cols].is_zero():
-            return None, False
-    unique = len(pivots) == cols
-    sol = [ctx.zero] * cols
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][cols]
-    return sol, unique
+    p = [ctx.zero] * d + [ctx.one]
+    for k in sorted(pivots):
+        p[k] = -sum((a * p[i] for i, a in pivots[k].items()), ctx.zero)
+    return Poly(ctx, p)
 
 
 def _case2_coefficients(normal: NormalFormODE, th: RatFunc, xi_val: RatFunc,
@@ -216,15 +200,14 @@ def _case2_coefficients(normal: NormalFormODE, th: RatFunc, xi_val: RatFunc,
     return [xi_val, c1, three * th, RatFunc.constant(ctx, 1)]
 
 
-def search_P(normal: NormalFormODE, e: ECandidate,
-             table: Optional[dict] = None) -> Optional[Case2Solution]:
+def search_P(normal: NormalFormODE, e: ECandidate) -> Optional[Case2Solution]:
     """Monic P of degree d(e) solving
     P''' + 3 Th P'' + (3 Th^2 + 3 Th' - 4 r) P' + Xi P = 0, or None.
-    Th and Xi come from table (see theta_xi)."""
+    Th and Xi come from theta_xi."""
     if e.d < 0 or e.d.denominator != 1:
         return None
     d = int(e.d)
-    th, x = theta_xi(normal, e, {} if table is None else table)
+    th, x = theta_xi(normal, e.finite)
     p_poly = _solve_P(_case2_coefficients(normal, th, x, d), d)
     return None if p_poly is None else Case2Solution(e, p_poly)
 
@@ -357,8 +340,7 @@ def _integer_sums(pt: SingularPoint) -> list[int]:
     return [1] if pt.order >= 1 else [0]
 
 
-def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum,
-                   table: Optional[dict] = None) -> PairExclusion:
+def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum) -> PairExclusion:
     """Decide whether two independent rational-log-derivative solutions can
     exist: their product v = y1 y2 would be a rational function with
     constrained orders at the singular points and constrained growth at
@@ -366,12 +348,10 @@ def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum,
     against the second symmetric power L(v) = v''' - 4 r v' - 2 r' v.
 
     L(P b)/b is case II's operator on P at Theta = b'/b, the Theta of e_c =
-    2 s, so each base reads its Theta and Xi from table (see theta_xi).  A
+    2 s, so each base reads its Theta and Xi from theta_xi.  A
     rigid candidate (P = 1) is solvable iff Xi = 0, and its residual is
     L(b) = b Xi."""
     ctx = normal.r.ctx
-    if table is None:
-        table = {}
     finite = spec.finite_points
     menus = [_integer_sums(pt) for pt in finite]
     inf_pt = spec.infinity
@@ -387,14 +367,14 @@ def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum,
     any_solvable = False
     for s_choice in itertools.product(*menus) if menus else [()]:
         orders = tuple((pt.location, s) for pt, s in zip(finite, s_choice))
-        base = ECandidate(tuple((c, 2 * s) for c, s in orders), 0, Fraction(0))
+        base = tuple((c, 2 * s) for c, s in orders)
         base_deg = sum(s_choice)
         coeffs = None
         for g in growth_options:
             n = g - base_deg
             if n < 0:
                 continue
-            th, x = theta_xi(normal, base, table)
+            th, x = theta_xi(normal, base)
             res_deg = res_lead = None
             if n == 0:
                 solvable = x.is_zero()

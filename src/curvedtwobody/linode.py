@@ -8,7 +8,7 @@ second symmetric power residual used by the product-of-solutions test.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -49,9 +49,11 @@ class SecondOrderODE:
 
 @dataclass(frozen=True)
 class NormalFormODE:
-    """y'' = r y; r' is computed once, on first use."""
+    """y'' = r y; r' is computed once, on first use, and memo keeps what
+    later stages derive from r alone (kovacic.theta_xi's Theta and Xi)."""
 
     r: RatFunc
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def r_prime(self) -> RatFunc:

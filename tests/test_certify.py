@@ -480,6 +480,10 @@ CERTIFY_ARGS = ["--space", "sphere", "--potential", "newton", "--strength", "2",
                 "--mu", "1/2", "--p", "1", "--eps", "0", "--identity-samples", "0"]
 ORBIT_ARGS = ["--space", "sphere", "--potential", "newton", "--strength", "1/4",
               "--mu", "1/2", "--p", "1/10", "--eps", "0", "--t-end", "1"]
+# the hyperbolic oscillator bounded orbit's parameters, over a short span
+H2_OSC_ARGS = ["--space", "hyperbolic", "--potential", "oscillator", "--strength", "1/2",
+               "--mu", "1/2", "--p", "1/10", "--eps", "1/4", "--p2", "0.15",
+               "--t-end", "0.01"]
 
 
 def sweep_args(tmp_path, text):
@@ -604,6 +608,32 @@ class TestBadInput:
                                 "--value", "inf"],
                      "integration aborted: value must be finite, got inf",
                      id="section-value-inf"),
+        pytest.param(lambda d: ["simulate", *H2_OSC_ARGS, "--theta0", "nan"],
+                     "integration aborted: initial state must be finite, got (nan,",
+                     id="simulate-theta0-nan"),
+        pytest.param(lambda d: ["simulate", *H2_OSC_ARGS, "--theta0", "inf"],
+                     "integration aborted: initial state must be finite, got (inf,",
+                     id="simulate-theta0-inf"),
+        pytest.param(lambda d: ["simulate", *H2_OSC_ARGS, "--theta0", "0.7", "--p0", "inf"],
+                     "integration aborted: initial state must be finite, got (0.7, 0.0, inf,",
+                     id="simulate-p0-inf"),
+        pytest.param(lambda d: ["simulate", *H2_OSC_ARGS, "--theta0", "nan",
+                                "--method", "rkf45"],
+                     "integration aborted: initial state must be finite, got (nan,",
+                     id="simulate-rkf45-theta0-nan"),
+        pytest.param(lambda d: ["section", *H2_OSC_ARGS, "--theta0", "nan"],
+                     "integration aborted: initial state must be finite, got (nan,",
+                     id="section-theta0-nan"),
+        pytest.param(lambda d: ["nve", "--space", "hyperbolic", "--potential", "newton",
+                                "--strength", "1", "--mu", "1/2", "--p", "1", "--eps", "-2",
+                                "--theta0", "nan", "--t-end", "0.1"],
+                     "integration aborted: initial state must be finite, got (nan, nan)",
+                     id="nve-theta0-nan"),
+        pytest.param(lambda d: ["nve", "--space", "sphere", "--potential", "newton",
+                                "--strength", "2", "--mu", "1/2", "--p", "1", "--eps", "0",
+                                "--theta0", "1.0", "--t-end", "0.1", "--dp1", "nan"],
+                     "integration aborted: initial variation must be finite, got (nan, 0.0)",
+                     id="nve-dp1-nan"),
         pytest.param(lambda d: ["certify", *CERTIFY_ARGS,
                                 "--out", str(d / "missing" / "cert.json")],
                      lambda d: write_failure(errno.ENOENT, d / "missing" / "cert.json"),

@@ -430,6 +430,32 @@ class TestIntegrate:
         with pytest.raises(StepFailure, match="initial state outside the chart"):
             integrate(full_hamiltonian(space), (0.0, 0.0, 0.1, 0.0, 0.3), 1.0)
 
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_state_is_refused(self, method, bad):
+        """Refused before the first step: the H^2 chart check lets NaN and
+        infinity through, and every drift would then read 0."""
+        h = full_hamiltonian(Space.HYPERBOLIC)
+        for x0 in ((bad, 0.0, 0.02, 0.0, 0.15), (0.7, 0.0, bad, 0.0, 0.15)):
+            with pytest.raises(DynamicsError, match="initial state must be finite"):
+                integrate(h, x0, 0.01, IntegrationOptions(method=method))
+            with pytest.raises(DynamicsError, match="initial state must be finite"):
+                poincare_section(h, x0, 0.01)
+
+    def test_non_finite_energy_ends_the_run(self):
+        """A step whose energy is not finite raises StepFailure rather than
+        leaving the drift at its last finite value (max(d, nan) is d)."""
+        h = full_hamiltonian(Space.SPHERE)
+        value = h.value
+        calls = []
+
+        def nan_after_two(x):
+            calls.append(x)
+            return value(x) if len(calls) <= 2 else math.nan
+        h = dataclasses.replace(h, value=nan_after_two)
+        with pytest.raises(StepFailure, match="energy nan is not finite at t=0.002"):
+            integrate(h, (1.4, 0.02, 0.08, 0.04, 0.45), 1.0, IntegrationOptions(step=1e-3))
+
 
 class TestGammaTrajectory:
     def test_newton_level_maintained(self):
@@ -533,6 +559,18 @@ class TestNveTimeDomain:
         assert nve_chain_rule_residual(params, base, variation) < 1e-6
         other = derive_params(space, pot, **{**kw, "strength": 2 * kw["strength"]})
         assert nve_chain_rule_residual(other, base, variation) > 1e-3
+
+    def test_non_finite_variation_is_refused(self):
+        """A non-finite initial variation is refused before the first step,
+        and one that turns non-finite ends the run in StepFailure instead of
+        a chain-rule residual that skips it."""
+        params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)
+        base = gamma_trajectory(params, 1.0, 0.1, step=1e-3, sample_every=10)
+        for bad in ((math.nan, 0.0), (0.0, math.inf)):
+            with pytest.raises(DynamicsError, match="initial variation must be finite"):
+                nve_time_domain(params, base, bad)
+        with pytest.raises(StepFailure, match="variation .* is not finite"):
+            nve_time_domain(params, base, (1e308, 1e308))
 
     def test_restricted_variant_runs(self):
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)

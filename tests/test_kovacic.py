@@ -11,7 +11,7 @@ from curvedtwobody.exactfield import GaussRational, make_context
 from curvedtwobody import kovacic
 from curvedtwobody.kovacic import (Classification, ECandidate, KovacicError,
                                    RiccatiSolution, _case2_coefficients,
-                                   _gauss_solve, _solve_P,
+                                   _solve_P,
                                    _solve_exponent_assignment, candidates,
                                    case1_search, case3_possible, classify,
                                    e_sets, pair_exclusion, search_P, theta,
@@ -232,19 +232,21 @@ class TestSearchP:
         assert any(sol is not None for sol in found)
 
     def test_handed_theta_and_xi_give_the_same_solution(self):
-        """A table filled by theta_xi beforehand, and shared by every
-        candidate, gives what a fresh Theta and Xi give."""
+        """The normal form's memo, filled by theta_xi beforehand and shared
+        by every candidate, gives what a fresh Theta and Xi give; the memo
+        takes no part in comparing normal forms."""
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, 1, 1, 0)
         normal, spec = analysis(params)
         cands = candidates(e_sets(spec))
-        table = {}
         for cand in cands:
-            th, x = theta_xi(normal, cand, table)
+            th, x = theta_xi(normal, cand.finite)
             assert th == theta(params.ctx, cand) and x == xi(normal, th)
-        assert len(table) == len({cand.finite for cand in cands})
+        assert len(normal.memo) == len({cand.finite for cand in cands})
         for cand in cands:
-            handed = search_P(normal, cand, table)
-            alone = search_P(normal, cand)
+            handed = search_P(normal, cand)
+            fresh = NormalFormODE(normal.r)
+            assert fresh == normal and not fresh.memo
+            alone = search_P(fresh, cand)
             assert (handed is None) == (alone is None)
             if alone is not None:
                 assert handed.P == alone.P
@@ -437,6 +439,44 @@ def schwarz_dihedral(diffs) -> bool:
                if _pair(x)[1] == 0 and (_pair(x)[0] - Fr(1, 2)).denominator == 1) >= 2
 
 
+def kovacic_verdict(normal, spec):
+    """classify's verdict from case I, the product test and case II, run as
+    certify runs them, and the number of case-I solutions."""
+    case1 = case1_search(normal, spec)
+    pair = pair_exclusion(normal, spec)
+    case2 = next((sol for cand in candidates(e_sets(spec))
+                  if (sol := search_P(normal, cand)) is not None), None)
+    return (classify(normal, spec, case1, case2, case3_possible(spec), pair.excluded),
+            len(case1))
+
+
+def seeded_kimura_triple(rng):
+    """(lam, mu, nu), each a rational or a pair (0, s) for s sqrt(2): generic
+    rational, reducible (-lam + mu + nu odd), dihedral (two in 1/2 + Z),
+    with a tower difference, or the tower reducible shape (a, a, odd)."""
+    def rational():
+        return Fr(rng.randint(1, 12), rng.randint(1, 6))
+
+    def root2():
+        return (Fr(0), Fr(rng.randint(1, 4), rng.randint(1, 3)))
+    shape = rng.choice(["rational", "reducible", "dihedral", "tower", "tower reducible"])
+    if shape == "rational":
+        diffs = [rational(), rational(), rational()]
+    elif shape == "reducible":
+        lam, mu = rational(), rational()
+        diffs = [lam, mu, abs(lam - mu + 2 * rng.randint(0, 3) + 1)]
+    elif shape == "dihedral":
+        diffs = [Fr(2 * rng.randint(0, 3) + 1, 2), Fr(2 * rng.randint(0, 3) + 1, 2),
+                 rng.choice([rational, root2])()]
+    elif shape == "tower":
+        diffs = [root2()] + [rng.choice([rational, root2])() for _ in range(2)]
+    else:
+        a = root2()
+        diffs = [a, a, Fr(2 * rng.randint(0, 3) + 1)]
+    rng.shuffle(diffs)
+    return tuple(diffs)
+
+
 class TestKimuraOracle:
     """Kimura's theorem decides the Galois group of a Riemann equation
     (Funkcial. Ekvac. 12 (1969) 269-281); the Kovacic stage must never
@@ -447,16 +487,9 @@ class TestKimuraOracle:
         diffs, kappa2, group, g0_abelian, expected = KIMURA_ROWS[row]
         assert kimura_reducible(diffs) == (group == "reducible")
         assert schwarz_dihedral(diffs) == (group == "dihedral")
-        normal, spec = riemann_normal(*diffs, kappa2)
-        case1 = case1_search(normal, spec)
-        table = {}
-        pair = pair_exclusion(normal, spec, table)
-        case2 = next((sol for cand in candidates(e_sets(spec))
-                      if (sol := search_P(normal, cand, table)) is not None), None)
-        verdict = classify(normal, spec, case1, case2, case3_possible(spec),
-                           pair.excluded)
+        verdict, n_case1 = kovacic_verdict(*riemann_normal(*diffs, kappa2))
         got = (verdict.classification.value, verdict.identity_component_abelian,
-               len(case1))
+               n_case1)
         assert got == expected
         if verdict.identity_component_abelian is True:
             assert group != "SL2" and g0_abelian
@@ -466,6 +499,31 @@ class TestKimuraOracle:
             assert group == "SL2" or row in KNOWN_GAPS
         if verdict.identity_component_abelian is None:
             assert row in KNOWN_GAPS
+
+    @pytest.mark.parametrize("kappa2", [1, 2])
+    def test_seeded_triples(self, kappa2):
+        """Seeded triples, rational and q sqrt(2) (so lam^2 is rational and
+        the exponents (1 +- lam)/2 lie in the tower), drawn generic or
+        reducible or dihedral by construction.  Every such triple that
+        Kimura calls reducible or dihedral has an abelian G0: with rational
+        exponents y1^m is rational, a tower triple can only be reducible as
+        (a, a, odd), where two of the four sums are odd and G is diagonal,
+        and a dihedral G0 is a torus.  So abelian is True exactly there;
+        SL2_NonAbelian needs an irrational difference, since Schwarz's
+        finite families are rational; and None needs the case III screen
+        (which also holds the finite groups) or a tower exponent."""
+        for seed in range(30):
+            diffs = seeded_kimura_triple(random.Random(seed))
+            normal, spec = riemann_normal(*diffs, kappa2)
+            verdict, _ = kovacic_verdict(normal, spec)
+            solvable = kimura_reducible(diffs) or schwarz_dihedral(diffs)
+            tower = any(isinstance(x, tuple) for x in diffs)
+            abelian = verdict.identity_component_abelian
+            assert (abelian is True) == solvable, (seed, diffs, verdict)
+            if verdict.classification is Classification.SL2_NONABELIAN:
+                assert tower and not solvable, (seed, diffs, verdict)
+            if abelian is None:
+                assert case3_possible(spec) or tower, (seed, diffs, verdict)
 
 
 class TestCase1Omega:
@@ -696,26 +754,76 @@ def monomial(ctx, k):
     return Poly(ctx, [ctx.zero] * k + [ctx.one])
 
 
-def oracle_solve(operator, ctx, d, unique):
-    """Monic P of degree d with operator(P) = 0, or None: operator(z^k) as
-    reduced RatFuncs for every k <= d, cleared over the lcm of their
-    denominators, one row per power of z."""
+def _gauss_solve(ctx, mat, rhs):
+    """Exact least-structure solve; returns (solution, unique)."""
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+    pivots = []
+    rank_row = 0
+    for col in range(cols):
+        piv = None
+        for rr in range(rank_row, rows):
+            if not aug[rr][col].is_zero():
+                piv = rr
+                break
+        if piv is None:
+            continue
+        aug[rank_row], aug[piv] = aug[piv], aug[rank_row]
+        inv = aug[rank_row][col].inverse()
+        aug[rank_row] = [v * inv for v in aug[rank_row]]
+        for rr in range(rows):
+            if rr != rank_row and not aug[rr][col].is_zero():
+                f = aug[rr][col]
+                aug[rr] = [v - f * w for v, w in zip(aug[rr], aug[rank_row])]
+        pivots.append(col)
+        rank_row += 1
+        if rank_row == rows:
+            break
+    # inconsistent?
+    for rr in range(rank_row, rows):
+        if not aug[rr][cols].is_zero():
+            return None, False
+    unique = len(pivots) == cols
+    sol = [ctx.zero] * cols
+    for i, col in enumerate(pivots):
+        sol[col] = aug[i][cols]
+    return sol, unique
+
+
+def oracle_solve(operator, ctx, d):
+    """(P, unique): a monic P of degree d with operator(P) = 0, or None, and
+    whether it is the only one.  operator(z^k) as reduced RatFuncs for
+    every k <= d, cleared over the lcm of their denominators, one row per
+    power of z, solved by the dense _gauss_solve."""
     terms = [operator(monomial(ctx, k)) for k in range(d + 1)]
     if d == 0:
-        return Poly.constant(ctx, 1) if terms[0].is_zero() else None
+        return (Poly.constant(ctx, 1) if terms[0].is_zero() else None), True
     common = Poly.constant(ctx, 1)
     for t in terms:
         common = (t.den * common) // poly_gcd(common, t.den)
     numerators = [t.num * (common // t.den) for t in terms]
     rows = max(p.degree() for p in numerators) + 1
     if rows == 0:
-        return None if unique else monomial(ctx, d)
+        return monomial(ctx, d), False
     mat = [[numerators[k].coefficient(m) for k in range(d)] for m in range(rows)]
     rhs = [-numerators[d].coefficient(m) for m in range(rows)]
     sol, is_unique = _gauss_solve(ctx, mat, rhs)
-    if sol is None or (unique and not is_unique):
-        return None
-    return Poly(ctx, sol + [ctx.one])
+    return (None if sol is None else Poly(ctx, sol + [ctx.one])), is_unique
+
+
+def assert_same_solve(got, oracle, operator, d):
+    """got, from _solve_P, and the dense oracle's (P, unique) agree on
+    solvability; got is a monic solution of degree d, checked by
+    substitution, and it is the oracle's P whenever that is unique.  A
+    non-unique system may give another particular solution."""
+    want, unique = oracle
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.degree() == d and got.leading() == got.ctx.one
+        assert operator(got).is_zero()
+        if unique:
+            assert got == want
 
 
 def oracle_case1_operator(normal, finite, rho_choice):
@@ -825,25 +933,27 @@ class TestSharedSolver:
                     n = -sigma - sum(rho_choice)
                     if n < 0 or n.denominator != 1:
                         continue
-                    want = oracle_solve(oracle_case1_operator(normal, finite, rho_choice),
-                                        ctx, int(n), unique=True)
+                    want, unique = oracle_solve(
+                        oracle_case1_operator(normal, finite, rho_choice), ctx, int(n))
                     got = _solve_exponent_assignment(normal, finite, rho_choice, int(n))
-                    assert got == want
+                    assert got == (want if unique else None)
         for cand in candidates(e_sets(spec)):
             th = theta(ctx, cand)
-            want = oracle_solve(oracle_case2_operator(normal, th), ctx, int(cand.d),
-                                unique=False)
+            operator = oracle_case2_operator(normal, th)
             got = search_P(normal, cand)
-            assert (got and got.P) == want
+            assert_same_solve(got and got.P, oracle_solve(operator, ctx, int(cand.d)),
+                              operator, int(cand.d))
         for cand in pair_exclusion(normal, spec).candidates:
             b = base_of(ctx, cand.base_exponents)
             n = cand.poly_degree
-            want = oracle_solve(
-                lambda p: symmetric_power_residual(normal, RatFunc.from_poly(p) * b),
-                ctx, n, unique=False)
-            assert cand.solvable == (want is not None)
+
+            def operator(p):
+                return symmetric_power_residual(normal, RatFunc.from_poly(p) * b)
+            want = oracle_solve(operator, ctx, n)
+            assert cand.solvable == (want[0] is not None)
             th = product_theta(ctx, cand.base_exponents)
-            assert _solve_P(_case2_coefficients(normal, th, xi(normal, th), n), n) == want
+            assert_same_solve(_solve_P(_case2_coefficients(normal, th, xi(normal, th), n), n),
+                              want, operator, n)
 
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
     def test_rigid_residual_is_b_times_xi(self, path):
@@ -887,6 +997,57 @@ class TestSharedSolver:
         for coeffs in (first, second):
             assert _solve_P(coeffs, P0.degree(), unique=True) == P0.monic()
             assert _solve_P(coeffs, P0.degree() + 1) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_indicial_roots_below_d_against_the_dense_oracle(self, seed):
+        """The Wronskian operator L(y) = W(y, P1, P2)/D, whose kernel is
+        spanned by P1 and P2 (deg P1 < deg P2), has its indicial roots at
+        infinity at both degrees.  At deg P2 the system is consistent but
+        leaves the coefficient of z^deg P1 free: not unique, so case I's
+        unique=True refuses it, and any monic solution may come back.  At
+        deg P1 it is unique, at deg P2 + 1 and with a perturbed order-0
+        coefficient it is inconsistent, and d = 0 is solvable exactly when
+        P1 is constant.  Every answer agrees with the dense oracle."""
+        ctx = make_context(GaussRational(2), GaussRational(3))
+        rng = random.Random(seed)
+
+        def scalar():
+            return ctx.scalar(*(GaussRational(rng.randint(-5, 5), rng.randint(-5, 5))
+                                for _ in range(4)))
+
+        def poly(deg):
+            return Poly(ctx, [scalar() for _ in range(deg)] + [ctx.one + ctx.one])
+        d1 = rng.randint(0, 2)
+        d2 = rng.randint(max(d1 + 1, 4 - d1), d1 + 4)
+        P1, P2 = poly(d1), poly(d2)
+        D = Poly.from_roots(ctx, [(ctx.kappa, rng.randint(0, 2)), (-ctx.lam, 1)])
+        over_d = RatFunc(Poly.constant(ctx, 1), D)
+        d_ = Poly.derivative
+        coeffs = [RatFunc(d_(P1) * d_(d_(P2)) - d_(d_(P1)) * d_(P2)) * over_d,
+                  RatFunc(d_(d_(P1)) * P2 - P1 * d_(d_(P2))) * over_d,
+                  RatFunc(P1 * d_(P2) - d_(P1) * P2) * over_d]
+        # one degree below A_0's top, d1 + d2 - 3, so the indicial roots stay
+        bump = RatFunc(Poly(ctx, [ctx.zero] * (d1 + d2 - 4) + [scalar()])) * over_d
+        perturbed = [coeffs[0] + bump] + coeffs[1:]
+
+        def operator_of(cs):
+            def operator(p):
+                total, dp = RatFunc.constant(ctx, 0), RatFunc.from_poly(p)
+                for a in cs:
+                    total, dp = total + a * dp, dp.derivative()
+                return total
+            return operator
+        for cs, d, want in ((coeffs, d2, "free"), (coeffs, d1, "unique"),
+                            (coeffs, d2 + 1, None), (perturbed, d2, None),
+                            (coeffs, 0, "unique" if d1 == 0 else None)):
+            oracle = oracle_solve(operator_of(cs), ctx, d)
+            assert (oracle[0] is not None) == (want is not None)
+            if want is not None:
+                assert oracle[1] == (want == "unique")
+            got = _solve_P(cs, d)
+            assert_same_solve(got, oracle, operator_of(cs), d)
+            assert _solve_P(cs, d, unique=True) == (got if want == "unique" else None)
+        assert _solve_P(coeffs, d1, unique=True) == P1.monic()
 
     def test_annihilated_degree_is_free(self):
         # L = 0 annihilates every P: any monic P solves it, none uniquely

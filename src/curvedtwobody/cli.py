@@ -92,8 +92,9 @@ _orbit_options = _options(
     click.option("--t-end", type=float, default=100.0, show_default=True),
     click.option("--step", type=float, default=1e-3, show_default=True,
                  help="the RK4 step of simulate; the first trial step of "
-                      "simulate --method rkf45 and of section, which step "
-                      "RKF45 under error control"),
+                      "simulate --method rkf45 and of section, which take "
+                      "adaptive Gragg-Bulirsch-Stoer steps under error "
+                      "control"),
     click.option("--free", is_flag=True, help="drop the potential (V = 0)"),
     click.option("--out", "out_path", default=None, type=click.Path(),
                  help="CSV output path"))
@@ -179,7 +180,9 @@ def certify_cmd(out_path, fmt, **run):
 @_parameter_options
 @_orbit_options
 @click.option("--method", type=click.Choice(["rk4", "rkf45"]), default="rk4",
-              show_default=True)
+              show_default=True,
+              help="rk4: fixed steps; rkf45: adaptive Gragg-Bulirsch-Stoer "
+                   "steps (the name predates the method)")
 def simulate_cmd(theta0, p_theta, p0, p1, p2, t_end, step, free, out_path,
                  method, **run):
     """Integrate the reduced Hamiltonian flow and report invariant drift."""

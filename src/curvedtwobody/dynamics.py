@@ -2,10 +2,13 @@
 invariant monitoring, geodesic base solutions, time-domain variational
 equations, Poincare sections, and chart conversions.
 
-Integrators are plain RK4 (fixed step) and an embedded RKF45 pair with
-step-size control (the local error per unit time is held below rel_tol
-times the state's size); no structure preservation, because invariant
-drift is itself the evidence the acceptance suite monitors.
+Integrators are plain RK4 (fixed step) and an adaptive Gragg-Bulirsch-
+Stoer extrapolation step (method "rkf45", a name kept from the Fehlberg
+pair it replaced) with step-size control: the local error per unit time
+is held below rel_tol times the state's size.  The section steps and its
+Henon crossing steps are the same adaptive step.  There is no structure
+preservation, because invariant drift is itself the evidence the
+acceptance suite monitors.
 """
 from __future__ import annotations
 
@@ -89,7 +92,7 @@ def vector_field(h: ReducedHamiltonian, x) -> tuple:
 @dataclass
 class IntegrationOptions:
     step: float = 1e-3               # rk4: the step; rkf45: the first trial step
-    method: str = "rk4"              # "rk4" or "rkf45"
+    method: str = "rk4"              # "rk4" or "rkf45" (adaptive GBS)
     rel_tol: float = 1e-12           # rkf45 local error per unit time, relative
     sample_every: int = 100          # one sample every this many accepted steps
     casimir_abort: Optional[float] = 1e-6
@@ -142,84 +145,40 @@ def _rk4_step(f, x, dt):
             x4 + s * (a4 + 2 * b4 + 2 * c4 + d4))
 
 
-# Fehlberg 4(5) tableau
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_B5 = (16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_E = (1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)   # b5 - b4
-# by name, for the written-out step (the second weights are 0)
-(_, (_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43),
- (_A50, _A51, _A52, _A53, _A54)) = _RKF_A
-_B0, _, _B2, _B3, _B4, _B5 = _RKF_B5
-_E0, _, _E2, _E3, _E4, _E5 = _RKF_E
+_GBS_SUBSTEPS = (2, 4, 6, 8)       # 1 + 1 + 3 + 5 + 7 = 17 field evaluations
 
 
-def _rkf45_tableau(f, x, dt):
-    """One Fehlberg step on a state of any length: the 5th-order state and
-    the size of its difference from the 4th-order one."""
-    ks = []
-    for row in _RKF_A:
-        xi = tuple(v + dt * sum(a * k[j] for a, k in zip(row, ks))
-                   for j, v in enumerate(x))
-        ks.append(f(xi))
-    x5 = tuple(v + dt * sum(b * k[j] for b, k in zip(_RKF_B5, ks))
-               for j, v in enumerate(x))
-    # from the stages, not x5 - x4: that difference rounds to 0 when small
-    err = abs(dt) * max(abs(sum(e * k[j] for e, k in zip(_RKF_E, ks)))
-                        for j in range(len(x)))
-    return x5, err
+def _gbs_step(f, x, dt):
+    """One Gragg-Bulirsch-Stoer step on a state of any length: the
+    extrapolated state and the size of its difference from the next lower
+    extrapolant (R. Bulirsch and J. Stoer, Numer. Math. 8 (1966) 1;
+    Hairer, Norsett and Wanner, Solving ODEs I, II.9).
 
-
-def _rkf45_step(f, x, dt):
-    """_rkf45_tableau, written out for the 5-dim chart; the stages are
-    a, b, c, d, e, g and the zero weights are left out."""
-    if len(x) != 5:
-        return _rkf45_tableau(f, x, dt)
-    x0, x1, x2, x3, x4 = x
-    a0, a1, a2, a3, a4 = f(x)
-    b0, b1, b2, b3, b4 = f((
-        x0 + dt * (_A10 * a0), x1 + dt * (_A10 * a1), x2 + dt * (_A10 * a2),
-        x3 + dt * (_A10 * a3), x4 + dt * (_A10 * a4)))
-    c0, c1, c2, c3, c4 = f((
-        x0 + dt * (_A20 * a0 + _A21 * b0), x1 + dt * (_A20 * a1 + _A21 * b1),
-        x2 + dt * (_A20 * a2 + _A21 * b2), x3 + dt * (_A20 * a3 + _A21 * b3),
-        x4 + dt * (_A20 * a4 + _A21 * b4)))
-    d0, d1, d2, d3, d4 = f((
-        x0 + dt * (_A30 * a0 + _A31 * b0 + _A32 * c0),
-        x1 + dt * (_A30 * a1 + _A31 * b1 + _A32 * c1),
-        x2 + dt * (_A30 * a2 + _A31 * b2 + _A32 * c2),
-        x3 + dt * (_A30 * a3 + _A31 * b3 + _A32 * c3),
-        x4 + dt * (_A30 * a4 + _A31 * b4 + _A32 * c4)))
-    e0, e1, e2, e3, e4 = f((
-        x0 + dt * (_A40 * a0 + _A41 * b0 + _A42 * c0 + _A43 * d0),
-        x1 + dt * (_A40 * a1 + _A41 * b1 + _A42 * c1 + _A43 * d1),
-        x2 + dt * (_A40 * a2 + _A41 * b2 + _A42 * c2 + _A43 * d2),
-        x3 + dt * (_A40 * a3 + _A41 * b3 + _A42 * c3 + _A43 * d3),
-        x4 + dt * (_A40 * a4 + _A41 * b4 + _A42 * c4 + _A43 * d4)))
-    g0, g1, g2, g3, g4 = f((
-        x0 + dt * (_A50 * a0 + _A51 * b0 + _A52 * c0 + _A53 * d0 + _A54 * e0),
-        x1 + dt * (_A50 * a1 + _A51 * b1 + _A52 * c1 + _A53 * d1 + _A54 * e1),
-        x2 + dt * (_A50 * a2 + _A51 * b2 + _A52 * c2 + _A53 * d2 + _A54 * e2),
-        x3 + dt * (_A50 * a3 + _A51 * b3 + _A52 * c3 + _A53 * d3 + _A54 * e3),
-        x4 + dt * (_A50 * a4 + _A51 * b4 + _A52 * c4 + _A53 * d4 + _A54 * e4)))
-    x5 = (x0 + dt * (_B0 * a0 + _B2 * c0 + _B3 * d0 + _B4 * e0 + _B5 * g0),
-          x1 + dt * (_B0 * a1 + _B2 * c1 + _B3 * d1 + _B4 * e1 + _B5 * g1),
-          x2 + dt * (_B0 * a2 + _B2 * c2 + _B3 * d2 + _B4 * e2 + _B5 * g2),
-          x3 + dt * (_B0 * a3 + _B2 * c3 + _B3 * d3 + _B4 * e3 + _B5 * g3),
-          x4 + dt * (_B0 * a4 + _B2 * c4 + _B3 * d4 + _B4 * e4 + _B5 * g4))
-    err = abs(dt) * max(
-        abs(_E0 * a0 + _E2 * c0 + _E3 * d0 + _E4 * e0 + _E5 * g0),
-        abs(_E0 * a1 + _E2 * c1 + _E3 * d1 + _E4 * e1 + _E5 * g1),
-        abs(_E0 * a2 + _E2 * c2 + _E3 * d2 + _E4 * e2 + _E5 * g2),
-        abs(_E0 * a3 + _E2 * c3 + _E3 * d3 + _E4 * e3 + _E5 * g3),
-        abs(_E0 * a4 + _E2 * c4 + _E3 * d4 + _E4 * e4 + _E5 * g4))
-    return x5, err
+    Modified midpoint rules over n = 2, 4, 6 and 8 substeps of h = dt/n,
+    sharing f(x), are extrapolated to dt = 0 in dt^2 by Aitken-Neville.
+    Each rule's increment from x, 2h (f(z_1) + f(z_3) + ... + f(z_n-1)),
+    is summed from the field values, not read off a state, so the
+    estimate's rounding scales with dt and a short step is not rejected
+    for it."""
+    f0 = f(x)
+    table = []                      # the last row of the Neville table
+    for i, n in enumerate(_GBS_SUBSTEPS):
+        h = dt / n
+        h2 = h + h
+        z_even, z = x, [a + h * v for a, v in zip(x, f0)]
+        odd = [f(z)]
+        for _ in range(n // 2 - 1):
+            z_even = [a + h2 * v for a, v in zip(z_even, odd[-1])]
+            z = [a + h2 * v for a, v in zip(z, f(z_even))]
+            odd.append(f(z))
+        row = [[h2 * sum(v) for v in zip(*odd)]]
+        for j, lower in enumerate(table):
+            c = 1.0 / ((n / _GBS_SUBSTEPS[i - j - 1]) ** 2 - 1.0)
+            row.append([a + c * (a - b) for a, b in zip(row[-1], lower)])
+        table = row
+    best = table[-1]
+    err = max([abs(a - b) for a, b in zip(best, table[-2])])
+    return tuple([a + b for a, b in zip(x, best)]), err
 
 
 def _require_positive(**values: float):
@@ -233,16 +192,17 @@ def _require_finite(name: str, values: tuple):
         raise DynamicsError(f"{name} must be finite, got {values}")
 
 
-def _rkf45_advance(f, x, t: float, t_end: float, dt: float, rel_tol: float):
-    """One accepted RKF45 step from x at time t, tried first at dt:
+def _gbs_advance(f, x, t: float, t_end: float, dt: float, rel_tol: float):
+    """One accepted GBS step from x at time t, tried first at dt:
     (x_new, t_new, dt_taken, dt_next, rejected).
 
     A step is accepted when its error estimate is at most
     rel_tol * max(|x|_inf, 1) * dt, so the error per unit time, not per
     step, is controlled.  A rejected step and the next trial step are
-    scaled by 0.9 (tol/err)^(1/4), at most 5x down and 5x up.  A step
-    still failing below 1e-12 raises StepFailure.  When at most 1e-9 of
-    dt would be left before t_end, the first try is t_end - t instead,
+    scaled by 0.9 (tol/err)^(1/6), at most 5x down and 5x up; a trial step
+    whose field evaluations leave the chart is rejected and cut 5x.  A
+    step still failing below 1e-12 raises StepFailure.  When at most 1e-9
+    of dt would be left before t_end, the first try is t_end - t instead,
     stretched or cut short so that no sliver step follows, and t_new is
     then t_end itself."""
     last = t_end - t <= dt * (1 + 1e-9)
@@ -251,26 +211,34 @@ def _rkf45_advance(f, x, t: float, t_end: float, dt: float, rel_tol: float):
     scale = max(max(abs(v) for v in x), 1.0)
     rejected = 0
     while True:
-        x_new, err = _rkf45_step(f, x, dt)
         tol = rel_tol * scale * dt
-        if err <= tol:
-            break
-        if dt < 1e-12:
-            raise StepFailure(f"error {err:.3e} above rel_tol {rel_tol:g} "
-                              f"at step {dt:.3g}")
+        try:
+            x_new, err = _gbs_step(f, x, dt)
+        except StepFailure as exc:
+            if dt < 1e-12:
+                raise StepFailure(f"trial step {dt:.3g} left the chart: {exc}") from exc
+            factor = 0.2
+        else:
+            if err <= tol:
+                break
+            if dt < 1e-12:
+                raise StepFailure(f"error {err:.3e} above rel_tol {rel_tol:g} "
+                                  f"at step {dt:.3g}")
+            factor = max(0.2, 0.9 * (tol / err) ** (1 / 6))
         rejected += 1
-        dt *= max(0.2, 0.9 * (tol / err) ** 0.25)
+        dt *= factor
         last = False
-    dt_next = dt * (min(5.0, 0.9 * (tol / err) ** 0.25) if err else 5.0)
+    dt_next = dt * (min(5.0, 0.9 * (tol / err) ** (1 / 6)) if err else 5.0)
     return x_new, t_end if last else t + dt, dt, dt_next, rejected
 
 
 def integrate(h: ReducedHamiltonian, x0, t_end: float,
               opts: Optional[IntegrationOptions] = None,
               extra_integrals: Optional[dict[str, Callable]] = None) -> TrajectoryReport:
-    """Fixed-step RK4 (default) or adaptive RKF45 with drift monitoring.
+    """Fixed-step RK4 (default) or, for method "rkf45", adaptive GBS steps,
+    with drift monitoring.
 
-    RKF45 starts from opts.step and steps under _rkf45_advance's control,
+    GBS starts from opts.step and steps under _gbs_advance's control,
     which holds the local error per unit time below opts.rel_tol.  Drift
     metrics compare against the initial values of the Hamiltonian, the
     Casimir (5-dim charts), and any registered extra integrals.  A sample
@@ -314,14 +282,14 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
         trial = dt
         try:
             if rk4:
-                last = t_end - t <= dt * (1 + 1e-9)     # as in _rkf45_advance
+                last = t_end - t <= dt * (1 + 1e-9)     # as in _gbs_advance
                 dt_eff = t_end - t if last else dt
                 x = _rk4_step(f, x, dt_eff)
                 k += 1
                 t_new = t_end if last else k * dt
             else:
-                x, t_new, dt_eff, dt, n = _rkf45_advance(f, x, t, t_end, dt,
-                                                         opts.rel_tol)
+                x, t_new, dt_eff, dt, n = _gbs_advance(f, x, t, t_end, dt,
+                                                       opts.rel_tol)
                 rejected += n
                 last = t_new == t_end
         except (DomainError, StepFailure, ValueError, OverflowError) as exc:
@@ -498,17 +466,18 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
     """Crossings of x[coordinate] = value in (0, t_end] with the requested
     sign of the derivative, the first MAX_SECTION_POINTS of them.
 
-    RKF45 steps under _rkf45_advance's control bracket each crossing: the
+    GBS steps under _gbs_advance's control bracket each crossing: the
     first is tried at step, each holds its local error per unit time below
     IntegrationOptions.rel_tol, and the last lands on t_end, so no crossing
-    after t_end is reported.  One Fehlberg step (its fifth-order state) of
-    Henon's system d(x, t)/dx_k = (f/f_k, 1/f_k) over value - x_k from the
-    bracket's start then lands on the plane (M. Henon, Physica D 5 (1982)
-    412), and x[coordinate] is set to value in the reported state.  A
-    crossing time outside its bracket raises StepFailure.  The Henon step
-    is held to the steps' rule, its error at most rel_tol * max(|x|_inf, 1)
-    times the time it spans; when it misses, the bracket is tried again at
-    half its length, and below 1e-12 the section raises StepFailure."""
+    after t_end is reported.  One GBS step of Henon's system
+    d(x, t)/dx_k = (f/f_k, 1/f_k) over value - x_k from the bracket's start
+    then lands on the plane (M. Henon, Physica D 5 (1982) 412), and
+    x[coordinate] is set to value in the reported state.  A crossing time
+    outside its bracket raises StepFailure.  The Henon step is held to the
+    steps' rule, its error at most rel_tol * max(|x|_inf, 1) times the time
+    it spans; when it misses or leaves the chart, the bracket is tried
+    again at half its length, and below 1e-12 the section raises
+    StepFailure."""
     _require_positive(step=step)
     if not 0 <= t_end < math.inf:       # a zero horizon has no crossings
         raise DynamicsError(f"t_end must be non-negative and finite, got {t_end}")
@@ -532,18 +501,24 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
     s_prev = x[coordinate] - value
     while t < t_end and len(out) < MAX_SECTION_POINTS:
         try:
-            x_new, t_new, dt_taken, dt, _ = _rkf45_advance(f, x, t, t_end, dt,
-                                                           rel_tol)
+            x_new, t_new, dt_taken, dt, _ = _gbs_advance(f, x, t, t_end, dt,
+                                                         rel_tol)
             s_new = x_new[coordinate] - value
             if s_prev * s_new < 0 and (s_new - s_prev) * direction > 0:
-                y, err = _rkf45_step(henon, x + (t,), -s_prev)
-                if not t <= y[-1] <= t_new:
-                    raise StepFailure(f"crossing time {y[-1]!r} outside its "
-                                      f"step [{t!r}, {t_new!r}]")
-                if not err <= rel_tol * max(max(abs(v) for v in x), 1.0) * (y[-1] - t):
+                try:
+                    y, err = _gbs_step(henon, x + (t,), -s_prev)
+                except StepFailure as exc:
+                    miss = f"left the chart ({exc})"
+                else:
+                    if not t <= y[-1] <= t_new:
+                        raise StepFailure(f"crossing time {y[-1]!r} outside its "
+                                          f"step [{t!r}, {t_new!r}]")
+                    tol = rel_tol * max(max(abs(v) for v in x), 1.0) * (y[-1] - t)
+                    miss = None if err <= tol else \
+                        f"error {err:.3e} above rel_tol {rel_tol:g}"
+                if miss:
                     if dt_taken < 1e-12:
-                        raise StepFailure(f"Henon step error {err:.3e} above "
-                                          f"rel_tol {rel_tol:g} at step {dt_taken:.3g}")
+                        raise StepFailure(f"Henon step {miss} at step {dt_taken:.3g}")
                     dt = dt_taken / 2
                     continue
                 state = y[:coordinate] + (value,) + y[coordinate + 1:-1]

@@ -16,8 +16,9 @@ from curvedtwobody.dynamics import (ChartDomainError, DynamicsError,
                                     section_to_csv, to_r_chart,
                                     trajectory_to_csv, value_in_r_chart,
                                     vector_field)
-from curvedtwobody.models import (CentralMotionHamiltonian, HamiltonianKind,
-                                  Potential, Space, derive_params, hamiltonian)
+from curvedtwobody.models import (CentralMotionHamiltonian, DomainError,
+                                  HamiltonianKind, Potential, Space,
+                                  derive_params, hamiltonian)
 
 
 def sn_params(**overrides):
@@ -63,6 +64,12 @@ BOUNDED_ORBITS = [
     (Space.HYPERBOLIC, Potential.OSCILLATOR, (Fr(1, 2), Fr(1, 2), Fr(1, 10), Fr(1, 4)),
      (0.7, 0.0, 0.02, 0.0, 0.15)),
 ]
+
+
+def orbit_hamiltonian(space, pot, args):
+    kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
+        else HamiltonianKind.FULL_HYPERBOLIC
+    return hamiltonian(kind, derive_params(space, pot, *args))
 
 
 def max_rel_diff(u, v):
@@ -188,31 +195,28 @@ class TestVectorField:
 
 
 class TestWrittenOutSteps:
-    """The 5-dim RK4 and Fehlberg steps are the tableau-driven ones written
-    out: the same results, and RK4 is the fourth-order Taylor polynomial
-    of the flow on a linear field."""
+    """The 5-dim RK4 step is the tableau-driven one written out, and on a
+    linear field RK4 is the fourth-order Taylor polynomial of the flow and
+    the GBS step is of eighth order."""
 
     @pytest.mark.parametrize("dt", [1e-3, 0.1])
     @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
     def test_match_the_tableau_steps(self, space, pot, args, x0, dt):
-        kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
-            else HamiltonianKind.FULL_HYPERBOLIC
-        f = dynamics.bound_field(hamiltonian(kind, derive_params(space, pot, *args)))
+        f = dynamics.bound_field(orbit_hamiltonian(space, pot, args))
         assert max_rel_diff(dynamics._rk4_step(f, x0, dt),
                             dynamics._rk4_tableau(f, x0, dt)) <= 1e-14
-        x5, err = dynamics._rkf45_step(f, x0, dt)
-        x5_ref, err_ref = dynamics._rkf45_tableau(f, x0, dt)
-        assert max_rel_diff(x5, x5_ref) <= 1e-14
-        assert err > 0 and abs(err - err_ref) <= 1e-14 * err_ref
 
-    def test_rk4_on_a_linear_field(self):
-        rng = random.Random(8)
+    @staticmethod
+    def _linear_field(seed):
+        rng = random.Random(seed)
         a = [[rng.uniform(-1, 1) for _ in range(5)] for _ in range(5)]
 
         def f(x):
             return tuple(sum(aij * xj for aij, xj in zip(row, x)) for row in a)
+        return f, tuple(rng.uniform(-1, 1) for _ in range(5))
 
-        x = tuple(rng.uniform(-1, 1) for _ in range(5))
+    def test_rk4_on_a_linear_field(self):
+        f, x = self._linear_field(8)
         dt = 0.1
         term, taylor = x, list(x)         # sum over k <= 4 of (A dt)^k / k! x
         for k in range(1, 5):
@@ -220,6 +224,26 @@ class TestWrittenOutSteps:
             taylor = [s + v for s, v in zip(taylor, term)]
         assert max_rel_diff(dynamics._rk4_step(f, x, dt), tuple(taylor)) <= 1e-14
         assert max_rel_diff(dynamics._rk4_tableau(f, x, dt), tuple(taylor)) <= 1e-14
+
+    def test_gbs_order_on_a_linear_field(self):
+        """Against exp(A dt) x, summed as a series to rounding: halving dt
+        cuts the GBS error at least 2^8-fold (a local error of order 9),
+        and the error estimate is positive."""
+        f, x = self._linear_field(8)
+
+        def flow(dt):
+            term, total = x, list(x)
+            for k in range(1, 40):
+                term = tuple(v * dt / k for v in f(term))
+                total = [s + v for s, v in zip(total, term)]
+            return tuple(total)
+
+        errors = []
+        for dt in (0.4, 0.2):
+            y, err = dynamics._gbs_step(f, x, dt)
+            assert err > 0
+            errors.append(max(abs(a - b) for a, b in zip(y, flow(dt))))
+        assert errors[1] > 0 and errors[0] / errors[1] >= 2 ** 8
 
 
 class TestStepControl:
@@ -279,8 +303,8 @@ class TestStepControl:
         the step halves below 1e-12; it is never accepted unchecked.  The
         span is a few floor steps long, so accepting there would end the run
         at once instead of failing."""
-        real_step = dynamics._rkf45_step
-        monkeypatch.setattr(dynamics, "_rkf45_step",
+        real_step = dynamics._gbs_step
+        monkeypatch.setattr(dynamics, "_gbs_step",
                             lambda f, x, dt: (real_step(f, x, dt)[0], err))
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
         with pytest.raises(StepFailure, match="above rel_tol"):
@@ -290,8 +314,8 @@ class TestStepControl:
     def test_section_refuses_a_step_at_the_dt_floor(self, monkeypatch, err):
         """The section steps under the same controller: StepFailure below
         1e-12, not a hang and not a step accepted unchecked."""
-        real_step = dynamics._rkf45_step
-        monkeypatch.setattr(dynamics, "_rkf45_step",
+        real_step = dynamics._gbs_step
+        monkeypatch.setattr(dynamics, "_gbs_step",
                             lambda f, x, dt: (real_step(f, x, dt)[0], err))
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
         with pytest.raises(StepFailure, match="above rel_tol"):
@@ -300,13 +324,14 @@ class TestStepControl:
     @staticmethod
     def _stub_henon_error(monkeypatch, error_of):
         """Replace the error of every Henon step (the chart's state plus t,
-        6 entries on the sphere chart) by error_of(span in t)."""
-        real_step = dynamics._rkf45_step
+        6 entries on the sphere chart) by error_of(span in t), which may
+        raise StepFailure as a step off the chart does."""
+        real_step = dynamics._gbs_step
 
         def step(f, x, dt):
             y, err = real_step(f, x, dt)
             return (y, error_of(abs(y[-1] - x[-1]))) if len(x) == 6 else (y, err)
-        monkeypatch.setattr(dynamics, "_rkf45_step", step)
+        monkeypatch.setattr(dynamics, "_gbs_step", step)
 
     @pytest.mark.parametrize("err", [1.0, math.nan])
     def test_section_refuses_a_henon_step_above_tolerance(self, monkeypatch, err):
@@ -335,6 +360,89 @@ class TestStepControl:
         for p, q in zip(points, expected):
             assert p.t == pytest.approx(q.t, abs=1e-12)
             assert max(abs(u - v) for u, v in zip(p.state, q.state)) < 1e-12
+
+    def test_section_refuses_a_henon_step_off_the_chart(self, monkeypatch):
+        """A Henon step that always leaves the chart is a miss: retried on
+        halved brackets down to 1e-12, then refused with the chart's
+        message."""
+        def error_of(span):
+            raise StepFailure("theta = -1 outside (0, pi)")
+        self._stub_henon_error(monkeypatch, error_of)
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        with pytest.raises(StepFailure, match=r"Henon step left the chart .*outside"):
+            poincare_section(h, self.X0, 10.0)
+
+    def test_section_halves_the_bracket_of_a_henon_step_off_the_chart(self, monkeypatch):
+        """A Henon step over more than 1e-4 in t leaves the chart; the
+        shorter bracket gives the same crossings."""
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        expected = poincare_section(h, self.X0, 10.0)
+
+        def error_of(span):
+            if span > 1e-4:
+                raise StepFailure("theta = -1 outside (0, pi)")
+            return 0.0
+        self._stub_henon_error(monkeypatch, error_of)
+        points = poincare_section(h, self.X0, 10.0)
+        assert len(points) == len(expected) == 2
+        for p, q in zip(points, expected):
+            assert p.t == pytest.approx(q.t, abs=1e-12)
+            assert max(abs(u - v) for u, v in zip(p.state, q.state)) < 1e-12
+
+    @pytest.mark.parametrize("step", [1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
+    def test_a_trial_step_off_the_chart_is_rejected(self, space, pot, args, x0, step):
+        """A first trial step this long takes its midpoints off the chart
+        (theta outside (0, pi), or theta <= 0 on H^2) on some orbit; it is
+        rejected and cut, so integrate and the section both reach t_end
+        within the criterion-8 drifts."""
+        h = orbit_hamiltonian(space, pot, args)
+        rep = integrate(h, x0, 10.0, IntegrationOptions(
+            step=step, method="rkf45", sample_every=10 ** 6))
+        assert rep.times[-1] == 10.0 and rep.rejected_steps >= 1
+        assert rep.energy_drift < 1e-8 and rep.casimir_drift < 1e-10
+        points = poincare_section(h, x0, 10.0, step=step)
+        assert points
+        e0, c0 = h.value(x0), casimir(space, x0)
+        for pt in points:
+            assert pt.state[3] == 0.0
+            assert abs(h.value(pt.state) - e0) < 1e-8 * abs(e0)
+            assert abs(casimir(space, pt.state) - c0) < 1e-10 * abs(c0)
+
+    def test_a_field_off_the_chart_everywhere_ends_in_step_failure(self):
+        """Every trial step is rejected and cut 5x; at the 1e-12 floor the
+        run ends in StepFailure naming the chart, not in a hang."""
+        def grad(x):
+            raise DomainError("theta = 7 outside (0, pi)")
+        h = SimpleNamespace(dim=2, value=lambda x: 0.0, grad=grad)
+        with pytest.raises(StepFailure, match=r"left the chart: .*outside \(0, pi\)"):
+            integrate(h, (1.0, 0.0), 1.0, IntegrationOptions(method="rkf45"))
+        with pytest.raises(StepFailure, match=r"left the chart: .*outside \(0, pi\)"):
+            poincare_section(h, (1.0, 0.0), 1.0, coordinate=0)
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-10])
+    @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
+    def test_short_steps_are_accepted_as_tried(self, space, pot, args, x0, dt):
+        """The error estimate's rounding scales with dt, so neither the
+        default first step nor a 1e-10 step is rejected for it."""
+        f = dynamics.bound_field(orbit_hamiltonian(space, pot, args))
+        _, t, dt_taken, _, rejected = dynamics._gbs_advance(
+            f, x0, 0.0, 10.0, dt, IntegrationOptions.rel_tol)
+        assert rejected == 0 and dt_taken == t == dt
+
+    @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
+    def test_henon_step_over_a_tiny_span_is_accepted(self, space, pot, args, x0):
+        """From 1e-14 in time before the plane the first step brackets the
+        crossing and its Henon step spans about 1e-14 in t, however short
+        the bracket is halved to: it must be accepted, or the section ends
+        in StepFailure at the floor."""
+        h = orbit_hamiltonian(space, pot, args)
+        x = x0[:3] + (0.0,) + x0[4:]
+        rate = dynamics.bound_field(h)(x)[3]
+        points = poincare_section(h, x[:3] + (-1e-14 * rate,) + x[4:], 1e-3,
+                                  direction=1 if rate > 0 else -1)
+        assert len(points) == 1
+        assert points[0].t == pytest.approx(1e-14, rel=1e-6)
 
     def test_short_span_is_one_step(self):
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
@@ -677,13 +785,48 @@ class TestPoincareSection:
                 assert abs(pt.t - t_ref) < 1e-9
                 assert max(abs(a - b) for a, b in zip(pt.state, x_ref)) < 1e-9
 
-    def test_crossing_time_outside_its_step_raises(self):
-        """Under q' = p, p' = 1 from p = 1e-6 the crossing of q = 0 is in the
-        first step, but dt/dq = 1/p is so steep there that Henon's step puts
-        it far outside: StepFailure, not a point."""
+    def test_crossing_time_outside_its_step_raises(self, monkeypatch):
+        """Under q' = p, p' = 1 from q = -0.1, p = 1e-6, dt/dq = 1/p is
+        steep at the start, yet Henon's step lands the crossing of q = 0 on
+        the root of -0.1 + 1e-6 t + t^2/2.  A Henon step that puts it
+        outside the step bracketing it (here a stub, 1 later) raises
+        StepFailure instead of reporting a point."""
         h = SimpleNamespace(dim=2, grad=lambda x: (-1.0, x[1]))
+        x0 = (-0.1, 1e-6)
+        root = -1e-6 + math.sqrt(1e-12 + 0.2)
+        points = poincare_section(h, x0, 1.0, coordinate=0, step=1.0)
+        assert len(points) == 1 and points[0].t == pytest.approx(root, abs=1e-12)
+        real_step = dynamics._gbs_step
+
+        def step(f, x, dt):
+            y, err = real_step(f, x, dt)
+            return (y[:-1] + (y[-1] + 1.0,), err) if len(x) == 3 else (y, err)
+        monkeypatch.setattr(dynamics, "_gbs_step", step)
         with pytest.raises(StepFailure, match="outside its step"):
-            poincare_section(h, (-0.1, 1e-6), 1.0, coordinate=0, step=1.0)
+            poincare_section(h, x0, 1.0, coordinate=0, step=1.0)
+
+    @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
+    def test_first_crossing_matches_an_rk4_reference(self, space, pot, args, x0):
+        """The first crossing of p1 = 0 (increasing) on each bounded orbit,
+        against RK4 at step 1e-4 with the crossing step bisected."""
+        h = orbit_hamiltonian(space, pot, args)
+        f = dynamics.bound_field(h)
+        step, x, k = 1e-4, x0, 0
+        while True:
+            x_new = dynamics._rk4_step(f, x, step)
+            if x[3] < 0 <= x_new[3]:
+                break
+            x, k = x_new, k + 1
+        lo, hi = 0.0, step
+        while (lo + hi) / 2 not in (lo, hi):
+            mid = (lo + hi) / 2
+            if dynamics._rk4_step(f, x, mid)[3] < 0:
+                lo = mid
+            else:
+                hi = mid
+        t_ref = k * step + lo
+        points = poincare_section(h, x0, t_ref + 1e-3)
+        assert abs(points[0].t - t_ref) < 1e-11
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, value):

@@ -197,8 +197,8 @@ def _normal_form(params: models.ModelParams):
 def matches_table(params: models.ModelParams, r: RatFunc) -> bool:
     """Exact proof that r, the normal form of params' system, equals the
     closed-form table sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j): both sides are
-    RatFunc values in lowest terms with monic denominators, so they are the
-    same rational function exactly when they compare equal."""
+    RatFunc values, read in lowest terms with monic denominators, so they
+    are the same rational function exactly when they compare equal."""
     return r == models.closed_form_r(params).reconstruct(params.ctx)
 
 

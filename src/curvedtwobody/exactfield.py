@@ -209,7 +209,7 @@ def gauss_sqrt(g: GaussRational) -> Optional[GaussRational]:
 class TowerContext:
     """The tower Q(i)[kappa, lambda] with kappa^2 = a, lambda^2 = b."""
 
-    __slots__ = ("a", "b", "_sqrt_a", "_sqrt_b")
+    __slots__ = ("a", "b", "_sqrt_a", "_sqrt_b", "_squares")
 
     def __init__(self, a: GaussRational, b: GaussRational):
         if a.is_zero() or b.is_zero() or a == b:
@@ -225,6 +225,9 @@ class TowerContext:
             y = gauss_sqrt(b / a) if root_a is None else None
             self._sqrt_b = (self.lam if y is None else
                             TowerScalar(self, GAUSS_ZERO, y, GAUSS_ZERO, GAUSS_ZERO))
+        sa, sb = self.from_gauss(a), self.from_gauss(b)
+        self._squares = {self._sqrt_a: sa, -self._sqrt_a: sa,
+                         self._sqrt_b: sb, -self._sqrt_b: sb}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TowerContext):
@@ -245,7 +248,13 @@ class TowerContext:
         return TowerScalar(self, c00, c10, c01, c11)
 
     def from_rational(self, q) -> TowerScalar:
-        return TowerScalar._of_gauss(self, GaussRational(_rat(q)))
+        """q as a scalar.  An int or a Fraction is already in lowest terms,
+        so its Gaussian is built directly; a string goes through _rat."""
+        if not isinstance(q, (int, Fraction)):
+            q = _rat(q)
+        g = object.__new__(GaussRational)
+        g.x, g.y, g.d = q.numerator, 0, q.denominator
+        return TowerScalar._of_gauss(self, g)
 
     def from_gauss(self, g: GaussRational) -> TowerScalar:
         return TowerScalar._of_gauss(self, g)
@@ -276,6 +285,11 @@ class TowerContext:
         Gaussian multiple of kappa whenever possible (keeps coefficient
         arithmetic inside an honest field)."""
         return self._sqrt_b
+
+    def square(self, c: TowerScalar) -> TowerScalar:
+        """c * c, read off a or b when c is +-kappa or +-lambda."""
+        sq = self._squares.get(c)
+        return c * c if sq is None else sq
 
 
 def make_context(a: GaussRational, b: GaussRational) -> TowerContext:

@@ -1,11 +1,12 @@
 """Univariate polynomial and rational-function calculus over a tower context.
 
 Dense polynomials with TowerScalar coefficients.  A rational function is
-kept in lowest terms with its monic denominator factored over linear
-factors: an exponent map {c: e} for prod (z - c)^e, and nothing else.  The
-pipeline's denominators all split over z - z0, z -+ kappa and z -+ lambda,
-so products add exponents, sums work over the lcm, and lowest terms only
-test the numerator at the roots by synthetic division; no gcd runs.  Pole
+read in lowest terms, tested once on first read, with its monic
+denominator factored over linear factors: an exponent map {c: e} for
+prod (z - c)^e, and nothing else.  The pipeline's denominators all split
+over z - z0, z -+ kappa and z -+ lambda, so products add exponents, sums
+work over the lcm, and the lowest-terms test only divides the numerator
+at the roots by synthetic division; no gcd runs.  Pole
 locations are always supplied by callers in closed form (RatFunc.over), so
 no root finding happens here: a polynomial that comes in dense, as a
 denominator or as a numerator that / or log_derivative inverts, is split
@@ -74,7 +75,7 @@ class Poly:
             k = min(e, left.get(-c, 0))
             if k:
                 left[-c] -= k
-                quad = Poly(ctx, [-(c * c), ctx.zero, ctx.one])
+                quad = Poly(ctx, [-ctx.square(c), ctx.zero, ctx.one])
                 for _ in range(k):
                     out = out * quad
             lin = Poly(ctx, [-c, ctx.one])
@@ -247,7 +248,7 @@ def _deflate(p: Poly, c: TowerScalar, e: int) -> tuple[Poly, int]:
 def _deflate_pair(p: Poly, c: TowerScalar, e_plus: int, e_minus: int):
     """_deflate at c and at -c, with one remainder mod z^2 - c^2 per step
     while both may still divide."""
-    c2 = c * c
+    c2 = c.ctx.square(c)
     k, plus, minus = 0, True, True
     while k < min(e_plus, e_minus) and p.degree() > 0:
         q, r0, r1 = _quadratic_divmod(p.coeffs, c2)
@@ -308,22 +309,20 @@ def split_off(p: Poly, keys) -> tuple[dict, Poly]:
     return out, p
 
 
-def _lowest_terms(num: Poly, roots: dict, keys=None) -> tuple[Poly, dict]:
+def _lowest_terms(num: Poly, roots: dict) -> tuple[Poly, dict]:
     """num over prod (z - c)^e, brought to lowest terms.
 
-    num is divided by z - c while it vanishes at c, for each root c in
-    keys (all roots by default), a pair +-c through one remainder mod
-    z^2 - c^2."""
+    num is divided by z - c while it vanishes at c, for each root c, a
+    pair +-c through one remainder mod z^2 - c^2."""
     if num.degree() <= 0:
         return num, roots
-    test = roots if keys is None else keys
     cut = {}
     done = set()
-    for c in test:
+    for c in roots:
         if c in done:
             continue
         m = -c
-        if not c.is_zero() and m in test:
+        if not c.is_zero() and m in roots:
             done.add(m)
             num, k, j = _deflate_pair(num, c, roots[c], roots[m])
             cut[c], cut[m] = k, j
@@ -336,18 +335,18 @@ def _lowest_terms(num: Poly, roots: dict, keys=None) -> tuple[Poly, dict]:
 
 def _over_lcm(fs: Sequence[RatFunc]) -> tuple[dict, list[Poly]]:
     """(roots, numerators) for the least common denominator
-    D = prod (z - c)^e of fs: e is the largest exponent of each root, and
-    numerators[j] = D fs[j]."""
+    D = prod (z - c)^e of the stored denominators of fs: e is the largest
+    exponent of each root, and numerators[j] = D fs[j]."""
     ctx = fs[0].ctx
     roots = {}
     for f in fs:
-        for c, e in f.roots.items():
+        for c, e in f._roots.items():
             if e > roots.get(c, 0):
                 roots[c] = e
     nums = []
     for f in fs:
-        num = f.num
-        cof = [(c, e - f.roots.get(c, 0)) for c, e in roots.items()]
+        num = f._num
+        cof = [(c, e - f._roots.get(c, 0)) for c, e in roots.items()]
         if any(k for _, k in cof) and not num.is_zero():
             num = num * Poly.from_roots(ctx, cof)
         nums.append(num)
@@ -355,8 +354,9 @@ def _over_lcm(fs: Sequence[RatFunc]) -> tuple[dict, list[Poly]]:
 
 
 def clear_denominators(fs: Sequence[RatFunc]) -> list[Poly]:
-    """The numerators D f over the least common denominator D of fs."""
-    return _over_lcm(fs)[1]
+    """The numerators D f over the least common denominator D of fs, each
+    f read in lowest terms."""
+    return _over_lcm([f._reduce() for f in fs])[1]
 
 
 def _log_sum(ctx: TowerContext, weights: dict) -> tuple[Poly, Poly]:
@@ -385,26 +385,28 @@ def simple_pole_sum(ctx: TowerContext, weights: dict) -> RatFunc:
     _log_sum is in lowest terms: T(c) = w prod (c - c') != 0 at each root."""
     weights = {c: w for c, w in weights.items() if w}
     s, t = _log_sum(ctx, weights)
-    return RatFunc._of(t, dict.fromkeys(weights, 1))
+    return RatFunc._of(t, dict.fromkeys(weights, 1), True)
 
 
 class RatFunc:
-    """num / den in lowest terms, with den = prod (z - c)^e monic and kept
-    as its exponent map: ``roots`` maps each root c to its exponent e > 0.
+    """num / den, read in lowest terms, with den = prod (z - c)^e monic and
+    kept as its exponent map: ``roots`` maps each root c to its exponent
+    e > 0.
 
-    Products add exponents (a square doubles them with no lowest-terms
-    test), sums and differences work over the lcm (the larger exponent of
-    each root), the derivative raises each exponent by one, and the
-    log-derivative f'/f has a simple pole at each root of num and den.
-    Lowest terms test the numerator only at roots it can share with the
-    denominator, a pair +-c through one remainder mod z^2 - c^2.  A dense
-    denominator passed to the constructor, and the numerator that / and
-    log_derivative invert, are split by _factor, which raises
+    A value built by +, -, *, / or over is stored as computed and flagged
+    untested: products add exponents, sums and differences work over the
+    lcm.  The first read of num, roots, den, ==, hash, render or a
+    derivative tests lowest terms once, dividing the numerator at each
+    root, a pair +-c through one remainder mod z^2 - c^2.  Negation and a
+    product by a constant keep the flag; f * f of a tested f, the
+    derivative (each exponent rises by one) and the log-derivative (a
+    simple pole at each root of num and den) are in lowest terms as built.
+    A dense denominator passed to the constructor, and the numerator that
+    / and log_derivative invert, are split by _factor, which raises
     BadFactorization on a factor with unknown roots; RatFunc.over takes
-    any roots as given.  The dense monic ``den`` is built on first use;
-    equality and hashing read the reduced num and den, which are unique."""
+    any roots as given.  The dense monic ``den`` is built on first use."""
 
-    __slots__ = ("num", "roots", "_den")
+    __slots__ = ("_num", "_roots", "_tested", "_den")
 
     def __init__(self, num: Poly, den: Optional[Poly] = None):
         ctx = num.ctx
@@ -415,27 +417,33 @@ class RatFunc:
         lead, roots = _factor(den)
         if num.is_zero():
             roots = {}
-        else:
-            if lead != ctx.one:
-                num = num.scale(lead.inverse())
-            num, roots = _lowest_terms(num, roots)
-        self.num, self.roots, self._den = num, roots, None
+        elif lead != ctx.one:
+            num = num.scale(lead.inverse())
+        self._num, self._roots, self._tested, self._den = num, roots, not roots, None
 
     @staticmethod
-    def _of(num: Poly, roots: dict) -> RatFunc:
-        """num / prod (z - c)^e, already in lowest terms."""
+    def _of(num: Poly, roots: dict, tested: bool) -> RatFunc:
+        """num / prod (z - c)^e, in lowest terms when tested is true."""
         out = object.__new__(RatFunc)
-        out.num, out.roots, out._den = num, roots, None
+        out._num, out._roots, out._tested, out._den = num, roots, tested, None
         return out
+
+    def _reduce(self) -> RatFunc:
+        """self, its stored num and roots brought to lowest terms."""
+        if not self._tested:
+            self._num, self._roots = _lowest_terms(self._num, self._roots)
+            self._tested = True
+        return self
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def over(num: Poly, roots: dict) -> RatFunc:
-        """num / prod (z - c)^e for exponents e >= 0, in lowest terms."""
+        """num / prod (z - c)^e for exponents e >= 0."""
         if num.is_zero():
             return RatFunc(num)
-        return RatFunc._of(*_lowest_terms(num, {c: e for c, e in roots.items() if e}))
+        roots = {c: e for c, e in roots.items() if e}
+        return RatFunc._of(num, roots, not roots)
 
     @staticmethod
     def from_poly(p: Poly) -> RatFunc:
@@ -451,17 +459,27 @@ class RatFunc:
 
     @property
     def ctx(self) -> TowerContext:
-        return self.num.ctx
+        return self._num.ctx
+
+    @property
+    def num(self) -> Poly:
+        """The numerator in lowest terms."""
+        return self._reduce()._num
+
+    @property
+    def roots(self) -> dict:
+        """The exponent map of den in lowest terms."""
+        return self._reduce()._roots
 
     @property
     def den(self) -> Poly:
-        """The dense monic denominator."""
+        """The dense monic denominator in lowest terms."""
         if self._den is None:
             self._den = Poly.from_roots(self.ctx, self.roots.items())
         return self._den
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self._num.is_zero()
 
     def exponents_over(self, keys) -> dict:
         """{c: e} over the c in keys (a collection) at which den has a root,
@@ -486,15 +504,13 @@ class RatFunc:
         num = n1 + n2
         if num.is_zero():
             return RatFunc(num)
-        # only a root with the same exponent on both sides can cancel
-        keys = [c for c, e in self.roots.items() if other.roots.get(c) == e]
-        return RatFunc._of(*_lowest_terms(num, roots, keys))
+        return RatFunc._of(num, roots, not roots)
 
     def __sub__(self, other: RatFunc) -> RatFunc:
         return self + (-other)
 
     def __neg__(self) -> RatFunc:
-        return RatFunc._of(-self.num, self.roots)
+        return RatFunc._of(-self._num, self._roots, self._tested)
 
     def __mul__(self, other: RatFunc) -> RatFunc:
         if self.is_zero():
@@ -504,14 +520,15 @@ class RatFunc:
         if other is self:
             # num is coprime to den, so num^2 is coprime to den^2
             return RatFunc._of(self.num * self.num,
-                               {c: 2 * e for c, e in self.roots.items()})
-        # each numerator is already coprime to its own denominator
-        n1, r2 = _lowest_terms(self.num, other.roots)
-        n2, r1 = _lowest_terms(other.num, self.roots)
-        roots = dict(r1)
-        for c, e in r2.items():
+                               {c: 2 * e for c, e in self.roots.items()}, True)
+        # a non-zero constant factor k cancels nothing: f's flag carries over
+        for f, k in ((self, other), (other, self)):
+            if not k._roots and k._num.degree() <= 0:
+                return RatFunc._of(f._num.scale(k._num.coeffs[0]), f._roots, f._tested)
+        roots = dict(self._roots)
+        for c, e in other._roots.items():
             roots[c] = roots.get(c, 0) + e
-        return RatFunc._of(n1 * n2, roots)
+        return RatFunc._of(self._num * other._num, roots, not roots)
 
     def __truediv__(self, other: RatFunc) -> RatFunc:
         """self times 1/other, whose denominator is other's numerator split
@@ -520,7 +537,7 @@ class RatFunc:
             raise DivisionByZero("division by the zero rational function")
         lead, roots = _factor(other.num)
         num = other.den if lead == self.ctx.one else other.den.scale(lead.inverse())
-        return self * RatFunc._of(num, roots)
+        return self * RatFunc._of(num, roots, True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
@@ -533,14 +550,14 @@ class RatFunc:
     def derivative(self) -> RatFunc:
         """(num/Q)' with Q = prod (z - c)^e: Q'/Q = T/S for
         (S, T) = _log_sum(roots), so the derivative is
-        (num' S - num T) / (Q S); at the roots nothing cancels, so each
-        exponent rises by one."""
+        (num' S - num T) / (Q S); at the roots of Q, which num does not
+        share, nothing cancels, so each exponent rises by one."""
         num, roots = self.num, self.roots
         if not roots:
-            return RatFunc._of(num.derivative(), roots)
+            return RatFunc._of(num.derivative(), roots, True)
         s, t = _log_sum(self.ctx, roots)
         return RatFunc._of(num.derivative() * s - num * t,
-                           {c: e + 1 for c, e in roots.items()})
+                           {c: e + 1 for c, e in roots.items()}, True)
 
     def log_derivative(self) -> RatFunc:
         """f'/f = sum (k_c - e_c)/(z - c), read off the roots k_c of num

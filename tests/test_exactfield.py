@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from curvedtwobody.exactfield import (GAUSS_ZERO, ContextMismatch,
                                       DegenerateTower, DivisionByZero,
-                                      GaussRational, gauss_sqrt, make_context,
-                                      rational_sqrt)
+                                      GaussRational, _rat, gauss_sqrt,
+                                      make_context, rational_sqrt)
 from curvedtwobody.ratcalc import Poly
 
 
@@ -55,6 +55,16 @@ class TestFieldOps:
         k = ctx.kappa
         # (1+kappa)(1-kappa) = 1 - a = 2
         assert (one + k) * (one - k) == ctx.from_rational(2)
+
+    def test_square_of_a_root_is_a_or_b(self):
+        """ctx.square reads a or b off the context for +-kappa, +-lambda,
+        collapsed or not (a = 4: kappa = 2; b/a = 4: lambda = 2 kappa),
+        and multiplies any other scalar out."""
+        for ctx in (CTX_SN, CTX_HN, make_context(G(4), G(3)), make_context(G(2), G(8))):
+            k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+            for c in (k, -k, lam, -lam, ctx.from_rational(Fr(2, 3)), ctx.kappa + ctx.lam):
+                assert ctx.square(c) == c * c
+            assert ctx.square(-lam) == ctx.from_gauss(ctx.b)
 
     def test_inverse_of_kappa_lambda(self):
         # ab = (i/2)(-i/2) = 1/4, so (kappa*lambda)^-1 = 4*kappa*lambda
@@ -290,6 +300,35 @@ class TestGaussKernel:
         z = GaussRational(Fr(3, 4)) - GaussRational(Fr(3, 4))
         assert (z.x, z.y, z.d) == (0, 0, 1) and z == GaussRational()
         assert GaussRational("-6/8", 3).render() == "-3/4+3/1 i"
+
+
+class TestFromRational:
+    """from_rational builds the Gaussian of an int or a Fraction without
+    parsing; it must be the canonical GaussRational(_rat(q))."""
+
+    @staticmethod
+    def check(q):
+        got = CTX_HN.from_rational(q)
+        want = GaussRational(_rat(q))
+        assert got.is_gaussian() and got.c00 == want
+        assert_canonical(got.c00)
+        assert hash(got) == hash(CTX_HN.from_gauss(want))
+
+    @given(FRACTIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_fractions(self, q):
+        self.check(q)
+        self.check(-q)
+
+    @pytest.mark.parametrize("q", [0, Fr(0), -3, 7, 10**30, Fr(-6, 8), Fr(5, 3), "-6/8", "4"])
+    def test_zero_negatives_ints_and_strings(self, q):
+        self.check(q)
+
+    def test_decimals_are_refused(self):
+        with pytest.raises(ValueError):
+            CTX_HN.from_rational("0.5")
+        with pytest.raises(TypeError):
+            CTX_HN.from_rational(0.5)
 
 
 #: small coordinates keep tower products and inverses cheap

@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from curvedtwobody import ratcalc
 from curvedtwobody.exactfield import DivisionByZero, GaussRational, make_context
 from curvedtwobody.ratcalc import (BadFactorization, Poly, PoleEvaluation,
                                    RatFunc, poly_gcd, simple_pole_sum)
@@ -440,6 +441,87 @@ class TestFactoredAgainstDense:
         assert f.roots == {k: 3, -k: 1}
         assert (f * f).roots == {k: 6, -k: 2}
         assert f.derivative().roots == {k: 4, -k: 2}
+
+
+class TestReduceOnRead:
+    """+, -, *, / and over store a value as computed, and its first read
+    tests lowest terms.  Chains that cancel must read back as the dense
+    reference, and later reads must not test again."""
+
+    @staticmethod
+    def assert_reads_as(f, ref):
+        dense = RatFunc(ref.num, ref.den)
+        assert_matches(f, ref)
+        assert f.roots == dense.roots
+        assert f == dense and hash(f) == hash(dense)
+
+    @pytest.mark.parametrize("name", ORACLE_CTXS)
+    def test_cancelling_chains(self, name):
+        """(f g)/g and f + g - g are f; f (z - c) at a root c of f's
+        denominator loses one power of z - c, read at once or after
+        another deferred step.  A constant factor, negation and a square
+        of an untested value are read the same way."""
+        ctx, z0 = ORACLE_CTXS[name]
+        rng = random.Random(f"reduce-on-read-{name}")
+        scale = Poly.constant(ctx, Fr(-3, 2))
+        for _ in range(12):
+            f, fr = random_function(ctx, z0, rng)
+            g, _ = random_function(ctx, z0, rng)
+            self.assert_reads_as((f * g) / g, fr)
+            self.assert_reads_as(f + g - g, fr)
+            self.assert_reads_as(RatFunc.from_poly(scale) * ((f * g) / g),
+                                 Dense(fr.num * scale, fr.den))
+            self.assert_reads_as(-((f * g) / g), Dense(-fr.num, fr.den))
+            h = (f * g) / g
+            self.assert_reads_as(h * h, Dense(fr.num * fr.num, fr.den * fr.den))
+            for c in f.roots:
+                lin = Poly(ctx, [-c, ctx.one])
+                self.assert_reads_as(f * RatFunc.from_poly(lin), Dense(fr.num * lin, fr.den))
+                self.assert_reads_as((f + g - g) * RatFunc.from_poly(lin),
+                                     Dense(fr.num * lin, fr.den))
+
+    @pytest.mark.parametrize("name", ORACLE_CTXS)
+    def test_a_deferred_zero_sum_is_zero(self, name):
+        ctx, z0 = ORACLE_CTXS[name]
+        rng = random.Random(f"deferred-zero-{name}")
+        zero = RatFunc.constant(ctx, 0)
+        for _ in range(12):
+            f, _ = random_function(ctx, z0, rng)
+            g, _ = random_function(ctx, z0, rng)
+            for d in ((f * g) / g - f, f + g - g - f, f * g - g * f):
+                assert d.is_zero()
+                assert d.roots == {} and d == zero and hash(d) == hash(zero)
+
+    @pytest.mark.parametrize("name", ORACLE_CTXS)
+    def test_a_value_read_twice_is_tested_once(self, name, monkeypatch):
+        """Every read of h = (f g)/g after the first, and every read of its
+        negation, its product by a constant, its square and its
+        derivative, reuses the one test."""
+        ctx, z0 = ORACLE_CTXS[name]
+        rng = random.Random(f"read-once-{name}")
+        calls = []
+        real = ratcalc._lowest_terms
+
+        def counted(num, roots):
+            calls.append(num)
+            return real(num, roots)
+
+        monkeypatch.setattr(ratcalc, "_lowest_terms", counted)
+        for _ in range(6):
+            f, _ = random_function(ctx, z0, rng)
+            g, _ = random_function(ctx, z0, rng)
+            f.num, g.num
+            calls.clear()
+            h = (f * g) / g
+            assert not calls
+            for _ in range(2):
+                h.num, h.roots, h.den, h.den_degree(), hash(h), h.render()
+                assert h == f
+                assert len(calls) == 1
+            for k in (-h, RatFunc.constant(ctx, 3) * h, h * h, h.derivative(),
+                      h.log_derivative()):
+                k.num, k.roots, hash(k)
+            assert len(calls) == 1
 
 
 # the oracle contexts plus a collapsed tower: kappa^2 = 4 is a Gaussian

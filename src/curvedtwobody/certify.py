@@ -38,9 +38,11 @@ CONCLUSION_NO_OBSTRUCTION = "NoObstructionFound"
 CONCLUSION_DEGENERATE = "Degenerate"
 
 
-# Each identity sample is a full exact proof (about 2.5 ms on one Intel
-# Xeon core), so more than this many would keep certify busy for over 25
-# seconds or, for a value such as 10**30, forever.
+# Each identity sample is a full exact proof: about 2.7 ms with Python 3.11
+# on one Intel Xeon core (parameters 0.16, system 0.45, gauge 0.43, normal
+# form 0.67, table 0.66, compare 0.28 ms).  So more than this many would
+# keep certify busy for over 27 seconds or, for a value such as 10**30,
+# forever.
 MAX_IDENTITY_SAMPLES = 10_000
 
 

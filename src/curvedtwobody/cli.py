@@ -7,7 +7,6 @@ failure to one line and an exit code through _failure.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import json
 import os
@@ -290,6 +289,7 @@ def sweep_cmd(config_path, out_dir, jobs):
     args = (runs, [out_dir] * len(runs), range(len(runs)))
     workers = sweep_workers(jobs, len(runs))
     if workers > 1:
+        import concurrent.futures   # only a pool pays for it (logging, string)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, *args))
     else:

@@ -207,9 +207,13 @@ def gauss_sqrt(g: GaussRational) -> Optional[GaussRational]:
 
 
 class TowerContext:
-    """The tower Q(i)[kappa, lambda] with kappa^2 = a, lambda^2 = b."""
+    """The tower Q(i)[kappa, lambda] with kappa^2 = a, lambda^2 = b.
 
-    __slots__ = ("a", "b", "_sqrt_a", "_sqrt_b", "_squares")
+    ``root_products`` belongs to ratcalc: it keeps each Poly.from_roots
+    product of this context, so an equal but distinct context never
+    shares one, and the products go when the context does."""
+
+    __slots__ = ("a", "b", "_sqrt_a", "_sqrt_b", "_squares", "root_products")
 
     def __init__(self, a: GaussRational, b: GaussRational):
         if a.is_zero() or b.is_zero() or a == b:
@@ -228,6 +232,7 @@ class TowerContext:
         sa, sb = self.from_gauss(a), self.from_gauss(b)
         self._squares = {self._sqrt_a: sa, -self._sqrt_a: sa,
                          self._sqrt_b: sb, -self._sqrt_b: sb}
+        self.root_products = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TowerContext):

@@ -1,6 +1,11 @@
 """Univariate polynomial and rational-function calculus over a tower context.
 
-Dense polynomials with TowerScalar coefficients.  A rational function is
+Dense polynomials with TowerScalar coefficients.  When both factors have
+coefficients in Q(i), a product is one convolution of integers over each
+factor's common denominator and one _gauss per output coefficient; other
+products run the term-by-term TowerScalar loop.  Poly.from_roots keeps
+its products on the context (TowerContext.root_products), keyed by the
+exponent map, so each is built once per context.  A rational function is
 read in lowest terms, tested once on first read, with its monic
 denominator factored over linear factors: an exponent map {c: e} for
 prod (z - c)^e, and nothing else.  The pipeline's denominators all split
@@ -19,9 +24,10 @@ omega.  poly_gcd is plain Euclid on Poly; RatFunc never calls it.
 """
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactfield import DivisionByZero, TowerContext, TowerScalar
+from .exactfield import DivisionByZero, TowerContext, TowerScalar, _gauss
 
 
 class RatCalcError(Exception):
@@ -67,8 +73,14 @@ class Poly:
     @staticmethod
     def from_roots(ctx: TowerContext, roots: Iterable[tuple[TowerScalar, int]]) -> Poly:
         """prod (z - c)^m; the copies common to c and -c are multiplied in
-        as z^2 - c^2, which has Gaussian coefficients for c = kappa, lambda."""
+        as z^2 - c^2, which has Gaussian coefficients for c = kappa, lambda.
+        A Poly is immutable, so the product is kept in ctx.root_products
+        under its exponent map and a later call returns the same object."""
         left = exponent_map(roots)
+        key = frozenset(left.items())
+        out = ctx.root_products.get(key)
+        if out is not None:
+            return out
         out = Poly(ctx, [ctx.one])
         for c in list(left):
             e = left.pop(c, 0)
@@ -81,6 +93,7 @@ class Poly:
             lin = Poly(ctx, [-c, ctx.one])
             for _ in range(e - k):
                 out = out * lin
+        ctx.root_products[key] = out
         return out
 
     # -- structure ------------------------------------------------------
@@ -127,6 +140,9 @@ class Poly:
     def __mul__(self, other: Poly) -> Poly:
         if self.is_zero() or other.is_zero():
             return Poly(self.ctx, [])
+        if (all(c._gaussian for c in self.coeffs)
+                and all(c._gaussian for c in other.coeffs)):
+            return _gauss_product(self.ctx, self.coeffs, other.coeffs)
         out = [self.ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if ci.is_zero():
@@ -196,6 +212,48 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{self.render()}]"
+
+
+def _gauss_ints(coeffs) -> tuple[list, list, int]:
+    """(xs, ys, d) with coeffs[k] = (xs[k] + ys[k] i)/d over one common d."""
+    d = 1
+    for c in coeffs:
+        if d % c.c00.d:
+            d = lcm(d, c.c00.d)
+    xs, ys = [], []
+    for c in coeffs:
+        g = c.c00
+        k = d // g.d
+        xs.append(g.x * k)
+        ys.append(g.y * k)
+    return xs, ys, d
+
+
+def _gauss_product(ctx: TowerContext, a, b) -> Poly:
+    """The product of two polynomials with Gaussian coefficients a, b (not
+    empty): one convolution of integers (x + y i) over the common
+    denominators, then one _gauss per output coefficient."""
+    xa, ya, da = _gauss_ints(a)
+    xb, yb, db = _gauss_ints(b)
+    n = len(xa) + len(xb) - 1
+    re, im = [0] * n, [0] * n
+    real_b = not any(yb)
+    for i, x1 in enumerate(xa):
+        y1 = ya[i]
+        if y1:
+            for j, x2 in enumerate(xb):
+                y2 = yb[j]
+                re[i + j] += x1 * x2 - y1 * y2
+                im[i + j] += x1 * y2 + y1 * x2
+        elif x1:
+            for j, x2 in enumerate(xb):
+                re[i + j] += x1 * x2
+            if not real_b:
+                for j, y2 in enumerate(yb):
+                    im[i + j] += x1 * y2
+    d = da * db
+    of_gauss = TowerScalar._of_gauss
+    return Poly(ctx, [of_gauss(ctx, _gauss(re[k], im[k], d)) for k in range(n)])
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

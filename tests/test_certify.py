@@ -350,6 +350,38 @@ class TestCli:
         for f in files:
             assert json.loads(f.read_text())["conclusion"] == "NonintegrabilityCertified"
 
+    def test_sweep_pool_writes_the_serial_certificates(self, tmp_path, monkeypatch):
+        """--jobs 2 runs the runs in two worker processes; the certificates
+        and the output lines are those of --jobs 1."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = write_sweep(tmp_path, [
+            GOOD_RUN, dict(GOOD_RUN, space="hyperbolic", strength="1", eps="-2")])
+        outputs, certs = [], []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            result = CliRunner().invoke(cli_main, [
+                "sweep", "--config", str(cfg), "--out-dir", str(out_dir),
+                "--jobs", jobs])
+            assert result.exit_code == 0, result.output
+            outputs.append(result.output)
+            certs.append({f.name: f.read_bytes() for f in out_dir.iterdir()})
+        assert outputs[0] == outputs[1]
+        assert len(certs[0]) == 2 and certs[0] == certs[1]
+
+    def test_cli_import_leaves_out_the_process_pool(self):
+        """Only a sweep with more than one worker imports concurrent.futures."""
+        import subprocess
+        import sys
+
+        import curvedtwobody
+        src = os.path.dirname(os.path.dirname(curvedtwobody.__file__))
+        code = ("import sys, curvedtwobody.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
+
 
 def write_sweep(tmp_path, runs):
     cfg = tmp_path / "sweep.json"

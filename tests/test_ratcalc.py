@@ -657,3 +657,141 @@ class TestSquare:
             assert (sq.num, sq.den) == ((f * g).num, (f * g).den)
             assert sq.roots == {c: 2 * e for c, e in f.roots.items()}
             assert_factored(sq)
+
+
+# ---------------------------------------------------------------------------
+# Poly products: the integer kernel against the schoolbook loop, and the
+# from_roots cache
+# ---------------------------------------------------------------------------
+
+
+def schoolbook(p, q):
+    """The reference product: every pair of coefficients multiplied and
+    summed through TowerScalar arithmetic."""
+    if p.is_zero() or q.is_zero():
+        return Poly(p.ctx, [])
+    out = [p.ctx.zero] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, ci in enumerate(p.coeffs):
+        if ci.is_zero():
+            continue
+        for j, cj in enumerate(q.coeffs):
+            if not cj.is_zero():
+                out[i + j] = out[i + j] + ci * cj
+    return Poly(p.ctx, out)
+
+
+class TestGaussianProduct:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    _part = st.builds(Fr, st.one_of(st.integers(-9, 9), st.integers(-10**40, 10**40)),
+                      st.integers(1, 60))
+    # zero, real, purely imaginary and general coefficients, each part over
+    # its own denominator
+    _coeff = st.one_of(st.just((0, 0)), st.tuples(_part, st.just(0)),
+                       st.tuples(st.just(0), _part), st.tuples(_part, _part))
+    _poly = st.lists(_coeff, min_size=1, max_size=7)
+
+    @staticmethod
+    def gauss_poly(parts):
+        return Poly(CTX, [CTX.from_gauss(G(re, im)) for re, im in parts])
+
+    @given(_poly, _poly)
+    @example([(0, Fr(2, 3))], [(0, Fr(-9, 4))])
+    @example([(Fr(10**40 + 1, 7), 0), (0, 0), (0, Fr(1, 11))], [(Fr(1, 2), Fr(1, 3))])
+    @example([(1, 0), (0, 1)], [(1, 0), (0, -1)])
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_schoolbook(self, pa, pb):
+        p, q = self.gauss_poly(pa), self.gauss_poly(pb)
+        got = p * q
+        assert got == schoolbook(p, q)
+        assert got.degree() == (-1 if p.is_zero() or q.is_zero()
+                                else p.degree() + q.degree())
+
+    def test_gaussian_factors_take_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = ratcalc._gauss_product
+
+        def recorder(ctx, a, b):
+            calls.append((a, b))
+            return kernel(ctx, a, b)
+
+        monkeypatch.setattr(ratcalc, "_gauss_product", recorder)
+        p, q = P(Fr(1, 3), 0, 5), P(Fr(-7, 2))
+        assert p * q == schoolbook(p, q) == P(Fr(-7, 6), 0, Fr(-35, 2))
+        assert len(calls) == 1
+
+    def test_a_kappa_coefficient_takes_the_tower_loop(self, monkeypatch):
+        """In a tower where a = 2 is no square, a factor with a kappa
+        coefficient is multiplied by the TowerScalar loop."""
+        def refuse(ctx, a, b):
+            raise AssertionError("a tower coefficient reached the integer kernel")
+
+        rng = random.Random(25)
+        cases = []
+        for _ in range(20):
+            p = rand_poly(rng, rng.randint(0, 4))
+            q = rand_poly(rng, rng.randint(0, 4))
+            k = rng.randrange(len(p.coeffs))
+            tower = list(p.coeffs)
+            tower[k] = tower[k] + CTX.kappa
+            cases.append((Poly(CTX, tower), q))
+        cases.append((Poly(CTX, [CTX.lam, CTX.kappa]), Poly(CTX, [CTX.kappa, CTX.lam])))
+        expected = [schoolbook(p, q) for p, q in cases]
+        monkeypatch.setattr(ratcalc, "_gauss_product", refuse)
+        assert not CTX.sqrt_a().is_gaussian()
+        for (p, q), want in zip(cases, expected):
+            assert p * q == want and q * p == want
+        assert cases[-1][0] * cases[-1][1] == Poly(CTX, [
+            CTX.kappa * CTX.lam, CTX.from_gauss(CTX.a) + CTX.from_gauss(CTX.b),
+            CTX.kappa * CTX.lam])
+
+
+class TestRootProductCache:
+    ROOTS = [(Fr(1, 3), 2), ("kappa", 1), ("-kappa", 1), ("lam", 3), (Fr(-5, 2), 1)]
+
+    @staticmethod
+    def roots_in(ctx, spec):
+        named = {"kappa": ctx.kappa, "-kappa": -ctx.kappa, "lam": ctx.lam}
+        return [(named[c] if isinstance(c, str) else ctx.from_rational(c), m)
+                for c, m in spec]
+
+    def oracle(self, ctx, spec):
+        out = Poly(ctx, [ctx.one])
+        for c, m in self.roots_in(ctx, spec):
+            for _ in range(m):
+                out = schoolbook(out, Poly(ctx, [-c, ctx.one]))
+        return out
+
+    def test_permuted_roots_give_an_equal_product(self):
+        rng = random.Random(5)
+        want = self.oracle(make_context(G(2), G(3)), self.ROOTS)
+        for _ in range(6):
+            spec = list(self.ROOTS)
+            rng.shuffle(spec)
+            ctx = make_context(G(2), G(3))
+            got = Poly.from_roots(ctx, self.roots_in(ctx, spec))
+            assert got == want and got.ctx is ctx
+            again = list(spec)
+            rng.shuffle(again)
+            assert Poly.from_roots(ctx, self.roots_in(ctx, again)) is got
+
+    def test_a_repeated_call_returns_the_cached_product(self):
+        ctx = make_context(G(2), G(3))
+        roots = self.roots_in(ctx, self.ROOTS)
+        first = Poly.from_roots(ctx, roots)
+        assert Poly.from_roots(ctx, roots) is first
+        assert Poly.from_roots(ctx, iter(roots)) is first
+        assert first in ctx.root_products.values()
+
+    def test_equal_contexts_do_not_share_products(self):
+        one, two = make_context(G(2), G(3)), make_context(G(2), G(3))
+        assert one == two and one is not two
+        p = Poly.from_roots(one, self.roots_in(one, self.ROOTS))
+        assert not two.root_products
+        q = Poly.from_roots(two, self.roots_in(two, self.ROOTS))
+        assert p == q and p is not q
+        assert p.ctx is one and q.ctx is two
+        assert all(c.ctx is two for c in q.coeffs)
+        assert list(one.root_products.values()) == [p]
+        assert list(two.root_products.values()) == [q]

@@ -38,10 +38,11 @@ CONCLUSION_NO_OBSTRUCTION = "NoObstructionFound"
 CONCLUSION_DEGENERATE = "Degenerate"
 
 
-# Each identity sample is a full exact proof: about 2.7 ms with Python 3.11
-# on one Intel Xeon core (parameters 0.16, system 0.45, gauge 0.43, normal
-# form 0.67, table 0.66, compare 0.28 ms).  So more than this many would
-# keep certify busy for over 27 seconds or, for a value such as 10**30,
+# Each identity sample is a full exact proof: about 2.0 ms with Python 3.11
+# on one Intel Xeon core (median of 9 runs of 200 samples over the four
+# space x potential pairs: parameters 0.14, system 0.38, gauge 0.40, normal
+# form 0.38, table 0.51, compare 0.18 ms).  So more than this many would
+# keep certify busy for over 20 seconds or, for a value such as 10**30,
 # forever.
 MAX_IDENTITY_SAMPLES = 10_000
 

@@ -155,9 +155,10 @@ class GaussRational:
         return complex(self.x / self.d) + 1j * complex(self.y / self.d)
 
     def render(self) -> str:
-        re, im = self.re, self.im
-        return f"{re.numerator}/{re.denominator}" \
-               f"{'+' if im >= 0 else '-'}{abs(im.numerator)}/{im.denominator} i"
+        """'x/d+y/d i' with each part in lowest terms."""
+        x, y, d = self.x, self.y, self.d
+        g, h = gcd(x, d), gcd(y, d)
+        return f"{x // g}/{d // g}{'+' if y >= 0 else '-'}{abs(y) // h}/{d // h} i"
 
     def __repr__(self):
         return f"GaussRational({self.re}, {self.im})"
@@ -304,9 +305,10 @@ def make_context(a: GaussRational, b: GaussRational) -> TowerContext:
 
 class TowerScalar:
     """Element c00 + c10*kappa + c01*lambda + c11*kappa*lambda; ``_gaussian``,
-    set at construction, says whether c10 = c01 = c11 = 0."""
+    set at construction, says whether c10 = c01 = c11 = 0, and ``_hash``
+    keeps the hash from its first use."""
 
-    __slots__ = ("ctx", "c00", "c10", "c01", "c11", "_gaussian")
+    __slots__ = ("ctx", "c00", "c10", "c01", "c11", "_gaussian", "_hash")
 
     def __init__(self, ctx: TowerContext, c00: GaussRational, c10: GaussRational,
                  c01: GaussRational, c11: GaussRational):
@@ -316,6 +318,7 @@ class TowerScalar:
         self.c01 = c01
         self.c11 = c11
         self._gaussian = not (c10.x or c10.y or c01.x or c01.y or c11.x or c11.y)
+        self._hash = None
 
     @staticmethod
     def _of_gauss(ctx: TowerContext, c00: GaussRational) -> TowerScalar:
@@ -325,6 +328,7 @@ class TowerScalar:
         out.c00 = c00
         out.c10 = out.c01 = out.c11 = GAUSS_ZERO
         out._gaussian = True
+        out._hash = None
         return out
 
     # -- helpers ------------------------------------------------------
@@ -417,7 +421,9 @@ class TowerScalar:
 
     def __hash__(self):
         # equal scalars have equal coordinates, so their numerators suffice
-        return hash((self.c00.x, self.c00.y, self.c10.x, self.c01.x, self.c11.x))
+        if self._hash is None:
+            self._hash = hash((self.c00.x, self.c00.y, self.c10.x, self.c01.x, self.c11.x))
+        return self._hash
 
     # -- predicates and embeddings --------------------------------------
 

@@ -158,9 +158,10 @@ def _solve_P(coeffs: Sequence[RatFunc], d: int,
     ctx = coeffs[0].ctx
     rows: dict[int, dict] = {}
     for j, n in enumerate(clear_denominators(coeffs[:d + 1])):
+        cs = n.coeffs
         for k in range(j, d + 1):
             scale = ctx.from_rational(math.perm(k, j))
-            for m, c in enumerate(n.coeffs, k - j):
+            for m, c in enumerate(cs, k - j):
                 row = rows.setdefault(m, {})
                 row[k] = row[k] + scale * c if k in row else scale * c
     pivots: dict[int, dict] = {}    # p_k = -sum a_i p_i over {i: a_i}, i < k or d

@@ -1,33 +1,44 @@
 """Univariate polynomial and rational-function calculus over a tower context.
 
-Dense polynomials with TowerScalar coefficients.  When both factors have
-coefficients in Q(i), a product is one convolution of integers over each
-factor's common denominator and one _gauss per output coefficient; other
-products run the term-by-term TowerScalar loop.  Poly.from_roots keeps
-its products on the context (TowerContext.root_products), keyed by the
-exponent map, so each is built once per context.  A rational function is
-read in lowest terms, tested once on first read, with its monic
-denominator factored over linear factors: an exponent map {c: e} for
-prod (z - c)^e, and nothing else.  The pipeline's denominators all split
-over z - z0, z -+ kappa and z -+ lambda, so products add exponents, sums
-work over the lcm, and the lowest-terms test only divides the numerator
-at the roots by synthetic division; no gcd runs.  Pole
-locations are always supplied by callers in closed form (RatFunc.over), so
-no root finding happens here: a polynomial that comes in dense, as a
-denominator or as a numerator that / or log_derivative inverts, is split
-over +-kappa and +-lambda with a leftover (z - c)^n as the root c, and any
-other leftover raises BadFactorization.  This module is the one place that
-splits a polynomial over such roots (callers read RatFunc.exponents_over
-and split_off), and _log_sum is the one place that builds sum w/(z - c)
-over prod (z - c), for simple_pole_sum, RatFunc.derivative and case I's
-omega.  poly_gcd is plain Euclid on Poly; RatFunc never calls it.
+A polynomial is held as integer lists over one common denominator (see
+Poly), in a canonical form, so == and hash compare integers.  Sums,
+products, derivatives, evaluation and division run on the lists, with no
+gcd per coefficient (fraction-free arithmetic over a common denominator,
+von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5-6); a
+TowerScalar is built only when a coefficient is read (coeffs,
+coefficient, leading, render).  A divisor with tower coefficients is
+first multiplied by its conjugates under kappa -> -kappa and
+lambda -> -lambda, which leaves Gaussian coefficients.  At a z with z^2
+Gaussian (a Gaussian z, +-kappa, +-lambda), p(z) = E(z^2) + z O(z^2)
+for the even and odd halves E, O of p: two integer Horner passes.
+
+Poly.from_roots keeps its products on the context
+(TowerContext.root_products), keyed by the exponent map, so each is built
+once per context.  A rational function is read in lowest terms, tested
+once on first read, with its monic denominator factored over linear
+factors: an exponent map {c: e} for prod (z - c)^e, and nothing else.
+The pipeline's denominators all split over z - z0, z -+ kappa and
+z -+ lambda, so products add exponents, sums work over the lcm, and the
+lowest-terms test only evaluates the numerator at the roots; no gcd runs.
+Pole locations are always supplied by callers in closed form
+(RatFunc.over), so no root finding happens here: a polynomial that comes
+in dense, as a denominator or as a numerator that / or log_derivative
+inverts, is split over +-kappa and +-lambda with a leftover (z - c)^n as
+the root c, and any other leftover raises BadFactorization.  This module
+is the one place that splits a polynomial over such roots (callers read
+RatFunc.exponents_over and split_off), and _log_sum is the one place that
+builds sum w/(z - c) over prod (z - c), for simple_pole_sum,
+RatFunc.derivative and case I's omega.  poly_gcd is plain Euclid on Poly;
+RatFunc never calls it.
 """
 from __future__ import annotations
 
-from math import lcm
+import cmath
+from math import factorial, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactfield import DivisionByZero, TowerContext, TowerScalar, _gauss
+from .exactfield import (GAUSS_ZERO, ContextMismatch, DivisionByZero, TowerContext,
+                         TowerScalar, _gauss)
 
 
 class RatCalcError(Exception):
@@ -43,16 +54,26 @@ class PoleEvaluation(RatCalcError):
 
 
 class Poly:
-    """Dense polynomial, coefficients low-to-high; zero poly has no coefficients."""
+    """Dense polynomial sum c_k z^k, immutable.  For each basis element e_i
+    of (1, kappa, lambda, kappa*lambda), ``_v[2i]`` and ``_v[2i + 1]`` are
+    integer lists with c_k = sum_i (_v[2i][k] + _v[2i + 1][k] i) e_i / _d.
+    Canonical form: _d > 0, no list ends in 0, no trailing pair of empty
+    lists, and gcd(_d, every integer) = 1; the zero polynomial has no
+    lists.  A list is never changed once a Poly holds it."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "_d", "_v")
 
-    def __init__(self, ctx: TowerContext, coeffs: Sequence[TowerScalar] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.ctx = ctx
-        self.coeffs = tuple(cs)
+    def __init__(self, ctx: TowerContext, coeffs: Iterable[TowerScalar] = ()):
+        coeffs = list(coeffs)
+        if all(c._gaussian for c in coeffs):
+            cols = [[c.c00 for c in coeffs]]
+        else:
+            cols = [[c.coords()[i] for c in coeffs] for i in range(4)]
+        d = lcm(*[g.d for col in cols for g in col])
+        v = []
+        for col in cols:
+            v += ([g.x * (d // g.d) for g in col], [g.y * (d // g.d) for g in col])
+        _canonical(self, ctx, d, v)
 
     # -- constructors ---------------------------------------------------
 
@@ -87,10 +108,10 @@ class Poly:
             k = min(e, left.get(-c, 0))
             if k:
                 left[-c] -= k
-                quad = Poly(ctx, [-ctx.square(c), ctx.zero, ctx.one])
+                quad = _z_minus(ctx.square(c), 2)
                 for _ in range(k):
                     out = out * quad
-            lin = Poly(ctx, [-c, ctx.one])
+            lin = _z_minus(c, 1)
             for _ in range(e - k):
                 out = out * lin
         ctx.root_products[key] = out
@@ -99,82 +120,125 @@ class Poly:
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._v
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return max(map(len, self._v), default=0) - 1
+
+    @property
+    def coeffs(self) -> tuple[TowerScalar, ...]:
+        """The coefficients, low to high, built on each read."""
+        return tuple(self.coefficient(k) for k in range(self.degree() + 1))
 
     def leading(self) -> TowerScalar:
         if self.is_zero():
             raise RatCalcError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coefficient(self.degree())
 
     def coefficient(self, k: int) -> TowerScalar:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.ctx.zero
+        v, d = self._v, self._d
+        gs = []
+        for i in range(0, len(v) if k >= 0 else 0, 2):
+            x = v[i][k] if k < len(v[i]) else 0
+            y = v[i + 1][k] if k < len(v[i + 1]) else 0
+            gs.append(_gauss(x, y, d) if x or y else GAUSS_ZERO)
+        return _tower(self.ctx, gs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
         return ((self.ctx is other.ctx or self.ctx == other.ctx)
-                and self.coeffs == other.coeffs)
+                and self._d == other._d and self._v == other._v)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._d, *map(tuple, self._v)))
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, [self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        return self._plus(other, 1)
 
     def __sub__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ctx, [self.coefficient(i) - other.coefficient(i) for i in range(n)])
+        return self._plus(other, -1)
+
+    def _plus(self, other: Poly, sign: int) -> Poly:
+        """self + sign * other over the lcm of the denominators."""
+        _check(self, other)
+        a, b = self._v, other._v
+        if not (a and b):
+            return self if a else other if sign > 0 else -other
+        g = gcd(self._d, other._d)
+        s, t = other._d // g, sign * (self._d // g)
+        if len(a) < len(b):
+            a = a + ([],) * (len(b) - len(a))
+        v = [_lin(xs, s, b[i], t) if i < len(b) else [s * x for x in xs]
+             for i, xs in enumerate(a)]
+        return _canonical(object.__new__(Poly), self.ctx, self._d * s, v)
 
     def __neg__(self) -> Poly:
-        return Poly(self.ctx, [-c for c in self.coeffs])
+        return _raw(self.ctx, self._d, [[-x for x in xs] for xs in self._v])
 
     def __mul__(self, other: Poly) -> Poly:
-        if self.is_zero() or other.is_zero():
-            return Poly(self.ctx, [])
-        if (all(c._gaussian for c in self.coeffs)
-                and all(c._gaussian for c in other.coeffs)):
-            return _gauss_product(self.ctx, self.coeffs, other.coeffs)
-        out = [self.ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(other.coeffs):
-                if not cj.is_zero():
-                    out[i + j] = out[i + j] + ci * cj
-        return Poly(self.ctx, out)
+        """One Gaussian product of integer lists per pair of coordinates
+        e_i, e_j; e_i e_j = f e_(i xor j) with f in {1, a, b, ab} by the
+        bits i and j share, each f over den(a) den(b)."""
+        _check(self, other)
+        d = self._d * other._d
+        if len(self._v) == 2 == len(other._v):
+            return _canonical(object.__new__(Poly), self.ctx, d, [*_cmul(*self._v, *other._v)])
+        a, b = self.ctx.a, self.ctx.b
+        weights = {0: (a.d * b.d, 0), 2: (a.x * b.d, a.y * b.d), 4: (b.x * a.d, b.y * a.d),
+                   6: (a.x * b.x - a.y * b.y, a.x * b.y + a.y * b.x)}
+        v = [[] for _ in range(8)]
+        for i in range(0, len(self._v), 2):
+            for j in range(0, len(other._v), 2):
+                re, im = _cmul(self._v[i], self._v[i + 1], other._v[j], other._v[j + 1])
+                (fx, fy), k = weights[i & j], i ^ j
+                v[k] = _lin(v[k], 1, _lin(re, fx, im, -fy), 1)
+                v[k + 1] = _lin(v[k + 1], 1, _lin(re, fy, im, fx), 1)
+        return _canonical(object.__new__(Poly), self.ctx, d * a.d * b.d, v)
 
     def scale(self, s: TowerScalar) -> Poly:
-        return Poly(self.ctx, [c * s for c in self.coeffs])
+        if not s._gaussian:
+            return self * Poly(self.ctx, [s])
+        g, v = s.c00, []
+        for i in range(0, len(self._v), 2):
+            v += _cmul(self._v[i], self._v[i + 1], [g.x] if g.x else [], [g.y] if g.y else [])
+        return _canonical(object.__new__(Poly), self.ctx, self._d * g.d, v)
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         """Exact Euclidean division; coefficient field must invert the divisor's
-        leading coefficient."""
+        leading coefficient.
+
+        A divisor with tower coefficients is multiplied by the product C of
+        its other conjugates; N = other * C has Gaussian coefficients, and
+        the quotient of self by other is that of self * C by N."""
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = other.degree()
-        inv = other.leading().inverse()
-        if len(rem) - 1 < dq:
-            return Poly(self.ctx, []), Poly(self.ctx, rem)
-        quot = [self.ctx.zero] * (len(rem) - dq)
-        while len(rem) - 1 >= dq and rem:
-            c = rem[-1] * inv
-            k = len(rem) - 1 - dq
-            quot[k] = c
-            for i in range(dq + 1):
-                rem[k + i] = rem[k + i] - c * other.coeffs[i]
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return Poly(self.ctx, quot), Poly(self.ctx, rem)
+        _check(self, other)
+        if len(other._v) > 2:
+            conj = [other]
+            for flip in ((2, 3, 6, 7), (4, 5, 6, 7), (2, 3, 4, 5)):
+                c = _raw(other.ctx, other._d, [[-x for x in xs] if i in flip else xs
+                                               for i, xs in enumerate(other._v)])
+                if c not in conj:
+                    conj.append(c)
+            cof = conj[1]
+            for c in conj[2:]:
+                cof = cof * c
+            norm = other * cof
+            if norm.degree() < other.degree() * len(conj):
+                raise DivisionByZero("non-invertible leading coefficient "
+                                     "(split tower zero divisor)")
+            q = (self * cof).divmod(norm)[0]
+            return q, self - other * q
+        lead = other.leading()
+        if lead == self.ctx.one:
+            return _monic_divmod(self, other)
+        inv = lead.inverse()
+        q, r = _monic_divmod(self, other.scale(inv))
+        return q.scale(inv), r
 
     def __floordiv__(self, other: Poly) -> Poly:
         return self.divmod(other)[0]
@@ -188,22 +252,56 @@ class Poly:
         return self.scale(self.leading().inverse())
 
     def derivative(self) -> Poly:
-        ctx = self.ctx
-        return Poly(ctx, [self.coeffs[i] * ctx.from_rational(i)
-                          for i in range(1, len(self.coeffs))])
+        v = [[k * xs[k] for k in range(1, len(xs))] for xs in self._v]
+        return _canonical(object.__new__(Poly), self.ctx, self._d, v)
+
+    def halves_at(self, w: TowerScalar) -> tuple[TowerScalar, TowerScalar]:
+        """(E(w), O(w)) for self = E(z^2) + z O(z^2): the remainder of self
+        by z^2 - w is E(w) + O(w) z.  A Gaussian w takes two integer Horner
+        passes per coordinate."""
+        if not w._gaussian:
+            r = self % _z_minus(w, 2)
+            return r.coefficient(0), r.coefficient(1)
+        return self._at(w.c00, 0, 2), self._at(w.c00, 1, 2)
 
     def evaluate(self, z: TowerScalar) -> TowerScalar:
-        acc = self.ctx.zero
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        if z._gaussian:
+            return self._at(z.c00, 0, 1)
+        e, o = self.halves_at(self.ctx.square(z))
+        return e + z * o
+
+    def _at(self, g, start: int, step: int) -> TowerScalar:
+        """sum_k c_(start + step k) g^k at a Gaussian g, by Horner's rule on
+        the integers of each coordinate."""
+        v, d = self._v, self._d
+        gs = []
+        for i in range(0, len(v), 2):
+            x, y, den = _horner(v[i][start::step], v[i + 1][start::step], g.x, g.y, g.d)
+            gs.append(_gauss(x, y, den * d) if x or y else GAUSS_ZERO)
+        return _tower(self.ctx, gs)
+
+    def embed_complex(self, z: complex, branch=(1, 1)) -> complex:
+        """Floating value at a complex z by Horner's rule, each coefficient
+        embedded as TowerScalar.embed_complex does, with kappa =
+        branch[0]*sqrt(a) and lambda = branch[1]*sqrt(b)."""
+        v, d = self._v, self._d
+        sk = branch[0] * cmath.sqrt(self.ctx.a.to_complex())
+        sl = branch[1] * cmath.sqrt(self.ctx.b.to_complex())
+        out = 0j
+        for k in range(self.degree(), -1, -1):
+            e = [complex(xs[k] / d if k < len(xs) else 0.0, ys[k] / d if k < len(ys) else 0.0)
+                 for xs, ys in zip(v[::2], v[1::2])]
+            e += [0j] * (4 - len(e))
+            out = out * z + (e[0] + e[1] * sk + e[2] * sl + e[3] * sk * sl)
+        return out
 
     def render(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for k in range(self.degree(), -1, -1):
-            c = self.coefficient(k)
+        cs = self.coeffs
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
             if c.is_zero():
                 continue
             mono = "1" if k == 0 else ("z" if k == 1 else f"z^{k}")
@@ -214,46 +312,134 @@ class Poly:
         return f"Poly[{self.render()}]"
 
 
-def _gauss_ints(coeffs) -> tuple[list, list, int]:
-    """(xs, ys, d) with coeffs[k] = (xs[k] + ys[k] i)/d over one common d."""
-    d = 1
-    for c in coeffs:
-        if d % c.c00.d:
-            d = lcm(d, c.c00.d)
-    xs, ys = [], []
-    for c in coeffs:
-        g = c.c00
-        k = d // g.d
-        xs.append(g.x * k)
-        ys.append(g.y * k)
-    return xs, ys, d
+def _check(p: Poly, q: Poly):
+    if p.ctx is not q.ctx and p.ctx != q.ctx:
+        raise ContextMismatch("polynomials from different tower contexts")
 
 
-def _gauss_product(ctx: TowerContext, a, b) -> Poly:
-    """The product of two polynomials with Gaussian coefficients a, b (not
-    empty): one convolution of integers (x + y i) over the common
-    denominators, then one _gauss per output coefficient."""
-    xa, ya, da = _gauss_ints(a)
-    xb, yb, db = _gauss_ints(b)
-    n = len(xa) + len(xb) - 1
-    re, im = [0] * n, [0] * n
-    real_b = not any(yb)
-    for i, x1 in enumerate(xa):
-        y1 = ya[i]
-        if y1:
-            for j, x2 in enumerate(xb):
-                y2 = yb[j]
-                re[i + j] += x1 * x2 - y1 * y2
-                im[i + j] += x1 * y2 + y1 * x2
-        elif x1:
-            for j, x2 in enumerate(xb):
-                re[i + j] += x1 * x2
-            if not real_b:
-                for j, y2 in enumerate(yb):
-                    im[i + j] += x1 * y2
-    d = da * db
-    of_gauss = TowerScalar._of_gauss
-    return Poly(ctx, [of_gauss(ctx, _gauss(re[k], im[k], d)) for k in range(n)])
+def _raw(ctx: TowerContext, d: int, v) -> Poly:
+    """The Poly of lists v over d, already canonical."""
+    out = object.__new__(Poly)
+    out.ctx, out._d, out._v = ctx, d, tuple(v)
+    return out
+
+
+def _canonical(out: Poly, ctx: TowerContext, d: int, v: list) -> Poly:
+    """Fill out with the lists v over d > 0 in canonical form; the lists
+    are taken over and may be changed."""
+    for xs in v:
+        while xs and not xs[-1]:
+            xs.pop()
+    while v and not (v[-1] or v[-2]):
+        del v[-2:]
+    g = d
+    for xs in v:
+        if g == 1:
+            break
+        g = gcd(g, *xs)
+    if g != 1:
+        v = [[x // g for x in xs] for xs in v]
+        d //= g
+    out.ctx, out._d, out._v = ctx, d, tuple(v)
+    return out
+
+
+def _z_minus(c: TowerScalar, n: int) -> Poly:
+    """The polynomial z^n - c (n > 0)."""
+    gs = (c.c00,) if c._gaussian else c.coords()
+    d = lcm(*[g.d for g in gs])
+    v = []
+    for g in gs:
+        v += ([-g.x * (d // g.d)], [-g.y * (d // g.d)])
+    v[0] += [0] * (n - 1) + [d]
+    return _canonical(object.__new__(Poly), c.ctx, d, v)
+
+
+def _tower(ctx: TowerContext, gs: list) -> TowerScalar:
+    """The scalar with the coordinates gs, missing ones zero."""
+    if len(gs) <= 1:
+        return TowerScalar._of_gauss(ctx, gs[0] if gs else GAUSS_ZERO)
+    return TowerScalar(ctx, *gs, *[GAUSS_ZERO] * (4 - len(gs)))
+
+
+def _lin(a: list, s: int, b: list, t: int) -> list:
+    """s a + t b for integer lists a, b (low to high)."""
+    if len(a) < len(b):
+        a, s, b, t = b, t, a, s
+    return [s * x + t * y for x, y in zip(a, b)] + [s * x for x in a[len(b):]]
+
+
+def _conv(a: list, b: list) -> list:
+    """The product of the integer polynomials a, b (low to high)."""
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, y in enumerate(b):
+        if y:
+            for j, x in enumerate(a):
+                out[i + j] += x * y
+    return out
+
+
+def _cmul(xa: list, ya: list, xb: list, yb: list) -> tuple[list, list]:
+    """(re, im) of (xa + ya i)(xb + yb i) for integer lists."""
+    if not (ya or yb):
+        return _conv(xa, xb), []
+    return (_lin(_conv(xa, xb), 1, _conv(ya, yb), -1),
+            _lin(_conv(xa, yb), 1, _conv(ya, xb), 1))
+
+
+def _horner(xs: list, ys: list, wx: int, wy: int, wd: int) -> tuple[int, int, int]:
+    """(u, v, D) with sum (xs[k] + ys[k] i) w^k = (u + v i)/D at
+    w = (wx + wy i)/wd: Horner's rule with every step over one power of wd."""
+    n = max(len(xs), len(ys))
+    u = v = 0
+    den = 1
+    for x, y in zip(reversed(xs + [0] * (n - len(xs))), reversed(ys + [0] * (n - len(ys)))):
+        u, v = u * wx - v * wy + x * den, u * wy + v * wx + y * den
+        den *= wd
+    return u, v, den // wd if n else 1
+
+
+def _monic_divmod(p: Poly, n: Poly) -> tuple[Poly, Poly]:
+    """(q, r) with p = n q + r, deg r < deg n, for a monic n with Gaussian
+    coefficients, each coordinate of p divided on the integers.
+
+    With n = (mx + my i)/l the integer divisor has leading coefficient l,
+    so l^e p for e = deg p - deg n + 1 divides step by step with exact
+    integer quotients (pseudo-division); the canonical form removes the
+    powers of l that q and r do not need."""
+    ctx = p.ctx
+    m, top = n.degree(), p.degree()
+    if top < m:
+        return Poly(ctx), p
+    l, (mx, my) = n._d, n._v
+    my = my + [0] * (m + 1 - len(my))
+    e = top - m + 1
+    s = l ** e
+    q, r = [], []
+    for i in range(0, len(p._v), 2):
+        xs = [x * s for x in p._v[i]] + [0] * (top + 1 - len(p._v[i]))
+        ys = [y * s for y in p._v[i + 1]] + [0] * (top + 1 - len(p._v[i + 1]))
+        qx, qy = [0] * e, [0] * e
+        for k in range(top, m - 1, -1):
+            cx, cy = xs[k] // l, ys[k] // l
+            if cx or cy:
+                j = k - m
+                qx[j], qy[j] = cx, cy
+                for t in range(m):
+                    ax, ay = mx[t], my[t]
+                    if ax or ay:
+                        xs[j + t] -= cx * ax - cy * ay
+                        ys[j + t] -= cx * ay + cy * ax
+        q += (qx, qy)
+        r += (xs[:m], ys[:m])
+    # s p = (l n) Q + R, so q = Q l / (s d) and r = R / (s d)
+    d = p._d * s
+    return (_canonical(object.__new__(Poly), ctx, d // l, q),
+            _canonical(object.__new__(Poly), ctx, d, r))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -267,54 +453,30 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return p.monic()
 
 
-def _quadratic_divmod(coeffs, a: TowerScalar):
-    """Quotient and remainder r0 + r1*z of sum coeffs[k] z^k by z^2 - a.
-
-    With p(z) = E(z^2) + z*O(z^2) the remainder is E(a) + z*O(a), so
-    p(+-c) = r0 +- c*r1 at either root c of z^2 - a.  For a Gaussian a
-    every step is a Gaussian-by-tower product."""
-    cs = list(coeffs) + [a.ctx.zero] * (2 - len(coeffs))
-    q = cs[2:]
-    for k in range(len(q) - 3, -1, -1):
-        q[k] = q[k] + a * q[k + 2]
-    r0 = cs[0] + a * q[0] if q else cs[0]
-    r1 = cs[1] + a * q[1] if len(q) > 1 else cs[1]
-    return q, r0, r1
-
-
-def _linear_divmod(coeffs, c: TowerScalar):
-    """Quotient and remainder p(c) of sum coeffs[k] z^k (not empty) by z - c."""
-    q = [None] * (len(coeffs) - 1)
-    acc = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        q[k] = acc
-        acc = coeffs[k] + acc * c
-    return q, acc
-
-
 def _deflate(p: Poly, c: TowerScalar, e: int) -> tuple[Poly, int]:
     """(p / (z - c)^k, k) for the largest k <= e with (z - c)^k | p."""
-    k = 0
-    while k < e and p.degree() > 0:
-        q, rem = _linear_divmod(p.coeffs, c)
-        if not rem.is_zero():
-            break
-        p, k = Poly(p.ctx, q), k + 1
+    k, lin = 0, None
+    while k < e and p.degree() > 0 and p.evaluate(c).is_zero():
+        if lin is None:
+            lin = _z_minus(c, 1)
+        p, k = p // lin, k + 1
     return p, k
 
 
 def _deflate_pair(p: Poly, c: TowerScalar, e_plus: int, e_minus: int):
-    """_deflate at c and at -c, with one remainder mod z^2 - c^2 per step
-    while both may still divide."""
-    c2 = c.ctx.square(c)
-    k, plus, minus = 0, True, True
+    """_deflate at c and at -c, testing both through the remainder
+    r0 + r1 z mod z^2 - c^2 while both may still divide: p(+-c) = r0 +- c r1."""
+    c2 = p.ctx.square(c)
+    k, plus, minus, quad = 0, True, True, None
     while k < min(e_plus, e_minus) and p.degree() > 0:
-        q, r0, r1 = _quadratic_divmod(p.coeffs, c2)
+        r0, r1 = p.halves_at(c2)
         if not (r0.is_zero() and r1.is_zero()):
             cr1 = c * r1
             plus, minus = (r0 + cr1).is_zero(), (r0 - cr1).is_zero()
             break
-        p, k = Poly(p.ctx, q), k + 1
+        if quad is None:
+            quad = _z_minus(c2, 2)
+        p, k = p // quad, k + 1
     j_plus = j_minus = 0
     if plus:
         p, j_plus = _deflate(p, c, e_plus - k)
@@ -347,7 +509,7 @@ def _factor(p: Poly) -> tuple[TowerScalar, dict]:
             roots[-c] = j
     n = p.degree()
     if n > 0:
-        c = -p.coeffs[n - 1] / ctx.from_rational(n)
+        c = -p.coefficient(n - 1) / ctx.from_rational(n)
         p, k = _deflate(p, c, n)
         if k < n:
             raise BadFactorization(
@@ -467,11 +629,12 @@ class RatFunc:
     __slots__ = ("_num", "_roots", "_tested", "_den")
 
     def __init__(self, num: Poly, den: Optional[Poly] = None):
-        ctx = num.ctx
         if den is None:
-            den = Poly(ctx, [ctx.one])
+            self._num, self._roots, self._tested, self._den = num, {}, True, None
+            return
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
+        ctx = num.ctx
         lead, roots = _factor(den)
         if num.is_zero():
             roots = {}
@@ -582,7 +745,7 @@ class RatFunc:
         # a non-zero constant factor k cancels nothing: f's flag carries over
         for f, k in ((self, other), (other, self)):
             if not k._roots and k._num.degree() <= 0:
-                return RatFunc._of(f._num.scale(k._num.coeffs[0]), f._roots, f._tested)
+                return RatFunc._of(f._num.scale(k._num.coefficient(0)), f._roots, f._tested)
         roots = dict(self._roots)
         for c, e in other._roots.items():
             roots[c] = roots.get(c, 0) + e
@@ -628,35 +791,24 @@ class RatFunc:
             weights[c] = weights.get(c, 0) - e
         return simple_pole_sum(self.ctx, weights)
 
-    def _den_at(self, z: TowerScalar, skip: Optional[TowerScalar] = None) -> TowerScalar:
-        """den(z), leaving out the factor (z - skip)^e."""
-        d = self.ctx.one
-        for c, e in self.roots.items():
-            if c != skip:
-                w = z - c
-                for _ in range(e):
-                    d = d * w
-        return d
-
     def evaluate(self, z: TowerScalar) -> TowerScalar:
-        d = self._den_at(z)
+        d = self.den.evaluate(z)
         if d.is_zero():
             raise PoleEvaluation("evaluation at a pole")
         return self.num.evaluate(z) / d
 
     def polar_leading(self, c: TowerScalar) -> TowerScalar:
-        """The coefficient of (z - c)^-e at a root c of exponent e."""
-        return self.num.evaluate(c) / self._den_at(c, skip=c)
+        """The coefficient of (z - c)^-e at a root c of exponent e: with
+        den = (z - c)^e R, it is num(c)/R(c) and den^(e)(c) = e! R(c)."""
+        e = self.roots.get(c, 0)
+        d = self.den
+        for _ in range(e):
+            d = d.derivative()
+        return self.num.evaluate(c) * self.ctx.from_rational(factorial(e)) / d.evaluate(c)
 
     def embed_complex(self, z: complex, branch=(1, 1)) -> complex:
         """Floating evaluation at a complex point (for numeric cross-checks)."""
-        num = 0j
-        for c in reversed(self.num.coeffs):
-            num = num * z + c.embed_complex(branch)
-        den = 0j
-        for c in reversed(self.den.coeffs):
-            den = den * z + c.embed_complex(branch)
-        return num / den
+        return self.num.embed_complex(z, branch) / self.den.embed_complex(z, branch)
 
     def render(self) -> str:
         return f"({self.num.render()}) / ({self.den.render()})"

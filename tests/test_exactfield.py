@@ -487,3 +487,59 @@ class TestRendering:
         text = s.render()
         assert text.startswith("(1/2-1/3 i)")
         assert "κλ" in text
+
+
+def fraction_render(g):
+    """The reference rendering: each part as a Fraction in lowest terms."""
+    re, im = g.re, g.im
+    return (f"{re.numerator}/{re.denominator}"
+            f"{'+' if im >= 0 else '-'}{abs(im.numerator)}/{im.denominator} i")
+
+
+class TestRenderFromIntegers:
+    """GaussRational.render reduces x/d and y/d by math.gcd; the Fraction
+    rendering is the reference."""
+
+    _num = st.one_of(st.just(0), st.integers(-60, 60), st.integers(-10**40, 10**40))
+    _den = st.one_of(st.integers(1, 60), st.integers(1, 10**40))
+
+    @given(_num, _den, _num, _den)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_rendering(self, a, b, c, d):
+        g = GaussRational(Fr(a, b), Fr(c, d))
+        assert g.render() == fraction_render(g)
+
+    def test_examples(self):
+        for g, text in ((GaussRational("-6/8", 3), "-3/4+3/1 i"),
+                        (GaussRational(), "0/1+0/1 i"),
+                        (GaussRational(0, Fr(-5, 10)), "0/1-1/2 i"),
+                        (GaussRational(Fr(4, 6), Fr(-1, 4)), "2/3-1/4 i"),
+                        (GaussRational(-10**40, Fr(10**40, 3)),
+                         f"-{10**40}/1+{10**40}/3 i")):
+            assert g.render() == fraction_render(g) == text
+
+
+class TestScalarHash:
+    """TowerScalar keeps its hash from the first use; equal scalars built
+    along different paths hash equal."""
+
+    def test_equal_scalars_built_apart_hash_equal(self):
+        for ctx in (CTX_SN, CTX_HN, make_context(G(2), G(3))):
+            tower = ctx.scalar(G(Fr(1, 2), Fr(-1, 3)), G(2), G(0), G(1))
+            gauss = ctx.from_gauss(G(Fr(3, 4), -2))
+            for x in (tower, gauss, ctx.kappa, ctx.lam, ctx.zero, ctx.one):
+                h = hash(x)
+                for y in (-(-x), x + ctx.zero, ctx.zero + x, x * ctx.one):
+                    assert y == x and y is not x
+                    assert hash(y) == h
+                assert hash(x) == h
+            assert hash(ctx.from_gauss(G(Fr(3, 4), -2))) == hash(gauss)
+            assert hash(ctx.from_rational(Fr(-7, 3))) == hash(ctx.from_gauss(G(Fr(-7, 3))))
+            assert hash(ctx.scalar(G(1), G(0), G(0), G(0))) == hash(ctx.one)
+
+    def test_the_hash_is_computed_once(self):
+        x = CTX_HN.scalar(G(1), G(Fr(2, 3)), G(0, 1), G(0))
+        assert x._hash is None
+        h = hash(x)
+        assert x._hash == h == hash((x.c00.x, x.c00.y, x.c10.x, x.c01.x, x.c11.x))
+        assert hash(x) == h and {x: 1}[CTX_HN.scalar(G(1), G(Fr(2, 3)), G(0, 1), G(0))] == 1

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -670,11 +671,12 @@ def schoolbook(p, q):
     summed through TowerScalar arithmetic."""
     if p.is_zero() or q.is_zero():
         return Poly(p.ctx, [])
-    out = [p.ctx.zero] * (len(p.coeffs) + len(q.coeffs) - 1)
-    for i, ci in enumerate(p.coeffs):
+    pc, qc = p.coeffs, q.coeffs
+    out = [p.ctx.zero] * (len(pc) + len(qc) - 1)
+    for i, ci in enumerate(pc):
         if ci.is_zero():
             continue
-        for j, cj in enumerate(q.coeffs):
+        for j, cj in enumerate(qc):
             if not cj.is_zero():
                 out[i + j] = out[i + j] + ci * cj
     return Poly(p.ctx, out)
@@ -708,43 +710,290 @@ class TestGaussianProduct:
         assert got.degree() == (-1 if p.is_zero() or q.is_zero()
                                 else p.degree() + q.degree())
 
-    def test_gaussian_factors_take_the_kernel(self, monkeypatch):
-        calls = []
-        kernel = ratcalc._gauss_product
 
-        def recorder(ctx, a, b):
-            calls.append((a, b))
-            return kernel(ctx, a, b)
+# ---------------------------------------------------------------------------
+# Integer coordinates against the term-by-term TowerScalar loops
+# ---------------------------------------------------------------------------
 
-        monkeypatch.setattr(ratcalc, "_gauss_product", recorder)
-        p, q = P(Fr(1, 3), 0, 5), P(Fr(-7, 2))
-        assert p * q == schoolbook(p, q) == P(Fr(-7, 6), 0, Fr(-35, 2))
-        assert len(calls) == 1
 
-    def test_a_kappa_coefficient_takes_the_tower_loop(self, monkeypatch):
-        """In a tower where a = 2 is no square, a factor with a kappa
-        coefficient is multiplied by the TowerScalar loop."""
-        def refuse(ctx, a, b):
-            raise AssertionError("a tower coefficient reached the integer kernel")
+def loop_plus(p, q, sign):
+    """The reference sum (sign 1) or difference (sign -1), coefficient by
+    coefficient through TowerScalar arithmetic."""
+    n = max(p.degree(), q.degree()) + 1
+    return Poly(p.ctx, [p.coefficient(i) + q.coefficient(i) if sign > 0
+                        else p.coefficient(i) - q.coefficient(i) for i in range(n)])
 
-        rng = random.Random(25)
-        cases = []
-        for _ in range(20):
-            p = rand_poly(rng, rng.randint(0, 4))
-            q = rand_poly(rng, rng.randint(0, 4))
-            k = rng.randrange(len(p.coeffs))
-            tower = list(p.coeffs)
-            tower[k] = tower[k] + CTX.kappa
-            cases.append((Poly(CTX, tower), q))
-        cases.append((Poly(CTX, [CTX.lam, CTX.kappa]), Poly(CTX, [CTX.kappa, CTX.lam])))
-        expected = [schoolbook(p, q) for p, q in cases]
-        monkeypatch.setattr(ratcalc, "_gauss_product", refuse)
-        assert not CTX.sqrt_a().is_gaussian()
-        for (p, q), want in zip(cases, expected):
-            assert p * q == want and q * p == want
-        assert cases[-1][0] * cases[-1][1] == Poly(CTX, [
-            CTX.kappa * CTX.lam, CTX.from_gauss(CTX.a) + CTX.from_gauss(CTX.b),
-            CTX.kappa * CTX.lam])
+
+def loop_scale(p, s):
+    return Poly(p.ctx, [c * s for c in p.coeffs])
+
+
+def loop_derivative(p):
+    cs = p.coeffs
+    return Poly(p.ctx, [cs[i] * p.ctx.from_rational(i) for i in range(1, len(cs))])
+
+
+def loop_evaluate(p, z):
+    acc = p.ctx.zero
+    for c in reversed(p.coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def loop_divmod(p, q):
+    """The reference Euclidean division: one TowerScalar step per quotient
+    coefficient, by the inverse of q's leading coefficient."""
+    ctx = p.ctx
+    rem, qc = list(p.coeffs), q.coeffs
+    dq = len(qc) - 1
+    inv = qc[-1].inverse()
+    if len(rem) - 1 < dq:
+        return Poly(ctx, []), Poly(ctx, rem)
+    quot = [ctx.zero] * (len(rem) - dq)
+    while len(rem) - 1 >= dq and rem:
+        c = rem[-1] * inv
+        k = len(rem) - 1 - dq
+        quot[k] = c
+        for i in range(dq + 1):
+            rem[k + i] = rem[k + i] - c * qc[i]
+        while rem and rem[-1].is_zero():
+            rem.pop()
+    return Poly(ctx, quot), Poly(ctx, rem)
+
+
+def loop_linear_divmod(p, c):
+    """Synthetic division by z - c: (quotient, p(c))."""
+    cs = p.coeffs
+    q = [None] * (len(cs) - 1)
+    acc = cs[-1]
+    for k in range(len(cs) - 2, -1, -1):
+        q[k] = acc
+        acc = cs[k] + acc * c
+    return Poly(p.ctx, q), acc
+
+
+def loop_quadratic_divmod(p, a):
+    """Division by z^2 - a: (quotient, r0, r1) with remainder r0 + r1 z."""
+    cs = list(p.coeffs) + [p.ctx.zero] * (2 - len(p.coeffs))
+    q = cs[2:]
+    for k in range(len(q) - 3, -1, -1):
+        q[k] = q[k] + a * q[k + 2]
+    r0 = cs[0] + a * q[0] if q else cs[0]
+    r1 = cs[1] + a * q[1] if len(q) > 1 else cs[1]
+    return Poly(p.ctx, q), r0, r1
+
+
+def assert_canonical_poly(p):
+    """d > 0, no trailing zero in a list, no trailing empty coordinate and
+    gcd(d, every integer) = 1."""
+    assert p._d > 0 and len(p._v) % 2 == 0 and len(p._v) <= 8
+    assert all(not xs or xs[-1] for xs in p._v)
+    assert not p._v or p._v[-1] or p._v[-2]
+    assert math.gcd(p._d, *[x for xs in p._v for x in xs]) == 1
+
+
+# A context whose kappa and lambda are both Gaussian (kappa = 2i, lambda =
+# 3/2), one where lambda collapses to 2 kappa (a = 2, b = 8) and the
+# non-square tower kappa^2 = 2, lambda^2 = 3.
+COORD_CTXS = {
+    "gaussian": make_context(G(-4), G(Fr(9, 4))),
+    "collapsed": make_context(G(2), G(8)),
+    "tower": CTX,
+}
+
+
+class TestIntegerCoordinates:
+    """Every integer operation of Poly against the term-by-term loop.  A
+    coefficient is drawn as c00 + c10 kappa + c01 lambda + c11 kappa lambda
+    with kappa = sqrt_a(), lambda = sqrt_b() of the context, so the tower
+    context gets kappa, lambda and kappa*lambda coordinates."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    _part = st.one_of(st.just(Fr(0)), st.builds(Fr, st.integers(-9, 9), st.integers(1, 12)),
+                      st.builds(Fr, st.integers(-10**30, 10**30), st.integers(1, 10**6)))
+    _gauss = st.one_of(st.just((Fr(0), Fr(0))), st.tuples(_part, st.just(Fr(0))),
+                       st.tuples(_part, _part))
+    _coeff = st.one_of(st.tuples(_gauss, st.just(None)),
+                       st.tuples(_gauss, st.tuples(_gauss, _gauss, _gauss)))
+    _poly = st.lists(_coeff, max_size=5)
+    _ctx = st.sampled_from(sorted(COORD_CTXS))
+
+    @staticmethod
+    def scalar(ctx, spec):
+        g0, tower = spec
+        out = ctx.from_gauss(G(*g0))
+        if tower is not None:
+            k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+            for g, basis in zip(tower, (k, lam, k * lam)):
+                out = out + ctx.from_gauss(G(*g)) * basis
+        return out
+
+    def poly(self, ctx, specs):
+        return Poly(ctx, [self.scalar(ctx, c) for c in specs])
+
+    def point(self, ctx, kind, spec):
+        """A Gaussian point, +-kappa, +-lambda or a point whose square is
+        not Gaussian in the tower."""
+        k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+        return {"gauss": ctx.from_gauss(G(*spec[0])), "kappa": k, "-kappa": -k,
+                "lambda": lam, "-lambda": -lam,
+                "tower": self.scalar(ctx, spec) + k + lam}[kind]
+
+    _kind = st.sampled_from(["gauss", "kappa", "-kappa", "lambda", "-lambda", "tower"])
+
+    @given(_ctx, _poly, _poly, _coeff)
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations_match_the_loops(self, name, pa, pb, sc):
+        ctx = COORD_CTXS[name]
+        p, q, s = self.poly(ctx, pa), self.poly(ctx, pb), self.scalar(ctx, sc)
+        for got, want in ((p + q, loop_plus(p, q, 1)), (p - q, loop_plus(p, q, -1)),
+                          (-p, loop_scale(p, -ctx.one)), (p * q, schoolbook(p, q)),
+                          (p.scale(s), loop_scale(p, s)), (p.derivative(), loop_derivative(p))):
+            assert got == want
+            assert_canonical_poly(got)
+            assert got.coeffs == want.coeffs
+
+    @given(_ctx, _poly, _kind, _coeff)
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_matches_horner(self, name, pa, kind, spec):
+        ctx = COORD_CTXS[name]
+        p, z = self.poly(ctx, pa), self.point(ctx, kind, spec)
+        assert p.evaluate(z) == loop_evaluate(p, z)
+        q, r0, r1 = loop_quadratic_divmod(p, ctx.square(z))
+        assert p.halves_at(ctx.square(z)) == (r0, r1)
+
+    @given(_ctx, _poly, _kind, _coeff, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_division_by_z_minus_c(self, name, pa, kind, spec, root):
+        """p / (z - c) against synthetic division, with c a root of p (p is
+        built as q (z - c)) or not; _deflate takes off exactly the copies
+        the loop finds."""
+        ctx = COORD_CTXS[name]
+        p, c = self.poly(ctx, pa), self.point(ctx, kind, spec)
+        lin = Poly(ctx, [-c, ctx.one])
+        if root:
+            p = schoolbook(p, lin)
+        if p.is_zero():
+            return
+        want_q, want_r = loop_linear_divmod(p, c)
+        q, r = p.divmod(lin)
+        assert (q, r) == (want_q, Poly(ctx, [want_r]))
+        assert_canonical_poly(q)
+        copies, rest = 0, p
+        while copies < 3 and rest.degree() > 0:
+            quot, rem = loop_linear_divmod(rest, c)
+            if not rem.is_zero():
+                break
+            copies, rest = copies + 1, quot
+        assert ratcalc._deflate(p, c, 3) == (rest, copies)
+        if root and p.degree() > 0:
+            assert copies >= 1
+
+    @given(_ctx, _poly, _kind, _coeff, st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    @settings(max_examples=100, deadline=None)
+    def test_division_by_z2_minus_c2(self, name, pa, kind, spec, factors):
+        """p / (z^2 - c^2) against the loop, with p built with factors z - c
+        and z + c or not; _deflate_pair takes off each root's copies."""
+        ctx = COORD_CTXS[name]
+        p, c = self.poly(ctx, pa), self.point(ctx, kind, spec)
+        for sign, k in zip((1, -1), factors):
+            if k:
+                p = schoolbook(p, Poly(ctx, [-c if sign > 0 else c, ctx.one]))
+        if p.is_zero():
+            return
+        c2 = ctx.square(c)
+        want_q, r0, r1 = loop_quadratic_divmod(p, c2)
+        q, r = p.divmod(Poly(ctx, [-c2, ctx.zero, ctx.one]))
+        assert (q, r) == (want_q, Poly(ctx, [r0, r1]))
+        assert_canonical_poly(q)
+        want = [0, 0]
+        for i, root in enumerate((c, -c)):
+            rest = p
+            while want[i] < 3 and rest.degree() > 0:
+                quot, rem = loop_linear_divmod(rest, root)
+                if not rem.is_zero():
+                    break
+                want[i], rest = want[i] + 1, quot
+        got, kp, km = ratcalc._deflate_pair(p, c, 3, 3)
+        if c.is_zero():
+            return
+        assert (kp, km) == tuple(want)
+        assert got * Poly.from_roots(ctx, [(c, kp), (-c, km)]) == p
+
+    @given(_ctx, _poly, _poly)
+    @settings(max_examples=100, deadline=None)
+    def test_divmod_matches_euclid(self, name, pa, pb):
+        ctx = COORD_CTXS[name]
+        p, q = self.poly(ctx, pa), self.poly(ctx, pb)
+        if q.is_zero():
+            with pytest.raises(DivisionByZero):
+                p.divmod(q)
+            return
+        try:
+            want = loop_divmod(p, q)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                p.divmod(q)
+            return
+        got = p.divmod(q)
+        assert got == want
+        assert all(x.coeffs == y.coeffs for x, y in zip(got, want))
+
+    @given(_ctx, _poly, _poly, _coeff)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_polynomials_are_equal_integers(self, name, pa, pb, sc):
+        """The form is canonical: equal values built apart have the same
+        denominator and lists, so they compare == and hash equal."""
+        ctx = COORD_CTXS[name]
+        p, q, s = self.poly(ctx, pa), self.poly(ctx, pb), self.scalar(ctx, sc)
+        built = [p * q, q * p, (p + q) - q + p * q - p, Poly(ctx, (p * q).coeffs),
+                 -(-(p * q)), (p * q).scale(ctx.one)]
+        if s.is_gaussian() and not s.is_zero():
+            built.append((p * q).scale(s).scale(s.inverse()))
+        for other in built:
+            assert_canonical_poly(other)
+            assert other == p * q and hash(other) == hash(p * q)
+            assert (other._d, other._v) == ((p * q)._d, (p * q)._v)
+
+    @given(_ctx, _poly)
+    @settings(max_examples=100, deadline=None)
+    def test_coeffs_round_trip(self, name, pa):
+        ctx = COORD_CTXS[name]
+        cs = [self.scalar(ctx, c) for c in pa]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        p = Poly(ctx, cs)
+        assert p.coeffs == tuple(cs)
+        assert p.degree() == len(cs) - 1
+        assert [p.coefficient(k) for k in range(-1, len(cs) + 2)] == \
+            [ctx.zero] + cs + [ctx.zero, ctx.zero]
+        assert Poly(ctx, p.coeffs) == p and Poly(ctx, list(p.coeffs) + [ctx.zero]) == p
+        assert all(c.ctx is ctx for c in p.coeffs)
+        if cs:
+            assert p.leading() == cs[-1]
+
+    def test_a_tower_product_by_hand(self):
+        """(kappa + lambda z + kappa lambda z^2)^2 in kappa^2 = 2,
+        lambda^2 = 3: 2 + 2 kappa lambda z + (3 + 4 lambda) z^2 + 6 kappa z^3
+        + 6 z^4."""
+        k, lam, n = CTX.kappa, CTX.lam, CTX.from_rational
+        p = Poly(CTX, [k, lam, k * lam])
+        assert p * p == Poly(CTX, [n(2), n(2) * k * lam, n(3) + n(4) * lam, n(6) * k, n(6)])
+        assert Poly(CTX, [k]) * Poly(CTX, [k]) == P(2)
+        assert Poly(CTX, [lam, k]) * Poly(CTX, [k, lam]) == Poly(CTX, [
+            k * lam, CTX.from_gauss(CTX.a) + CTX.from_gauss(CTX.b), k * lam])
+
+    def test_a_zero_divisor_lead_raises(self):
+        """With kappa^2 = 4 the formal kappa gives (2 - kappa)(2 + kappa) = 0:
+        a divisor led by 2 - kappa has no quotient, for the loop or here."""
+        ctx = make_context(G(4), G(3))
+        lead = ctx.from_rational(2) - ctx.kappa
+        q = Poly(ctx, [ctx.one, lead])
+        p = Poly(ctx, [ctx.one, ctx.zero, ctx.lam])
+        for divide in (loop_divmod, Poly.divmod):
+            with pytest.raises(DivisionByZero):
+                divide(p, q)
 
 
 class TestRootProductCache:

@@ -38,11 +38,11 @@ CONCLUSION_NO_OBSTRUCTION = "NoObstructionFound"
 CONCLUSION_DEGENERATE = "Degenerate"
 
 
-# Each identity sample is a full exact proof: about 2.0 ms with Python 3.11
+# Each identity sample is a full exact proof: about 1.2 ms with Python 3.11
 # on one Intel Xeon core (median of 9 runs of 200 samples over the four
-# space x potential pairs: parameters 0.14, system 0.38, gauge 0.40, normal
-# form 0.38, table 0.51, compare 0.18 ms).  So more than this many would
-# keep certify busy for over 20 seconds or, for a value such as 10**30,
+# space x potential pairs: parameters 0.11, system 0.30, gauge 0.11, normal
+# form 0.23, table 0.40, compare 0.02 ms).  So more than this many would
+# keep certify busy for over 10 seconds or, for a value such as 10**30,
 # forever.
 MAX_IDENTITY_SAMPLES = 10_000
 
@@ -182,7 +182,9 @@ def _lemma_summary(report: models.LemmaReport) -> dict:
 
 
 def _gauge_log_derivative(system, ctx) -> RatFunc:
-    """h = C'/(2C) [+ f'/(4f)], with g'/g = h the gauge to the normal form."""
+    """h = C'/(2C) [+ f'/(4f)], with g'/g = h the gauge to the normal form,
+    read off the system's C and f by log_derivative: the generic form of
+    models.gauge_log_derivative."""
     h = RatFunc.constant(ctx, Fraction(1, 2)) * system.C.log_derivative()
     if system.weight is not None:
         h = h + RatFunc.constant(ctx, Fraction(1, 4)) * system.weight.log_derivative()
@@ -190,18 +192,22 @@ def _gauge_log_derivative(system, ctx) -> RatFunc:
 
 
 def _normal_form(params: models.ModelParams):
-    """The system of params, its gauge log-derivative h and the normal
-    form from the Riccati step."""
+    """The system of params, its gauge log-derivative h (in closed form,
+    models.gauge_log_derivative) and the normal form from the Riccati
+    step."""
     system = models.build_system(params)
-    h = _gauge_log_derivative(system, params.ctx)
+    h = models.gauge_log_derivative(params)
     return system, h, normal_form(system, h)
 
 
 def matches_table(params: models.ModelParams, r: RatFunc) -> bool:
     """Exact proof that r, the normal form of params' system, equals the
     closed-form table sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j): both sides are
-    RatFunc values, read in lowest terms with monic denominators, so they
-    are the same rational function exactly when they compare equal."""
+    RatFunc values with monic factored denominators, and == cross-multiplies
+    their stored forms over the lcm, so they compare equal exactly when they
+    are the same rational function.  Neither side is tested for lowest
+    terms.  For Newton r's stored denominator is already the table's; the
+    oscillator's keeps (z^2 - lambda^2)^3 from C B f."""
     return r == models.closed_form_r(params).reconstruct(params.ctx)
 
 

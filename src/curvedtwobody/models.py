@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .exactfield import (DegenerateTower, GaussRational, TowerContext,
                          TowerScalar, _rat, make_context)
 from .linode import FirstOrderSystem
-from .ratcalc import BadFactorization, Poly, RatFunc
+from .ratcalc import BadFactorization, Poly, RatFunc, simple_pole_sum
 
 
 class Space(Enum):
@@ -340,6 +340,24 @@ def candidate_poles(params: ModelParams) -> list[TowerScalar]:
     k = params.kappa_value()
     lam = params.lambda_value()
     return [params.z0_scalar(), k, -k, lam, -lam]
+
+
+def gauge_log_derivative(params: ModelParams) -> RatFunc:
+    """h = C'/(2C) [+ f'/(4f)], the gauge log-derivative to the normal form
+    of build_system(params), in closed form:
+
+      h = (1/2)/(z - z0) - (1/2)/(z -+ kappa) + w/(z -+ lambda)
+
+    with w = -1/2 for Newton and -1/4 for the oscillator.  C is
+    (s z - mu p)/(lead prod (z - c)) over c = +-kappa, +-lambda, so
+    C'/C = 1/(z - z0) - sum 1/(z - c), and the oscillator's f is
+    lead (z^2 - lambda^2), whose f'/(4f) adds 1/4 at +-lambda.
+    derive_params keeps z0 off +-kappa and +-lambda and the four apart, so
+    no two of these poles merge.  The certificate's gauge check still
+    compares h exactly with the elimination's p = -C'/C [- f'/(2f)]."""
+    w = Fraction(-1, 2) if params.potential is Potential.NEWTON else Fraction(-1, 4)
+    weights = (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), w, w)
+    return simple_pole_sum(params.ctx, dict(zip(candidate_poles(params), weights)))
 
 
 def detect_poles(params: ModelParams, r: RatFunc) -> list[tuple[TowerScalar, int]]:

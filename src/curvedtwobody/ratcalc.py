@@ -14,12 +14,15 @@ for the even and odd halves E, O of p: two integer Horner passes.
 
 Poly.from_roots keeps its products on the context
 (TowerContext.root_products), keyed by the exponent map, so each is built
-once per context.  A rational function is read in lowest terms, tested
-once on first read, with its monic denominator factored over linear
-factors: an exponent map {c: e} for prod (z - c)^e, and nothing else.
-The pipeline's denominators all split over z - z0, z -+ kappa and
-z -+ lambda, so products add exponents, sums work over the lcm, and the
-lowest-terms test only evaluates the numerator at the roots; no gcd runs.
+once per context.  A rational function keeps its monic denominator
+factored over linear factors: an exponent map {c: e} for prod (z - c)^e,
+and nothing else.  It is tested for lowest terms once, when a canonical
+form is first read (num, roots, den, hash, render, log_derivative, /);
+== cross-multiplies the stored forms, and the derivative and a square
+work on them, so none of these tests.  The pipeline's denominators all
+split over z - z0, z -+ kappa and z -+ lambda, so products add
+exponents, sums work over the lcm, and the lowest-terms test only
+evaluates the numerator at the roots; no gcd runs.
 Pole locations are always supplied by callers in closed form
 (RatFunc.over), so no root finding happens here: a polynomial that comes
 in dense, as a denominator or as a numerator that / or log_derivative
@@ -445,11 +448,16 @@ def _monic_divmod(p: Poly, n: Poly) -> tuple[Poly, Poly]:
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor by the Euclidean algorithm.  Each
     remainder is made monic, which leaves the gcd as it is and keeps the
-    coefficients from growing."""
+    coefficients from growing; a remainder whose degree does not fall
+    raises RatCalcError rather than loop."""
     if p.is_zero() and q.is_zero():
         raise RatCalcError("gcd(0, 0) undefined")
     while not q.is_zero():
-        p, q = q, (p % q).monic()
+        r = p % q
+        if r.degree() >= q.degree():
+            raise RatCalcError(f"remainder of degree {r.degree()} by a divisor "
+                               f"of degree {q.degree()}")
+        p, q = q, r.monic()
     return p.monic()
 
 
@@ -615,14 +623,16 @@ class RatFunc:
 
     A value built by +, -, *, / or over is stored as computed and flagged
     untested: products add exponents, sums and differences work over the
-    lcm.  The first read of num, roots, den, ==, hash, render or a
-    derivative tests lowest terms once, dividing the numerator at each
-    root, a pair +-c through one remainder mod z^2 - c^2.  Negation and a
-    product by a constant keep the flag; f * f of a tested f, the
-    derivative (each exponent rises by one) and the log-derivative (a
-    simple pole at each root of num and den) are in lowest terms as built.
-    A dense denominator passed to the constructor, and the numerator that
-    / and log_derivative invert, are split by _factor, which raises
+    lcm.  The first read of num, roots, den, hash, render,
+    log_derivative or / tests lowest terms once, dividing the numerator
+    at each root, a pair +-c through one remainder mod z^2 - c^2.  ==
+    cross-multiplies the stored forms and tests neither side.  Negation,
+    a product by a constant, f * f and the derivative work on the stored
+    form and keep the flag: f * f and the derivative of a tested f (each
+    exponent rises by one) are in lowest terms as built, as is the
+    log-derivative (a simple pole at each root of num and den).  A dense
+    denominator passed to the constructor, and the numerator that / and
+    log_derivative invert, are split by _factor, which raises
     BadFactorization on a factor with unknown roots; RatFunc.over takes
     any roots as given.  The dense monic ``den`` is built on first use."""
 
@@ -739,9 +749,9 @@ class RatFunc:
         if other.is_zero():
             return other
         if other is self:
-            # num is coprime to den, so num^2 is coprime to den^2
-            return RatFunc._of(self.num * self.num,
-                               {c: 2 * e for c, e in self.roots.items()}, True)
+            # a tested num is coprime to den, so num^2 is coprime to den^2
+            return RatFunc._of(self._num * self._num,
+                               {c: 2 * e for c, e in self._roots.items()}, self._tested)
         # a non-zero constant factor k cancels nothing: f's flag carries over
         for f, k in ((self, other), (other, self)):
             if not k._roots and k._num.degree() <= 0:
@@ -761,24 +771,33 @@ class RatFunc:
         return self * RatFunc._of(num, roots, True)
 
     def __eq__(self, other) -> bool:
+        """Cross-multiplication: the stored numerators over the lcm of the
+        stored denominators agree, so neither side is tested.  Values from
+        contexts that differ are unequal."""
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.roots == other.roots
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            return False
+        n1, n2 = _over_lcm((self, other))[1]
+        return n1 == n2
 
     def __hash__(self):
         return hash((self.num, self.den))
 
     def derivative(self) -> RatFunc:
-        """(num/Q)' with Q = prod (z - c)^e: Q'/Q = T/S for
-        (S, T) = _log_sum(roots), so the derivative is
-        (num' S - num T) / (Q S); at the roots of Q, which num does not
-        share, nothing cancels, so each exponent rises by one."""
-        num, roots = self.num, self.roots
+        """(num/Q)' with Q = prod (z - c)^e the stored num and exponent map:
+        Q'/Q = T/S for (S, T) = _log_sum(roots), so the derivative is
+        (num' S - num T) / (Q S), and the result keeps self's flag.  On a
+        tested value num does not vanish at the roots of Q, so nothing
+        cancels and each exponent rises by exactly one."""
+        num, roots = self._num, self._roots
         if not roots:
             return RatFunc._of(num.derivative(), roots, True)
         s, t = _log_sum(self.ctx, roots)
-        return RatFunc._of(num.derivative() * s - num * t,
-                           {c: e + 1 for c, e in roots.items()}, True)
+        num = num.derivative() * s - num * t
+        if num.is_zero():
+            return RatFunc(num)
+        return RatFunc._of(num, {c: e + 1 for c, e in roots.items()}, self._tested)
 
     def log_derivative(self) -> RatFunc:
         """f'/f = sum (k_c - e_c)/(z - c), read off the roots k_c of num

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from curvedtwobody import certify as certify_mod
-from curvedtwobody import kovacic, linode, models
+from curvedtwobody import kovacic, linode, models, ratcalc
 from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    CONCLUSION_DEGENERATE,
                                    CONCLUSION_NO_OBSTRUCTION, MAX_IDENTITY_SAMPLES,
@@ -871,6 +871,25 @@ class TestSamplePath:
         assert cert.gauge_consistent and cert.table_match
         if samples:
             assert cert.identity_check == {"samples": 5, "matches": 5, "all_match": True}
+
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_a_sample_tests_no_lowest_terms(self, space, pot, monkeypatch):
+        """h in closed form and r = T by cross-multiplication: five identity
+        samples add no lowest-terms test and no log_derivative."""
+        calls = []
+        real_test, real_log = ratcalc._lowest_terms, RatFunc.log_derivative
+        monkeypatch.setattr(ratcalc, "_lowest_terms",
+                            lambda *args: calls.append("test") or real_test(*args))
+        monkeypatch.setattr(RatFunc, "log_derivative",
+                            lambda f: calls.append("log") or real_log(f))
+        counts = []
+        for samples in (0, 5):
+            calls.clear()
+            cert = certify(make_config(space, pot, identity_samples=samples))
+            counts.append(sorted(calls))
+        assert cert.identity_check["all_match"]
+        assert counts[0] == counts[1]
 
 
 def golden_config(stem: str) -> RunConfig:

@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from curvedtwobody.certify import _gauge_log_derivative
 from curvedtwobody.exactfield import GaussRational
 from curvedtwobody.linode import reduce_to_second_order, to_normal_form
 from curvedtwobody.dynamics import StepFailure, integrate, vector_field
@@ -15,7 +16,7 @@ from curvedtwobody.models import (CentralMotionHamiltonian,
                                   Potential, Space, build_system,
                                   candidate_poles, closed_form_r, derive_params,
                                   detect_poles, gamma_curve_identity,
-                                  hamiltonian, lemma_condition, mu1_solutions,
+                                  gauge_log_derivative, hamiltonian, lemma_condition, mu1_solutions,
                                   random_admissible_params, reference_params)
 from curvedtwobody.ratcalc import Poly, RatFunc
 
@@ -106,6 +107,23 @@ class TestBuildSystem:
     def test_weight_only_for_oscillator(self):
         assert build_system(reference_params(Space.SPHERE, Potential.NEWTON)).weight is None
         assert build_system(reference_params(Space.SPHERE, Potential.OSCILLATOR)).weight is not None
+
+
+class TestClosedFormGauge:
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_equals_the_log_derivatives(self, space, pot):
+        """h in closed form is C'/(2C) [+ f'/(4f)] read off the system, on
+        the reference, three seeded sets, two mu = 1 sets and a set whose
+        kappa or lambda is Gaussian."""
+        rng = random.Random(f"gauge-{space.value}-{pot.value}")
+        sets = [reference_params(space, pot)]
+        sets += [random_admissible_params(space, pot, rng) for _ in range(3)]
+        sets += [random_admissible_params(space, pot, rng, mu_one=True) for _ in range(2)]
+        sets.append(derive_params(space, pot, *COLLAPSED[(space, pot)]))
+        for params in sets:
+            h = gauge_log_derivative(params)
+            assert h == _gauge_log_derivative(build_system(params), params.ctx)
+            assert h.roots == dict.fromkeys(candidate_poles(params), 1)
 
 
 class TestClosedFormTables:

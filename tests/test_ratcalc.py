@@ -7,7 +7,8 @@ import pytest
 from curvedtwobody import ratcalc
 from curvedtwobody.exactfield import DivisionByZero, GaussRational, make_context
 from curvedtwobody.ratcalc import (BadFactorization, Poly, PoleEvaluation,
-                                   RatFunc, poly_gcd, simple_pole_sum)
+                                   RatCalcError, RatFunc, exponent_map, poly_gcd,
+                                   simple_pole_sum)
 
 
 def G(re, im=0):
@@ -60,6 +61,13 @@ class TestPolyGcd:
             q = rand_poly(rng, 3) * g
             got = poly_gcd(p, q)
             assert (got % g).is_zero()
+
+    def test_a_remainder_that_does_not_fall_raises(self, monkeypatch):
+        """A divmod whose remainder keeps the divisor's degree would loop
+        forever; poly_gcd must refuse it."""
+        monkeypatch.setattr(Poly, "divmod", lambda p, q: (Poly(p.ctx), q))
+        with pytest.raises(RatCalcError):
+            poly_gcd(P(-1, 0, 1), P(-1, 1))
 
 
 class TestDifferentiate:
@@ -658,6 +666,77 @@ class TestSquare:
             assert (sq.num, sq.den) == ((f * g).num, (f * g).den)
             assert sq.roots == {c: 2 * e for c, e in f.roots.items()}
             assert_factored(sq)
+
+
+class TestCrossMultipliedEquality:
+    """== cross-multiplies the stored forms over their lcm and tests
+    neither side; the oracle is the comparison it replaced, equal num and
+    roots in lowest terms.  derivative and f * f also work on the stored
+    form and keep the operand's flag."""
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    # numerator coefficients (possibly all zero), exponents at z0, kappa,
+    # -kappa, lambda, -lambda, and planted common factors (z - c)^k in num
+    # and den: at the pair +-kappa, at z0 and at 1/5, a root that is no pole
+    _value = st.tuples(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-2, 2)), min_size=1, max_size=3),
+        st.lists(st.integers(0, 2), min_size=5, max_size=5),
+        st.lists(st.tuples(st.sampled_from(["kappa-pair", "z0", "no-pole"]),
+                           st.integers(1, 2)), max_size=3))
+    _ctx = st.sampled_from(sorted(LOG_CTXS))
+
+    @staticmethod
+    def build(ctx, z0, spec):
+        coeffs, exps, planted = spec
+        k = ctx.sqrt_a()
+        pool = [ctx.from_rational(z0), k, -k, ctx.sqrt_b(), -ctx.sqrt_b()]
+        num = Poly(ctx, [ctx.from_gauss(G(x, y)) for x, y in coeffs])
+        roots = exponent_map(zip(pool, exps))
+        sites = {"kappa-pair": [k, -k], "z0": pool[:1],
+                 "no-pole": [ctx.from_rational(Fr(1, 5))]}
+        for site, m in planted:
+            num = num * Poly.from_roots(ctx, [(c, m) for c in sites[site]])
+            roots = exponent_map([*roots.items(), *((c, m) for c in sites[site])])
+        return RatFunc.over(num, roots)
+
+    @given(_ctx, _value, _value, st.booleans(), st.sampled_from(["same", "equal", "other"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reduced_comparison(self, name, va, vb, same_value, where):
+        """Equal and unequal pairs, zero among them, in one context, in an
+        equal but distinct one and in one that differs (never equal)."""
+        ctx, z0 = LOG_CTXS[name]
+        if same_value:
+            vb = (va[0], va[1], vb[2])
+        ctx_b = {"same": ctx, "equal": make_context(ctx.a, ctx.b),
+                 "other": make_context(ctx.b, ctx.a)}[where]
+        a, b = self.build(ctx, z0, va), self.build(ctx_b, z0, vb)
+        flags = a._tested, b._tested
+        got = a == b
+        assert (b == a) == got
+        assert (a._tested, b._tested) == flags
+        assert got == (a.num == b.num and a.roots == b.roots)
+        if where != "other":
+            assert got or not same_value
+        else:
+            assert not got
+        if got:
+            assert hash(a) == hash(b)
+
+    @given(_ctx, _value)
+    @example("tower", ([(1, 0)], [0] * 5, [("z0", 1)]))  # (z - z0)/(z - z0), derivative 0
+    @settings(max_examples=100, deadline=None)
+    def test_derivative_and_square_skip_the_test(self, name, spec):
+        ctx, z0 = LOG_CTXS[name]
+        f, ref = self.build(ctx, z0, spec), self.build(ctx, z0, spec)
+        ref.num
+        flag = f._tested
+        for got, want in ((f.derivative(), ref.derivative()), (f * f, ref * ref)):
+            assert f._tested == flag
+            assert got._tested == (flag or got.is_zero())
+            assert got == want
+            assert (got.num, got.roots) == (want.num, want.roots)
+            assert_factored(got)
 
 
 # ---------------------------------------------------------------------------

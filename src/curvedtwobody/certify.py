@@ -38,12 +38,12 @@ CONCLUSION_NO_OBSTRUCTION = "NoObstructionFound"
 CONCLUSION_DEGENERATE = "Degenerate"
 
 
-# Each identity sample is a full exact proof: about 1.2 ms with Python 3.11
-# on one Intel Xeon core (median of 9 runs of 200 samples over the four
-# space x potential pairs: parameters 0.11, system 0.30, gauge 0.11, normal
-# form 0.23, table 0.40, compare 0.02 ms).  So more than this many would
-# keep certify busy for over 10 seconds or, for a value such as 10**30,
-# forever.
+# Each identity sample is a full exact proof: about 0.63 ms with Python
+# 3.11 on one Intel Xeon core (median of 9 runs of 200 samples over the
+# four space x potential pairs: parameters 0.044, system 0.11, gauge 0.028,
+# normal form 0.24, table 0.064, reconstruct 0.12, compare 0.016 ms).  So
+# more than this many would keep certify busy for over 10 seconds or, for
+# a value such as 10**30, forever.
 MAX_IDENTITY_SAMPLES = 10_000
 
 
@@ -200,15 +200,19 @@ def _normal_form(params: models.ModelParams):
     return system, h, normal_form(system, h)
 
 
-def matches_table(params: models.ModelParams, r: RatFunc) -> bool:
+def matches_table(params: models.ModelParams, r: RatFunc,
+                  table: Optional[models.CoefficientTable] = None) -> bool:
     """Exact proof that r, the normal form of params' system, equals the
-    closed-form table sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j): both sides are
-    RatFunc values with monic factored denominators, and == cross-multiplies
-    their stored forms over the lcm, so they compare equal exactly when they
-    are the same rational function.  Neither side is tested for lowest
-    terms.  For Newton r's stored denominator is already the table's; the
-    oscillator's keeps (z^2 - lambda^2)^3 from C B f."""
-    return r == models.closed_form_r(params).reconstruct(params.ctx)
+    closed-form table sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j), of table or
+    else of models.closed_form_r(params): both sides are RatFunc values
+    with monic factored denominators, and == cross-multiplies their stored
+    forms over the lcm, so they compare equal exactly when they are the
+    same rational function.  Neither side is tested for lowest terms.  For
+    Newton r's stored denominator is already the table's; the oscillator's
+    keeps (z^2 - lambda^2)^3 from C B f."""
+    if table is None:
+        table = models.closed_form_r(params)
+    return r == table.reconstruct(params.ctx)
 
 
 def certify(config: RunConfig) -> Certificate:
@@ -225,7 +229,8 @@ def certify(config: RunConfig) -> Certificate:
     system, h, normal = _normal_form(params)
     r = normal.r
 
-    table_match = matches_table(params, r)
+    table = models.closed_form_r(params)
+    table_match = matches_table(params, r, table)
     # the elimination runs once, as the independent derivation of r
     gauge_ok = verify_gauge_transform(normal, reduce_to_second_order(system), h)
 
@@ -236,7 +241,7 @@ def certify(config: RunConfig) -> Certificate:
     spec = singularity_spectrum(normal, poles)
 
     try:
-        lemma_report = models.lemma_condition(params)
+        lemma_report = models.lemma_condition(params, table)
     except HypothesisViolated as exc:
         lemma_report = exc.report
     lemma_summary = _lemma_summary(lemma_report)

@@ -183,28 +183,30 @@ def gauss_sqrt(g: GaussRational) -> Optional[GaussRational]:
 
     Of the two roots the one with re > 0 (or re = 0, im >= 0) is returned,
     which matches the principal complex square root.
+
+    g = (x + y i)/d is (X + Y i)/d^2 with X + Y i = (x + y i) d, and a root
+    of that Gaussian integer in Q(i) lies in Z[i], which is integrally
+    closed: (u + v i)^2 = X + Y i with t = |X + Y i| an integer, u^2 =
+    (X + t)/2 and v^2 = (t - X)/2.  Taking u > 0 (v >= 0 when u = 0) picks
+    the principal branch, and the root is (u + v i)/d.  Below, x and y
+    hold X and Y.
     """
-    if g.is_zero():
-        return GAUSS_ZERO
-    if g.im == 0:
-        r = rational_sqrt(g.re)
-        if r is not None:
-            return GaussRational(r, 0)
-        r = rational_sqrt(-g.re)
-        if r is not None:
-            return GaussRational(0, r)
+    d = g.d
+    x, y = g.x * d, g.y * d
+    if y == 0:
+        r = isqrt(abs(x))
+        if r * r != abs(x):
+            return None
+        return _gauss(r, 0, d) if x >= 0 else _gauss(0, r, d)
+    t = isqrt(x * x + y * y)
+    if t * t != x * x + y * y or (x + t) % 2:
         return None
-    t = rational_sqrt(g.re * g.re + g.im * g.im)
-    if t is None:
+    u2 = (x + t) // 2
+    u = isqrt(u2)
+    if u * u != u2:
         return None
-    u2 = (g.re + t) / 2
-    u = rational_sqrt(u2)
-    if u is None or u == 0:
-        return None
-    v = g.im / (2 * u)
-    root = GaussRational(u, v)
-    # u = sqrt((re+t)/2) > 0 already picks the principal branch
-    return root
+    # y != 0 makes t > |x|, so u > 0, and 2 u v = y gives v
+    return _gauss(u, y // (2 * u), d)
 
 
 class TowerContext:

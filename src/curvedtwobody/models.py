@@ -21,10 +21,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exactfield import (DegenerateTower, GaussRational, TowerContext,
-                         TowerScalar, _rat, make_context)
+from .exactfield import (GAUSS_ONE, GAUSS_ZERO, DegenerateTower, GaussRational,
+                         TowerContext, TowerScalar, _gauss, _rat, make_context,
+                         rational_sqrt)
 from .linode import FirstOrderSystem
-from .ratcalc import BadFactorization, Poly, RatFunc, simple_pole_sum
+from .ratcalc import BadFactorization, Poly, RatFunc
 
 
 class Space(Enum):
@@ -99,6 +100,13 @@ def derive_params(space: Space, potential: Potential, strength, mu, p, eps) -> M
 
     mu = 1 is allowed (the degenerate-but-integrable certification path);
     mu = 0 is not.
+
+    kappa^2 and lambda^2 are Gaussians built from integers: with
+    eps = e/d and k/n = mu/(strength d),
+      sphere Newton      kappa^2, lambda^2 = 2 k (e +- i d)/n,
+      hyperbolic Newton  kappa^2, lambda^2 = 2 k (e +- d)/n,
+      oscillator         kappa^2 = k (2e +- d)/n (+ on S^2, - on H^2),
+                         lambda^2 = 2 k e/n.
     """
     strength, mu, p, eps = map(_rat, (strength, mu, p, eps))
     if strength <= 0:
@@ -107,42 +115,37 @@ def derive_params(space: Space, potential: Potential, strength, mu, p, eps) -> M
         raise DegenerateParameters("p must be nonzero")
     if mu == 0:
         raise DegenerateParameters("mu must be nonzero")
-    i = GaussRational(0, 1)
+    e, d = eps.numerator, eps.denominator
+    k = mu.numerator * strength.denominator
+    n = mu.denominator * strength.numerator * d
     if potential is Potential.NEWTON:
         if space is Space.SPHERE:
-            kappa2 = GaussRational(2 * mu * eps / strength, 2 * mu / strength)
-            lambda2 = GaussRational(2 * mu * eps / strength, -2 * mu / strength)
+            kappa2, lambda2 = _gauss(2 * k * e, 2 * k * d, n), _gauss(2 * k * e, -2 * k * d, n)
         else:
-            kappa2 = GaussRational(2 * mu * (eps + 1) / strength)
-            lambda2 = GaussRational(2 * mu * (eps - 1) / strength)
+            kappa2, lambda2 = _gauss(2 * k * (e + d), 0, n), _gauss(2 * k * (e - d), 0, n)
     else:
-        if space is Space.SPHERE:
-            kappa2 = GaussRational(mu * (2 * eps + 1) / strength)
-        else:
-            kappa2 = GaussRational(mu * (2 * eps - 1) / strength)
-        lambda2 = GaussRational(2 * mu * eps / strength)
+        sign = 1 if space is Space.SPHERE else -1
+        kappa2, lambda2 = _gauss(k * (2 * e + sign * d), 0, n), _gauss(2 * k * e, 0, n)
     z0 = mu * p / strength
     try:
         ctx = make_context(kappa2, lambda2)
     except DegenerateTower as exc:
         raise DegenerateParameters(f"singular points collide: {exc}") from exc
-    z0g = GaussRational(z0)
-    if (z0g * z0g - kappa2).is_zero() or (z0g * z0g - lambda2).is_zero():
+    z0g = _q(z0)
+    z02 = z0g * z0g
+    if z02 == kappa2 or z02 == lambda2:
         raise DegenerateParameters("z0 collides with +-kappa or +-lambda")
+    dp = (kappa2 - lambda2) * _q(p)
     if potential is Potential.OSCILLATOR:
-        d = kappa2 - lambda2
-        pg = GaussRational(p)
-        if ((d * pg) * (d * pg) - lambda2).is_zero():
+        if dp * dp == lambda2:
             raise DegenerateParameters(
                 "beta_0/beta_3/beta_4 denominators vanish: ((kappa^2-lambda^2) p)^2 = lambda^2")
     else:
         # the two closed forms of z0 must agree: mu p / alpha and
         # p (kappa^2 - lambda^2)/(4 i) (sphere) resp. /4 (hyperbolic)
-        d = kappa2 - lambda2
-        pg = GaussRational(p)
-        alt = pg * d / GaussRational(0, 4) if space is Space.SPHERE \
-            else pg * d / GaussRational(4)
-        assert alt == z0g, "internal: the two z0 closed forms disagree"
+        four = _gauss(0, 4, 1) if space is Space.SPHERE else _q(4)
+        if dp / four != z0g:
+            raise ModelError("internal: the two z0 closed forms disagree")
     return ModelParams(space, potential, strength, mu, p, eps,
                        kappa2, lambda2, z0, ctx)
 
@@ -162,42 +165,48 @@ def _gamma_f(params: ModelParams) -> Poly:
 
 
 def build_system(params: ModelParams) -> FirstOrderSystem:
-    """A, B, C (and the oscillator weight f) as exact rational functions.
+    """A, B, C (and the oscillator weight f) as exact rational functions,
+    each one RatFunc.over(numerator, exponent map) whose numerator has
+    rational coefficients; the only tower elements are the roots +-kappa,
+    +-lambda of the maps, read off the context.
 
-    Every denominator is built factored over its known roots
-    (gamma_curve_identity): den = f^2 + 1 (sphere) or f^2 - 1 (hyperbolic)
-    vanishes at +-kappa and +-lambda for Newton; for the oscillator f
-    vanishes at +-lambda and f + 1 (sphere) or 1 - f (hyperbolic) at
-    +-kappa, and den is their product."""
+    With sign = 1 on S^2 and -1 on H^2, lin = s z + (2 - mu) p and every
+    denominator factored over its known roots (gamma_curve_identity):
+    Newton's den = f^2 + sign is L (z^2 - kappa^2)(z^2 - lambda^2) for the
+    leading coefficient L = (s/(2 mu))^2, and
+      A = p f/den,  B = p/mu - sign lin/den,  C = (s z - mu p)/den,
+    all over +-kappa, +-lambda.  The oscillator's f = lf (z^2 - lambda^2)
+    and g = 1 + sign f = lg (z^2 - kappa^2) give den = f g and
+      A = p/den,  B = (p/mu)/f^2 - sign lin/den,  C = (s z - mu p)/den,
+    over +-lambda, +-kappa, with +-lambda squared in B."""
     ctx = params.ctx
     s, mu, p = params.strength, params.mu, params.p
     k, lam = params.kappa_value(), params.lambda_value()
-    z = RatFunc.x(ctx)
-    one = Poly.constant(ctx, 1)
-
-    def const(q) -> RatFunc:
-        return RatFunc.constant(ctx, q)
-
-    def reciprocal(poly: Poly, *roots) -> RatFunc:
-        """1/poly for poly = leading coefficient * prod (z - c) over roots."""
-        return RatFunc.over(Poly.constant(ctx, poly.leading().inverse()),
-                            dict.fromkeys(roots, 1))
-
     sign = 1 if params.space is Space.SPHERE else -1
-    lin = const(s) * z + const((2 - mu) * p)
-    c_num = const(s) * z - const(mu * p)
+    signed_lin = Poly.from_rationals(ctx, [sign * (2 - mu) * p, sign * s])
+    c_num = Poly.from_rationals(ctx, [-mu * p, s])
     fp = _gamma_f(params)
-    if params.potential is Potential.NEWTON:
-        inv_den = reciprocal(fp * fp + Poly.constant(ctx, sign), k, -k, lam, -lam)
-        return FirstOrderSystem(A=const(p) * RatFunc.from_poly(fp) * inv_den,
-                                B=const(p / mu) - const(sign) * lin * inv_den,
-                                C=c_num * inv_den, weight=None)
 
-    inv_f = reciprocal(fp, lam, -lam)
-    inv_den = inv_f * reciprocal(fp + one if sign == 1 else one - fp, k, -k)
-    return FirstOrderSystem(A=const(p) * inv_den,
-                            B=const(p / mu) * inv_f * inv_f - const(sign) * lin * inv_den,
-                            C=c_num * inv_den, weight=RatFunc.from_poly(fp))
+    def over(num: Poly, scale: Fraction, roots: dict) -> RatFunc:
+        return RatFunc.over(num.scale(ctx.from_rational(scale)), roots)
+
+    if params.potential is Potential.NEWTON:
+        inv, roots = (2 * mu / s) ** 2, dict.fromkeys((k, -k, lam, -lam), 1)
+        den = fp * fp + Poly.constant(ctx, sign)
+        return FirstOrderSystem(A=over(fp, p * inv, roots),
+                                B=over(den.scale(ctx.from_rational(p / mu)) - signed_lin,
+                                       inv, roots),
+                                C=over(c_num, inv, roots), weight=None)
+
+    # 1/(lf lg) = sign (mu/s)^2 with lf = -s/mu and lg = -sign s/mu; over
+    # (z^2 - lambda^2)^2 (z^2 - kappa^2), B's numerator is
+    # ((p/mu) g - sign lin f)/(lf^2 lg)
+    inv, roots = sign * (mu / s) ** 2, dict.fromkeys((lam, -lam, k, -k), 1)
+    g = Poly.constant(ctx, 1) + (fp if sign == 1 else -fp)
+    return FirstOrderSystem(A=over(Poly.constant(ctx, p), inv, roots),
+                            B=over(g.scale(ctx.from_rational(p / mu)) - signed_lin * fp,
+                                   -inv * mu / s, {lam: 2, -lam: 2, k: 1, -k: 1}),
+                            C=over(c_num, inv, roots), weight=RatFunc.from_poly(fp))
 
 
 def gamma_curve_identity(params: ModelParams) -> bool:
@@ -238,40 +247,67 @@ def gamma_curve_identity(params: ModelParams) -> bool:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """alpha_j, beta_j at the poles [z0, +kappa, -kappa, +lambda, -lambda]."""
+    """r = sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j) over the poles
+    [z0, +kappa, -kappa, +lambda, -lambda], held by its Gaussian parts.
+
+    head is (alpha_0, beta_0) at z0.  pairs holds, for +-kappa and then
+    +-lambda, (c^2, e, o, e', o') with alpha(+-c) = e +- c o and
+    beta(+-c) = e' +- c o'.  Every entry of head and pairs is a Gaussian
+    rational; the poles are the TowerScalars of candidate_poles, and
+    alphas and betas become TowerScalars (c times a Gaussian) only when
+    they are read."""
 
     poles: tuple[TowerScalar, ...]
-    alphas: tuple[TowerScalar, ...]
-    betas: tuple[TowerScalar, ...]
-    _pairs: tuple = field(init=False, repr=False, compare=False)
+    head: tuple[GaussRational, GaussRational]
+    pairs: tuple[tuple[GaussRational, ...], ...]
 
     def __post_init__(self):
-        # the poles +-c pair into (u2 z^2 + u1 z + u0 + (v1 z + v0)(z^2 - c^2))
-        # / (z^2 - c^2)^2; stored as (u2, u1, u0, v1, v0, c^2) per pair
-        pairs = []
-        for j in (1, 3):
-            c, ap, am, bp, bm = (self.poles[j], self.alphas[j], self.alphas[j + 1],
-                                 self.betas[j], self.betas[j + 1])
-            if self.poles[j + 1] != -c:
-                raise ModelError("table poles must come in pairs +-c")
-            u2, c2 = ap + am, c * c
-            pairs.append((u2, (c + c) * (ap - am), c2 * u2,
-                          bp + bm, c * (bp - bm), c2))
-        object.__setattr__(self, "_pairs", tuple(pairs))
+        if any(self.poles[j + 1] != -self.poles[j] for j in (1, 3)):
+            raise ModelError("table poles must come in pairs +-c")
+
+    @property
+    def alphas(self) -> tuple[TowerScalar, ...]:
+        return self._entries(0)
+
+    @property
+    def betas(self) -> tuple[TowerScalar, ...]:
+        return self._entries(1)
+
+    def _entries(self, k: int) -> tuple[TowerScalar, ...]:
+        """The alphas (k = 0) or the betas (k = 1), one per pole."""
+        ctx = self.poles[0].ctx
+        out = [ctx.from_gauss(self.head[k])]
+        for c, part in zip(self.poles[1::2], self.pairs):
+            even, odd = ctx.from_gauss(part[1 + 2 * k]), c * ctx.from_gauss(part[2 + 2 * k])
+            out += (even + odd, even - odd)
+        return tuple(out)
 
     def reconstruct(self, ctx: TowerContext) -> RatFunc:
-        """sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j) as one RatFunc.  z0 gives
-        (alpha_0 + beta_0 (z - z0))/(z - z0)^2 and each pair +-c its _pairs
-        form over (z^2 - c^2)^2; every coefficient there is Gaussian."""
-        z0, one = self.poles[0], ctx.one
-        num = Poly(ctx, [self.alphas[0] - self.betas[0] * z0, self.betas[0]])
-        den = Poly(ctx, [z0 * z0, -(z0 + z0), one])
-        for u2, u1, u0, v1, v0, c2 in self._pairs:
-            quad = Poly(ctx, [-c2, ctx.zero, one])
-            quad = quad * quad
-            part = Poly(ctx, [u0 - v0 * c2, u1 - v1 * c2, u2 + v0, v1])
+        """sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j) as one RatFunc over
+        (z - z0)^2 (z^2 - kappa^2)^2 (z^2 - lambda^2)^2, built in Q(i).
+        z0 gives (alpha_0 + beta_0 (z - z0))/(z - z0)^2 and a pair +-c
+        (u2 z^2 + u1 z + u0 + (v1 z + v0)(z^2 - c^2))/(z^2 - c^2)^2 with
+        u2 = 2e, u1 = 4 c^2 o, u0 = c^2 u2, v1 = 2e' and v0 = 2 c^2 o'."""
+        z0 = self.poles[0].c00
+        a0, b0 = self.head
+        num = _gauss_poly(ctx, [a0 - b0 * z0, b0])
+        den = _gauss_poly(ctx, [z0 * z0, -(z0 + z0), GAUSS_ONE])
+        for c2, e, o, e1, o1 in self.pairs:
+            u2, v1, v0 = e + e, e1 + e1, c2 * (o1 + o1)
+            quad = _gauss_poly(ctx, [c2 * c2, GAUSS_ZERO, -(c2 + c2), GAUSS_ZERO, GAUSS_ONE])
+            part = _gauss_poly(ctx, [c2 * (u2 - v0), c2 * (_q(4) * o - v1), u2 + v0, v1])
             num, den = num * quad + part * den, den * quad
         return RatFunc.over(num, {c: 2 for c in self.poles})
+
+
+def _q(x, d: int = 1) -> GaussRational:
+    """x/d as a Gaussian, for an int or a Fraction x."""
+    return _gauss(x.numerator, 0, x.denominator * d)
+
+
+def _gauss_poly(ctx: TowerContext, coeffs) -> Poly:
+    """The polynomial with the Gaussian coefficients coeffs, low to high."""
+    return Poly(ctx, [ctx.from_gauss(g) for g in coeffs])
 
 
 def closed_form_r(params: ModelParams) -> CoefficientTable:
@@ -297,42 +333,38 @@ def closed_form_r(params: ModelParams) -> CoefficientTable:
                  - (8(mu-1)^2 z0^2 + 9 o^2 + (8 mu^2 - 17) c^2) / (16 c D)
 
     Two symmetries write each entry once.  The entry at -c is the +c
-    expression with c -> -c, so a pair is (even + odd, even - odd); both
-    parts are computed once in Q(i), the odd one as c times a Gaussian.
-    Newton's lambda pair is its kappa pair with kappa^2 and lambda^2
-    swapped.
+    expression with c -> -c, so a pair is (even + odd, even - odd) with
+    odd = c times a Gaussian: alpha = e +- c o with e = (mu^2 - 1 +
+    (mu-1)^2 z0^2/c^2)/4 and o = -mu(mu-1) z0/(2 c^2).  Newton's lambda
+    pair is its kappa pair with kappa^2 and lambda^2 swapped.  Every part
+    is computed in Q(i) from the integers of mu, z0, kappa^2 and lambda^2;
+    the only TowerScalars are the poles.
     """
-    ctx, mu, z0, g = params.ctx, params.mu, params.z0, GaussRational
+    mu, z0 = _q(params.mu), _q(params.z0)
     k2, l2 = params.kappa2, params.lambda2
     m = 2 if params.potential is Potential.NEWTON else 1
+    mu1 = mu - GAUSS_ONE
+    q = mu * mu - GAUSS_ONE           # mu^2 - 1
+    pz = mu1 * mu1 * z0 * z0          # (mu-1)^2 z0^2
+    b1 = mu * mu1 * z0                # mu(mu-1) z0
 
-    def pair(c, even, odd):
-        e, o = ctx.from_gauss(even), c * ctx.from_gauss(odd)
-        return e + o, e - o
+    def alpha(c2):
+        return (q + pz / c2) / _q(4), -b1 / (c2 + c2)
 
-    def alpha(c, c2):
-        return pair(c, g((mu * mu - 1) / 4) + g((mu - 1) ** 2 * z0 * z0 / 4) / c2,
-                    g(-mu * (mu - 1) * z0 / 2) / c2)
-
-    def beta(c, c2, o2):
+    def beta(c2, o2):
         d = c2 - o2
-        num = g((mu - 1) ** 2 * z0 * z0) * (g(2 * m + 1) * c2 - o2) \
-            + g(mu * mu - 1) * c2 * (g(2 * m - 1) * c2 + o2)
-        return pair(c, g(m * mu * (mu - 1) * z0) / d, -num / (g(4) * d * c2 * c2))
+        num = pz * (_q(2 * m + 1) * c2 - o2) + q * c2 * (_q(2 * m - 1) * c2 + o2)
+        return _q(m) * b1 / d, -num / (_q(4) * d * c2 * c2)
 
     poles = tuple(candidate_poles(params))
-    k, lam = poles[1], poles[3]
-    head = (ctx.from_rational(Fraction(3, 4)), *alpha(k, k2))
+    kappa_pair = (k2, *alpha(k2), *beta(k2, l2))
     if params.potential is Potential.NEWTON:
-        return CoefficientTable(poles, (*head, *alpha(lam, l2)),
-                                (ctx.zero, *beta(k, k2, l2), *beta(lam, l2, k2)))
-    w, d = g(Fraction(3, 4)) / (g(z0 * z0) - l2), l2 - k2
-    odd = w - (g(8 * (mu - 1) ** 2 * z0 * z0) + g(9) * k2 + g(8 * mu * mu - 17) * l2) \
-        / (g(16) * l2 * d)
-    a34 = ctx.from_rational(Fraction(-3, 16))
-    return CoefficientTable(poles, (*head, a34, a34),
-                            (ctx.from_gauss(g(-2 * z0) * w), *beta(k, k2, l2),
-                             *pair(lam, w * g(z0) + g(mu * (mu - 1) * z0) / d, odd)))
+        return CoefficientTable(poles, (_q(3, 4), GAUSS_ZERO),
+                                (kappa_pair, (l2, *alpha(l2), *beta(l2, k2))))
+    w, d = _q(3, 4) / (z0 * z0 - l2), l2 - k2
+    odd = w - (_q(8) * pz + _q(9) * k2 + (_q(8) * mu * mu - _q(17)) * l2) / (_q(16) * l2 * d)
+    return CoefficientTable(poles, (_q(3, 4), _q(-2) * z0 * w),
+                            (kappa_pair, (l2, _q(-3, 16), GAUSS_ZERO, w * z0 + b1 / d, odd)))
 
 
 def candidate_poles(params: ModelParams) -> list[TowerScalar]:
@@ -347,17 +379,30 @@ def gauge_log_derivative(params: ModelParams) -> RatFunc:
     of build_system(params), in closed form:
 
       h = (1/2)/(z - z0) - (1/2)/(z -+ kappa) + w/(z -+ lambda)
+        = (1/2)/(z - z0) - z/(z^2 - kappa^2) + 2 w z/(z^2 - lambda^2)
 
     with w = -1/2 for Newton and -1/4 for the oscillator.  C is
     (s z - mu p)/(lead prod (z - c)) over c = +-kappa, +-lambda, so
     C'/C = 1/(z - z0) - sum 1/(z - c), and the oscillator's f is
-    lead (z^2 - lambda^2), whose f'/(4f) adds 1/4 at +-lambda.
-    derive_params keeps z0 off +-kappa and +-lambda and the four apart, so
-    no two of these poles merge.  The certificate's gauge check still
-    compares h exactly with the elimination's p = -C'/C [- f'/(2f)]."""
-    w = Fraction(-1, 2) if params.potential is Potential.NEWTON else Fraction(-1, 4)
-    weights = (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), w, w)
-    return simple_pole_sum(params.ctx, dict(zip(candidate_poles(params), weights)))
+    lead (z^2 - lambda^2), whose f'/(4f) adds 1/4 at +-lambda.  Over
+    (z - z0)(z^2 - kappa^2)(z^2 - lambda^2) the numerator, with t = 2w,
+    has the Gaussian coefficients (low to high)
+
+      kappa^2 lambda^2/2,  z0 (t kappa^2 - lambda^2),
+      lambda^2 - t kappa^2 - (kappa^2 + lambda^2)/2,  z0 (1 - t),  t - 1/2,
+
+    computed in Q(i); the only tower elements are the poles of
+    candidate_poles in its exponent map.  derive_params keeps z0 off
+    +-kappa and +-lambda and the four apart, so no two of these poles
+    merge.  The certificate's gauge check still compares h exactly with
+    the elimination's p = -C'/C [- f'/(2f)]."""
+    z0, k2, l2 = _q(params.z0), params.kappa2, params.lambda2
+    t = _q(-1) if params.potential is Potential.NEWTON else _q(-1, 2)
+    half = _q(1, 2)
+    coeffs = [half * k2 * l2, z0 * (t * k2 - l2), l2 - t * k2 - half * (k2 + l2),
+              z0 * (GAUSS_ONE - t), t - half]
+    return RatFunc.over(_gauss_poly(params.ctx, coeffs),
+                        dict.fromkeys(candidate_poles(params), 1))
 
 
 def detect_poles(params: ModelParams, r: RatFunc) -> list[tuple[TowerScalar, int]]:
@@ -430,9 +475,11 @@ def _alpha_reality(idx: int, alpha: TowerScalar) -> AlphaReality:
     return AlphaReality(idx, False, None, im, abs(im) > 1e-9)
 
 
-def lemma_condition(params: ModelParams) -> LemmaReport:
+def lemma_condition(params: ModelParams,
+                    table: Optional[CoefficientTable] = None) -> LemmaReport:
     """Check the hypotheses of the reality lemma matching the case and verify
-    its conclusion (the relevant alpha_j are non-real).
+    its conclusion (the relevant alpha_j are non-real), reading the alphas
+    of table, closed_form_r(params) when none is given.
 
     Raises HypothesisViolated when a hypothesis fails; the exception carries
     the partial report in its `report` attribute.
@@ -449,7 +496,6 @@ def lemma_condition(params: ModelParams) -> LemmaReport:
             # (sqrt(eps^2+1) - eps)(eps^2+1) != (mu-1)^2 p^2 / (4 alpha mu):
             # exactly decidable because the left side is rational only when
             # eps^2+1 is a perfect square
-            from .exactfield import rational_sqrt
             rhs = (mu - 1) ** 2 * p * p / (4 * s * mu)
             root = rational_sqrt(eps * eps + 1)
             if root is not None and (root - eps) * (eps * eps + 1) == rhs:
@@ -468,9 +514,9 @@ def lemma_condition(params: ModelParams) -> LemmaReport:
             if not eps < Fraction(1, 2):
                 failures.append("eps < 1/2 required in the hyperbolic case")
 
-    table = closed_form_r(params)
+    values = (closed_form_r(params) if table is None else table).alphas
     indices = (1, 2, 3, 4) if params.potential is Potential.NEWTON else (1, 2)
-    alphas = tuple(_alpha_reality(j, table.alphas[j]) for j in indices)
+    alphas = tuple(_alpha_reality(j, values[j]) for j in indices)
 
     identity_checked = False
     if lemma in (2, 3) and not failures:
@@ -480,8 +526,8 @@ def lemma_condition(params: ModelParams) -> LemmaReport:
         if kv is not None and kv.re == 0 and kv.im != 0:
             q = kv.im
             expect = -(mu * mu * (1 - mu) * p) / (2 * s * q)
-            a1 = table.alphas[1].is_gauss_value()
-            a2 = table.alphas[2].is_gauss_value()
+            a1 = values[1].is_gauss_value()
+            a2 = values[2].is_gauss_value()
             if a1 is not None and a2 is not None:
                 identity_checked = (a1.im == expect and a2.im == -expect)
 

@@ -18,7 +18,7 @@ from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    certify, matches_table, render_report)
 from curvedtwobody.cli import main as cli_main
 from curvedtwobody.cli import sweep_workers
-from curvedtwobody.exactfield import _rat
+from curvedtwobody.exactfield import GAUSS_ONE, TowerScalar, _rat
 from curvedtwobody.linode import (FirstOrderSystem, reduce_to_second_order,
                                   to_normal_form)
 from curvedtwobody.models import (Potential, Space, build_system,
@@ -753,11 +753,19 @@ class TestGoldenCertificates:
         assert render_report(certify(config), "json") == raw
 
 
-def corrupt(table, field, j):
-    """The table with one more unit on its alphas[j] or betas[j]."""
-    values = list(getattr(table, field))
-    values[j] = values[j] + values[j].ctx.one
-    return dataclasses.replace(table, **{field: tuple(values)})
+def corrupt(table, field, j, part=0):
+    """The table with one more unit on its alphas[j] or betas[j] at j = 0.
+    At a pole j of a pair +-c, alpha(+-c) = e +- c o (beta likewise), and
+    the unit goes on the even part e (part = 0, both entries of the pair
+    move by one) or on the odd part o (part = 1, they move by +-c)."""
+    k = ("alphas", "betas").index(field)
+    if j == 0:
+        head = list(table.head)
+        head[k] += GAUSS_ONE
+        return dataclasses.replace(table, head=tuple(head))
+    pairs = [list(pair) for pair in table.pairs]
+    pairs[(j - 1) // 2][1 + 2 * k + part] += GAUSS_ONE
+    return dataclasses.replace(table, pairs=tuple(map(tuple, pairs)))
 
 
 def proof_samples():
@@ -780,13 +788,13 @@ class TestIdentityProof:
     wrong r or a wrong T."""
 
     @staticmethod
-    def assert_corruption_refused(field, j, monkeypatch):
+    def assert_corruption_refused(field, j, monkeypatch, part=0):
         samples = [(params, normal_r(build_system(params)))
                    for params in proof_samples()]
         assert all(matches_table(params, r) for params, r in samples)
         exact = models.closed_form_r
         monkeypatch.setattr(models, "closed_form_r",
-                            lambda params: corrupt(exact(params), field, j))
+                            lambda params: corrupt(exact(params), field, j, part))
         assert not any(matches_table(params, r) for params, r in samples)
 
     @pytest.mark.parametrize("j", [0, 1, 3])
@@ -796,6 +804,11 @@ class TestIdentityProof:
     @pytest.mark.parametrize("j", [0, 1, 3])
     def test_corrupted_alpha_is_refused(self, j, monkeypatch):
         self.assert_corruption_refused("alphas", j, monkeypatch)
+
+    @pytest.mark.parametrize("field", ["alphas", "betas"])
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_corrupted_odd_part_is_refused(self, field, j, monkeypatch):
+        self.assert_corruption_refused(field, j, monkeypatch, part=1)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_generic_system_is_refused(self, weighted):
@@ -890,6 +903,32 @@ class TestSamplePath:
             counts.append(sorted(calls))
         assert cert.identity_check["all_match"]
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_a_sample_builds_one_table_and_no_tower_product(self, space, pot,
+                                                           monkeypatch):
+        """certify builds the table once for table_match and the lemma, and
+        each of its N identity samples once more: 1 + N tables.  No sample
+        multiplies two TowerScalars of which neither is Gaussian."""
+        tables, products = [], []
+        real_table, real_mul = models.closed_form_r, TowerScalar.__mul__
+
+        def counted_mul(x, y):
+            if not (x.is_gaussian() or y.is_gaussian()):
+                products.append((x, y))
+            return real_mul(x, y)
+        monkeypatch.setattr(models, "closed_form_r",
+                            lambda params: tables.append(params) or real_table(params))
+        monkeypatch.setattr(TowerScalar, "__mul__", counted_mul)
+        counts = []
+        for samples in (0, 5):
+            tables.clear()
+            products.clear()
+            cert = certify(make_config(space, pot, identity_samples=samples))
+            counts.append((len(tables), len(products)))
+        assert cert.identity_check["all_match"]
+        assert counts[1] == (counts[0][0] + 5, counts[0][1])
+        assert counts[0][0] == 1
 
 
 def golden_config(stem: str) -> RunConfig:

@@ -452,6 +452,28 @@ class TestGaussianFastPath:
         assert (built_zero.x, built_zero.y, built_zero.d) == (0, 0, 1)
 
 
+def oracle_gauss_sqrt(g):
+    """gauss_sqrt on Fractions: t = |g|, u = sqrt((re + t)/2) > 0 and
+    v = im/(2u) for im != 0, else the real or imaginary rational root."""
+    if g.is_zero():
+        return GAUSS_ZERO
+    if g.im == 0:
+        r = rational_sqrt(g.re)
+        if r is not None:
+            return GaussRational(r, 0)
+        r = rational_sqrt(-g.re)
+        if r is not None:
+            return GaussRational(0, r)
+        return None
+    t = rational_sqrt(g.re * g.re + g.im * g.im)
+    if t is None:
+        return None
+    u = rational_sqrt((g.re + t) / 2)
+    if u is None or u == 0:
+        return None
+    return GaussRational(u, g.im / (2 * u))
+
+
 class TestGaussSqrt:
     @given(st.integers(-40, 40), st.integers(1, 12), st.integers(-40, 40), st.integers(1, 12))
     @settings(max_examples=200, deadline=None)
@@ -474,6 +496,15 @@ class TestGaussSqrt:
             root = gauss_sqrt(g)
             if root is not None:
                 assert abs(root.to_complex() - cmath.sqrt(g.to_complex())) < 1e-12
+
+    @given(st.one_of(GAUSS, GAUSS.map(lambda g: g * g),
+                     GAUSS.map(lambda g: -(g * g)),
+                     st.builds(GaussRational, FRACTIONS, st.just(0))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_oracle(self, g):
+        """The integer root is the Fraction oracle's, on squares, non-squares
+        and the negative reals (principal root on the imaginary axis)."""
+        assert gauss_sqrt(g) == oracle_gauss_sqrt(g)
 
     def test_rational_sqrt(self):
         assert rational_sqrt(Fr(9, 4)) == Fr(3, 2)

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvedtwobody.certify import _gauge_log_derivative
 from curvedtwobody.exactfield import GaussRational
-from curvedtwobody.linode import reduce_to_second_order, to_normal_form
+from curvedtwobody.linode import FirstOrderSystem, reduce_to_second_order, to_normal_form
 from curvedtwobody.dynamics import StepFailure, integrate, vector_field
 from curvedtwobody.models import (CentralMotionHamiltonian,
                                   DegenerateParameters, DomainError,
@@ -18,7 +20,7 @@ from curvedtwobody.models import (CentralMotionHamiltonian,
                                   detect_poles, gamma_curve_identity,
                                   gauge_log_derivative, hamiltonian, lemma_condition, mu1_solutions,
                                   random_admissible_params, reference_params)
-from curvedtwobody.ratcalc import Poly, RatFunc
+from curvedtwobody.ratcalc import Poly, RatFunc, simple_pole_sum
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -91,6 +93,21 @@ class TestDeriveParams:
     def test_decimal_rejected(self):
         with pytest.raises(TypeError):
             derive_params(Space.SPHERE, Potential.NEWTON, 2.0, 0.5, 1, 0)
+
+    @pytest.mark.parametrize("space,args", [
+        (Space.SPHERE, COLLAPSED[(Space.SPHERE, Potential.NEWTON)]),
+        (Space.HYPERBOLIC, (1, Fr(1, 2), 1, -2))])
+    def test_disagreeing_z0_forms_raise(self, space, args, monkeypatch):
+        """Newton's check that mu p/strength is p (kappa^2 - lambda^2)/(4i)
+        (S^2) or /4 (H^2) raises ModelError, which python -O keeps: here
+        kappa and lambda are Gaussian, so that division is derive_params'
+        only one, and it is made off by one."""
+        real = GaussRational.__truediv__
+        monkeypatch.setattr(GaussRational, "__truediv__",
+                            lambda x, y: real(x, y) + GaussRational(1))
+        with pytest.raises(ModelError, match="two z0 closed forms disagree") as info:
+            derive_params(space, Potential.NEWTON, *args)
+        assert not isinstance(info.value, DegenerateParameters)
 
 
 class TestBuildSystem:
@@ -273,6 +290,191 @@ class TestClosedFormTables:
             alt = pg * d / GaussRational(0, 4) if space is Space.SPHERE \
                 else pg * d / GaussRational(4)
             assert alt == GaussRational(params.z0)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the TowerScalar / RatFunc constructions the Gaussian ones replace
+# ---------------------------------------------------------------------------
+
+
+def oracle_system(params):
+    """build_system from RatFunc sums and products of 1/(lead prod (z - c))."""
+    ctx = params.ctx
+    s, mu, p = params.strength, params.mu, params.p
+    k, lam = params.kappa_value(), params.lambda_value()
+    z = RatFunc.x(ctx)
+    one = Poly.constant(ctx, 1)
+
+    def const(q):
+        return RatFunc.constant(ctx, q)
+
+    def reciprocal(poly, *roots):
+        return RatFunc.over(Poly.constant(ctx, poly.leading().inverse()),
+                            dict.fromkeys(roots, 1))
+
+    sign = 1 if params.space is Space.SPHERE else -1
+    lin = const(s) * z + const((2 - mu) * p)
+    c_num = const(s) * z - const(mu * p)
+    eps = params.eps
+    fp = Poly.from_rationals(ctx, [-eps, 0, s / (2 * mu)] if params.potential is Potential.NEWTON
+                             else [2 * eps, 0, -s / mu])
+    if params.potential is Potential.NEWTON:
+        inv_den = reciprocal(fp * fp + Poly.constant(ctx, sign), k, -k, lam, -lam)
+        return FirstOrderSystem(A=const(p) * RatFunc.from_poly(fp) * inv_den,
+                                B=const(p / mu) - const(sign) * lin * inv_den,
+                                C=c_num * inv_den, weight=None)
+    inv_f = reciprocal(fp, lam, -lam)
+    inv_den = inv_f * reciprocal(fp + one if sign == 1 else one - fp, k, -k)
+    return FirstOrderSystem(A=const(p) * inv_den,
+                            B=const(p / mu) * inv_f * inv_f - const(sign) * lin * inv_den,
+                            C=c_num * inv_den, weight=RatFunc.from_poly(fp))
+
+
+def oracle_gauge(params):
+    """h as simple_pole_sum over the five linear roots."""
+    w = Fr(-1, 2) if params.potential is Potential.NEWTON else Fr(-1, 4)
+    weights = (Fr(1, 2), Fr(-1, 2), Fr(-1, 2), w, w)
+    return simple_pole_sum(params.ctx, dict(zip(candidate_poles(params), weights)))
+
+
+def oracle_table(params):
+    """(poles, alphas, betas, T): every entry a TowerScalar, each pair
+    (e + c o, e - c o) with c o a tower product, and T summed from the
+    pairs' u2, u1, u0, v1, v0 formed by TowerScalar products."""
+    ctx, mu, z0, g = params.ctx, params.mu, params.z0, GaussRational
+    k2, l2 = params.kappa2, params.lambda2
+    m = 2 if params.potential is Potential.NEWTON else 1
+
+    def pair(c, even, odd):
+        e, o = ctx.from_gauss(even), c * ctx.from_gauss(odd)
+        return e + o, e - o
+
+    def alpha(c, c2):
+        return pair(c, g((mu * mu - 1) / 4) + g((mu - 1) ** 2 * z0 * z0 / 4) / c2,
+                    g(-mu * (mu - 1) * z0 / 2) / c2)
+
+    def beta(c, c2, o2):
+        d = c2 - o2
+        num = g((mu - 1) ** 2 * z0 * z0) * (g(2 * m + 1) * c2 - o2) \
+            + g(mu * mu - 1) * c2 * (g(2 * m - 1) * c2 + o2)
+        return pair(c, g(m * mu * (mu - 1) * z0) / d, -num / (g(4) * d * c2 * c2))
+
+    poles = tuple(candidate_poles(params))
+    k, lam = poles[1], poles[3]
+    head = (ctx.from_rational(Fr(3, 4)), *alpha(k, k2))
+    if params.potential is Potential.NEWTON:
+        alphas = (*head, *alpha(lam, l2))
+        betas = (ctx.zero, *beta(k, k2, l2), *beta(lam, l2, k2))
+    else:
+        w, d = g(Fr(3, 4)) / (g(z0 * z0) - l2), l2 - k2
+        odd = w - (g(8 * (mu - 1) ** 2 * z0 * z0) + g(9) * k2 + g(8 * mu * mu - 17) * l2) \
+            / (g(16) * l2 * d)
+        a34 = ctx.from_rational(Fr(-3, 16))
+        alphas = (*head, a34, a34)
+        betas = (ctx.from_gauss(g(-2 * z0) * w), *beta(k, k2, l2),
+                 *pair(lam, w * g(z0) + g(mu * (mu - 1) * z0) / d, odd))
+    z0s, one = poles[0], ctx.one
+    num = Poly(ctx, [alphas[0] - betas[0] * z0s, betas[0]])
+    den = Poly(ctx, [z0s * z0s, -(z0s + z0s), one])
+    for j in (1, 3):
+        c, ap, am, bp, bm = poles[j], alphas[j], alphas[j + 1], betas[j], betas[j + 1]
+        u2, c2 = ap + am, c * c
+        u1, u0, v1, v0 = (c + c) * (ap - am), c2 * u2, bp + bm, c * (bp - bm)
+        quad = Poly(ctx, [-c2, ctx.zero, one])
+        quad = quad * quad
+        part = Poly(ctx, [u0 - v0 * c2, u1 - v1 * c2, u2 + v0, v1])
+        num, den = num * quad + part * den, den * quad
+    return poles, alphas, betas, RatFunc.over(num, {c: 2 for c in poles})
+
+
+def small_fractions(lo, hi, max_den):
+    return st.builds(Fr, st.integers(lo, hi), st.integers(1, max_den))
+
+
+@st.composite
+def oracle_params(draw):
+    """A parameter set passing every guard: generic, or with kappa^2 a
+    square in Q(i) ("square"), or with lambda^2/kappa^2 one ("ratio"), so
+    that lambda is a Gaussian multiple of kappa; mu = 1 about one time in
+    four."""
+    space, pot = draw(st.sampled_from(ALL_CASES))
+    kind = draw(st.sampled_from(["generic", "square", "ratio"]))
+    s = draw(small_fractions(1, 9, 4))
+    mu = draw(st.one_of(st.just(Fr(1)), small_fractions(1, 9, 6),
+                        small_fractions(1, 9, 6), small_fractions(1, 9, 6)))
+    p = draw(small_fractions(-6, 6, 4).filter(bool))
+    t = draw(small_fractions(1, 7, 5))
+    sign = draw(st.sampled_from([1, -1]))
+    side = 1 if space is Space.SPHERE else -1
+    newton = pot is Potential.NEWTON
+    if kind == "generic":
+        eps = draw(small_fractions(-9, 9, 5))
+    elif kind == "square":
+        if newton and space is Space.SPHERE:
+            # kappa^2 = (t + i y)^2 with 2 t y = 2 mu/s
+            y = mu / (s * t)
+            eps = (t * t - y * y) * s / (2 * mu)
+        elif newton:
+            eps = sign * t * t * s / (2 * mu) - 1
+        else:
+            eps = (sign * t * t * s / mu - side) / 2
+    else:
+        st2 = sign * t * t
+        assume(st2 != 1)
+        if newton and space is Space.SPHERE:
+            # (eps - i)/(eps + i) = (eps - i)^2/(eps^2 + 1), eps^2 + 1 a square
+            eps = (1 - t * t) / (2 * t)
+        elif newton:
+            eps = (1 + st2) / (1 - st2)
+        else:
+            eps = side * st2 / (2 * (1 - st2))
+    try:
+        params = derive_params(space, pot, s, mu, p, eps)
+    except DegenerateParameters:
+        assume(False)
+    lam = params.lambda_value()
+    if kind == "square":
+        assert params.kappa_value().is_gaussian()
+    if kind == "ratio":
+        assert lam.c01.is_zero() and lam.c11.is_zero()
+    return params
+
+
+def assert_same_ratfunc(got, want):
+    """== on the stored forms, then equal lowest-terms num and roots."""
+    assert got == want
+    assert got.num == want.num
+    assert got.roots == want.roots
+
+
+class TestGaussianConstructionsMatchOracles:
+    """The system, the gauge h and the table built in Q(i) are the
+    TowerScalar and RatFunc constructions they replace."""
+
+    @given(oracle_params())
+    @settings(max_examples=150, deadline=None)
+    def test_system(self, params):
+        got, want = build_system(params), oracle_system(params)
+        for name in ("A", "B", "C"):
+            assert_same_ratfunc(getattr(got, name), getattr(want, name))
+        assert (got.weight is None) == (want.weight is None)
+        if want.weight is not None:
+            assert_same_ratfunc(got.weight, want.weight)
+
+    @given(oracle_params())
+    @settings(max_examples=150, deadline=None)
+    def test_gauge(self, params):
+        assert_same_ratfunc(gauge_log_derivative(params), oracle_gauge(params))
+
+    @given(oracle_params())
+    @settings(max_examples=150, deadline=None)
+    def test_table(self, params):
+        table = closed_form_r(params)
+        poles, alphas, betas, want = oracle_table(params)
+        assert table.poles == poles
+        assert table.alphas == alphas
+        assert table.betas == betas
+        assert_same_ratfunc(table.reconstruct(params.ctx), want)
 
 
 class TestLemmaConditions:

@@ -113,7 +113,10 @@ class GaussRational:
         return _gauss(self.x * d2 - other.x * d1, self.y * d2 - other.y * d1, d1 * d2)
 
     def __neg__(self) -> GaussRational:
-        return _gauss(-self.x, -self.y, self.d)
+        # gcd(-x, -y, d) = gcd(x, y, d) = 1 and d > 0: already canonical
+        out = object.__new__(GaussRational)
+        out.x, out.y, out.d = -self.x, -self.y, self.d
+        return out
 
     def __mul__(self, other: GaussRational) -> GaussRational:
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y

@@ -166,47 +166,57 @@ def _gamma_f(params: ModelParams) -> Poly:
 
 def build_system(params: ModelParams) -> FirstOrderSystem:
     """A, B, C (and the oscillator weight f) as exact rational functions,
-    each one RatFunc.over(numerator, exponent map) whose numerator has
-    rational coefficients; the only tower elements are the roots +-kappa,
-    +-lambda of the maps, read off the context.
+    each one RatFunc.over(numerator, exponent map) whose numerator is built
+    from its rational coefficients in closed form; the only tower elements
+    are the roots +-kappa, +-lambda of the maps, read off the context.
 
     With sign = 1 on S^2 and -1 on H^2, lin = s z + (2 - mu) p and every
     denominator factored over its known roots (gamma_curve_identity):
     Newton's den = f^2 + sign is L (z^2 - kappa^2)(z^2 - lambda^2) for the
     leading coefficient L = (s/(2 mu))^2, and
       A = p f/den,  B = p/mu - sign lin/den,  C = (s z - mu p)/den,
-    all over +-kappa, +-lambda.  The oscillator's f = lf (z^2 - lambda^2)
-    and g = 1 + sign f = lg (z^2 - kappa^2) give den = f g and
+    all over +-kappa, +-lambda.  With t = 2 mu/s = 1/sqrt(L) the
+    numerators over (z^2 - kappa^2)(z^2 - lambda^2) are (low to high)
+      A: -p eps t^2, 0, p t
+      B: p t^2 ((eps^2 + sign)/mu - sign (2 - mu)), -2 sign mu t,
+         -2 p eps t/mu, 0, p/mu
+      C: -mu p t^2, 2 mu t.
+    The oscillator's f = lf (z^2 - lambda^2) and g = 1 + sign f =
+    lg (z^2 - kappa^2), lf = -s/mu and lg = -sign s/mu, give den = f g and
       A = p/den,  B = (p/mu)/f^2 - sign lin/den,  C = (s z - mu p)/den,
-    over +-lambda, +-kappa, with +-lambda squared in B."""
+    over +-lambda, +-kappa, with +-lambda squared in B, whose numerator
+    is ((p/mu) g - sign lin f)/(lf^2 lg).  With q = mu/s = -1/lf:
+      A: sign p q^2
+      B: -sign p q^3 ((1 + 2 sign eps)/mu - 2 sign eps (2 - mu)),
+         2 eps mu q^2, p q^2 (mu - 1)^2/mu, -mu q
+      C: -sign mu p q^2, sign mu q."""
     ctx = params.ctx
-    s, mu, p = params.strength, params.mu, params.p
+    s, mu, p, eps = params.strength, params.mu, params.p, params.eps
     k, lam = params.kappa_value(), params.lambda_value()
     sign = 1 if params.space is Space.SPHERE else -1
-    signed_lin = Poly.from_rationals(ctx, [sign * (2 - mu) * p, sign * s])
-    c_num = Poly.from_rationals(ctx, [-mu * p, s])
-    fp = _gamma_f(params)
 
-    def over(num: Poly, scale: Fraction, roots: dict) -> RatFunc:
-        return RatFunc.over(num.scale(ctx.from_rational(scale)), roots)
+    def over(coeffs: list, roots: dict) -> RatFunc:
+        return RatFunc.over(Poly.from_rationals(ctx, coeffs), roots)
 
     if params.potential is Potential.NEWTON:
-        inv, roots = (2 * mu / s) ** 2, dict.fromkeys((k, -k, lam, -lam), 1)
-        den = fp * fp + Poly.constant(ctx, sign)
-        return FirstOrderSystem(A=over(fp, p * inv, roots),
-                                B=over(den.scale(ctx.from_rational(p / mu)) - signed_lin,
-                                       inv, roots),
-                                C=over(c_num, inv, roots), weight=None)
+        t = 2 * mu / s
+        t2, roots = t * t, dict.fromkeys((k, -k, lam, -lam), 1)
+        return FirstOrderSystem(
+            A=over([-p * eps * t2, 0, p * t], roots),
+            B=over([p * t2 * ((eps * eps + sign) / mu - sign * (2 - mu)), -2 * sign * mu * t,
+                    -2 * p * eps * t / mu, 0, p / mu], roots),
+            C=over([-mu * p * t2, 2 * mu * t], roots), weight=None)
 
-    # 1/(lf lg) = sign (mu/s)^2 with lf = -s/mu and lg = -sign s/mu; over
-    # (z^2 - lambda^2)^2 (z^2 - kappa^2), B's numerator is
-    # ((p/mu) g - sign lin f)/(lf^2 lg)
-    inv, roots = sign * (mu / s) ** 2, dict.fromkeys((lam, -lam, k, -k), 1)
-    g = Poly.constant(ctx, 1) + (fp if sign == 1 else -fp)
-    return FirstOrderSystem(A=over(Poly.constant(ctx, p), inv, roots),
-                            B=over(g.scale(ctx.from_rational(p / mu)) - signed_lin * fp,
-                                   -inv * mu / s, {lam: 2, -lam: 2, k: 1, -k: 1}),
-                            C=over(c_num, inv, roots), weight=RatFunc.from_poly(fp))
+    q = mu / s
+    q2, roots = q * q, dict.fromkeys((lam, -lam, k, -k), 1)
+    sign_eps = 2 * sign * eps
+    return FirstOrderSystem(
+        A=over([sign * p * q2], roots),
+        B=over([-sign * p * q2 * q * ((1 + sign_eps) / mu - sign_eps * (2 - mu)),
+                2 * eps * mu * q2, p * q2 * (mu - 1) ** 2 / mu, -mu * q],
+               {lam: 2, -lam: 2, k: 1, -k: 1}),
+        C=over([-sign * mu * p * q2, sign * mu * q], roots),
+        weight=RatFunc.from_poly(_gamma_f(params)))
 
 
 def gamma_curve_identity(params: ModelParams) -> bool:
@@ -287,27 +297,29 @@ class CoefficientTable:
         (z - z0)^2 (z^2 - kappa^2)^2 (z^2 - lambda^2)^2, built in Q(i).
         z0 gives (alpha_0 + beta_0 (z - z0))/(z - z0)^2 and a pair +-c
         (u2 z^2 + u1 z + u0 + (v1 z + v0)(z^2 - c^2))/(z^2 - c^2)^2 with
-        u2 = 2e, u1 = 4 c^2 o, u0 = c^2 u2, v1 = 2e' and v0 = 2 c^2 o'."""
+        u2 = 2e, u1 = 4 c^2 o, u0 = c^2 u2, v1 = 2e' and v0 = 2 c^2 o'.
+        Every part is a Poly.from_gauss, so the numerator is built on
+        Gaussian integer lists."""
         z0 = self.poles[0].c00
         a0, b0 = self.head
-        num = _gauss_poly(ctx, [a0 - b0 * z0, b0])
-        den = _gauss_poly(ctx, [z0 * z0, -(z0 + z0), GAUSS_ONE])
+        num = Poly.from_gauss(ctx, [a0 - b0 * z0, b0])
+        den = Poly.from_gauss(ctx, [z0 * z0, -(z0 + z0), GAUSS_ONE])
+        quads, parts = [], []
         for c2, e, o, e1, o1 in self.pairs:
             u2, v1, v0 = e + e, e1 + e1, c2 * (o1 + o1)
-            quad = _gauss_poly(ctx, [c2 * c2, GAUSS_ZERO, -(c2 + c2), GAUSS_ZERO, GAUSS_ONE])
-            part = _gauss_poly(ctx, [c2 * (u2 - v0), c2 * (_q(4) * o - v1), u2 + v0, v1])
-            num, den = num * quad + part * den, den * quad
+            quads.append(Poly.from_gauss(ctx, [c2 * c2, GAUSS_ZERO, -(c2 + c2), GAUSS_ZERO,
+                                               GAUSS_ONE]))
+            parts.append(Poly.from_gauss(ctx, [c2 * (u2 - v0), c2 * (_q(4) * o - v1), u2 + v0,
+                                               v1]))
+        (qk, ql), (pk, pl) = quads, parts
+        # num/den + pk/qk + pl/ql over den qk ql
+        num = (num * qk + pk * den) * ql + pl * (den * qk)
         return RatFunc.over(num, {c: 2 for c in self.poles})
 
 
 def _q(x, d: int = 1) -> GaussRational:
     """x/d as a Gaussian, for an int or a Fraction x."""
     return _gauss(x.numerator, 0, x.denominator * d)
-
-
-def _gauss_poly(ctx: TowerContext, coeffs) -> Poly:
-    """The polynomial with the Gaussian coefficients coeffs, low to high."""
-    return Poly(ctx, [ctx.from_gauss(g) for g in coeffs])
 
 
 def closed_form_r(params: ModelParams) -> CoefficientTable:
@@ -401,7 +413,7 @@ def gauge_log_derivative(params: ModelParams) -> RatFunc:
     half = _q(1, 2)
     coeffs = [half * k2 * l2, z0 * (t * k2 - l2), l2 - t * k2 - half * (k2 + l2),
               z0 * (GAUSS_ONE - t), t - half]
-    return RatFunc.over(_gauss_poly(params.ctx, coeffs),
+    return RatFunc.over(Poly.from_gauss(params.ctx, coeffs),
                         dict.fromkeys(candidate_poles(params), 1))
 
 

@@ -12,7 +12,15 @@ lambda -> -lambda, which leaves Gaussian coefficients.  At a z with z^2
 Gaussian (a Gaussian z, +-kappa, +-lambda), p(z) = E(z^2) + z O(z^2)
 for the even and odd halves E, O of p: two integer Horner passes.
 
-Poly.from_roots keeps its products on the context
+Every polynomial whose coefficients are known to be Gaussian is built
+straight on the lists: constant, from_rationals, from_gauss and x from
+ints, Fractions and Gaussians, and Poly.from_roots as one product of
+Gaussian integer lists, with z - c for each Gaussian root c and
+z^2 - c^2 for each pair +-c whose square is Gaussian (+-kappa, +-lambda),
+canonical once at the end.  Only a root outside Q(i) without its
+negation (kappa alone) or a pair whose square is outside Q(i)
+(c = 3 + kappa) is multiplied in after that, as a tower factor z - c or
+z^2 - c^2.  from_roots keeps its products on the context
 (TowerContext.root_products), keyed by the exponent map, so each is built
 once per context.  A rational function keeps its monic denominator
 factored over linear factors: an exponent map {c: e} for prod (z - c)^e,
@@ -37,11 +45,12 @@ RatFunc never calls it.
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .exactfield import (GAUSS_ZERO, ContextMismatch, DivisionByZero, TowerContext,
-                         TowerScalar, _gauss)
+from .exactfield import (GAUSS_ZERO, ContextMismatch, DivisionByZero, GaussRational,
+                         TowerContext, TowerScalar, _gauss, _rat)
 
 
 class RatCalcError(Exception):
@@ -82,41 +91,74 @@ class Poly:
 
     @staticmethod
     def constant(ctx: TowerContext, value) -> Poly:
-        if not isinstance(value, TowerScalar):
-            value = ctx.from_rational(value)
-        return Poly(ctx, [value])
+        if isinstance(value, TowerScalar):
+            return Poly(ctx, [value])
+        return Poly.from_rationals(ctx, [value])
 
     @staticmethod
     def x(ctx: TowerContext) -> Poly:
-        return Poly(ctx, [ctx.zero, ctx.one])
+        return _raw(ctx, 1, ([0, 1], []))
 
     @staticmethod
     def from_rationals(ctx: TowerContext, values: Iterable) -> Poly:
-        return Poly(ctx, [ctx.from_rational(v) for v in values])
+        """The polynomial with the rational coefficients values (ints,
+        Fractions or 'n/d' strings), low to high, over their lcm."""
+        qs = [q if isinstance(q, (int, Fraction)) else _rat(q) for q in values]
+        d = lcm(*[q.denominator for q in qs])
+        xs = [q.numerator * (d // q.denominator) for q in qs]
+        return _canonical(object.__new__(Poly), ctx, d, [xs, []])
+
+    @staticmethod
+    def from_gauss(ctx: TowerContext, values: Sequence[GaussRational]) -> Poly:
+        """The polynomial with the Gaussian coefficients values, low to
+        high, over their lcm."""
+        d = lcm(*[g.d for g in values])
+        return _canonical(object.__new__(Poly), ctx, d, [[g.x * (d // g.d) for g in values],
+                                                        [g.y * (d // g.d) for g in values]])
 
     @staticmethod
     def from_roots(ctx: TowerContext, roots: Iterable[tuple[TowerScalar, int]]) -> Poly:
-        """prod (z - c)^m; the copies common to c and -c are multiplied in
-        as z^2 - c^2, which has Gaussian coefficients for c = kappa, lambda.
-        A Poly is immutable, so the product is kept in ctx.root_products
-        under its exponent map and a later call returns the same object."""
+        """prod (z - c)^m over the exponent map of roots; a negative total
+        m raises RatCalcError naming the root.  The copies common to c and
+        -c enter as z^2 - c^2.  Every z - c with c Gaussian and z^2 - c^2
+        with c^2 Gaussian (z0, +-kappa and +-lambda of the pipeline) is
+        multiplied into one product of Gaussian integer lists, canonical
+        once at the end; a z - c with c outside Q(i) (kappa without
+        -kappa) or a z^2 - c^2 with c^2 outside Q(i) (c = 3 + kappa) is
+        then multiplied in as a tower Poly.  A Poly is immutable, so the
+        product is kept in ctx.root_products under its exponent map and a
+        later call returns the same object."""
         left = exponent_map(roots)
         key = frozenset(left.items())
         out = ctx.root_products.get(key)
         if out is not None:
             return out
-        out = Poly(ctx, [ctx.one])
+        _refuse_negative(left)
+        xs, ys, d, tower = [1], [], 1, []
         for c in list(left):
             e = left.pop(c, 0)
-            k = min(e, left.get(-c, 0))
+            if not e:
+                continue
+            m = -c
+            k = min(e, left.get(m, 0))
+            factors = []
             if k:
-                left[-c] -= k
-                quad = _z_minus(ctx.square(c), 2)
-                for _ in range(k):
-                    out = out * quad
-            lin = _z_minus(c, 1)
-            for _ in range(e - k):
-                out = out * lin
+                left[m] -= k
+                factors.append((ctx.square(c), 2, k))
+            if e > k:
+                factors.append((c, 1, e - k))
+            for w, n, times in factors:
+                if not w._gaussian:
+                    tower += [_z_minus(w, n)] * times
+                    continue
+                g = w.c00
+                fx, fy = [-g.x] + [0] * (n - 1) + [g.d], [-g.y] if g.y else []
+                for _ in range(times):
+                    xs, ys = _cmul(xs, ys, fx, fy)
+                    d *= g.d
+        out = _canonical(object.__new__(Poly), ctx, d, [xs, ys])
+        for f in tower:
+            out = out * f
         ctx.root_products[key] = out
         return out
 
@@ -347,6 +389,14 @@ def _canonical(out: Poly, ctx: TowerContext, d: int, v: list) -> Poly:
     return out
 
 
+def _refuse_negative(roots: dict):
+    """Raise RatCalcError at the first root of roots with a negative
+    exponent."""
+    for c, e in roots.items():
+        if e < 0:
+            raise RatCalcError(f"negative exponent {e} at the root {c.render()}")
+
+
 def _z_minus(c: TowerScalar, n: int) -> Poly:
     """The polynomial z^n - c (n > 0)."""
     gs = (c.c00,) if c._gaussian else c.coords()
@@ -387,11 +437,24 @@ def _conv(a: list, b: list) -> list:
 
 
 def _cmul(xa: list, ya: list, xb: list, yb: list) -> tuple[list, list]:
-    """(re, im) of (xa + ya i)(xb + yb i) for integer lists."""
-    if not (ya or yb):
-        return _conv(xa, xb), []
-    return (_lin(_conv(xa, xb), 1, _conv(ya, yb), -1),
-            _lin(_conv(xa, yb), 1, _conv(ya, xb), 1))
+    """(re, im) of (xa + ya i)(xb + yb i) for integer lists; the lists
+    may end in zeros.  With both imaginary parts present it is one pass
+    over the pairs of Gaussian coefficients, not four real products."""
+    if not (ya and yb):
+        if ya:
+            return _conv(xa, xb), _conv(ya, xb)
+        return _conv(xa, xb), _conv(xa, yb)
+    n, m = max(len(xa), len(ya)), max(len(xb), len(yb))
+    if n < m:
+        xa, ya, xb, yb, n, m = xb, yb, xa, ya, m, n
+    pairs = list(zip(xa + [0] * (n - len(xa)), ya + [0] * (n - len(ya))))
+    re, im = [0] * (n + m - 1), [0] * (n + m - 1)
+    for i, (u, v) in enumerate(zip(xb + [0] * (m - len(xb)), yb + [0] * (m - len(yb)))):
+        if u or v:
+            for j, (x, y) in enumerate(pairs, i):
+                re[j] += x * u - y * v
+                im[j] += x * v + y * u
+    return re, im
 
 
 def _horner(xs: list, ys: list, wx: int, wy: int, wd: int) -> tuple[int, int, int]:
@@ -596,11 +659,12 @@ def _log_sum(ctx: TowerContext, weights: dict) -> tuple[Poly, Poly]:
     for c, w in weights.items():
         groups.setdefault(w, []).append((c, 1))
     factors = [(w, Poly.from_roots(ctx, group)) for w, group in groups.items()]
-    s = Poly(ctx, [ctx.one])
-    t = Poly(ctx, [])
+    s, t = _raw(ctx, 1, ([1], [])), _raw(ctx, 1, ())
     for i, (w, f) in enumerate(factors):
-        s = s * f
-        term = f.derivative().scale(ctx.from_rational(w))
+        s = s * f if i else f
+        term = f.derivative()
+        if w != 1:
+            term = term.scale(ctx.from_rational(w))
         for j, (_, g) in enumerate(factors):
             if j != i:
                 term = term * g
@@ -670,7 +734,9 @@ class RatFunc:
 
     @staticmethod
     def over(num: Poly, roots: dict) -> RatFunc:
-        """num / prod (z - c)^e for exponents e >= 0."""
+        """num / prod (z - c)^e for exponents e >= 0; a negative e raises
+        RatCalcError."""
+        _refuse_negative(roots)
         if num.is_zero():
             return RatFunc(num)
         roots = {c: e for c, e in roots.items() if e}

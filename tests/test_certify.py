@@ -930,6 +930,32 @@ class TestSamplePath:
         assert counts[1] == (counts[0][0] + 5, counts[0][1])
         assert counts[0][0] == 1
 
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_a_sample_builds_its_products_in_gaussian_lists(self, space, pot, monkeypatch):
+        """A sample's normal form and its comparison with the table make no
+        z - c or z^2 - c with c outside Q(i) and multiply no Poly with a
+        kappa, lambda or kappa lambda coordinate: every root product and
+        closed-form numerator is built on Gaussian integer lists."""
+        towers, products = [], []
+        real_z_minus, real_mul = ratcalc._z_minus, Poly.__mul__
+
+        def z_minus(c, n):
+            if not c.is_gaussian():
+                towers.append((c, n))
+            return real_z_minus(c, n)
+
+        def mul(p, q):
+            if len(p._v) > 2 or len(q._v) > 2:
+                products.append((p, q))
+            return real_mul(p, q)
+        monkeypatch.setattr(ratcalc, "_z_minus", z_minus)
+        monkeypatch.setattr(Poly, "__mul__", mul)
+        rng = random.Random(11)
+        for _ in range(5):
+            sample = random_admissible_params(space, pot, rng)
+            assert certify_mod.matches_table(sample, certify_mod._normal_form(sample)[2].r)
+        assert towers == [] and products == []
+
 
 def golden_config(stem: str) -> RunConfig:
     """The parameters of a golden certificate, without identity samples."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from curvedtwobody.exactfield import (GAUSS_ZERO, ContextMismatch,
                                       DegenerateTower, DivisionByZero,
-                                      GaussRational, _rat, gauss_sqrt,
+                                      GaussRational, _gauss, _rat, gauss_sqrt,
                                       make_context, rational_sqrt)
 from curvedtwobody.ratcalc import Poly
 
@@ -295,6 +295,20 @@ class TestGaussKernel:
     def test_division_by_zero_raises(self, p):
         with pytest.raises(DivisionByZero):
             GaussRational(*p) / GaussRational(0, 0)
+
+    @pytest.mark.parametrize("p", [(0, 0), (Fr(-6, 8), 0), (0, Fr(5, 3)),
+                                   (Fr(3, 4), Fr(-7, 6)), (10**40 + 1, Fr(1, 10**20))])
+    def test_negation_builds_the_canonical_triple(self, p):
+        """-x negates x and y and keeps d, with no gcd: the result is
+        canonical and equals the _gauss form for zero, real, imaginary and
+        general Gaussians."""
+        g = GaussRational(*p)
+        neg = -g
+        assert_canonical(neg)
+        assert neg == _gauss(-g.x, -g.y, g.d) and hash(neg) == hash(_gauss(-g.x, -g.y, g.d))
+        assert (neg.x, neg.y, neg.d) == (-g.x, -g.y, g.d)
+        assert (neg.re, neg.im) == (-p[0], -p[1])
+        assert -neg == g and neg + g == GAUSS_ZERO
 
     def test_zero_is_canonical(self):
         z = GaussRational(Fr(3, 4)) - GaussRational(Fr(3, 4))

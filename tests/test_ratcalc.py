@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -1075,6 +1076,16 @@ class TestIntegerCoordinates:
                 divide(p, q)
 
 
+def oracle_root_product(ctx, roots):
+    """prod (z - c)^m by repeated schoolbook multiplication, one linear
+    factor per copy."""
+    out = Poly(ctx, [ctx.one])
+    for c, m in roots:
+        for _ in range(m):
+            out = schoolbook(out, Poly(ctx, [-c, ctx.one]))
+    return out
+
+
 class TestRootProductCache:
     ROOTS = [(Fr(1, 3), 2), ("kappa", 1), ("-kappa", 1), ("lam", 3), (Fr(-5, 2), 1)]
 
@@ -1085,11 +1096,7 @@ class TestRootProductCache:
                 for c, m in spec]
 
     def oracle(self, ctx, spec):
-        out = Poly(ctx, [ctx.one])
-        for c, m in self.roots_in(ctx, spec):
-            for _ in range(m):
-                out = schoolbook(out, Poly(ctx, [-c, ctx.one]))
-        return out
+        return oracle_root_product(ctx, self.roots_in(ctx, spec))
 
     def test_permuted_roots_give_an_equal_product(self):
         rng = random.Random(5)
@@ -1123,3 +1130,149 @@ class TestRootProductCache:
         assert all(c.ctx is two for c in q.coeffs)
         assert list(one.root_products.values()) == [p]
         assert list(two.root_products.values()) == [q]
+
+
+class TestRootProductsOnIntegers:
+    """Poly.from_roots, built on Gaussian integer lists, against one
+    schoolbook product per linear factor."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    # (a, b) of each context: both generators in the tower; a = -4 a square
+    # in Q(i) (kappa = 2i) with lambda in the tower; both Gaussian; and
+    # b = 8 a, so that lambda = 2 kappa
+    CONTEXTS = {"tower": (G(2), G(3)), "kappa-gaussian": (G(-4), G(3)),
+                "gaussian": (G(-4), G(Fr(9, 4))), "lambda-2kappa": (G(2), G(8))}
+    _part = st.builds(Fr, st.integers(-9, 9), st.integers(1, 6))
+    # a Gaussian root (0 among them), or +-kappa, +-lambda, +-(3 + kappa)
+    _root = st.one_of(
+        st.tuples(st.just("gauss"), st.one_of(st.just((0, 0)), st.tuples(_part, _part))),
+        st.tuples(st.sampled_from(["kappa", "lambda", "3+kappa"]), st.sampled_from([1, -1])))
+    _roots = st.lists(st.tuples(_root, st.integers(0, 3)), max_size=7)
+
+    @staticmethod
+    def root(ctx, spec):
+        kind, arg = spec
+        if kind == "gauss":
+            return ctx.from_gauss(G(*arg))
+        c = {"kappa": ctx.sqrt_a(), "lambda": ctx.sqrt_b(),
+             "3+kappa": ctx.from_rational(3) + ctx.sqrt_a()}[kind]
+        return c if arg > 0 else -c
+
+    @given(st.sampled_from(sorted(CONTEXTS)), _roots, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_schoolbook_product(self, name, spec, rng):
+        ctx = make_context(*self.CONTEXTS[name])
+        roots = [(self.root(ctx, r), m) for r, m in spec]
+        got = Poly.from_roots(ctx, roots)
+        assert got == oracle_root_product(ctx, roots)
+        assert_canonical_poly(got)
+        assert got.degree() == sum(m for _, m in roots)
+        permuted = list(roots)
+        rng.shuffle(permuted)
+        assert Poly.from_roots(ctx, permuted) is got
+
+    @pytest.mark.parametrize("name", sorted(CONTEXTS))
+    def test_unequal_pair_exponents_and_zero(self, name):
+        """+-kappa, +-lambda with unequal exponents, the root 0 and a root
+        whose square is not Gaussian, each against the oracle."""
+        ctx = make_context(*self.CONTEXTS[name])
+        k, lam, three = ctx.sqrt_a(), ctx.sqrt_b(), ctx.from_rational(3)
+        for roots in ([(k, 3), (-k, 1)], [(lam, 1), (-lam, 2), (ctx.zero, 2)],
+                      [(three + k, 2), (-(three + k), 1)], [(k, 2), (-lam, 1)]):
+            got = Poly.from_roots(ctx, roots)
+            assert got == oracle_root_product(ctx, roots)
+            assert_canonical_poly(got)
+
+    def test_a_gaussian_product_makes_no_tower_factor(self, monkeypatch):
+        """z - z0 and the pairs z^2 - kappa^2, z^2 - lambda^2 (Gaussian
+        squares) never build a tower z - c; kappa alone and a pair at
+        3 + kappa do."""
+        calls = []
+        real = ratcalc._z_minus
+        monkeypatch.setattr(ratcalc, "_z_minus",
+                            lambda c, n: calls.append((c, n)) or real(c, n))
+        ctx = make_context(G(2), G(3))
+        z0 = ctx.from_rational(Fr(1, 4))
+        Poly.from_roots(ctx, [(z0, 1), (ctx.kappa, 2), (-ctx.kappa, 2), (ctx.lam, 1),
+                              (-ctx.lam, 1)])
+        assert calls == []
+        Poly.from_roots(ctx, [(ctx.kappa, 1)])
+        assert calls == [(ctx.kappa, 1)]
+        c = ctx.from_rational(3) + ctx.kappa
+        Poly.from_roots(ctx, [(c, 1), (-c, 1)])
+        assert len(calls) == 2 and calls[1] == (ctx.square(c), 2)
+
+
+class TestNegativeExponents:
+    """A negative exponent is refused with RatCalcError naming the root,
+    and nothing is kept in the context's products."""
+
+    @pytest.mark.parametrize("case", ["one", "a pair", "a net negative"])
+    def test_from_roots_refuses(self, case):
+        ctx = make_context(G(2), G(3))
+        k, one = ctx.kappa, ctx.one
+        roots, bad = {"one": ([(one, -1)], one), "a pair": ([(k, -1), (-k, -1)], k),
+                      "a net negative": (list({k: 2, -k: -1}.items()), -k)}[case]
+        with pytest.raises(RatCalcError, match=re.escape(bad.render())):
+            Poly.from_roots(ctx, roots)
+        assert not ctx.root_products
+
+    def test_over_refuses(self):
+        ctx = make_context(G(2), G(3))
+        c = ctx.from_rational(Fr(1, 3))
+        with pytest.raises(RatCalcError, match=re.escape(c.render())):
+            RatFunc.over(Poly.constant(ctx, 1), {c: -1})
+        with pytest.raises(RatCalcError):
+            RatFunc.over(Poly(ctx), {ctx.kappa: 1, -ctx.kappa: -2})
+        f = RatFunc.over(Poly.constant(ctx, 1), {c: 0, ctx.kappa: 1})
+        assert f.roots == {ctx.kappa: 1} and f.den_degree() == 1
+
+    def test_a_non_negative_total_is_kept(self):
+        """Entries of one root add up first: (c, 2) and (c, -1) are (c, 1)."""
+        ctx = make_context(G(2), G(3))
+        c = ctx.from_rational(Fr(1, 3))
+        assert Poly.from_roots(ctx, [(c, 2), (c, -1)]) == Poly(ctx, [-c, ctx.one])
+
+
+class TestListConstructors:
+    """constant, from_rationals, from_gauss and x build their lists
+    directly; each equals the Poly of the TowerScalars it replaces."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    _q = st.one_of(st.integers(-10**30, 10**30),
+                   st.builds(Fr, st.integers(-10**30, 10**30), st.integers(1, 10**6)))
+
+    @given(st.lists(_q, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_from_rationals(self, qs):
+        got = Poly.from_rationals(CTX, qs)
+        assert got == Poly(CTX, [CTX.from_rational(q) for q in qs])
+        assert_canonical_poly(got)
+        assert Poly.from_rationals(CTX, [str(Fr(q)) for q in qs]) == got
+
+    @given(_q)
+    @settings(max_examples=100, deadline=None)
+    def test_constant(self, q):
+        want = Poly(CTX, [CTX.from_rational(q)])
+        for value in (q, str(Fr(q)), CTX.from_rational(q)):
+            got = Poly.constant(CTX, value)
+            assert got == want
+            assert_canonical_poly(got)
+
+    @given(st.lists(st.tuples(_q, _q), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_from_gauss(self, parts):
+        gs = [G(re, im) for re, im in parts]
+        got = Poly.from_gauss(CTX, gs)
+        assert got == Poly(CTX, [CTX.from_gauss(g) for g in gs])
+        assert_canonical_poly(got)
+
+    def test_x_and_bad_values(self):
+        assert Poly.x(CTX) == Poly(CTX, [CTX.zero, CTX.one])
+        assert_canonical_poly(Poly.x(CTX))
+        with pytest.raises(ValueError):
+            Poly.from_rationals(CTX, ["0.5"])
+        with pytest.raises(TypeError):
+            Poly.constant(CTX, 0.5)

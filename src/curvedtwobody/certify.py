@@ -38,11 +38,11 @@ CONCLUSION_NO_OBSTRUCTION = "NoObstructionFound"
 CONCLUSION_DEGENERATE = "Degenerate"
 
 
-# Each identity sample is a full exact proof: about 0.49 ms with Python
+# Each identity sample is a full exact proof: about 0.38 ms with Python
 # 3.11 on one Intel Xeon core (median of 9 runs of 200 samples over the
-# four space x potential pairs: parameters 0.046, system 0.071, gauge 0.025,
-# normal form 0.17, table 0.062, reconstruct 0.092, compare 0.017 ms).  So
-# more than this many would keep certify busy for about 5 seconds or, for
+# four space x potential pairs: parameters 0.049, system 0.024, gauge 0.020,
+# normal form 0.16, table 0.022, reconstruct 0.095, compare 0.013 ms).  So
+# more than this many would keep certify busy for about 4 seconds or, for
 # a value such as 10**30, forever.
 MAX_IDENTITY_SAMPLES = 10_000
 

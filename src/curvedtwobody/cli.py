@@ -265,8 +265,14 @@ def _run_one(run_data: dict, out_dir: str, index: int) -> tuple[str, int]:
 
 
 def sweep_workers(jobs: int, n_runs: int) -> int:
-    """Worker processes for a sweep: at most one per CPU and per run."""
-    return min(jobs, os.cpu_count() or 1, n_runs)
+    """Worker processes for a sweep: at most one per run and per CPU this
+    process may run on, its CPU affinity where the platform reports one
+    (taskset, cgroup cpusets) and os.cpu_count() elsewhere."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus, n_runs)
 
 
 @_command("sweep")

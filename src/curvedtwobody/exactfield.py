@@ -17,7 +17,10 @@ ring operations.
 Most scalars of the pipeline are plain Gaussians.  A tower scalar records
 at construction whether its kappa, lambda and kappa*lambda coordinates
 are zero; when both operands are Gaussian, +, -, * and negation work on
-the Gaussian coordinate alone.
+the Gaussian coordinate alone.  A scalar keeps its negation: -x is built
+on first use and -(-x) is x, so the roots +-c of an exponent map, negated
+wherever they are needed, are one object each and a lookup on them hits
+by identity.
 """
 from __future__ import annotations
 
@@ -310,10 +313,11 @@ def make_context(a: GaussRational, b: GaussRational) -> TowerContext:
 
 class TowerScalar:
     """Element c00 + c10*kappa + c01*lambda + c11*kappa*lambda; ``_gaussian``,
-    set at construction, says whether c10 = c01 = c11 = 0, and ``_hash``
-    keeps the hash from its first use."""
+    set at construction, says whether c10 = c01 = c11 = 0, ``_hash`` keeps
+    the hash from its first use and ``_neg`` the negation from its first
+    use, whose own ``_neg`` is this scalar."""
 
-    __slots__ = ("ctx", "c00", "c10", "c01", "c11", "_gaussian", "_hash")
+    __slots__ = ("ctx", "c00", "c10", "c01", "c11", "_gaussian", "_hash", "_neg")
 
     def __init__(self, ctx: TowerContext, c00: GaussRational, c10: GaussRational,
                  c01: GaussRational, c11: GaussRational):
@@ -323,7 +327,7 @@ class TowerScalar:
         self.c01 = c01
         self.c11 = c11
         self._gaussian = not (c10.x or c10.y or c01.x or c01.y or c11.x or c11.y)
-        self._hash = None
+        self._hash = self._neg = None
 
     @staticmethod
     def _of_gauss(ctx: TowerContext, c00: GaussRational) -> TowerScalar:
@@ -333,7 +337,7 @@ class TowerScalar:
         out.c00 = c00
         out.c10 = out.c01 = out.c11 = GAUSS_ZERO
         out._gaussian = True
-        out._hash = None
+        out._hash = out._neg = None
         return out
 
     # -- helpers ------------------------------------------------------
@@ -368,9 +372,14 @@ class TowerScalar:
                            self.c01 - other.c01, self.c11 - other.c11)
 
     def __neg__(self) -> TowerScalar:
-        if self._gaussian:
-            return TowerScalar._of_gauss(self.ctx, -self.c00)
-        return TowerScalar(self.ctx, -self.c00, -self.c10, -self.c01, -self.c11)
+        out = self._neg
+        if out is None:
+            if self._gaussian:
+                out = TowerScalar._of_gauss(self.ctx, -self.c00)
+            else:
+                out = TowerScalar(self.ctx, -self.c00, -self.c10, -self.c01, -self.c11)
+            out._neg, self._neg = self, out
+        return out
 
     def __mul__(self, other: TowerScalar) -> TowerScalar:
         self._check(other)
@@ -425,9 +434,11 @@ class TowerScalar:
                 and self.c11 == other.c11)
 
     def __hash__(self):
-        # equal scalars have equal coordinates, so their numerators suffice
+        # equal scalars have equal coordinates, so their numerators suffice;
+        # each imaginary one counts, or i kappa and -i kappa would collide
         if self._hash is None:
-            self._hash = hash((self.c00.x, self.c00.y, self.c10.x, self.c01.x, self.c11.x))
+            self._hash = hash((self.c00.x, self.c00.y, self.c10.x, self.c10.y,
+                               self.c01.x, self.c01.y, self.c11.x, self.c11.y))
         return self._hash
 
     # -- predicates and embeddings --------------------------------------

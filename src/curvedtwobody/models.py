@@ -78,6 +78,10 @@ class ModelParams:
     lambda2: GaussRational
     z0: Fraction
     ctx: TowerContext
+    _z0: TowerScalar = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_z0", self.ctx.from_rational(self.z0))
 
     @property
     def gamma_data(self) -> Fraction:
@@ -86,7 +90,9 @@ class ModelParams:
         return self.p * self.p
 
     def z0_scalar(self) -> TowerScalar:
-        return self.ctx.from_rational(self.z0)
+        """z0 as a scalar, built once, so that every exponent map of these
+        parameters holds the same z0."""
+        return self._z0
 
     def kappa_value(self) -> TowerScalar:
         return self.ctx.sqrt_a()
@@ -157,65 +163,91 @@ def derive_params(space: Space, potential: Potential, strength, mu, p, eps) -> M
 
 def _gamma_f(params: ModelParams) -> Poly:
     """The Gamma-curve polynomial f(z): -eps + strength z^2/(2 mu) for
-    Newton, 2 eps - strength z^2/mu for the oscillator."""
-    s, mu, eps = params.strength, params.mu, params.eps
-    coeffs = ([-eps, 0, s / (2 * mu)] if params.potential is Potential.NEWTON
-              else [2 * eps, 0, -s / mu])
-    return Poly.from_rationals(params.ctx, coeffs)
+    Newton, 2 eps - strength z^2/mu for the oscillator.  With the integers
+    of build_system these are (-e t, 0, u d)/(d t) and (2 e q, 0, -u d)/(d q)."""
+    (e, d), (t, u) = _ints(params.eps), _ratio(params)
+    if params.potential is Potential.NEWTON:
+        return Poly.from_ints(params.ctx, [-e * t, 0, u * d], d * t)
+    q = t // 2
+    return Poly.from_ints(params.ctx, [2 * e * q, 0, -u * d], d * q)
+
+
+def _ints(q: Fraction) -> tuple[int, int]:
+    return q.numerator, q.denominator
+
+
+def _ratio(params: ModelParams) -> tuple[int, int]:
+    """(t, u) with t/u = 2 mu/strength: t = 2 m sd and u = md sn."""
+    (m, md), (sn, sd) = _ints(params.mu), _ints(params.strength)
+    return 2 * m * sd, md * sn
 
 
 def build_system(params: ModelParams) -> FirstOrderSystem:
     """A, B, C (and the oscillator weight f) as exact rational functions,
-    each one RatFunc.over(numerator, exponent map) whose numerator is built
-    from its rational coefficients in closed form; the only tower elements
-    are the roots +-kappa, +-lambda of the maps, read off the context.
+    each one RatFunc.over(numerator, exponent map) whose numerator is
+    formed from integers over one denominator and made canonical once; the
+    only tower elements are the roots +-kappa, +-lambda of the maps, read
+    off the context.
 
     With sign = 1 on S^2 and -1 on H^2, lin = s z + (2 - mu) p and every
     denominator factored over its known roots (gamma_curve_identity):
     Newton's den = f^2 + sign is L (z^2 - kappa^2)(z^2 - lambda^2) for the
     leading coefficient L = (s/(2 mu))^2, and
       A = p f/den,  B = p/mu - sign lin/den,  C = (s z - mu p)/den,
-    all over +-kappa, +-lambda.  With t = 2 mu/s = 1/sqrt(L) the
-    numerators over (z^2 - kappa^2)(z^2 - lambda^2) are (low to high)
-      A: -p eps t^2, 0, p t
-      B: p t^2 ((eps^2 + sign)/mu - sign (2 - mu)), -2 sign mu t,
-         -2 p eps t/mu, 0, p/mu
-      C: -mu p t^2, 2 mu t.
-    The oscillator's f = lf (z^2 - lambda^2) and g = 1 + sign f =
-    lg (z^2 - kappa^2), lf = -s/mu and lg = -sign s/mu, give den = f g and
+    all over +-kappa, +-lambda.  The oscillator's f = lf (z^2 - lambda^2)
+    and g = 1 + sign f = lg (z^2 - kappa^2), lf = -s/mu and
+    lg = -sign s/mu, give den = f g and
       A = p/den,  B = (p/mu)/f^2 - sign lin/den,  C = (s z - mu p)/den,
     over +-lambda, +-kappa, with +-lambda squared in B, whose numerator
-    is ((p/mu) g - sign lin f)/(lf^2 lg).  With q = mu/s = -1/lf:
-      A: sign p q^2
-      B: -sign p q^3 ((1 + 2 sign eps)/mu - 2 sign eps (2 - mu)),
-         2 eps mu q^2, p q^2 (mu - 1)^2/mu, -mu q
-      C: -sign mu p q^2, sign mu q."""
+    is ((p/mu) g - sign lin f)/(lf^2 lg).
+
+    Write mu = m/md, p = n/pd, eps = e/d, strength = sn/sd and take
+    t = 2 m sd, u = md sn, so that 2 mu/s = t/u, and q = t/2 (mu/s = q/u).
+    The numerators over (z^2 - kappa^2)(z^2 - lambda^2) are (low to high,
+    each list over the denominator after the bar), for Newton
+      A: -n e t^2, 0, n d t u                                | pd d u^2
+      B: n t^2 ((e^2 + sign d^2) md^2 - sign (2 md - m) m d^2),
+         -2 sign m^2 pd d^2 t u, -2 n e md^2 d t u, 0,
+         n md^2 d^2 u^2                                      | pd d^2 m md u^2
+      C: -m n t^2, 2 m pd t u                                | md pd u^2
+    and for the oscillator
+      A: sign n q^2                                          | pd u^2
+      B: -sign n q^3 ((d + 2 sign e) md^2 - 2 sign e (2 md - m) m),
+         2 e m^2 pd q^2 u, n d q^2 u (m - md)^2,
+         -m^2 pd d q u^2                                     | pd d m md u^3
+      C: -sign m n q^2, sign m pd q u                        | md pd u^2
+    A denominator with m < 0 is negative; Poly.from_ints takes its sign
+    into the numerator."""
     ctx = params.ctx
-    s, mu, p, eps = params.strength, params.mu, params.p, params.eps
+    (m, md), (n, pd), (e, d) = _ints(params.mu), _ints(params.p), _ints(params.eps)
+    t, u = _ratio(params)
     k, lam = params.kappa_value(), params.lambda_value()
     sign = 1 if params.space is Space.SPHERE else -1
 
-    def over(coeffs: list, roots: dict) -> RatFunc:
-        return RatFunc.over(Poly.from_rationals(ctx, coeffs), roots)
+    def over(xs: list, den: int, roots: dict) -> RatFunc:
+        return RatFunc.over(Poly.from_ints(ctx, xs, den), roots)
 
     if params.potential is Potential.NEWTON:
-        t = 2 * mu / s
-        t2, roots = t * t, dict.fromkeys((k, -k, lam, -lam), 1)
+        t2, tu, d2, md2 = t * t, t * u, d * d, md * md
+        roots = dict.fromkeys((k, -k, lam, -lam), 1)
         return FirstOrderSystem(
-            A=over([-p * eps * t2, 0, p * t], roots),
-            B=over([p * t2 * ((eps * eps + sign) / mu - sign * (2 - mu)), -2 * sign * mu * t,
-                    -2 * p * eps * t / mu, 0, p / mu], roots),
-            C=over([-mu * p * t2, 2 * mu * t], roots), weight=None)
+            A=over([-n * e * t2, 0, n * d * tu], pd * d * u * u, roots),
+            B=over([n * t2 * ((e * e + sign * d2) * md2 - sign * (2 * md - m) * m * d2),
+                    -2 * sign * m * m * pd * d2 * tu, -2 * n * e * md2 * d * tu, 0,
+                    n * md2 * d2 * u * u], pd * d2 * m * md * u * u, roots),
+            C=over([-m * n * t2, 2 * m * pd * tu], md * pd * u * u, roots), weight=None)
 
-    q = mu / s
-    q2, roots = q * q, dict.fromkeys((lam, -lam, k, -k), 1)
-    sign_eps = 2 * sign * eps
+    q = t // 2
+    q2, qu = q * q, q * u
+    roots = dict.fromkeys((lam, -lam, k, -k), 1)
     return FirstOrderSystem(
-        A=over([sign * p * q2], roots),
-        B=over([-sign * p * q2 * q * ((1 + sign_eps) / mu - sign_eps * (2 - mu)),
-                2 * eps * mu * q2, p * q2 * (mu - 1) ** 2 / mu, -mu * q],
+        A=over([sign * n * q2], pd * u * u, roots),
+        B=over([-sign * n * q2 * q * ((d + 2 * sign * e) * md * md
+                                      - 2 * sign * e * (2 * md - m) * m),
+                2 * e * m * m * pd * q2 * u, n * d * q2 * u * (m - md) ** 2,
+                -m * m * pd * d * qu * u], pd * d * m * md * u ** 3,
                {lam: 2, -lam: 2, k: 1, -k: 1}),
-        C=over([-sign * mu * p * q2, sign * mu * q], roots),
+        C=over([-sign * m * n * q2, sign * m * pd * qu], md * pd * u * u, roots),
         weight=RatFunc.from_poly(_gamma_f(params)))
 
 
@@ -348,35 +380,86 @@ def closed_form_r(params: ModelParams) -> CoefficientTable:
     expression with c -> -c, so a pair is (even + odd, even - odd) with
     odd = c times a Gaussian: alpha = e +- c o with e = (mu^2 - 1 +
     (mu-1)^2 z0^2/c^2)/4 and o = -mu(mu-1) z0/(2 c^2).  Newton's lambda
-    pair is its kappa pair with kappa^2 and lambda^2 swapped.  Every part
-    is computed in Q(i) from the integers of mu, z0, kappa^2 and lambda^2;
-    the only TowerScalars are the poles.
+    pair is its kappa pair with kappa^2 and lambda^2 swapped.
+
+    Every part is formed from integers and made canonical once, as
+    (Gaussian integer)/((Gaussian integer) n).  With mu = a/ad, z0 = z/zd,
+    qn = a^2 - ad^2, pn = (a - ad)^2 z^2 and bn = a (a - ad) z (so
+    mu^2 - 1 = qn/ad^2, (mu-1)^2 z0^2 = pn/(ad^2 zd^2) and
+    mu(mu-1) z0 = bn/(ad^2 zd)), and at a pole c with c^2 = C/cd and
+    o^2 = O/od for Gaussian integers C, O, G = C od - O cd
+    (D = G/(cd od)) and H = 2m C od:
+
+      e  = (qn zd^2 C + pn cd)/(4 ad^2 zd^2 C)
+      o  = -bn cd/(2 ad^2 zd C)
+      e' = m bn cd od/(ad^2 zd G)
+      o' = -cd (pn cd (H + G) + qn zd^2 C (H - G) C)/(4 ad^2 zd^2 G C^2)
+
+    The oscillator's lambda entries, with lambda^2 = L/ld,
+    kappa^2 = K/kd, W = z^2 ld - zd^2 L (z0^2 - lambda^2 = W/(zd^2 ld)),
+    J = L kd - K ld (lambda^2 - kappa^2 = J/(ld kd)) and
+    S = 8 pn kd ld + 9 K ad^2 zd^2 ld + (8 a^2 - 17 ad^2) zd^2 kd L, are
+
+      beta_0 = -3 z zd ld/(2 W)
+      e'     = (3 z zd^2 ld ad^2 J + 4 bn ld kd W)/(4 ad^2 zd W J)
+      o'     = ld (12 ad^2 zd^4 L J - S W)/(16 ad^2 zd^2 W L J)
+
+    The only TowerScalars are the poles.
     """
-    mu, z0 = _q(params.mu), _q(params.z0)
+    (a, ad), (z, zd) = _ints(params.mu), _ints(params.z0)
     k2, l2 = params.kappa2, params.lambda2
     m = 2 if params.potential is Potential.NEWTON else 1
-    mu1 = mu - GAUSS_ONE
-    q = mu * mu - GAUSS_ONE           # mu^2 - 1
-    pz = mu1 * mu1 * z0 * z0          # (mu-1)^2 z0^2
-    b1 = mu * mu1 * z0                # mu(mu-1) z0
+    ad2, zd2 = ad * ad, zd * zd
+    qn, pn, bn = a * a - ad2, (a - ad) ** 2 * z * z, a * (a - ad) * z
 
     def alpha(c2):
-        return (q + pz / c2) / _q(4), -b1 / (c2 + c2)
+        cx, cy, cd = c2.x, c2.y, c2.d
+        return (_gdiv(qn * zd2 * cx + pn * cd, qn * zd2 * cy, cx, cy, 4 * ad2 * zd2),
+                _gdiv(-bn * cd, 0, cx, cy, 2 * ad2 * zd))
 
     def beta(c2, o2):
-        d = c2 - o2
-        num = pz * (_q(2 * m + 1) * c2 - o2) + q * c2 * (_q(2 * m - 1) * c2 + o2)
-        return _q(m) * b1 / d, -num / (_q(4) * d * c2 * c2)
+        (cx, cy, cd), (ox, oy, od) = (c2.x, c2.y, c2.d), (o2.x, o2.y, o2.d)
+        gx, gy = cx * od - ox * cd, cy * od - oy * cd
+        hx, hy = 2 * m * cx * od, 2 * m * cy * od
+        ux, uy = _gmul(cx, cy, hx - gx, hy - gy)
+        nx, ny = pn * cd * (hx + gx) + qn * zd2 * ux, pn * cd * (hy + gy) + qn * zd2 * uy
+        return (_gdiv(m * bn * cd * od, 0, gx, gy, ad2 * zd),
+                _gdiv(-cd * nx, -cd * ny, *_gmul(gx, gy, *_gmul(cx, cy, cx, cy)),
+                      4 * ad2 * zd2))
 
     poles = tuple(candidate_poles(params))
     kappa_pair = (k2, *alpha(k2), *beta(k2, l2))
+    three_quarters = _gauss(3, 0, 4)
     if params.potential is Potential.NEWTON:
-        return CoefficientTable(poles, (_q(3, 4), GAUSS_ZERO),
+        return CoefficientTable(poles, (three_quarters, GAUSS_ZERO),
                                 (kappa_pair, (l2, *alpha(l2), *beta(l2, k2))))
-    w, d = _q(3, 4) / (z0 * z0 - l2), l2 - k2
-    odd = w - (_q(8) * pz + _q(9) * k2 + (_q(8) * mu * mu - _q(17)) * l2) / (_q(16) * l2 * d)
-    return CoefficientTable(poles, (_q(3, 4), _q(-2) * z0 * w),
-                            (kappa_pair, (l2, _q(-3, 16), GAUSS_ZERO, w * z0 + b1 / d, odd)))
+    (kx, ky, kd), (lx, ly, ld) = (k2.x, k2.y, k2.d), (l2.x, l2.y, l2.d)
+    wx, wy = z * z * ld - zd2 * lx, -zd2 * ly
+    jx, jy = lx * kd - kx * ld, ly * kd - ky * ld
+    r = (8 * a * a - 17 * ad2) * zd2 * kd
+    sx = 8 * pn * kd * ld + 9 * kx * ad2 * zd2 * ld + r * lx
+    sy = 9 * ky * ad2 * zd2 * ld + r * ly
+    v, bw = 3 * z * zd2 * ld * ad2, 4 * bn * ld * kd
+    even = _gdiv(v * jx + bw * wx, v * jy + bw * wy, *_gmul(wx, wy, jx, jy), 4 * ad2 * zd)
+    (ljx, ljy), (swx, swy) = _gmul(lx, ly, jx, jy), _gmul(sx, sy, wx, wy)
+    c = 12 * ad2 * zd2 * zd2
+    odd = _gdiv(ld * (c * ljx - swx), ld * (c * ljy - swy), *_gmul(wx, wy, ljx, ljy),
+                16 * ad2 * zd2)
+    return CoefficientTable(poles, (three_quarters, _gdiv(-3 * z * zd * ld, 0, wx, wy, 2)),
+                            (kappa_pair, (l2, _gauss(-3, 0, 16), GAUSS_ZERO, even, odd)))
+
+
+def _gmul(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
+    """(x1 + y1 i)(x2 + y2 i)."""
+    return x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+
+
+def _gdiv(nx: int, ny: int, mx: int, my: int, n: int) -> GaussRational:
+    """(nx + ny i)/((mx + my i) n) for integers with (mx + my i) n != 0,
+    canonical once."""
+    if not my:
+        return _gauss(nx, ny, mx * n)
+    return _gauss(nx * mx + ny * my, ny * mx - nx * my, (mx * mx + my * my) * n)
 
 
 def candidate_poles(params: ModelParams) -> list[TowerScalar]:

@@ -13,9 +13,9 @@ Gaussian (a Gaussian z, +-kappa, +-lambda), p(z) = E(z^2) + z O(z^2)
 for the even and odd halves E, O of p: two integer Horner passes.
 
 Every polynomial whose coefficients are known to be Gaussian is built
-straight on the lists: constant, from_rationals, from_gauss and x from
-ints, Fractions and Gaussians, and Poly.from_roots as one product of
-Gaussian integer lists, with z - c for each Gaussian root c and
+straight on the lists: constant, from_rationals, from_ints, from_gauss
+and x from ints, Fractions and Gaussians, and Poly.from_roots as one
+product of Gaussian integer lists, with z - c for each Gaussian root c and
 z^2 - c^2 for each pair +-c whose square is Gaussian (+-kappa, +-lambda),
 canonical once at the end.  Only a root outside Q(i) without its
 negation (kappa alone) or a pair whose square is outside Q(i)
@@ -105,7 +105,14 @@ class Poly:
         Fractions or 'n/d' strings), low to high, over their lcm."""
         qs = [q if isinstance(q, (int, Fraction)) else _rat(q) for q in values]
         d = lcm(*[q.denominator for q in qs])
-        xs = [q.numerator * (d // q.denominator) for q in qs]
+        return Poly.from_ints(ctx, [q.numerator * (d // q.denominator) for q in qs], d)
+
+    @staticmethod
+    def from_ints(ctx: TowerContext, xs: list, d: int = 1) -> Poly:
+        """sum xs[k] z^k / d for integers xs (low to high, the list is
+        taken over) and d != 0, canonical once."""
+        if d < 0:
+            xs, d = [-x for x in xs], -d
         return _canonical(object.__new__(Poly), ctx, d, [xs, []])
 
     @staticmethod

@@ -494,11 +494,20 @@ class TestSweepFailures:
             f"invalid input: --jobs must be at least 1, got {jobs}"]
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("cpus,jobs,runs,workers", [
-        (8, 4, 10, 4), (2, 16, 10, 2), (8, 16, 3, 3), (None, 4, 10, 1),
-        (4, 1, 10, 1), (4, 4, 0, 0)])
-    def test_sweep_workers(self, monkeypatch, cpus, jobs, runs, workers):
+    @pytest.mark.parametrize("affinity,cpus,jobs,runs,workers", [
+        (None, 8, 4, 10, 4), (None, 2, 16, 10, 2), (None, 8, 16, 3, 3), (None, None, 4, 10, 1),
+        (None, 4, 1, 10, 1), (None, 4, 4, 0, 0),
+        (1, 2, 4, 10, 1), (3, 8, 16, 10, 3), (8, 8, 4, 10, 4), (2, None, 4, 10, 2)])
+    def test_sweep_workers(self, monkeypatch, affinity, cpus, jobs, runs, workers):
+        """The CPU count is the affinity where the platform has one
+        (affinity None: a platform without os.sched_getaffinity), else
+        os.cpu_count()."""
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                raising=False)
         assert sweep_workers(jobs, runs) == workers
 
 
@@ -955,6 +964,30 @@ class TestSamplePath:
             sample = random_admissible_params(space, pot, rng)
             assert certify_mod.matches_table(sample, certify_mod._normal_form(sample)[2].r)
         assert towers == [] and products == []
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_a_sample_compares_no_tower_roots_built_apart(self, space, pot, monkeypatch):
+        """A scalar keeps its negation and ModelParams its z0, so the
+        +-kappa, +-lambda and z0 of a sample's exponent maps are one object
+        each and every lookup on them hits by identity: five identity
+        samples add no TowerScalar.__eq__ between two distinct objects of
+        which one is not Gaussian."""
+        calls = []
+        real_eq = TowerScalar.__eq__
+
+        def eq(x, y):
+            if (x is not y and isinstance(y, TowerScalar)
+                    and not (x.is_gaussian() and y.is_gaussian())):
+                calls.append((x, y))
+            return real_eq(x, y)
+        monkeypatch.setattr(TowerScalar, "__eq__", eq)
+        counts = []
+        for samples in (0, 5):
+            calls.clear()
+            cert = certify(make_config(space, pot, identity_samples=samples))
+            counts.append(len(calls))
+        assert cert.identity_check["all_match"]
+        assert counts[1] == counts[0]
 
 
 def golden_config(stem: str) -> RunConfig:

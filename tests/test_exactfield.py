@@ -574,7 +574,7 @@ class TestScalarHash:
             gauss = ctx.from_gauss(G(Fr(3, 4), -2))
             for x in (tower, gauss, ctx.kappa, ctx.lam, ctx.zero, ctx.one):
                 h = hash(x)
-                for y in (-(-x), x + ctx.zero, ctx.zero + x, x * ctx.one):
+                for y in (ctx.zero - (ctx.zero - x), x + ctx.zero, ctx.zero + x, x * ctx.one):
                     assert y == x and y is not x
                     assert hash(y) == h
                 assert hash(x) == h
@@ -586,5 +586,65 @@ class TestScalarHash:
         x = CTX_HN.scalar(G(1), G(Fr(2, 3)), G(0, 1), G(0))
         assert x._hash is None
         h = hash(x)
-        assert x._hash == h == hash((x.c00.x, x.c00.y, x.c10.x, x.c01.x, x.c11.x))
+        assert x._hash == h == hash((x.c00.x, x.c00.y, x.c10.x, x.c10.y,
+                                     x.c01.x, x.c01.y, x.c11.x, x.c11.y))
         assert hash(x) == h and {x: 1}[CTX_HN.scalar(G(1), G(Fr(2, 3)), G(0, 1), G(0))] == 1
+
+
+def negation_samples():
+    """Tower, Gaussian and zero scalars, the generators, and the values of
+    kappa and lambda in collapsed contexts: kappa = 2 and lambda = 3i when
+    a = 4 and b = -9, lambda = 2 kappa when a = 2 and b = 8."""
+    square, ratio = make_context(G(4), G(-9)), make_context(G(2), G(8))
+    assert square.sqrt_a().is_gaussian() and square.sqrt_b().is_gaussian()
+    assert ratio.sqrt_b().coords() == (G(0), G(2), G(0), G(0))
+    out = []
+    for ctx in (CTX_SN, CTX_HN, square, ratio):
+        out += [ctx.scalar(G(Fr(1, 2), Fr(-1, 3)), G(2), G(0), G(1)),
+                ctx.from_gauss(G(Fr(3, 4), -2)), ctx.zero, ctx.kappa, ctx.lam,
+                ctx.sqrt_a(), ctx.sqrt_b()]
+    return out
+
+
+class TestNegation:
+    """A scalar keeps its negation: -x is built on first use, -(-x) is x,
+    and every exponent-map lookup on +-c hits by identity."""
+
+    @pytest.mark.parametrize("x", negation_samples())
+    def test_minus_minus_x_is_x(self, x):
+        assert -(-x) is x
+        y = -x
+        assert -y is x and -(-y) is y
+
+    @pytest.mark.parametrize("x", negation_samples())
+    def test_one_negation_per_scalar(self, x):
+        y = -x
+        assert all(-x is y for _ in range(3))
+        # a scalar equal to x but built apart keeps a negation of its own
+        twin = x + x.ctx.zero
+        assert twin is not x and -twin is not y and -twin == y
+
+    @pytest.mark.parametrize("x", negation_samples())
+    def test_negation_has_the_negated_coordinates(self, x):
+        y = -x
+        assert y.ctx is x.ctx
+        assert y.coords() == tuple(GaussRational(-g.re, -g.im) for g in x.coords())
+        assert y.is_gaussian() == x.is_gaussian()
+        assert y + x == x.ctx.zero and hash(-y) == hash(x)
+
+    def test_plus_and_minus_i_kappa_hash_apart(self):
+        """With b = -a, lambda = i kappa: +-lambda differ only in imaginary
+        coordinates, and a lookup of one must not meet the other."""
+        ctx = make_context(G(2), G(-2))
+        lam = ctx.sqrt_b()
+        assert lam.coords() == (G(0), G(0, 1), G(0), G(0))
+        assert hash(lam) != hash(-lam)
+        for c in (ctx.scalar(G(0), G(0), G(0), G(0, 3)), ctx.scalar(G(0), G(0), G(0, 1), G(0))):
+            assert hash(c) != hash(-c)
+
+    def test_the_context_squares_hold_the_negated_roots(self):
+        """ctx.square(-c) for c = kappa or lambda finds -c itself among
+        its keys."""
+        for ctx in (CTX_SN, CTX_HN, make_context(G(4), G(-9)), make_context(G(2), G(8))):
+            for c in (ctx.sqrt_a(), ctx.sqrt_b()):
+                assert any(key is -c for key in ctx._squares)

@@ -330,6 +330,38 @@ def oracle_system(params):
                             C=c_num * inv_den, weight=RatFunc.from_poly(fp))
 
 
+def fraction_system(params):
+    """build_system from its closed-form coefficients in Fraction
+    arithmetic, each list over its lcm by Poly.from_rationals."""
+    ctx = params.ctx
+    s, mu, p, eps = params.strength, params.mu, params.p, params.eps
+    k, lam = params.kappa_value(), params.lambda_value()
+    sign = 1 if params.space is Space.SPHERE else -1
+
+    def over(coeffs, roots):
+        return RatFunc.over(Poly.from_rationals(ctx, coeffs), roots)
+
+    if params.potential is Potential.NEWTON:
+        t = 2 * mu / s
+        t2, roots = t * t, dict.fromkeys((k, -k, lam, -lam), 1)
+        return FirstOrderSystem(
+            A=over([-p * eps * t2, 0, p * t], roots),
+            B=over([p * t2 * ((eps * eps + sign) / mu - sign * (2 - mu)), -2 * sign * mu * t,
+                    -2 * p * eps * t / mu, 0, p / mu], roots),
+            C=over([-mu * p * t2, 2 * mu * t], roots), weight=None)
+
+    q = mu / s
+    q2, roots = q * q, dict.fromkeys((lam, -lam, k, -k), 1)
+    sign_eps = 2 * sign * eps
+    return FirstOrderSystem(
+        A=over([sign * p * q2], roots),
+        B=over([-sign * p * q2 * q * ((1 + sign_eps) / mu - sign_eps * (2 - mu)),
+                2 * eps * mu * q2, p * q2 * (mu - 1) ** 2 / mu, -mu * q],
+               {lam: 2, -lam: 2, k: 1, -k: 1}),
+        C=over([-sign * mu * p * q2, sign * mu * q], roots),
+        weight=RatFunc.from_poly(Poly.from_rationals(ctx, [2 * eps, 0, -s / mu])))
+
+
 def oracle_gauge(params):
     """h as simple_pole_sum over the five linear roots."""
     w = Fr(-1, 2) if params.potential is Potential.NEWTON else Fr(-1, 4)
@@ -447,6 +479,34 @@ def assert_same_ratfunc(got, want):
     assert got.roots == want.roots
 
 
+def assert_system_matches_oracles(params):
+    """build_system against oracle_system and fraction_system."""
+    got = build_system(params)
+    for want in (oracle_system(params), fraction_system(params)):
+        for name in ("A", "B", "C"):
+            assert_same_ratfunc(getattr(got, name), getattr(want, name))
+        assert (got.weight is None) == (want.weight is None)
+        if want.weight is not None:
+            assert_same_ratfunc(got.weight, want.weight)
+
+
+# (strength, mu, p, eps) at the edges of build_system's integer forms: the
+# sign of 2 - mu, of p and of the denominator m md (mu < 0), mu = 1 and
+# eps = 0.  eps = 0 is pinned for Newton only: it makes the oscillator's
+# lambda^2 = 2 k eps/n zero, which derive_params refuses.
+PINNED_SYSTEM_SETS = {
+    "eps=0": (Fr(3, 2), Fr(2, 5), Fr(3, 4), 0),
+    "p<0": (Fr(5, 3), Fr(3, 7), Fr(-7, 2), Fr(-5, 3)),
+    "mu=1": (Fr(2, 3), 1, Fr(5, 2), Fr(-7, 4)),
+    "mu>2": (Fr(3, 4), Fr(7, 2), Fr(3, 5), Fr(-9, 4)),
+    "mu<0": (Fr(5, 2), Fr(-3, 4), Fr(2, 3), Fr(-5, 2)),
+}
+PINNED_SYSTEM_CASES = [
+    pytest.param(space, pot, values, id=f"{space.value}-{pot.value}-{name}")
+    for space, pot in ALL_CASES for name, values in PINNED_SYSTEM_SETS.items()
+    if not (pot is Potential.OSCILLATOR and name == "eps=0")]
+
+
 class TestGaussianConstructionsMatchOracles:
     """The system, the gauge h and the table built in Q(i) are the
     TowerScalar and RatFunc constructions they replace."""
@@ -454,12 +514,28 @@ class TestGaussianConstructionsMatchOracles:
     @given(oracle_params())
     @settings(max_examples=150, deadline=None)
     def test_system(self, params):
-        got, want = build_system(params), oracle_system(params)
-        for name in ("A", "B", "C"):
-            assert_same_ratfunc(getattr(got, name), getattr(want, name))
-        assert (got.weight is None) == (want.weight is None)
-        if want.weight is not None:
-            assert_same_ratfunc(got.weight, want.weight)
+        assert_system_matches_oracles(params)
+
+    @pytest.mark.parametrize("space,pot,values", PINNED_SYSTEM_CASES)
+    def test_system_pinned(self, space, pot, values):
+        assert_system_matches_oracles(derive_params(space, pot, *values))
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_the_maps_share_the_pole_objects(self, space, pot):
+        """Every root of the system's, h's and the table's exponent maps
+        is one of the objects candidate_poles returns, on every call."""
+        params = derive_params(space, pot, *PINNED_SYSTEM_SETS["mu>2"])
+        poles = candidate_poles(params)
+        assert all(c is d for c, d in zip(poles, candidate_poles(params)))
+        system = build_system(params)
+        for f in (system.A, system.B, system.C, gauge_log_derivative(params),
+                  closed_form_r(params).reconstruct(params.ctx)):
+            assert all(any(c is pole for pole in poles) for c in f._roots)
+
+    def test_oscillator_eps_zero_is_refused(self):
+        for space in Space:
+            with pytest.raises(DegenerateParameters):
+                derive_params(space, Potential.OSCILLATOR, *PINNED_SYSTEM_SETS["eps=0"])
 
     @given(oracle_params())
     @settings(max_examples=150, deadline=None)

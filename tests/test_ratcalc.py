@@ -1236,8 +1236,8 @@ class TestNegativeExponents:
 
 
 class TestListConstructors:
-    """constant, from_rationals, from_gauss and x build their lists
-    directly; each equals the Poly of the TowerScalars it replaces."""
+    """constant, from_rationals, from_ints, from_gauss and x build their
+    lists directly; each equals the Poly of the TowerScalars it replaces."""
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
@@ -1251,6 +1251,15 @@ class TestListConstructors:
         assert got == Poly(CTX, [CTX.from_rational(q) for q in qs])
         assert_canonical_poly(got)
         assert Poly.from_rationals(CTX, [str(Fr(q)) for q in qs]) == got
+
+    @given(st.lists(st.integers(-10**30, 10**30), max_size=6),
+           st.integers(-10**6, 10**6).filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_from_ints(self, xs, d):
+        """Integers over any non-zero denominator, a negative one too."""
+        got = Poly.from_ints(CTX, list(xs), d)
+        assert got == Poly(CTX, [CTX.from_rational(Fr(x, d)) for x in xs])
+        assert_canonical_poly(got)
 
     @given(_q)
     @settings(max_examples=100, deadline=None)

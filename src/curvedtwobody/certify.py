@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import kovacic, models
-from .exactfield import TowerScalar, _rat
+from .exactfield import _rat
 from .linode import (SingularitySpectrum, normal_form, reduce_to_second_order,
                      singularity_spectrum, verify_gauge_transform)
 from .models import (DegenerateParameters, HypothesisViolated,
@@ -38,12 +38,9 @@ CONCLUSION_NO_OBSTRUCTION = "NoObstructionFound"
 CONCLUSION_DEGENERATE = "Degenerate"
 
 
-# Each identity sample is a full exact proof: about 0.38 ms with Python
-# 3.11 on one Intel Xeon core (median of 9 runs of 200 samples over the
-# four space x potential pairs: parameters 0.049, system 0.024, gauge 0.020,
-# normal form 0.16, table 0.022, reconstruct 0.095, compare 0.013 ms).  So
-# more than this many would keep certify busy for about 4 seconds or, for
-# a value such as 10**30, forever.
+# Each identity sample is a full exact proof at fresh parameters, so its
+# cost grows linearly with the count: the cap keeps certify's run time
+# bounded, where a value such as 10**30 would run forever.
 MAX_IDENTITY_SAMPLES = 10_000
 
 
@@ -147,18 +144,14 @@ class Certificate:
         return out
 
 
-def _scalar_str(s: TowerScalar) -> str:
-    return s.render()
-
-
 def _spectrum_summary(spec: SingularitySpectrum) -> list:
     out = []
     for pt in spec.points:
         out.append({
-            "location": "infinity" if pt.is_infinity else _scalar_str(pt.location),
+            "location": "infinity" if pt.is_infinity else pt.location.render(),
             "order": pt.order,
-            "alpha": _scalar_str(pt.alpha),
-            "delta_squared": _scalar_str(pt.delta_squared),
+            "alpha": pt.alpha.render(),
+            "delta_squared": pt.delta_squared.render(),
             "delta_rational": _frac_str(pt.delta_rational)
             if pt.delta_rational is not None else None,
             "exponents": [_frac_str(e) for e in pt.exponents]
@@ -258,7 +251,7 @@ def certify(config: RunConfig) -> Certificate:
             "candidate": cand.render(),
             "is_zero": xi_val.is_zero(),
             "num_degree": xi_val.num.degree(),
-            "num_leading": _scalar_str(xi_val.num.leading())
+            "num_leading": xi_val.num.leading().render()
             if not xi_val.is_zero() else None,
         })
         if case2 is None:
@@ -303,7 +296,7 @@ def certify(config: RunConfig) -> Certificate:
             "solutions": [{
                 "omega": sol.render_omega(),
                 "P_degree": sol.P.degree(),
-                "exponents": [[_scalar_str(loc), _frac_str(rho)]
+                "exponents": [[loc.render(), _frac_str(rho)]
                               for loc, rho in sol.exponent_choices],
                 "infinity_exponent": _frac_str(sol.infinity_exponent),
             } for sol in case1],
@@ -312,13 +305,13 @@ def certify(config: RunConfig) -> Certificate:
                 "poly_degree": c.poly_degree,
                 "solvable": c.solvable,
                 "residual_degree": c.residual_num_degree,
-                "residual_leading": _scalar_str(c.residual_leading)
+                "residual_leading": c.residual_leading.render()
                 if c.residual_leading is not None else None,
             } for c in pair.candidates],
         },
         case2={
             "e_sets": [{"location": "infinity" if pt.is_infinity
-                        else _scalar_str(pt.location),
+                        else pt.location.render(),
                         "set": list(menu)} for pt, menu in esets],
             "candidates": [c.render() for c in cands],
             "found": case2 is not None,

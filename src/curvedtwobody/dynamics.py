@@ -1,6 +1,6 @@
 """Numeric side: Lie-Poisson vector fields, trajectory integration with
 invariant monitoring, geodesic base solutions, time-domain variational
-equations, Poincare sections, and chart conversions.
+equations and Poincare sections.
 
 Integrators are plain RK4 (fixed step) and an adaptive Gragg-Bulirsch-
 Stoer extrapolation step (method "rkf45", a name kept from the Fehlberg
@@ -28,10 +28,6 @@ class DynamicsError(Exception):
 
 class StepFailure(DynamicsError):
     """Integration aborted (coordinate singularity or tolerance failure)."""
-
-
-class ChartDomainError(DynamicsError):
-    """Requested chart conversion outside the chart domain."""
 
 
 def casimir(space: Space, x) -> float:
@@ -369,18 +365,12 @@ def gamma_trajectory(params: ModelParams, theta0: float, t_end: float,
 
 
 def nve_rhs(params: ModelParams, theta: float, p_theta: float,
-            p1: float, p2: float, variant: str = "reduced",
-            omega: float = 1.0) -> tuple[float, float]:
+            p1: float, p2: float) -> tuple[float, float]:
     """Right-hand side of the time-domain normal variational equations."""
     mu, p = float(params.mu), float(params.p)
     _, sin, cos, _, sign = chart(params.space)
     sn = sin(theta)
     ct = cos(theta) / sn
-    if variant == "restricted":
-        if params.space is not Space.SPHERE:
-            raise DynamicsError("restricted variational equations are spherical")
-        return (-omega * ct * p1 + p2 / (sn * sn),
-                omega * p_theta * p1 + omega * ct * p2)
     # S^2: (2p + p_theta - p/(mu sin^2)) p2; H^2: -(2p + p_theta + p/(mu sinh^2)) p2
     return (-p * ct * p1 - sign * (2 * p + p_theta + sign * p / (mu * sn * sn)) * p2,
             -p_theta * p1 + p * ct * p2)
@@ -388,8 +378,7 @@ def nve_rhs(params: ModelParams, theta: float, p_theta: float,
 
 def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
                     initial_variation: tuple[float, float],
-                    step: float = 1e-3, variant: str = "reduced",
-                    omega: float = 1.0) -> list[tuple[float, float, float]]:
+                    step: float = 1e-3) -> list[tuple[float, float, float]]:
     """Evolve (p1, p2) along the supplied geodesic base trajectory.
 
     The base curve is re-integrated jointly with the linear variational
@@ -402,8 +391,7 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
 
     def f(x):
         theta, pt, p1, p2 = x
-        return base_field((theta, pt)) + nve_rhs(params, theta, pt, p1, p2,
-                                                 variant, omega)
+        return base_field((theta, pt)) + nve_rhs(params, theta, pt, p1, p2)
 
     x = gamma_report.states[0][:2] + tuple(float(v) for v in initial_variation)
     out = [(0.0, x[2], x[3])]
@@ -527,53 +515,6 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
             raise StepFailure(f"section failed at t={t:.6g}: {exc}") from exc
         x, t, s_prev = x_new, t_new, s_new
     return out
-
-
-# ---------------------------------------------------------------------------
-# chart conversions
-# ---------------------------------------------------------------------------
-
-
-def to_r_chart(theta: float, p_theta: float, space: Space) -> tuple[float, float]:
-    """r = tan(theta/2) resp. tanh(theta/2); p_theta = (1 +- r^2) p_r / 2."""
-    if space is Space.SPHERE:
-        if not 0 < theta < math.pi:
-            raise ChartDomainError("theta outside (0, pi)")
-        r = math.tan(theta / 2)
-        return (r, 2 * p_theta / (1 + r * r))
-    if theta <= 0:
-        raise ChartDomainError("theta must be positive")
-    r = math.tanh(theta / 2)
-    return (r, 2 * p_theta / (1 - r * r))
-
-
-def from_r_chart(r: float, p_r: float, space: Space) -> tuple[float, float]:
-    if space is Space.SPHERE:
-        if r <= 0:
-            raise ChartDomainError("r must be positive on the sphere chart")
-        return (2 * math.atan(r), (1 + r * r) * p_r / 2)
-    if not 0 < r < 1:
-        raise ChartDomainError("r must lie in (0, 1) on the hyperbolic chart")
-    return (2 * math.atanh(r), (1 - r * r) * p_r / 2)
-
-
-def value_in_r_chart(params: ModelParams, r: float, p_r: float,
-                     p0: float, p1: float, p2: float) -> float:
-    """The original-chart Hamiltonian (time rescaled, Casimir constant
-    dropped), for cross-chart agreement checks."""
-    from .models import potential_value
-    mu = float(params.mu)
-    if params.space is Space.SPHERE:
-        theta = 2 * math.atan(r)
-        om = (1 + r * r)
-        kinetic = om * om / (8 * mu) * (p_r * p_r + p2 * p2 / (r * r))
-        coupling = om * p_r * p0 / 2 - p2 * p2 + (1 - r * r) * p1 * p2 / (2 * r)
-    else:
-        theta = 2 * math.atanh(r)
-        om = (1 - r * r)
-        kinetic = om * om / (8 * mu) * (p_r * p_r + p2 * p2 / (r * r))
-        coupling = om * p_r * p0 / 2 + p2 * p2 + (1 + r * r) * p1 * p2 / (2 * r)
-    return kinetic + coupling + potential_value(params, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,11 @@ class ContextMismatch(ExactFieldError):
 def _rat(x) -> Fraction:
     """The one rational parser: a Fraction, an int, or an exact 'n/d' (or
     integer) string.  Other strings, decimals among them, raise ValueError;
-    other types raise TypeError."""
+    other types, bool among them (a JSON true is no rational), raise
+    TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     bad = f"rational parameters must be exact 'n/d' strings: {x!r}"
     if not isinstance(x, str):
@@ -306,11 +307,6 @@ class TowerContext:
         return c * c if sq is None else sq
 
 
-def make_context(a: GaussRational, b: GaussRational) -> TowerContext:
-    """Validated tower context; rejects colliding singular-point data."""
-    return TowerContext(a, b)
-
-
 class TowerScalar:
     """Element c00 + c10*kappa + c01*lambda + c11*kappa*lambda; ``_gaussian``,
     set at construction, says whether c10 = c01 = c11 = 0, ``_hash`` keeps
@@ -434,11 +430,14 @@ class TowerScalar:
                 and self.c11 == other.c11)
 
     def __hash__(self):
-        # equal scalars have equal coordinates, so their numerators suffice;
-        # each imaginary one counts, or i kappa and -i kappa would collide
+        # equal scalars have equal coordinates.  Every numerator and
+        # denominator counts, or kappa and kappa/2 would collide; numerators
+        # are doubled because hash(-1) == hash(-2), which would merge -kappa
+        # and -2 kappa.
         if self._hash is None:
-            self._hash = hash((self.c00.x, self.c00.y, self.c10.x, self.c10.y,
-                               self.c01.x, self.c01.y, self.c11.x, self.c11.y))
+            a, b, c, d = self.c00, self.c10, self.c01, self.c11
+            self._hash = hash((2 * a.x, 2 * a.y, a.d, 2 * b.x, 2 * b.y, b.d,
+                               2 * c.x, 2 * c.y, c.d, 2 * d.x, 2 * d.y, d.d))
         return self._hash
 
     # -- predicates and embeddings --------------------------------------

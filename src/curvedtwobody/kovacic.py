@@ -306,7 +306,7 @@ def _solve_exponent_assignment(normal, finite, rho_choice, n):
         return None
     residual, dp = RatFunc.constant(ctx, 0), p_poly
     for a in coeffs:
-        residual, dp = residual + a * RatFunc.from_poly(dp), dp.derivative()
+        residual, dp = residual + a * RatFunc(dp), dp.derivative()
     if not residual.is_zero():
         raise KovacicError("internal: found P fails the case-I equation")
     return p_poly

@@ -3,8 +3,7 @@
 The normal form y'' = r y of the 2x2 first-order systems in one Riccati
 step; the elimination to a single second-order equation and its gauge
 transform, the independent derivation the gauge check compares with;
-singular-point and exponent analysis for Fuchsian equations, and the
-second symmetric power residual used by the product-of-solutions test.
+and singular-point and exponent analysis for Fuchsian equations.
 """
 from __future__ import annotations
 
@@ -113,9 +112,6 @@ def verify_gauge_transform(normal: NormalFormODE, ode: SecondOrderODE,
     return coeff_yprime.is_zero() and coeff_y.is_zero()
 
 
-AT_INFINITY = None  # location sentinel in SingularPoint
-
-
 @dataclass(frozen=True)
 class SingularPoint:
     location: Optional[TowerScalar]   # None encodes the point at infinity
@@ -198,17 +194,6 @@ def singularity_spectrum(normal: NormalFormODE,
     expo = None
     if d_rat is not None:
         expo = ((-1 + d_rat) / 2, (-1 - d_rat) / 2)
-    points.append(SingularPoint(AT_INFINITY, ord_inf, alpha_inf, delta_sq, d_rat, expo))
+    points.append(SingularPoint(None, ord_inf, alpha_inf, delta_sq, d_rat, expo))
     return SingularitySpectrum(tuple(points))
 
-
-def symmetric_power_residual(normal: NormalFormODE, v: RatFunc) -> RatFunc:
-    """v''' - 4 r v' - 2 r' v; identically zero iff v solves the second
-    symmetric power of y'' = r y."""
-    r = normal.r
-    ctx = r.ctx
-    four = RatFunc.constant(ctx, 4)
-    two = RatFunc.constant(ctx, 2)
-    vp = v.derivative()
-    vppp = vp.derivative().derivative()
-    return vppp - four * r * vp - two * normal.r_prime * v

@@ -22,8 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .exactfield import (GAUSS_ONE, GAUSS_ZERO, DegenerateTower, GaussRational,
-                         TowerContext, TowerScalar, _gauss, _rat, make_context,
-                         rational_sqrt)
+                         TowerContext, TowerScalar, _gauss, _rat, rational_sqrt)
 from .linode import FirstOrderSystem
 from .ratcalc import BadFactorization, Poly, RatFunc
 
@@ -134,7 +133,7 @@ def derive_params(space: Space, potential: Potential, strength, mu, p, eps) -> M
         kappa2, lambda2 = _gauss(k * (2 * e + sign * d), 0, n), _gauss(2 * k * e, 0, n)
     z0 = mu * p / strength
     try:
-        ctx = make_context(kappa2, lambda2)
+        ctx = TowerContext(kappa2, lambda2)
     except DegenerateTower as exc:
         raise DegenerateParameters(f"singular points collide: {exc}") from exc
     z0g = _q(z0)
@@ -190,7 +189,7 @@ def build_system(params: ModelParams) -> FirstOrderSystem:
     off the context.
 
     With sign = 1 on S^2 and -1 on H^2, lin = s z + (2 - mu) p and every
-    denominator factored over its known roots (gamma_curve_identity):
+    denominator factored over its known roots:
     Newton's den = f^2 + sign is L (z^2 - kappa^2)(z^2 - lambda^2) for the
     leading coefficient L = (s/(2 mu))^2, and
       A = p f/den,  B = p/mu - sign lin/den,  C = (s z - mu p)/den,
@@ -248,38 +247,7 @@ def build_system(params: ModelParams) -> FirstOrderSystem:
                 -m * m * pd * d * qu * u], pd * d * m * md * u ** 3,
                {lam: 2, -lam: 2, k: 1, -k: 1}),
         C=over([-sign * m * n * q2, sign * m * pd * qu], md * pd * u * u, roots),
-        weight=RatFunc.from_poly(_gamma_f(params)))
-
-
-def gamma_curve_identity(params: ModelParams) -> bool:
-    """Exact factorization of the Gamma-trajectory denominator over the
-    singular points: sphere-Newton f^2+1 = -4(z^2-k^2)(z^2-l^2)/(k^2-l^2)^2,
-    hyperbolic-Newton f^2-1 = 4(z^2-k^2)(z^2-l^2)/(k^2-l^2)^2, and the
-    oscillator f, f+-1 factoring over +-lambda, +-kappa."""
-    ctx = params.ctx
-    k2 = ctx.from_gauss(params.kappa2)
-    l2 = ctx.from_gauss(params.lambda2)
-    z = RatFunc.x(ctx)
-    zk = z * z - RatFunc(Poly.constant(ctx, k2))
-    zl = z * z - RatFunc(Poly.constant(ctx, l2))
-    d = RatFunc(Poly.constant(ctx, k2 - l2))
-    fpoly = RatFunc.from_poly(_gamma_f(params))
-    if params.potential is Potential.NEWTON:
-        if params.space is Space.SPHERE:
-            lhs = fpoly * fpoly + RatFunc.constant(ctx, 1)
-            rhs = RatFunc.constant(ctx, -4) * zl * zk / (d * d)
-        else:
-            # f-1 = 2(z^2-kappa^2)/d, f+1 = 2(z^2-lambda^2)/d
-            lhs = fpoly * fpoly - RatFunc.constant(ctx, 1)
-            rhs = RatFunc.constant(ctx, 4) * zl * zk / (d * d)
-        return lhs == rhs
-    if params.space is Space.SPHERE:
-        checks = [(fpoly, -(zl / d)),
-                  (fpoly + RatFunc.constant(ctx, 1), -(zk / d))]
-    else:
-        checks = [(fpoly, zl / d),
-                  (RatFunc.constant(ctx, 1) - fpoly, -(zk / d))]
-    return all(lhs == rhs for lhs, rhs in checks)
+        weight=RatFunc(_gamma_f(params)))
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +617,7 @@ class HamiltonianKind(Enum):
     FREE_PART_S2 = "FreePartS2"
 
 
-def _potential(params: ModelParams):
+def potential(params: ModelParams):
     """(V, dV/dtheta) as functions of theta, closed over the float strength."""
     s = float(params.strength)
     _, sin, cos, tan, _ = chart(params.space)
@@ -665,14 +633,6 @@ def _potential(params: ModelParams):
 
 def _zero(theta: float) -> float:
     return 0.0
-
-
-def potential_value(params: ModelParams, theta: float) -> float:
-    return _potential(params)[0](theta)
-
-
-def potential_slope(params: ModelParams, theta: float) -> float:
-    return _potential(params)[1](theta)
 
 
 @functools.cache
@@ -830,7 +790,7 @@ def CentralMotionHamiltonian(params: ModelParams) -> ReducedHamiltonian:
     on (theta, p_theta, p0, p1, p2).
 
     Only (theta, p_theta, p2) enter, so p2 is the extra integral."""
-    return ReducedHamiltonian(params, 5, *_kinetic(params, *_potential(params)))
+    return ReducedHamiltonian(params, 5, *_kinetic(params, *potential(params)))
 
 
 def hamiltonian(kind: HamiltonianKind, params: ModelParams, omega: float = 1.0,
@@ -841,7 +801,7 @@ def hamiltonian(kind: HamiltonianKind, params: ModelParams, omega: float = 1.0,
              HamiltonianKind.RESTRICTED_PROBLEM: Space.SPHERE}.get(kind, params.space)
     if params.space is not space:
         raise ModelError(f"{kind.value} needs {space.value} parameters")
-    v, vp = _potential(params) if include_potential else (_zero, _zero)
+    v, vp = potential(params) if include_potential else (_zero, _zero)
     if kind is HamiltonianKind.GAMMA_RESTRICTION:
         return ReducedHamiltonian(params, 2, *_gamma_restriction(params, v, vp))
     if kind is HamiltonianKind.RESTRICTED_PROBLEM:

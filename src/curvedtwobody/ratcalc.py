@@ -750,10 +750,6 @@ class RatFunc:
         return RatFunc._of(num, roots, not roots)
 
     @staticmethod
-    def from_poly(p: Poly) -> RatFunc:
-        return RatFunc(p)
-
-    @staticmethod
     def constant(ctx: TowerContext, value) -> RatFunc:
         return RatFunc(Poly.constant(ctx, value))
 

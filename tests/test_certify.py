@@ -74,11 +74,14 @@ class TestRationalParser:
         with pytest.raises(CertifyError, match="exact 'n/d' strings"):
             config_with_mu(bad)
 
-    def test_other_types_rejected(self):
+    @pytest.mark.parametrize("bad", [0.5, True, False])
+    def test_other_types_rejected(self, bad):
+        """A bool is an int, but a JSON true or false is no rational: it is
+        refused, not read as 1 or 0."""
         with pytest.raises(TypeError):
-            _rat(0.5)
-        with pytest.raises(CertifyError, match="exact 'n/d' strings: 0.5"):
-            config_with_mu(0.5)
+            _rat(bad)
+        with pytest.raises(CertifyError, match=f"exact 'n/d' strings: {bad}"):
+            config_with_mu(bad)
 
 
 class TestCertify:
@@ -598,7 +601,9 @@ class TestBadInput:
         ("identity_samples", 1e30,
          "identity_samples must be an integer, got 1e+30"),
         ("identity_samples", 10**30,
-         f"identity_samples must be in 0..10000, got {10**30}")])
+         f"identity_samples must be in 0..10000, got {10**30}"),
+        ("strength", True, "rational parameters must be exact 'n/d' strings: True"),
+        ("eps", False, "rational parameters must be exact 'n/d' strings: False")])
     def test_cli_config_file_bad_entry_exits_1(self, tmp_path, key, value,
                                                message):
         data = {"space": "sphere", "potential": "newton", "strength": "1",
@@ -1014,13 +1019,3 @@ class TestOneThetaXiPerTuple:
         cert = certify(golden_config(stem))
         assert len(calls) == tuples
         assert len(cert.case2["candidates"]) > tuples
-
-    def test_certify_never_calls_symmetric_power_residual(self, monkeypatch):
-        def refuse(normal, v):
-            raise AssertionError("symmetric_power_residual on the certify path")
-        for mod in (linode, kovacic, certify_mod, models):
-            if hasattr(mod, "symmetric_power_residual"):
-                monkeypatch.setattr(mod, "symmetric_power_residual", refuse)
-        for space, pot in ALL_CASES:
-            cert = certify(make_config(space, pot, identity_samples=0))
-            assert cert.conclusion == CONCLUSION_CERTIFIED

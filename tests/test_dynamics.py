@@ -7,18 +7,16 @@ from types import SimpleNamespace
 import pytest
 
 from curvedtwobody import dynamics
-from curvedtwobody.dynamics import (ChartDomainError, DynamicsError,
-                                    IntegrationOptions, SectionPoint,
-                                    StepFailure, casimir, from_r_chart,
+from curvedtwobody.dynamics import (DynamicsError, IntegrationOptions,
+                                    SectionPoint, StepFailure, casimir,
                                     gamma_initial_state, gamma_trajectory,
                                     integrate, nve_chain_rule_residual,
                                     nve_time_domain, poincare_section,
-                                    section_to_csv, to_r_chart,
-                                    trajectory_to_csv, value_in_r_chart,
+                                    section_to_csv, trajectory_to_csv,
                                     vector_field)
 from curvedtwobody.models import (CentralMotionHamiltonian, DomainError,
                                   HamiltonianKind, Potential, Space,
-                                  derive_params, hamiltonian)
+                                  derive_params, hamiltonian, potential)
 
 
 def sn_params(**overrides):
@@ -628,16 +626,17 @@ class TestNveTimeDomain:
     def test_chain_rule_against_z_domain(self):
         """(dp1/dt) = (A p1 + B w p2) dz/dt with dz/dt = p_theta_dot/strength;
         checked along the base curve against the exact rational functions."""
-        from curvedtwobody.models import build_system, potential_slope
+        from curvedtwobody.models import build_system
         from curvedtwobody.dynamics import nve_rhs
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)
         sysz = build_system(params)
         base = gamma_trajectory(params, 1.0, 1.0, step=1e-3, sample_every=5)
         s, mu, p = map(float, (params.strength, params.mu, params.p))
         count = 0
+        slope = potential(params)[1]
         for theta, pt in base.states:
             z = (pt + mu * p) / s
-            zdot = -potential_slope(params, theta) / s
+            zdot = -slope(theta) / s
             a_val = sysz.A.embed_complex(complex(z, 0)).real
             b_val = sysz.B.embed_complex(complex(z, 0)).real
             c_val = sysz.C.embed_complex(complex(z, 0)).real
@@ -679,13 +678,6 @@ class TestNveTimeDomain:
                 nve_time_domain(params, base, bad)
         with pytest.raises(StepFailure, match="variation .* is not finite"):
             nve_time_domain(params, base, (1e308, 1e308))
-
-    def test_restricted_variant_runs(self):
-        params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)
-        base = gamma_trajectory(params, 1.0, 0.5, step=1e-3, sample_every=100)
-        out = nve_time_domain(params, base, (1.0, 0.0), variant="restricted",
-                              omega=0.5)
-        assert len(out) == len(base.times)
 
 
 class TestPoincareSection:
@@ -843,18 +835,25 @@ class TestPoincareSection:
                              coordinate=coordinate)
 
 
-class TestChartConversions:
-    def test_r_chart_round_trip(self):
-        rng = random.Random(13)
-        for space in Space:
-            for _ in range(50):
-                theta = rng.uniform(0.1, 2.9 if space is Space.SPHERE else 5.0)
-                pt = rng.uniform(-2, 2)
-                r, pr = to_r_chart(theta, pt, space)
-                th2, pt2 = from_r_chart(r, pr, space)
-                assert abs(th2 - theta) < 1e-12
-                assert abs(pt2 - pt) < 1e-12
+def value_in_r_chart(params, r, p_r, p0, p1, p2):
+    """The original-chart Hamiltonian (time rescaled, Casimir constant
+    dropped) at r = tan(theta/2) on S^2, tanh(theta/2) on H^2, with
+    p_theta = (1 +- r^2) p_r / 2."""
+    mu = float(params.mu)
+    if params.space is Space.SPHERE:
+        theta = 2 * math.atan(r)
+        om = (1 + r * r)
+        kinetic = om * om / (8 * mu) * (p_r * p_r + p2 * p2 / (r * r))
+        coupling = om * p_r * p0 / 2 - p2 * p2 + (1 - r * r) * p1 * p2 / (2 * r)
+    else:
+        theta = 2 * math.atanh(r)
+        om = (1 - r * r)
+        kinetic = om * om / (8 * mu) * (p_r * p_r + p2 * p2 / (r * r))
+        coupling = om * p_r * p0 / 2 + p2 * p2 + (1 + r * r) * p1 * p2 / (2 * r)
+    return kinetic + coupling + potential(params)[0](theta)
 
+
+class TestChartConversions:
     def test_hamiltonian_agrees_across_charts(self):
         rng = random.Random(17)
         for space in Space:
@@ -864,19 +863,16 @@ class TestChartConversions:
             kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
                 else HamiltonianKind.FULL_HYPERBOLIC
             h = hamiltonian(kind, params)
+            half = math.tan if space is Space.SPHERE else math.tanh
+            sign = 1 if space is Space.SPHERE else -1
             for _ in range(100):
                 theta = rng.uniform(0.3, 2.0 if space is Space.SPHERE else 3.0)
                 x = (theta, rng.uniform(-1, 1), rng.uniform(-1, 1),
                      rng.uniform(-1, 1), rng.uniform(-1, 1))
-                r, pr = to_r_chart(x[0], x[1], space)
+                r = half(x[0] / 2)
+                pr = 2 * x[1] / (1 + sign * r * r)
                 hv = value_in_r_chart(params, r, pr, x[2], x[3], x[4])
                 assert abs(hv - h.value(x)) < 1e-10
-
-    def test_chart_domain_errors(self):
-        with pytest.raises(ChartDomainError):
-            to_r_chart(0.0, 0.1, Space.SPHERE)
-        with pytest.raises(ChartDomainError):
-            from_r_chart(1.2, 0.1, Space.HYPERBOLIC)
 
 
 class TestCsvExport:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from curvedtwobody.exactfield import (GAUSS_ZERO, ContextMismatch,
                                       DegenerateTower, DivisionByZero,
-                                      GaussRational, _gauss, _rat, gauss_sqrt,
-                                      make_context, rational_sqrt)
+                                      GaussRational, TowerContext, _gauss, _rat,
+                                      gauss_sqrt, rational_sqrt)
 from curvedtwobody.ratcalc import Poly
 
 
@@ -20,28 +20,28 @@ def G(re, im=0):
 
 # context used by the spherical-Newton reference parameters:
 # kappa^2 = i/2, lambda^2 = -i/2
-CTX_SN = make_context(G(0, Fr(1, 2)), G(0, Fr(-1, 2)))
+CTX_SN = TowerContext(G(0, Fr(1, 2)), G(0, Fr(-1, 2)))
 # hyperbolic-Newton reference: kappa^2 = -1, lambda^2 = -3
-CTX_HN = make_context(G(-1), G(-3))
+CTX_HN = TowerContext(G(-1), G(-3))
 
 
 class TestMakeContext:
     def test_spherical_newton_parameters(self):
-        ctx = make_context(G(0, Fr(1, 2)), G(0, Fr(-1, 2)))
+        ctx = TowerContext(G(0, Fr(1, 2)), G(0, Fr(-1, 2)))
         assert ctx.a == G(0, Fr(1, 2))
 
     def test_hyperbolic_newton_parameters(self):
-        ctx = make_context(G(-1), G(-3))
+        ctx = TowerContext(G(-1), G(-3))
         assert ctx.b == G(-3)
 
     def test_collision_rejected(self):
         with pytest.raises(DegenerateTower):
-            make_context(G(1), G(1))
+            TowerContext(G(1), G(1))
 
     @pytest.mark.parametrize("a,b", [(G(0), G(1)), (G(1), G(0))])
     def test_zero_rejected(self, a, b):
         with pytest.raises(DegenerateTower):
-            make_context(a, b)
+            TowerContext(a, b)
 
 
 class TestFieldOps:
@@ -60,7 +60,7 @@ class TestFieldOps:
         """ctx.square reads a or b off the context for +-kappa, +-lambda,
         collapsed or not (a = 4: kappa = 2; b/a = 4: lambda = 2 kappa),
         and multiplies any other scalar out."""
-        for ctx in (CTX_SN, CTX_HN, make_context(G(4), G(3)), make_context(G(2), G(8))):
+        for ctx in (CTX_SN, CTX_HN, TowerContext(G(4), G(3)), TowerContext(G(2), G(8))):
             k, lam = ctx.sqrt_a(), ctx.sqrt_b()
             for c in (k, -k, lam, -lam, ctx.from_rational(Fr(2, 3)), ctx.kappa + ctx.lam):
                 assert ctx.square(c) == c * c
@@ -82,7 +82,7 @@ class TestFieldOps:
             CTX_SN.one + CTX_HN.one
 
     def test_equal_contexts_built_apart_combine(self):
-        c1, c2 = make_context(G(2), G(3)), make_context(G(2), G(3))
+        c1, c2 = TowerContext(G(2), G(3)), TowerContext(G(2), G(3))
         assert c1 is not c2
         k1, k2 = c1.kappa, c2.kappa
         assert k1 == k2 and k1 + k2 == c1.kappa * c1.from_rational(2)
@@ -90,7 +90,7 @@ class TestFieldOps:
         assert Poly(c1, [k1, c1.one]) == Poly(c2, [k2, c2.one])
 
     def test_different_contexts_built_apart_rejected(self):
-        c1, c2 = make_context(G(2), G(3)), make_context(G(2), G(5))
+        c1, c2 = TowerContext(G(2), G(3)), TowerContext(G(2), G(5))
         for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x / y):
             with pytest.raises(ContextMismatch):
                 op(c1.kappa, c2.kappa)
@@ -148,7 +148,7 @@ class TestFieldAxioms:
     def test_inverse_by_the_norm_in_split_towers(self, a, b, zero_divisor, seed):
         """The norm vanishes exactly on the zero divisors: their multiples
         raise, and every other element times its inverse is one."""
-        ctx = make_context(a, b)
+        ctx = TowerContext(a, b)
         rng = random.Random(seed)
         zd = zero_divisor(ctx)
         assert not zd.is_zero()
@@ -197,12 +197,12 @@ class TestIsRealRational:
 
 class TestEmbedComplex:
     def test_one_plus_kappa(self):
-        ctx = make_context(G(-1), G(-3))
+        ctx = TowerContext(G(-1), G(-3))
         v = (ctx.one + ctx.kappa).embed_complex((1, 1))
         assert abs(v - (1 + 1j)) < 1e-12
 
     def test_kappa_lambda_product(self):
-        ctx = make_context(G(-1), G(-3))
+        ctx = TowerContext(G(-1), G(-3))
         v = (ctx.kappa * ctx.lam).embed_complex((1, 1))
         assert abs(v - (-(3 ** 0.5))) < 1e-12
 
@@ -357,7 +357,7 @@ COORD = st.one_of(st.just(GAUSS_ZERO), GAUSS)
 @st.composite
 def tower_contexts(draw):
     a = draw(NONZERO_GAUSS)
-    return make_context(a, draw(NONZERO_GAUSS.filter(lambda g: g != a)))
+    return TowerContext(a, draw(NONZERO_GAUSS.filter(lambda g: g != a)))
 
 
 @st.composite
@@ -569,7 +569,7 @@ class TestScalarHash:
     along different paths hash equal."""
 
     def test_equal_scalars_built_apart_hash_equal(self):
-        for ctx in (CTX_SN, CTX_HN, make_context(G(2), G(3))):
+        for ctx in (CTX_SN, CTX_HN, TowerContext(G(2), G(3))):
             tower = ctx.scalar(G(Fr(1, 2), Fr(-1, 3)), G(2), G(0), G(1))
             gauss = ctx.from_gauss(G(Fr(3, 4), -2))
             for x in (tower, gauss, ctx.kappa, ctx.lam, ctx.zero, ctx.one):
@@ -586,16 +586,33 @@ class TestScalarHash:
         x = CTX_HN.scalar(G(1), G(Fr(2, 3)), G(0, 1), G(0))
         assert x._hash is None
         h = hash(x)
-        assert x._hash == h == hash((x.c00.x, x.c00.y, x.c10.x, x.c10.y,
-                                     x.c01.x, x.c01.y, x.c11.x, x.c11.y))
+        assert x._hash == h == hash(tuple(v for g in x.coords()
+                                          for v in (2 * g.x, 2 * g.y, g.d)))
         assert hash(x) == h and {x: 1}[CTX_HN.scalar(G(1), G(Fr(2, 3)), G(0, 1), G(0))] == 1
+
+    def test_roots_differing_by_a_denominator_or_by_minus_one_hash_apart(self):
+        """lambda = kappa/2 (a = 4b) differs from kappa only in a
+        denominator, and CPython hashes -1 and -2 alike, which once merged
+        -kappa with -lambda = -2 kappa (b = 4a)."""
+        half, double = TowerContext(G(8), G(2)), TowerContext(G(2), G(8))
+        assert half.sqrt_b().coords() == (G(0), G(Fr(1, 2)), G(0), G(0))
+        assert double.sqrt_b().coords() == (G(0), G(2), G(0), G(0))
+        for ctx in (half, double):
+            k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+            roots = [k, -k, lam, -lam]
+            assert len({hash(c) for c in roots}) == 4
+        ctx = CTX_HN
+        for xs in ([ctx.from_rational(-1), ctx.from_rational(-2)],
+                   [ctx.from_rational(Fr(1, 2)), ctx.one],
+                   [ctx.from_gauss(G(0, -1)), ctx.from_gauss(G(0, -2))]):
+            assert len({hash(x) for x in xs}) == len(xs)
 
 
 def negation_samples():
     """Tower, Gaussian and zero scalars, the generators, and the values of
     kappa and lambda in collapsed contexts: kappa = 2 and lambda = 3i when
     a = 4 and b = -9, lambda = 2 kappa when a = 2 and b = 8."""
-    square, ratio = make_context(G(4), G(-9)), make_context(G(2), G(8))
+    square, ratio = TowerContext(G(4), G(-9)), TowerContext(G(2), G(8))
     assert square.sqrt_a().is_gaussian() and square.sqrt_b().is_gaussian()
     assert ratio.sqrt_b().coords() == (G(0), G(2), G(0), G(0))
     out = []
@@ -635,7 +652,7 @@ class TestNegation:
     def test_plus_and_minus_i_kappa_hash_apart(self):
         """With b = -a, lambda = i kappa: +-lambda differ only in imaginary
         coordinates, and a lookup of one must not meet the other."""
-        ctx = make_context(G(2), G(-2))
+        ctx = TowerContext(G(2), G(-2))
         lam = ctx.sqrt_b()
         assert lam.coords() == (G(0), G(0, 1), G(0), G(0))
         assert hash(lam) != hash(-lam)
@@ -645,6 +662,6 @@ class TestNegation:
     def test_the_context_squares_hold_the_negated_roots(self):
         """ctx.square(-c) for c = kappa or lambda finds -c itself among
         its keys."""
-        for ctx in (CTX_SN, CTX_HN, make_context(G(4), G(-9)), make_context(G(2), G(8))):
+        for ctx in (CTX_SN, CTX_HN, TowerContext(G(4), G(-9)), TowerContext(G(2), G(8))):
             for c in (ctx.sqrt_a(), ctx.sqrt_b()):
                 assert any(key is -c for key in ctx._squares)

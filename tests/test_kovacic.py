@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from curvedtwobody.exactfield import GaussRational, make_context
+from curvedtwobody.exactfield import GaussRational, TowerContext
 from curvedtwobody import kovacic
 from curvedtwobody.kovacic import (Classification, ECandidate, KovacicError,
                                    RiccatiSolution, _case2_coefficients,
@@ -18,12 +18,12 @@ from curvedtwobody.kovacic import (Classification, ECandidate, KovacicError,
                                    theta_xi, xi)
 from curvedtwobody.linode import (NormalFormODE, SingularPoint,
                                   SingularitySpectrum, reduce_to_second_order,
-                                  singularity_spectrum,
-                                  symmetric_power_residual, to_normal_form)
+                                  singularity_spectrum, to_normal_form)
 from curvedtwobody.models import (Potential, Space, build_system,
                                   derive_params, detect_poles, mu1_solutions,
                                   reference_params)
 from curvedtwobody.ratcalc import BadFactorization, Poly, RatFunc, poly_gcd
+from oracles import symmetric_power_residual
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -69,7 +69,7 @@ class TestESets:
 
     def test_order_one_point(self):
         # synthetic Fuchsian r with a simple pole: E_c = (4)
-        ctx = make_context(GaussRational(2), GaussRational(3))
+        ctx = TowerContext(GaussRational(2), GaussRational(3))
         c = ctx.from_rational(1)
         r = RatFunc.over(Poly.constant(ctx, ctx.one), {c: 1, -c: 2})
         spec = singularity_spectrum(NormalFormODE(r), [(c, 1), (-c, 2)])
@@ -107,7 +107,7 @@ class TestCandidates:
         assert es[lam] == 1 and es[-lam] == 1
 
     def test_negative_d_filtered(self):
-        ctx = make_context(GaussRational(2), GaussRational(3))
+        ctx = TowerContext(GaussRational(2), GaussRational(3))
         one = ctx.one
         pts = (SingularPoint(one, 2, ctx.zero, ctx.one, Fr(1), (Fr(1), Fr(0))),
                SingularPoint(-one, 2, ctx.zero, ctx.one, Fr(1), (Fr(1), Fr(0))),
@@ -128,11 +128,11 @@ class TestThetaXi:
         expected = RatFunc.constant(ctx, 0)
         lead = RatFunc.constant(ctx, -1)
         z0 = params.z0_scalar()
-        expected = lead / RatFunc.from_poly(Poly(ctx, [-z0, ctx.one]))
+        expected = lead / RatFunc(Poly(ctx, [-z0, ctx.one]))
         for loc in (params.kappa_value(), -params.kappa_value(),
                     params.lambda_value(), -params.lambda_value()):
             expected = expected + RatFunc.constant(ctx, 1) \
-                / RatFunc.from_poly(Poly(ctx, [-loc, ctx.one]))
+                / RatFunc(Poly(ctx, [-loc, ctx.one]))
         assert th == expected
         x = xi(normal, th)
         # Xi = p P_*(z) / prod (z-z_j)^2 with deg P_* = 6 and leading
@@ -186,7 +186,7 @@ class TestThetaXi:
         cand = candidates(e_sets(spec))[0]
         ctx = params.ctx
         th = theta(ctx, cand)
-        one = RatFunc.from_poly(Poly.constant(ctx, 1))
+        one = RatFunc(Poly.constant(ctx, 1))
         three = RatFunc.constant(ctx, 3)
         four = RatFunc.constant(ctx, 4)
         applied = (one.derivative().derivative().derivative()
@@ -196,13 +196,13 @@ class TestThetaXi:
         assert applied == xi(normal, th)
 
     def test_trivial_zero(self):
-        ctx = make_context(GaussRational(2), GaussRational(3))
+        ctx = TowerContext(GaussRational(2), GaussRational(3))
         normal = NormalFormODE(RatFunc.constant(ctx, 0))
         th = RatFunc.constant(ctx, 0)
         assert xi(normal, th).is_zero()
 
     def test_theta_all_zero_assignment(self):
-        ctx = make_context(GaussRational(2), GaussRational(3))
+        ctx = TowerContext(GaussRational(2), GaussRational(3))
         cand = ECandidate(((ctx.one, 0), (-ctx.one, 0)), 0, Fr(0))
         assert theta(ctx, cand).is_zero()
 
@@ -218,7 +218,7 @@ class TestSearchP:
     def test_exponential_control(self):
         # y'' = y has y = exp(+-z); the synthetic d=0 candidate with Theta=0
         # must produce P=1 because Xi = -2r' = 0
-        ctx = make_context(GaussRational(2), GaussRational(3))
+        ctx = TowerContext(GaussRational(2), GaussRational(3))
         normal = NormalFormODE(RatFunc.constant(ctx, 1))
         cand = ECandidate((), 0, Fr(0))
         sol = search_P(normal, cand)
@@ -267,7 +267,7 @@ class TestSearchP:
         assert sol is not None
 
         def operator(poly):
-            pr = RatFunc.from_poly(poly)
+            pr = RatFunc(poly)
             three = RatFunc.constant(ctx, 3)
             four = RatFunc.constant(ctx, 4)
             return (pr.derivative().derivative().derivative()
@@ -330,7 +330,7 @@ class TestCase1Search:
     def test_repeated_exponents_give_distinct_omegas(self, a, monkeypatch):
         """The repeated menus at delta = 0 reach omega = z/(z^2 - kappa^2)
         from four assignments; case1_search returns it once."""
-        ctx = make_context(GaussRational(a), GaussRational(3))
+        ctx = TowerContext(GaussRational(a), GaussRational(3))
         normal, spec = delta_zero_normal(ctx)
         assert [pt.delta_rational for pt in spec.finite_points] == [0, 0]
         found = []
@@ -376,7 +376,7 @@ def riemann_normal(lam, mu, nu, kappa2):
 
     Each difference is a rational q or a pair (q, s) for q + s sqrt(2);
     sqrt(2) is kappa at kappa^2 = 2 and lambda (b = 2) otherwise."""
-    ctx = make_context(GaussRational(kappa2), GaussRational(3 if kappa2 == 2 else 2))
+    ctx = TowerContext(GaussRational(kappa2), GaussRational(3 if kappa2 == 2 else 2))
     k = ctx.sqrt_a()
     root2 = k if kappa2 == 2 else ctx.sqrt_b()
 
@@ -537,9 +537,9 @@ class TestCase1Omega:
         with pytest.raises(BadFactorization):
             RatFunc(big_p.derivative(), big_p)
         with pytest.raises(BadFactorization):
-            RatFunc.constant(ctx, 1) / RatFunc.from_poly(big_p)
+            RatFunc.constant(ctx, 1) / RatFunc(big_p)
         with pytest.raises(BadFactorization):
-            RatFunc.from_poly(big_p).log_derivative()
+            RatFunc(big_p).log_derivative()
 
     def test_case1_carries_an_unsplit_Q(self):
         """The Riemann row's omega = sum w_c/(z - c) + Q'/Q renders as
@@ -572,7 +572,7 @@ class TestCase1Omega:
         """A P with roots at finite singular points: its factors there move
         into the exponent map (a weight that reaches 0 drops out) and Q keeps
         the rest."""
-        ctx = make_context(GaussRational(2), GaussRational(3))
+        ctx = TowerContext(GaussRational(2), GaussRational(3))
         k, lam = ctx.sqrt_a(), ctx.sqrt_b()
         other = Poly.from_rationals(ctx, [5, 1, 1])
         p = other * Poly.from_roots(ctx, [(k, 2), (-k, 1)])
@@ -693,7 +693,7 @@ class TestClassify:
         """One case-I solution at real exponents: y1^m is rational for m
         the lcm of the exponent denominators, so the identity component is
         abelian for every m, however large."""
-        ctx = make_context(GaussRational(2), GaussRational(3))
+        ctx = TowerContext(GaussRational(2), GaussRational(3))
         normal, spec = delta_zero_normal(ctx)
         k = ctx.sqrt_a()
         sol = RiccatiSolution(((k, rhos[0]), (-k, rhos[1])), sigma,
@@ -707,7 +707,7 @@ class TestClassify:
     def test_integrable_control_never_nonabelian(self):
         # y'' = y: case II machinery finds P = 1 (see TestSearchP), so the
         # classification must stay abelian-possible
-        ctx = make_context(GaussRational(2), GaussRational(3))
+        ctx = TowerContext(GaussRational(2), GaussRational(3))
         normal = NormalFormODE(RatFunc.constant(ctx, 1))
         sol = search_P(normal, ECandidate((), 0, Fr(0)))
         pts = (SingularPoint(None, 4, ctx.zero, ctx.one, Fr(1), None),)
@@ -838,7 +838,7 @@ def oracle_case1_operator(normal, finite, rho_choice):
     c0 = phi.derivative() + phi * phi - normal.r
 
     def operator(p_poly):
-        pr = RatFunc.from_poly(p_poly)
+        pr = RatFunc(p_poly)
         return pr.derivative().derivative() + two * phi * pr.derivative() + c0 * pr
     return operator
 
@@ -852,7 +852,7 @@ def oracle_case2_operator(normal, th):
     c0 = xi(normal, th)
 
     def operator(p_poly):
-        pr = RatFunc.from_poly(p_poly)
+        pr = RatFunc(p_poly)
         return (pr.derivative().derivative().derivative()
                 + three * th * pr.derivative().derivative()
                 + c1 * pr.derivative() + c0 * pr)
@@ -892,7 +892,7 @@ class TestSharedSolver:
             P = Poly(ctx, [ctx.from_gauss(GaussRational(Fr(rng.randint(-9, 9), rng.randint(1, 5)),
                                                         rng.randint(-3, 3)))
                            for _ in range(rng.randint(1, 4))])
-            assert (symmetric_power_residual(normal, RatFunc.from_poly(P) * b)
+            assert (symmetric_power_residual(normal, RatFunc(P) * b)
                     == b * oracle_case2_operator(normal, th)(P))
 
     @pytest.mark.parametrize("case", ["exponents -3, 2, 2", "seeded in [-3, 3]"])
@@ -918,7 +918,7 @@ class TestSharedSolver:
         P = Poly(ctx, [ctx.from_gauss(GaussRational(Fr(rng.randint(-9, 9), rng.randint(1, 5)),
                                                     rng.randint(-3, 3)))
                        for _ in range(3)])
-        assert (symmetric_power_residual(normal, RatFunc.from_poly(P) * b)
+        assert (symmetric_power_residual(normal, RatFunc(P) * b)
                 == b * oracle_case2_operator(normal, th)(P))
 
     @pytest.mark.parametrize("path", ORACLE_SETS, ids=lambda path: path.stem)
@@ -948,7 +948,7 @@ class TestSharedSolver:
             n = cand.poly_degree
 
             def operator(p):
-                return symmetric_power_residual(normal, RatFunc.from_poly(p) * b)
+                return symmetric_power_residual(normal, RatFunc(p) * b)
             want = oracle_solve(operator, ctx, n)
             assert cand.solvable == (want[0] is not None)
             th = product_theta(ctx, cand.base_exponents)
@@ -979,7 +979,7 @@ class TestSharedSolver:
         """(P0 y' - P0' y)/D and (P0 y'' - P0'' y)/D kill exactly the
         multiples of P0 among polynomials when deg P0 >= 2, for
         tower-valued P0 and D."""
-        ctx = make_context(GaussRational(2), GaussRational(3))
+        ctx = TowerContext(GaussRational(2), GaussRational(3))
         rng = random.Random(seed)
 
         def scalar():
@@ -1008,7 +1008,7 @@ class TestSharedSolver:
         deg P1 it is unique, at deg P2 + 1 and with a perturbed order-0
         coefficient it is inconsistent, and d = 0 is solvable exactly when
         P1 is constant.  Every answer agrees with the dense oracle."""
-        ctx = make_context(GaussRational(2), GaussRational(3))
+        ctx = TowerContext(GaussRational(2), GaussRational(3))
         rng = random.Random(seed)
 
         def scalar():
@@ -1032,7 +1032,7 @@ class TestSharedSolver:
 
         def operator_of(cs):
             def operator(p):
-                total, dp = RatFunc.constant(ctx, 0), RatFunc.from_poly(p)
+                total, dp = RatFunc.constant(ctx, 0), RatFunc(p)
                 for a in cs:
                     total, dp = total + a * dp, dp.derivative()
                 return total
@@ -1051,7 +1051,7 @@ class TestSharedSolver:
 
     def test_annihilated_degree_is_free(self):
         # L = 0 annihilates every P: any monic P solves it, none uniquely
-        ctx = make_context(GaussRational(2), GaussRational(3))
+        ctx = TowerContext(GaussRational(2), GaussRational(3))
         zero = RatFunc.constant(ctx, 0)
         assert _solve_P([zero, zero], 0) == Poly.constant(ctx, 1)
         assert _solve_P([zero, zero], 2) == monomial(ctx, 2)

@@ -17,10 +17,11 @@ from curvedtwobody.models import (CentralMotionHamiltonian,
                                   ModelError, NotMu1,
                                   Potential, Space, build_system,
                                   candidate_poles, closed_form_r, derive_params,
-                                  detect_poles, gamma_curve_identity,
-                                  gauge_log_derivative, hamiltonian, lemma_condition, mu1_solutions,
+                                  detect_poles, gauge_log_derivative, hamiltonian,
+                                  lemma_condition, mu1_solutions, potential,
                                   random_admissible_params, reference_params)
 from curvedtwobody.ratcalc import Poly, RatFunc, simple_pole_sum
+from oracles import gamma_curve_identity
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -320,14 +321,14 @@ def oracle_system(params):
                              else [2 * eps, 0, -s / mu])
     if params.potential is Potential.NEWTON:
         inv_den = reciprocal(fp * fp + Poly.constant(ctx, sign), k, -k, lam, -lam)
-        return FirstOrderSystem(A=const(p) * RatFunc.from_poly(fp) * inv_den,
+        return FirstOrderSystem(A=const(p) * RatFunc(fp) * inv_den,
                                 B=const(p / mu) - const(sign) * lin * inv_den,
                                 C=c_num * inv_den, weight=None)
     inv_f = reciprocal(fp, lam, -lam)
     inv_den = inv_f * reciprocal(fp + one if sign == 1 else one - fp, k, -k)
     return FirstOrderSystem(A=const(p) * inv_den,
                             B=const(p / mu) * inv_f * inv_f - const(sign) * lin * inv_den,
-                            C=c_num * inv_den, weight=RatFunc.from_poly(fp))
+                            C=c_num * inv_den, weight=RatFunc(fp))
 
 
 def fraction_system(params):
@@ -359,7 +360,7 @@ def fraction_system(params):
                 2 * eps * mu * q2, p * q2 * (mu - 1) ** 2 / mu, -mu * q],
                {lam: 2, -lam: 2, k: 1, -k: 1}),
         C=over([-sign * mu * p * q2, sign * mu * q], roots),
-        weight=RatFunc.from_poly(Poly.from_rationals(ctx, [2 * eps, 0, -s / mu])))
+        weight=RatFunc(Poly.from_rationals(ctx, [2 * eps, 0, -s / mu])))
 
 
 def oracle_gauge(params):
@@ -609,7 +610,7 @@ class TestMu1Solutions:
         om1, om2 = mu1_solutions(params)
         ctx = params.ctx
         z0 = params.z0_scalar()
-        pole = RatFunc.from_poly(Poly(ctx, [-z0, ctx.one]))
+        pole = RatFunc(Poly(ctx, [-z0, ctx.one]))
         assert om1 == RatFunc.constant(ctx, Fr(3, 2)) / pole
         assert om2 == RatFunc.constant(ctx, Fr(-1, 2)) / pole
 
@@ -642,12 +643,12 @@ class TestHamiltonians:
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, params)
         h1 = hamiltonian(HamiltonianKind.FREE_PART_S1, params)
         h2 = hamiltonian(HamiltonianKind.FREE_PART_S2, params)
-        from curvedtwobody.models import potential_value
+        value = potential(params)[0]
         rng = random.Random(3)
         for _ in range(20):
             x = (rng.uniform(0.3, 2.8), rng.uniform(-1, 1), rng.uniform(-1, 1),
                  rng.uniform(-1, 1), rng.uniform(-1, 1))
-            total = h1.value(x) + h2.value(x) + potential_value(params, x[0])
+            total = h1.value(x) + h2.value(x) + value(x[0])
             assert abs(h.value(x) - total) < 1e-12
 
     def test_mu1_alternative_form(self):
@@ -655,7 +656,7 @@ class TestHamiltonians:
         # the simplified h_s plus the Casimir constant gamma^2/2
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, 1, 1, 0)
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, params)
-        from curvedtwobody.models import potential_value
+        value = potential(params)[0]
         rng = random.Random(11)
         for _ in range(30):
             x = (rng.uniform(0.3, 2.8), rng.uniform(-1, 1), rng.uniform(-1, 1),
@@ -664,7 +665,7 @@ class TestHamiltonians:
             sn, cs = math.sin(theta), math.cos(theta)
             alt = (0.5 * (pt + p0) ** 2
                    + (p1 * sn + p2 * cs) ** 2 / (2 * sn * sn)
-                   + potential_value(params, theta))
+                   + value(theta))
             casimir_half = 0.5 * (p0 * p0 + p1 * p1 + p2 * p2)
             assert abs(alt - (h.value(x) + casimir_half)) < 1e-12
 

@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from curvedtwobody import ratcalc
-from curvedtwobody.exactfield import DivisionByZero, GaussRational, make_context
+from curvedtwobody.exactfield import DivisionByZero, GaussRational, TowerContext
 from curvedtwobody.ratcalc import (BadFactorization, Poly, PoleEvaluation,
                                    RatCalcError, RatFunc, exponent_map, poly_gcd,
                                    simple_pole_sum)
@@ -18,7 +18,7 @@ def G(re, im=0):
 
 # a=2, b=3: 2, 3 and 3/2 are not Gaussian squares, so the tower is a field
 # and every nonzero leading coefficient in a gcd run is invertible.
-CTX = make_context(G(2), G(3))
+CTX = TowerContext(G(2), G(3))
 
 
 def P(*rationals):
@@ -107,7 +107,7 @@ class TestNormalization:
         f = RatFunc(P(-1, 0, 1), P(-1, 1))
         again = RatFunc(f.num, f.den)
         assert f == again
-        assert f == RatFunc.from_poly(P(1, 1))
+        assert f == RatFunc(P(1, 1))
 
 
 def reduced_by_euclid(num, den):
@@ -122,11 +122,11 @@ def reduced_by_euclid(num, den):
 # square (lambda = 2 kappa); sphere Newton's conjugate pairs kappa^2 = 1 + i,
 # lambda^2 = 1 - i and kappa^2 = 3 + 4i = (2 + i)^2, lambda^2 = (2 - i)^2
 CANCEL_CTXS = {
-    "field": make_context(G(2), G(3)),
-    "a-square": make_context(G(4), G(3)),
-    "b/a-square": make_context(G(2), G(8)),
-    "sphere-newton": make_context(G(1, 1), G(1, -1)),
-    "sphere-newton-squares": make_context(G(3, 4), G(3, -4)),
+    "field": TowerContext(G(2), G(3)),
+    "a-square": TowerContext(G(4), G(3)),
+    "b/a-square": TowerContext(G(2), G(8)),
+    "sphere-newton": TowerContext(G(1, 1), G(1, -1)),
+    "sphere-newton-squares": TowerContext(G(3, 4), G(3, -4)),
 }
 
 
@@ -341,8 +341,8 @@ class Dense:
 # A genuine tower (kappa^2 = 2, lambda^2 = 3, 2/3 not squares in Q(i)) with
 # z0 = 1/3, and kappa^2 = 4 with z0 = 2 = kappa.
 ORACLE_CTXS = {
-    "tower": (make_context(G(2), G(3)), Fr(1, 3)),
-    "z0-is-kappa": (make_context(G(4), G(3)), Fr(2)),
+    "tower": (TowerContext(G(2), G(3)), Fr(1, 3)),
+    "z0-is-kappa": (TowerContext(G(4), G(3)), Fr(2)),
 }
 
 
@@ -479,15 +479,15 @@ class TestReduceOnRead:
             g, _ = random_function(ctx, z0, rng)
             self.assert_reads_as((f * g) / g, fr)
             self.assert_reads_as(f + g - g, fr)
-            self.assert_reads_as(RatFunc.from_poly(scale) * ((f * g) / g),
+            self.assert_reads_as(RatFunc(scale) * ((f * g) / g),
                                  Dense(fr.num * scale, fr.den))
             self.assert_reads_as(-((f * g) / g), Dense(-fr.num, fr.den))
             h = (f * g) / g
             self.assert_reads_as(h * h, Dense(fr.num * fr.num, fr.den * fr.den))
             for c in f.roots:
                 lin = Poly(ctx, [-c, ctx.one])
-                self.assert_reads_as(f * RatFunc.from_poly(lin), Dense(fr.num * lin, fr.den))
-                self.assert_reads_as((f + g - g) * RatFunc.from_poly(lin),
+                self.assert_reads_as(f * RatFunc(lin), Dense(fr.num * lin, fr.den))
+                self.assert_reads_as((f + g - g) * RatFunc(lin),
                                      Dense(fr.num * lin, fr.den))
 
     @pytest.mark.parametrize("name", ORACLE_CTXS)
@@ -709,8 +709,8 @@ class TestCrossMultipliedEquality:
         ctx, z0 = LOG_CTXS[name]
         if same_value:
             vb = (va[0], va[1], vb[2])
-        ctx_b = {"same": ctx, "equal": make_context(ctx.a, ctx.b),
-                 "other": make_context(ctx.b, ctx.a)}[where]
+        ctx_b = {"same": ctx, "equal": TowerContext(ctx.a, ctx.b),
+                 "other": TowerContext(ctx.b, ctx.a)}[where]
         a, b = self.build(ctx, z0, va), self.build(ctx_b, z0, vb)
         flags = a._tested, b._tested
         got = a == b
@@ -876,8 +876,8 @@ def assert_canonical_poly(p):
 # 3/2), one where lambda collapses to 2 kappa (a = 2, b = 8) and the
 # non-square tower kappa^2 = 2, lambda^2 = 3.
 COORD_CTXS = {
-    "gaussian": make_context(G(-4), G(Fr(9, 4))),
-    "collapsed": make_context(G(2), G(8)),
+    "gaussian": TowerContext(G(-4), G(Fr(9, 4))),
+    "collapsed": TowerContext(G(2), G(8)),
     "tower": CTX,
 }
 
@@ -1067,7 +1067,7 @@ class TestIntegerCoordinates:
     def test_a_zero_divisor_lead_raises(self):
         """With kappa^2 = 4 the formal kappa gives (2 - kappa)(2 + kappa) = 0:
         a divisor led by 2 - kappa has no quotient, for the loop or here."""
-        ctx = make_context(G(4), G(3))
+        ctx = TowerContext(G(4), G(3))
         lead = ctx.from_rational(2) - ctx.kappa
         q = Poly(ctx, [ctx.one, lead])
         p = Poly(ctx, [ctx.one, ctx.zero, ctx.lam])
@@ -1100,11 +1100,11 @@ class TestRootProductCache:
 
     def test_permuted_roots_give_an_equal_product(self):
         rng = random.Random(5)
-        want = self.oracle(make_context(G(2), G(3)), self.ROOTS)
+        want = self.oracle(TowerContext(G(2), G(3)), self.ROOTS)
         for _ in range(6):
             spec = list(self.ROOTS)
             rng.shuffle(spec)
-            ctx = make_context(G(2), G(3))
+            ctx = TowerContext(G(2), G(3))
             got = Poly.from_roots(ctx, self.roots_in(ctx, spec))
             assert got == want and got.ctx is ctx
             again = list(spec)
@@ -1112,7 +1112,7 @@ class TestRootProductCache:
             assert Poly.from_roots(ctx, self.roots_in(ctx, again)) is got
 
     def test_a_repeated_call_returns_the_cached_product(self):
-        ctx = make_context(G(2), G(3))
+        ctx = TowerContext(G(2), G(3))
         roots = self.roots_in(ctx, self.ROOTS)
         first = Poly.from_roots(ctx, roots)
         assert Poly.from_roots(ctx, roots) is first
@@ -1120,7 +1120,7 @@ class TestRootProductCache:
         assert first in ctx.root_products.values()
 
     def test_equal_contexts_do_not_share_products(self):
-        one, two = make_context(G(2), G(3)), make_context(G(2), G(3))
+        one, two = TowerContext(G(2), G(3)), TowerContext(G(2), G(3))
         assert one == two and one is not two
         p = Poly.from_roots(one, self.roots_in(one, self.ROOTS))
         assert not two.root_products
@@ -1162,7 +1162,7 @@ class TestRootProductsOnIntegers:
     @given(st.sampled_from(sorted(CONTEXTS)), _roots, st.randoms(use_true_random=False))
     @settings(max_examples=200, deadline=None)
     def test_matches_the_schoolbook_product(self, name, spec, rng):
-        ctx = make_context(*self.CONTEXTS[name])
+        ctx = TowerContext(*self.CONTEXTS[name])
         roots = [(self.root(ctx, r), m) for r, m in spec]
         got = Poly.from_roots(ctx, roots)
         assert got == oracle_root_product(ctx, roots)
@@ -1176,7 +1176,7 @@ class TestRootProductsOnIntegers:
     def test_unequal_pair_exponents_and_zero(self, name):
         """+-kappa, +-lambda with unequal exponents, the root 0 and a root
         whose square is not Gaussian, each against the oracle."""
-        ctx = make_context(*self.CONTEXTS[name])
+        ctx = TowerContext(*self.CONTEXTS[name])
         k, lam, three = ctx.sqrt_a(), ctx.sqrt_b(), ctx.from_rational(3)
         for roots in ([(k, 3), (-k, 1)], [(lam, 1), (-lam, 2), (ctx.zero, 2)],
                       [(three + k, 2), (-(three + k), 1)], [(k, 2), (-lam, 1)]):
@@ -1192,7 +1192,7 @@ class TestRootProductsOnIntegers:
         real = ratcalc._z_minus
         monkeypatch.setattr(ratcalc, "_z_minus",
                             lambda c, n: calls.append((c, n)) or real(c, n))
-        ctx = make_context(G(2), G(3))
+        ctx = TowerContext(G(2), G(3))
         z0 = ctx.from_rational(Fr(1, 4))
         Poly.from_roots(ctx, [(z0, 1), (ctx.kappa, 2), (-ctx.kappa, 2), (ctx.lam, 1),
                               (-ctx.lam, 1)])
@@ -1210,7 +1210,7 @@ class TestNegativeExponents:
 
     @pytest.mark.parametrize("case", ["one", "a pair", "a net negative"])
     def test_from_roots_refuses(self, case):
-        ctx = make_context(G(2), G(3))
+        ctx = TowerContext(G(2), G(3))
         k, one = ctx.kappa, ctx.one
         roots, bad = {"one": ([(one, -1)], one), "a pair": ([(k, -1), (-k, -1)], k),
                       "a net negative": (list({k: 2, -k: -1}.items()), -k)}[case]
@@ -1219,7 +1219,7 @@ class TestNegativeExponents:
         assert not ctx.root_products
 
     def test_over_refuses(self):
-        ctx = make_context(G(2), G(3))
+        ctx = TowerContext(G(2), G(3))
         c = ctx.from_rational(Fr(1, 3))
         with pytest.raises(RatCalcError, match=re.escape(c.render())):
             RatFunc.over(Poly.constant(ctx, 1), {c: -1})
@@ -1230,7 +1230,7 @@ class TestNegativeExponents:
 
     def test_a_non_negative_total_is_kept(self):
         """Entries of one root add up first: (c, 2) and (c, -1) are (c, 1)."""
-        ctx = make_context(G(2), G(3))
+        ctx = TowerContext(G(2), G(3))
         c = ctx.from_rational(Fr(1, 3))
         assert Poly.from_roots(ctx, [(c, 2), (c, -1)]) == Poly(ctx, [-c, ctx.one])
 

@@ -246,7 +246,7 @@ def certify(config: RunConfig) -> Certificate:
     case2 = None
     xi_records = []
     for cand in cands:
-        xi_val = kovacic.theta_xi(normal, cand.finite)[1]
+        xi_val = kovacic.case2_operator(normal, cand.finite, 0)[0]
         xi_records.append({
             "candidate": cand.render(),
             "is_zero": xi_val.is_zero(),

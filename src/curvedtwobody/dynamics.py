@@ -42,7 +42,7 @@ def casimir(space: Space, x) -> float:
 def bound_field(h: ReducedHamiltonian) -> Callable[[tuple], tuple]:
     """x -> x_dot = Pi grad h, with the chart and space looked up once: the
     5-dim reduced chart, or the canonical equations on the 2-dim geodesic
-    and 4-dim restricted charts.  A state off the chart raises StepFailure.
+    chart.  A state off the chart raises StepFailure.
 
     This is the program's one Poisson bracket: {theta, p_theta} = 1 and on
     S^2 {p0,p1} = -p2, {p1,p2} = -p0, {p2,p0} = -p1; on H^2 {p0,p1} = p2,

@@ -345,9 +345,6 @@ class TowerScalar:
     def is_zero(self) -> bool:
         return self._gaussian and self.c00.x == 0 and self.c00.y == 0
 
-    def is_gaussian(self) -> bool:
-        return self._gaussian
-
     def coords(self):
         return (self.c00, self.c10, self.c01, self.c11)
 

@@ -2,19 +2,21 @@
 
 Implements the pieces the nonintegrability pipeline needs: the rational
 Riccati (case I) search specialized to Fuchsian equations, the case-II
-algorithm (candidate exponent sets, Theta, Xi, the auxiliary polynomial
-P), the case-III rationality screen, the product-of-solutions exclusion
+algorithm (candidate exponent sets, Theta, the auxiliary polynomial P),
+the case-III rationality screen, the product-of-solutions exclusion
 through the second symmetric power, and the final classification of the
 identity component.
 
 Case I, case II and the product test each look for a polynomial P of
-known degree killed by a linear operator, and all three find it by one
-elimination from infinity (_solve_P).  The product test needs no operator
-of its own: for v = P b with b'/b = Theta, the symmetric square of v
-applied and divided by b is case II's operator on P, whose order-0
-coefficient is Xi.  Theta depends only on the finite exponents e_c (a
-base b has e_c = 2 s_c) and Xi only on Theta, so the normal form keeps
-each pair once (theta_xi) for case II and the product test together.
+known degree killed by a linear operator, and one builder makes all
+three: Kovacic's recursion (operator), at n = 1 for case I and at n = 2
+for the other two.  The product test needs no operator of its own: for
+v = P b with b'/b = Theta, the symmetric square of v applied and divided
+by b is case II's operator on P, whose order-0 coefficient is Xi.  Theta
+depends only on the finite exponents e_c (a base b has e_c = 2 s_c), so
+the normal form keeps one n = 2 recursion table per tuple
+(case2_operator) for case II and the product test together.  All three
+find P by one elimination from infinity (_solve_P).
 """
 from __future__ import annotations
 
@@ -99,7 +101,7 @@ def candidates(esets: Sequence[tuple[SingularPoint, tuple[int, ...]]]) -> list[E
 
 
 # ---------------------------------------------------------------------------
-# Step 3: Theta, Xi and the auxiliary polynomial
+# Step 3: Theta, Kovacic's operator and the auxiliary polynomial
 # ---------------------------------------------------------------------------
 
 
@@ -112,25 +114,54 @@ def _theta(ctx: TowerContext, finite) -> RatFunc:
     return simple_pole_sum(ctx, {loc: Fraction(ec, 2) for loc, ec in finite})
 
 
-def xi(normal: NormalFormODE, th: RatFunc) -> RatFunc:
-    """Xi = Theta'' + 3 Theta Theta' + Theta^3 - 4 r Theta - 2 r', formed as
-    Theta'' + Theta (3 Theta' + Theta^2 - 4 r) - 2 r'."""
+def operator(normal: NormalFormODE, th: RatFunc, n: int, d: int,
+             rows: Optional[list[list[RatFunc]]] = None) -> list[RatFunc]:
+    """a_0 ... a_m, m = min(d, n + 1), of Kovacic's monic operator
+    L(P) = sum a_j P^(j) for n and theta = th: as much of L as a P of
+    degree d feels.
+
+    Kovacic's recursion P_n = -P, P_(i-1) = -P_i' - th P_i -
+    (n - i)(i + 1) r P_(i+1) ends in P_(-1) = (-1)^n L(P).  n = 1 at
+    th = phi gives case I's P'' + 2 phi P' + (phi' + phi^2 - r) P, and
+    n = 2 at th = Theta case II's P''' + 3 Th P'' + (3 Th^2 + 3 Th' - 4 r) P'
+    + Xi P.  rows[k] holds P_(n-1-k), from P_(n-1) = P' + th P on, as its
+    coefficients of P, P', ... (its columns); P_n stays implicit.  Column j
+    of P_(i-1) reads only columns j - 1 and j of P_i and P_(i+1), so the
+    table grows one column at a time, in place when rows is given."""
     r = normal.r
     ctx = r.ctx
-    tp = th.derivative()
-    inner = RatFunc.constant(ctx, 3) * tp + th * th - RatFunc.constant(ctx, 4) * r
-    return tp.derivative() + th * inner - RatFunc.constant(ctx, 2) * normal.r_prime
+    m = min(d, n + 1)
+    if rows is None:
+        rows = [[] for _ in range(n + 1)]
+    for j in range(len(rows[0]), m + 1):
+        rows[0].append(th if j == 0 else RatFunc.constant(ctx, int(j == 1)))
+        for i in range(n - 1, -1, -1):
+            row = rows[n - 1 - i]
+            out = -(row[j].derivative() + th * row[j])
+            if j:
+                out = out - row[j - 1]
+            up = rows[n - 2 - i][j] if i < n - 1 else RatFunc.constant(ctx, -int(j == 0))
+            rows[n - i].append(out - RatFunc.constant(ctx, (n - i) * (i + 1)) * r * up)
+    coeffs = rows[n][:m + 1]
+    return [-a for a in coeffs] if n % 2 else coeffs
 
 
-def theta_xi(normal: NormalFormODE,
-             finite: tuple[tuple[TowerScalar, int], ...]) -> tuple[RatFunc, RatFunc]:
-    """(Theta, Xi) for the finite exponents ((c, e_c), ...), kept in
-    normal.memo under that tuple: built on the first request and read back
-    afterwards, since neither depends on e_infinity or d."""
+def xi(normal: NormalFormODE, th: RatFunc) -> RatFunc:
+    """Xi = Theta'' + 3 Theta Theta' + Theta^3 - 4 r Theta - 2 r', the
+    order-0 coefficient of case II's operator."""
+    return operator(normal, th, 2, 0)[0]
+
+
+def case2_operator(normal: NormalFormODE, finite: tuple[tuple[TowerScalar, int], ...],
+                   d: int) -> list[RatFunc]:
+    """Case II's operator at Theta of the finite exponents ((c, e_c), ...),
+    as much of it as a P of degree d feels.  Neither depends on e_infinity,
+    so normal.memo keeps one (Theta, recursion table) per tuple, its table
+    grown in place when a later d needs more columns."""
     if finite not in normal.memo:
-        th = _theta(normal.r.ctx, finite)
-        normal.memo[finite] = th, xi(normal, th)
-    return normal.memo[finite]
+        normal.memo[finite] = _theta(normal.r.ctx, finite), [[] for _ in range(3)]
+    th, rows = normal.memo[finite]
+    return operator(normal, th, 2, d, rows)
 
 
 @dataclass(frozen=True)
@@ -186,30 +217,13 @@ def _solve_P(coeffs: Sequence[RatFunc], d: int,
     return Poly(ctx, p)
 
 
-def _case2_coefficients(normal: NormalFormODE, th: RatFunc, xi_val: RatFunc,
-                        d: int) -> list[RatFunc]:
-    """[Xi, 3 Th^2 + 3 Th' - 4 r, 3 Th, 1], case II's operator on P, built
-    only as far as a P of degree d feels it.
-
-    With b'/b = Th it is also L(P b)/b for the second symmetric power
-    L(v) = v''' - 4 r v' - 2 r' v, which the product test uses."""
-    ctx = normal.r.ctx
-    if d == 0:
-        return [xi_val]
-    three = RatFunc.constant(ctx, 3)
-    c1 = three * (th * th) + three * th.derivative() - RatFunc.constant(ctx, 4) * normal.r
-    return [xi_val, c1, three * th, RatFunc.constant(ctx, 1)]
-
-
 def search_P(normal: NormalFormODE, e: ECandidate) -> Optional[Case2Solution]:
     """Monic P of degree d(e) solving
-    P''' + 3 Th P'' + (3 Th^2 + 3 Th' - 4 r) P' + Xi P = 0, or None.
-    Th and Xi come from theta_xi."""
+    P''' + 3 Th P'' + (3 Th^2 + 3 Th' - 4 r) P' + Xi P = 0, or None."""
     if e.d < 0 or e.d.denominator != 1:
         return None
     d = int(e.d)
-    th, x = theta_xi(normal, e.finite)
-    p_poly = _solve_P(_case2_coefficients(normal, th, x, d), d)
+    p_poly = _solve_P(case2_operator(normal, e.finite, d), d)
     return None if p_poly is None else Case2Solution(e, p_poly)
 
 
@@ -271,6 +285,7 @@ def case1_search(normal: NormalFormODE,
     omega is returned once: two solutions have the same omega exactly when
     they have the same exponent map and Q.
     """
+    ctx = normal.r.ctx
     finite = spec.finite_points
     for pt in list(finite) + [spec.infinity]:
         if pt.exponents is None:
@@ -283,33 +298,22 @@ def case1_search(normal: NormalFormODE,
             n = -sigma - total
             if n < 0 or n.denominator != 1:
                 continue
-            p_poly = _solve_exponent_assignment(normal, finite, rho_choice, int(n))
+            choices = tuple((pt.location, rho) for pt, rho in zip(finite, rho_choice))
+            phi = simple_pole_sum(ctx, dict(choices))
+            coeffs = operator(normal, phi, 1, int(n))
+            p_poly = _solve_P(coeffs, int(n), unique=True)
             if p_poly is None:
                 continue
-            choices = tuple((pt.location, rho) for pt, rho in zip(finite, rho_choice))
+            residual, dp = RatFunc.constant(ctx, 0), p_poly
+            for a in coeffs:
+                residual, dp = residual + a * RatFunc(dp), dp.derivative()
+            if not residual.is_zero():
+                raise KovacicError("internal: found P fails the case-I equation")
             sol = RiccatiSolution(choices, sigma, p_poly)
             # repeated-exponent menus (delta = 0) revisit the same solution
             if not any((prev.poles, prev.Q) == (sol.poles, sol.Q) for prev in solutions):
                 solutions.append(sol)
     return solutions
-
-
-def _solve_exponent_assignment(normal, finite, rho_choice, n):
-    """Monic P (degree n) with P'' + 2 phi P' + (phi' + phi^2 - r) P = 0,
-    checked by substituting it back, or None."""
-    ctx = normal.r.ctx
-    phi = simple_pole_sum(ctx, {pt.location: rho for pt, rho in zip(finite, rho_choice)})
-    coeffs = [phi.derivative() + phi * phi - normal.r,
-              RatFunc.constant(ctx, 2) * phi, RatFunc.constant(ctx, 1)]
-    p_poly = _solve_P(coeffs, n, unique=True)
-    if p_poly is None:
-        return None
-    residual, dp = RatFunc.constant(ctx, 0), p_poly
-    for a in coeffs:
-        residual, dp = residual + a * RatFunc(dp), dp.derivative()
-    if not residual.is_zero():
-        raise KovacicError("internal: found P fails the case-I equation")
-    return p_poly
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +353,8 @@ def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum) -> PairExcl
     against the second symmetric power L(v) = v''' - 4 r v' - 2 r' v.
 
     L(P b)/b is case II's operator on P at Theta = b'/b, the Theta of e_c =
-    2 s, so each base reads its Theta and Xi from theta_xi.  A
-    rigid candidate (P = 1) is solvable iff Xi = 0, and its residual is
-    L(b) = b Xi."""
+    2 s, so each base reads it from case2_operator.  A rigid candidate
+    (P = 1) is solvable iff Xi = 0, and its residual is L(b) = b Xi."""
     ctx = normal.r.ctx
     finite = spec.finite_points
     menus = [_integer_sums(pt) for pt in finite]
@@ -370,23 +373,20 @@ def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum) -> PairExcl
         orders = tuple((pt.location, s) for pt, s in zip(finite, s_choice))
         base = tuple((c, 2 * s) for c, s in orders)
         base_deg = sum(s_choice)
-        coeffs = None
         for g in growth_options:
             n = g - base_deg
             if n < 0:
                 continue
-            th, x = theta_xi(normal, base)
+            coeffs = case2_operator(normal, base, n)
             res_deg = res_lead = None
             if n == 0:
-                solvable = x.is_zero()
+                solvable = coeffs[0].is_zero()
                 if not solvable:
-                    res = x * RatFunc.over(
+                    res = coeffs[0] * RatFunc.over(
                         Poly.from_roots(ctx, [(c, s) for c, s in orders if s > 0]),
                         {c: -s for c, s in orders if s < 0})
                     res_deg, res_lead = res.num.degree(), res.num.leading()
             else:
-                if coeffs is None:
-                    coeffs = _case2_coefficients(normal, th, x, n)
                 solvable = _solve_P(coeffs, n) is not None
             any_solvable = any_solvable or solvable
             found.append(ProductCandidate(orders, n, solvable, res_deg, res_lead))
@@ -401,7 +401,6 @@ def pair_exclusion(normal: NormalFormODE, spec: SingularitySpectrum) -> PairExcl
 class Classification(Enum):
     FULL_TRIANGULAR_NONABELIAN = "FullTriangular_NonAbelian"
     DIAGONAL_OR_SMALLER_ABELIAN = "DiagonalOrSmaller_Abelian"
-    FINITE_ABELIAN = "Finite_Abelian"
     SL2_NONABELIAN = "SL2_NonAbelian"
     INCONCLUSIVE = "Inconclusive"
 

@@ -8,7 +8,6 @@ and singular-point and exponent analysis for Fuchsian equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -48,15 +47,12 @@ class SecondOrderODE:
 
 @dataclass(frozen=True)
 class NormalFormODE:
-    """y'' = r y; r' is computed once, on first use, and memo keeps what
-    later stages derive from r alone (kovacic.theta_xi's Theta and Xi)."""
+    """y'' = r y; memo keeps what later stages derive from r alone: per
+    finite-exponent tuple, the Theta and the n = 2 recursion table of
+    kovacic.case2_operator, which case II and the product test share."""
 
     r: RatFunc
     memo: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @cached_property
-    def r_prime(self) -> RatFunc:
-        return self.r.derivative()
 
 
 def reduce_to_second_order(system: FirstOrderSystem) -> SecondOrderODE:

@@ -517,7 +517,7 @@ class AlphaReality:
     exact: bool                       # decided in exact arithmetic
     imag_part: Optional[Fraction]     # exact imaginary part when available
     imag_float: float                 # branch (+,+) numeric imaginary part
-    nonreal: bool
+    nonreal: Optional[bool]           # None: undecided, the float embedding is not finite
 
 
 @dataclass(frozen=True)
@@ -531,10 +531,22 @@ class LemmaReport:
 
 
 def _alpha_reality(idx: int, alpha: TowerScalar) -> AlphaReality:
+    """Whether alpha is non-real: exact for a Gaussian alpha, whose
+    imag_float saturates to +-inf beyond the float range; otherwise read
+    off the float embedding, and undecided where that is not finite."""
     g = alpha.is_gauss_value()
     if g is not None:
-        return AlphaReality(idx, True, g.im, float(g.im), g.im != 0)
-    im = alpha.embed_complex((1, 1)).imag
+        try:
+            im = float(g.im)
+        except OverflowError:
+            im = math.inf if g.im > 0 else -math.inf
+        return AlphaReality(idx, True, g.im, im, g.im != 0)
+    try:
+        im = alpha.embed_complex((1, 1)).imag
+    except OverflowError:
+        im = math.nan
+    if not math.isfinite(im):
+        return AlphaReality(idx, False, None, im, None)
     return AlphaReality(idx, False, None, im, abs(im) > 1e-9)
 
 
@@ -612,7 +624,6 @@ class HamiltonianKind(Enum):
     FULL_SPHERE = "FullSphere"
     FULL_HYPERBOLIC = "FullHyperbolic"
     GAMMA_RESTRICTION = "GammaRestriction"
-    RESTRICTED_PROBLEM = "RestrictedProblem"
     FREE_PART_S1 = "FreePartS1"
     FREE_PART_S2 = "FreePartS2"
 
@@ -674,32 +685,6 @@ def _gamma_restriction(params: ModelParams, v, vp):
         theta, pt = x
         check(theta)
         return (vp(theta), pt / mu + p)
-    return value, grad
-
-
-def _restricted_problem(om: float, v, vp):
-    """(theta, p_theta, psi, p_psi) on the sphere, drifting at speed om."""
-    check, sin, cos, _, _ = chart(Space.SPHERE)
-
-    def value(x):
-        theta, pt, psi, pps = x
-        check(theta)
-        sn = sin(theta)
-        ct = cos(theta) / sn
-        return (0.5 * (pt * pt + pps * pps / (sn * sn))
-                + om * (pt * cos(psi) - pps * sin(psi) * ct)
-                + v(theta))
-
-    def grad(x):
-        theta, pt, psi, pps = x
-        check(theta)
-        sn, cs = sin(theta), cos(theta)
-        ct = cs / sn
-        sps, cps = sin(psi), cos(psi)
-        return (-pps * pps * cs / sn ** 3 + om * pps * sps / (sn * sn) + vp(theta),
-                pt + om * cps,
-                om * (-pt * sps - pps * cps * ct),
-                pps / (sn * sn) - om * sps * ct)
     return value, grad
 
 
@@ -774,8 +759,8 @@ def _coupling(params: ModelParams):
 @dataclass(frozen=True)
 class ReducedHamiltonian:
     """value(state) and grad(state) on a chart of dim coordinates:
-    (theta, p_theta) for GAMMA_RESTRICTION, (theta, p_theta, psi, p_psi)
-    for RESTRICTED_PROBLEM, (theta, p_theta, p0, p1, p2) for the others.
+    (theta, p_theta) for GAMMA_RESTRICTION, (theta, p_theta, p0, p1, p2)
+    for the others.
     hamiltonian() builds value and grad as closures over float constants;
     off the chart they raise DomainError."""
 
@@ -793,40 +778,21 @@ def CentralMotionHamiltonian(params: ModelParams) -> ReducedHamiltonian:
     return ReducedHamiltonian(params, 5, *_kinetic(params, *potential(params)))
 
 
-def hamiltonian(kind: HamiltonianKind, params: ModelParams, omega: float = 1.0,
+def hamiltonian(kind: HamiltonianKind, params: ModelParams,
                 include_potential: bool = True) -> ReducedHamiltonian:
-    """The kind's Hamiltonian at params; omega is the restricted drift speed."""
+    """The kind's Hamiltonian at params."""
     space = {HamiltonianKind.FULL_SPHERE: Space.SPHERE,
-             HamiltonianKind.FULL_HYPERBOLIC: Space.HYPERBOLIC,
-             HamiltonianKind.RESTRICTED_PROBLEM: Space.SPHERE}.get(kind, params.space)
+             HamiltonianKind.FULL_HYPERBOLIC: Space.HYPERBOLIC}.get(kind, params.space)
     if params.space is not space:
         raise ModelError(f"{kind.value} needs {space.value} parameters")
     v, vp = potential(params) if include_potential else (_zero, _zero)
     if kind is HamiltonianKind.GAMMA_RESTRICTION:
         return ReducedHamiltonian(params, 2, *_gamma_restriction(params, v, vp))
-    if kind is HamiltonianKind.RESTRICTED_PROBLEM:
-        return ReducedHamiltonian(params, 4, *_restricted_problem(omega, v, vp))
     if kind is HamiltonianKind.FREE_PART_S1:
         return ReducedHamiltonian(params, 5, *_kinetic(params, _zero, _zero))
     if kind is HamiltonianKind.FREE_PART_S2:
         return ReducedHamiltonian(params, 5, *_coupling(params))
     return ReducedHamiltonian(params, 5, *_reduced(params, v, vp))
-
-
-REFERENCE_PARAMETERS = {
-    (Space.SPHERE, Potential.NEWTON):
-        dict(strength=Fraction(2), mu=Fraction(1, 2), p=Fraction(1), eps=Fraction(0)),
-    (Space.HYPERBOLIC, Potential.NEWTON):
-        dict(strength=Fraction(1), mu=Fraction(1, 2), p=Fraction(1), eps=Fraction(-2)),
-    (Space.SPHERE, Potential.OSCILLATOR):
-        dict(strength=Fraction(1), mu=Fraction(1, 2), p=Fraction(1), eps=Fraction(-1)),
-    (Space.HYPERBOLIC, Potential.OSCILLATOR):
-        dict(strength=Fraction(1), mu=Fraction(1, 2), p=Fraction(1), eps=Fraction(-1)),
-}
-
-
-def reference_params(space: Space, potential: Potential) -> ModelParams:
-    return derive_params(space, potential, **REFERENCE_PARAMETERS[(space, potential)])
 
 
 def random_admissible_params(space: Space, potential: Potential, rng,

@@ -1,4 +1,25 @@
+from fractions import Fraction
+
 import pytest
+
+from curvedtwobody.models import ModelParams, Potential, Space, derive_params
+
+# The four README reference sets, one per space and potential.
+REFERENCE_PARAMETERS = {
+    (Space.SPHERE, Potential.NEWTON):
+        dict(strength=Fraction(2), mu=Fraction(1, 2), p=Fraction(1), eps=Fraction(0)),
+    (Space.HYPERBOLIC, Potential.NEWTON):
+        dict(strength=Fraction(1), mu=Fraction(1, 2), p=Fraction(1), eps=Fraction(-2)),
+    (Space.SPHERE, Potential.OSCILLATOR):
+        dict(strength=Fraction(1), mu=Fraction(1, 2), p=Fraction(1), eps=Fraction(-1)),
+    (Space.HYPERBOLIC, Potential.OSCILLATOR):
+        dict(strength=Fraction(1), mu=Fraction(1, 2), p=Fraction(1), eps=Fraction(-1)),
+}
+
+
+def reference_params(space: Space, potential: Potential) -> ModelParams:
+    return derive_params(space, potential, **REFERENCE_PARAMETERS[(space, potential)])
+
 
 CRITERIA = {
     1: "coefficient-table equivalence (exact, >=20 random sets per case)",

@@ -14,7 +14,28 @@ def symmetric_power_residual(normal: NormalFormODE, v: RatFunc) -> RatFunc:
     two = RatFunc.constant(ctx, 2)
     vp = v.derivative()
     vppp = vp.derivative().derivative()
-    return vppp - four * r * vp - two * normal.r_prime * v
+    return vppp - four * r * vp - two * r.derivative() * v
+
+
+def case1_coefficients(normal: NormalFormODE, phi: RatFunc) -> list[RatFunc]:
+    """[phi' + phi^2 - r, 2 phi, 1]: case I's operator
+    P'' + 2 phi P' + (phi' + phi^2 - r) P written out."""
+    ctx = phi.ctx
+    return [phi.derivative() + phi * phi - normal.r,
+            RatFunc.constant(ctx, 2) * phi, RatFunc.constant(ctx, 1)]
+
+
+def case2_coefficients(normal: NormalFormODE, th: RatFunc) -> list[RatFunc]:
+    """[Xi, 3 Th^2 + 3 Th' - 4 r, 3 Th, 1]: case II's operator written out,
+    with Xi = Th'' + Th (3 Th' + Th^2 - 4 r) - 2 r'."""
+    r = normal.r
+    ctx = r.ctx
+    three, four = RatFunc.constant(ctx, 3), RatFunc.constant(ctx, 4)
+    tp = th.derivative()
+    xi = (tp.derivative() + th * (three * tp + th * th - four * r)
+          - RatFunc.constant(ctx, 2) * r.derivative())
+    return [xi, three * (th * th) + three * tp - four * r, three * th,
+            RatFunc.constant(ctx, 1)]
 
 
 def gamma_curve_identity(params: ModelParams) -> bool:

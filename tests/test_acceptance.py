@@ -44,8 +44,9 @@ from curvedtwobody.models import (CentralMotionHamiltonian, HamiltonianKind,
                                   Potential, Space, build_system,
                                   closed_form_r, derive_params, detect_poles,
                                   hamiltonian, lemma_condition, mu1_solutions,
-                                  random_admissible_params, reference_params)
+                                  random_admissible_params)
 from curvedtwobody.ratcalc import Poly, RatFunc
+from conftest import REFERENCE_PARAMETERS, reference_params
 from oracles import symmetric_power_residual
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
@@ -485,7 +486,7 @@ def test_criterion9_time_z_consistency(space, pot, kw, theta0, t_end, every):
 @pytest.mark.acceptance(criterion=10)
 @pytest.mark.parametrize("space,pot", ALL_CASES)
 def test_criterion10_reference_certified(space, pot):
-    ref = models.REFERENCE_PARAMETERS[(space, pot)]
+    ref = REFERENCE_PARAMETERS[(space, pot)]
     cfg = RunConfig(space=space, potential=pot, strength=ref["strength"],
                     mu=ref["mu"], p=ref["p"], eps=ref["eps"], seed=11)
     cert = certify(cfg)

@@ -22,8 +22,9 @@ from curvedtwobody.exactfield import GAUSS_ONE, TowerScalar, _rat
 from curvedtwobody.linode import (FirstOrderSystem, reduce_to_second_order,
                                   to_normal_form)
 from curvedtwobody.models import (Potential, Space, build_system,
-                                  random_admissible_params, reference_params)
+                                  random_admissible_params)
 from curvedtwobody.ratcalc import Poly, RatFunc
+from conftest import reference_params
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -728,6 +729,32 @@ class TestBadInput:
             "integration aborted: step must be positive and finite, got 0.0"]
 
 
+class TestHugeParameters:
+    """A parameter beyond the float range still certifies: a Gaussian alpha
+    keeps its exact decision, its imag_float saturated to +-inf, and an
+    alpha whose float embedding overflows is recorded as undecided."""
+
+    HUGE = str(10 ** 400)
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_huge_eps_leaves_the_float_screen_undecided(self, space, pot):
+        cert = certify(make_config(space, pot, eps="-" + self.HUGE))
+        alphas = cert.lemma["alphas"]
+        assert alphas and all(not a["exact"] and a["nonreal"] is None for a in alphas)
+        assert cert.lemma["all_nonreal"] is False
+
+    def test_huge_p_keeps_the_exact_decisions(self):
+        result = CliRunner().invoke(cli_main, [
+            "certify", "--space", "sphere", "--potential", "newton",
+            "--strength", "2", "--mu", "1/2", "--p", self.HUGE, "--eps", "0",
+            "--identity-samples", "0"])
+        assert result.exit_code == 0, result.output
+        lemma = json.loads(result.output)["lemma"]
+        assert all(a["exact"] and a["nonreal"] for a in lemma["alphas"])
+        assert {a["imag_float"] for a in lemma["alphas"]} == {"inf", "-inf"}
+        assert lemma["all_nonreal"] is True
+
+
 GOLDEN = Path(__file__).parent / "data"
 
 
@@ -928,7 +955,7 @@ class TestSamplePath:
         real_table, real_mul = models.closed_form_r, TowerScalar.__mul__
 
         def counted_mul(x, y):
-            if not (x.is_gaussian() or y.is_gaussian()):
+            if x.is_gauss_value() is None and y.is_gauss_value() is None:
                 products.append((x, y))
             return real_mul(x, y)
         monkeypatch.setattr(models, "closed_form_r",
@@ -954,7 +981,7 @@ class TestSamplePath:
         real_z_minus, real_mul = ratcalc._z_minus, Poly.__mul__
 
         def z_minus(c, n):
-            if not c.is_gaussian():
+            if c.is_gauss_value() is None:
                 towers.append((c, n))
             return real_z_minus(c, n)
 
@@ -982,7 +1009,7 @@ class TestSamplePath:
 
         def eq(x, y):
             if (x is not y and isinstance(y, TowerScalar)
-                    and not (x.is_gaussian() and y.is_gaussian())):
+                    and (x.is_gauss_value() is None or y.is_gauss_value() is None)):
                 calls.append((x, y))
             return real_eq(x, y)
         monkeypatch.setattr(TowerScalar, "__eq__", eq)
@@ -1003,19 +1030,28 @@ def golden_config(stem: str) -> RunConfig:
 
 
 class TestOneThetaXiPerTuple:
-    """Case II and the product test read Theta and Xi from one table per
-    certificate, and the product test needs no operator of its own."""
+    """Case II, the product test and the Xi records read Kovacic's n = 2
+    operator from one recursion table per finite-exponent tuple and
+    certificate, grown in place, so each column is built once."""
 
     @pytest.mark.parametrize("stem,tuples", [("random_hyperbolic_newton_502", 12),
                                              ("random_hyperbolic_newton_4", 3)])
     def test_one_xi_per_finite_exponent_tuple(self, stem, tuples, monkeypatch):
-        calls = []
-        real = kovacic.xi
+        tables, columns = [], []
+        real = kovacic.operator
 
-        def counted(normal, th):
-            calls.append(th)
-            return real(normal, th)
-        monkeypatch.setattr(kovacic, "xi", counted)
+        def counted(normal, th, n, d, rows=None):
+            if n == 2:
+                assert rows is not None
+                if not any(rows is t for t in tables):
+                    tables.append(rows)
+                built = len(rows[0])
+            out = real(normal, th, n, d, rows)
+            if n == 2:
+                columns.extend((id(rows), j) for j in range(built, len(rows[0])))
+            return out
+        monkeypatch.setattr(kovacic, "operator", counted)
         cert = certify(golden_config(stem))
-        assert len(calls) == tuples
+        assert len(tables) == tuples
+        assert len(set(columns)) == len(columns) >= tuples
         assert len(cert.case2["candidates"]) > tuples

@@ -17,6 +17,7 @@ from curvedtwobody.dynamics import (DynamicsError, IntegrationOptions,
 from curvedtwobody.models import (CentralMotionHamiltonian, DomainError,
                                   HamiltonianKind, Potential, Space,
                                   derive_params, hamiltonian, potential)
+from test_acceptance import BOUNDED_ORBITS
 
 
 def sn_params(**overrides):
@@ -51,23 +52,10 @@ def full_hamiltonian(space):
     return hamiltonian(kind, full_params(space))
 
 
-# The benchmark's criterion-8 bounded orbits: parameters and initial state.
-BOUNDED_ORBITS = [
-    (Space.SPHERE, Potential.NEWTON, (Fr(1, 4), Fr(1, 2), Fr(1, 10), Fr(0)),
-     (1.4, 0.02, 0.08, 0.04, 0.45)),
-    (Space.HYPERBOLIC, Potential.NEWTON, (Fr(1, 2), Fr(1, 2), Fr(1, 10), Fr(-2)),
-     (1.3, 0.0, 0.02, 0.0, 0.3)),
-    (Space.SPHERE, Potential.OSCILLATOR, (Fr(1, 4), Fr(1, 2), Fr(1, 10), Fr(1)),
-     (1.0, 0.05, 0.1, 0.05, 0.3)),
-    (Space.HYPERBOLIC, Potential.OSCILLATOR, (Fr(1, 2), Fr(1, 2), Fr(1, 10), Fr(1, 4)),
-     (0.7, 0.0, 0.02, 0.0, 0.15)),
-]
-
-
 def orbit_hamiltonian(space, pot, args):
     kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
         else HamiltonianKind.FULL_HYPERBOLIC
-    return hamiltonian(kind, derive_params(space, pot, *args))
+    return hamiltonian(kind, derive_params(space, pot, **args))
 
 
 def max_rel_diff(u, v):

@@ -10,20 +10,21 @@ import pytest
 from curvedtwobody.exactfield import GaussRational, TowerContext
 from curvedtwobody import kovacic
 from curvedtwobody.kovacic import (Classification, ECandidate, KovacicError,
-                                   RiccatiSolution, _case2_coefficients,
-                                   _solve_P,
-                                   _solve_exponent_assignment, candidates,
-                                   case1_search, case3_possible, classify,
-                                   e_sets, pair_exclusion, search_P, theta,
-                                   theta_xi, xi)
+                                   RiccatiSolution, _solve_P, candidates,
+                                   case1_search, case2_operator,
+                                   case3_possible, classify, e_sets,
+                                   pair_exclusion, search_P, theta, xi)
 from curvedtwobody.linode import (NormalFormODE, SingularPoint,
                                   SingularitySpectrum, reduce_to_second_order,
                                   singularity_spectrum, to_normal_form)
 from curvedtwobody.models import (Potential, Space, build_system,
                                   derive_params, detect_poles, mu1_solutions,
-                                  reference_params)
-from curvedtwobody.ratcalc import BadFactorization, Poly, RatFunc, poly_gcd
-from oracles import symmetric_power_residual
+                                  random_admissible_params)
+from curvedtwobody.ratcalc import (BadFactorization, Poly, RatFunc, poly_gcd,
+                                   simple_pole_sum)
+from conftest import reference_params
+from oracles import case1_coefficients, case2_coefficients, symmetric_power_residual
+from test_models import COLLAPSED
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -232,14 +233,15 @@ class TestSearchP:
         assert any(sol is not None for sol in found)
 
     def test_handed_theta_and_xi_give_the_same_solution(self):
-        """The normal form's memo, filled by theta_xi beforehand and shared
-        by every candidate, gives what a fresh Theta and Xi give; the memo
-        takes no part in comparing normal forms."""
+        """The normal form's memo, filled by case2_operator beforehand and
+        shared by every candidate, gives what a fresh Theta and Xi give; the
+        memo takes no part in comparing normal forms."""
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, 1, 1, 0)
         normal, spec = analysis(params)
         cands = candidates(e_sets(spec))
         for cand in cands:
-            th, x = theta_xi(normal, cand.finite)
+            x = case2_operator(normal, cand.finite, 0)[0]
+            th = normal.memo[cand.finite][0]
             assert th == theta(params.ctx, cand) and x == xi(normal, th)
         assert len(normal.memo) == len({cand.finite for cand in cands})
         for cand in cands:
@@ -334,14 +336,14 @@ class TestCase1Search:
         normal, spec = delta_zero_normal(ctx)
         assert [pt.delta_rational for pt in spec.finite_points] == [0, 0]
         found = []
-        solve = kovacic._solve_exponent_assignment
+        solve = kovacic._solve_P
 
-        def recording(*args):
-            out = solve(*args)
+        def recording(*args, **kwargs):
+            out = solve(*args, **kwargs)
             if out is not None:
                 found.append(out)
             return out
-        monkeypatch.setattr(kovacic, "_solve_exponent_assignment", recording)
+        monkeypatch.setattr(kovacic, "_solve_P", recording)
         sols = case1_search(normal, spec)
         assert len(found) == 4
         assert all(p == found[0] for p in found)
@@ -834,28 +836,21 @@ def oracle_case1_operator(normal, finite, rho_choice):
         if rho != 0:
             phi = phi + RatFunc(Poly.constant(ctx, ctx.from_rational(rho)),
                                 Poly(ctx, [-pt.location, ctx.one]))
-    two = RatFunc.constant(ctx, 2)
-    c0 = phi.derivative() + phi * phi - normal.r
-
-    def operator(p_poly):
-        pr = RatFunc(p_poly)
-        return pr.derivative().derivative() + two * phi * pr.derivative() + c0 * pr
-    return operator
+    return applied(case1_coefficients(normal, phi))
 
 
 def oracle_case2_operator(normal, th):
     """P -> P''' + 3 Th P'' + (3 Th^2 + 3 Th' - 4 r) P' + Xi P."""
-    ctx = normal.r.ctx
-    three = RatFunc.constant(ctx, 3)
-    four = RatFunc.constant(ctx, 4)
-    c1 = three * th * th + three * th.derivative() - four * normal.r
-    c0 = xi(normal, th)
+    return applied(case2_coefficients(normal, th))
 
+
+def applied(coeffs):
+    """P -> sum_j coeffs[j] P^(j)."""
     def operator(p_poly):
-        pr = RatFunc(p_poly)
-        return (pr.derivative().derivative().derivative()
-                + three * th * pr.derivative().derivative()
-                + c1 * pr.derivative() + c0 * pr)
+        out, dp = RatFunc.constant(p_poly.ctx, 0), RatFunc(p_poly)
+        for a in coeffs:
+            out, dp = out + a * dp, dp.derivative()
+        return out
     return operator
 
 
@@ -935,7 +930,9 @@ class TestSharedSolver:
                         continue
                     want, unique = oracle_solve(
                         oracle_case1_operator(normal, finite, rho_choice), ctx, int(n))
-                    got = _solve_exponent_assignment(normal, finite, rho_choice, int(n))
+                    phi = simple_pole_sum(ctx, {pt.location: rho
+                                                for pt, rho in zip(finite, rho_choice)})
+                    got = _solve_P(kovacic.operator(normal, phi, 1, int(n)), int(n), unique=True)
                     assert got == (want if unique else None)
         for cand in candidates(e_sets(spec)):
             th = theta(ctx, cand)
@@ -952,7 +949,7 @@ class TestSharedSolver:
             want = oracle_solve(operator, ctx, n)
             assert cand.solvable == (want[0] is not None)
             th = product_theta(ctx, cand.base_exponents)
-            assert_same_solve(_solve_P(_case2_coefficients(normal, th, xi(normal, th), n), n),
+            assert_same_solve(_solve_P(kovacic.operator(normal, th, 2, n), n),
                               want, operator, n)
 
     @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
@@ -1029,23 +1026,15 @@ class TestSharedSolver:
         # one degree below A_0's top, d1 + d2 - 3, so the indicial roots stay
         bump = RatFunc(Poly(ctx, [ctx.zero] * (d1 + d2 - 4) + [scalar()])) * over_d
         perturbed = [coeffs[0] + bump] + coeffs[1:]
-
-        def operator_of(cs):
-            def operator(p):
-                total, dp = RatFunc.constant(ctx, 0), RatFunc(p)
-                for a in cs:
-                    total, dp = total + a * dp, dp.derivative()
-                return total
-            return operator
         for cs, d, want in ((coeffs, d2, "free"), (coeffs, d1, "unique"),
                             (coeffs, d2 + 1, None), (perturbed, d2, None),
                             (coeffs, 0, "unique" if d1 == 0 else None)):
-            oracle = oracle_solve(operator_of(cs), ctx, d)
+            oracle = oracle_solve(applied(cs), ctx, d)
             assert (oracle[0] is not None) == (want is not None)
             if want is not None:
                 assert oracle[1] == (want == "unique")
             got = _solve_P(cs, d)
-            assert_same_solve(got, oracle, operator_of(cs), d)
+            assert_same_solve(got, oracle, applied(cs), d)
             assert _solve_P(cs, d, unique=True) == (got if want == "unique" else None)
         assert _solve_P(coeffs, d1, unique=True) == P1.monic()
 
@@ -1056,3 +1045,78 @@ class TestSharedSolver:
         assert _solve_P([zero, zero], 0) == Poly.constant(ctx, 1)
         assert _solve_P([zero, zero], 2) == monomial(ctx, 2)
         assert _solve_P([zero, zero], 2, unique=True) is None
+
+
+def operator_sources():
+    """(name, normal, spec) for the goldens, a seeded set and a mu = 1 set
+    per space and potential, the collapsed contexts and the Kimura rows."""
+    for path in sorted(GOLDEN.glob("*.json")):
+        yield (path.stem, *analysis(golden_params(path)))
+    for space, pot in ALL_CASES:
+        rng = random.Random(f"operator-{space.value}-{pot.value}")
+        for mu_one in (False, True):
+            yield (f"{space.value}-{pot.value}-mu1={mu_one}",
+                   *analysis(random_admissible_params(space, pot, rng, mu_one=mu_one)))
+        yield (f"{space.value}-{pot.value}-collapsed",
+               *analysis(derive_params(space, pot, *COLLAPSED[(space, pot)])))
+    for row, (diffs, kappa2, *_) in enumerate(KIMURA_ROWS):
+        yield (f"kimura-{row}", *riemann_normal(*diffs, kappa2))
+
+
+class TestKovacicOperator:
+    """kovacic.operator, Kovacic's recursion, against the operators of case
+    I and case II written out in oracles.py."""
+
+    def test_equals_the_written_out_operators(self):
+        """Every Theta of a case-II candidate or a product base, and every
+        phi of a rational case-I assignment, over operator_sources."""
+        thetas = phis = 0
+        for name, normal, spec in operator_sources():
+            ctx = normal.r.ctx
+            tuples = {cand.finite for cand in candidates(e_sets(spec))}
+            tuples |= {tuple((c, 2 * s) for c, s in cand.base_exponents)
+                       for cand in pair_exclusion(normal, spec).candidates}
+            for finite in tuples:
+                th = theta(ctx, ECandidate(finite, 0, Fr(0)))
+                assert kovacic.operator(normal, th, 2, 3) == case2_coefficients(normal, th), name
+                thetas += 1
+            finite = spec.finite_points
+            if any(pt.exponents is None for pt in spec.points):
+                continue
+            for rho_choice in itertools.product(*(pt.exponents for pt in finite)):
+                phi = simple_pole_sum(ctx, {pt.location: rho
+                                            for pt, rho in zip(finite, rho_choice)})
+                assert kovacic.operator(normal, phi, 1, 2) == case1_coefficients(normal, phi), name
+                phis += 1
+        assert thetas >= 50 and phis >= 70
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_degree_d_reads_the_first_columns(self, n):
+        """At degree d the builder gives the first min(d, n + 1) + 1
+        coefficients of the full operator, fresh or grown in place."""
+        params = reference_params(Space.SPHERE, Potential.NEWTON)
+        normal, spec = analysis(params)
+        th = theta(params.ctx, candidates(e_sets(spec))[0])
+        full = kovacic.operator(normal, th, n, n + 1)
+        assert len(full) == n + 2 and full[-1] == RatFunc.constant(params.ctx, 1)
+        rows = [[] for _ in range(n + 1)]
+        for d in range(5):
+            want = full[:min(d, n + 1) + 1]
+            assert kovacic.operator(normal, th, n, d) == want
+            assert kovacic.operator(normal, th, n, d, rows) == want
+            assert len(rows[0]) == len(want)
+
+    def test_case1_refuses_a_P_that_fails_its_equation(self, monkeypatch):
+        """case1_search substitutes each P back into case I's operator: the
+        Riemann equation of RIEMANN_OMEGA, whose P has degree 2, with P + 1
+        in place of P."""
+        normal, spec = riemann_normal(Fr(1, 3), Fr(1, 5), Fr(67, 15), 1)
+        assert [sol.P.degree() for sol in case1_search(normal, spec)] == [2]
+        solve = kovacic._solve_P
+
+        def shifted(coeffs, d, unique=False):
+            p_poly = solve(coeffs, d, unique)
+            return None if p_poly is None else p_poly + Poly.constant(p_poly.ctx, 1)
+        monkeypatch.setattr(kovacic, "_solve_P", shifted)
+        with pytest.raises(KovacicError, match="fails the case-I equation"):
+            case1_search(normal, spec)

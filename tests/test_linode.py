@@ -9,9 +9,10 @@ from curvedtwobody.linode import (FirstOrderSystem, NonFuchsianEquation,
                                   singularity_spectrum, to_normal_form,
                                   verify_gauge_transform)
 from curvedtwobody.models import (Potential, Space, build_system, detect_poles,
-                                  random_admissible_params, reference_params)
+                                  random_admissible_params)
 from curvedtwobody.ratcalc import (BadFactorization, Poly,
                                   RatFunc)
+from conftest import reference_params
 from oracles import symmetric_power_residual
 
 

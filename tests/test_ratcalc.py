@@ -1029,7 +1029,7 @@ class TestIntegerCoordinates:
         p, q, s = self.poly(ctx, pa), self.poly(ctx, pb), self.scalar(ctx, sc)
         built = [p * q, q * p, (p + q) - q + p * q - p, Poly(ctx, (p * q).coeffs),
                  -(-(p * q)), (p * q).scale(ctx.one)]
-        if s.is_gaussian() and not s.is_zero():
+        if s.is_gauss_value() is not None and not s.is_zero():
             built.append((p * q).scale(s).scale(s.inverse()))
         for other in built:
             assert_canonical_poly(other)

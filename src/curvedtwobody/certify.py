@@ -17,11 +17,12 @@ from typing import Optional
 
 from . import kovacic, models
 from .exactfield import _rat
-from .linode import (SingularitySpectrum, normal_form, reduce_to_second_order,
-                     singularity_spectrum, verify_gauge_transform)
+from .linode import (NormalFormODE, SingularitySpectrum, normal_form,
+                     reduce_to_second_order, singularity_spectrum,
+                     verify_gauge_transform)
 from .models import (DegenerateParameters, HypothesisViolated,
                      Potential, Space)
-from .ratcalc import RatFunc
+from .ratcalc import RatCalcError, RatFunc
 
 
 class CertifyError(Exception):
@@ -60,6 +61,18 @@ def _count(data: dict, key: str, default: int) -> int:
     raise CertifyError(f"{key} must be an integer, got {value!r}")
 
 
+# the keys of a run, as RunConfig.to_dict writes them and from_dict reads them
+RUN_KEYS = ("space", "potential", "strength", "mu", "p", "eps", "seed", "identity_samples")
+
+
+def check_run_keys(data: dict) -> None:
+    """Refuse a run whose keys are not all RUN_KEYS, naming the first other
+    one: a misspelt key would otherwise leave its value at the default."""
+    for key in data:
+        if key not in RUN_KEYS:
+            raise CertifyError(f"unknown key {key!r}; a run takes {', '.join(RUN_KEYS)}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     space: Space
@@ -75,6 +88,7 @@ class RunConfig:
     def from_dict(data: dict) -> RunConfig:
         if not isinstance(data, dict):
             raise CertifyError(f"run must be a JSON object, not {type(data).__name__}")
+        check_run_keys(data)
         try:
             space, potential = Space(data["space"]), Potential(data["potential"])
             seed = _count(data, "seed", 0)
@@ -194,24 +208,42 @@ def _normal_form(params: models.ModelParams):
 
 
 def matches_table(params: models.ModelParams, r: RatFunc,
-                  table: Optional[models.CoefficientTable] = None) -> bool:
-    """Exact proof that r, the normal form of params' system, equals the
-    closed-form table sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j), of table or
-    else of models.closed_form_r(params): both sides are RatFunc values
-    with monic factored denominators, and == cross-multiplies their stored
-    forms over the lcm, so they compare equal exactly when they are the
-    same rational function.  Neither side is tested for lowest terms.  For
-    Newton r's stored denominator is already the table's; the oscillator's
-    keeps (z^2 - lambda^2)^3 from C B f."""
-    if table is None:
-        table = models.closed_form_r(params)
-    return r == table.reconstruct(params.ctx)
+                  T: Optional[RatFunc] = None) -> bool:
+    """Exact proof that r, the normal form of params' system, equals T, the
+    closed-form table sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j) (else
+    models.closed_form_r(params).reconstruct): both sides are RatFunc
+    values with monic factored denominators, and == cross-multiplies their
+    stored forms over the lcm, so they compare equal exactly when they are
+    the same rational function.  Neither side is tested for lowest terms.
+    For Newton r's stored denominator is already the table's; the
+    oscillator's keeps (z^2 - lambda^2)^3 from C B f."""
+    if T is None:
+        T = models.closed_form_r(params).reconstruct(params.ctx)
+    return r == T
+
+
+def _table_r(T: RatFunc, spec: SingularitySpectrum) -> RatFunc:
+    """r = T in lowest terms: T's numerator over prod (z - c)^2 divided
+    exactly by prod (z - c)^(2 - order), with the pole orders of spec that
+    CoefficientTable.spectrum reads off the table.  What is left does not
+    vanish at a pole of order k, where its value is the table's alpha
+    (k = 2) or beta (k = 1) times the other factors, so it is in lowest
+    terms as built."""
+    try:
+        return T.reduced_to({pt.location: pt.order for pt in spec.finite_points})
+    except RatCalcError as exc:
+        raise InvariantViolation(f"the table's pole orders do not reduce T: {exc}") from None
 
 
 def certify(config: RunConfig) -> Certificate:
     """Full pipeline: parameters -> system -> normal form -> closed-form
     match -> spectrum -> lemma -> case I / product test -> case II -> case
-    III screen -> classification -> conclusion."""
+    III screen -> classification -> conclusion.
+
+    Where table_match holds, r is the table, and the spectrum and the r
+    that the Kovacic stages read come from it (CoefficientTable.spectrum,
+    _table_r); otherwise both come from r itself (models.detect_poles,
+    linode.singularity_spectrum)."""
     try:
         params = models.derive_params(config.space, config.potential,
                                       config.strength, config.mu,
@@ -220,18 +252,21 @@ def certify(config: RunConfig) -> Certificate:
         return Certificate(config, CONCLUSION_DEGENERATE, degenerate_guard=exc.guard)
 
     system, h, normal = _normal_form(params)
-    r = normal.r
-
     table = models.closed_form_r(params)
-    table_match = matches_table(params, r, table)
+    T = table.reconstruct(params.ctx)
+    table_match = matches_table(params, normal.r, T)
     # the elimination runs once, as the independent derivation of r
     gauge_ok = verify_gauge_transform(normal, reduce_to_second_order(system), h)
 
-    try:
-        poles = models.detect_poles(params, r)
-    except DegenerateParameters as exc:
-        return Certificate(config, CONCLUSION_DEGENERATE, degenerate_guard=exc.guard)
-    spec = singularity_spectrum(normal, poles)
+    if table_match:
+        spec = table.spectrum()
+        normal = NormalFormODE(_table_r(T, spec))
+    else:
+        try:
+            poles = models.detect_poles(params, normal.r)
+        except DegenerateParameters as exc:
+            return Certificate(config, CONCLUSION_DEGENERATE, degenerate_guard=exc.guard)
+        spec = singularity_spectrum(normal, poles)
 
     try:
         lemma_report = models.lemma_condition(params, table)

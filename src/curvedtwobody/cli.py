@@ -100,11 +100,13 @@ _orbit_options = _options(
 
 
 def _build_config(config_path, **given) -> RunConfig:
-    """--config overridden by what the command line gives.  Only the keys
-    the command has options for are read from --config, so simulate,
-    section and nve never see a seed or an identity_samples there.  A seed
-    and an identity_samples that neither gives take RunConfig's 0 and 20."""
+    """--config overridden by what the command line gives.  --config may
+    hold only RunConfig's keys, and only the keys the command has options
+    for are read from it, so simulate, section and nve accept a seed and
+    an identity_samples there but never see them.  A seed and an
+    identity_samples that neither gives take RunConfig's 0 and 20."""
     loaded = _load_json(config_path) if config_path else {}
+    certify_mod.check_run_keys(loaded)
     data = {key: loaded[key] for key in given if key in loaded}
     data.update((key, val) for key, val in given.items() if val is not None)
     missing = [k for k in ("space", "potential", "strength", "mu", "p", "eps")

@@ -141,20 +141,30 @@ class SingularitySpectrum:
         return all(pt.delta_rational is not None for pt in self.points)
 
 
-def _delta_data(ctx: TowerContext, alpha: TowerScalar):
-    """delta^2 = 1 + 4 alpha, with its rational square root when that exists."""
+def singular_point(ctx: TowerContext, location: Optional[TowerScalar], order: int,
+                   alpha: TowerScalar) -> SingularPoint:
+    """The point at location (None for infinity) of the given order and
+    leading coefficient alpha: delta^2 = 1 + 4 alpha, its rational square
+    root when that exists, and then the exponents (1 +- delta)/2, at
+    infinity (-1 +- delta)/2 (indicial rho(rho + 1) = alpha there)."""
     delta_sq = ctx.one + ctx.from_rational(4) * alpha
-    d_rat = None
     q = delta_sq.is_real_rational()
-    if q is not None:
-        d_rat = rational_sqrt(q)
-    return delta_sq, d_rat
+    d_rat = rational_sqrt(q) if q is not None else None
+    expo = None
+    if d_rat is not None:
+        s = 1 if location is not None else -1
+        expo = ((s + d_rat) / 2, (s - d_rat) / 2)
+    return SingularPoint(location, order, alpha, delta_sq, d_rat, expo)
 
 
 def singularity_spectrum(normal: NormalFormODE,
                          poles: Sequence[tuple[TowerScalar, int]]) -> SingularitySpectrum:
     """Per-point order, alpha (the (z-c)^-2 coefficient), delta data and
-    exponent pairs, including the point at infinity in the 1/z chart."""
+    exponent pairs, including the point at infinity in the 1/z chart, read
+    off r: alpha by RatFunc.polar_leading, infinity by the degrees of r in
+    lowest terms.  This is the path for an r that no closed-form table
+    matches; where one does, CoefficientTable.spectrum reads the same
+    points off the table's Gaussian parts."""
     r = normal.r
     ctx = r.ctx
     given = exponent_map(poles)
@@ -165,17 +175,10 @@ def singularity_spectrum(normal: NormalFormODE,
         if mult > 2:
             raise NonFuchsianEquation(
                 f"pole of order {mult} at {c.render()}: not regular singular")
-        if mult == 2:
-            alpha = r.polar_leading(c)
-        else:
-            alpha = ctx.zero
-        delta_sq, d_rat = _delta_data(ctx, alpha)
-        expo = None
-        if d_rat is not None:
-            expo = ((1 + d_rat) / 2, (1 - d_rat) / 2)
-        points.append(SingularPoint(c, mult, alpha, delta_sq, d_rat, expo))
+        alpha = r.polar_leading(c) if mult == 2 else ctx.zero
+        points.append(singular_point(ctx, c, mult, alpha))
     # infinity in the zeta = 1/z chart: ord = max(0, 4 + deg s - deg t),
-    # alpha_inf is the 1/z^2 coefficient, indicial rho(rho+1) = alpha_inf
+    # alpha_inf is the 1/z^2 coefficient
     ds = r.num.degree()
     dt = r.den_degree()
     if r.is_zero():
@@ -186,10 +189,5 @@ def singularity_spectrum(normal: NormalFormODE,
         if ord_inf > 2:
             raise NonFuchsianEquation(f"order {ord_inf} at infinity: not regular singular")
         alpha_inf = r.num.leading() if dt - ds == 2 else ctx.zero
-    delta_sq, d_rat = _delta_data(ctx, alpha_inf)
-    expo = None
-    if d_rat is not None:
-        expo = ((-1 + d_rat) / 2, (-1 - d_rat) / 2)
-    points.append(SingularPoint(None, ord_inf, alpha_inf, delta_sq, d_rat, expo))
+    points.append(singular_point(ctx, None, ord_inf, alpha_inf))
     return SingularitySpectrum(tuple(points))
-

@@ -23,7 +23,8 @@ from typing import Callable, Optional
 
 from .exactfield import (GAUSS_ONE, GAUSS_ZERO, DegenerateTower, GaussRational,
                          TowerContext, TowerScalar, _gauss, _rat, rational_sqrt)
-from .linode import FirstOrderSystem
+from .linode import (FirstOrderSystem, NonFuchsianEquation, SingularitySpectrum,
+                     singular_point)
 from .ratcalc import BadFactorization, Poly, RatFunc
 
 
@@ -264,8 +265,12 @@ class CoefficientTable:
     +-lambda, (c^2, e, o, e', o') with alpha(+-c) = e +- c o and
     beta(+-c) = e' +- c o'.  Every entry of head and pairs is a Gaussian
     rational; the poles are the TowerScalars of candidate_poles, and
-    alphas and betas become TowerScalars (c times a Gaussian) only when
-    they are read."""
+    alphas and betas become TowerScalars (c times a Gaussian) when they
+    are first read, once per table.
+
+    Once r = T is proved (certify's table_match), every local fact that
+    the Kovacic stages read is in these parts: spectrum gives the pole
+    orders, the alphas and the data at infinity without touching r."""
 
     poles: tuple[TowerScalar, ...]
     head: tuple[GaussRational, GaussRational]
@@ -275,11 +280,11 @@ class CoefficientTable:
         if any(self.poles[j + 1] != -self.poles[j] for j in (1, 3)):
             raise ModelError("table poles must come in pairs +-c")
 
-    @property
+    @functools.cached_property
     def alphas(self) -> tuple[TowerScalar, ...]:
         return self._entries(0)
 
-    @property
+    @functools.cached_property
     def betas(self) -> tuple[TowerScalar, ...]:
         return self._entries(1)
 
@@ -291,6 +296,38 @@ class CoefficientTable:
             even, odd = ctx.from_gauss(part[1 + 2 * k]), c * ctx.from_gauss(part[2 + 2 * k])
             out += (even + odd, even - odd)
         return tuple(out)
+
+    def spectrum(self) -> SingularitySpectrum:
+        """The singular points of r = T, read off the table.
+
+        A pole has order 2 where alpha != 0 and order 1 where alpha = 0 and
+        beta != 0; one where both vanish is no singular point.  At infinity
+        r = s1/z + s2/z^2 + s3/z^3 + O(1/z^4) with s1 = sum beta,
+        s2 = sum alpha + beta c and s3 = sum 2 alpha c + beta c^2, all in
+        Q(i): z0 gives beta_0, alpha_0 + beta_0 z0 and 2 alpha_0 z0 +
+        beta_0 z0^2, and a pair +-c gives 2e', 2e + 2 c^2 o' and
+        2 c^2 (2o + e').  The order there is 4 - k for the first nonzero
+        s_k (0 when none is), and s1 != 0 is no regular singular point
+        (Kovacic 1986, section 1)."""
+        ctx = self.poles[0].ctx
+        points = []
+        for j, (c, alpha) in enumerate(zip(self.poles, self.alphas)):
+            if not alpha.is_zero():
+                points.append(singular_point(ctx, c, 2, alpha))
+            elif not self.betas[j].is_zero():
+                points.append(singular_point(ctx, c, 1, alpha))
+        (a0, b0), z0 = self.head, self.poles[0].c00
+        s1, s2, s3 = b0, a0 + b0 * z0, (a0 + a0 + b0 * z0) * z0
+        for c2, e, o, e1, o1 in self.pairs:
+            s1 += e1 + e1
+            s2 += e + e + (c2 + c2) * o1
+            s3 += (c2 + c2) * (o + o + e1)
+        if not s1.is_zero():
+            raise NonFuchsianEquation("order 3 at infinity: not regular singular")
+        order = 2 if not s2.is_zero() else 1 if not s3.is_zero() else 0
+        alpha = s2 if order == 2 else GAUSS_ZERO
+        points.append(singular_point(ctx, None, order, ctx.from_gauss(alpha)))
+        return SingularitySpectrum(tuple(points))
 
     def reconstruct(self, ctx: TowerContext) -> RatFunc:
         """sum alpha_j/(z-c_j)^2 + beta_j/(z-c_j) as one RatFunc over

@@ -701,7 +701,9 @@ class RatFunc:
     a product by a constant, f * f and the derivative work on the stored
     form and keep the flag: f * f and the derivative of a tested f (each
     exponent rises by one) are in lowest terms as built, as is the
-    log-derivative (a simple pole at each root of num and den).  A dense
+    log-derivative (a simple pole at each root of num and den).
+    reduced_to brings the stored form to given pole orders by one exact
+    division and flags it as tested, for a caller that knows them.  A dense
     denominator passed to the constructor, and the numerator that / and
     log_derivative invert, are split by _factor, which raises
     BadFactorization on a factor with unknown roots; RatFunc.over takes
@@ -748,6 +750,26 @@ class RatFunc:
             return RatFunc(num)
         roots = {c: e for c, e in roots.items() if e}
         return RatFunc._of(num, roots, not roots)
+
+    def reduced_to(self, roots: dict) -> RatFunc:
+        """self over prod (z - c)^e for the {c: e} of roots, flagged as in
+        lowest terms with no test, for a caller that knows these are its
+        pole orders: the stored numerator is divided exactly by what the
+        stored denominator holds beyond roots.  A root of roots above its
+        stored exponent, or a remainder, raises RatCalcError."""
+        if self.is_zero():
+            return self
+        _refuse_negative(roots)
+        cut = [(c, e - roots.get(c, 0)) for c, e in self._roots.items()]
+        if any(k < 0 for _, k in cut) or not roots.keys() <= self._roots.keys():
+            raise RatCalcError("roots holds more than the stored denominator")
+        num = self._num
+        if any(k for _, k in cut):
+            num, rem = num.divmod(Poly.from_roots(self.ctx, cut))
+            if not rem.is_zero():
+                raise RatCalcError("the surplus of the denominator does not divide "
+                                   "the numerator")
+        return RatFunc._of(num, {c: e for c, e in roots.items() if e}, True)
 
     @staticmethod
     def constant(ctx: TowerContext, value) -> RatFunc:

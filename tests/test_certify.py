@@ -18,7 +18,7 @@ from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    certify, matches_table, render_report)
 from curvedtwobody.cli import main as cli_main
 from curvedtwobody.cli import sweep_workers
-from curvedtwobody.exactfield import GAUSS_ONE, TowerScalar, _rat
+from curvedtwobody.exactfield import GAUSS_ONE, GaussRational, TowerScalar, _rat
 from curvedtwobody.linode import (FirstOrderSystem, reduce_to_second_order,
                                   to_normal_form)
 from curvedtwobody.models import (Potential, Space, build_system,
@@ -286,6 +286,21 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)[key] >= 1
 
+    @pytest.mark.parametrize("command,args", [
+        ("certify", []), ("simulate", ["--theta0", "1.4", "--t-end", "0.01"])])
+    def test_an_unknown_config_key_exits_1(self, tmp_path, command, args):
+        """--config holds RunConfig's keys only: certify refuses a misspelt
+        identity_samples rather than run 20 samples, and the model
+        commands, which accept and ignore seed and identity_samples,
+        refuse it too."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"space": "sphere", "potential": "newton",
+                                   "strength": "1/4", "mu": "1/2", "p": "1/10",
+                                   "eps": "0", "identity_sample": 0}))
+        result = CliRunner().invoke(cli_main, [command, "--config", str(cfg), *args])
+        assert result.exit_code == 1
+        assert result.output == f"invalid input: {UNKNOWN_KEY}\n"
+
     def test_simulate_rkf45_over_the_default_span(self):
         """The default rel_tol keeps criterion 8's drift bounds over the
         CLI's default 100 time units, in fewer steps than RK4 takes."""
@@ -397,6 +412,10 @@ GOOD_RUN = {"space": "sphere", "potential": "newton", "strength": "2",
             "mu": "1/2", "p": "1", "eps": "0", "identity_samples": 0}
 
 
+UNKNOWN_KEY = ("unknown key 'identity_sample'; a run takes space, potential, "
+               "strength, mu, p, eps, seed, identity_samples")
+
+
 class TestSweepFailures:
     """One bad entry costs one output line, never the other runs."""
 
@@ -428,6 +447,21 @@ class TestSweepFailures:
             "003_sphere_newton.json: Degenerate"]
         assert sorted(f.name for f in out_dir.iterdir()) == [
             "002_hyperbolic_newton.json", "003_sphere_newton.json"]
+
+    def test_an_unknown_key_costs_its_run_only(self, tmp_path):
+        """A misspelt key is refused by name instead of leaving its value at
+        the default (20 identity samples here); the other runs go on."""
+        typo = {k: v for k, v in GOOD_RUN.items() if k != "identity_samples"}
+        out_dir = tmp_path / "certs"
+        result = CliRunner().invoke(cli_main, [
+            "sweep", "--config",
+            str(write_sweep(tmp_path, [dict(typo, identity_sample=0), GOOD_RUN])),
+            "--out-dir", str(out_dir)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            f"000: invalid input: {UNKNOWN_KEY}",
+            "001_sphere_newton.json: NonintegrabilityCertified"]
+        assert [f.name for f in out_dir.iterdir()] == ["001_sphere_newton.json"]
 
     def test_entries_that_are_not_objects(self, tmp_path):
         out_dir = tmp_path / "certs"
@@ -1055,3 +1089,192 @@ class TestOneThetaXiPerTuple:
         assert len(tables) == tuples
         assert len(set(columns)) == len(columns) >= tuples
         assert len(cert.case2["candidates"]) > tuples
+
+
+def golden_params(path: Path) -> models.ModelParams:
+    params = json.loads(path.read_bytes())["params"]
+    return models.derive_params(Space(params["space"]), Potential(params["potential"]),
+                                *(params[key] for key in ("strength", "mu", "p", "eps")))
+
+
+# A pole with alpha = 0 and beta != 0 (order 1): at c = (mu - 1) z0/(mu + 1),
+# which is -kappa in both sets (kappa^2 = 1/36 and 1).
+ORDER_ONE = [(Space.HYPERBOLIC, Potential.NEWTON, 1, Fr(1, 2), 1, Fr(-35, 36)),
+             (Space.HYPERBOLIC, Potential.OSCILLATOR, 3, 3, -2, 1)]
+
+
+def table_record_sets() -> list:
+    """The eleven goldens, two seeded sets and two mu = 1 sets per space x
+    potential, the collapsed contexts of tests/test_models.py and the two
+    ORDER_ONE sets."""
+    from test_models import COLLAPSED
+    out = [golden_params(path) for path in sorted(GOLDEN.glob("*.json"))]
+    for space, pot in ALL_CASES:
+        rng = random.Random(f"table-record-{space.value}-{pot.value}")
+        out += [random_admissible_params(space, pot, rng, mu_one=mu_one)
+                for mu_one in (False, False, True, True)]
+        out.append(models.derive_params(space, pot, *COLLAPSED[(space, pot)]))
+    return out + [models.derive_params(*args) for args in ORDER_ONE]
+
+
+class TestTableRecord:
+    """Where table_match holds, certify reads the spectrum and the r of the
+    Kovacic stages off the table; on every set they equal what the path
+    from r gives (detect_poles, singularity_spectrum, r in lowest terms).
+
+    The branches that occur: a finite pole of order 2, of order 1 (the
+    ORDER_ONE sets) and none (mu = 1: Newton keeps z0 alone, the
+    oscillator z0 and +-lambda, whose alpha is -3/16); infinity of order 2
+    (Newton, where alpha_inf = 3/4) and 0 (the oscillator, where r is
+    O(1/z^4)).  Infinity of order 1 and a nonzero sum of the betas (order 3
+    there) occur in no model table, so test_branches_no_model_reaches
+    builds tables that reach them."""
+
+    def test_record_equals_the_path_from_r(self):
+        branches = set()
+        for params in table_record_sets():
+            r = certify_mod._normal_form(params)[2].r
+            table = models.closed_form_r(params)
+            T = table.reconstruct(params.ctx)
+            assert matches_table(params, r, T)
+            spec = table.spectrum()
+            kept = linode.singularity_spectrum(linode.NormalFormODE(r),
+                                               models.detect_poles(params, r))
+            assert spec == kept
+            assert (json.dumps(certify_mod._spectrum_summary(spec))
+                    == json.dumps(certify_mod._spectrum_summary(kept)))
+            # the lemma and the spectrum read one alpha object per pole
+            assert all(pt.alpha is table.alphas[table.poles.index(pt.location)]
+                       for pt in spec.finite_points)
+            reduced = certify_mod._table_r(T, spec)
+            assert reduced._tested
+            assert (reduced.num, reduced.roots) == (r.num, r.roots)
+            orders = {pt.location: pt.order for pt in spec.finite_points}
+            branches |= {("finite", orders.get(c, 0)) for c in table.poles}
+            branches.add(("infinity", spec.infinity.order))
+        assert branches == {("finite", 2), ("finite", 1), ("finite", 0),
+                            ("infinity", 2), ("infinity", 0)}
+
+    @staticmethod
+    def table_of(head, kappa_pair, lambda_pair):
+        """A table over the reference sphere Newton poles with the given
+        parts, each a Gaussian or an int; a pair is (e, o, e', o')."""
+        params = reference_params(Space.SPHERE, Potential.NEWTON)
+
+        def g(x):
+            return x if isinstance(x, GaussRational) else GaussRational(x)
+        return models.CoefficientTable(
+            tuple(models.candidate_poles(params)), tuple(map(g, head)),
+            tuple((c2, *map(g, pair)) for c2, pair in
+                  ((params.kappa2, kappa_pair), (params.lambda2, lambda_pair))))
+
+    def test_branches_no_model_reaches(self):
+        """Infinity of order 1 (sum beta = sum alpha + beta c = 0), order 0
+        with every part zero (r = 0), and a dropped z0, against the path
+        from r = T; and a nonzero sum of the betas raises the same
+        NonFuchsianEquation on both paths."""
+        tables = [self.table_of((0, 0), (1, 1, 0, 0), (-1, 0, 0, 0)),
+                  self.table_of((0, 0), (0, 0, 0, 0), (0, 0, 0, 0))]
+        for table, inf_order in zip(tables, (1, 0)):
+            ctx = table.poles[0].ctx
+            T = table.reconstruct(ctx)
+            spec = table.spectrum()
+            assert spec.infinity.order == inf_order
+            assert table.poles[0] not in [pt.location for pt in spec.points]
+            # before T.roots brings T's stored form to lowest terms
+            reduced = certify_mod._table_r(T, spec)
+            assert (reduced.num, reduced.roots) == (T.num, T.roots)
+            poles = list(T.exponents_over(table.poles).items())
+            assert spec == linode.singularity_spectrum(linode.NormalFormODE(T), poles)
+        table = self.table_of((Fr(3, 4), 1), (0, 0, 0, 0), (0, 0, 0, 0))
+        T = table.reconstruct(table.poles[0].ctx)
+        message = "order 3 at infinity: not regular singular"
+        with pytest.raises(linode.NonFuchsianEquation, match=message):
+            table.spectrum()
+        with pytest.raises(linode.NonFuchsianEquation, match=message):
+            linode.singularity_spectrum(linode.NormalFormODE(T),
+                                        list(T.exponents_over(table.poles).items()))
+
+    def test_a_wrong_pole_order_is_an_invariant_violation(self, monkeypatch):
+        """r = T is divided exactly by prod (z - c)^(2 - order); an order the
+        numerator does not bear out leaves a remainder, which is a bug."""
+        real = models.CoefficientTable.spectrum
+
+        def wrong(table):
+            points = real(table).points
+            return linode.SingularitySpectrum(
+                (dataclasses.replace(points[0], order=1),) + points[1:])
+        monkeypatch.setattr(models.CoefficientTable, "spectrum", wrong)
+        with pytest.raises(InvariantViolation, match="pole orders do not reduce T"):
+            certify(make_config(Space.SPHERE, Potential.NEWTON))
+
+
+def sweep_sets(seed: int) -> list[RunConfig]:
+    """The sets one random-sweep round of bench/workloads.py certifies."""
+    import sys
+    sys.path.insert(0, str(Path(__file__).parent.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.sweep_configs(seed)[0]
+
+
+class TestTablePath:
+    """Where table_match holds, certify reads nothing off r beyond r = T
+    and the gauge check; where it fails, the path from r runs as before."""
+
+    def test_nothing_is_read_off_r(self, monkeypatch):
+        """On the seed-1 sweep sets: no polar_leading, no detect_poles or
+        singularity_spectrum, and no lowest-terms test of the Riccati r or
+        of the r the Kovacic stages read."""
+        configs = sweep_sets(1)
+        riccati, read, tested, polar = [], [], [], []
+        real_form, real_case1 = certify_mod._normal_form, kovacic.case1_search
+        real_test, real_polar = ratcalc._lowest_terms, RatFunc.polar_leading
+
+        def refused(*args):
+            raise AssertionError("the path from r ran")
+
+        def normal_form(params):
+            out = real_form(params)
+            riccati.append(out[2].r)
+            return out
+        monkeypatch.setattr(certify_mod, "_normal_form", normal_form)
+        monkeypatch.setattr(kovacic, "case1_search",
+                            lambda normal, spec: read.append(normal.r)
+                            or real_case1(normal, spec))
+        monkeypatch.setattr(ratcalc, "_lowest_terms",
+                            lambda num, roots: tested.append(num) or real_test(num, roots))
+        monkeypatch.setattr(RatFunc, "polar_leading",
+                            lambda f, c: polar.append(c) or real_polar(f, c))
+        monkeypatch.setattr(models, "detect_poles", refused)
+        monkeypatch.setattr(certify_mod, "singularity_spectrum", refused)
+        certs = [certify(cfg) for cfg in configs]
+        assert all(cert.table_match for cert in certs)
+        assert len(read) == len(configs) and polar == []
+        assert len(riccati) == len(configs)
+        assert not any(num is r._num for r in riccati + read for num in tested)
+
+    def test_the_kept_path_gives_the_same_spectrum(self, monkeypatch):
+        """With table_match forced false the spectrum comes from r, byte
+        for byte the same, and no certificate is certified: the gate turns
+        a non-abelian verdict into InvariantViolation."""
+        configs = sweep_sets(1)
+        expected = [json.dumps(certify(cfg).to_dict()["spectrum"]) for cfg in configs]
+        monkeypatch.setattr(certify_mod, "matches_table", lambda params, r, T=None: False)
+        seen = []
+        real_case1 = kovacic.case1_search
+        monkeypatch.setattr(kovacic, "case1_search",
+                            lambda normal, spec: seen.append(spec)
+                            or real_case1(normal, spec))
+        for cfg, spectrum in zip(configs, expected):
+            try:
+                cert = certify(cfg)
+            except InvariantViolation as exc:
+                assert "table_match=False" in str(exc)
+            else:
+                assert cert.conclusion != CONCLUSION_CERTIFIED
+                assert cert.table_match is False
+            assert json.dumps(certify_mod._spectrum_summary(seen[-1])) == spectrum
+        assert len(seen) == len(configs)

@@ -199,6 +199,30 @@ class TestKnownFactorCancellation:
         assert f.den == qa * qb * z3 * z3
         assert (f.num, f.den) == reduced_by_euclid(num, qa * qa * qb * z3 * z3)
 
+    @pytest.mark.parametrize("name", CANCEL_CTXS)
+    def test_reduced_to_the_known_pole_orders(self, name):
+        """reduced_to at the true pole orders gives the lowest-terms value
+        without a test, with a lone root (-kappa) kept whole, and again on
+        a stored form already brought to lowest terms; orders that leave a
+        remainder (lambda dropped), exceed the stored exponent or name
+        another root raise RatCalcError."""
+        ctx = CANCEL_CTXS[name]
+        k, lam = ctx.sqrt_a(), ctx.sqrt_b()
+        third = ctx.from_rational(Fr(1, 3))
+        roots = {third: 2, k: 2, -k: 1, lam: 2, -lam: 2}
+        num = lin(ctx, k) * quad(ctx, ctx.b) * Poly.from_rationals(ctx, [5, 0, 1])
+        orders = {third: 2, k: 1, -k: 1, lam: 1, -lam: 1}
+        reference = RatFunc.over(num, roots)
+        assert reference.roots == orders
+        for f in (RatFunc.over(num, roots), reference):
+            g = f.reduced_to(orders)
+            assert g._tested
+            assert (g._num, g._roots) == (reference.num, orders)
+        for bad in ({third: 2, k: 1, -k: 1, -lam: 1}, {**orders, third: 3},
+                    {**orders, ctx.from_rational(5): 1}, {**orders, k: -1}):
+            with pytest.raises(RatCalcError):
+                RatFunc.over(num, roots).reduced_to(bad)
+
 
 class TestEvaluate:
     def test_removable_factor(self):

@@ -30,13 +30,18 @@ class StepFailure(DynamicsError):
     """Integration aborted (coordinate singularity or tolerance failure)."""
 
 
-def casimir(space: Space, x) -> float:
-    """p0^2 + p1^2 + p2^2 on S^2, p0^2 + p1^2 - p2^2 on H^2, for x on the
-    5-dim chart (theta, p_theta, p0, p1, p2)."""
-    _, _, p0, p1, p2 = x
+def bound_casimir(space: Space) -> Callable[[tuple], float]:
+    """x -> p0^2 + p1^2 + p2^2 on S^2, p0^2 + p1^2 - p2^2 on H^2, for x on
+    the 5-dim chart (theta, p_theta, p0, p1, p2), with the space looked up
+    once."""
     if space is Space.SPHERE:
-        return p0 * p0 + p1 * p1 + p2 * p2
-    return p0 * p0 + p1 * p1 - p2 * p2
+        return lambda x: x[2] * x[2] + x[3] * x[3] + x[4] * x[4]
+    return lambda x: x[2] * x[2] + x[3] * x[3] - x[4] * x[4]
+
+
+def casimir(space: Space, x) -> float:
+    """The Casimir at one state; bound_casimir(space) binds the space once."""
+    return bound_casimir(space)(x)
 
 
 def bound_field(h: ReducedHamiltonian) -> Callable[[tuple], tuple]:
@@ -144,7 +149,7 @@ def _rk4_step(f, x, dt):
 _GBS_SUBSTEPS = (2, 4, 6, 8)       # 1 + 1 + 3 + 5 + 7 = 17 field evaluations
 
 
-def _gbs_step(f, x, dt):
+def _gbs_tableau(f, x, dt):
     """One Gragg-Bulirsch-Stoer step on a state of any length: the
     extrapolated state and the size of its difference from the next lower
     extrapolant (R. Bulirsch and J. Stoer, Numer. Math. 8 (1966) 1;
@@ -175,6 +180,49 @@ def _gbs_step(f, x, dt):
     best = table[-1]
     err = max([abs(a - b) for a, b in zip(best, table[-2])])
     return tuple([a + b for a, b in zip(x, best)]), err
+
+
+def _gbs_step(f, x, dt):
+    """_gbs_tableau, written out for the 5-dim chart with the same
+    operations in the same order, so the state and error are the same; a
+    state of any other length (Henon's, the geodesic chart's) runs it."""
+    if len(x) != 5:
+        return _gbs_tableau(f, x, dt)
+    x0, x1, x2, x3, x4 = x
+    f0, f1, f2, f3, f4 = f(x)
+    table = []
+    for i, n in enumerate(_GBS_SUBSTEPS):
+        h = dt / n
+        h2 = h + h
+        e0, e1, e2, e3, e4 = x
+        z0, z1, z2, z3, z4 = (x0 + h * f0, x1 + h * f1, x2 + h * f2,
+                              x3 + h * f3, x4 + h * f4)
+        g = f((z0, z1, z2, z3, z4))
+        odd = [g]
+        for _ in range(n // 2 - 1):
+            g0, g1, g2, g3, g4 = g
+            e0, e1, e2, e3, e4 = (e0 + h2 * g0, e1 + h2 * g1, e2 + h2 * g2,
+                                  e3 + h2 * g3, e4 + h2 * g4)
+            g0, g1, g2, g3, g4 = f((e0, e1, e2, e3, e4))
+            z0, z1, z2, z3, z4 = (z0 + h2 * g0, z1 + h2 * g1, z2 + h2 * g2,
+                                  z3 + h2 * g3, z4 + h2 * g4)
+            g = f((z0, z1, z2, z3, z4))
+            odd.append(g)
+        # sum(), not a + b + ...: from Python 3.12 it compensates rounding
+        a0, a1, a2, a3, a4 = map(sum, zip(*odd))
+        a0, a1, a2, a3, a4 = h2 * a0, h2 * a1, h2 * a2, h2 * a3, h2 * a4
+        row = [(a0, a1, a2, a3, a4)]
+        for j, (b0, b1, b2, b3, b4) in enumerate(table):
+            c = 1.0 / ((n / _GBS_SUBSTEPS[i - j - 1]) ** 2 - 1.0)
+            a0, a1, a2, a3, a4 = (a0 + c * (a0 - b0), a1 + c * (a1 - b1),
+                                  a2 + c * (a2 - b2), a3 + c * (a3 - b3),
+                                  a4 + c * (a4 - b4))
+            row.append((a0, a1, a2, a3, a4))
+        table = row
+    b0, b1, b2, b3, b4 = table[-2]
+    err = max([abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), abs(a3 - b3),
+               abs(a4 - b4)])
+    return (x0 + a0, x1 + a1, x2 + a2, x3 + a3, x4 + a4), err
 
 
 def _require_positive(**values: float):
@@ -242,7 +290,9 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     ends on t_end: when at most 1e-9 of a step would be left over, the
     current step is stretched to t_end instead of taking a sliver step.
     A non-finite initial state is refused, and a step whose energy is not
-    finite raises StepFailure."""
+    finite raises StepFailure.  The energy, the chart's Casimir, the options
+    and the drift denominators max(|e0|, 1e-30), max(|c0|, 1e-30) are bound
+    once per run."""
     opts = opts or IntegrationOptions()
     _require_positive(step=opts.step, t_end=t_end, rel_tol=opts.rel_tol)
     if not (isinstance(opts.sample_every, int) and opts.sample_every >= 1):
@@ -255,13 +305,17 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     x = tuple(float(v) for v in x0)
     _require_finite("initial state", x)
     f = bound_field(h)
-    space = h.params.space if h.dim == 5 else None   # None: no Casimir
+    value = h.value
+    c_of = bound_casimir(h.params.space) if h.dim == 5 else None  # None: no Casimir
+    step, rel_tol, sample_every = opts.step, opts.rel_tol, opts.sample_every
+    abort = opts.casimir_abort
 
     try:
-        e0 = h.value(x)
+        e0 = value(x)
     except DomainError as exc:
         raise StepFailure(f"initial state outside the chart: {exc}") from exc
-    c0 = casimir(space, x) if space is not None else 0.0
+    c0 = c_of(x) if c_of is not None else 0.0
+    e_scale, c_scale = max(abs(e0), 1e-30), max(abs(c0), 1e-30)
     extras0 = {name: fn(x) for name, fn in extra_integrals.items()}
     times = [0.0]
     states = [x]
@@ -273,7 +327,7 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     k = 0                   # RK4: t = k * dt keeps rounding off the sum
     steps = rejected = 0
     min_step = min_accepted = math.inf
-    dt = opts.step
+    dt = step
     while t < t_end:
         trial = dt
         try:
@@ -284,8 +338,7 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
                 k += 1
                 t_new = t_end if last else k * dt
             else:
-                x, t_new, dt_eff, dt, n = _gbs_advance(f, x, t, t_end, dt,
-                                                       opts.rel_tol)
+                x, t_new, dt_eff, dt, n = _gbs_advance(f, x, t, t_end, dt, rel_tol)
                 rejected += n
                 last = t_new == t_end
         except (DomainError, StepFailure, ValueError, OverflowError) as exc:
@@ -295,28 +348,27 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
         if dt_eff < min_accepted:
             min_accepted = dt_eff
         if dt_eff < min_step and not (last and dt_eff < trial) \
-                and (steps or dt_eff != opts.step):
+                and (steps or dt_eff != step):
             min_step = dt_eff
         steps += 1
         try:
-            e = h.value(x)
+            e = value(x)
         except DomainError as exc:
             raise StepFailure(f"state left the chart at t={t:.6g}: {exc}") from exc
         if not math.isfinite(e):
             raise StepFailure(f"energy {e} is not finite at t={t:.6g}")
-        e_drift = max(e_drift, abs(e - e0) / max(abs(e0), 1e-30))
-        if space is not None:
-            c = casimir(space, x)
-            c_drift = max(c_drift, abs(c - c0) / max(abs(c0), 1e-30))
-            if opts.casimir_abort is not None and c_drift > opts.casimir_abort:
+        e_drift = max(e_drift, abs(e - e0) / e_scale)
+        if c_of is not None:
+            c_drift = max(c_drift, abs(c_of(x) - c0) / c_scale)
+            if abort is not None and c_drift > abort:
                 raise StepFailure(
-                    f"Casimir drift {c_drift:.3e} beyond {opts.casimir_abort:.1e} "
+                    f"Casimir drift {c_drift:.3e} beyond {abort:.1e} "
                     f"at t={t:.6g}: integration is untrustworthy")
         for name, fn in extra_integrals.items():
             v = fn(x)
             x_drifts[name] = max(x_drifts[name],
                                  abs(v - extras0[name]) / max(abs(extras0[name]), 1e-30))
-        if steps % opts.sample_every == 0 or last:
+        if steps % sample_every == 0 or last:
             times.append(t)
             states.append(x)
     if min_step == math.inf:
@@ -364,16 +416,25 @@ def gamma_trajectory(params: ModelParams, theta0: float, t_end: float,
     return integrate(h0, x0, t_end, opts)
 
 
-def nve_rhs(params: ModelParams, theta: float, p_theta: float,
-            p1: float, p2: float) -> tuple[float, float]:
-    """Right-hand side of the time-domain normal variational equations."""
+def bound_nve_rhs(params: ModelParams) -> Callable[..., tuple[float, float]]:
+    """(theta, p_theta, p1, p2) -> right-hand side of the time-domain normal
+    variational equations, with mu, p and the chart looked up once."""
     mu, p = float(params.mu), float(params.p)
     _, sin, cos, _, sign = chart(params.space)
-    sn = sin(theta)
-    ct = cos(theta) / sn
-    # S^2: (2p + p_theta - p/(mu sin^2)) p2; H^2: -(2p + p_theta + p/(mu sinh^2)) p2
-    return (-p * ct * p1 - sign * (2 * p + p_theta + sign * p / (mu * sn * sn)) * p2,
-            -p_theta * p1 + p * ct * p2)
+
+    def rhs(theta, p_theta, p1, p2):
+        sn = sin(theta)
+        ct = cos(theta) / sn
+        # S^2: (2p + p_theta - p/(mu sin^2)) p2; H^2: -(2p + p_theta + p/(mu sinh^2)) p2
+        return (-p * ct * p1 - sign * (2 * p + p_theta + sign * p / (mu * sn * sn)) * p2,
+                -p_theta * p1 + p * ct * p2)
+    return rhs
+
+
+def nve_rhs(params: ModelParams, theta: float, p_theta: float,
+            p1: float, p2: float) -> tuple[float, float]:
+    """The right-hand side at one point; bound_nve_rhs binds params once."""
+    return bound_nve_rhs(params)(theta, p_theta, p1, p2)
 
 
 def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
@@ -384,14 +445,15 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
     The base curve is re-integrated jointly with the linear variational
     system (same RK4 step), and the variation is sampled at the supplied
     report's times.  A non-finite variation is refused, at the start and
-    after every step."""
+    after every step.  The right-hand side is bound once per run."""
     _require_positive(step=step)
     _require_finite("initial variation", tuple(float(v) for v in initial_variation))
     base_field = bound_field(hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params))
+    rhs = bound_nve_rhs(params)
 
     def f(x):
         theta, pt, p1, p2 = x
-        return base_field((theta, pt)) + nve_rhs(params, theta, pt, p1, p2)
+        return base_field((theta, pt)) + rhs(theta, pt, p1, p2)
 
     x = gamma_report.states[0][:2] + tuple(float(v) for v in initial_variation)
     out = [(0.0, x[2], x[3])]
@@ -452,7 +514,9 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
                      direction: int = 1,
                      step: float = IntegrationOptions.step) -> list[SectionPoint]:
     """Crossings of x[coordinate] = value in (0, t_end] with the requested
-    sign of the derivative, the first MAX_SECTION_POINTS of them.
+    sign of the derivative (direction 1: increasing, -1: decreasing; any
+    other direction raises DynamicsError), the first MAX_SECTION_POINTS of
+    them.
 
     GBS steps under _gbs_advance's control bracket each crossing: the
     first is tried at step, each holds its local error per unit time below
@@ -476,6 +540,8 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
             f"coordinate must lie in [0, {len(x)}), got {coordinate}")
     if not math.isfinite(value):
         raise DynamicsError(f"value must be finite, got {value}")
+    if direction not in (1, -1):
+        raise DynamicsError(f"direction must be 1 or -1, got {direction!r}")
     f = bound_field(h)
     rel_tol = IntegrationOptions.rel_tol
 

@@ -180,10 +180,18 @@ class TestVectorField:
                     assert abs(xdot[a] - acc) / max(1.0, abs(xdot[a])) < 1e-6
 
 
+def outcome(step, f, x, dt):
+    """A step's (state, error), or ("StepFailure", message) if it raised."""
+    try:
+        return step(f, x, dt)
+    except StepFailure as exc:
+        return "StepFailure", str(exc)
+
+
 class TestWrittenOutSteps:
-    """The 5-dim RK4 step is the tableau-driven one written out, and on a
-    linear field RK4 is the fourth-order Taylor polynomial of the flow and
-    the GBS step is of eighth order."""
+    """The 5-dim RK4 and GBS steps are the tableau-driven ones written out,
+    and on a linear field RK4 is the fourth-order Taylor polynomial of the
+    flow and the GBS step is of eighth order."""
 
     @pytest.mark.parametrize("dt", [1e-3, 0.1])
     @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
@@ -200,6 +208,46 @@ class TestWrittenOutSteps:
         def f(x):
             return tuple(sum(aij * xj for aij, xj in zip(row, x)) for row in a)
         return f, tuple(rng.uniform(-1, 1) for _ in range(5))
+
+    @pytest.mark.parametrize("dt", [1e-10, 1e-3, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, "linear"])
+    def test_gbs_step_matches_the_tableau(self, case, dt):
+        """The written-out GBS step gives the tableau's state and error bit
+        for bit, signed zeros too (the linear field's first entry is -0.0
+        under a field of -0.0), and a trial step of 10 time units, whose
+        midpoints leave the chart on every orbit, raises the same
+        StepFailure from both."""
+        if case == "linear":
+            g, x = self._linear_field(8)
+            x = (-0.0,) + x[1:]
+
+            def f(y):
+                return (-0.0,) + g(y)[1:]
+        else:
+            space, pot, args, x = BOUNDED_ORBITS[case]
+            f = dynamics.bound_field(orbit_hamiltonian(space, pot, args))
+        written = outcome(dynamics._gbs_step, f, x, dt)
+        tableau = outcome(dynamics._gbs_tableau, f, x, dt)
+        assert written == tableau and repr(written) == repr(tableau)
+        assert (written[0] == "StepFailure") == (dt == 10.0 and case != "linear")
+        if case == "linear":
+            assert repr(written[0][0]) == "0.0"
+
+    @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
+    def test_runs_match_the_tableau_runs(self, monkeypatch, space, pot, args, x0):
+        """An rkf45 run (every state sampled) and a section of each bounded
+        orbit are equal, signed zeros too, with the tableau step in place
+        of the written-out one."""
+        h = orbit_hamiltonian(space, pot, args)
+
+        def runs():
+            return (integrate(h, x0, 2.5, IntegrationOptions(
+                        method="rkf45", rel_tol=1e-10, sample_every=1)),
+                    poincare_section(h, x0, 10.0))
+        written = runs()
+        monkeypatch.setattr(dynamics, "_gbs_step", dynamics._gbs_tableau)
+        tableau = runs()
+        assert written[1] and written == tableau and repr(written) == repr(tableau)
 
     def test_rk4_on_a_linear_field(self):
         f, x = self._linear_field(8)
@@ -536,6 +584,21 @@ class TestIntegrate:
             with pytest.raises(DynamicsError, match="initial state must be finite"):
                 poincare_section(h, x0, 0.01)
 
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
+    def test_drifts_are_the_maxima_over_every_state(self, space, pot, args, x0, method):
+        """With every state sampled, the reported drifts are the largest
+        relative changes of h.value and casimir over them, bit for bit."""
+        h = orbit_hamiltonian(space, pot, args)
+        rep = integrate(h, x0, 1.0, IntegrationOptions(
+            method=method, rel_tol=1e-10, sample_every=1))
+        assert len(rep.states) == rep.steps + 1
+        e0, c0 = h.value(x0), casimir(space, x0)
+        assert rep.energy_drift == max(
+            abs(h.value(x) - e0) / max(abs(e0), 1e-30) for x in rep.states)
+        assert rep.casimir_drift == max(
+            abs(casimir(space, x) - c0) / max(abs(c0), 1e-30) for x in rep.states)
+
     def test_non_finite_energy_ends_the_run(self):
         """A step whose energy is not finite raises StepFailure rather than
         leaving the drift at its last finite value (max(d, nan) is d)."""
@@ -814,6 +877,13 @@ class TestPoincareSection:
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
         with pytest.raises(DynamicsError, match="value must be finite"):
             poincare_section(h, (1.2, 0.1, 0.2, 0.1, 0.3), 1.0, value=value)
+
+    @pytest.mark.parametrize("direction", [0, 2])
+    def test_direction_other_than_one_or_minus_one_rejected(self, direction):
+        """0 would report no crossing at all and 2 would act as 1."""
+        h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
+        with pytest.raises(DynamicsError, match="direction must be 1 or -1, got"):
+            poincare_section(h, TestStepControl.X0, 10.0, direction=direction)
 
     @pytest.mark.parametrize("coordinate", [-1, 5, 7])
     def test_coordinate_outside_the_state_rejected(self, coordinate):

@@ -18,8 +18,7 @@ from typing import Optional
 from . import kovacic, models
 from .exactfield import _rat
 from .linode import (NormalFormODE, SingularitySpectrum, normal_form,
-                     reduce_to_second_order, singularity_spectrum,
-                     verify_gauge_transform)
+                     reduce_to_second_order, verify_gauge_transform)
 from .models import (DegenerateParameters, HypothesisViolated,
                      Potential, Space)
 from .ratcalc import RatCalcError, RatFunc
@@ -240,10 +239,11 @@ def certify(config: RunConfig) -> Certificate:
     match -> spectrum -> lemma -> case I / product test -> case II -> case
     III screen -> classification -> conclusion.
 
-    Where table_match holds, r is the table, and the spectrum and the r
-    that the Kovacic stages read come from it (CoefficientTable.spectrum,
-    _table_r); otherwise both come from r itself (models.detect_poles,
-    linode.singularity_spectrum)."""
+    r is the table (tests/table_proof.py proves r = T for every
+    admissible set), so the spectrum and the r that the Kovacic stages
+    read come from it (CoefficientTable.spectrum, _table_r).  A table
+    mismatch is a fault in the program's forms and raises
+    InvariantViolation."""
     try:
         params = models.derive_params(config.space, config.potential,
                                       config.strength, config.mu,
@@ -254,19 +254,12 @@ def certify(config: RunConfig) -> Certificate:
     system, h, normal = _normal_form(params)
     table = models.closed_form_r(params)
     T = table.reconstruct(params.ctx)
-    table_match = matches_table(params, normal.r, T)
+    if not matches_table(params, normal.r, T):
+        raise InvariantViolation("the normal form r differs from the closed-form table")
     # the elimination runs once, as the independent derivation of r
     gauge_ok = verify_gauge_transform(normal, reduce_to_second_order(system), h)
-
-    if table_match:
-        spec = table.spectrum()
-        normal = NormalFormODE(_table_r(T, spec))
-    else:
-        try:
-            poles = models.detect_poles(params, normal.r)
-        except DegenerateParameters as exc:
-            return Certificate(config, CONCLUSION_DEGENERATE, degenerate_guard=exc.guard)
-        spec = singularity_spectrum(normal, poles)
+    spec = table.spectrum()
+    normal = NormalFormODE(_table_r(T, spec))
 
     try:
         lemma_report = models.lemma_condition(params, table)
@@ -296,15 +289,11 @@ def certify(config: RunConfig) -> Certificate:
                                pair.excluded)
 
     certified = verdict.identity_component_abelian is False
-    gate = (table_match
-            and len(case1) <= 1
-            and case2 is None
-            and not case_three)
+    gate = len(case1) <= 1 and case2 is None and not case_three
     if certified and not gate:
         raise InvariantViolation(
             "non-abelian verdict without the full soundness gate: "
-            f"table_match={table_match}, case1={len(case1)}, "
-            f"case2={case2 is not None}, case3={case_three}")
+            f"case1={len(case1)}, case2={case2 is not None}, case3={case_three}")
     conclusion = CONCLUSION_CERTIFIED if certified else CONCLUSION_NO_OBSTRUCTION
 
     cert = Certificate(
@@ -323,7 +312,7 @@ def certify(config: RunConfig) -> Certificate:
             "gamma_data": _frac_str(params.gamma_data),
         },
         spectrum=_spectrum_summary(spec),
-        table_match=table_match,
+        table_match=True,
         gauge_consistent=gauge_ok,
         lemma=lemma_summary,
         case1={

@@ -39,11 +39,6 @@ def bound_casimir(space: Space) -> Callable[[tuple], float]:
     return lambda x: x[2] * x[2] + x[3] * x[3] - x[4] * x[4]
 
 
-def casimir(space: Space, x) -> float:
-    """The Casimir at one state; bound_casimir(space) binds the space once."""
-    return bound_casimir(space)(x)
-
-
 def bound_field(h: ReducedHamiltonian) -> Callable[[tuple], tuple]:
     """x -> x_dot = Pi grad h, with the chart and space looked up once: the
     5-dim reduced chart, or the canonical equations on the 2-dim geodesic
@@ -51,7 +46,7 @@ def bound_field(h: ReducedHamiltonian) -> Callable[[tuple], tuple]:
 
     This is the program's one Poisson bracket: {theta, p_theta} = 1 and on
     S^2 {p0,p1} = -p2, {p1,p2} = -p0, {p2,p0} = -p1; on H^2 {p0,p1} = p2,
-    {p1,p2} = -p0, {p0,p2} = p1.  casimir() is its Casimir."""
+    {p1,p2} = -p0, {p0,p2} = p1.  bound_casimir gives its Casimir."""
     grad = h.grad
     if h.dim != 5:
         def f(x):       # canonical pairs (q, p): q' = dh/dp, p' = -dh/dq
@@ -431,12 +426,6 @@ def bound_nve_rhs(params: ModelParams) -> Callable[..., tuple[float, float]]:
     return rhs
 
 
-def nve_rhs(params: ModelParams, theta: float, p_theta: float,
-            p1: float, p2: float) -> tuple[float, float]:
-    """The right-hand side at one point; bound_nve_rhs binds params once."""
-    return bound_nve_rhs(params)(theta, p_theta, p1, p2)
-
-
 def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
                     initial_variation: tuple[float, float],
                     step: float = 1e-3) -> list[tuple[float, float, float]]:
@@ -478,6 +467,7 @@ def nve_chain_rule_residual(params: ModelParams, base: TrajectoryReport,
     s, mu, p = map(float, (params.strength, params.mu, params.p))
     grad = hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params).grad
     tan = chart(params.space)[3]
+    rhs = bound_nve_rhs(params)
     worst = 0.0
     for (theta, pt), (_, v1, v2) in zip(base.states, variation):
         z = complex((pt + mu * p) / s, 0)
@@ -486,7 +476,7 @@ def nve_chain_rule_residual(params: ModelParams, base: TrajectoryReport,
         b_val = system.B.embed_complex(z).real
         c_val = system.C.embed_complex(z).real
         w = 1.0 if system.weight is None else tan(theta)
-        dt1, dt2 = nve_rhs(params, theta, pt, v1, v2)
+        dt1, dt2 = rhs(theta, pt, v1, v2)
         zd1 = (a_val * v1 + b_val * w * v2) * zdot
         zd2 = (c_val * w * v1 - a_val * v2) * zdot
         scale = max(1.0, abs(dt1), abs(dt2))

@@ -162,9 +162,9 @@ def singularity_spectrum(normal: NormalFormODE,
     """Per-point order, alpha (the (z-c)^-2 coefficient), delta data and
     exponent pairs, including the point at infinity in the 1/z chart, read
     off r: alpha by RatFunc.polar_leading, infinity by the degrees of r in
-    lowest terms.  This is the path for an r that no closed-form table
-    matches; where one does, CoefficientTable.spectrum reads the same
-    points off the table's Gaussian parts."""
+    lowest terms.  certify reads the same points off the table
+    (CoefficientTable.spectrum); this path from r is the tests' oracle for
+    that spectrum and the one bench/ times."""
     r = normal.r
     ctx = r.ctx
     given = exponent_map(poles)

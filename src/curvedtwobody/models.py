@@ -107,12 +107,12 @@ def derive_params(space: Space, potential: Potential, strength, mu, p, eps) -> M
     mu = 1 is allowed (the degenerate-but-integrable certification path);
     mu = 0 is not.
 
-    kappa^2 and lambda^2 are Gaussians built from integers: with
-    eps = e/d and k/n = mu/(strength d),
-      sphere Newton      kappa^2, lambda^2 = 2 k (e +- i d)/n,
-      hyperbolic Newton  kappa^2, lambda^2 = 2 k (e +- d)/n,
-      oscillator         kappa^2 = k (2e +- d)/n (+ on S^2, - on H^2),
-                         lambda^2 = 2 k e/n.
+    kappa^2, lambda^2 = 2 mu (eps +- i)/strength (sphere Newton),
+    2 mu (eps +- 1)/strength (hyperbolic Newton), and for the oscillator
+    kappa^2 = mu (2 eps +- 1)/strength (+ on S^2, - on H^2) and
+    lambda^2 = 2 mu eps/strength, each a Gaussian built from integers.
+    tests/table_proof.py states the integer forms, proves them and lists
+    the guard that keeps each denominator of the tables off zero.
     """
     strength, mu, p, eps = map(_rat, (strength, mu, p, eps))
     if strength <= 0:
@@ -141,16 +141,11 @@ def derive_params(space: Space, potential: Potential, strength, mu, p, eps) -> M
     z02 = z0g * z0g
     if z02 == kappa2 or z02 == lambda2:
         raise DegenerateParameters("z0 collides with +-kappa or +-lambda")
-    dp = (kappa2 - lambda2) * _q(p)
-    if potential is Potential.OSCILLATOR:
-        if dp * dp == lambda2:
-            raise DegenerateParameters(
-                "beta_0/beta_3/beta_4 denominators vanish: ((kappa^2-lambda^2) p)^2 = lambda^2")
-    else:
+    if potential is Potential.NEWTON:
         # the two closed forms of z0 must agree: mu p / alpha and
         # p (kappa^2 - lambda^2)/(4 i) (sphere) resp. /4 (hyperbolic)
         four = _gauss(0, 4, 1) if space is Space.SPHERE else _q(4)
-        if dp / four != z0g:
+        if (kappa2 - lambda2) * _q(p) / four != z0g:
             raise ModelError("internal: the two z0 closed forms disagree")
     return ModelParams(space, potential, strength, mu, p, eps,
                        kappa2, lambda2, z0, ctx)
@@ -163,8 +158,7 @@ def derive_params(space: Space, potential: Potential, strength, mu, p, eps) -> M
 
 def _gamma_f(params: ModelParams) -> Poly:
     """The Gamma-curve polynomial f(z): -eps + strength z^2/(2 mu) for
-    Newton, 2 eps - strength z^2/mu for the oscillator.  With the integers
-    of build_system these are (-e t, 0, u d)/(d t) and (2 e q, 0, -u d)/(d q)."""
+    Newton, 2 eps - strength z^2/mu for the oscillator."""
     (e, d), (t, u) = _ints(params.eps), _ratio(params)
     if params.potential is Potential.NEWTON:
         return Poly.from_ints(params.ctx, [-e * t, 0, u * d], d * t)
@@ -201,23 +195,10 @@ def build_system(params: ModelParams) -> FirstOrderSystem:
     over +-lambda, +-kappa, with +-lambda squared in B, whose numerator
     is ((p/mu) g - sign lin f)/(lf^2 lg).
 
-    Write mu = m/md, p = n/pd, eps = e/d, strength = sn/sd and take
-    t = 2 m sd, u = md sn, so that 2 mu/s = t/u, and q = t/2 (mu/s = q/u).
-    The numerators over (z^2 - kappa^2)(z^2 - lambda^2) are (low to high,
-    each list over the denominator after the bar), for Newton
-      A: -n e t^2, 0, n d t u                                | pd d u^2
-      B: n t^2 ((e^2 + sign d^2) md^2 - sign (2 md - m) m d^2),
-         -2 sign m^2 pd d^2 t u, -2 n e md^2 d t u, 0,
-         n md^2 d^2 u^2                                      | pd d^2 m md u^2
-      C: -m n t^2, 2 m pd t u                                | md pd u^2
-    and for the oscillator
-      A: sign n q^2                                          | pd u^2
-      B: -sign n q^3 ((d + 2 sign e) md^2 - 2 sign e (2 md - m) m),
-         2 e m^2 pd q^2 u, n d q^2 u (m - md)^2,
-         -m^2 pd d q u^2                                     | pd d m md u^3
-      C: -sign m n q^2, sign m pd q u                        | md pd u^2
-    A denominator with m < 0 is negative; Poly.from_ints takes its sign
-    into the numerator."""
+    With mu = m/md, p = n/pd, eps = e/d, strength = sn/sd, t = 2 m sd and
+    u = md sn (2 mu/s = t/u), tests/table_proof.py states the integer
+    numerators formed here and proves them.  A denominator with m < 0 is
+    negative; Poly.from_ints takes its sign into the numerator."""
     ctx = params.ctx
     (m, md), (n, pd), (e, d) = _ints(params.mu), _ints(params.p), _ints(params.eps)
     t, u = _ratio(params)
@@ -388,28 +369,9 @@ def closed_form_r(params: ModelParams) -> CoefficientTable:
     pair is its kappa pair with kappa^2 and lambda^2 swapped.
 
     Every part is formed from integers and made canonical once, as
-    (Gaussian integer)/((Gaussian integer) n).  With mu = a/ad, z0 = z/zd,
-    qn = a^2 - ad^2, pn = (a - ad)^2 z^2 and bn = a (a - ad) z (so
-    mu^2 - 1 = qn/ad^2, (mu-1)^2 z0^2 = pn/(ad^2 zd^2) and
-    mu(mu-1) z0 = bn/(ad^2 zd)), and at a pole c with c^2 = C/cd and
-    o^2 = O/od for Gaussian integers C, O, G = C od - O cd
-    (D = G/(cd od)) and H = 2m C od:
-
-      e  = (qn zd^2 C + pn cd)/(4 ad^2 zd^2 C)
-      o  = -bn cd/(2 ad^2 zd C)
-      e' = m bn cd od/(ad^2 zd G)
-      o' = -cd (pn cd (H + G) + qn zd^2 C (H - G) C)/(4 ad^2 zd^2 G C^2)
-
-    The oscillator's lambda entries, with lambda^2 = L/ld,
-    kappa^2 = K/kd, W = z^2 ld - zd^2 L (z0^2 - lambda^2 = W/(zd^2 ld)),
-    J = L kd - K ld (lambda^2 - kappa^2 = J/(ld kd)) and
-    S = 8 pn kd ld + 9 K ad^2 zd^2 ld + (8 a^2 - 17 ad^2) zd^2 kd L, are
-
-      beta_0 = -3 z zd ld/(2 W)
-      e'     = (3 z zd^2 ld ad^2 J + 4 bn ld kd W)/(4 ad^2 zd W J)
-      o'     = ld (12 ad^2 zd^4 L J - S W)/(16 ad^2 zd^2 W L J)
-
-    The only TowerScalars are the poles.
+    (Gaussian integer)/((Gaussian integer) n), with mu = a/ad, z0 = z/zd
+    and c^2 = C/cd; tests/table_proof.py states these integer forms and
+    proves them, and proves r = T.  The only TowerScalars are the poles.
     """
     (a, ad), (z, zd) = _ints(params.mu), _ints(params.z0)
     k2, l2 = params.kappa2, params.lambda2
@@ -484,17 +446,12 @@ def gauge_log_derivative(params: ModelParams) -> RatFunc:
     with w = -1/2 for Newton and -1/4 for the oscillator.  C is
     (s z - mu p)/(lead prod (z - c)) over c = +-kappa, +-lambda, so
     C'/C = 1/(z - z0) - sum 1/(z - c), and the oscillator's f is
-    lead (z^2 - lambda^2), whose f'/(4f) adds 1/4 at +-lambda.  Over
-    (z - z0)(z^2 - kappa^2)(z^2 - lambda^2) the numerator, with t = 2w,
-    has the Gaussian coefficients (low to high)
-
-      kappa^2 lambda^2/2,  z0 (t kappa^2 - lambda^2),
-      lambda^2 - t kappa^2 - (kappa^2 + lambda^2)/2,  z0 (1 - t),  t - 1/2,
-
-    computed in Q(i); the only tower elements are the poles of
-    candidate_poles in its exponent map.  derive_params keeps z0 off
-    +-kappa and +-lambda and the four apart, so no two of these poles
-    merge.  The certificate's gauge check still compares h exactly with
+    lead (z^2 - lambda^2), whose f'/(4f) adds 1/4 at +-lambda
+    (tests/table_proof.py proves h and the numerator over
+    (z - z0)(z^2 - kappa^2)(z^2 - lambda^2) formed here in Q(i)); the only
+    tower elements are the poles of candidate_poles in its exponent map.
+    derive_params keeps z0 off +-kappa and +-lambda and the four apart, so
+    no two of these poles merge.  The certificate's gauge check still compares h exactly with
     the elimination's p = -C'/C [- f'/(2f)]."""
     z0, k2, l2 = _q(params.z0), params.kappa2, params.lambda2
     t = _q(-1) if params.potential is Potential.NEWTON else _q(-1, 2)
@@ -510,6 +467,8 @@ def detect_poles(params: ModelParams, r: RatFunc) -> list[tuple[TowerScalar, int
 
     At mu = 1 most candidates cancel; callers always get the true
     factorization.  Raises if the candidates do not exhaust den(r).
+    certify reads the pole orders off the table instead; this is the
+    tests' oracle for them and the path bench/ times.
     """
     try:
         return list(r.exponents_over(candidate_poles(params)).items())

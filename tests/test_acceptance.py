@@ -35,8 +35,8 @@ from curvedtwobody import kovacic, models
 from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    CONCLUSION_NO_OBSTRUCTION, RunConfig,
                                    certify, render_report)
-from curvedtwobody.dynamics import (IntegrationOptions, gamma_trajectory,
-                                    integrate, nve_rhs)
+from curvedtwobody.dynamics import (IntegrationOptions, bound_nve_rhs,
+                                    gamma_trajectory, integrate)
 from curvedtwobody.exactfield import GaussRational
 from curvedtwobody.linode import (NormalFormODE, reduce_to_second_order,
                                   singularity_spectrum, to_normal_form)
@@ -463,7 +463,7 @@ def test_criterion9_time_z_consistency(space, pot, kw, theta0, t_end, every):
         b_val = system.B.embed_complex(complex(z, 0)).real
         c_val = system.C.embed_complex(complex(z, 0)).real
         v1, v2 = 0.37, -0.81
-        dt1, dt2 = nve_rhs(params, theta, pt, v1, v2)
+        dt1, dt2 = bound_nve_rhs(params)(theta, pt, v1, v2)
         if system.weight is None:
             zd1 = (a_val * v1 + b_val * v2) * zdot
             zd2 = (c_val * v1 - a_val * v2) * zdot

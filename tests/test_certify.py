@@ -1221,8 +1221,9 @@ def sweep_sets(seed: int) -> list[RunConfig]:
 
 
 class TestTablePath:
-    """Where table_match holds, certify reads nothing off r beyond r = T
-    and the gauge check; where it fails, the path from r runs as before."""
+    """certify reads nothing off r beyond r = T and the gauge check, and a
+    table mismatch, which tests/table_proof.py rules out for the program's
+    forms, is an invariant violation rather than a certificate."""
 
     def test_nothing_is_read_off_r(self, monkeypatch):
         """On the seed-1 sweep sets: no polar_leading, no detect_poles or
@@ -1249,32 +1250,45 @@ class TestTablePath:
         monkeypatch.setattr(RatFunc, "polar_leading",
                             lambda f, c: polar.append(c) or real_polar(f, c))
         monkeypatch.setattr(models, "detect_poles", refused)
-        monkeypatch.setattr(certify_mod, "singularity_spectrum", refused)
+        monkeypatch.setattr(linode, "singularity_spectrum", refused)
         certs = [certify(cfg) for cfg in configs]
         assert all(cert.table_match for cert in certs)
         assert len(read) == len(configs) and polar == []
         assert len(riccati) == len(configs)
         assert not any(num is r._num for r in riccati + read for num in tested)
 
-    def test_the_kept_path_gives_the_same_spectrum(self, monkeypatch):
-        """With table_match forced false the spectrum comes from r, byte
-        for byte the same, and no certificate is certified: the gate turns
-        a non-abelian verdict into InvariantViolation."""
-        configs = sweep_sets(1)
-        expected = [json.dumps(certify(cfg).to_dict()["spectrum"]) for cfg in configs]
+    def test_a_table_mismatch_is_an_invariant_violation(self, monkeypatch):
+        """With matches_table forced false, every seed-1 sweep set raises
+        InvariantViolation before any Kovacic stage runs."""
         monkeypatch.setattr(certify_mod, "matches_table", lambda params, r, T=None: False)
-        seen = []
-        real_case1 = kovacic.case1_search
-        monkeypatch.setattr(kovacic, "case1_search",
-                            lambda normal, spec: seen.append(spec)
-                            or real_case1(normal, spec))
-        for cfg, spectrum in zip(configs, expected):
-            try:
-                cert = certify(cfg)
-            except InvariantViolation as exc:
-                assert "table_match=False" in str(exc)
-            else:
-                assert cert.conclusion != CONCLUSION_CERTIFIED
-                assert cert.table_match is False
-            assert json.dumps(certify_mod._spectrum_summary(seen[-1])) == spectrum
-        assert len(seen) == len(configs)
+        monkeypatch.setattr(kovacic, "case1_search", None)
+        for cfg in sweep_sets(1):
+            with pytest.raises(InvariantViolation, match="differs from the closed-form table"):
+                certify(cfg)
+
+    def test_the_cli_exits_2_and_a_sweep_keeps_its_other_runs(self, tmp_path, monkeypatch):
+        """The mismatch prints "invariant violation: ..." with exit 2, in
+        certify and in a sweep, where the sphere runs still certify."""
+        real = certify_mod.matches_table
+        monkeypatch.setattr(certify_mod, "matches_table",
+                            lambda params, r, T=None: params.space is Space.SPHERE
+                            and real(params, r, T))
+        message = "invariant violation: the normal form r differs from the closed-form table"
+        result = CliRunner().invoke(cli_main, [
+            "certify", "--space", "hyperbolic", "--potential", "newton", "--strength", "1",
+            "--mu", "1/2", "--p", "1", "--eps", "-2", "--identity-samples", "0"])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [message]
+        runs = [GOOD_RUN, dict(GOOD_RUN, space="hyperbolic", strength="1", eps="-2"),
+                dict(GOOD_RUN, mu="0"), GOOD_RUN]
+        out_dir = tmp_path / "certs"
+        result = CliRunner().invoke(cli_main, [
+            "sweep", "--config", str(write_sweep(tmp_path, runs)),
+            "--out-dir", str(out_dir), "--jobs", "1"])
+        assert result.exit_code == 2
+        assert result.output.splitlines() == [
+            "000_sphere_newton.json: NonintegrabilityCertified", f"001: {message}",
+            "002_sphere_newton.json: Degenerate",
+            "003_sphere_newton.json: NonintegrabilityCertified"]
+        assert sorted(f.name for f in out_dir.iterdir()) == [
+            "000_sphere_newton.json", "002_sphere_newton.json", "003_sphere_newton.json"]

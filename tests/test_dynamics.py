@@ -8,7 +8,7 @@ import pytest
 
 from curvedtwobody import dynamics
 from curvedtwobody.dynamics import (DynamicsError, IntegrationOptions,
-                                    SectionPoint, StepFailure, casimir,
+                                    SectionPoint, StepFailure, bound_casimir,
                                     gamma_initial_state, gamma_trajectory,
                                     integrate, nve_chain_rule_residual,
                                     nve_time_domain, poincare_section,
@@ -106,7 +106,7 @@ class TestPoissonBracket:
         import sympy as sp
         for space in Space:
             coords, pi = sympy_bracket(space)
-            c = casimir(space, coords)
+            c = bound_casimir(space)(coords)
             grad = sp.Matrix([sp.diff(c, v) for v in coords])
             assert sp.expand(pi * grad) == sp.zeros(5, 1)
 
@@ -437,11 +437,11 @@ class TestStepControl:
         assert rep.energy_drift < 1e-8 and rep.casimir_drift < 1e-10
         points = poincare_section(h, x0, 10.0, step=step)
         assert points
-        e0, c0 = h.value(x0), casimir(space, x0)
+        e0, c0 = h.value(x0), bound_casimir(space)(x0)
         for pt in points:
             assert pt.state[3] == 0.0
             assert abs(h.value(pt.state) - e0) < 1e-8 * abs(e0)
-            assert abs(casimir(space, pt.state) - c0) < 1e-10 * abs(c0)
+            assert abs(bound_casimir(space)(pt.state) - c0) < 1e-10 * abs(c0)
 
     def test_a_field_off_the_chart_everywhere_ends_in_step_failure(self):
         """Every trial step is rejected and cut 5x; at the 1e-12 floor the
@@ -593,11 +593,11 @@ class TestIntegrate:
         rep = integrate(h, x0, 1.0, IntegrationOptions(
             method=method, rel_tol=1e-10, sample_every=1))
         assert len(rep.states) == rep.steps + 1
-        e0, c0 = h.value(x0), casimir(space, x0)
+        e0, c0 = h.value(x0), bound_casimir(space)(x0)
         assert rep.energy_drift == max(
             abs(h.value(x) - e0) / max(abs(e0), 1e-30) for x in rep.states)
         assert rep.casimir_drift == max(
-            abs(casimir(space, x) - c0) / max(abs(c0), 1e-30) for x in rep.states)
+            abs(bound_casimir(space)(x) - c0) / max(abs(c0), 1e-30) for x in rep.states)
 
     def test_non_finite_energy_ends_the_run(self):
         """A step whose energy is not finite raises StepFailure rather than
@@ -678,7 +678,7 @@ class TestNveTimeDomain:
         """(dp1/dt) = (A p1 + B w p2) dz/dt with dz/dt = p_theta_dot/strength;
         checked along the base curve against the exact rational functions."""
         from curvedtwobody.models import build_system
-        from curvedtwobody.dynamics import nve_rhs
+        from curvedtwobody.dynamics import bound_nve_rhs
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)
         sysz = build_system(params)
         base = gamma_trajectory(params, 1.0, 1.0, step=1e-3, sample_every=5)
@@ -692,7 +692,7 @@ class TestNveTimeDomain:
             b_val = sysz.B.embed_complex(complex(z, 0)).real
             c_val = sysz.C.embed_complex(complex(z, 0)).real
             p1, p2 = 0.37, -0.81
-            dt_p1, dt_p2 = nve_rhs(params, theta, pt, p1, p2)
+            dt_p1, dt_p2 = bound_nve_rhs(params)(theta, pt, p1, p2)
             zd_p1 = (a_val * p1 + b_val * p2) * zdot
             zd_p2 = (c_val * p1 - a_val * p2) * zdot
             assert abs(dt_p1 - zd_p1) / max(1.0, abs(dt_p1)) < 1e-6

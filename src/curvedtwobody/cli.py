@@ -20,7 +20,7 @@ from . import dynamics, models
 from .certify import (CONCLUSION_DEGENERATE, Certificate, CertifyError,
                       InvariantViolation, RunConfig, render_report)
 from .dynamics import DynamicsError, IntegrationOptions
-from .models import DegenerateParameters, HamiltonianKind, Potential, Space
+from .models import DegenerateParameters, Potential, Space
 
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
@@ -125,12 +125,6 @@ def _params(**run) -> models.ModelParams:
                                 cfg.mu, cfg.p, cfg.eps)
 
 
-def _full_hamiltonian(params: models.ModelParams, free: bool):
-    kind = (HamiltonianKind.FULL_SPHERE if params.space is Space.SPHERE
-            else HamiltonianKind.FULL_HYPERBOLIC)
-    return models.hamiltonian(kind, params, include_potential=not free)
-
-
 @click.group()
 def main():
     """Exact nonintegrability certificates and simulation for the reduced
@@ -187,7 +181,7 @@ def certify_cmd(out_path, fmt, **run):
 def simulate_cmd(theta0, p_theta, p0, p1, p2, t_end, step, free, out_path,
                  method, **run):
     """Integrate the reduced Hamiltonian flow and report invariant drift."""
-    h = _full_hamiltonian(_params(**run), free)
+    h = dynamics._full_hamiltonian(_params(**run), not free)
     rep = dynamics.integrate(h, (theta0, p_theta, p0, p1, p2), t_end,
                              IntegrationOptions(step=step, method=method))
     if out_path:
@@ -213,7 +207,7 @@ def simulate_cmd(theta0, p_theta, p0, p1, p2, t_end, step, free, out_path,
 def section_cmd(theta0, p_theta, p0, p1, p2, t_end, step, free, out_path,
                 coordinate, value, direction, **run):
     """Poincare section crossings exported as CSV."""
-    h = _full_hamiltonian(_params(**run), free)
+    h = dynamics._full_hamiltonian(_params(**run), not free)
     points = dynamics.poincare_section(
         h, (theta0, p_theta, p0, p1, p2), t_end, coordinate=coordinate,
         value=value, direction=int(direction), step=step)

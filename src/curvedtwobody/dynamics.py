@@ -2,6 +2,10 @@
 invariant monitoring, geodesic base solutions, time-domain variational
 equations and Poincare sections.
 
+Every flow runs on the 5-dim chart (theta, p_theta, p0, p1, p2) under
+bound_field, the one Poisson bracket: the geodesic solution Gamma too, and
+its normal variational equations are bound_field's p1, p2 rows on Gamma.
+
 Integrators are plain RK4 (fixed step) and an adaptive Gragg-Bulirsch-
 Stoer extrapolation step (method "rkf45", a name kept from the Fehlberg
 pair it replaced) with step-size control: the local error per unit time
@@ -40,22 +44,14 @@ def bound_casimir(space: Space) -> Callable[[tuple], float]:
 
 
 def bound_field(h: ReducedHamiltonian) -> Callable[[tuple], tuple]:
-    """x -> x_dot = Pi grad h, with the chart and space looked up once: the
-    5-dim reduced chart, or the canonical equations on the 2-dim geodesic
-    chart.  A state off the chart raises StepFailure.
+    """x -> x_dot = Pi grad h on the 5-dim reduced chart, with the space
+    looked up once.  A state off the chart raises StepFailure.
 
     This is the program's one Poisson bracket: {theta, p_theta} = 1 and on
     S^2 {p0,p1} = -p2, {p1,p2} = -p0, {p2,p0} = -p1; on H^2 {p0,p1} = p2,
     {p1,p2} = -p0, {p0,p2} = p1.  bound_casimir gives its Casimir."""
     grad = h.grad
-    if h.dim != 5:
-        def f(x):       # canonical pairs (q, p): q' = dh/dp, p' = -dh/dq
-            try:
-                g = grad(x)
-            except DomainError as exc:
-                raise StepFailure(str(exc)) from exc
-            return tuple(v for g_q, g_p in zip(g[::2], g[1::2]) for v in (g_p, -g_q))
-    elif h.params.space is Space.SPHERE:
+    if h.params.space is Space.SPHERE:
         def f(x):
             try:
                 g_t, g_pt, g0, g1, g2 = grad(x)
@@ -109,21 +105,10 @@ class TrajectoryReport:
     min_step: float
 
 
-def _rk4_tableau(f, x, dt):
-    """One classical RK4 step on a state of any length."""
-    k1 = f(x)
-    k2 = f(tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, k1)))
-    k3 = f(tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, k2)))
-    k4 = f(tuple(xi + dt * ki for xi, ki in zip(x, k3)))
-    return tuple(xi + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                 for xi, a, b, c, d in zip(x, k1, k2, k3, k4))
-
-
 def _rk4_step(f, x, dt):
-    """_rk4_tableau, written out for the 5-dim chart with the same
-    operations in the same order."""
-    if len(x) != 5:
-        return _rk4_tableau(f, x, dt)
+    """One classical RK4 step on the 5-dim chart, written out component by
+    component: x + dt/6 (k1 + 2 k2 + 2 k3 + k4) with the stages at x,
+    x + dt/2 k1, x + dt/2 k2 and x + dt k3."""
     x0, x1, x2, x3, x4 = x
     h = 0.5 * dt
     a0, a1, a2, a3, a4 = f(x)
@@ -179,8 +164,8 @@ def _gbs_tableau(f, x, dt):
 
 def _gbs_step(f, x, dt):
     """_gbs_tableau, written out for the 5-dim chart with the same
-    operations in the same order, so the state and error are the same; a
-    state of any other length (Henon's, the geodesic chart's) runs it."""
+    operations in the same order, so the state and error are the same;
+    Henon's 6-entry system runs the tableau."""
     if len(x) != 5:
         return _gbs_tableau(f, x, dt)
     x0, x1, x2, x3, x4 = x
@@ -280,8 +265,8 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     GBS starts from opts.step and steps under _gbs_advance's control,
     which holds the local error per unit time below opts.rel_tol.  Drift
     metrics compare against the initial values of the Hamiltonian, the
-    Casimir (5-dim charts), and any registered extra integrals.  A sample
-    is kept every sample_every accepted steps and at t_end.  The last step
+    Casimir and any registered extra integrals.  A sample is kept every
+    sample_every accepted steps and at t_end.  The last step
     ends on t_end: when at most 1e-9 of a step would be left over, the
     current step is stretched to t_end instead of taking a sliver step.
     A non-finite initial state is refused, and a step whose energy is not
@@ -301,7 +286,7 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     _require_finite("initial state", x)
     f = bound_field(h)
     value = h.value
-    c_of = bound_casimir(h.params.space) if h.dim == 5 else None  # None: no Casimir
+    c_of = bound_casimir(h.params.space)
     step, rel_tol, sample_every = opts.step, opts.rel_tol, opts.sample_every
     abort = opts.casimir_abort
 
@@ -309,7 +294,7 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
         e0 = value(x)
     except DomainError as exc:
         raise StepFailure(f"initial state outside the chart: {exc}") from exc
-    c0 = c_of(x) if c_of is not None else 0.0
+    c0 = c_of(x)
     e_scale, c_scale = max(abs(e0), 1e-30), max(abs(c0), 1e-30)
     extras0 = {name: fn(x) for name, fn in extra_integrals.items()}
     times = [0.0]
@@ -353,12 +338,11 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
         if not math.isfinite(e):
             raise StepFailure(f"energy {e} is not finite at t={t:.6g}")
         e_drift = max(e_drift, abs(e - e0) / e_scale)
-        if c_of is not None:
-            c_drift = max(c_drift, abs(c_of(x) - c0) / c_scale)
-            if abort is not None and c_drift > abort:
-                raise StepFailure(
-                    f"Casimir drift {c_drift:.3e} beyond {abort:.1e} "
-                    f"at t={t:.6g}: integration is untrustworthy")
+        c_drift = max(c_drift, abs(c_of(x) - c0) / c_scale)
+        if abort is not None and c_drift > abort:
+            raise StepFailure(
+                f"Casimir drift {c_drift:.3e} beyond {abort:.1e} "
+                f"at t={t:.6g}: integration is untrustworthy")
         for name, fn in extra_integrals.items():
             v = fn(x)
             x_drifts[name] = max(x_drifts[name],
@@ -380,8 +364,8 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
 def gamma_initial_state(params: ModelParams, theta0: float, branch: int = 1) -> tuple:
     """(theta0, p_theta0) on the geodesic-solution energy surface fixed by eps.
 
-    The base curve has p0 = p, p1 = p2 = 0 and its (theta, p_theta) motion is
-    governed by the 1-dof Hamiltonian; eps selects the level through
+    The base curve has p0 = p, p1 = p2 = 0, where the full Hamiltonian is
+    p_theta^2/(2 mu) + p p_theta + V(theta); eps selects the level through
     f(z) = cot/coth/tan^2/tanh^2(theta)."""
     s, mu, p, eps = map(float, (params.strength, params.mu, params.p, params.eps))
     _, sin, cos, tan, _ = chart(params.space)
@@ -401,29 +385,39 @@ def gamma_initial_state(params: ModelParams, theta0: float, branch: int = 1) -> 
     return (theta0, s * z - mu * p)
 
 
+def _full_hamiltonian(params: ModelParams,
+                      include_potential: bool = True) -> ReducedHamiltonian:
+    """The full reduced Hamiltonian of params' space."""
+    kind = (HamiltonianKind.FULL_SPHERE if params.space is Space.SPHERE
+            else HamiltonianKind.FULL_HYPERBOLIC)
+    return hamiltonian(kind, params, include_potential=include_potential)
+
+
 def gamma_trajectory(params: ModelParams, theta0: float, t_end: float,
                      step: float = 1e-3, branch: int = 1,
                      sample_every: int = 10) -> TrajectoryReport:
-    """Integrate the 1-dof geodesic-solution Hamiltonian from theta0."""
-    h0 = hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params)
-    x0 = gamma_initial_state(params, theta0, branch)
+    """Integrate Gamma from (theta0, p_theta0, p, 0, 0) by RK4 under the
+    full Hamiltonian.  On the plane p1 = p2 = 0 the field's p0, p1 and p2
+    rows are zero, so p0 stays p and p1, p2 stay 0.0 exactly, and the
+    Casimir drift is 0.0."""
+    x0 = gamma_initial_state(params, theta0, branch) + (float(params.p), 0.0, 0.0)
     opts = IntegrationOptions(step=step, sample_every=sample_every)
-    return integrate(h0, x0, t_end, opts)
+    return integrate(_full_hamiltonian(params), x0, t_end, opts)
 
 
-def bound_nve_rhs(params: ModelParams) -> Callable[..., tuple[float, float]]:
-    """(theta, p_theta, p1, p2) -> right-hand side of the time-domain normal
-    variational equations, with mu, p and the chart looked up once."""
-    mu, p = float(params.mu), float(params.p)
-    _, sin, cos, _, sign = chart(params.space)
+def _nve_field(params: ModelParams) -> Callable[[tuple], tuple]:
+    """Gamma and its normal variation jointly on (theta, p_theta, p, p1,
+    p2): theta and p_theta move by the field at p1 = p2 = 0, p0 is held at
+    p, and (p1, p2) move by bound_field's p1, p2 rows, which at p0 = p are
+    the normal variational equations, linear in (p1, p2)."""
+    f = bound_field(_full_hamiltonian(params))
 
-    def rhs(theta, p_theta, p1, p2):
-        sn = sin(theta)
-        ct = cos(theta) / sn
-        # S^2: (2p + p_theta - p/(mu sin^2)) p2; H^2: -(2p + p_theta + p/(mu sinh^2)) p2
-        return (-p * ct * p1 - sign * (2 * p + p_theta + sign * p / (mu * sn * sn)) * p2,
-                -p_theta * p1 + p * ct * p2)
-    return rhs
+    def nve(x):
+        theta, pt, p0, _, _ = x
+        theta_dot, pt_dot, _, _, _ = f((theta, pt, p0, 0.0, 0.0))
+        _, _, _, p1_dot, p2_dot = f(x)
+        return theta_dot, pt_dot, 0.0, p1_dot, p2_dot
+    return nve
 
 
 def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
@@ -432,29 +426,23 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
     """Evolve (p1, p2) along the supplied geodesic base trajectory.
 
     The base curve is re-integrated jointly with the linear variational
-    system (same RK4 step), and the variation is sampled at the supplied
-    report's times.  A non-finite variation is refused, at the start and
-    after every step.  The right-hand side is bound once per run."""
+    system (_nve_field, same RK4 step), and the variation is sampled at
+    the supplied report's times.  A non-finite variation is refused, at
+    the start and after every step.  The field is bound once per run."""
     _require_positive(step=step)
     _require_finite("initial variation", tuple(float(v) for v in initial_variation))
-    base_field = bound_field(hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params))
-    rhs = bound_nve_rhs(params)
-
-    def f(x):
-        theta, pt, p1, p2 = x
-        return base_field((theta, pt)) + rhs(theta, pt, p1, p2)
-
-    x = gamma_report.states[0][:2] + tuple(float(v) for v in initial_variation)
-    out = [(0.0, x[2], x[3])]
+    f = _nve_field(params)
+    x = gamma_report.states[0][:3] + tuple(float(v) for v in initial_variation)
+    out = [(0.0, x[3], x[4])]
     t = 0.0
     for target in gamma_report.times[1:]:
         while t < target - 1e-12:
             dt = min(step, target - t)
             x = _rk4_step(f, x, dt)
             t += dt
-            if not (math.isfinite(x[2]) and math.isfinite(x[3])):
-                raise StepFailure(f"variation {x[2:]} is not finite at t={t:.6g}")
-        out.append((t, x[2], x[3]))
+            if not (math.isfinite(x[3]) and math.isfinite(x[4])):
+                raise StepFailure(f"variation {x[3:]} is not finite at t={t:.6g}")
+        out.append((t, x[3], x[4]))
     return out
 
 
@@ -465,18 +453,17 @@ def nve_chain_rule_residual(params: ModelParams, base: TrajectoryReport,
     d/dt = (dz/dt) d/dz, with z = (p_theta + mu p)/strength."""
     system = build_system(params)
     s, mu, p = map(float, (params.strength, params.mu, params.p))
-    grad = hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params).grad
     tan = chart(params.space)[3]
-    rhs = bound_nve_rhs(params)
+    f = _nve_field(params)
     worst = 0.0
-    for (theta, pt), (_, v1, v2) in zip(base.states, variation):
+    for (theta, pt, p0, _, _), (_, v1, v2) in zip(base.states, variation):
         z = complex((pt + mu * p) / s, 0)
-        zdot = -grad((theta, pt))[0] / s      # p_theta' = -dV/dtheta
+        _, pt_dot, _, dt1, dt2 = f((theta, pt, p0, v1, v2))
+        zdot = pt_dot / s
         a_val = system.A.embed_complex(z).real
         b_val = system.B.embed_complex(z).real
         c_val = system.C.embed_complex(z).real
         w = 1.0 if system.weight is None else tan(theta)
-        dt1, dt2 = rhs(theta, pt, v1, v2)
         zd1 = (a_val * v1 + b_val * w * v2) * zdot
         zd2 = (c_val * w * v1 - a_val * v2) * zdot
         scale = max(1.0, abs(dt1), abs(dt2))
@@ -603,16 +590,11 @@ def _write_csv(path: str, header: str, rows: Iterable[tuple]):
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
-def _padded(state) -> tuple:
-    """A state on any chart as the five columns theta .. p2, zero-filled."""
-    return tuple(state) + (0.0,) * (5 - len(state))
-
-
 def trajectory_to_csv(report: TrajectoryReport, path: str):
     _write_csv(path, "t,theta,p_theta,p0,p1,p2",
-               ((t,) + _padded(x) for t, x in zip(report.times, report.states)))
+               ((t,) + x for t, x in zip(report.times, report.states)))
 
 
 def section_to_csv(points: Sequence[SectionPoint], path: str):
     _write_csv(path, "t,theta,p_theta,p0,p1,p2,crossing_index",
-               ((pt.t,) + _padded(pt.state) + (pt.crossing_index,) for pt in points))
+               ((pt.t,) + pt.state + (pt.crossing_index,) for pt in points))

@@ -141,12 +141,6 @@ def derive_params(space: Space, potential: Potential, strength, mu, p, eps) -> M
     z02 = z0g * z0g
     if z02 == kappa2 or z02 == lambda2:
         raise DegenerateParameters("z0 collides with +-kappa or +-lambda")
-    if potential is Potential.NEWTON:
-        # the two closed forms of z0 must agree: mu p / alpha and
-        # p (kappa^2 - lambda^2)/(4 i) (sphere) resp. /4 (hyperbolic)
-        four = _gauss(0, 4, 1) if space is Space.SPHERE else _q(4)
-        if (kappa2 - lambda2) * _q(p) / four != z0g:
-            raise ModelError("internal: the two z0 closed forms disagree")
     return ModelParams(space, potential, strength, mu, p, eps,
                        kappa2, lambda2, z0, ctx)
 
@@ -619,9 +613,6 @@ def lemma_condition(params: ModelParams,
 class HamiltonianKind(Enum):
     FULL_SPHERE = "FullSphere"
     FULL_HYPERBOLIC = "FullHyperbolic"
-    GAMMA_RESTRICTION = "GammaRestriction"
-    FREE_PART_S1 = "FreePartS1"
-    FREE_PART_S2 = "FreePartS2"
 
 
 def potential(params: ModelParams):
@@ -662,31 +653,11 @@ def chart(space: Space):
     return check, math.sinh, math.cosh, math.tanh, 1.0
 
 
-# Each builder below returns (value, grad) on its chart as closures over
-# float constants, so an evaluation converts no Fraction and dispatches on
-# nothing; v and vp are the potential and its slope, or _zero.
-
-
-def _gamma_restriction(params: ModelParams, v, vp):
-    """(theta, p_theta) on the geodesic solution p0 = p, p1 = p2 = 0."""
-    check = chart(params.space)[0]
-    mu, p = float(params.mu), float(params.p)
-
-    def value(x):
-        theta, pt = x
-        check(theta)
-        return pt * pt / (2 * mu) + p * pt + v(theta)
-
-    def grad(x):
-        theta, pt = x
-        check(theta)
-        return (vp(theta), pt / mu + p)
-    return value, grad
-
-
 def _reduced(params: ModelParams, v, vp):
     """The full reduced Hamiltonian on (theta, p_theta, p0, p1, p2): kinetic
-    part, coupling part and potential."""
+    part, coupling part and potential, as (value, grad) closures over float
+    constants, so an evaluation converts no Fraction and dispatches on
+    nothing; v and vp are the potential and its slope, or _zero."""
     check, sin, cos, _, sign = chart(params.space)
     mu, two_sign = float(params.mu), 2 * sign
 
@@ -711,84 +682,25 @@ def _reduced(params: ModelParams, v, vp):
     return value, grad
 
 
-def _kinetic(params: ModelParams, v, vp):
-    """(p_theta^2 + p2^2/sin^2 theta)/(2 mu) + V: the free part S1 (v = vp =
-    _zero) or the central motion."""
-    check, sin, cos, _, _ = chart(params.space)
-    mu = float(params.mu)
-
-    def value(x):
-        theta, pt, _, _, p2 = x
-        check(theta)
-        sn = sin(theta)
-        return (pt * pt + p2 * p2 / (sn * sn)) / (2 * mu) + v(theta)
-
-    def grad(x):
-        theta, pt, _, _, p2 = x
-        check(theta)
-        sn, cs = sin(theta), cos(theta)
-        return (-p2 * p2 * cs / (mu * sn ** 3) + vp(theta),
-                pt / mu, 0.0, 0.0, p2 / (mu * sn * sn))
-    return value, grad
-
-
-def _coupling(params: ModelParams):
-    """p_theta p0 -+ p2^2 + p1 p2 cot theta: the free part S2."""
-    check, sin, cos, _, sign = chart(params.space)
-    two_sign = 2 * sign
-
-    def value(x):
-        theta, pt, p0, p1, p2 = x
-        check(theta)
-        return pt * p0 + sign * p2 * p2 + p1 * p2 * (cos(theta) / sin(theta))
-
-    def grad(x):
-        theta, pt, p0, p1, p2 = x
-        check(theta)
-        sn, cs = sin(theta), cos(theta)
-        ct = cs / sn
-        return (p1 * p2 * (-1.0 / (sn * sn)), p0, pt, p2 * ct,
-                two_sign * p2 + p1 * ct)
-    return value, grad
-
-
 @dataclass(frozen=True)
 class ReducedHamiltonian:
-    """value(state) and grad(state) on a chart of dim coordinates:
-    (theta, p_theta) for GAMMA_RESTRICTION, (theta, p_theta, p0, p1, p2)
-    for the others.
-    hamiltonian() builds value and grad as closures over float constants;
-    off the chart they raise DomainError."""
+    """value(state) and grad(state) on the chart (theta, p_theta, p0, p1,
+    p2).  hamiltonian() builds value and grad as closures over float
+    constants; off the chart they raise DomainError."""
 
     params: ModelParams
-    dim: int
     value: Callable[[tuple], float] = field(repr=False, compare=False)
     grad: Callable[[tuple], tuple] = field(repr=False, compare=False)
 
 
-def CentralMotionHamiltonian(params: ModelParams) -> ReducedHamiltonian:
-    """The m1 = infinity system: one body in the fixed central potential,
-    on (theta, p_theta, p0, p1, p2).
-
-    Only (theta, p_theta, p2) enter, so p2 is the extra integral."""
-    return ReducedHamiltonian(params, 5, *_kinetic(params, *potential(params)))
-
-
 def hamiltonian(kind: HamiltonianKind, params: ModelParams,
                 include_potential: bool = True) -> ReducedHamiltonian:
-    """The kind's Hamiltonian at params."""
-    space = {HamiltonianKind.FULL_SPHERE: Space.SPHERE,
-             HamiltonianKind.FULL_HYPERBOLIC: Space.HYPERBOLIC}.get(kind, params.space)
+    """The kind's Hamiltonian at params, with V = 0 unless include_potential."""
+    space = Space.SPHERE if kind is HamiltonianKind.FULL_SPHERE else Space.HYPERBOLIC
     if params.space is not space:
         raise ModelError(f"{kind.value} needs {space.value} parameters")
     v, vp = potential(params) if include_potential else (_zero, _zero)
-    if kind is HamiltonianKind.GAMMA_RESTRICTION:
-        return ReducedHamiltonian(params, 2, *_gamma_restriction(params, v, vp))
-    if kind is HamiltonianKind.FREE_PART_S1:
-        return ReducedHamiltonian(params, 5, *_kinetic(params, _zero, _zero))
-    if kind is HamiltonianKind.FREE_PART_S2:
-        return ReducedHamiltonian(params, 5, *_coupling(params))
-    return ReducedHamiltonian(params, 5, *_reduced(params, v, vp))
+    return ReducedHamiltonian(params, *_reduced(params, v, vp))
 
 
 def random_admissible_params(space: Space, potential: Potential, rng,

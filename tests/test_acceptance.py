@@ -35,19 +35,19 @@ from curvedtwobody import kovacic, models
 from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    CONCLUSION_NO_OBSTRUCTION, RunConfig,
                                    certify, render_report)
-from curvedtwobody.dynamics import (IntegrationOptions, bound_nve_rhs,
+from curvedtwobody.dynamics import (IntegrationOptions, bound_field,
                                     gamma_trajectory, integrate)
 from curvedtwobody.exactfield import GaussRational
 from curvedtwobody.linode import (NormalFormODE, reduce_to_second_order,
                                   singularity_spectrum, to_normal_form)
-from curvedtwobody.models import (CentralMotionHamiltonian, HamiltonianKind,
-                                  Potential, Space, build_system,
+from curvedtwobody.models import (HamiltonianKind, Potential, Space, build_system,
                                   closed_form_r, derive_params, detect_poles,
                                   hamiltonian, lemma_condition, mu1_solutions,
                                   random_admissible_params)
 from curvedtwobody.ratcalc import Poly, RatFunc
 from conftest import REFERENCE_PARAMETERS, reference_params
-from oracles import symmetric_power_residual
+from oracles import (central_motion_hamiltonian, free_part_s1, free_part_s2,
+                     symmetric_power_residual)
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -379,8 +379,8 @@ def test_criterion8_free_motion_split():
     params = derive_params(Space.SPHERE, Potential.NEWTON,
                            Fr(1, 4), Fr(1, 2), Fr(1, 10), 0)
     h = hamiltonian(HamiltonianKind.FULL_SPHERE, params, include_potential=False)
-    h1 = hamiltonian(HamiltonianKind.FREE_PART_S1, params)
-    h2 = hamiltonian(HamiltonianKind.FREE_PART_S2, params)
+    h1 = free_part_s1(params)
+    h2 = free_part_s2(params)
     rep = integrate(h, (1.5, 0.02, 0.05, 0.02, 0.25), 100.0,
                     IntegrationOptions(step=1e-3, sample_every=5000,
                                        casimir_abort=None),
@@ -395,7 +395,7 @@ def test_criterion8_free_motion_split():
 def test_criterion8_central_motion_p2():
     params = derive_params(Space.SPHERE, Potential.NEWTON,
                            Fr(1, 4), Fr(1, 2), Fr(1, 10), 0)
-    h = CentralMotionHamiltonian(params)
+    h = central_motion_hamiltonian(params)
     rep = integrate(h, (1.2, 0.1, 0.2, 0.1, 0.3), 100.0,
                     IntegrationOptions(step=1e-3, sample_every=5000,
                                        casimir_abort=None),
@@ -446,7 +446,8 @@ CONSISTENCY_RUNS = [
 @pytest.mark.acceptance(criterion=9)
 @pytest.mark.parametrize("space,pot,kw,theta0,t_end,every", CONSISTENCY_RUNS)
 def test_criterion9_time_z_consistency(space, pot, kw, theta0, t_end, every):
-    """The time-domain variational field equals the z-domain system through
+    """The time-domain variational field, the full field's p1, p2 rows at
+    p0 = p along Gamma, equals the z-domain system through
     dz/dt = p_theta_dot / strength; the z-domain side is evaluated from the
     exact rational functions.  Oscillator weights use the signed square
     root matching tan/tanh on the real motion window."""
@@ -454,16 +455,20 @@ def test_criterion9_time_z_consistency(space, pot, kw, theta0, t_end, every):
     system = build_system(params)
     base = gamma_trajectory(params, theta0, t_end, step=1e-3, sample_every=every)
     s, mu, p = map(float, (params.strength, params.mu, params.p))
+    kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
+        else HamiltonianKind.FULL_HYPERBOLIC
+    field = bound_field(hamiltonian(kind, params))
     slope = models.potential(params)[1]
     checked = 0
-    for theta, pt in base.states:
+    for theta, pt, p0, p1, p2 in base.states:
+        assert (p0, p1, p2) == (p, 0.0, 0.0)
         z = (pt + mu * p) / s
         zdot = -slope(theta) / s
         a_val = system.A.embed_complex(complex(z, 0)).real
         b_val = system.B.embed_complex(complex(z, 0)).real
         c_val = system.C.embed_complex(complex(z, 0)).real
         v1, v2 = 0.37, -0.81
-        dt1, dt2 = bound_nve_rhs(params)(theta, pt, v1, v2)
+        _, _, _, dt1, dt2 = field((theta, pt, p0, v1, v2))
         if system.weight is None:
             zd1 = (a_val * v1 + b_val * v2) * zdot
             zd2 = (c_val * v1 - a_val * v2) * zdot

@@ -708,7 +708,8 @@ class TestBadInput:
         pytest.param(lambda d: ["nve", "--space", "hyperbolic", "--potential", "newton",
                                 "--strength", "1", "--mu", "1/2", "--p", "1", "--eps", "-2",
                                 "--theta0", "nan", "--t-end", "0.1"],
-                     "integration aborted: initial state must be finite, got (nan, nan)",
+                     "integration aborted: initial state must be finite, "
+                     "got (nan, nan, 1.0, 0.0, 0.0)",
                      id="nve-theta0-nan"),
         pytest.param(lambda d: ["nve", "--space", "sphere", "--potential", "newton",
                                 "--strength", "2", "--mu", "1/2", "--p", "1", "--eps", "0",

@@ -14,10 +14,11 @@ from curvedtwobody.dynamics import (DynamicsError, IntegrationOptions,
                                     nve_time_domain, poincare_section,
                                     section_to_csv, trajectory_to_csv,
                                     vector_field)
-from curvedtwobody.models import (CentralMotionHamiltonian, DomainError,
-                                  HamiltonianKind, Potential, Space,
+from curvedtwobody.models import (DomainError, HamiltonianKind, Potential, Space,
                                   derive_params, hamiltonian, potential)
-from test_acceptance import BOUNDED_ORBITS
+from oracles import (central_motion_hamiltonian, free_part_s1, free_part_s2,
+                     gamma_reference, nve_rhs, rk4_tableau)
+from test_acceptance import BOUNDED_ORBITS, CONSISTENCY_RUNS
 
 
 def sn_params(**overrides):
@@ -69,7 +70,7 @@ def bracket_of_vector_field(space, x):
     columns = []
     for b in range(5):
         grad = tuple(float(a == b) for a in range(5))
-        h = SimpleNamespace(dim=5, params=params, grad=lambda x, g=grad: g)
+        h = SimpleNamespace(params=params, grad=lambda x, g=grad: g)
         columns.append(vector_field(h, x))
     return [[columns[b][a] for b in range(5)] for a in range(5)]
 
@@ -198,7 +199,7 @@ class TestWrittenOutSteps:
     def test_match_the_tableau_steps(self, space, pot, args, x0, dt):
         f = dynamics.bound_field(orbit_hamiltonian(space, pot, args))
         assert max_rel_diff(dynamics._rk4_step(f, x0, dt),
-                            dynamics._rk4_tableau(f, x0, dt)) <= 1e-14
+                            rk4_tableau(f, x0, dt)) <= 1e-14
 
     @staticmethod
     def _linear_field(seed):
@@ -257,7 +258,7 @@ class TestWrittenOutSteps:
             term = tuple(v * dt / k for v in f(term))
             taylor = [s + v for s, v in zip(taylor, term)]
         assert max_rel_diff(dynamics._rk4_step(f, x, dt), tuple(taylor)) <= 1e-14
-        assert max_rel_diff(dynamics._rk4_tableau(f, x, dt), tuple(taylor)) <= 1e-14
+        assert max_rel_diff(rk4_tableau(f, x, dt), tuple(taylor)) <= 1e-14
 
     def test_gbs_order_on_a_linear_field(self):
         """Against exp(A dt) x, summed as a series to rounding: halving dt
@@ -448,11 +449,12 @@ class TestStepControl:
         run ends in StepFailure naming the chart, not in a hang."""
         def grad(x):
             raise DomainError("theta = 7 outside (0, pi)")
-        h = SimpleNamespace(dim=2, value=lambda x: 0.0, grad=grad)
+        h = SimpleNamespace(params=sn_params(), value=lambda x: 0.0, grad=grad)
+        x0 = (1.0, 0.0, 0.1, 0.0, 0.3)
         with pytest.raises(StepFailure, match=r"left the chart: .*outside \(0, pi\)"):
-            integrate(h, (1.0, 0.0), 1.0, IntegrationOptions(method="rkf45"))
+            integrate(h, x0, 1.0, IntegrationOptions(method="rkf45"))
         with pytest.raises(StepFailure, match=r"left the chart: .*outside \(0, pi\)"):
-            poincare_section(h, (1.0, 0.0), 1.0, coordinate=0)
+            poincare_section(h, x0, 1.0, coordinate=0)
 
     @pytest.mark.parametrize("dt", [1e-3, 1e-10])
     @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
@@ -537,8 +539,8 @@ class TestIntegrate:
     def test_free_motion_split_integrals(self):
         params = sn_params()
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, params, include_potential=False)
-        h1 = hamiltonian(HamiltonianKind.FREE_PART_S1, params)
-        h2 = hamiltonian(HamiltonianKind.FREE_PART_S2, params)
+        h1 = free_part_s1(params)
+        h2 = free_part_s2(params)
         rep = integrate(h, (1.5, 0.02, 0.05, 0.02, 0.25), 20.0,
                         IntegrationOptions(step=1e-3, sample_every=2000),
                         extra_integrals={"h_s1": h1.value, "h_s2": h2.value})
@@ -547,7 +549,7 @@ class TestIntegrate:
 
     def test_central_motion_conserves_p2(self):
         params = sn_params()
-        h = CentralMotionHamiltonian(params)
+        h = central_motion_hamiltonian(params)
         rep = integrate(h, (1.2, 0.1, 0.2, 0.1, 0.3), 20.0,
                         IntegrationOptions(step=1e-3, sample_every=2000),
                         extra_integrals={"p2": lambda s: s[4]})
@@ -562,10 +564,8 @@ class TestIntegrate:
 
     def test_collision_raises_step_failure(self):
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)
-        h = hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params)
         with pytest.raises(StepFailure):
-            integrate(h, gamma_initial_state(params, 1.0), 10.0,
-                      IntegrationOptions(step=1e-3))
+            gamma_trajectory(params, 1.0, 10.0)
 
     @pytest.mark.parametrize("space", list(Space))
     def test_initial_state_off_the_chart_raises_step_failure(self, space):
@@ -621,7 +621,7 @@ class TestGammaTrajectory:
         rep = gamma_trajectory(params, 1.0, 1.2, step=1e-3, sample_every=10)
         a, mu, eps = 2.0, 0.5, 0.0
         worst = 0.0
-        for theta, pt in rep.states:
+        for theta, pt, _, _, _ in rep.states:
             z = (pt + mu * 1.0) / a
             level = a * a * z * z / (2 * mu) - a * math.cos(theta) / math.sin(theta)
             worst = max(worst, abs(level - a * eps))
@@ -632,7 +632,7 @@ class TestGammaTrajectory:
         rep = gamma_trajectory(params, 0.8, 0.6, step=1e-3, sample_every=10)
         beta, mu = 1.0, 0.5
         worst = 0.0
-        for theta, pt in rep.states:
+        for theta, pt, _, _, _ in rep.states:
             z = (pt + mu * 1.0) / beta
             f = -beta * z * z / mu + 2 * float(params.eps)
             worst = max(worst, abs(f - math.tan(theta) ** 2))
@@ -640,10 +640,30 @@ class TestGammaTrajectory:
 
     def test_free_motion_constant_p_theta(self):
         params = sn_params()
-        h0 = hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params,
-                         include_potential=False)
-        rep = integrate(h0, (1.0, 0.3), 2.5, IntegrationOptions(step=1e-3))
+        h0 = hamiltonian(HamiltonianKind.FULL_SPHERE, params, include_potential=False)
+        rep = integrate(h0, (1.0, 0.3, float(params.p), 0.0, 0.0), 2.5,
+                        IntegrationOptions(step=1e-3))
         assert all(abs(s[1] - 0.3) < 1e-12 for s in rep.states)
+
+    @pytest.mark.parametrize("space,pot,kw,theta0,t_end,every", CONSISTENCY_RUNS)
+    def test_matches_the_restricted_chart(self, space, pot, kw, theta0, t_end, every):
+        """On the 5-dim chart Gamma's (theta, p_theta), times and energy
+        drift are those of the restricted 2-dim Hamiltonian's canonical
+        equations under the RK4 tableau, bit for bit; p0 stays p and p1,
+        p2 stay 0.0 on every state, and the Casimir drift is 0.0."""
+        params = derive_params(space, pot, **kw)
+        for sample_every in (every, 1):
+            rep = gamma_trajectory(params, theta0, t_end, step=1e-3,
+                                   sample_every=sample_every)
+            times, states, drift = gamma_reference(params, theta0, t_end, step=1e-3,
+                                                   sample_every=sample_every)
+            got = (rep.times, [x[:2] for x in rep.states], rep.energy_drift)
+            assert got == (times, states, drift)
+            assert repr(got) == repr((times, states, drift))
+            p = float(params.p)
+            assert all(x[2:] == (p, 0.0, 0.0) and repr(x[3:]) == "(0.0, 0.0)"
+                       for x in rep.states)
+            assert rep.casimir_drift == 0.0
 
     def test_inconsistent_initial_condition(self):
         params = derive_params(Space.SPHERE, Potential.OSCILLATOR, 1, Fr(1, 2), 1,
@@ -674,25 +694,71 @@ class TestNveTimeDomain:
             assert abs(2 * a1 - b1) <= 1e-9 * max(1.0, abs(b1))
             assert abs(2 * a2 - b2) <= 1e-9 * max(1.0, abs(b2))
 
+    @staticmethod
+    def _rows(params):
+        """(theta, p_theta, p1, p2) -> bound_field's p1, p2 rows at p0 = p."""
+        field = dynamics.bound_field(dynamics._full_hamiltonian(params))
+        p = float(params.p)
+        return lambda theta, pt, p1, p2: field((theta, pt, p, p1, p2))[3:]
+
+    @pytest.mark.parametrize("space,pot,kw,theta0,t_end,every", CONSISTENCY_RUNS)
+    def test_rows_are_the_hand_derived_nve(self, space, pot, kw, theta0, t_end, every):
+        """bound_field's p1, p2 rows at p0 = p are the hand-linearised
+        normal variational equations to 1e-15 relative, along Gamma and at
+        random points of the chart."""
+        params = derive_params(space, pot, **kw)
+        rows, rhs = self._rows(params), nve_rhs(params)
+        rng = random.Random(9)
+        points = [x[:2] for x in gamma_trajectory(params, theta0, t_end).states]
+        points += [(rng.uniform(0.3, 2.8) if space is Space.SPHERE else rng.uniform(0.2, 2.0),
+                    rng.uniform(-2, 2)) for _ in range(200)]
+        for theta, pt in points:
+            v = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+            got, want = rows(theta, pt, *v), rhs(theta, pt, *v)
+            scale = max(1.0, *map(abs, want))
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("space,pot,kw,theta0,t_end,every", CONSISTENCY_RUNS)
+    def test_rows_are_linear(self, space, pot, kw, theta0, t_end, every):
+        """At p0 = p the rows hold no term of degree other than 1 in
+        (p1, p2): they vanish at 0, scale by 2^k bit for bit (a quadratic
+        term would scale by 4^k) and add up to rounding."""
+        params = derive_params(space, pot, **kw)
+        rows = self._rows(params)
+        rng = random.Random(4)
+        for theta, pt, _, _, _ in gamma_trajectory(params, theta0, t_end).states:
+            assert rows(theta, pt, 0.0, 0.0) == (0.0, 0.0)
+            v = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+            w = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+            at_v, at_w = rows(theta, pt, *v), rows(theta, pt, *w)
+            for k in (-3, 1, 5):
+                c = 2.0 ** k
+                assert rows(theta, pt, c * v[0], c * v[1]) == (c * at_v[0], c * at_v[1])
+            at_sum = rows(theta, pt, v[0] + w[0], v[1] + w[1])
+            scale = max(1.0, *map(abs, at_v + at_w))
+            assert max(abs(s - a - b) for s, a, b in zip(at_sum, at_v, at_w)) <= 1e-15 * scale
+
     def test_chain_rule_against_z_domain(self):
         """(dp1/dt) = (A p1 + B w p2) dz/dt with dz/dt = p_theta_dot/strength;
-        checked along the base curve against the exact rational functions."""
+        checked along the base curve against the exact rational functions,
+        with the variation's field read off bound_field's p1, p2 rows."""
         from curvedtwobody.models import build_system
-        from curvedtwobody.dynamics import bound_nve_rhs
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)
         sysz = build_system(params)
         base = gamma_trajectory(params, 1.0, 1.0, step=1e-3, sample_every=5)
         s, mu, p = map(float, (params.strength, params.mu, params.p))
+        rows = self._rows(params)
         count = 0
         slope = potential(params)[1]
-        for theta, pt in base.states:
+        for theta, pt, p0, _, _ in base.states:
+            assert p0 == p
             z = (pt + mu * p) / s
             zdot = -slope(theta) / s
             a_val = sysz.A.embed_complex(complex(z, 0)).real
             b_val = sysz.B.embed_complex(complex(z, 0)).real
             c_val = sysz.C.embed_complex(complex(z, 0)).real
             p1, p2 = 0.37, -0.81
-            dt_p1, dt_p2 = bound_nve_rhs(params)(theta, pt, p1, p2)
+            dt_p1, dt_p2 = rows(theta, pt, p1, p2)
             zd_p1 = (a_val * p1 + b_val * p2) * zdot
             zd_p2 = (c_val * p1 - a_val * p2) * zdot
             assert abs(dt_p1 - zd_p1) / max(1.0, abs(dt_p1)) < 1e-6
@@ -752,7 +818,7 @@ class TestPoincareSection:
     def test_free_motion_section_on_h1_level(self):
         params = sn_params()
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, params, include_potential=False)
-        h1 = hamiltonian(HamiltonianKind.FREE_PART_S1, params)
+        h1 = free_part_s1(params)
         x0 = (1.5, 0.02, 0.05, 0.02, 0.25)
         points = poincare_section(h, x0, 60.0, step=1e-3)
         assert len(points) >= 2
@@ -830,13 +896,15 @@ class TestPoincareSection:
                 assert max(abs(a - b) for a, b in zip(pt.state, x_ref)) < 1e-9
 
     def test_crossing_time_outside_its_step_raises(self, monkeypatch):
-        """Under q' = p, p' = 1 from q = -0.1, p = 1e-6, dt/dq = 1/p is
-        steep at the start, yet Henon's step lands the crossing of q = 0 on
-        the root of -0.1 + 1e-6 t + t^2/2.  A Henon step that puts it
-        outside the step bracketing it (here a stub, 1 later) raises
-        StepFailure instead of reporting a point."""
-        h = SimpleNamespace(dim=2, grad=lambda x: (-1.0, x[1]))
-        x0 = (-0.1, 1e-6)
+        """Under theta' = p_theta, p_theta' = 1 (h = p_theta^2/2 - theta,
+        p0 = p1 = p2 = 0) from theta = -0.1, p_theta = 1e-6, dt/dtheta =
+        1/p_theta is steep at the start, yet Henon's step lands the crossing
+        of theta = 0 on the root of -0.1 + 1e-6 t + t^2/2.  A Henon step
+        that puts it outside the step bracketing it (here a stub, 1 later)
+        raises StepFailure instead of reporting a point."""
+        h = SimpleNamespace(params=sn_params(),
+                            grad=lambda x: (-1.0, x[1], 0.0, 0.0, 0.0))
+        x0 = (-0.1, 1e-6, 0.0, 0.0, 0.0)
         root = -1e-6 + math.sqrt(1e-12 + 0.2)
         points = poincare_section(h, x0, 1.0, coordinate=0, step=1.0)
         assert len(points) == 1 and points[0].t == pytest.approx(root, abs=1e-12)
@@ -844,7 +912,7 @@ class TestPoincareSection:
 
         def step(f, x, dt):
             y, err = real_step(f, x, dt)
-            return (y[:-1] + (y[-1] + 1.0,), err) if len(x) == 3 else (y, err)
+            return (y[:-1] + (y[-1] + 1.0,), err) if len(x) == 6 else (y, err)
         monkeypatch.setattr(dynamics, "_gbs_step", step)
         with pytest.raises(StepFailure, match="outside its step"):
             poincare_section(h, x0, 1.0, coordinate=0, step=1.0)

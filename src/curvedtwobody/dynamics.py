@@ -211,6 +211,15 @@ def _require_positive(**values: float):
             raise DynamicsError(f"{name} must be positive and finite, got {v}")
 
 
+MAX_FIXED_STEPS = 10 ** 7     # the most RK4 steps a run takes: ~2 min at 88k/s
+
+
+def _require_step_count(t_end: float, step: float):
+    if t_end / step > MAX_FIXED_STEPS:
+        raise DynamicsError(f"t_end/step = {t_end / step:.3g} fixed steps exceed "
+                            f"MAX_FIXED_STEPS = {MAX_FIXED_STEPS}")
+
+
 def _require_finite(name: str, values: tuple):
     if not all(map(math.isfinite, values)):
         raise DynamicsError(f"{name} must be finite, got {values}")
@@ -269,10 +278,10 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     sample_every accepted steps and at t_end.  The last step
     ends on t_end: when at most 1e-9 of a step would be left over, the
     current step is stretched to t_end instead of taking a sliver step.
-    A non-finite initial state is refused, and a step whose energy is not
-    finite raises StepFailure.  The energy, the chart's Casimir, the options
-    and the drift denominators max(|e0|, 1e-30), max(|c0|, 1e-30) are bound
-    once per run."""
+    A non-finite initial state and an RK4 t_end/step above MAX_FIXED_STEPS
+    are refused, and a step whose energy is not finite raises StepFailure.
+    The energy, the chart's Casimir, the options and the drift
+    denominators max(|e0|, 1e-30), max(|c0|, 1e-30) are bound once per run."""
     opts = opts or IntegrationOptions()
     _require_positive(step=opts.step, t_end=t_end, rel_tol=opts.rel_tol)
     if not (isinstance(opts.sample_every, int) and opts.sample_every >= 1):
@@ -281,6 +290,8 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     if opts.method not in ("rk4", "rkf45"):
         raise DynamicsError(f"unknown method {opts.method!r}")
     rk4 = opts.method == "rk4"
+    if rk4:
+        _require_step_count(t_end, opts.step)
     extra_integrals = extra_integrals or {}
     x = tuple(float(v) for v in x0)
     _require_finite("initial state", x)
@@ -427,9 +438,11 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
 
     The base curve is re-integrated jointly with the linear variational
     system (_nve_field, same RK4 step), and the variation is sampled at
-    the supplied report's times.  A non-finite variation is refused, at
-    the start and after every step.  The field is bound once per run."""
+    the supplied report's times.  A span/step above MAX_FIXED_STEPS is
+    refused, and so is a non-finite variation, at the start and after
+    every step.  The field is bound once per run."""
     _require_positive(step=step)
+    _require_step_count(gamma_report.times[-1], step)
     _require_finite("initial variation", tuple(float(v) for v in initial_variation))
     f = _nve_field(params)
     x = gamma_report.states[0][:3] + tuple(float(v) for v in initial_variation)

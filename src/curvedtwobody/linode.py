@@ -2,8 +2,9 @@
 
 The normal form y'' = r y of the 2x2 first-order systems in one Riccati
 step; the elimination to a single second-order equation and its gauge
-transform, the independent derivation the gauge check compares with;
-and singular-point and exponent analysis for Fuchsian equations.
+transform, the tests' oracle for certify's gauge check (2h + p = 0) and
+the path bench/ times; and singular-point and exponent analysis for
+Fuchsian equations.
 """
 from __future__ import annotations
 

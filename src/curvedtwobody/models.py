@@ -445,8 +445,8 @@ def gauge_log_derivative(params: ModelParams) -> RatFunc:
     (z - z0)(z^2 - kappa^2)(z^2 - lambda^2) formed here in Q(i)); the only
     tower elements are the poles of candidate_poles in its exponent map.
     derive_params keeps z0 off +-kappa and +-lambda and the four apart, so
-    no two of these poles merge.  The certificate's gauge check still compares h exactly with
-    the elimination's p = -C'/C [- f'/(2f)]."""
+    no two of these poles merge.  The certificate's gauge check is
+    2h + p = 0 for the elimination's p = -C'/C [- f'/(2f)]."""
     z0, k2, l2 = _q(params.z0), params.kappa2, params.lambda2
     t = _q(-1) if params.potential is Potential.NEWTON else _q(-1, 2)
     half = _q(1, 2)

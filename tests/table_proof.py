@@ -10,6 +10,11 @@ For every space x potential pair it proves:
   build_system, _gamma_f, gauge_log_derivative and closed_form_r compute,
   equal these formulas (integer_form_residues).
 
+And for any first-order system, with undetermined A, B, C, f and h, it
+proves that the gauge check of the elimination on r = H^2 - H' + C B [f]
+holds exactly when h = C'/(2C) [+ f'/(4f)] (gauge_check_residues), which
+is how certify decides it (certify._gauge_log_derivative).
+
 So r = T holds for every admissible parameter set, and a table mismatch
 in certify is a fault in the program's forms, never a property of the
 input.  The package itself does not import sympy; tests/test_table_proof.py
@@ -52,7 +57,7 @@ s = +-mu/(kappa^2 - lambda^2)), so ((kappa^2 - lambda^2) p)^2 = lambda^2 is
 z0^2 = lambda^2.
 
 Run as a script it proves all of it, prints each pair's wall time and
-exits 1 on a nonzero residue:
+the gauge check's, and exits 1 on a nonzero residue:
 
     PYTHONPATH=src python tests/table_proof.py
 """
@@ -395,6 +400,32 @@ def integer_form_residues(space, potential) -> dict:
     return out
 
 
+def gauge_check_residues(eliminated_q=None) -> dict:
+    """The gauge check for undetermined functions A, B, C, f and h of z,
+    with f and with f = 1 (Newton): the elimination's p = -g, g = C'/C
+    [+ f'/(2f)], and q = -(g A + A^2 + C B [f] - A')
+    (linode.reduce_to_second_order, or eliminated_q(A, B, C, f, g)), and
+    r = (A + h)^2 - (A + h)' + C B [f] (linode.normal_form).  Its
+    y-coefficient r + h' + h^2 + p h + q minus (2h + p)(A + h), and 2h + p
+    minus 2 (h - C'/(2C) [- f'/(4f)]): both vanish, so the check on r holds
+    exactly when 2h + p = 0, that is when h = C'/(2C) [+ f'/(4f)]."""
+    x = sp.Symbol("z")
+    A, B, C, f, h = (sp.Function(name)(x) for name in "ABCfh")
+    out = {}
+    for label, w in (("f", f), ("f = 1", sp.Integer(1))):
+        g = C.diff(x) / C + w.diff(x) / (2 * w)
+        q = -(g * A + A ** 2 + C * B * w - A.diff(x)) if eliminated_q is None \
+            else eliminated_q(A, B, C, w, g)
+        p = -g
+        r = (A + h) ** 2 - (A + h).diff(x) + C * B * w
+        for name, expr in (("y-coefficient", r + h.diff(x) + h ** 2 + p * h + q
+                            - (2 * h + p) * (A + h)),
+                           ("2h + p", 2 * h + p - 2 * (h - C.diff(x) / (2 * C)
+                                                       - w.diff(x) / (4 * w)))):
+            out[f"{name} ({label})"] = sp.expand(sp.numer(sp.together(expr)))
+    return out
+
+
 def prove(space, potential) -> list[str]:
     """The names of the identities that fail for one pair (none when all
     hold)."""
@@ -408,15 +439,30 @@ def prove(space, potential) -> list[str]:
     return failed
 
 
+def prove_gauge_check() -> list[str]:
+    """The names of the gauge-check identities that fail (none when all
+    hold)."""
+    return [name for name, res in gauge_check_residues().items() if res != 0]
+
+
+def _report(label: str, failures) -> bool:
+    """Print label, the verdict of failures() and its wall time; True on a
+    failure."""
+    start = time.perf_counter()
+    failed = failures()
+    took = time.perf_counter() - start
+    verdict = "proved" if not failed else "FAILED: " + ", ".join(failed)
+    print(f"{label}: {verdict} ({took:.2f} s)")
+    return bool(failed)
+
+
 def main() -> int:
     status = 0
     for space, potential in PAIRS:
-        start = time.perf_counter()
-        failed = prove(space, potential)
-        took = time.perf_counter() - start
-        verdict = "proved" if not failed else "FAILED: " + ", ".join(failed)
-        print(f"{space.value} {potential.value}: {verdict} ({took:.2f} s)")
-        status |= bool(failed)
+        status |= _report(f"{space.value} {potential.value}",
+                          lambda: prove(space, potential))
+    status |= _report("gauge check, y-coefficient = (2h + p)(A + h) and 2h + p = 0 "
+                      "iff h = C'/(2C) [+ f'/(4f)]", prove_gauge_check)
     return status
 
 

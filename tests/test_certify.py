@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from curvedtwobody import certify as certify_mod
-from curvedtwobody import kovacic, linode, models, ratcalc
+from curvedtwobody import dynamics, kovacic, linode, models, ratcalc
 from curvedtwobody.certify import (CONCLUSION_CERTIFIED,
                                    CONCLUSION_DEGENERATE,
                                    CONCLUSION_NO_OBSTRUCTION, MAX_IDENTITY_SAMPLES,
@@ -754,6 +754,24 @@ class TestBadInput:
             "internal error: RuntimeError: stage blew up"]
         assert result.stderr.splitlines()[-1].startswith("internal error")
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", *ORBIT_ARGS, "--theta0", "1.4"],
+        ["nve", "--space", "sphere", "--potential", "newton", "--strength", "2", "--mu", "1/2",
+         "--p", "1", "--eps", "0", "--theta0", "1.0", "--t-end", "1"]], ids=["simulate", "nve"])
+    def test_a_step_count_above_the_bound_exits_1(self, args, monkeypatch):
+        """--step 1e-300 is refused before the first step (a step taken
+        would raise, so a missing bound fails with exit 2 and does not
+        hang)."""
+        def no_step(*a):
+            raise RuntimeError("a fixed step ran")
+        monkeypatch.setattr(dynamics, "_rk4_step", no_step)
+        result = CliRunner().invoke(cli_main, [*args, "--step", "1e-300"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "integration aborted: t_end/step = 1e+300 fixed steps exceed "
+            "MAX_FIXED_STEPS = 10000000"]
+
     def test_simulate_zero_step_exits_1(self):
         result = CliRunner().invoke(cli_main, [
             "simulate", "--space", "sphere", "--potential", "newton",
@@ -941,25 +959,36 @@ class TestIdentityProof:
 
 
 class TestSamplePath:
-    """Identity samples take r from the Riccati step alone: the elimination
-    runs once per certificate, as the gauge check's second derivation."""
+    """The certificate and its identity samples take r from the Riccati
+    step alone, and the gauge check is the comparison 2h + p = 0: no
+    elimination runs."""
 
     @pytest.mark.parametrize("samples", [0, 5])
     @pytest.mark.parametrize("space,pot", ALL_CASES)
-    def test_one_elimination_per_certificate(self, space, pot, samples, monkeypatch):
+    def test_no_elimination_per_certificate(self, space, pot, samples, monkeypatch):
         calls = []
-        for name in ("reduce_to_second_order", "to_normal_form"):
+        names = ("reduce_to_second_order", "to_normal_form", "verify_gauge_transform")
+        for name in names:
             def record(*args, _name=name, _real=getattr(linode, name)):
                 calls.append(_name)
                 return _real(*args)
             monkeypatch.setattr(linode, name, record)
-            if hasattr(certify_mod, name):
-                monkeypatch.setattr(certify_mod, name, record)
+        assert not any(hasattr(certify_mod, name) for name in names)
         cert = certify(make_config(space, pot, identity_samples=samples))
-        assert calls == ["reduce_to_second_order"]
+        assert calls == []
         assert cert.gauge_consistent and cert.table_match
         if samples:
             assert cert.identity_check == {"samples": 5, "matches": 5, "all_match": True}
+
+    @pytest.mark.parametrize("space,pot", ALL_CASES)
+    def test_the_gauge_verdict_is_the_comparison(self, space, pot, monkeypatch):
+        """gauge_consistent is the closed-form h compared with the one read
+        off C and f: shifting the latter by 1/(z - z0) makes it false."""
+        real, z0 = certify_mod._gauge_log_derivative, reference_params(space, pot).z0_scalar()
+        monkeypatch.setattr(certify_mod, "_gauge_log_derivative", lambda system, ctx: real(
+            system, ctx) + RatFunc(Poly.constant(ctx, 1), Poly.from_roots(ctx, [(z0, 1)])))
+        cert = certify(make_config(space, pot))
+        assert cert.gauge_consistent is False and cert.table_match is True
 
 
     @pytest.mark.parametrize("space,pot", ALL_CASES)

@@ -614,6 +614,39 @@ class TestIntegrate:
             integrate(h, (1.4, 0.02, 0.08, 0.04, 0.45), 1.0, IntegrationOptions(step=1e-3))
 
 
+def no_step(*args):
+    raise AssertionError("a fixed step ran")
+
+
+class TestFixedStepBound:
+    """A fixed-step RK4 run of more than MAX_FIXED_STEPS steps is refused
+    before its first step; _rk4_step is replaced so that a missing bound
+    fails at once instead of running for ever."""
+
+    def test_a_tiny_step_is_refused(self, monkeypatch):
+        params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)
+        base = gamma_trajectory(params, 1.0, 1.0, step=1e-3, sample_every=100)
+        monkeypatch.setattr(dynamics, "_rk4_step", no_step)
+        message = r"t_end/step = 1e\+300 fixed steps exceed MAX_FIXED_STEPS = 10000000"
+        with pytest.raises(DynamicsError, match=message):
+            integrate(full_hamiltonian(Space.SPHERE), (1.4, 0.02, 0.08, 0.04, 0.45), 1.0,
+                      IntegrationOptions(step=1e-300))
+        with pytest.raises(DynamicsError, match=message):
+            gamma_trajectory(params, 1.0, 1.0, step=1e-300)
+        with pytest.raises(DynamicsError, match=message):
+            nve_time_domain(params, base, (0.1, 0.0), step=1e-300)
+
+    def test_the_bound_is_inclusive(self, monkeypatch):
+        """t_end/step = MAX_FIXED_STEPS runs, one step more is refused, and
+        the adaptive method's first trial step is not bounded."""
+        monkeypatch.setattr(dynamics, "MAX_FIXED_STEPS", 8)
+        h, x0 = full_hamiltonian(Space.SPHERE), (1.4, 0.02, 0.08, 0.04, 0.45)
+        assert integrate(h, x0, 1.0, IntegrationOptions(step=0.125)).steps == 8
+        with pytest.raises(DynamicsError, match="t_end/step = 10 fixed steps exceed"):
+            integrate(h, x0, 1.0, IntegrationOptions(step=0.1))
+        assert integrate(h, x0, 1.0, IntegrationOptions(step=1e-3, method="rkf45")).times[-1] == 1.0
+
+
 class TestGammaTrajectory:
     def test_newton_level_maintained(self):
         # along Gamma: alpha^2 z^2/(2 mu) - alpha cot theta = alpha eps

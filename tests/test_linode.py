@@ -2,6 +2,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from curvedtwobody.certify import _gauge_log_derivative
 from curvedtwobody.exactfield import GaussRational, TowerContext
 from curvedtwobody.linode import (FirstOrderSystem, NonFuchsianEquation,
                                   NormalFormODE, SecondOrderODE, ZeroCoefficient,
@@ -9,7 +10,7 @@ from curvedtwobody.linode import (FirstOrderSystem, NonFuchsianEquation,
                                   singularity_spectrum, to_normal_form,
                                   verify_gauge_transform)
 from curvedtwobody.models import (Potential, Space, build_system, detect_poles,
-                                  random_admissible_params)
+                                  gauge_log_derivative, random_admissible_params)
 from curvedtwobody.ratcalc import (BadFactorization, Poly,
                                   RatFunc)
 from conftest import reference_params
@@ -205,6 +206,28 @@ class TestRiccatiNormalForm:
         ctx = params.ctx
         shift = RatFunc(Poly.constant(ctx, 1), Poly.from_roots(ctx, [(params.z0_scalar(), 1)]))
         assert not verify_gauge_transform(NormalFormODE(normal.r + shift), ode, h)
+
+
+class TestGaugeComparison:
+    """certify decides the gauge check by comparing h with
+    _gauge_log_derivative (2h + p = 0); the elimination's full check is its
+    oracle."""
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["closed-form-h", "shifted-h"])
+    @pytest.mark.parametrize("label", RICCATI_CASES)
+    def test_agrees_with_the_elimination(self, label, shifted):
+        """With h = models.gauge_log_derivative both verdicts are true; with
+        h + 1/(z - z0), and r from normal_form under that h, both are
+        false."""
+        params = RICCATI_CASES[label]
+        system = build_system(params)
+        h = gauge_log_derivative(params)
+        if shifted:
+            h = h + RatFunc(Poly.constant(params.ctx, 1),
+                            Poly.from_roots(params.ctx, [(params.z0_scalar(), 1)]))
+        full = verify_gauge_transform(normal_form(system, h),
+                                      reduce_to_second_order(system), h)
+        assert (_gauge_log_derivative(system, params.ctx) == h) is full is (not shifted)
 
 
 class TestSingularitySpectrum:

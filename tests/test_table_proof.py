@@ -50,6 +50,16 @@ def test_a_changed_integer_form_fails_the_proof():
     assert not tp.residue(tp.pair_forms(2)[3] - closed, tp.ji)
 
 
+def test_the_gauge_check_reduces_to_one_comparison():
+    """The check's y-coefficient is (2h + p)(A + h), and 2h + p vanishes
+    exactly at h = C'/(2C) [+ f'/(4f)]; with A' dropped from the
+    elimination's q the y-coefficient identity fails."""
+    assert tp.prove_gauge_check() == []
+    wrong = tp.gauge_check_residues(lambda A, B, C, w, g: -(g * A + A ** 2 + C * B * w))
+    assert wrong["y-coefficient (f)"] != 0 and wrong["y-coefficient (f = 1)"] != 0
+    assert wrong["2h + p (f)"] == 0
+
+
 # ---------------------------------------------------------------------------
 # the program against the proved formulas
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ invariant monitoring, geodesic base solutions, time-domain variational
 equations and Poincare sections.
 
 Every flow runs on the 5-dim chart (theta, p_theta, p0, p1, p2) under
-bound_field, the one Poisson bracket: the geodesic solution Gamma too, and
-its normal variational equations are bound_field's p1, p2 rows on Gamma.
+bound_field(h), the field that models.hamiltonian writes out per space with
+the program's one Poisson bracket (stated in models._reduced): the geodesic
+solution Gamma too, and its normal variational equations are the field's
+p1, p2 rows on Gamma.
 
 Integrators are plain RK4 (fixed step) and an adaptive Gragg-Bulirsch-
 Stoer extrapolation step (method "rkf45", a name kept from the Fehlberg
@@ -22,16 +24,9 @@ import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .models import (DomainError, HamiltonianKind, ModelParams, Potential,
-                     ReducedHamiltonian, Space, build_system, chart, hamiltonian)
-
-
-class DynamicsError(Exception):
-    pass
-
-
-class StepFailure(DynamicsError):
-    """Integration aborted (coordinate singularity or tolerance failure)."""
+from .models import (DomainError, DynamicsError, HamiltonianKind, ModelParams,
+                     Potential, ReducedHamiltonian, Space, StepFailure,
+                     build_system, chart, hamiltonian)
 
 
 def bound_casimir(space: Space) -> Callable[[tuple], float]:
@@ -44,41 +39,16 @@ def bound_casimir(space: Space) -> Callable[[tuple], float]:
 
 
 def bound_field(h: ReducedHamiltonian) -> Callable[[tuple], tuple]:
-    """x -> x_dot = Pi grad h on the 5-dim reduced chart, with the space
-    looked up once.  A state off the chart raises StepFailure.
-
-    This is the program's one Poisson bracket: {theta, p_theta} = 1 and on
-    S^2 {p0,p1} = -p2, {p1,p2} = -p0, {p2,p0} = -p1; on H^2 {p0,p1} = p2,
-    {p1,p2} = -p0, {p0,p2} = p1.  bound_casimir gives its Casimir."""
-    grad = h.grad
-    if h.params.space is Space.SPHERE:
-        def f(x):
-            try:
-                g_t, g_pt, g0, g1, g2 = grad(x)
-            except DomainError as exc:
-                raise StepFailure(str(exc)) from exc
-            _, _, p0, p1, p2 = x
-            return (g_pt, -g_t,
-                    -p2 * g1 + p1 * g2,
-                    p2 * g0 - p0 * g2,
-                    -p1 * g0 + p0 * g1)
-    else:
-        def f(x):
-            try:
-                g_t, g_pt, g0, g1, g2 = grad(x)
-            except DomainError as exc:
-                raise StepFailure(str(exc)) from exc
-            _, _, p0, p1, p2 = x
-            return (g_pt, -g_t,
-                    p2 * g1 + p1 * g2,
-                    -p2 * g0 - p0 * g2,
-                    -p1 * g0 + p0 * g1)
-    return f
+    """x -> x_dot = Pi grad h on the 5-dim reduced chart: h.field, the
+    closure models.hamiltonian writes out once per Hamiltonian with the
+    program's one Poisson bracket.  A state off the chart raises
+    StepFailure.  bound_casimir gives the bracket's Casimir."""
+    return h.field
 
 
 def vector_field(h: ReducedHamiltonian, x) -> tuple:
-    """x_dot at one state; bound_field(h) is the same map for many states."""
-    return bound_field(h)(x)
+    """x_dot at one state: one evaluation of bound_field(h)."""
+    return h.field(x)
 
 
 @dataclass
@@ -211,13 +181,18 @@ def _require_positive(**values: float):
             raise DynamicsError(f"{name} must be positive and finite, got {v}")
 
 
-MAX_FIXED_STEPS = 10 ** 7     # the most RK4 steps a run takes: ~2 min at 88k/s
+MAX_STEPS = 10 ** 7   # the most RK4 or accepted GBS steps a run takes: ~2 or ~7 min
 
 
 def _require_step_count(t_end: float, step: float):
-    if t_end / step > MAX_FIXED_STEPS:
+    if t_end / step > MAX_STEPS:
         raise DynamicsError(f"t_end/step = {t_end / step:.3g} fixed steps exceed "
-                            f"MAX_FIXED_STEPS = {MAX_FIXED_STEPS}")
+                            f"MAX_STEPS = {MAX_STEPS}")
+
+
+def _step_bound_reached(t: float, t_end: float) -> DynamicsError:
+    return DynamicsError(f"MAX_STEPS = {MAX_STEPS} steps reached at t={t:.6g}, "
+                         f"before t_end = {t_end:.6g}")
 
 
 def _require_finite(name: str, values: tuple):
@@ -278,8 +253,10 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     sample_every accepted steps and at t_end.  The last step
     ends on t_end: when at most 1e-9 of a step would be left over, the
     current step is stretched to t_end instead of taking a sliver step.
-    A non-finite initial state and an RK4 t_end/step above MAX_FIXED_STEPS
-    are refused, and a step whose energy is not finite raises StepFailure.
+    A non-finite initial state and an RK4 t_end/step above MAX_STEPS are
+    refused, a run still short of t_end after MAX_STEPS accepted steps
+    raises DynamicsError, and a step whose energy is not finite raises
+    StepFailure.
     The energy, the chart's Casimir, the options and the drift
     denominators max(|e0|, 1e-30), max(|c0|, 1e-30) are bound once per run."""
     opts = opts or IntegrationOptions()
@@ -320,6 +297,8 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     min_step = min_accepted = math.inf
     dt = step
     while t < t_end:
+        if steps == MAX_STEPS:
+            raise _step_bound_reached(t, t_end)
         trial = dt
         try:
             if rk4:
@@ -438,7 +417,7 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
 
     The base curve is re-integrated jointly with the linear variational
     system (_nve_field, same RK4 step), and the variation is sampled at
-    the supplied report's times.  A span/step above MAX_FIXED_STEPS is
+    the supplied report's times.  A span/step above MAX_STEPS is
     refused, and so is a non-finite variation, at the start and after
     every step.  The field is bound once per run."""
     _require_positive(step=step)
@@ -519,7 +498,8 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
     steps' rule, its error at most rel_tol * max(|x|_inf, 1) times the time
     it spans; when it misses or leaves the chart, the bracket is tried
     again at half its length, and below 1e-12 the section raises
-    StepFailure."""
+    StepFailure.  A section still short of t_end after MAX_STEPS accepted
+    steps raises DynamicsError."""
     _require_positive(step=step)
     if not 0 <= t_end < math.inf:       # a zero horizon has no crossings
         raise DynamicsError(f"t_end must be non-negative and finite, got {t_end}")
@@ -541,9 +521,11 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
         return tuple(v * dt_dxk for v in xdot) + (dt_dxk,)
 
     out = []
-    t, dt = 0.0, step
+    t, dt, steps = 0.0, step, 0
     s_prev = x[coordinate] - value
     while t < t_end and len(out) < MAX_SECTION_POINTS:
+        if steps == MAX_STEPS:
+            raise _step_bound_reached(t, t_end)
         try:
             x_new, t_new, dt_taken, dt, _ = _gbs_advance(f, x, t, t_end, dt,
                                                          rel_tol)
@@ -570,6 +552,7 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
         except (StepFailure, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise StepFailure(f"section failed at t={t:.6g}: {exc}") from exc
         x, t, s_prev = x_new, t_new, s_new
+        steps += 1
     return out
 
 

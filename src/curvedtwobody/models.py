@@ -66,6 +66,14 @@ class DomainError(ModelError):
     """Coordinate singularity (theta at 0 or pi, or nonpositive theta)."""
 
 
+class DynamicsError(Exception):
+    """A numeric run that cannot start or aborts; dynamics raises it."""
+
+
+class StepFailure(DynamicsError):
+    """Integration aborted (coordinate singularity or tolerance failure)."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     space: Space
@@ -653,13 +661,34 @@ def chart(space: Space):
     return check, math.sinh, math.cosh, math.tanh, 1.0
 
 
-def _reduced(params: ModelParams, v, vp):
+def _chart_failure(check, theta) -> StepFailure:
+    """The StepFailure of a field evaluation at theta off the chart, with
+    the text of check's DomainError."""
+    try:
+        check(theta)
+    except DomainError as exc:
+        return StepFailure(str(exc))
+
+
+def _reduced(params: ModelParams, include_potential: bool):
     """The full reduced Hamiltonian on (theta, p_theta, p0, p1, p2): kinetic
-    part, coupling part and potential, as (value, grad) closures over float
-    constants, so an evaluation converts no Fraction and dispatches on
-    nothing; v and vp are the potential and its slope, or _zero."""
-    check, sin, cos, _, sign = chart(params.space)
-    mu, two_sign = float(params.mu), 2 * sign
+    part, coupling part and potential (V = 0 unless include_potential), as
+    (value, grad, field) closures over float constants, so an evaluation
+    converts no Fraction and looks up no space.
+
+    field, x -> x_dot = Pi grad h, states the program's one Poisson
+    bracket: {theta, p_theta} = 1 and on S^2 {p0,p1} = -p2, {p1,p2} = -p0,
+    {p2,p0} = -p1; on H^2 {p0,p1} = p2, {p1,p2} = -p0, {p0,p2} = p1
+    (dynamics.bound_casimir gives its Casimir).  It is written out per
+    space: the chart test comes before any trigonometric call, sin and cos
+    are taken once, and the potential's slope is inline, with grad's float
+    operations in grad's order, so its rows are the bracket's applied to
+    grad bit for bit."""
+    check, sin, cos, tan, sign = chart(params.space)
+    v, vp = potential(params) if include_potential else (_zero, _zero)
+    mu, two_sign, s = float(params.mu), 2 * sign, float(params.strength)
+    newton = include_potential and params.potential is Potential.NEWTON
+    oscillator = include_potential and not newton
 
     def value(x):
         theta, pt, p0, p1, p2 = x
@@ -679,18 +708,60 @@ def _reduced(params: ModelParams, v, vp):
                 + vp(theta),
                 pt / mu + p0, pt, p2 * ct,
                 p2 / (mu * sn * sn) + two_sign * p2 + p1 * ct)
-    return value, grad
+
+    if params.space is Space.SPHERE:
+        pi = math.pi
+
+        def field(x):
+            theta, pt, p0, p1, p2 = x
+            if not 0 < theta < pi:
+                raise _chart_failure(check, theta)
+            sn = sin(theta)
+            if abs(sn) < 1e-12:
+                raise _chart_failure(check, theta)
+            cs = cos(theta)
+            ct = cs / sn
+            g_t = (-p2 * p2 * cs / (mu * sn ** 3) + p1 * p2 * (-1.0 / (sn * sn))
+                   + (s / sn ** 2 if newton else
+                      s * tan(theta) / cs ** 2 if oscillator else 0.0))
+            g1 = p2 * ct
+            g2 = p2 / (mu * sn * sn) + two_sign * p2 + p1 * ct
+            # the bracket's rows on grad = (g_t, pt/mu + p0, pt, g1, g2)
+            return (pt / mu + p0, -g_t,
+                    -p2 * g1 + p1 * g2,
+                    p2 * pt - p0 * g2,
+                    -p1 * pt + p0 * g1)
+    else:
+        def field(x):
+            theta, pt, p0, p1, p2 = x
+            if theta <= 0:
+                raise _chart_failure(check, theta)
+            sn, cs = sin(theta), cos(theta)
+            ct = cs / sn
+            g_t = (-p2 * p2 * cs / (mu * sn ** 3) + p1 * p2 * (-1.0 / (sn * sn))
+                   + (s / sn ** 2 if newton else
+                      s * tan(theta) / cs ** 2 if oscillator else 0.0))
+            g1 = p2 * ct
+            g2 = p2 / (mu * sn * sn) + two_sign * p2 + p1 * ct
+            return (pt / mu + p0, -g_t,
+                    p2 * g1 + p1 * g2,
+                    -p2 * pt - p0 * g2,
+                    -p1 * pt + p0 * g1)
+    return value, grad, field
 
 
 @dataclass(frozen=True)
 class ReducedHamiltonian:
-    """value(state) and grad(state) on the chart (theta, p_theta, p0, p1,
-    p2).  hamiltonian() builds value and grad as closures over float
-    constants; off the chart they raise DomainError."""
+    """value(state), grad(state) and field(state) = Pi grad h on the chart
+    (theta, p_theta, p0, p1, p2).  hamiltonian() builds the three as
+    closures over float constants, and its field closure states the
+    program's Poisson bracket (_reduced).  Off the chart value and grad
+    raise DomainError and field raises StepFailure with the same text."""
 
     params: ModelParams
     value: Callable[[tuple], float] = field(repr=False, compare=False)
     grad: Callable[[tuple], tuple] = field(repr=False, compare=False)
+    field: Callable[[tuple], tuple] = field(repr=False, compare=False)
 
 
 def hamiltonian(kind: HamiltonianKind, params: ModelParams,
@@ -699,8 +770,7 @@ def hamiltonian(kind: HamiltonianKind, params: ModelParams,
     space = Space.SPHERE if kind is HamiltonianKind.FULL_SPHERE else Space.HYPERBOLIC
     if params.space is not space:
         raise ModelError(f"{kind.value} needs {space.value} parameters")
-    v, vp = potential(params) if include_potential else (_zero, _zero)
-    return ReducedHamiltonian(params, *_reduced(params, v, vp))
+    return ReducedHamiltonian(params, *_reduced(params, include_potential))
 
 
 def random_admissible_params(space: Space, potential: Potential, rng,

@@ -1,9 +1,10 @@
 """Independent checks that only the tests call: each one derives a fact the
 package takes as given, so that a test can compare the two."""
-from curvedtwobody.dynamics import gamma_initial_state
+from curvedtwobody.dynamics import StepFailure, gamma_initial_state
 from curvedtwobody.linode import NormalFormODE
-from curvedtwobody.models import (ModelParams, Potential, ReducedHamiltonian, Space,
-                                  _gamma_f, _zero, chart, potential)
+from curvedtwobody.models import (DomainError, ModelParams, Potential,
+                                  ReducedHamiltonian, Space, _gamma_f, _zero, chart,
+                                  potential)
 from curvedtwobody.ratcalc import Poly, RatFunc
 
 
@@ -77,6 +78,47 @@ def gamma_curve_identity(params: ModelParams) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def bracket_field(space: Space, grad):
+    """x -> Pi(x) grad(x) on the 5-dim chart, the Poisson bracket applied to
+    a gradient as its rows, with a DomainError from grad raised as
+    StepFailure with the same text: {theta, p_theta} = 1 and on S^2
+    {p0,p1} = -p2, {p1,p2} = -p0, {p2,p0} = -p1; on H^2 {p0,p1} = p2,
+    {p1,p2} = -p0, {p0,p2} = p1.  The program's field writes this
+    composition out per space (models._reduced)."""
+    if space is Space.SPHERE:
+        def f(x):
+            try:
+                g_t, g_pt, g0, g1, g2 = grad(x)
+            except DomainError as exc:
+                raise StepFailure(str(exc)) from exc
+            _, _, p0, p1, p2 = x
+            return (g_pt, -g_t,
+                    -p2 * g1 + p1 * g2,
+                    p2 * g0 - p0 * g2,
+                    -p1 * g0 + p0 * g1)
+    else:
+        def f(x):
+            try:
+                g_t, g_pt, g0, g1, g2 = grad(x)
+            except DomainError as exc:
+                raise StepFailure(str(exc)) from exc
+            _, _, p0, p1, p2 = x
+            return (g_pt, -g_t,
+                    p2 * g1 + p1 * g2,
+                    -p2 * g0 - p0 * g2,
+                    -p1 * g0 + p0 * g1)
+    return f
+
+
+def composed_field(h: ReducedHamiltonian):
+    """The reference for h.field: bracket_field on h.grad."""
+    return bracket_field(h.params.space, h.grad)
+
+
+def _composed(params: ModelParams, value, grad) -> ReducedHamiltonian:
+    return ReducedHamiltonian(params, value, grad, bracket_field(params.space, grad))
+
+
 def _kinetic(params: ModelParams, v, vp):
     """(p_theta^2 + p2^2/sin^2 theta)/(2 mu) + V: the free part S1 (v = vp =
     _zero) or the central motion."""
@@ -120,12 +162,12 @@ def _coupling(params: ModelParams):
 
 def free_part_s1(params: ModelParams) -> ReducedHamiltonian:
     """The kinetic part of the free reduced Hamiltonian, an integral of it."""
-    return ReducedHamiltonian(params, *_kinetic(params, _zero, _zero))
+    return _composed(params, *_kinetic(params, _zero, _zero))
 
 
 def free_part_s2(params: ModelParams) -> ReducedHamiltonian:
     """The coupling part of the free reduced Hamiltonian, an integral of it."""
-    return ReducedHamiltonian(params, *_coupling(params))
+    return _composed(params, *_coupling(params))
 
 
 def central_motion_hamiltonian(params: ModelParams) -> ReducedHamiltonian:
@@ -133,7 +175,7 @@ def central_motion_hamiltonian(params: ModelParams) -> ReducedHamiltonian:
     on (theta, p_theta, p0, p1, p2).
 
     Only (theta, p_theta, p2) enter, so p2 is the extra integral."""
-    return ReducedHamiltonian(params, *_kinetic(params, *potential(params)))
+    return _composed(params, *_kinetic(params, *potential(params)))
 
 
 def gamma_restriction(params: ModelParams, include_potential: bool = True):

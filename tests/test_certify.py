@@ -25,6 +25,7 @@ from curvedtwobody.models import (Potential, Space, build_system,
                                   random_admissible_params)
 from curvedtwobody.ratcalc import Poly, RatFunc
 from conftest import reference_params
+from test_dynamics import at_most
 
 ALL_CASES = [(Space.SPHERE, Potential.NEWTON),
              (Space.HYPERBOLIC, Potential.NEWTON),
@@ -770,7 +771,24 @@ class TestBadInput:
         assert result.stdout == ""
         assert result.stderr.splitlines() == [
             "integration aborted: t_end/step = 1e+300 fixed steps exceed "
-            "MAX_FIXED_STEPS = 10000000"]
+            "MAX_STEPS = 10000000"]
+
+    @pytest.mark.parametrize("command", [["simulate", "--method", "rkf45"], ["section"]],
+                             ids=["rkf45", "section"])
+    def test_an_adaptive_run_at_the_step_bound_exits_1(self, command, monkeypatch):
+        """--t-end 1e300 ends with exit 1 once MAX_STEPS (patched to 5)
+        accepted steps fall short of it; a sixth step would raise, so a
+        missing bound fails with exit 2 and does not hang."""
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
+        monkeypatch.setattr(dynamics, "_gbs_advance", at_most(5, dynamics._gbs_advance))
+        args = [*command, *ORBIT_ARGS[:-2], "--theta0", "1.4", "--p2", "0.45",
+                "--t-end", "1e300"]
+        result = CliRunner().invoke(cli_main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("integration aborted: MAX_STEPS = 5 steps reached at t=")
+        assert line.endswith(", before t_end = 1e+300")
 
     def test_simulate_zero_step_exits_1(self):
         result = CliRunner().invoke(cli_main, [

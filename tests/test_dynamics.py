@@ -16,8 +16,10 @@ from curvedtwobody.dynamics import (DynamicsError, IntegrationOptions,
                                     vector_field)
 from curvedtwobody.models import (DomainError, HamiltonianKind, Potential, Space,
                                   derive_params, hamiltonian, potential)
-from oracles import (central_motion_hamiltonian, free_part_s1, free_part_s2,
-                     gamma_reference, nve_rhs, rk4_tableau)
+from conftest import reference_params
+from oracles import (bracket_field, central_motion_hamiltonian, composed_field,
+                     free_part_s1, free_part_s2, gamma_reference, nve_rhs,
+                     rk4_tableau)
 from test_acceptance import BOUNDED_ORBITS, CONSISTENCY_RUNS
 
 
@@ -64,14 +66,13 @@ def max_rel_diff(u, v):
     return max(abs(a - b) for a, b in zip(u, v)) / max(map(abs, u + v))
 
 
-def bracket_of_vector_field(space, x):
-    """Pi(x) as vector_field applies it: column b is x_dot for h = x_b."""
-    params = SimpleNamespace(space=space)
+def bracket_of_the_oracle(space, x):
+    """Pi(x) as the oracle's bracket_field applies it: column b is x_dot for
+    h = x_b."""
     columns = []
     for b in range(5):
         grad = tuple(float(a == b) for a in range(5))
-        h = SimpleNamespace(params=params, grad=lambda x, g=grad: g)
-        columns.append(vector_field(h, x))
+        columns.append(bracket_field(space, lambda x, g=grad: g)(x))
     return [[columns[b][a] for b in range(5)] for a in range(5)]
 
 
@@ -81,7 +82,7 @@ class TestPoissonBracket:
         for space in Space:
             for _ in range(20):
                 x = tuple(rng.uniform(-2, 2) for _ in range(5))
-                m = bracket_of_vector_field(space, x)
+                m = bracket_of_the_oracle(space, x)
                 for a in range(5):
                     for b in range(5):
                         assert m[a][b] == -m[b][a]
@@ -179,6 +180,93 @@ class TestVectorField:
                         xm[b] -= eps
                         acc += m[a][b] * (h.value(tuple(xp)) - h.value(tuple(xm))) / (2 * eps)
                     assert abs(xdot[a] - acc) / max(1.0, abs(xdot[a])) < 1e-6
+
+
+def field_outcome(f, x):
+    """f(x), or the type and text of what it raised."""
+    try:
+        return f(x)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def every_pair_and_potential():
+    for space in Space:
+        for pot in Potential:
+            kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
+                else HamiltonianKind.FULL_HYPERBOLIC
+            for include_potential in (True, False):
+                yield hamiltonian(kind, reference_params(space, pot),
+                                  include_potential=include_potential)
+
+
+class TestWrittenOutField:
+    """h.field, written out per space, against the oracle's bracket applied
+    to h.grad: the same floats, signed zeros and non-finite values too, and
+    the same exception with the same text off the chart."""
+
+    def test_matches_the_composed_field(self):
+        rng = random.Random(38)
+        for h in every_pair_and_potential():
+            reference = composed_field(h)
+            assert dynamics.bound_field(h) is h.field
+            top = math.pi if h.params.space is Space.SPHERE else 4.0
+            for _ in range(2000):
+                x = (rng.uniform(1e-3, top - 1e-3),) + tuple(
+                    rng.choice((0.0, -0.0, rng.uniform(-2, 2))) for _ in range(4))
+                got = h.field(x)
+                assert got == reference(x) and repr(got) == repr(reference(x)), x
+                assert vector_field(h, x) == got
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0, -1.0, math.pi, 1e-13, 5e-324,
+                                       math.nan, math.inf, -math.inf, 3.0, 700.0,
+                                       720.0])
+    def test_the_same_outcome_off_and_at_the_chart_edge(self, theta):
+        """On S^2 every theta here but 3 is off the chart, inf and nan too
+        (a sin before the chart test would raise ValueError at inf); on H^2
+        0, -0.0, -1 and -inf are off it, 5e-324 divides by zero, sinh^3
+        overflows at 700 and sinh at 720, and nan and inf, which its chart
+        test lets pass, give rows of nan from both."""
+        for h in every_pair_and_potential():
+            x = (theta, 0.3, -0.2, 0.1, 0.45)
+            got = field_outcome(h.field, x)
+            want = field_outcome(composed_field(h), x)
+            assert repr(got) == repr(want), (h.params.space, theta)
+            off = h.params.space is Space.SPHERE and theta != 3.0 \
+                or h.params.space is Space.HYPERBOLIC and theta <= 0
+            assert (got[0] == "StepFailure") == off
+            if off:
+                assert got[1].startswith(f"theta = {theta} outside (0, ")
+
+    @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
+    def test_runs_match_the_composed_runs(self, monkeypatch, space, pot, args, x0):
+        """RK4 and rkf45 runs and a section of each bounded orbit (every
+        state sampled) are the same, signed zeros too, with the oracle's
+        composed field in place of the written-out one."""
+        h = orbit_hamiltonian(space, pot, args)
+
+        def runs():
+            return (integrate(h, x0, 0.5, IntegrationOptions(sample_every=1)),
+                    integrate(h, x0, 2.5, IntegrationOptions(
+                        method="rkf45", rel_tol=1e-10, sample_every=1)),
+                    poincare_section(h, x0, 10.0))
+        written = runs()
+        monkeypatch.setattr(dynamics, "bound_field", composed_field)
+        composed = runs()
+        assert written[2] and written == composed and repr(written) == repr(composed)
+
+    @pytest.mark.parametrize("space,pot,kw,theta0,t_end,every", CONSISTENCY_RUNS)
+    def test_gamma_and_nve_match_the_composed_runs(self, monkeypatch, space, pot, kw,
+                                                   theta0, t_end, every):
+        params = derive_params(space, pot, **kw)
+
+        def runs():
+            base = gamma_trajectory(params, theta0, t_end, sample_every=every)
+            return base, nve_time_domain(params, base, (0.37, -0.81))
+        written = runs()
+        monkeypatch.setattr(dynamics, "bound_field", composed_field)
+        composed = runs()
+        assert written == composed and repr(written) == repr(composed)
 
 
 def outcome(step, f, x, dt):
@@ -449,7 +537,8 @@ class TestStepControl:
         run ends in StepFailure naming the chart, not in a hang."""
         def grad(x):
             raise DomainError("theta = 7 outside (0, pi)")
-        h = SimpleNamespace(params=sn_params(), value=lambda x: 0.0, grad=grad)
+        h = SimpleNamespace(params=sn_params(), value=lambda x: 0.0,
+                            field=bracket_field(Space.SPHERE, grad))
         x0 = (1.0, 0.0, 0.1, 0.0, 0.3)
         with pytest.raises(StepFailure, match=r"left the chart: .*outside \(0, pi\)"):
             integrate(h, x0, 1.0, IntegrationOptions(method="rkf45"))
@@ -619,7 +708,7 @@ def no_step(*args):
 
 
 class TestFixedStepBound:
-    """A fixed-step RK4 run of more than MAX_FIXED_STEPS steps is refused
+    """A fixed-step RK4 run of more than MAX_STEPS steps is refused
     before its first step; _rk4_step is replaced so that a missing bound
     fails at once instead of running for ever."""
 
@@ -627,7 +716,7 @@ class TestFixedStepBound:
         params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)
         base = gamma_trajectory(params, 1.0, 1.0, step=1e-3, sample_every=100)
         monkeypatch.setattr(dynamics, "_rk4_step", no_step)
-        message = r"t_end/step = 1e\+300 fixed steps exceed MAX_FIXED_STEPS = 10000000"
+        message = r"t_end/step = 1e\+300 fixed steps exceed MAX_STEPS = 10000000"
         with pytest.raises(DynamicsError, match=message):
             integrate(full_hamiltonian(Space.SPHERE), (1.4, 0.02, 0.08, 0.04, 0.45), 1.0,
                       IntegrationOptions(step=1e-300))
@@ -637,14 +726,68 @@ class TestFixedStepBound:
             nve_time_domain(params, base, (0.1, 0.0), step=1e-300)
 
     def test_the_bound_is_inclusive(self, monkeypatch):
-        """t_end/step = MAX_FIXED_STEPS runs, one step more is refused, and
-        the adaptive method's first trial step is not bounded."""
-        monkeypatch.setattr(dynamics, "MAX_FIXED_STEPS", 8)
+        """t_end/step = MAX_STEPS runs, one step more is refused, and
+        the adaptive method's first trial step is not bounded: t_end/step =
+        500 runs in 8 accepted steps."""
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 8)
         h, x0 = full_hamiltonian(Space.SPHERE), (1.4, 0.02, 0.08, 0.04, 0.45)
         assert integrate(h, x0, 1.0, IntegrationOptions(step=0.125)).steps == 8
         with pytest.raises(DynamicsError, match="t_end/step = 10 fixed steps exceed"):
             integrate(h, x0, 1.0, IntegrationOptions(step=0.1))
-        assert integrate(h, x0, 1.0, IntegrationOptions(step=1e-3, method="rkf45")).times[-1] == 1.0
+        rep = integrate(h, x0, 0.5, IntegrationOptions(step=1e-3, method="rkf45"))
+        assert rep.steps == 8 and rep.times[-1] == 0.5
+
+
+def at_most(n, step):
+    """step, raising AssertionError when called more than n times."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > n:
+            raise AssertionError(f"more than {n} steps ran")
+        return step(*args)
+    return counted
+
+
+class TestAdaptiveStepBound:
+    """An adaptive run (rkf45 or a section) that has taken MAX_STEPS
+    accepted steps short of t_end raises DynamicsError instead of running
+    on; the bound is patched small, so that a missing bound fails after a
+    few steps, not for ever."""
+
+    X0 = (1.4, 0.02, 0.08, 0.04, 0.45)      # 8 accepted steps to t = 0.5
+
+    @staticmethod
+    def runs(h, x0, t_end):
+        return {"rkf45": lambda: integrate(h, x0, t_end,
+                                           IntegrationOptions(method="rkf45")),
+                "section": lambda: poincare_section(h, x0, t_end)}
+
+    @pytest.mark.parametrize("run", ["rkf45", "section"])
+    def test_a_horizon_out_of_reach_is_refused(self, monkeypatch, run):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 5)
+        monkeypatch.setattr(dynamics, "_gbs_advance", at_most(5, dynamics._gbs_advance))
+        h = full_hamiltonian(Space.SPHERE)
+        with pytest.raises(DynamicsError, match=r"^MAX_STEPS = 5 steps reached at "
+                           r"t=\S+, before t_end = 1e\+300$") as info:
+            self.runs(h, self.X0, 1e300)[run]()
+        assert info.type is DynamicsError
+
+    @pytest.mark.parametrize("run", ["rkf45", "section"])
+    def test_the_bound_is_inclusive(self, monkeypatch, run):
+        """The 8 steps to t = 0.5 run under a bound of 8 and are refused
+        under 7, at the time the seventh step reached."""
+        h = full_hamiltonian(Space.SPHERE)
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 8)
+        self.runs(h, self.X0, 0.5)[run]()
+        seventh = integrate(h, self.X0, 0.5, IntegrationOptions(
+            method="rkf45", sample_every=1)).times[7]
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 7)
+        with pytest.raises(DynamicsError, match=f"reached at t={seventh:.6g}, "
+                           "before t_end = 0.5"):
+            self.runs(h, self.X0, 0.5)[run]()
 
 
 class TestGammaTrajectory:
@@ -866,12 +1009,12 @@ class TestPoincareSection:
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, sn_params())
         calls = 0
 
-        def grad(x):
+        def field(x):
             nonlocal calls
             calls += 1
-            return h.grad(x)
+            return h.field(x)
 
-        points = poincare_section(dataclasses.replace(h, grad=grad),
+        points = poincare_section(dataclasses.replace(h, field=field),
                                   TestStepControl.X0, 10.0)
         assert len(points) == 2
         assert calls < 20000
@@ -935,8 +1078,8 @@ class TestPoincareSection:
         of theta = 0 on the root of -0.1 + 1e-6 t + t^2/2.  A Henon step
         that puts it outside the step bracketing it (here a stub, 1 later)
         raises StepFailure instead of reporting a point."""
-        h = SimpleNamespace(params=sn_params(),
-                            grad=lambda x: (-1.0, x[1], 0.0, 0.0, 0.0))
+        h = SimpleNamespace(params=sn_params(), field=bracket_field(
+            Space.SPHERE, lambda x: (-1.0, x[1], 0.0, 0.0, 0.0)))
         x0 = (-0.1, 1e-6, 0.0, 0.0, 0.0)
         root = -1e-6 + math.sqrt(1e-12 + 0.2)
         points = poincare_section(h, x0, 1.0, coordinate=0, step=1.0)

@@ -3,10 +3,11 @@ invariant monitoring, geodesic base solutions, time-domain variational
 equations and Poincare sections.
 
 Every flow runs on the 5-dim chart (theta, p_theta, p0, p1, p2) under
-bound_field(h), the field that models.hamiltonian writes out per space with
-the program's one Poisson bracket (stated in models._reduced): the geodesic
-solution Gamma too, and its normal variational equations are the field's
-p1, p2 rows on Gamma.
+bound_field(h), the one field that models.hamiltonian writes out for both
+spaces with the program's one Poisson bracket (stated in models._reduced),
+whose curvature sign alone tells S^2 from H^2: the geodesic solution Gamma
+too, and its normal variational equations are the field's p1, p2 rows on
+Gamma.  A state off the chart raises StepFailure (models.chart).
 
 Integrators are plain RK4 (fixed step) and an adaptive Gragg-Bulirsch-
 Stoer extrapolation step (method "rkf45", a name kept from the Fehlberg
@@ -24,25 +25,24 @@ import tempfile
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .models import (DomainError, DynamicsError, HamiltonianKind, ModelParams,
+from .models import (DynamicsError, HamiltonianKind, ModelParams,
                      Potential, ReducedHamiltonian, Space, StepFailure,
                      build_system, chart, hamiltonian)
 
 
 def bound_casimir(space: Space) -> Callable[[tuple], float]:
-    """x -> p0^2 + p1^2 + p2^2 on S^2, p0^2 + p1^2 - p2^2 on H^2, for x on
-    the 5-dim chart (theta, p_theta, p0, p1, p2), with the space looked up
-    once."""
-    if space is Space.SPHERE:
-        return lambda x: x[2] * x[2] + x[3] * x[3] + x[4] * x[4]
-    return lambda x: x[2] * x[2] + x[3] * x[3] - x[4] * x[4]
+    """x -> p0^2 + p1^2 - sigma p2^2 for x on the 5-dim chart (theta,
+    p_theta, p0, p1, p2), the Casimir of the bracket in models._reduced,
+    with sigma the chart's sign (-1 on S^2, 1 on H^2) looked up once."""
+    sign = chart(space)[-1]
+    return lambda x: x[2] * x[2] + x[3] * x[3] - sign * x[4] * x[4]
 
 
 def bound_field(h: ReducedHamiltonian) -> Callable[[tuple], tuple]:
     """x -> x_dot = Pi grad h on the 5-dim reduced chart: h.field, the
-    closure models.hamiltonian writes out once per Hamiltonian with the
-    program's one Poisson bracket.  A state off the chart raises
-    StepFailure.  bound_casimir gives the bracket's Casimir."""
+    closure models.hamiltonian writes out once per Hamiltonian, one for
+    both spaces, with the program's one Poisson bracket.  A state off the
+    chart raises StepFailure.  bound_casimir gives the bracket's Casimir."""
     return h.field
 
 
@@ -253,9 +253,10 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     sample_every accepted steps and at t_end.  The last step
     ends on t_end: when at most 1e-9 of a step would be left over, the
     current step is stretched to t_end instead of taking a sliver step.
-    A non-finite initial state and an RK4 t_end/step above MAX_STEPS are
-    refused, a run still short of t_end after MAX_STEPS accepted steps
-    raises DynamicsError, and a step whose energy is not finite raises
+    A non-finite initial state, one off the chart or one whose energy
+    overflows, and an RK4 t_end/step above MAX_STEPS are refused, a run
+    still short of t_end after MAX_STEPS accepted steps raises
+    DynamicsError, and a step whose energy is not finite raises
     StepFailure.
     The energy, the chart's Casimir, the options and the drift
     denominators max(|e0|, 1e-30), max(|c0|, 1e-30) are bound once per run."""
@@ -280,7 +281,7 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
 
     try:
         e0 = value(x)
-    except DomainError as exc:
+    except (StepFailure, ValueError, OverflowError) as exc:
         raise StepFailure(f"initial state outside the chart: {exc}") from exc
     c0 = c_of(x)
     e_scale, c_scale = max(abs(e0), 1e-30), max(abs(c0), 1e-30)
@@ -311,7 +312,7 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
                 x, t_new, dt_eff, dt, n = _gbs_advance(f, x, t, t_end, dt, rel_tol)
                 rejected += n
                 last = t_new == t_end
-        except (DomainError, StepFailure, ValueError, OverflowError) as exc:
+        except (StepFailure, ValueError, OverflowError) as exc:
             raise StepFailure(
                 f"integration failed at t={t:.6g}: {exc}") from exc
         t = t_new
@@ -323,7 +324,7 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
         steps += 1
         try:
             e = value(x)
-        except DomainError as exc:
+        except StepFailure as exc:
             raise StepFailure(f"state left the chart at t={t:.6g}: {exc}") from exc
         if not math.isfinite(e):
             raise StepFailure(f"energy {e} is not finite at t={t:.6g}")
@@ -356,18 +357,23 @@ def gamma_initial_state(params: ModelParams, theta0: float, branch: int = 1) -> 
 
     The base curve has p0 = p, p1 = p2 = 0, where the full Hamiltonian is
     p_theta^2/(2 mu) + p p_theta + V(theta); eps selects the level through
-    f(z) = cot/coth/tan^2/tanh^2(theta)."""
+    f(z) = cot/coth/tan^2/tanh^2(theta).  A theta0 where f overflows (sinh
+    and cosh above about 710) raises StepFailure."""
     s, mu, p, eps = map(float, (params.strength, params.mu, params.p, params.eps))
-    _, sin, cos, tan, _ = chart(params.space)
-    if params.potential is Potential.NEWTON:
-        sn = sin(theta0)
-        if sn == 0:
-            raise StepFailure(f"theta0={theta0} is a pole of the Newton potential")
-        f0 = cos(theta0) / sn
-        z2 = 2 * mu * (eps + f0) / s
-    else:
-        f0 = tan(theta0) ** 2
-        z2 = mu * (2 * eps - f0) / s
+    _, _, sin, cos, tan, _ = chart(params.space)
+    try:
+        if params.potential is Potential.NEWTON:
+            sn = sin(theta0)
+            if sn == 0:
+                raise StepFailure(f"theta0={theta0} is a pole of the Newton potential")
+            f0 = cos(theta0) / sn
+            z2 = 2 * mu * (eps + f0) / s
+        else:
+            f0 = tan(theta0) ** 2
+            z2 = mu * (2 * eps - f0) / s
+    except (ValueError, OverflowError) as exc:
+        raise StepFailure(
+            f"initial state at theta0={theta0} outside the chart: {exc}") from exc
     if z2 < 0:
         raise StepFailure(
             f"theta0={theta0} is not on the eps={eps} level (z^2 = {z2:.3g} < 0)")
@@ -445,7 +451,7 @@ def nve_chain_rule_residual(params: ModelParams, base: TrajectoryReport,
     d/dt = (dz/dt) d/dz, with z = (p_theta + mu p)/strength."""
     system = build_system(params)
     s, mu, p = map(float, (params.strength, params.mu, params.p))
-    tan = chart(params.space)[3]
+    tan = chart(params.space)[4]
     f = _nve_field(params)
     worst = 0.0
     for (theta, pt, p0, _, _), (_, v1, v2) in zip(base.states, variation):

@@ -62,16 +62,12 @@ class NotMu1(ModelError):
     pass
 
 
-class DomainError(ModelError):
-    """Coordinate singularity (theta at 0 or pi, or nonpositive theta)."""
-
-
 class DynamicsError(Exception):
     """A numeric run that cannot start or aborts; dynamics raises it."""
 
 
 class StepFailure(DynamicsError):
-    """Integration aborted (coordinate singularity or tolerance failure)."""
+    """A state off the chart (models.chart), or an integration aborted."""
 
 
 @dataclass(frozen=True)
@@ -626,7 +622,7 @@ class HamiltonianKind(Enum):
 def potential(params: ModelParams):
     """(V, dV/dtheta) as functions of theta, closed over the float strength."""
     s = float(params.strength)
-    _, sin, cos, tan, _ = chart(params.space)
+    _, _, sin, cos, tan, _ = chart(params.space)
     if params.potential is Potential.NEWTON:
         return (lambda theta: -s * cos(theta) / sin(theta),
                 lambda theta: s / sin(theta) ** 2)
@@ -643,31 +639,24 @@ def _zero(theta: float) -> float:
 
 @functools.cache
 def chart(space: Space):
-    """(check, sin, cos, tan, sign) on the space's chart: check(theta) raises
-    DomainError outside (0, pi) or within about 1e-12 of a zero of sin on
-    S^2, outside (0, infinity) on H^2; sin, cos and tan are the trigonometric
-    or hyperbolic ones; sign is that of the p2^2 coupling term (-1 on S^2)."""
+    """(check, top, sin, cos, tan, sign) on the space's chart, which is
+    0 < theta < top (pi on S^2, infinity on H^2) with sin theta >= 1e-12
+    (sin is positive on the interval, so this is |sin theta| >= 1e-12):
+    sin, cos and tan are the trigonometric functions on S^2 and the
+    hyperbolic ones on H^2, so on H^2 the chart ends where sinh theta falls
+    below 1e-12.  check(theta) raises StepFailure off the chart, testing
+    the interval before any call of sin; sign is that of the p2^2 coupling
+    term and of the bracket's curvature (-1 on S^2, 1 on H^2)."""
     if space is Space.SPHERE:
-        pi, sin = math.pi, math.sin
-
-        def check(theta):
-            if not 0 < theta < pi or abs(sin(theta)) < 1e-12:
-                raise DomainError(f"theta = {theta} outside (0, pi)")
-        return check, sin, math.cos, math.tan, -1.0
+        top, end, sin, cos, tan, sign = math.pi, "pi", math.sin, math.cos, math.tan, -1.0
+    else:
+        top, end, sin, cos, tan, sign = (math.inf, "infinity", math.sinh, math.cosh,
+                                         math.tanh, 1.0)
 
     def check(theta):
-        if theta <= 0:
-            raise DomainError(f"theta = {theta} outside (0, infinity)")
-    return check, math.sinh, math.cosh, math.tanh, 1.0
-
-
-def _chart_failure(check, theta) -> StepFailure:
-    """The StepFailure of a field evaluation at theta off the chart, with
-    the text of check's DomainError."""
-    try:
-        check(theta)
-    except DomainError as exc:
-        return StepFailure(str(exc))
+        if not 0 < theta < top or sin(theta) < 1e-12:
+            raise StepFailure(f"theta = {theta} outside (0, {end})")
+    return check, top, sin, cos, tan, sign
 
 
 def _reduced(params: ModelParams, include_potential: bool):
@@ -677,26 +666,34 @@ def _reduced(params: ModelParams, include_potential: bool):
     converts no Fraction and looks up no space.
 
     field, x -> x_dot = Pi grad h, states the program's one Poisson
-    bracket: {theta, p_theta} = 1 and on S^2 {p0,p1} = -p2, {p1,p2} = -p0,
-    {p2,p0} = -p1; on H^2 {p0,p1} = p2, {p1,p2} = -p0, {p0,p2} = p1
-    (dynamics.bound_casimir gives its Casimir).  It is written out per
-    space: the chart test comes before any trigonometric call, sin and cos
-    are taken once, and the potential's slope is inline, with grad's float
-    operations in grad's order, so its rows are the bracket's applied to
-    grad bit for bit."""
-    check, sin, cos, tan, sign = chart(params.space)
+    bracket for both spaces, with sigma the chart's sign (-1 on S^2, 1 on
+    H^2): {theta, p_theta} = 1, {p0,p1} = sigma p2, {p1,p2} = -p0,
+    {p2,p0} = -p1, the Lie-Poisson bracket of so(3) on S^2 and of so(2,1)
+    on H^2 (dynamics.bound_casimir gives its Casimir).  It is written out:
+    value and field test the chart's window inline, before any
+    trigonometric call, and take sin once, and field adds the potential's
+    slope inline with grad's float operations in grad's order, so its rows
+    are the bracket's applied to grad bit for bit (sigma = +-1 multiplies
+    exactly).  Off the window the three raise check's StepFailure."""
+    check, top, sin, cos, tan, sign = chart(params.space)
     v, vp = potential(params) if include_potential else (_zero, _zero)
-    mu, two_sign, s = float(params.mu), 2 * sign, float(params.strength)
+    mu, two_sign, minus_sign = float(params.mu), 2 * sign, -sign
+    s = float(params.strength)
     newton = include_potential and params.potential is Potential.NEWTON
     oscillator = include_potential and not newton
 
     def value(x):
         theta, pt, p0, p1, p2 = x
-        check(theta)
+        if not 0 < theta < top:
+            check(theta)                # raises
         sn = sin(theta)
-        ct = cos(theta) / sn
+        if sn < 1e-12:
+            check(theta)                # raises
+        cs = cos(theta)
+        ct = cs / sn
         return ((pt * pt + p2 * p2 / (sn * sn)) / (2 * mu)
-                + (pt * p0 + sign * p2 * p2 + p1 * p2 * ct) + v(theta))
+                + (pt * p0 + sign * p2 * p2 + p1 * p2 * ct)
+                + (-s * cs / sn if newton else v(theta)))
 
     def grad(x):
         theta, pt, p0, p1, p2 = x
@@ -709,44 +706,25 @@ def _reduced(params: ModelParams, include_potential: bool):
                 pt / mu + p0, pt, p2 * ct,
                 p2 / (mu * sn * sn) + two_sign * p2 + p1 * ct)
 
-    if params.space is Space.SPHERE:
-        pi = math.pi
-
-        def field(x):
-            theta, pt, p0, p1, p2 = x
-            if not 0 < theta < pi:
-                raise _chart_failure(check, theta)
-            sn = sin(theta)
-            if abs(sn) < 1e-12:
-                raise _chart_failure(check, theta)
-            cs = cos(theta)
-            ct = cs / sn
-            g_t = (-p2 * p2 * cs / (mu * sn ** 3) + p1 * p2 * (-1.0 / (sn * sn))
-                   + (s / sn ** 2 if newton else
-                      s * tan(theta) / cs ** 2 if oscillator else 0.0))
-            g1 = p2 * ct
-            g2 = p2 / (mu * sn * sn) + two_sign * p2 + p1 * ct
-            # the bracket's rows on grad = (g_t, pt/mu + p0, pt, g1, g2)
-            return (pt / mu + p0, -g_t,
-                    -p2 * g1 + p1 * g2,
-                    p2 * pt - p0 * g2,
-                    -p1 * pt + p0 * g1)
-    else:
-        def field(x):
-            theta, pt, p0, p1, p2 = x
-            if theta <= 0:
-                raise _chart_failure(check, theta)
-            sn, cs = sin(theta), cos(theta)
-            ct = cs / sn
-            g_t = (-p2 * p2 * cs / (mu * sn ** 3) + p1 * p2 * (-1.0 / (sn * sn))
-                   + (s / sn ** 2 if newton else
-                      s * tan(theta) / cs ** 2 if oscillator else 0.0))
-            g1 = p2 * ct
-            g2 = p2 / (mu * sn * sn) + two_sign * p2 + p1 * ct
-            return (pt / mu + p0, -g_t,
-                    p2 * g1 + p1 * g2,
-                    -p2 * pt - p0 * g2,
-                    -p1 * pt + p0 * g1)
+    def field(x):
+        theta, pt, p0, p1, p2 = x
+        if not 0 < theta < top:
+            check(theta)                # raises
+        sn = sin(theta)
+        if sn < 1e-12:
+            check(theta)                # raises
+        cs = cos(theta)
+        ct = cs / sn
+        g_t = (-p2 * p2 * cs / (mu * sn ** 3) + p1 * p2 * (-1.0 / (sn * sn))
+               + (s / sn ** 2 if newton else
+                  s * tan(theta) / cs ** 2 if oscillator else 0.0))
+        g1 = p2 * ct
+        g2 = p2 / (mu * sn * sn) + two_sign * p2 + p1 * ct
+        # the bracket's rows on grad = (g_t, pt/mu + p0, pt, g1, g2)
+        return (pt / mu + p0, -g_t,
+                sign * p2 * g1 + p1 * g2,
+                minus_sign * p2 * pt - p0 * g2,
+                -p1 * pt + p0 * g1)
     return value, grad, field
 
 
@@ -754,9 +732,9 @@ def _reduced(params: ModelParams, include_potential: bool):
 class ReducedHamiltonian:
     """value(state), grad(state) and field(state) = Pi grad h on the chart
     (theta, p_theta, p0, p1, p2).  hamiltonian() builds the three as
-    closures over float constants, and its field closure states the
-    program's Poisson bracket (_reduced).  Off the chart value and grad
-    raise DomainError and field raises StepFailure with the same text."""
+    closures over float constants, one field for both spaces, which states
+    the program's Poisson bracket (_reduced).  Off the chart all three
+    raise the same StepFailure (models.chart)."""
 
     params: ModelParams
     value: Callable[[tuple], float] = field(repr=False, compare=False)

@@ -1,8 +1,8 @@
 """Independent checks that only the tests call: each one derives a fact the
 package takes as given, so that a test can compare the two."""
-from curvedtwobody.dynamics import StepFailure, gamma_initial_state
+from curvedtwobody.dynamics import gamma_initial_state
 from curvedtwobody.linode import NormalFormODE
-from curvedtwobody.models import (DomainError, ModelParams, Potential,
+from curvedtwobody.models import (ModelParams, Potential,
                                   ReducedHamiltonian, Space, _gamma_f, _zero, chart,
                                   potential)
 from curvedtwobody.ratcalc import Poly, RatFunc
@@ -80,17 +80,13 @@ def gamma_curve_identity(params: ModelParams) -> bool:
 
 def bracket_field(space: Space, grad):
     """x -> Pi(x) grad(x) on the 5-dim chart, the Poisson bracket applied to
-    a gradient as its rows, with a DomainError from grad raised as
-    StepFailure with the same text: {theta, p_theta} = 1 and on S^2
-    {p0,p1} = -p2, {p1,p2} = -p0, {p2,p0} = -p1; on H^2 {p0,p1} = p2,
+    a gradient as its rows, written per space: {theta, p_theta} = 1 and on
+    S^2 {p0,p1} = -p2, {p1,p2} = -p0, {p2,p0} = -p1; on H^2 {p0,p1} = p2,
     {p1,p2} = -p0, {p0,p2} = p1.  The program's field writes this
-    composition out per space (models._reduced)."""
+    composition out once for both spaces (models._reduced)."""
     if space is Space.SPHERE:
         def f(x):
-            try:
-                g_t, g_pt, g0, g1, g2 = grad(x)
-            except DomainError as exc:
-                raise StepFailure(str(exc)) from exc
+            g_t, g_pt, g0, g1, g2 = grad(x)
             _, _, p0, p1, p2 = x
             return (g_pt, -g_t,
                     -p2 * g1 + p1 * g2,
@@ -98,10 +94,7 @@ def bracket_field(space: Space, grad):
                     -p1 * g0 + p0 * g1)
     else:
         def f(x):
-            try:
-                g_t, g_pt, g0, g1, g2 = grad(x)
-            except DomainError as exc:
-                raise StepFailure(str(exc)) from exc
+            g_t, g_pt, g0, g1, g2 = grad(x)
             _, _, p0, p1, p2 = x
             return (g_pt, -g_t,
                     p2 * g1 + p1 * g2,
@@ -115,6 +108,24 @@ def composed_field(h: ReducedHamiltonian):
     return bracket_field(h.params.space, h.grad)
 
 
+def composed_value(params: ModelParams, include_potential: bool = True):
+    """The reference for h.value: the chart check, then the kinetic and
+    coupling parts and models.potential's V, with V = 0 unless
+    include_potential."""
+    check, _, sin, cos, _, sign = chart(params.space)
+    v = potential(params)[0] if include_potential else _zero
+    mu = float(params.mu)
+
+    def value(x):
+        theta, pt, p0, p1, p2 = x
+        check(theta)
+        sn = sin(theta)
+        ct = cos(theta) / sn
+        return ((pt * pt + p2 * p2 / (sn * sn)) / (2 * mu)
+                + (pt * p0 + sign * p2 * p2 + p1 * p2 * ct) + v(theta))
+    return value
+
+
 def _composed(params: ModelParams, value, grad) -> ReducedHamiltonian:
     return ReducedHamiltonian(params, value, grad, bracket_field(params.space, grad))
 
@@ -122,7 +133,7 @@ def _composed(params: ModelParams, value, grad) -> ReducedHamiltonian:
 def _kinetic(params: ModelParams, v, vp):
     """(p_theta^2 + p2^2/sin^2 theta)/(2 mu) + V: the free part S1 (v = vp =
     _zero) or the central motion."""
-    check, sin, cos, _, _ = chart(params.space)
+    check, _, sin, cos, _, _ = chart(params.space)
     mu = float(params.mu)
 
     def value(x):
@@ -142,7 +153,7 @@ def _kinetic(params: ModelParams, v, vp):
 
 def _coupling(params: ModelParams):
     """p_theta p0 -+ p2^2 + p1 p2 cot theta: the free part S2."""
-    check, sin, cos, _, sign = chart(params.space)
+    check, _, sin, cos, _, sign = chart(params.space)
     two_sign = 2 * sign
 
     def value(x):
@@ -243,7 +254,7 @@ def nve_rhs(params: ModelParams):
     equations along Gamma, linearised by hand: p1' = -p cot p1 - sign (2 p
     + p_theta + sign p/(mu sin^2)) p2 and p2' = -p_theta p1 + p cot p2."""
     mu, p = float(params.mu), float(params.p)
-    _, sin, cos, _, sign = chart(params.space)
+    _, _, sin, cos, _, sign = chart(params.space)
 
     def rhs(theta, p_theta, p1, p2):
         sn = sin(theta)

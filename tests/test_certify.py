@@ -564,6 +564,13 @@ ORBIT_ARGS = ["--space", "sphere", "--potential", "newton", "--strength", "1/4",
 H2_OSC_ARGS = ["--space", "hyperbolic", "--potential", "oscillator", "--strength", "1/2",
                "--mu", "1/2", "--p", "1/10", "--eps", "1/4", "--p2", "0.15",
                "--t-end", "0.01"]
+# the hyperbolic Newton bounded orbit's parameters, and nve's, over a short span
+H2_NEWTON_ARGS = ["--space", "hyperbolic", "--potential", "newton", "--strength", "1/2",
+                  "--mu", "1/2", "--p", "1/10", "--eps", "-2", "--p2", "0.3",
+                  "--t-end", "0.01"]
+H2_NVE_ARGS = ["--space", "hyperbolic", "--potential", "newton", "--strength", "1",
+               "--mu", "1/2", "--p", "1", "--eps", "-2", "--t-end", "0.01"]
+OFF_H2_CHART = "integration aborted: initial state outside the chart: "
 
 
 def sweep_args(tmp_path, text):
@@ -712,6 +719,32 @@ class TestBadInput:
                      "integration aborted: initial state must be finite, "
                      "got (nan, nan, 1.0, 0.0, 0.0)",
                      id="nve-theta0-nan"),
+        pytest.param(lambda d: ["simulate", *H2_NEWTON_ARGS, "--theta0", "1e-300"],
+                     f"{OFF_H2_CHART}theta = 1e-300 outside (0, infinity)",
+                     id="simulate-theta0-1e-300"),
+        pytest.param(lambda d: ["simulate", *H2_NEWTON_ARGS, "--theta0", "1e-13"],
+                     f"{OFF_H2_CHART}theta = 1e-13 outside (0, infinity)",
+                     id="simulate-theta0-1e-13"),
+        pytest.param(lambda d: ["section", *H2_NEWTON_ARGS, "--theta0", "1e-300"],
+                     "integration aborted: section failed at t=0: trial step 8.19e-13 "
+                     "left the chart: theta = 1e-300 outside (0, infinity)",
+                     id="section-theta0-1e-300"),
+        pytest.param(lambda d: ["nve", *H2_NVE_ARGS, "--theta0", "1e-300"],
+                     f"{OFF_H2_CHART}theta = 1e-300 outside (0, infinity)",
+                     id="nve-theta0-1e-300"),
+        *(pytest.param(lambda d, a=args: ["simulate", *H2_NEWTON_ARGS, *a],
+                       f"{OFF_H2_CHART}math range error", id=f"simulate-{name}")
+          for name, args in [("theta0-800", ["--theta0", "800"]),
+                             ("theta0-1e300", ["--theta0", "1e300"]),
+                             ("rkf45-theta0-800", ["--theta0", "800", "--method", "rkf45"]),
+                             ("rkf45-theta0-1e300", ["--theta0", "1e300", "--method", "rkf45"])]),
+        pytest.param(lambda d: ["section", *H2_NEWTON_ARGS, "--theta0", "800"],
+                     "integration aborted: section failed at t=0: math range error",
+                     id="section-theta0-800"),
+        pytest.param(lambda d: ["nve", *H2_NVE_ARGS, "--theta0", "800"],
+                     "integration aborted: initial state at theta0=800.0 outside the chart: "
+                     "math range error",
+                     id="nve-theta0-800"),
         pytest.param(lambda d: ["nve", "--space", "sphere", "--potential", "newton",
                                 "--strength", "2", "--mu", "1/2", "--p", "1", "--eps", "0",
                                 "--theta0", "1.0", "--t-end", "0.1", "--dp1", "nan"],

@@ -14,12 +14,12 @@ from curvedtwobody.dynamics import (DynamicsError, IntegrationOptions,
                                     nve_time_domain, poincare_section,
                                     section_to_csv, trajectory_to_csv,
                                     vector_field)
-from curvedtwobody.models import (DomainError, HamiltonianKind, Potential, Space,
+from curvedtwobody.models import (HamiltonianKind, Potential, Space,
                                   derive_params, hamiltonian, potential)
 from conftest import reference_params
 from oracles import (bracket_field, central_motion_hamiltonian, composed_field,
-                     free_part_s1, free_part_s2, gamma_reference, nve_rhs,
-                     rk4_tableau)
+                     composed_value, free_part_s1, free_part_s2, gamma_reference,
+                     nve_rhs, rk4_tableau)
 from test_acceptance import BOUNDED_ORBITS, CONSISTENCY_RUNS
 
 
@@ -191,23 +191,27 @@ def field_outcome(f, x):
 
 
 def every_pair_and_potential():
+    """(h, the oracle's value of h) for the four pairs, with and without
+    the potential."""
     for space in Space:
         for pot in Potential:
             kind = HamiltonianKind.FULL_SPHERE if space is Space.SPHERE \
                 else HamiltonianKind.FULL_HYPERBOLIC
             for include_potential in (True, False):
-                yield hamiltonian(kind, reference_params(space, pot),
-                                  include_potential=include_potential)
+                params = reference_params(space, pot)
+                yield (hamiltonian(kind, params, include_potential=include_potential),
+                       composed_value(params, include_potential))
 
 
 class TestWrittenOutField:
-    """h.field, written out per space, against the oracle's bracket applied
-    to h.grad: the same floats, signed zeros and non-finite values too, and
-    the same exception with the same text off the chart."""
+    """h.field, written out once for both spaces, against the oracle's
+    bracket applied to h.grad, and h.value against the oracle's value: the
+    same floats, signed zeros and non-finite values too, and the same
+    exception with the same text off the chart."""
 
     def test_matches_the_composed_field(self):
         rng = random.Random(38)
-        for h in every_pair_and_potential():
+        for h, reference_value in every_pair_and_potential():
             reference = composed_field(h)
             assert dynamics.bound_field(h) is h.field
             top = math.pi if h.params.space is Space.SPHERE else 4.0
@@ -217,6 +221,16 @@ class TestWrittenOutField:
                 got = h.field(x)
                 assert got == reference(x) and repr(got) == repr(reference(x)), x
                 assert vector_field(h, x) == got
+                assert repr(h.value(x)) == repr(reference_value(x)), x
+
+    def test_one_field_for_both_spaces(self):
+        """The S^2 and H^2 Hamiltonians, with and without the potential,
+        share one field and one value code object: the spaces differ only
+        in the chart's constants."""
+        hs = [h for h, _ in every_pair_and_potential()]
+        assert {h.params.space for h in hs} == set(Space)
+        assert len({h.field.__code__ for h in hs}) == 1
+        assert len({h.value.__code__ for h in hs}) == 1
 
     @pytest.mark.parametrize("theta", [0.0, -0.0, -1.0, math.pi, 1e-13, 5e-324,
                                        math.nan, math.inf, -math.inf, 3.0, 700.0,
@@ -224,19 +238,22 @@ class TestWrittenOutField:
     def test_the_same_outcome_off_and_at_the_chart_edge(self, theta):
         """On S^2 every theta here but 3 is off the chart, inf and nan too
         (a sin before the chart test would raise ValueError at inf); on H^2
-        0, -0.0, -1 and -inf are off it, 5e-324 divides by zero, sinh^3
-        overflows at 700 and sinh at 720, and nan and inf, which its chart
-        test lets pass, give rows of nan from both."""
-        for h in every_pair_and_potential():
+        every theta but pi, 3, 700 and 720 is, 1e-13 and 5e-324 because
+        sinh falls below 1e-12 there, and sinh^3 overflows at 700 and sinh
+        at 720 in both fields alike.  h.value gives the oracle's outcome."""
+        for h, reference_value in every_pair_and_potential():
             x = (theta, 0.3, -0.2, 0.1, 0.45)
             got = field_outcome(h.field, x)
             want = field_outcome(composed_field(h), x)
             assert repr(got) == repr(want), (h.params.space, theta)
-            off = h.params.space is Space.SPHERE and theta != 3.0 \
-                or h.params.space is Space.HYPERBOLIC and theta <= 0
-            assert (got[0] == "StepFailure") == off
-            if off:
+            assert repr(field_outcome(h.value, x)) == \
+                repr(field_outcome(reference_value, x)), (h.params.space, theta)
+            on = (3.0,) if h.params.space is Space.SPHERE else (math.pi, 3.0, 700.0, 720.0)
+            assert (got[0] == "StepFailure") == (theta not in on)
+            if theta not in on:
                 assert got[1].startswith(f"theta = {theta} outside (0, ")
+            elif theta >= 700:
+                assert got[0] == "OverflowError"
 
     @pytest.mark.parametrize("space,pot,args,x0", BOUNDED_ORBITS)
     def test_runs_match_the_composed_runs(self, monkeypatch, space, pot, args, x0):
@@ -536,7 +553,7 @@ class TestStepControl:
         """Every trial step is rejected and cut 5x; at the 1e-12 floor the
         run ends in StepFailure naming the chart, not in a hang."""
         def grad(x):
-            raise DomainError("theta = 7 outside (0, pi)")
+            raise StepFailure("theta = 7 outside (0, pi)")
         h = SimpleNamespace(params=sn_params(), value=lambda x: 0.0,
                             field=bracket_field(Space.SPHERE, grad))
         x0 = (1.0, 0.0, 0.1, 0.0, 0.3)

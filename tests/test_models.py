@@ -11,7 +11,7 @@ from curvedtwobody.certify import _gauge_log_derivative
 from curvedtwobody.exactfield import GaussRational
 from curvedtwobody.linode import FirstOrderSystem, reduce_to_second_order, to_normal_form
 from curvedtwobody.dynamics import StepFailure, integrate, vector_field
-from curvedtwobody.models import (DegenerateParameters, DomainError,
+from curvedtwobody.models import (DegenerateParameters,
                                   HamiltonianKind, HypothesisViolated,
                                   ModelError, NotMu1,
                                   Potential, Space, build_system,
@@ -693,23 +693,25 @@ class TestHamiltonians:
 
     @pytest.mark.parametrize("space,pot", ALL_CASES)
     def test_off_the_chart_every_evaluator(self, space, pot):
-        """A state off the chart raises DomainError from grad and value, and
-        on the 5-dim chart StepFailure with the same text from vector_field
-        and integrate."""
-        thetas = (0.0, -0.5) if space is Space.HYPERBOLIC else (0.0, -0.5, math.pi, 3.5)
+        """A state off the chart raises StepFailure from grad and value, and
+        on the 5-dim chart with the same text from vector_field and
+        integrate; on H^2 the chart ends where sinh theta falls below 1e-12,
+        as on S^2 where sin theta does."""
+        thetas = (0.0, -0.5, 1e-13, 1e-300) if space is Space.HYPERBOLIC \
+            else (0.0, -0.5, math.pi, 3.5, 1e-13)
         for value, grad in gamma_restrictions(space, pot):
             for theta in thetas:
-                with pytest.raises(DomainError, match="outside") as grad_exc:
+                with pytest.raises(StepFailure, match="outside") as grad_exc:
                     grad((theta, 0.1))
-                with pytest.raises(DomainError) as value_exc:
+                with pytest.raises(StepFailure) as value_exc:
                     value((theta, 0.1))
                 assert str(value_exc.value) == str(grad_exc.value)
         for h in every_evaluator(space, pot):
             for theta in thetas:
                 x = (theta,) + (0.1,) * 4
-                with pytest.raises(DomainError, match="outside") as grad_exc:
+                with pytest.raises(StepFailure, match="outside") as grad_exc:
                     h.grad(x)
-                with pytest.raises(DomainError) as value_exc:
+                with pytest.raises(StepFailure) as value_exc:
                     h.value(x)
                 message = str(grad_exc.value)
                 assert str(value_exc.value) == message
@@ -723,9 +725,9 @@ class TestHamiltonians:
     def test_domain_error(self):
         params = reference_params(Space.SPHERE, Potential.NEWTON)
         h = hamiltonian(HamiltonianKind.FULL_SPHERE, params)
-        with pytest.raises(DomainError):
+        with pytest.raises(StepFailure):
             h.value((0.0, 0, 0, 0, 0))
-        with pytest.raises(DomainError):
+        with pytest.raises(StepFailure):
             h.value((math.pi, 0, 0, 0, 0))
 
     @pytest.mark.parametrize("kind,space", [

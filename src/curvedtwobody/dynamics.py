@@ -16,6 +16,10 @@ is held below rel_tol times the state's size.  The section steps and its
 Henon crossing steps are the same adaptive step.  There is no structure
 preservation, because invariant drift is itself the evidence the
 acceptance suite monitors.
+
+Runs start by _start (integrate, the section), which refuses a state
+off the chart before any step, land on t_end by _landing's rule, and
+take fixed steps at t = k * step (_fixed_steps), nve's Gamma too.
 """
 from __future__ import annotations
 
@@ -62,16 +66,17 @@ class IntegrationOptions:
 
 @dataclass
 class TrajectoryReport:
+    """A run's samples (its start, every sample_every accepted steps and
+    t_end), its largest relative energy and Casimir drifts over every step,
+    its step counts, and min_step: the smallest step the controller chose,
+    neither a first step accepted at opts.step without rejection nor one
+    cut to land on t_end; the smallest accepted step when no other is left."""
     times: list[float]
     states: list[tuple]
     energy_drift: float
     casimir_drift: float
-    extra_drifts: dict[str, float]
     steps: int
     rejected_steps: int
-    # the smallest accepted step the controller chose: neither a first step
-    # accepted at opts.step without rejection nor a landing step shortened
-    # to end on t_end; the smallest accepted step when no other is left
     min_step: float
 
 
@@ -133,11 +138,9 @@ def _gbs_tableau(f, x, dt):
 
 
 def _gbs_step(f, x, dt):
-    """_gbs_tableau, written out for the 5-dim chart with the same
+    """_gbs_tableau on the 5-dim chart, written out with the same
     operations in the same order, so the state and error are the same;
-    Henon's 6-entry system runs the tableau."""
-    if len(x) != 5:
-        return _gbs_tableau(f, x, dt)
+    Henon's 6-entry system calls the tableau itself."""
     x0, x1, x2, x3, x4 = x
     f0, f1, f2, f3, f4 = f(x)
     table = []
@@ -200,6 +203,35 @@ def _require_finite(name: str, values: tuple):
         raise DynamicsError(f"{name} must be finite, got {values}")
 
 
+def _start(h: ReducedHamiltonian, x0) -> tuple[tuple, float]:
+    """x0 as floats and its energy under h, the start of every run: a
+    non-finite x0 raises DynamicsError, one off the chart StepFailure."""
+    x = tuple(float(v) for v in x0)
+    _require_finite("initial state", x)
+    try:
+        return x, h.value(x)
+    except (StepFailure, ValueError, OverflowError) as exc:
+        raise StepFailure(f"initial state outside the chart: {exc}") from exc
+
+
+def _landing(t: float, t_end: float, dt: float) -> tuple[float, bool]:
+    """The step from t at dt, and whether it lands: t_end - t once at most
+    1e-9 of dt would be left, so that no sliver step follows."""
+    last = t_end - t <= dt * (1 + 1e-9)
+    return (t_end - t if last else dt), last
+
+
+def _fixed_steps(t_end: float, step: float):
+    """(dt, t_new) of each fixed step from t = 0 to t_end: step, ending on
+    t = k * step so that rounding does not add up, until _landing lands."""
+    t, k = 0.0, 0
+    while t < t_end:
+        dt, last = _landing(t, t_end, step)
+        k += 1
+        t = t_end if last else k * step
+        yield dt, t
+
+
 def _gbs_advance(f, x, t: float, t_end: float, dt: float, rel_tol: float):
     """One accepted GBS step from x at time t, tried first at dt:
     (x_new, t_new, dt_taken, dt_next, rejected).
@@ -209,13 +241,9 @@ def _gbs_advance(f, x, t: float, t_end: float, dt: float, rel_tol: float):
     step, is controlled.  A rejected step and the next trial step are
     scaled by 0.9 (tol/err)^(1/6), at most 5x down and 5x up; a trial step
     whose field evaluations leave the chart is rejected and cut 5x.  A
-    step still failing below 1e-12 raises StepFailure.  When at most 1e-9
-    of dt would be left before t_end, the first try is t_end - t instead,
-    stretched or cut short so that no sliver step follows, and t_new is
-    then t_end itself."""
-    last = t_end - t <= dt * (1 + 1e-9)
-    if last:
-        dt = t_end - t
+    step still failing below 1e-12 raises StepFailure.  The first try
+    follows _landing, and t_new is t_end itself when it lands."""
+    dt, last = _landing(t, t_end, dt)
     scale = max(max(abs(v) for v in x), 1.0)
     rejected = 0
     while True:
@@ -241,25 +269,17 @@ def _gbs_advance(f, x, t: float, t_end: float, dt: float, rel_tol: float):
 
 
 def integrate(h: ReducedHamiltonian, x0, t_end: float,
-              opts: Optional[IntegrationOptions] = None,
-              extra_integrals: Optional[dict[str, Callable]] = None) -> TrajectoryReport:
-    """Fixed-step RK4 (default) or, for method "rkf45", adaptive GBS steps,
-    with drift monitoring.
-
-    GBS starts from opts.step and steps under _gbs_advance's control,
-    which holds the local error per unit time below opts.rel_tol.  Drift
-    metrics compare against the initial values of the Hamiltonian, the
-    Casimir and any registered extra integrals.  A sample is kept every
-    sample_every accepted steps and at t_end.  The last step
-    ends on t_end: when at most 1e-9 of a step would be left over, the
-    current step is stretched to t_end instead of taking a sliver step.
-    A non-finite initial state, one off the chart or one whose energy
-    overflows, and an RK4 t_end/step above MAX_STEPS are refused, a run
-    still short of t_end after MAX_STEPS accepted steps raises
-    DynamicsError, and a step whose energy is not finite raises
-    StepFailure.
-    The energy, the chart's Casimir, the options and the drift
-    denominators max(|e0|, 1e-30), max(|c0|, 1e-30) are bound once per run."""
+              opts: Optional[IntegrationOptions] = None) -> TrajectoryReport:
+    """Fixed-step RK4 (default, on _fixed_steps' clock) or, for method
+    "rkf45", adaptive GBS steps from opts.step under _gbs_advance's control,
+    which holds the local error per unit time below opts.rel_tol, with
+    the drifts of the Hamiltonian and the Casimir from their values at
+    _start.  A sample is kept every sample_every accepted steps and at
+    t_end.  An RK4 t_end/step above MAX_STEPS is refused, a run still short
+    of t_end after MAX_STEPS accepted steps raises DynamicsError, and a
+    step whose energy is not finite raises StepFailure.  The energy, the
+    chart's Casimir, the options and the drift denominators
+    max(|e0|, 1e-30), max(|c0|, 1e-30) are bound once per run."""
     opts = opts or IntegrationOptions()
     _require_positive(step=opts.step, t_end=t_end, rel_tol=opts.rel_tol)
     if not (isinstance(opts.sample_every, int) and opts.sample_every >= 1):
@@ -270,52 +290,36 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
     rk4 = opts.method == "rk4"
     if rk4:
         _require_step_count(t_end, opts.step)
-    extra_integrals = extra_integrals or {}
-    x = tuple(float(v) for v in x0)
-    _require_finite("initial state", x)
+    x, e0 = _start(h, x0)
     f = bound_field(h)
     value = h.value
     c_of = bound_casimir(h.params.space)
     step, rel_tol, sample_every = opts.step, opts.rel_tol, opts.sample_every
     abort = opts.casimir_abort
-
-    try:
-        e0 = value(x)
-    except (StepFailure, ValueError, OverflowError) as exc:
-        raise StepFailure(f"initial state outside the chart: {exc}") from exc
     c0 = c_of(x)
     e_scale, c_scale = max(abs(e0), 1e-30), max(abs(c0), 1e-30)
-    extras0 = {name: fn(x) for name, fn in extra_integrals.items()}
-    times = [0.0]
-    states = [x]
-    e_drift = 0.0
-    c_drift = 0.0
-    x_drifts = {name: 0.0 for name in extras0}
+    times, states = [0.0], [x]
+    e_drift = c_drift = 0.0
 
-    t = 0.0
-    k = 0                   # RK4: t = k * dt keeps rounding off the sum
+    t, dt, clock = 0.0, step, _fixed_steps(t_end, step)
     steps = rejected = 0
     min_step = min_accepted = math.inf
-    dt = step
     while t < t_end:
         if steps == MAX_STEPS:
             raise _step_bound_reached(t, t_end)
         trial = dt
         try:
             if rk4:
-                last = t_end - t <= dt * (1 + 1e-9)     # as in _gbs_advance
-                dt_eff = t_end - t if last else dt
+                dt_eff, t_new = next(clock)
                 x = _rk4_step(f, x, dt_eff)
-                k += 1
-                t_new = t_end if last else k * dt
             else:
                 x, t_new, dt_eff, dt, n = _gbs_advance(f, x, t, t_end, dt, rel_tol)
                 rejected += n
-                last = t_new == t_end
         except (StepFailure, ValueError, OverflowError) as exc:
             raise StepFailure(
                 f"integration failed at t={t:.6g}: {exc}") from exc
         t = t_new
+        last = t == t_end
         if dt_eff < min_accepted:
             min_accepted = dt_eff
         if dt_eff < min_step and not (last and dt_eff < trial) \
@@ -334,17 +338,13 @@ def integrate(h: ReducedHamiltonian, x0, t_end: float,
             raise StepFailure(
                 f"Casimir drift {c_drift:.3e} beyond {abort:.1e} "
                 f"at t={t:.6g}: integration is untrustworthy")
-        for name, fn in extra_integrals.items():
-            v = fn(x)
-            x_drifts[name] = max(x_drifts[name],
-                                 abs(v - extras0[name]) / max(abs(extras0[name]), 1e-30))
         if steps % sample_every == 0 or last:
             times.append(t)
             states.append(x)
     if min_step == math.inf:
         min_step = min_accepted
-    return TrajectoryReport(times, states, e_drift, c_drift, x_drifts, steps,
-                            rejected, min_step)
+    return TrajectoryReport(times, states, e_drift, c_drift, steps, rejected,
+                            min_step)
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +422,26 @@ def nve_time_domain(params: ModelParams, gamma_report: TrajectoryReport,
     """Evolve (p1, p2) along the supplied geodesic base trajectory.
 
     The base curve is re-integrated jointly with the linear variational
-    system (_nve_field, same RK4 step), and the variation is sampled at
-    the supplied report's times.  A span/step above MAX_STEPS is
-    refused, and so is a non-finite variation, at the start and after
-    every step.  The field is bound once per run."""
+    system (_nve_field) by RK4 on gamma_trajectory's clock (_fixed_steps),
+    so at the base's step Gamma is the base's bit for bit, and the
+    variation is sampled at the report's times.  A report off this clock or
+    taken at another step, a span/step above MAX_STEPS and a non-finite
+    variation raise DynamicsError.  The field is bound once per run."""
     _require_positive(step=step)
     _require_step_count(gamma_report.times[-1], step)
-    _require_finite("initial variation", tuple(float(v) for v in initial_variation))
     f = _nve_field(params)
     x = gamma_report.states[0][:3] + tuple(float(v) for v in initial_variation)
+    _require_finite("initial variation", x[3:])
     out = [(0.0, x[3], x[4])]
-    t = 0.0
-    for target in gamma_report.times[1:]:
-        while t < target - 1e-12:
-            dt = min(step, target - t)
-            x = _rk4_step(f, x, dt)
-            t += dt
-            if not (math.isfinite(x[3]) and math.isfinite(x[4])):
-                raise StepFailure(f"variation {x[3:]} is not finite at t={t:.6g}")
-        out.append((t, x[3], x[4]))
+    sampled = set(gamma_report.times)
+    for dt, t in _fixed_steps(gamma_report.times[-1], step):
+        x = _rk4_step(f, x, dt)
+        if not (math.isfinite(x[3]) and math.isfinite(x[4])):
+            raise StepFailure(f"variation {x[3:]} is not finite at t={t:.6g}")
+        if t in sampled:
+            out.append((t, x[3], x[4]))
+    if len(out) < len(sampled) or x[:3] != gamma_report.states[-1][:3]:
+        raise DynamicsError(f"the base is not sampled on Gamma's clock at step {step!r}")
     return out
 
 
@@ -491,12 +492,12 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
     """Crossings of x[coordinate] = value in (0, t_end] with the requested
     sign of the derivative (direction 1: increasing, -1: decreasing; any
     other direction raises DynamicsError), the first MAX_SECTION_POINTS of
-    them.
+    them.  The start is refused as _start refuses it, before any step.
 
     GBS steps under _gbs_advance's control bracket each crossing: the
     first is tried at step, each holds its local error per unit time below
     IntegrationOptions.rel_tol, and the last lands on t_end, so no crossing
-    after t_end is reported.  One GBS step of Henon's system
+    after t_end is reported.  One GBS step of Henon's 6-entry system
     d(x, t)/dx_k = (f/f_k, 1/f_k) over value - x_k from the bracket's start
     then lands on the plane (M. Henon, Physica D 5 (1982) 412), and
     x[coordinate] is set to value in the reported state.  A crossing time
@@ -509,8 +510,7 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
     _require_positive(step=step)
     if not 0 <= t_end < math.inf:       # a zero horizon has no crossings
         raise DynamicsError(f"t_end must be non-negative and finite, got {t_end}")
-    x = tuple(float(v) for v in x0)
-    _require_finite("initial state", x)
+    x, _ = _start(h, x0)
     if not 0 <= coordinate < len(x):
         raise DynamicsError(
             f"coordinate must lie in [0, {len(x)}), got {coordinate}")
@@ -538,7 +538,7 @@ def poincare_section(h: ReducedHamiltonian, x0, t_end: float,
             s_new = x_new[coordinate] - value
             if s_prev * s_new < 0 and (s_new - s_prev) * direction > 0:
                 try:
-                    y, err = _gbs_step(henon, x + (t,), -s_prev)
+                    y, err = _gbs_tableau(henon, x + (t,), -s_prev)
                 except StepFailure as exc:
                     miss = f"left the chart ({exc})"
                 else:

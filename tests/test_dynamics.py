@@ -20,7 +20,7 @@ from conftest import reference_params
 from oracles import (bracket_field, central_motion_hamiltonian, composed_field,
                      composed_value, free_part_s1, free_part_s2, gamma_reference,
                      nve_rhs, rk4_tableau)
-from test_acceptance import BOUNDED_ORBITS, CONSISTENCY_RUNS
+from test_acceptance import BOUNDED_ORBITS, CONSISTENCY_RUNS, drift
 
 
 def sn_params(**overrides):
@@ -464,14 +464,14 @@ class TestStepControl:
     @staticmethod
     def _stub_henon_error(monkeypatch, error_of):
         """Replace the error of every Henon step (the chart's state plus t,
-        6 entries on the sphere chart) by error_of(span in t), which may
-        raise StepFailure as a step off the chart does."""
-        real_step = dynamics._gbs_step
+        run by the tableau) by error_of(span in t), which may raise
+        StepFailure as a step off the chart does."""
+        real_step = dynamics._gbs_tableau
 
         def step(f, x, dt):
             y, err = real_step(f, x, dt)
-            return (y, error_of(abs(y[-1] - x[-1]))) if len(x) == 6 else (y, err)
-        monkeypatch.setattr(dynamics, "_gbs_step", step)
+            return y, error_of(abs(y[-1] - x[-1]))
+        monkeypatch.setattr(dynamics, "_gbs_tableau", step)
 
     @pytest.mark.parametrize("err", [1.0, math.nan])
     def test_section_refuses_a_henon_step_above_tolerance(self, monkeypatch, err):
@@ -648,18 +648,16 @@ class TestIntegrate:
         h1 = free_part_s1(params)
         h2 = free_part_s2(params)
         rep = integrate(h, (1.5, 0.02, 0.05, 0.02, 0.25), 20.0,
-                        IntegrationOptions(step=1e-3, sample_every=2000),
-                        extra_integrals={"h_s1": h1.value, "h_s2": h2.value})
-        assert rep.extra_drifts["h_s1"] < 1e-9
-        assert rep.extra_drifts["h_s2"] < 1e-9
+                        IntegrationOptions(step=1e-3, sample_every=1))
+        assert drift(h1.value, rep.states) < 1e-9
+        assert drift(h2.value, rep.states) < 1e-9
 
     def test_central_motion_conserves_p2(self):
         params = sn_params()
         h = central_motion_hamiltonian(params)
         rep = integrate(h, (1.2, 0.1, 0.2, 0.1, 0.3), 20.0,
-                        IntegrationOptions(step=1e-3, sample_every=2000),
-                        extra_integrals={"p2": lambda s: s[4]})
-        assert rep.extra_drifts["p2"] == 0.0
+                        IntegrationOptions(step=1e-3, sample_every=1))
+        assert drift(lambda s: s[4], rep.states) == 0.0
 
     def test_casimir_abort(self):
         params = sn_params(strength=Fr(5, 2), p=Fr(2))
@@ -977,6 +975,48 @@ class TestNveTimeDomain:
         other = derive_params(space, pot, **{**kw, "strength": 2 * kw["strength"]})
         assert nve_chain_rule_residual(other, base, variation) > 1e-3
 
+    @pytest.mark.parametrize("space,pot,kw,theta0,t_end,every", CONSISTENCY_RUNS + [
+        (Space.SPHERE, Potential.NEWTON, dict(strength=2, mu=Fr(1, 2), p=1, eps=0),
+         1.0, 1.0, 10)])      # README's nve example, sampled as the CLI samples it
+    def test_runs_on_gammas_clock(self, monkeypatch, space, pot, kw, theta0, t_end, every):
+        """nve's RK4 steps are those of the Gamma run it is given, in order
+        and bit for bit, and so is its (theta, p_theta, p0) after each."""
+        params = derive_params(space, pot, **kw)
+        real_step, steps = dynamics._rk4_step, []
+
+        def step(f, x, dt):
+            y = real_step(f, x, dt)
+            steps.append((dt, y[:3]))
+            return y
+        monkeypatch.setattr(dynamics, "_rk4_step", step)
+        base = gamma_trajectory(params, theta0, t_end, sample_every=every)
+        gamma_steps, steps[:] = steps[:], []
+        nve_time_domain(params, base, (0.37, -0.81))
+        assert len(steps) == base.steps and steps == gamma_steps
+
+    @pytest.mark.parametrize("t_end", [1e-13, 0.5000000000004])
+    def test_samples_land_on_the_base_times(self, t_end):
+        """A span shorter than one step, or 500 steps and 4e-10 of one,
+        which the last absorbs, ends on t_end as the base run does, and the
+        variation has moved."""
+        params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)
+        base = gamma_trajectory(params, 1.0, t_end, sample_every=10)
+        out = nve_time_domain(params, base, (1.0, 0.0))
+        assert [t for t, _, _ in out] == base.times and base.times[-1] == t_end
+        assert out[-1][1:] != (1.0, 0.0)
+
+    @pytest.mark.parametrize("base_step,step", [(1e-3, 7e-4), (2e-3, 1e-3)])
+    def test_a_base_at_another_step_is_refused(self, base_step, step):
+        """Samples of a base at step 1e-3 every 10 steps (t = 0.01, ...)
+        fall between the steps of 7e-4; those of a base at 2e-3 fall on the
+        steps of 1e-3, but its Gamma is not the one run at 1e-3."""
+        params = derive_params(Space.SPHERE, Potential.NEWTON, 2, Fr(1, 2), 1, 0)
+        base = gamma_trajectory(params, 1.0, 0.1, step=base_step, sample_every=10)
+        with pytest.raises(DynamicsError, match=r"^the base is not sampled on Gamma's "
+                           f"clock at step {step!r}$") as info:
+            nve_time_domain(params, base, (1.0, 0.0), step=step)
+        assert info.type is DynamicsError
+
     def test_non_finite_variation_is_refused(self):
         """A non-finite initial variation is refused before the first step,
         and one that turns non-finite ends the run in StepFailure instead of
@@ -1095,18 +1135,19 @@ class TestPoincareSection:
         of theta = 0 on the root of -0.1 + 1e-6 t + t^2/2.  A Henon step
         that puts it outside the step bracketing it (here a stub, 1 later)
         raises StepFailure instead of reporting a point."""
-        h = SimpleNamespace(params=sn_params(), field=bracket_field(
-            Space.SPHERE, lambda x: (-1.0, x[1], 0.0, 0.0, 0.0)))
+        h = SimpleNamespace(params=sn_params(), value=lambda x: x[1] ** 2 / 2 - x[0],
+                            field=bracket_field(Space.SPHERE,
+                                                lambda x: (-1.0, x[1], 0.0, 0.0, 0.0)))
         x0 = (-0.1, 1e-6, 0.0, 0.0, 0.0)
         root = -1e-6 + math.sqrt(1e-12 + 0.2)
         points = poincare_section(h, x0, 1.0, coordinate=0, step=1.0)
         assert len(points) == 1 and points[0].t == pytest.approx(root, abs=1e-12)
-        real_step = dynamics._gbs_step
+        real_step = dynamics._gbs_tableau
 
         def step(f, x, dt):
             y, err = real_step(f, x, dt)
-            return (y[:-1] + (y[-1] + 1.0,), err) if len(x) == 6 else (y, err)
-        monkeypatch.setattr(dynamics, "_gbs_step", step)
+            return y[:-1] + (y[-1] + 1.0,), err
+        monkeypatch.setattr(dynamics, "_gbs_tableau", step)
         with pytest.raises(StepFailure, match="outside its step"):
             poincare_section(h, x0, 1.0, coordinate=0, step=1.0)
 
@@ -1132,6 +1173,18 @@ class TestPoincareSection:
         t_ref = k * step + lo
         points = poincare_section(h, x0, t_ref + 1e-3)
         assert abs(points[0].t - t_ref) < 1e-11
+
+    @pytest.mark.parametrize("space,theta0,message", [
+        (Space.SPHERE, 0.0, r"theta = 0.0 outside \(0, pi\)"),
+        (Space.SPHERE, 4.0, r"theta = 4.0 outside \(0, pi\)"),
+        (Space.HYPERBOLIC, 1e-300, r"theta = 1e-300 outside \(0, infinity\)"),
+        (Space.HYPERBOLIC, 800.0, "math range error")])
+    def test_a_start_off_the_chart_is_refused_before_any_step(self, monkeypatch, space,
+                                                              theta0, message):
+        monkeypatch.setattr(dynamics, "_gbs_advance", at_most(0, dynamics._gbs_advance))
+        with pytest.raises(StepFailure, match="^initial state outside the chart: "
+                           + message):
+            poincare_section(full_hamiltonian(space), (theta0, 0.0, 0.02, 0.0, 0.3), 1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, value):
